@@ -3,16 +3,22 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check test trace-smoke analyze-smoke e14-smoke bench bench-record experiments torture
+.PHONY: check test replaybench-test trace-smoke analyze-smoke e14-smoke bench bench-record \
+	replaybench experiments torture
 
-# The default gate: unit tests, then the traced-run smoke (schema-valid
-# JSONL + hub/device accounting identity + clean online monitors), then
-# the trace-analytics smoke over that trace, then the multi-client
-# contention smoke, then the perf bench.
-check: test trace-smoke analyze-smoke e14-smoke bench
+# The default gate: unit tests, then the replay benchmark's own tests,
+# then the traced-run smoke (schema-valid JSONL + hub/device accounting
+# identity + clean online monitors), then the trace-analytics smoke over
+# that trace, then the multi-client contention smoke, then the perf bench.
+check: test replaybench-test trace-smoke analyze-smoke e14-smoke bench
 
 test:
 	$(PY) -m pytest -x -q
+
+# The replay benchmark's own tests: span recorder, shadow model,
+# fingerprints and host-speed scaling (a few seconds, short replays only).
+replaybench-test:
+	$(PY) -m pytest replaybench -q
 
 # Tiny traced run: validates the JSONL trace against its schema, the
 # Chrome export, the MetricsHub-vs-device accounting identity, and zero
@@ -41,6 +47,13 @@ bench:
 # Record a new BENCH_<stamp>.json baseline (commit the file it prints).
 bench-record:
 	$(PY) -m repro bench --json
+
+# One short run of each replaybench workload (tracer off): end-to-end
+# metrics and the read-back correctness check, ~10 s per workload.
+replaybench:
+	for w in office-disk office-solid database-ftl; do \
+		$(PY) replaybench/run.py --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
+	done
 
 experiments:
 	$(PY) -m repro experiments --all -j 4

@@ -6,40 +6,26 @@ Every device in the reproduction follows the same contract:
 - every operation returns an :class:`AccessResult` with the service
   latency in seconds and the energy consumed in joules;
 - it accumulates a :class:`DeviceStats` record that experiment harnesses
-  read instead of instrumenting call sites;
-- it owns a :class:`DeviceQueue` -- the uniform admission point of the
-  kernel request path -- and accepts :class:`IORequest` objects through
-  :meth:`StorageDevice.submit`.
+  read instead of instrumenting call sites.
 
 Devices are *time-aware but passive*: callers pass the current simulated
 time in, and devices report how long the operation took (including any
-queueing behind a busy flash bank or a disk spin-up).  The caller decides
+wait behind a busy flash bank or a disk spin-up).  The caller decides
 whether to advance a shared clock by that latency.
 
-Two call paths coexist, by design:
-
-- The **direct path** (``read``/``write``/``charge_*``) is the synchronous
-  call-down used by the file systems and storage layers.  It never
-  consults the device queue, so a single synchronous client observes
-  exactly the device's own service model (bank stalls, spin-ups) -- the
-  behaviour every experiment before the request-path refactor measured.
-- The **request path** (:meth:`StorageDevice.submit`) wraps the same
-  service model in a FIFO :class:`DeviceQueue`: a request arriving while
-  an earlier operation still occupies the device waits for it, and the
-  wait is reported separately from service time.  Experiment E14's
-  device-level contention stage and the scheduler tests drive devices
-  this way; the file-system layers keep the direct path.
-
-Both paths record the busy window of every operation into the device's
-queue, so queue utilisation/backlog statistics cover all traffic even
-when only some of it arrives as explicit requests.
+Every access is a direct synchronous call (``read``/``write``/
+``charge_*``) from the file systems and storage layers.  Contention
+between clients is arbitrated above the devices, by the cooperative
+scheduler's shared clock (:mod:`repro.sim.sched`); inside a device only
+the flash banks keep a busy horizon (:class:`DeviceQueue`), because the
+paper's bank-partitioning argument (Section 3.3) is about exactly that
+stall.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Optional
 
 from repro.devices.errors import OutOfRangeError
 
@@ -68,84 +54,18 @@ class AccessResult:
             raise ValueError("wait cannot exceed total latency")
 
 
-@dataclass
-class IORequest:
-    """One kernel-level I/O request against a single device.
-
-    Requests make the implicit arguments of the synchronous call-down
-    path explicit, so a scheduler can queue, reorder, and account them.
-
-    Attributes:
-        kind: ``read`` | ``write`` | ``charge_read`` | ``charge_write``
-            | ``erase`` (erase only on devices with erase sectors).
-        offset: byte offset (``sector`` index for ``erase``).
-        nbytes: transfer size (ignored for ``erase``).
-        data: payload for ``write``; None otherwise.
-        client: originating client id, for per-client accounting (None
-            for kernel-internal traffic).
-        issue_time: sim time the request entered the queue.
-
-    Filled in by :meth:`StorageDevice.submit`:
-
-    Attributes:
-        queue_wait: seconds spent queued behind earlier operations
-            *before* the device began servicing this request.
-        start_time: sim time service began (``issue_time + queue_wait``).
-        result: the whole-request :class:`AccessResult`; ``result.wait``
-            includes both the queue wait and any device-internal stall
-            (busy bank, spin-up).
-        payload: data returned by a ``read``.
-    """
-
-    kind: str
-    offset: int = 0
-    nbytes: int = 0
-    data: Optional[bytes] = None
-    client: Optional[int] = None
-    issue_time: float = 0.0
-    queue_wait: float = 0.0
-    start_time: float = 0.0
-    result: Optional[AccessResult] = None
-    payload: Optional[bytes] = None
-
-    @property
-    def complete_time(self) -> float:
-        """Sim time the request finished (valid once serviced)."""
-        if self.result is None:
-            raise ValueError("request has not been serviced")
-        return self.issue_time + self.result.latency
-
-
 class DeviceQueue:
-    """FIFO admission window for one service centre.
+    """Busy horizon of one service centre (a flash bank).
 
-    A service centre is either a whole device (DRAM, disk) or one flash
-    bank; the same class models both, replacing the flash-only
-    ``busy_until`` special case.  The queue tracks the busy horizon --
-    the absolute sim time until which the centre is occupied -- plus
-    cumulative admission/wait statistics for utilisation reporting.
-
-    ``wait_for``/``occupy`` are the low-level primitives the devices'
-    own service models use for internal arbitration; ``admit`` is the
-    request-path entry that also accumulates queueing statistics.
+    ``busy_until`` is the absolute sim time until which the centre is
+    occupied; a request arriving earlier stalls for the difference.
     """
 
-    __slots__ = (
-        "name",
-        "busy_until",
-        "busy_time",
-        "admissions",
-        "queued_admissions",
-        "queue_wait_time",
-    )
+    __slots__ = ("name", "busy_until")
 
     def __init__(self, name: str) -> None:
         self.name = name
         self.busy_until = 0.0
-        self.busy_time = 0.0
-        self.admissions = 0
-        self.queued_admissions = 0
-        self.queue_wait_time = 0.0
 
     def wait_for(self, now: float) -> float:
         """Seconds a request arriving at ``now`` waits for the centre."""
@@ -158,29 +78,6 @@ class DeviceQueue:
         end = start + duration
         if end > self.busy_until:
             self.busy_until = end
-        self.busy_time += duration
-
-    def admit(self, now: float) -> float:
-        """Admit one request at ``now``; returns its queue wait."""
-        wait = self.wait_for(now)
-        self.admissions += 1
-        if wait > 0.0:
-            self.queued_admissions += 1
-            self.queue_wait_time += wait
-        return wait
-
-    def utilization(self, now: float) -> float:
-        """Fraction of ``[0, now]`` the centre spent busy."""
-        return self.busy_time / now if now > 0.0 else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "busy_until": self.busy_until,
-            "busy_time_s": self.busy_time,
-            "admissions": self.admissions,
-            "queued_admissions": self.queued_admissions,
-            "queue_wait_time_s": self.queue_wait_time,
-        }
 
 
 @dataclass
@@ -199,18 +96,19 @@ class DeviceStats:
     def record_read(self, nbytes: int, result: AccessResult) -> None:
         self.reads += 1
         self.bytes_read += nbytes
-        self._record(result)
+        self.busy_time += result.latency - result.wait
+        self.wait_time += result.wait
+        self.energy_joules += result.energy
 
     def record_write(self, nbytes: int, result: AccessResult) -> None:
         self.writes += 1
         self.bytes_written += nbytes
-        self._record(result)
+        self.busy_time += result.latency - result.wait
+        self.wait_time += result.wait
+        self.energy_joules += result.energy
 
     def record_erase(self, result: AccessResult) -> None:
         self.erases += 1
-        self._record(result)
-
-    def _record(self, result: AccessResult) -> None:
         self.busy_time += result.latency - result.wait
         self.wait_time += result.wait
         self.energy_joules += result.energy
@@ -261,7 +159,6 @@ class StorageDevice(ABC):
         self.name = name
         self.capacity_bytes = capacity_bytes
         self.stats = DeviceStats()
-        self.queue = DeviceQueue(name)
         self._idle = _IdleTracker(idle_power_watts)
         # Optional repro.obs.Tracer; devices emit one trace record per
         # operation when set.  Defaults to the process-wide tracer so
@@ -316,69 +213,6 @@ class StorageDevice(ABC):
     def charge_write(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
         """Account a write of ``nbytes`` without supplying real data."""
         return self.write(offset, bytes(nbytes), now)
-
-    # ------------------------------------------------------------------
-    # Kernel request path.
-    #
-    # submit() is the uniform asynchronous-style entry point: the request
-    # is admitted through the device's FIFO queue (waiting out any busy
-    # window left by earlier traffic), serviced by the matching direct
-    # operation at its start time, and returned with queue wait and the
-    # whole-request AccessResult filled in.  A device whose service model
-    # has extra operations (flash erase) extends _service_request.
-    # ------------------------------------------------------------------
-
-    def submit(self, request: IORequest, now: "Optional[float]" = None) -> IORequest:
-        """Service ``request`` through the device queue; returns it filled.
-
-        ``now`` overrides ``request.issue_time`` when given.  The
-        returned request's ``result.latency`` spans queue wait + service;
-        ``result.wait`` is the queue wait plus any device-internal stall.
-        """
-        if now is not None:
-            request.issue_time = now
-        issue = request.issue_time
-        wait = self.queue.admit(issue)
-        request.queue_wait = wait
-        request.start_time = issue + wait
-        inner = self._service_request(request, request.start_time)
-        if wait > 0.0:
-            # Queue wait is stall time: fold it into the device's
-            # service-vs-wait accounting and the request's result.
-            self.stats.wait_time += wait
-            if self.tracer is not None:
-                detail = {"wait": wait}
-                if request.client is not None:
-                    detail["client"] = request.client
-                self.tracer.emit(
-                    self.name, "queue_wait", issue, request.nbytes, wait,
-                    detail=detail,
-                )
-            request.result = AccessResult(
-                latency=wait + inner.latency,
-                energy=inner.energy,
-                wait=wait + inner.wait,
-            )
-        else:
-            request.result = inner
-        return request
-
-    def _service_request(self, request: IORequest, start: float) -> AccessResult:
-        """Dispatch one admitted request to the direct service model."""
-        kind = request.kind
-        if kind == "read":
-            request.payload, result = self.read(request.offset, request.nbytes, start)
-        elif kind == "write":
-            if request.data is None:
-                raise ValueError(f"{self.name}: write request carries no data")
-            result = self.write(request.offset, request.data, start)
-        elif kind == "charge_read":
-            result = self.charge_read(request.nbytes, start, offset=request.offset)
-        elif kind == "charge_write":
-            result = self.charge_write(request.nbytes, start, offset=request.offset)
-        else:
-            raise ValueError(f"{self.name}: unsupported request kind {kind!r}")
-        return result
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, capacity={self.capacity_bytes})"

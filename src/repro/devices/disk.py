@@ -145,9 +145,6 @@ class MagneticDisk(StorageDevice):
         self._last_op_end = now + spin_delay + service
         # Time covered by the operation is active, not idle.
         self._idle_accounted_to = max(self._idle_accounted_to, self._last_op_end)
-        # Spin-up occupies the mechanism just like service does: a request
-        # queued behind this operation waits for both.
-        self.queue.occupy(now, spin_delay + service)
         return AccessResult(
             latency=spin_delay + service,
             energy=spin_energy + power * service,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.devices.base import AccessResult, DeviceQueue, IORequest, StorageDevice
+from repro.devices.base import AccessResult, DeviceQueue, StorageDevice
 from repro.devices.catalog import MB, FLASH_PAPER_NOMINAL, DeviceSpec
 from repro.devices.errors import WornOutError, WriteBeforeEraseError
 
@@ -37,11 +37,9 @@ ERASED_BYTE = 0xFF
 class FlashBankState:
     """Dynamic state of one flash bank.
 
-    Each bank is an independent service centre in the kernel request
-    path, so its busy horizon lives in a :class:`DeviceQueue` (the same
-    structure every other device uses) instead of a bespoke float.
-    ``busy_until`` remains available as a read-only property for
-    existing call sites and tests.
+    Each bank is an independent service centre: a program or erase
+    occupies it, and a read arriving meanwhile stalls.  Its busy horizon
+    lives in a :class:`DeviceQueue`; ``busy_until`` is a read-only view.
     """
 
     index: int
@@ -191,45 +189,6 @@ class FlashMemory(StorageDevice):
         self.bank_states[bank].queue.occupy(start, service)
 
     # ------------------------------------------------------------------
-    # Kernel request path.
-    #
-    # Flash's service model already arbitrates per bank inside every
-    # operation -- that is the paper's partitioning argument (Section
-    # 3.3, experiment E8) -- so a device-level FIFO in front of it would
-    # serialize banks that can run in parallel.  submit() therefore
-    # services immediately and reports the bank stall as the request's
-    # queue wait; the device-level queue only aggregates statistics.
-    # ------------------------------------------------------------------
-
-    def submit(self, request: IORequest, now: Optional[float] = None) -> IORequest:
-        if now is not None:
-            request.issue_time = now
-        inner = self._service_request(request, request.issue_time)
-        wait = inner.wait
-        self.queue.admissions += 1
-        if wait > 0.0:
-            self.queue.queued_admissions += 1
-            self.queue.queue_wait_time += wait
-            if self.tracer is not None:
-                detail = {"wait": wait}
-                if request.client is not None:
-                    detail["client"] = request.client
-                self.tracer.emit(
-                    self.name, "queue_wait", request.issue_time,
-                    request.nbytes, wait, detail=detail,
-                )
-        request.queue_wait = wait
-        request.start_time = request.issue_time + wait
-        request.result = inner
-        return request
-
-    def _service_request(self, request: IORequest, start: float) -> AccessResult:
-        if request.kind == "erase":
-            # ``offset`` carries the sector index for erase requests.
-            return self.erase_sector(request.offset, start)
-        return super()._service_request(request, start)
-
-    # ------------------------------------------------------------------
     # Operations.
     # ------------------------------------------------------------------
 
@@ -260,7 +219,6 @@ class FlashMemory(StorageDevice):
             wait=wait,
         )
         self.stats.record_read(nbytes, result)
-        self.queue.occupy(now + wait, latency - wait)
         if self.tracer is not None:
             detail = {"wait": wait} if wait > 0.0 else None
             self.tracer.emit(self.name, "read", now, nbytes, result.latency,
@@ -300,7 +258,6 @@ class FlashMemory(StorageDevice):
             wait=wait,
         )
         self.stats.record_read(nbytes, result)
-        self.queue.occupy(now + wait, latency - wait)
         if self.tracer is not None:
             detail = {"wait": wait} if wait > 0.0 else None
             self.tracer.emit(self.name, "charge_read", now, nbytes, result.latency,
@@ -339,7 +296,6 @@ class FlashMemory(StorageDevice):
             wait=wait,
         )
         self.stats.record_write(nbytes, result)
-        self.queue.occupy(now + wait, latency - wait)
         if self.tracer is not None:
             detail = {"wait": wait} if wait > 0.0 else None
             self.tracer.emit(self.name, "charge_write", now, nbytes, result.latency,
@@ -385,7 +341,6 @@ class FlashMemory(StorageDevice):
             wait=wait,
         )
         self.stats.record_write(nbytes, result)
-        self.queue.occupy(now + wait, latency - wait)
         if self.tracer is not None:
             # Bank detail feeds the per-bank wear / write-amplification
             # series in repro.obs.analyze.
@@ -434,7 +389,6 @@ class FlashMemory(StorageDevice):
             wait=stall,
         )
         self.stats.record_erase(result)
-        self.queue.occupy(now + stall, service)
         if self.tracer is not None:
             detail = {"sector": sector, "bank": self.bank_of_sector(sector)}
             if stall > 0.0:

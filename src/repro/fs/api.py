@@ -85,8 +85,7 @@ def parent_and_name(path: str) -> Tuple[List[str], str]:
 class FSRequest:
     """One kernel-level file-system request.
 
-    The file-system analogue of :class:`repro.devices.base.IORequest`:
-    the replayer (and any future kernel entry point) describes each
+    The replayer (and any future kernel entry point) describes each
     operation as data, so requests can be attributed to a client and
     dispatched uniformly by :meth:`FileSystem.apply`.
 

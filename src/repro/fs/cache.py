@@ -39,7 +39,14 @@ class BufferCache:
         self.capacity_blocks = capacity_blocks
         self.dram = dram
         self.stats = StatRegistry("buffercache")
-        self._blocks: "OrderedDict[int, bytearray]" = OrderedDict()
+        # Counters every read/write touches; StatRegistry.reset resets
+        # them in place, so the references stay valid.
+        self._hits = self.stats.counter("hits")
+        self._misses = self.stats.counter("misses")
+        self._writes = self.stats.counter("writes")
+        # One immutable bytes object per resident block: a hit hands the
+        # stored object out, and eviction and flush hand it to the device.
+        self._blocks: "OrderedDict[int, bytes]" = OrderedDict()
         self._dirty: Dict[int, bool] = {}
         self._sync_timer = None
 
@@ -50,9 +57,10 @@ class BufferCache:
     def _charge_dram(self, nbytes: int, write: bool) -> None:
         """Advance the clock by a DRAM touch of ``nbytes``.
 
-        Uses the accounting-only charge API: cache hits and installs pay
-        DRAM latency/energy without allocating ghost buffers (the block
-        bytes already live in the cache's own structures).
+        Uses the accounting-only charge API: writes and installs pay DRAM
+        latency/energy without allocating ghost buffers (the block bytes
+        already live in the cache's own structures).  :meth:`read`
+        inlines the same charge on its hit path.
         """
         if self.dram is None:
             return
@@ -67,39 +75,58 @@ class BufferCache:
     # ------------------------------------------------------------------
 
     def read(self, lba: int) -> bytes:
+        """The block's bytes; a hit returns the cached object itself.
+
+        Callers get an immutable ``bytes``, and the same object for as
+        long as the block is neither rewritten nor evicted, so a parse of
+        it may be memoized on object identity.
+        """
         client = current_client()
         block = self._blocks.get(lba)
         if block is not None:
             self._blocks.move_to_end(lba)
-            self.stats.counter("hits").add(1)
+            self._hits.add(1)
             if client is not None:
                 self.stats.counter(f"client{client}_hits").add(1)
-            self._charge_dram(self.device.block_size, write=False)
-            return bytes(block)
-        self.stats.counter("misses").add(1)
+            dram = self.dram
+            if dram is not None:
+                clock = self.clock
+                clock.advance(dram.charge_read(self.device.block_size, clock.now).latency)
+            return block
+        self._misses.add(1)
         if client is not None:
             self.stats.counter(f"client{client}_misses").add(1)
         data = self.device.read_block(lba)  # timed device read
-        self._install(lba, bytearray(data), dirty=False)
+        if type(data) is not bytes:
+            data = bytes(data)
+        self._install(lba, data, dirty=False)
         return data
 
     def write(self, lba: int, data: bytes) -> None:
+        """Cache ``data`` as the block's new contents (write-back).
+
+        The cache keeps ``data`` itself when it is ``bytes`` and one
+        immutable copy otherwise, so a caller mutating its buffer later
+        cannot change the cached block.
+        """
         if len(data) != self.device.block_size:
             raise ValueError("cache writes whole blocks")
         self.device.check_lba(lba)
-        self.stats.counter("writes").add(1)
+        self._writes.add(1)
         client = current_client()
         if client is not None:
             self.stats.counter(f"client{client}_writes").add(1)
+        if type(data) is not bytes:
+            data = bytes(data)
         self._charge_dram(len(data), write=True)
         if lba in self._blocks:
-            self._blocks[lba][:] = data
+            self._blocks[lba] = data
             self._blocks.move_to_end(lba)
             self._dirty[lba] = True
             return
-        self._install(lba, bytearray(data), dirty=True)
+        self._install(lba, data, dirty=True)
 
-    def _install(self, lba: int, block: bytearray, dirty: bool) -> None:
+    def _install(self, lba: int, block: bytes, dirty: bool) -> None:
         self._charge_dram(len(block), write=True)
         self._blocks[lba] = block
         self._dirty[lba] = dirty
@@ -107,7 +134,7 @@ class BufferCache:
             victim, vblock = self._blocks.popitem(last=False)
             if self._dirty.pop(victim):
                 self.stats.counter("dirty_evictions").add(1)
-                self.device.write_block(victim, bytes(vblock))  # timed
+                self.device.write_block(victim, vblock)  # timed
             else:
                 self.stats.counter("clean_evictions").add(1)
 
@@ -120,7 +147,7 @@ class BufferCache:
         written = 0
         for lba in list(self._blocks):
             if self._dirty.get(lba):
-                self.device.write_block(lba, bytes(self._blocks[lba]))
+                self.device.write_block(lba, self._blocks[lba])
                 self._dirty[lba] = False
                 written += 1
         self.stats.counter("sync_writebacks").add(written)
@@ -161,8 +188,8 @@ class BufferCache:
         return sum(1 for d in self._dirty.values() if d)
 
     def hit_ratio(self) -> float:
-        hits = self.stats.counter("hits").value
-        misses = self.stats.counter("misses").value
+        hits = self._hits.value
+        misses = self._misses.value
         total = hits + misses
         return hits / total if total else 0.0
 

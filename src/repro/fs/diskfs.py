@@ -34,7 +34,7 @@ from __future__ import annotations
 import contextlib
 import struct
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.sim.sched import current_client
 from repro.fs.api import (
@@ -142,12 +142,46 @@ class DiskInode:
         return raw + bytes(INODE_SIZE - len(raw))
 
     @classmethod
-    def unpack(cls, ino: int, raw: bytes) -> "DiskInode":
-        fields = _INODE.unpack(raw[: _INODE.size])
+    def from_fields(cls, ino: int, fields: tuple) -> "DiskInode":
+        """Build a fresh inode from an ``_INODE.unpack`` tuple."""
         mode, _pad, nlinks, size, mtime = fields[:5]
-        direct = list(fields[5:17])
-        indirect, dindirect = fields[17], fields[18]
-        return cls(ino, mode, nlinks, size, mtime, direct, indirect, dindirect)
+        return cls(ino, mode, nlinks, size, mtime, list(fields[5:17]), fields[17], fields[18])
+
+
+class _DirBlock(NamedTuple):
+    """One parsed directory block, memoized on the identity of ``block``.
+
+    ``entries`` lists ``(slot, name, ino)`` for live entries in slot
+    order, ``first`` maps each name to its first live entry's inode and
+    ``free`` lists the dead slots.  A name that does not decode stops
+    ``entries`` at its slot, exactly where an unmemoized scan raised;
+    ``error`` holds the exception to raise there.
+    """
+
+    block: bytes
+    entries: List[Tuple[int, str, int]]
+    first: Dict[str, int]
+    free: List[int]
+    error: Optional[UnicodeDecodeError]
+
+
+def _parse_dir_block(block: bytes) -> _DirBlock:
+    entries: List[Tuple[int, str, int]] = []
+    first: Dict[str, int] = {}
+    free: List[int] = []
+    error = None
+    for slot, (ino, namelen, namebuf) in enumerate(_DIRENT.iter_unpack(block)):
+        if not ino:
+            free.append(slot)
+        elif error is None:
+            try:
+                name = namebuf[:namelen].decode("utf-8")
+            except UnicodeDecodeError as exc:
+                error = exc
+                continue
+            entries.append((slot, name, ino))
+            first.setdefault(name, ino)
+    return _DirBlock(block, entries, first, free, error)
 
 
 def mkfs(cache: BufferCache, ninodes: int = 512) -> Layout:
@@ -198,6 +232,14 @@ class ConventionalFileSystem(FileSystem):
             layout = Layout.unpack(cache.read(0))
         self.layout = layout
         self._alloc_hint = layout.data_start
+        # Host-side memos of parsed metadata blocks, keyed by LBA.  An
+        # entry is valid only while cache.read(lba) returns the very
+        # object it was parsed from: the cache holds immutable bytes, and
+        # a rewrite, an eviction plus re-read, an fsck repair or a crash
+        # all yield a new object.  Every lookup still reads the block
+        # through the cache, so the simulated cost is unchanged.
+        self._dir_memo: Dict[int, _DirBlock] = {}
+        self._inode_memo: Dict[int, Tuple[bytes, Dict[int, tuple]]] = {}
 
     # ------------------------------------------------------------------
     # Timing wrapper.
@@ -227,21 +269,30 @@ class ConventionalFileSystem(FileSystem):
         slot = ino - 1
         return self.layout.inode_start + slot // INODES_PER_BLOCK, slot % INODES_PER_BLOCK
 
-    def _read_inode(self, ino: int) -> DiskInode:
+    def _inode_fields(self, ino: int) -> tuple:
+        """Read inode ``ino`` through the cache; its unpacked fields."""
         lba, slot = self._inode_block(ino)
         block = self.cache.read(lba)
-        return DiskInode.unpack(ino, block[slot * INODE_SIZE : (slot + 1) * INODE_SIZE])
+        memo = self._inode_memo.get(lba)
+        if memo is None or memo[0] is not block:
+            memo = self._inode_memo[lba] = (block, {})
+        fields = memo[1].get(slot)
+        if fields is None:
+            fields = memo[1][slot] = _INODE.unpack_from(block, slot * INODE_SIZE)
+        return fields
+
+    def _read_inode(self, ino: int) -> DiskInode:
+        return DiskInode.from_fields(ino, self._inode_fields(ino))
 
     def _write_inode(self, inode: DiskInode) -> None:
         lba, slot = self._inode_block(inode.ino)
-        block = bytearray(self.cache.read(lba))
-        block[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = inode.pack()
-        self.cache.write(lba, bytes(block))
+        block = self.cache.read(lba)
+        start = slot * INODE_SIZE
+        self.cache.write(lba, block[:start] + inode.pack() + block[start + INODE_SIZE :])
 
     def _alloc_inode(self, mode: int) -> DiskInode:
         for ino in range(1, self.layout.ninodes + 1):
-            inode = self._read_inode(ino)
-            if inode.mode == MODE_FREE:
+            if self._inode_fields(ino)[0] == MODE_FREE:
                 fresh = DiskInode(ino, mode, 1, 0, self.clock.now, [0] * NDIRECT, 0, 0)
                 self._write_inode(fresh)
                 return fresh
@@ -268,7 +319,7 @@ class ConventionalFileSystem(FileSystem):
             raw[byte] |= 1 << bit
         else:
             raw[byte] &= ~(1 << bit)
-        self.cache.write(block, bytes(raw))
+        self.cache.write(block, raw)
 
     def _alloc_block(self, near: Optional[int] = None) -> int:
         """First-fit data-block allocation, clustered near ``near``.
@@ -295,6 +346,9 @@ class ConventionalFileSystem(FileSystem):
         if lba < self.layout.data_start:
             raise FSError(f"freeing metadata block {lba}")
         self._bitmap_set(lba, False)
+        # Memory only (validity is object identity): a freed directory
+        # block's memo would otherwise pin its last contents.
+        self._dir_memo.pop(lba, None)
         # Dead data need not be written back, and an FTL can reclaim the
         # block immediately (the TRIM command, avant la lettre).
         self.cache.discard(lba)
@@ -317,7 +371,7 @@ class ConventionalFileSystem(FileSystem):
     def _ptr_set(self, lba: int, index: int, value: int) -> None:
         raw = bytearray(self.cache.read(lba))
         struct.pack_into("<I", raw, index * 4, value)
-        self.cache.write(lba, bytes(raw))
+        self.cache.write(lba, raw)
 
     def _bmap(self, inode: DiskInode, index: int, allocate: bool) -> int:
         """Logical block index -> LBA (0 when absent and not allocating)."""
@@ -406,6 +460,14 @@ class ConventionalFileSystem(FileSystem):
     # Directories.
     # ------------------------------------------------------------------
 
+    def _dir_block(self, lba: int) -> _DirBlock:
+        """Read directory block ``lba`` through the cache, parsed."""
+        block = self.cache.read(lba)
+        parsed = self._dir_memo.get(lba)
+        if parsed is None or parsed.block is not block:
+            parsed = self._dir_memo[lba] = _parse_dir_block(block)
+        return parsed
+
     def _dir_entries(self, inode: DiskInode) -> Iterator[Tuple[int, int, str, int]]:
         """Yield (block_index, slot, name, ino) for live entries."""
         nblocks = (inode.size + BLOCK_SIZE - 1) // BLOCK_SIZE
@@ -413,17 +475,30 @@ class ConventionalFileSystem(FileSystem):
             lba = self._bmap(inode, bi, allocate=False)
             if lba == 0:
                 continue
-            block = self.cache.read(lba)
-            for slot in range(DIRENTS_PER_BLOCK):
-                raw = block[slot * DIRENT_SIZE : (slot + 1) * DIRENT_SIZE]
-                ino, namelen, namebuf = _DIRENT.unpack(raw)
-                if ino:
-                    yield bi, slot, namebuf[:namelen].decode("utf-8"), ino
+            parsed = self._dir_block(lba)
+            for slot, name, ino in parsed.entries:
+                yield bi, slot, name, ino
+            if parsed.error is not None:
+                raise parsed.error.with_traceback(None)
 
     def _dir_lookup(self, inode: DiskInode, name: str) -> Optional[int]:
-        for _bi, _slot, entry_name, ino in self._dir_entries(inode):
-            if entry_name == name:
+        """First live entry named ``name``, scanning blocks in order.
+
+        Reads the same blocks as iterating :meth:`_dir_entries` and stops
+        at the same one, but probes each block's name index instead of
+        comparing entry by entry.
+        """
+        nblocks = (inode.size + BLOCK_SIZE - 1) // BLOCK_SIZE
+        for bi in range(nblocks):
+            lba = self._bmap(inode, bi, allocate=False)
+            if lba == 0:
+                continue
+            parsed = self._dir_block(lba)
+            ino = parsed.first.get(name)
+            if ino is not None:
                 return ino
+            if parsed.error is not None:
+                raise parsed.error.with_traceback(None)
         return None
 
     def _dir_add(self, dir_inode: DiskInode, name: str, ino: int) -> None:
@@ -437,22 +512,19 @@ class ConventionalFileSystem(FileSystem):
             lba = self._bmap(dir_inode, bi, allocate=False)
             if lba == 0:
                 continue
-            block = bytearray(self.cache.read(lba))
-            for slot in range(DIRENTS_PER_BLOCK):
+            parsed = self._dir_block(lba)
+            for slot in parsed.free:
+                if bi * BLOCK_SIZE + (slot + 1) * DIRENT_SIZE > dir_inode.size:
+                    break  # beyond current size; extend path below
                 off = slot * DIRENT_SIZE
-                if struct.unpack_from("<I", block, off)[0] == 0:
-                    in_use = bi * BLOCK_SIZE + (slot + 1) * DIRENT_SIZE
-                    if in_use > dir_inode.size:
-                        continue  # beyond current size; extend path below
-                    block[off : off + DIRENT_SIZE] = entry
-                    self.cache.write(lba, bytes(block))
-                    return
+                block = parsed.block
+                self.cache.write(lba, block[:off] + entry + block[off + DIRENT_SIZE :])
+                return
         # Append at the end.
         index, within = divmod(dir_inode.size, BLOCK_SIZE)
         lba = self._bmap(dir_inode, index, allocate=True)
-        block = bytearray(self.cache.read(lba))
-        block[within : within + DIRENT_SIZE] = entry
-        self.cache.write(lba, bytes(block))
+        block = self.cache.read(lba)
+        self.cache.write(lba, block[:within] + entry + block[within + DIRENT_SIZE :])
         dir_inode.size += DIRENT_SIZE
         dir_inode.mtime = self.clock.now
         self._write_inode(dir_inode)
@@ -462,9 +534,9 @@ class ConventionalFileSystem(FileSystem):
             if entry_name != name:
                 continue
             lba = self._bmap(dir_inode, bi, allocate=False)
-            block = bytearray(self.cache.read(lba))
-            block[slot * DIRENT_SIZE : (slot + 1) * DIRENT_SIZE] = bytes(DIRENT_SIZE)
-            self.cache.write(lba, bytes(block))
+            block = self.cache.read(lba)
+            off = slot * DIRENT_SIZE
+            self.cache.write(lba, block[:off] + bytes(DIRENT_SIZE) + block[off + DIRENT_SIZE :])
             return ino
         raise FileNotFoundFSError(name)
 
@@ -621,7 +693,7 @@ class ConventionalFileSystem(FileSystem):
                 else:
                     block = bytearray(self.cache.read(lba))
                     block[within : within + take] = view[:take]
-                    self.cache.write(lba, bytes(block))
+                    self.cache.write(lba, block)
                 pos += take
                 view = view[take:]
             inode.size = max(inode.size, offset + len(data))
@@ -679,7 +751,7 @@ class ConventionalFileSystem(FileSystem):
                     if lba:
                         block = bytearray(self.cache.read(lba))
                         block[size % BLOCK_SIZE :] = bytes(BLOCK_SIZE - size % BLOCK_SIZE)
-                        self.cache.write(lba, bytes(block))
+                        self.cache.write(lba, block)
             inode.size = size
             inode.mtime = self.clock.now
             self._write_inode(inode)

@@ -169,5 +169,5 @@ def _remove_dirent(fs: ConventionalFileSystem, dir_inode, name: str) -> None:
         lba = fs._bmap(dir_inode, bi, allocate=False)
         block = bytearray(fs.cache.read(lba))
         block[slot * DIRENT_SIZE : (slot + 1) * DIRENT_SIZE] = bytes(DIRENT_SIZE)
-        fs.cache.write(lba, bytes(block))
+        fs.cache.write(lba, block)
         return

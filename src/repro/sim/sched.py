@@ -23,7 +23,8 @@ in global timestamp order and the shared clock serializes them: a step
 that wanted to run at ``t`` but finds the clock already at ``t' > t``
 has been **dispatch-delayed** by the other clients' traffic -- that delay
 is the kernel-level queueing E14 measures, on top of the device-level
-stalls reported by :class:`~repro.devices.base.DeviceQueue`.
+stalls (busy flash bank, disk spin-up) devices report in
+:attr:`~repro.devices.base.AccessResult.wait`.
 
 Determinism rules (pinned by tests):
 

@@ -90,6 +90,81 @@ class TestBufferCache:
         assert cache.hit_ratio() == pytest.approx(2 / 3)
 
 
+def _record_device_writes(device):
+    """Wrap ``device.write_block`` to log the exact objects it receives."""
+    written = []
+    original = device.write_block
+
+    def write_block(lba, data):
+        written.append((lba, data))
+        original(lba, data)
+
+    device.write_block = write_block
+    return written
+
+
+class TestBufferCacheAliasing:
+    """The cache keeps caller objects, so it must never alias mutable ones."""
+
+    def test_mutating_written_bytearray_leaves_cache_unchanged(self):
+        cache, _device, _clock = make_cache()
+        buf = bytearray(b"\x01" * BLOCK)
+        cache.write(2, buf)
+        buf[:] = b"\xff" * BLOCK
+        assert cache.read(2) == b"\x01" * BLOCK
+
+    def test_mutating_rewritten_bytearray_leaves_cache_unchanged(self):
+        cache, _device, _clock = make_cache()
+        cache.write(2, b"\x01" * BLOCK)
+        buf = bytearray(b"\x02" * BLOCK)
+        cache.write(2, buf)  # resident block: the replace path
+        buf[0] = 0xFF
+        assert cache.read(2) == b"\x02" * BLOCK
+
+    def test_read_returns_immutable_bytes(self):
+        cache, device, _clock = make_cache()
+        device.write_block(5, b"\x07" * BLOCK)
+        miss = cache.read(5)
+        hit = cache.read(5)
+        assert type(miss) is bytes and type(hit) is bytes
+        cache.write(6, bytearray(BLOCK))
+        assert type(cache.read(6)) is bytes
+
+    def test_hit_returns_the_cached_object(self):
+        cache, _device, _clock = make_cache()
+        data = b"\x03" * BLOCK
+        cache.write(1, data)
+        assert cache.read(1) is data
+        assert cache.read(1) is cache.read(1)
+
+    def test_dirty_eviction_writes_exactly_the_cached_bytes(self):
+        cache, device, _clock = make_cache(capacity_blocks=1)
+        buf = bytearray(b"\x0a" * BLOCK)
+        cache.write(1, buf)
+        cached = cache.read(1)
+        buf[:] = bytes(BLOCK)  # must not reach the device
+        written = _record_device_writes(device)
+        cache.write(2, b"\x0b" * BLOCK)  # evicts dirty block 1
+        assert written == [(1, b"\x0a" * BLOCK)]
+        assert written[0][1] is cached
+        assert device.read_block(1) == b"\x0a" * BLOCK
+
+    def test_flush_writes_exactly_the_cached_bytes(self):
+        cache, device, _clock = make_cache()
+        first, second = bytearray(b"\x01" * BLOCK), b"\x02" * BLOCK
+        cache.write(1, first)
+        cache.write(2, second)
+        cached = {lba: cache.read(lba) for lba in (1, 2)}
+        first[:] = bytes(BLOCK)
+        written = _record_device_writes(device)
+        assert cache.flush() == 2
+        assert sorted(lba for lba, _ in written) == [1, 2]
+        for lba, data in written:
+            assert data is cached[lba]
+            assert device.read_block(lba) == cached[lba]
+        assert cached == {1: b"\x01" * BLOCK, 2: b"\x02" * BLOCK}
+
+
 class TestEraseInPlaceDevice:
     def make(self, banks=1):
         clock = SimClock()

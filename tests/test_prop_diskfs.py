@@ -2,13 +2,31 @@
 
 The on-device layout (inode table, bitmap, indirect blocks, dirent
 blocks) plus the write-back cache must still be indistinguishable from a
-dict of bytearrays, including across cache crashes after sync.
+dict of bytearrays, including across cache crashes after sync.  The
+memoized directory and inode parsing must be indistinguishable from
+re-parsing every block on every touch.
 """
+
+import struct
 
 from hypothesis import given, settings, strategies as st
 
 from repro.devices import DRAM, MagneticDisk
 from repro.fs import BufferCache, ConventionalFileSystem, DiskBlockDevice, mkfs
+from repro.fs.api import FileNotFoundFSError, FSError, InvalidPathError, NoSpaceFSError
+from repro.fs.diskfs import (
+    _DIRENT,
+    _INODE,
+    BLOCK_SIZE,
+    DIRENT_SIZE,
+    DIRENTS_PER_BLOCK,
+    INODE_SIZE,
+    MAX_NAME,
+    MODE_FREE,
+    NDIRECT,
+    DiskInode,
+)
+from repro.fs.fsck import fsck
 from repro.sim import SimClock
 
 KB = 1024
@@ -84,3 +102,207 @@ def test_diskfs_matches_model(ops, crash_after_sync):
         assert fs.stat(path).size == len(buf)
     for path in FILES:
         assert fs.exists(path) == (path in model)
+
+
+# ----------------------------------------------------------------------
+# Directory/inode memo equivalence.
+#
+# ConventionalFileSystem memoizes parsed directory blocks and inode
+# fields on the identity of the cached block object.  The oracle below
+# re-parses every block on every touch, as the file system did before
+# the memo, so any stale memo entry or any change in which blocks are
+# touched shows up as a different result, cache count, DRAM stat or
+# simulated time.
+# ----------------------------------------------------------------------
+
+class OracleFS(ConventionalFileSystem):
+    """Unmemoized metadata parsing: every touch unpacks the raw block."""
+
+    def _inode_fields(self, ino):
+        lba, slot = self._inode_block(ino)
+        block = self.cache.read(lba)
+        return _INODE.unpack(block[slot * INODE_SIZE : slot * INODE_SIZE + _INODE.size])
+
+    def _alloc_inode(self, mode):
+        for ino in range(1, self.layout.ninodes + 1):
+            inode = self._read_inode(ino)
+            if inode.mode == MODE_FREE:
+                fresh = DiskInode(ino, mode, 1, 0, self.clock.now, [0] * NDIRECT, 0, 0)
+                self._write_inode(fresh)
+                return fresh
+        raise NoSpaceFSError("out of inodes")
+
+    def _write_inode(self, inode):
+        lba, slot = self._inode_block(inode.ino)
+        block = bytearray(self.cache.read(lba))
+        block[slot * INODE_SIZE : (slot + 1) * INODE_SIZE] = inode.pack()
+        self.cache.write(lba, bytes(block))
+
+    def _dir_entries(self, inode):
+        nblocks = (inode.size + BLOCK_SIZE - 1) // BLOCK_SIZE
+        for bi in range(nblocks):
+            lba = self._bmap(inode, bi, allocate=False)
+            if lba == 0:
+                continue
+            block = self.cache.read(lba)
+            for slot in range(DIRENTS_PER_BLOCK):
+                raw = block[slot * DIRENT_SIZE : (slot + 1) * DIRENT_SIZE]
+                ino, namelen, namebuf = _DIRENT.unpack(raw)
+                if ino:
+                    yield bi, slot, namebuf[:namelen].decode("utf-8"), ino
+
+    def _dir_lookup(self, inode, name):
+        for _bi, _slot, entry_name, ino in self._dir_entries(inode):
+            if entry_name == name:
+                return ino
+        return None
+
+    def _dir_add(self, dir_inode, name, ino):
+        encoded = name.encode("utf-8")
+        if len(encoded) > MAX_NAME:
+            raise InvalidPathError(f"name too long: {name!r}")
+        entry = _DIRENT.pack(ino, len(encoded), encoded.ljust(59, b"\x00"))
+        nblocks = (dir_inode.size + BLOCK_SIZE - 1) // BLOCK_SIZE
+        for bi in range(nblocks):
+            lba = self._bmap(dir_inode, bi, allocate=False)
+            if lba == 0:
+                continue
+            block = bytearray(self.cache.read(lba))
+            for slot in range(DIRENTS_PER_BLOCK):
+                off = slot * DIRENT_SIZE
+                if struct.unpack_from("<I", block, off)[0] == 0:
+                    if bi * BLOCK_SIZE + (slot + 1) * DIRENT_SIZE > dir_inode.size:
+                        continue
+                    block[off : off + DIRENT_SIZE] = entry
+                    self.cache.write(lba, bytes(block))
+                    return
+        index, within = divmod(dir_inode.size, BLOCK_SIZE)
+        lba = self._bmap(dir_inode, index, allocate=True)
+        block = bytearray(self.cache.read(lba))
+        block[within : within + DIRENT_SIZE] = entry
+        self.cache.write(lba, bytes(block))
+        dir_inode.size += DIRENT_SIZE
+        dir_inode.mtime = self.clock.now
+        self._write_inode(dir_inode)
+
+    def _dir_remove(self, dir_inode, name):
+        for bi, slot, entry_name, ino in self._dir_entries(dir_inode):
+            if entry_name != name:
+                continue
+            lba = self._bmap(dir_inode, bi, allocate=False)
+            block = bytearray(self.cache.read(lba))
+            block[slot * DIRENT_SIZE : (slot + 1) * DIRENT_SIZE] = bytes(DIRENT_SIZE)
+            self.cache.write(lba, bytes(block))
+            return ino
+        raise FileNotFoundFSError(name)
+
+
+NS_DIRS = ["/d", "/d/e", "/f"]
+NS_NAMES = ["a", "b", "c", "dd"]
+
+
+def _ns_path(draw):
+    parent = draw(st.sampled_from(["", *NS_DIRS]))
+    return f"{parent}/{draw(st.sampled_from(NS_NAMES + ['d', 'e', 'f']))}"
+
+
+@st.composite
+def namespace_ops(draw):
+    ops = []
+    for _ in range(draw(st.integers(1, 45))):
+        kind = draw(st.sampled_from([
+            "create", "create", "mkdir", "mkdir", "rename", "delete",
+            "rmdir", "listdir", "stat", "fill", "kill_and_fsck", "crash",
+        ]))
+        if kind == "rename":
+            ops.append((kind, _ns_path(draw), _ns_path(draw)))
+        elif kind in ("listdir", "fill"):
+            # fill: enough entries to spill a directory past one block.
+            ops.append((kind, draw(st.sampled_from(["/", *NS_DIRS])),
+                        draw(st.integers(1, DIRENTS_PER_BLOCK + 8))))
+        elif kind == "crash":
+            ops.append((kind, draw(st.booleans()), draw(st.booleans())))
+        else:
+            ops.append((kind, _ns_path(draw), None))
+    return ops
+
+
+class _Stack:
+    """One FS over an 8-block cache (so metadata blocks keep evicting)."""
+
+    def __init__(self, fs_cls):
+        self.fs_cls = fs_cls
+        self.clock = SimClock()
+        self.disk = MagneticDisk(4 * MB)
+        self.dram = DRAM(MB)
+        self.cache = BufferCache(DiskBlockDevice(self.disk, self.clock), self.clock, 8,
+                                 dram=self.dram)
+        self.fs = fs_cls(self.cache, mkfs(self.cache, ninodes=256))
+
+    def apply(self, op):
+        kind, a, b = op
+        fs = self.fs
+        try:
+            if kind == "create":
+                return fs.create(a)
+            if kind == "mkdir":
+                return fs.mkdir(a)
+            if kind == "rename":
+                return fs.rename(a, b)
+            if kind == "delete":
+                return fs.delete(a)
+            if kind == "rmdir":
+                return fs.rmdir(a)
+            if kind == "listdir":
+                return fs.listdir(a)
+            if kind == "stat":
+                st_ = fs.stat(a)
+                return (st_.is_dir, st_.size, st_.nblocks, st_.mtime)
+            if kind == "fill":
+                made = []
+                for i in range(b):
+                    path = f"{a.rstrip('/')}/n{i}"
+                    if not fs.exists(path):
+                        fs.create(path)
+                        made.append(path)
+                return made
+            if kind == "kill_and_fsck":
+                # Free an inode behind the namespace, leaving a dangling
+                # entry that fsck repairs through fs.cache.write.
+                parent, name = fs._resolve_parent(a)
+                ino = fs._dir_lookup(parent, name)
+                if ino is not None:
+                    dead = fs._read_inode(ino)
+                    dead.mode = MODE_FREE
+                    fs._write_inode(dead)
+                return fsck(fs, repair=True).snapshot()
+            if kind == "crash":
+                sync_first, remount = a, b
+                if sync_first:
+                    fs.sync()
+                lost = self.cache.crash()
+                if remount:
+                    self.fs = self.fs_cls(self.cache)
+                return lost
+        except (FSError, UnicodeDecodeError) as exc:
+            return (type(exc).__name__, str(exc))
+        raise AssertionError(kind)
+
+    def observed(self):
+        return (
+            self.clock.now,
+            self.cache.stats.snapshot(self.clock.now),
+            self.dram.stats.snapshot(),
+            self.disk.stats.snapshot(),
+        )
+
+
+@given(namespace_ops())
+@settings(max_examples=30, deadline=None)
+def test_dir_memo_matches_unmemoized_oracle(ops):
+    memo, oracle = _Stack(ConventionalFileSystem), _Stack(OracleFS)
+    for op in ops:
+        assert memo.apply(op) == oracle.apply(op), op
+        assert memo.observed() == oracle.observed(), op
+    assert memo.apply(("listdir", "/", 0)) == oracle.apply(("listdir", "/", 0))
+    assert memo.cache.stats.counter("misses").value > 0  # evictions happened
