@@ -6,8 +6,9 @@ The allocator owns the *state machine* of every erase sector:
 
 Blocks are appended into the open sector of a pool (bump-pointer
 allocation); overwriting a logical block marks its old location *dead*.
-Sealed sectors with dead bytes are garbage-collection victims; erasing a
-sector returns it to a per-bank free list.  The allocator is pure
+Sealed sectors with dead bytes are garbage-collection victims, kept in
+an incrementally maintained victim index (:meth:`SectorAllocator.best_victim`);
+erasing a sector returns it to a per-bank free list.  The allocator is pure
 bookkeeping -- it never touches the flash device -- which makes its
 invariants easy to test exhaustively:
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Callable, Collection, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.devices.flash import FlashMemory
 
@@ -101,6 +102,25 @@ class SectorInfo:
         return self.live_bytes / sector_bytes if sector_bytes else 0.0
 
 
+#: One victim-index entry: ``(seal_time, sector, live_bytes)``.  Heap
+#: order is ``(seal_time, sector)``; ``live_bytes`` names the bucket.
+VictimEntry = Tuple[float, int, int]
+
+
+class _VictimBucket:
+    """Heap of the victim entries of one ``(bank, live_bytes)`` bucket.
+
+    ``valid`` counts the entries that are still current; the rest are
+    stale and discarded when they surface or when the heap is compacted.
+    """
+
+    __slots__ = ("heap", "valid")
+
+    def __init__(self) -> None:
+        self.heap: List[VictimEntry] = []
+        self.valid = 0
+
+
 class SectorAllocator:
     """Tracks sector states, free lists, and live/dead byte accounting.
 
@@ -143,6 +163,18 @@ class SectorAllocator:
         # its live data at retirement time (None if it held none).  The
         # mapping is diagnostic; the index always holds current truth.
         self.remap: Dict[int, Optional[int]] = {}
+        # Cleaning-victim index: every SEALED sector with dead bytes has
+        # one current entry in the heap of its (bank, live_bytes) bucket.
+        # An entry is current iff it *is* (identity) _victim_entry[sector],
+        # so entries go stale lazily, like the free heaps'.  invalidate()
+        # only marks a sealed sector dirty; dirty sectors are re-bucketed
+        # before the next query, so overwrites between two cleanings cost
+        # one heap push per sector.
+        self._victims: Dict[int, Dict[int, _VictimBucket]] = {
+            b: {} for b in range(flash.num_banks)
+        }
+        self._victim_entry: List[Optional[VictimEntry]] = [None] * flash.num_sectors
+        self._victim_dirty: Set[int] = set()
 
     # ------------------------------------------------------------------
     # Queries.
@@ -251,6 +283,121 @@ class SectorAllocator:
         return self.sector_bytes * len(self.sectors)
 
     # ------------------------------------------------------------------
+    # Incremental cleaning-victim index.
+    # ------------------------------------------------------------------
+
+    def _index_victim(self, info: SectorInfo) -> None:
+        if info.state is not SectorState.SEALED or info.dead_bytes <= 0:
+            return
+        buckets = self._victims[info.bank]
+        bucket = buckets.get(info.live_bytes)
+        if bucket is None:
+            bucket = buckets[info.live_bytes] = _VictimBucket()
+        entry = (info.seal_time, info.index, info.live_bytes)
+        heapq.heappush(bucket.heap, entry)
+        bucket.valid += 1
+        self._victim_entry[info.index] = entry
+
+    def _unindex_victim(self, sector: int) -> None:
+        """Make ``sector``'s entry stale; compact its bucket heap once
+        stale entries outnumber current ones (so a heap never holds more
+        than twice its current entries)."""
+        self._victim_dirty.discard(sector)
+        entry = self._victim_entry[sector]
+        if entry is None:
+            return
+        self._victim_entry[sector] = None
+        buckets = self._victims[self.sectors[sector].bank]
+        live = entry[2]
+        bucket = buckets[live]
+        bucket.valid -= 1
+        if bucket.valid == 0:
+            del buckets[live]
+        elif len(bucket.heap) > 2 * bucket.valid:
+            current = self._victim_entry
+            bucket.heap = [e for e in bucket.heap if current[e[1]] is e]
+            heapq.heapify(bucket.heap)
+
+    def _drain_victim_dirty(self) -> None:
+        dirty = self._victim_dirty
+        while dirty:
+            sector = dirty.pop()
+            self._unindex_victim(sector)
+            self._index_victim(self.sectors[sector])
+
+    def _bucket_best(
+        self,
+        bucket: _VictimBucket,
+        score: Callable[[SectorInfo, int, float], float],
+        now: float,
+        exclude: Optional[Collection[int]],
+    ) -> Optional[Tuple[float, int]]:
+        """``(score, sector)`` of the bucket's best candidate, lowest
+        sector among equal scores.
+
+        Scores never rise with ``seal_time`` inside a bucket, so the
+        sectors tying for the best score are a prefix of the heap order:
+        pop while the score holds, then push the popped entries back.
+        Stale entries are dropped for good.
+        """
+        heap = bucket.heap
+        current = self._victim_entry
+        popped: List[VictimEntry] = []
+        best: Optional[Tuple[float, int]] = None
+        while heap:
+            entry = heap[0]
+            sector = entry[1]
+            if current[sector] is not entry:
+                heapq.heappop(heap)
+                continue
+            if not exclude or sector not in exclude:
+                value = score(self.sectors[sector], self.sector_bytes, now)
+                if best is None:
+                    best = (value, sector)
+                elif value != best[0]:
+                    break
+                elif sector < best[1]:
+                    best = (value, sector)
+            popped.append(heapq.heappop(heap))
+        for entry in popped:
+            heapq.heappush(heap, entry)
+        return best
+
+    def best_victim(
+        self,
+        score: Callable[[SectorInfo, int, float], float],
+        now: float,
+        banks: Optional[Collection[int]] = None,
+        exclude: Optional[Collection[int]] = None,
+    ) -> Optional[int]:
+        """The sealed sector with dead bytes that maximizes ``score``.
+
+        Picks exactly what a scan of :meth:`sealed_victims` in index
+        order would: the highest ``score(info, sector_bytes, now)``, the
+        lowest index among equal scores, only sectors in ``banks`` (all
+        when None) and not in ``exclude``.  ``score`` must depend on a
+        sector only through ``live_bytes`` and ``seal_time``, and must
+        never increase as ``seal_time`` grows with ``live_bytes`` fixed
+        (LFS cost-benefit does), so each bucket's best is at the front
+        of its heap.
+        """
+        self._drain_victim_dirty()
+        best: Optional[int] = None
+        best_score = 0.0
+        for bank, buckets in self._victims.items():
+            if banks is not None and bank not in banks:
+                continue
+            for bucket in buckets.values():
+                found = self._bucket_best(bucket, score, now, exclude)
+                if found is None:
+                    continue
+                value, sector = found
+                if best is None or value > best_score or (value == best_score and sector < best):
+                    best = sector
+                    best_score = value
+        return best
+
+    # ------------------------------------------------------------------
     # State transitions.
     # ------------------------------------------------------------------
 
@@ -332,6 +479,7 @@ class SectorAllocator:
             info.dead_bytes += slack
             self.total_dead_bytes += slack
             info.write_ptr += slack
+        self._index_victim(info)
 
     def invalidate(self, loc: Location) -> Hashable:
         """Mark a previously appended block dead; returns its key."""
@@ -347,6 +495,8 @@ class SectorAllocator:
         info.dead_bytes += charged
         self.total_live_bytes -= charged
         self.total_dead_bytes += charged
+        if info.state is SectorState.SEALED:
+            self._victim_dirty.add(loc.sector)
         return key
 
     def adopt(
@@ -381,6 +531,7 @@ class SectorAllocator:
         info.dead_bytes = self.sector_bytes - live
         self.total_live_bytes += live
         self.total_dead_bytes += info.dead_bytes
+        self._index_victim(info)
 
     def retire(self, sector: int, remapped_to: Optional[int] = None) -> None:
         """Permanently remove a failing sector from service.
@@ -399,6 +550,7 @@ class SectorAllocator:
         if info.state is SectorState.ERASED:
             self.free_by_bank[info.bank].remove(sector)
             self._drop_free(sector)
+        self._unindex_victim(sector)
         self.total_dead_bytes -= info.dead_bytes
         info.state = SectorState.BAD
         info.write_ptr = 0
@@ -423,6 +575,7 @@ class SectorAllocator:
             raise ValueError(f"sector {sector} is retired; it cannot rejoin")
         if info.live_bytes:
             raise ValueError(f"erasing sector {sector} with {info.live_bytes} live bytes")
+        self._unindex_victim(sector)
         self.total_dead_bytes -= info.dead_bytes
         info.state = SectorState.ERASED
         info.write_ptr = 0
@@ -475,6 +628,41 @@ class SectorAllocator:
         for bank, heap in self._index_heap.items():
             if not set(self.free_by_bank[bank]) <= set(heap):
                 raise AssertionError(f"bank {bank}: free sector missing from index heap")
+        self._check_victim_index()
+
+    def _check_victim_index(self) -> None:
+        """Each SEALED sector with dead bytes has exactly one current
+        entry, in its ``(bank, live_bytes)`` bucket with its seal time;
+        no other sector has one; every heap holds at most twice its
+        current entries."""
+        self._drain_victim_dirty()
+        candidates = {
+            s.index
+            for s in self.sectors
+            if s.state is SectorState.SEALED and s.dead_bytes > 0
+        }
+        indexed = {e[1] for e in self._victim_entry if e is not None}
+        if indexed != candidates:
+            raise AssertionError("victim index entries != sealed sectors with dead bytes")
+        seen: Set[int] = set()
+        for bank, by_live in self._victims.items():
+            for live, bucket in by_live.items():
+                current = [e for e in bucket.heap if self._victim_entry[e[1]] is e]
+                if not current or len(current) != bucket.valid:
+                    raise AssertionError(f"bucket ({bank}, {live}): valid count out of sync")
+                if len(bucket.heap) > 2 * bucket.valid:
+                    raise AssertionError(f"bucket ({bank}, {live}): stale entries not compacted")
+                for seal_time, sector, entry_live in current:
+                    if sector in seen:
+                        raise AssertionError(f"sector {sector}: two current victim entries")
+                    seen.add(sector)
+                    info = self.sectors[sector]
+                    if (info.bank, info.live_bytes, info.seal_time, entry_live) != (
+                        bank, live, seal_time, live
+                    ):
+                        raise AssertionError(f"sector {sector}: victim entry in the wrong bucket")
+        if seen != candidates:
+            raise AssertionError("victim entries missing from bucket heaps")
 
     def occupancy(self) -> dict:
         usable = self.usable_capacity_bytes()

@@ -74,8 +74,13 @@ def choose_victim(
 
     Only sectors with at least one dead byte are candidates -- cleaning a
     fully-live sector recovers nothing and burns an erase cycle (except
-    for static wear rotation, which goes through a separate path).
+    for static wear rotation, which goes through a separate path).  The
+    highest score wins, the lowest sector index among equal scores.
+    ``COST_BENEFIT`` reads the allocator's incremental victim index
+    instead of scoring every sealed sector; the pick is the same.
     """
+    if policy is CleaningPolicy.COST_BENEFIT:
+        return allocator.best_victim(_cost_benefit_score, now, banks, exclude)
     scorer = _SCORERS[policy]
     best: Optional[int] = None
     best_score = 0.0

@@ -10,6 +10,7 @@ from repro.storage import (
     CleaningPolicy,
     FlashStore,
     OutOfFlashSpace,
+    SectorState,
     StoreMode,
     WearPolicy,
 )
@@ -116,6 +117,25 @@ class TestCleaning:
         for i in range(5):
             assert store.read_block(i)
         store.allocator.check_invariants()
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="known defect: _ensure_open_sector reclaims space after dropping "
+        "the pool's open sector; the cleaner opens a destination there, and "
+        "_take_erased then replaces it without sealing it, so that sector "
+        "stays OPEN with live data the cleaner can never reclaim",
+    )
+    def test_reclaim_during_open_strands_no_sector(self):
+        store = make_store(capacity=128 * KB, free_target_sectors=3)
+        # Eight cold blocks, then four hot keys rewritten in turn: the
+        # cleaner soon relocates cold data while a write opens a sector.
+        for i in range(64):
+            store.write_block(i if i < 8 else 8 + i % 4, bytes(2000))
+            open_sectors = {
+                s.index for s in store.allocator.sectors if s.state is SectorState.OPEN
+            }
+            tracked = {s for s in store._open.values() if s is not None}
+            assert open_sectors <= tracked, f"write {i}: untracked open sectors"
 
 
 class TestWearPolicies:
