@@ -3,17 +3,25 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check test replaybench-test trace-smoke analyze-smoke e14-smoke bench bench-record \
-	replaybench experiments torture
+.PHONY: check test golden-check replaybench-test trace-smoke analyze-smoke e14-smoke bench \
+	bench-record replaybench experiments torture
 
-# The default gate: unit tests, then the replay benchmark's own tests,
-# then the traced-run smoke (schema-valid JSONL + hub/device accounting
-# identity + clean online monitors), then the trace-analytics smoke over
-# that trace, then the multi-client contention smoke, then the perf bench.
-check: test replaybench-test trace-smoke analyze-smoke e14-smoke bench
+# The default gate: unit tests, then the experiment-table goldens, then
+# the replay benchmark's own tests, then the traced-run smoke
+# (schema-valid JSONL + hub/device accounting identity + clean online
+# monitors), then the trace-analytics smoke over that trace, then the
+# multi-client contention smoke, then the perf bench.
+check: test golden-check replaybench-test trace-smoke analyze-smoke e14-smoke bench
 
 test:
 	$(PY) -m pytest -x -q
+
+# Regenerate all 15 experiment tables (E1-E13, X1, X2) and fail if any
+# differs from the committed benchmarks/out/*.txt: a simplification must
+# leave every simulated number byte-identical.
+golden-check:
+	$(PY) -m pytest benchmarks/bench_*.py --benchmark-disable -q
+	git diff --exit-code -- 'benchmarks/out/*.txt'
 
 # The replay benchmark's own tests: span recorder, shadow model,
 # fingerprints and host-speed scaling (a few seconds, short replays only).

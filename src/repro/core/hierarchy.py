@@ -110,78 +110,31 @@ class MobileComputer:
             devices.append(self.flash)
 
         if org in (Organization.SOLID_STATE, Organization.NAIVE_FLASH):
-            assert self.flash is not None
-            solid = org is Organization.SOLID_STATE
-            partition = (
-                BankPartition(self.flash, config.write_banks)
-                if (solid and config.write_banks is not None)
-                else BankPartition.unpartitioned(self.flash)
-            )
-            self.store = FlashStore(
-                self.flash,
-                self.clock,
-                mode=StoreMode.LOGGING if solid else StoreMode.IN_PLACE,
-                cleaning=config.cleaning_policy,
-                wear=config.wear_policy,
-                partition=partition,
-            )
-            buffer = WriteBuffer(
-                config.write_buffer_bytes if solid else 0,
-                self.clock,
-                dram=self.dram,
-                age_limit_s=config.buffer_age_limit_s,
-            )
-            compressor = (
-                BlockCompressor(self.clock, cpu=self.cpu)
-                if (solid and config.compress_flash)
-                else None
-            )
-            self.manager = StorageManager(
-                self.clock, self.store, buffer, dram=self.dram,
-                compressor=compressor,
-            )
-            if solid:
-                self.manager.attach_flush_timer(
-                    self.engine, config.flush_interval_s
+            swap, _ = self._build_memory_fs(recover=False)
+            if org is Organization.SOLID_STATE and config.checkpoint_interval_s > 0:
+                self.engine.schedule_every(
+                    config.checkpoint_interval_s,
+                    self._periodic_checkpoint,
+                    name="fs-checkpoint",
                 )
-            self.fs = MemoryFileSystem(self.manager, dram=self.dram)
-            if solid:
-                swap = FlashSwap(self.store)
-                if config.checkpoint_interval_s > 0:
-                    self.engine.schedule_every(
-                        config.checkpoint_interval_s,
-                        self._periodic_checkpoint,
-                        name="fs-checkpoint",
+        else:
+            if org is Organization.DISK:
+                self.disk = MagneticDisk(
+                    config.disk_bytes,
+                    spec=config.disk_spec,
+                    spin_down_timeout_s=config.disk_spin_down_s,
+                )
+                devices.append(self.disk)
+                data_bytes = config.disk_bytes - config.swap_bytes
+                blockdev = DiskBlockDevice(
+                    self.disk, self.clock, nblocks=data_bytes // 4096
+                )
+                if config.swap_bytes >= PAGE_SIZE:
+                    swap = RawDiskSwap(
+                        self.disk, self.clock, data_bytes, config.swap_bytes
                     )
-
-        elif org is Organization.DISK:
-            self.disk = MagneticDisk(
-                config.disk_bytes,
-                spec=config.disk_spec,
-                spin_down_timeout_s=config.disk_spin_down_s,
-            )
-            devices.append(self.disk)
-            data_bytes = config.disk_bytes - config.swap_bytes
-            blockdev = DiskBlockDevice(
-                self.disk, self.clock, nblocks=data_bytes // 4096
-            )
-            self.cache = BufferCache(
-                blockdev,
-                self.clock,
-                capacity_blocks=max(8, config.cache_bytes // 4096),
-                dram=self.dram,
-            )
-            self.cache.attach_sync_timer(self.engine, config.cache_sync_interval_s)
-            layout = mkfs(self.cache)
-            self.fs = ConventionalFileSystem(self.cache, layout)
-            if config.swap_bytes >= PAGE_SIZE:
-                swap = RawDiskSwap(
-                    self.disk, self.clock, data_bytes, config.swap_bytes
-                )
-
-        else:  # FLASH_DISK or FLASH_EIP
-            assert self.flash is not None
-            if org is Organization.FLASH_DISK:
+            elif org is Organization.FLASH_DISK:
+                assert self.flash is not None
                 self.store = FlashStore(
                     self.flash,
                     self.clock,
@@ -190,7 +143,8 @@ class MobileComputer:
                 )
                 blockdev = LogStructuredFTL(self.store)
                 swap = FlashSwap(self.store)
-            else:
+            else:  # FLASH_EIP
+                assert self.flash is not None
                 blockdev = EraseInPlaceFlashBlockDevice(self.flash, self.clock)
             self.cache = BufferCache(
                 blockdev,
@@ -199,19 +153,11 @@ class MobileComputer:
                 dram=self.dram,
             )
             self.cache.attach_sync_timer(self.engine, config.cache_sync_interval_s)
-            layout = mkfs(self.cache)
-            self.fs = ConventionalFileSystem(self.cache, layout)
+            self.fs = ConventionalFileSystem(self.cache, mkfs(self.cache))
 
         # --- Virtual memory. ---------------------------------------------
-        frame_bytes = (config.vm_frame_bytes() // PAGE_SIZE) * PAGE_SIZE
-        self.frames = PageFrameAllocator(self.dram_region.base, frame_bytes)
         self.tlb = TLB(entries=config.tlb_entries)
-        self.vm = VirtualMemory(
-            self.phys, self.frames, swap=swap,
-            fault_overhead_s=config.fault_overhead_s,
-            tlb=self.tlb, cpu=self.cpu,
-        )
-        self.swap = swap
+        self._build_vm(swap)
 
         # --- Program store (XIP flash card). -----------------------------
         self.program_flash = FlashMemory(
@@ -256,6 +202,72 @@ class MobileComputer:
                 "machine", "build", self.clock.now,
                 detail={"organization": config.organization.value},
             )
+
+    # ------------------------------------------------------------------
+    # Assembly shared by construction and reboot.
+    # ------------------------------------------------------------------
+
+    def _build_memory_fs(self, recover: bool):
+        """Assemble the memory-resident file system over ``self.flash``.
+
+        Builds the store, write buffer, optional compressor, storage
+        manager and flush timer, then the file system itself.  With
+        ``recover`` the store is rebuilt by scanning the flash log and
+        the file system from its last checkpoint; otherwise both start
+        empty.  Returns ``(swap, recovery report or None)``; only the
+        solid-state organization swaps to flash.
+        """
+        config = self.config
+        assert self.flash is not None
+        solid = config.organization is Organization.SOLID_STATE
+        partition = (
+            BankPartition(self.flash, config.write_banks)
+            if (solid and config.write_banks is not None)
+            else BankPartition.unpartitioned(self.flash)
+        )
+        self.store = (FlashStore.recover if recover else FlashStore)(
+            self.flash,
+            self.clock,
+            mode=StoreMode.LOGGING if solid else StoreMode.IN_PLACE,
+            cleaning=config.cleaning_policy,
+            wear=config.wear_policy,
+            partition=partition,
+        )
+        buffer = WriteBuffer(
+            config.write_buffer_bytes if solid else 0,
+            self.clock,
+            dram=self.dram,
+            age_limit_s=config.buffer_age_limit_s,
+        )
+        compressor = (
+            BlockCompressor(self.clock, cpu=self.cpu)
+            if (solid and config.compress_flash)
+            else None
+        )
+        self.manager = StorageManager(
+            self.clock, self.store, buffer, dram=self.dram,
+            compressor=compressor,
+        )
+        if solid:
+            self.manager.attach_flush_timer(self.engine, config.flush_interval_s)
+        report = None
+        if recover:
+            self.fs, report = MemoryFileSystem.recover(self.manager, dram=self.dram)
+        else:
+            self.fs = MemoryFileSystem(self.manager, dram=self.dram)
+        return (FlashSwap(self.store) if solid else None), report
+
+    def _build_vm(self, swap: Optional[SwapBackend]) -> None:
+        """Fresh page frames and virtual memory over ``swap``."""
+        config = self.config
+        frame_bytes = (config.vm_frame_bytes() // PAGE_SIZE) * PAGE_SIZE
+        self.frames = PageFrameAllocator(self.dram_region.base, frame_bytes)
+        self.vm = VirtualMemory(
+            self.phys, self.frames, swap=swap,
+            fault_overhead_s=config.fault_overhead_s,
+            tlb=self.tlb, cpu=self.cpu,
+        )
+        self.swap = swap
 
     # ------------------------------------------------------------------
     # Observability (trace stream + metrics hub).
@@ -398,68 +410,24 @@ class MobileComputer:
         self.power.battery = self.battery
         self.dram.power_restore()
 
+        org = config.organization
+        if org is Organization.NAIVE_FLASH:
+            raise NotImplementedError(
+                "the naive in-place store has no recovery metadata -- "
+                "that is part of why it is the strawman"
+            )
         # Processes and their frames did not survive; rebuild the VM.
         self._resident.clear()
-        frame_bytes = (config.vm_frame_bytes() // PAGE_SIZE) * PAGE_SIZE
-        self.frames = PageFrameAllocator(self.dram_region.base, frame_bytes)
-
-        report = None
-        if self.config.organization in (
-            Organization.SOLID_STATE,
-            Organization.NAIVE_FLASH,
-        ):
-            if self.config.organization is Organization.NAIVE_FLASH:
-                raise NotImplementedError(
-                    "the naive in-place store has no recovery metadata -- "
-                    "that is part of why it is the strawman"
-                )
-            assert self.flash is not None
-            partition = (
-                BankPartition(self.flash, config.write_banks)
-                if config.write_banks is not None
-                else BankPartition.unpartitioned(self.flash)
-            )
-            self.store = FlashStore.recover(
-                self.flash,
-                self.clock,
-                cleaning=config.cleaning_policy,
-                wear=config.wear_policy,
-                partition=partition,
-            )
-            buffer = WriteBuffer(
-                config.write_buffer_bytes,
-                self.clock,
-                dram=self.dram,
-                age_limit_s=config.buffer_age_limit_s,
-            )
-            compressor = (
-                BlockCompressor(self.clock, cpu=self.cpu)
-                if config.compress_flash
-                else None
-            )
-            self.manager = StorageManager(
-                self.clock, self.store, buffer, dram=self.dram, compressor=compressor
-            )
-            self.manager.attach_flush_timer(self.engine, config.flush_interval_s)
-            self.fs, report = MemoryFileSystem.recover(self.manager, dram=self.dram)
-            swap = FlashSwap(self.store)
-            self.tlb.flush()
-            self.vm = VirtualMemory(
-                self.phys, self.frames, swap=swap,
-                fault_overhead_s=config.fault_overhead_s,
-                tlb=self.tlb, cpu=self.cpu,
-            )
-            self.swap = swap
+        self.tlb.flush()
+        if org is Organization.SOLID_STATE:
+            swap, report = self._build_memory_fs(recover=True)
+            self._build_vm(swap)
             self.mmap = MmapManager(self.vm, self.flash_region, self.store)
         else:
             # Conventional organizations: remount from the device.
             assert self.cache is not None
-            self.tlb.flush()
-            self.vm = VirtualMemory(
-                self.phys, self.frames, swap=self.swap,
-                fault_overhead_s=config.fault_overhead_s,
-                tlb=self.tlb, cpu=self.cpu,
-            )
+            report = None
+            self._build_vm(self.swap)
             self.fs = ConventionalFileSystem(self.cache)
         self.stats.counter("reboots").add(1)
         # Rebuilt components replaced their registries and lost their
@@ -494,9 +462,9 @@ class MobileComputer:
 
         ``clients`` > 1 runs that many concurrent client streams (each a
         seed-derived variant of the workload) through the kernel
-        scheduler; a single client takes the same scheduler path, which
-        is numerically identical to the synchronous :meth:`run_trace`
-        (pinned by the equivalence tests).
+        scheduler; a single client takes the same path with one stream
+        (its numbers are pinned by the stored digests in the equivalence
+        tests).
         """
         if clients < 1:
             raise ValueError("clients must be >= 1")
@@ -521,18 +489,9 @@ class MobileComputer:
         report = self.run_streams(streams, sync_at_end=sync_at_end)
         return report, self.collect_metrics(report, workload, clients=clients)
 
-    def run_trace(self, trace, sync_at_end: bool = True) -> ReplayReport:
-        """Synchronous single-stream replay (the seed reference path)."""
-        replayer = TraceReplayer(self.fs, engine=self.engine, exec_handler=self._exec_handler)
-        report = replayer.replay(trace)
-        if sync_at_end:
-            self.fs.sync()
-        self.power.settle(self.clock.now)
-        return report
-
     def run_streams(self, streams, sync_at_end: bool = True) -> ReplayReport:
         """Replay one or more client streams via the kernel request path."""
-        replayer = TraceReplayer(self.fs, engine=self.engine, exec_handler=self._exec_handler)
+        replayer = TraceReplayer(self.fs, self.engine, exec_handler=self._exec_handler)
         report = replayer.replay_scheduled(streams)
         if sync_at_end:
             self.fs.sync()

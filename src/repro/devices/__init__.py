@@ -44,7 +44,7 @@ from repro.devices.errors import (
     WornOutError,
     WriteBeforeEraseError,
 )
-from repro.devices.flash import FlashBankState, FlashMemory
+from repro.devices.flash import FlashMemory
 
 __all__ = [
     "AccessResult",
@@ -52,7 +52,6 @@ __all__ = [
     "StorageDevice",
     "DRAM",
     "FlashMemory",
-    "FlashBankState",
     "MagneticDisk",
     "CPU",
     "CPUSpec",

@@ -17,9 +17,9 @@ Every access is a direct synchronous call (``read``/``write``/
 ``charge_*``) from the file systems and storage layers.  Contention
 between clients is arbitrated above the devices, by the cooperative
 scheduler's shared clock (:mod:`repro.sim.sched`); inside a device only
-the flash banks keep a busy horizon (:class:`DeviceQueue`), because the
-paper's bank-partitioning argument (Section 3.3) is about exactly that
-stall.
+flash keeps a busy horizon, one float per bank
+(``FlashMemory.bank_busy_until``), because the paper's bank-partitioning
+argument (Section 3.3) is about exactly that stall.
 """
 
 from __future__ import annotations
@@ -52,32 +52,6 @@ class AccessResult:
             raise ValueError("AccessResult fields must be non-negative")
         if self.wait > self.latency + 1e-15:
             raise ValueError("wait cannot exceed total latency")
-
-
-class DeviceQueue:
-    """Busy horizon of one service centre (a flash bank).
-
-    ``busy_until`` is the absolute sim time until which the centre is
-    occupied; a request arriving earlier stalls for the difference.
-    """
-
-    __slots__ = ("name", "busy_until")
-
-    def __init__(self, name: str) -> None:
-        self.name = name
-        self.busy_until = 0.0
-
-    def wait_for(self, now: float) -> float:
-        """Seconds a request arriving at ``now`` waits for the centre."""
-        return max(0.0, self.busy_until - now)
-
-    def occupy(self, start: float, duration: float) -> None:
-        """Mark the centre busy for ``[start, start + duration)``."""
-        if duration < 0.0:
-            raise ValueError("occupancy duration cannot be negative")
-        end = start + duration
-        if end > self.busy_until:
-            self.busy_until = end
 
 
 @dataclass

@@ -126,9 +126,10 @@ class DRAM(StorageDevice):
         """
         self.powered = False
         self.content_losses += 1
-        for i in range(len(self._data)):
-            self._data[i] = 0
-        # A fresh power-up starts with undefined (zeroed) contents.
+        # A fresh power-up starts with undefined (zeroed) contents.  The
+        # same-length slice assignment zeroes in place, so views handed
+        # out by read_view stay valid (a resize would raise BufferError).
+        self._data[:] = bytes(len(self._data))
 
     def power_restore(self) -> None:
         """Power returns; contents remain whatever power_loss left them."""

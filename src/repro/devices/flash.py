@@ -26,34 +26,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.devices.base import AccessResult, DeviceQueue, StorageDevice
+from repro.devices.base import AccessResult, StorageDevice
 from repro.devices.catalog import MB, FLASH_PAPER_NOMINAL, DeviceSpec
 from repro.devices.errors import WornOutError, WriteBeforeEraseError
 
 ERASED_BYTE = 0xFF
-
-
-@dataclass
-class FlashBankState:
-    """Dynamic state of one flash bank.
-
-    Each bank is an independent service centre: a program or erase
-    occupies it, and a read arriving meanwhile stalls.  Its busy horizon
-    lives in a :class:`DeviceQueue`; ``busy_until`` is a read-only view.
-    """
-
-    index: int
-    programs: int = 0
-    erases: int = 0
-    queue: Optional[DeviceQueue] = None
-
-    def __post_init__(self) -> None:
-        if self.queue is None:
-            self.queue = DeviceQueue(f"bank{self.index}")
-
-    @property
-    def busy_until(self) -> float:
-        return self.queue.busy_until
 
 
 @dataclass
@@ -117,7 +94,11 @@ class FlashMemory(StorageDevice):
         self.sectors_per_bank = self.num_sectors // banks
         self.endurance = spec.endurance_cycles or 0
         self.strict_endurance = strict_endurance
-        self.bank_states = [FlashBankState(i) for i in range(banks)]
+        # Busy horizon of each bank: the absolute sim time until which a
+        # program or erase occupies it.  A request arriving earlier
+        # stalls for the difference (Section 3.3's bank blocking).
+        self.bank_busy_until = [0.0] * banks
+        self._bank_bytes = self.sectors_per_bank * sector
         self._sectors = [_SectorState() for _ in range(self.num_sectors)]
         self._data = bytearray([ERASED_BYTE]) * capacity_bytes
         # Optional fault-injection hook (see repro.faults.injector); when
@@ -181,12 +162,65 @@ class FlashMemory(StorageDevice):
     # Bank arbitration.
     # ------------------------------------------------------------------
 
-    def _wait_for_bank(self, bank: int, now: float) -> float:
-        """Seconds the request must wait for the bank to go idle."""
-        return self.bank_states[bank].queue.wait_for(now)
+    def _walk_banks(
+        self, offset: int, nbytes: int, now: float, write: bool
+    ) -> Tuple[float, float]:
+        """Service ``[offset, offset + nbytes)`` bank by bank, in order.
 
-    def _occupy_bank(self, bank: int, start: float, service: float) -> None:
-        self.bank_states[bank].queue.occupy(start, service)
+        Each bank's chunk first stalls until that bank is idle, then
+        takes the read or program service time; a program also occupies
+        the bank until it completes.  Returns ``(latency, wait)``, where
+        ``wait`` is the stalled portion of ``latency``.
+        """
+        spec = self.spec
+        if write:
+            overhead, per_byte = spec.write_overhead_s, spec.write_per_byte_s
+        else:
+            overhead, per_byte = spec.read_overhead_s, spec.read_per_byte_s
+        busy = self.bank_busy_until
+        bank_bytes = self._bank_bytes
+        latency = 0.0
+        wait = 0.0
+        t = now
+        pos, remaining = offset, nbytes
+        while remaining > 0:
+            bank = pos // bank_bytes
+            chunk = min(remaining, (bank + 1) * bank_bytes - pos)
+            stall = max(0.0, busy[bank] - t)
+            service = overhead + per_byte * chunk
+            if write:
+                end = t + stall + service
+                if end > busy[bank]:
+                    busy[bank] = end
+            wait += stall
+            latency += stall + service
+            t += stall + service
+            pos += chunk
+            remaining -= chunk
+        return latency, wait
+
+    def _account(
+        self, op: str, offset: int, nbytes: int, now: float, write: bool
+    ) -> AccessResult:
+        """Walk the banks for one read or program, then record and trace it."""
+        latency, wait = self._walk_banks(offset, nbytes, now, write)
+        spec = self.spec
+        power = spec.active_write_power_w if write else spec.active_read_power_w
+        result = AccessResult(
+            latency=latency, energy=power * (latency - wait), wait=wait
+        )
+        if write:
+            self.stats.record_write(nbytes, result)
+        else:
+            self.stats.record_read(nbytes, result)
+        if self.tracer is not None:
+            # Bank detail feeds the per-bank wear / write-amplification
+            # series in repro.obs.analyze.
+            detail = {"bank": offset // self._bank_bytes} if op == "program" else {}
+            if wait > 0.0:
+                detail["wait"] = wait
+            self.tracer.emit(self.name, op, now, nbytes, latency, detail=detail or None)
+        return result
 
     # ------------------------------------------------------------------
     # Operations.
@@ -198,31 +232,7 @@ class FlashMemory(StorageDevice):
             # May flip stored bits (read disturb) or cut power mid-read.
             self.injector.on_read(self, offset, nbytes, now=now)
         # A read spanning banks is serviced bank-by-bank in order.
-        latency = 0.0
-        wait = 0.0
-        t = now
-        pos, remaining = offset, nbytes
-        while remaining > 0:
-            bank = self.bank_of_offset(pos)
-            bank_end = (bank + 1) * self.sectors_per_bank * self.sector_bytes
-            chunk = min(remaining, bank_end - pos)
-            stall = self._wait_for_bank(bank, t)
-            service = self.spec.read_overhead_s + self.spec.read_per_byte_s * chunk
-            wait += stall
-            latency += stall + service
-            t += stall + service
-            pos += chunk
-            remaining -= chunk
-        result = AccessResult(
-            latency=latency,
-            energy=self.spec.active_read_power_w * (latency - wait),
-            wait=wait,
-        )
-        self.stats.record_read(nbytes, result)
-        if self.tracer is not None:
-            detail = {"wait": wait} if wait > 0.0 else None
-            self.tracer.emit(self.name, "read", now, nbytes, result.latency,
-                             detail=detail)
+        result = self._account("read", offset, nbytes, now, write=False)
         return bytes(self._data[offset : offset + nbytes]), result
 
     def write(self, offset: int, data: bytes, now: float) -> AccessResult:
@@ -237,32 +247,7 @@ class FlashMemory(StorageDevice):
         can be corrupted or torn).
         """
         self.check_range(offset, nbytes)
-        latency = 0.0
-        wait = 0.0
-        t = now
-        pos, remaining = offset, nbytes
-        while remaining > 0:
-            bank = self.bank_of_offset(pos)
-            bank_end = (bank + 1) * self.sectors_per_bank * self.sector_bytes
-            chunk = min(remaining, bank_end - pos)
-            stall = self._wait_for_bank(bank, t)
-            service = self.spec.read_overhead_s + self.spec.read_per_byte_s * chunk
-            wait += stall
-            latency += stall + service
-            t += stall + service
-            pos += chunk
-            remaining -= chunk
-        result = AccessResult(
-            latency=latency,
-            energy=self.spec.active_read_power_w * (latency - wait),
-            wait=wait,
-        )
-        self.stats.record_read(nbytes, result)
-        if self.tracer is not None:
-            detail = {"wait": wait} if wait > 0.0 else None
-            self.tracer.emit(self.name, "charge_read", now, nbytes, result.latency,
-                             detail=detail)
-        return result
+        return self._account("charge_read", offset, nbytes, now, write=False)
 
     def charge_write(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
         """Timing/energy of a program with no data landed (accounting only).
@@ -273,34 +258,7 @@ class FlashMemory(StorageDevice):
         bytes and programmed intervals are untouched.
         """
         self.check_range(offset, nbytes)
-        latency = 0.0
-        wait = 0.0
-        t = now
-        pos, remaining = offset, nbytes
-        while remaining > 0:
-            bank = self.bank_of_offset(pos)
-            bank_end = (bank + 1) * self.sectors_per_bank * self.sector_bytes
-            chunk = min(remaining, bank_end - pos)
-            stall = self._wait_for_bank(bank, t)
-            service = self.spec.write_overhead_s + self.spec.write_per_byte_s * chunk
-            self._occupy_bank(bank, t + stall, service)
-            self.bank_states[bank].programs += 1
-            wait += stall
-            latency += stall + service
-            t += stall + service
-            pos += chunk
-            remaining -= chunk
-        result = AccessResult(
-            latency=latency,
-            energy=self.spec.active_write_power_w * (latency - wait),
-            wait=wait,
-        )
-        self.stats.record_write(nbytes, result)
-        if self.tracer is not None:
-            detail = {"wait": wait} if wait > 0.0 else None
-            self.tracer.emit(self.name, "charge_write", now, nbytes, result.latency,
-                             detail=detail)
-        return result
+        return self._account("charge_write", offset, nbytes, now, write=True)
 
     def program(self, offset: int, data: bytes, now: float) -> AccessResult:
         nbytes = len(data)
@@ -312,45 +270,10 @@ class FlashMemory(StorageDevice):
             # May raise ProgramFailedError (transient/permanent) or cut
             # power mid-program, leaving a torn prefix in the medium.
             self.injector.on_program(self, offset, data, now=now)
-
-        latency = 0.0
-        wait = 0.0
-        t = now
-        pos, remaining = offset, nbytes
-        data_pos = 0
-        while remaining > 0:
-            bank = self.bank_of_offset(pos)
-            bank_end = (bank + 1) * self.sectors_per_bank * self.sector_bytes
-            chunk = min(remaining, bank_end - pos)
-            stall = self._wait_for_bank(bank, t)
-            service = self.spec.write_overhead_s + self.spec.write_per_byte_s * chunk
-            self._occupy_bank(bank, t + stall, service)
-            self.bank_states[bank].programs += 1
-            wait += stall
-            latency += stall + service
-            t += stall + service
-            self._data[pos : pos + chunk] = data[data_pos : data_pos + chunk]
-            pos += chunk
-            data_pos += chunk
-            remaining -= chunk
+        result = self._account("program", offset, nbytes, now, write=True)
+        self._data[offset : offset + nbytes] = data
         for sector, start, end in self._split_by_sector(offset, nbytes):
             self._sectors[sector].mark_programmed(start, end)
-        result = AccessResult(
-            latency=latency,
-            energy=self.spec.active_write_power_w * (latency - wait),
-            wait=wait,
-        )
-        self.stats.record_write(nbytes, result)
-        if self.tracer is not None:
-            # Bank detail feeds the per-bank wear / write-amplification
-            # series in repro.obs.analyze.
-            detail = {"bank": self.bank_of_offset(offset)}
-            if wait > 0.0:
-                detail["wait"] = wait
-            self.tracer.emit(
-                self.name, "program", now, nbytes, result.latency,
-                detail=detail,
-            )
         return result
 
     def erase_sector(self, sector: int, now: float) -> AccessResult:
@@ -374,10 +297,12 @@ class FlashMemory(StorageDevice):
                 raise WornOutError(self.name, sector, state.erase_count, self.endurance)
 
         bank = self.bank_of_sector(sector)
-        stall = self._wait_for_bank(bank, now)
+        busy = self.bank_busy_until
+        stall = max(0.0, busy[bank] - now)
         service = self.spec.erase_latency_s or 0.0
-        self._occupy_bank(bank, now + stall, service)
-        self.bank_states[bank].erases += 1
+        end = now + stall + service
+        if end > busy[bank]:
+            busy[bank] = end
 
         start, end = self.sector_range(sector)
         self._data[start:end] = bytes([ERASED_BYTE]) * self.sector_bytes
@@ -390,7 +315,7 @@ class FlashMemory(StorageDevice):
         )
         self.stats.record_erase(result)
         if self.tracer is not None:
-            detail = {"sector": sector, "bank": self.bank_of_sector(sector)}
+            detail = {"sector": sector, "bank": bank}
             if stall > 0.0:
                 detail["wait"] = stall
             self.tracer.emit(

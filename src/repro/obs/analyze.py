@@ -29,22 +29,14 @@ tests pin golden numbers and lets ``trace-diff`` mean something.
 
 from __future__ import annotations
 
-import json
 import math
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
+
+from repro.obs.tracer import iter_trace
 
 #: Flattened-summary path fragments excluded from diffs: positional
 #: timeline buckets shift legitimately when event counts change.
 _DIFF_EXCLUDE = (".timeline.",)
-
-
-def iter_trace(path: str) -> Iterator[dict]:
-    """Yield trace events from a JSONL file, one at a time (streaming)."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,9 @@ Design constraints:
 
 - **Low overhead when off.**  Components hold ``tracer = None`` by
   default and guard every emit with ``if self.tracer is not None``; the
-  cost of disabled tracing is one attribute load per operation (held
-  under 5% wall time by ``bench --check``).
+  cost of disabled tracing is one attribute load per operation.  The
+  cost of tracing *on* (with the stock online monitors) is measured,
+  not assumed: replaybench reports it as ``obs.tracer_cost_frac``.
 - **Bounded memory when on.**  Events land in a ring buffer; when it
   fills, the oldest half is dropped in one slice (cheaper than a deque
   pop per append) and counted in ``dropped`` so truncation is never
@@ -157,39 +158,8 @@ class Tracer:
         return _write_merged(path, indexed)
 
     def to_chrome(self, path: str) -> int:
-        """Write Chrome ``trace_event`` format (complete 'X' events).
-
-        Sim seconds map to microseconds; each component gets its own
-        ``tid`` so the viewer lays components out as separate tracks.
-        """
-        tids: Dict[str, int] = {}
-        out = []
-        for t, component, op, nbytes, latency_s, outcome, detail in self._events:
-            tid = tids.setdefault(component, len(tids) + 1)
-            args: Dict[str, object] = {"bytes": nbytes, "outcome": outcome}
-            if detail:
-                args.update(detail)
-            out.append(
-                {
-                    "name": op,
-                    "cat": component,
-                    "ph": "X",
-                    "ts": t * 1e6,
-                    "dur": latency_s * 1e6,
-                    "pid": 1,
-                    "tid": tid,
-                    "args": args,
-                }
-            )
-        doc = {
-            "traceEvents": out,
-            "displayTimeUnit": "ms",
-            "otherData": {"dropped_events": self.dropped},
-        }
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh)
-            fh.write("\n")
-        return len(out)
+        """Write Chrome ``trace_event`` format (see :func:`_write_chrome`)."""
+        return _write_chrome(self.events(), path, self.dropped)
 
 
 # ----------------------------------------------------------------------
@@ -228,58 +198,70 @@ def merge_shards_to_jsonl(out_path: str, shard_paths: Iterable[str]) -> int:
     """
     indexed: List[Tuple[float, int, int, dict]] = []
     for shard, path in enumerate(shard_paths):
-        with open(path, encoding="utf-8") as fh:
-            seq = 0
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                event = json.loads(line)
-                indexed.append((event["t"], seq, shard, event))
-                seq += 1
+        for seq, event in enumerate(iter_trace(path)):
+            indexed.append((event["t"], seq, shard, event))
     return _write_merged(out_path, indexed)
 
 
-def jsonl_to_chrome(jsonl_path: str, chrome_path: str, dropped: int = 0) -> int:
-    """Convert a (merged) JSONL trace to Chrome ``trace_event`` format.
+# ----------------------------------------------------------------------
+# Reading and exporting JSONL traces.
+# ----------------------------------------------------------------------
 
-    Mirrors :meth:`Tracer.to_chrome` field-for-field so serial and
-    merged parallel traces render identically in the viewer.
+
+def iter_trace(path: str) -> Iterator[dict]:
+    """Yield trace events from a JSONL file, one at a time (streaming)."""
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if line:
+                yield json.loads(line)
+
+
+def _write_chrome(events: Iterable[dict], path: str, dropped: int) -> int:
+    """Write event dicts as Chrome ``trace_event`` format (complete 'X'
+    events); returns the number of events written.
+
+    Sim seconds map to microseconds; each component gets its own
+    ``tid`` so the viewer lays components out as separate tracks.
     """
     tids: Dict[str, int] = {}
     out = []
-    with open(jsonl_path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            event = json.loads(line)
-            component = event["component"]
-            tid = tids.setdefault(component, len(tids) + 1)
-            args: Dict[str, object] = {
-                "bytes": event["bytes"],
-                "outcome": event["outcome"],
+    for event in events:
+        component = event["component"]
+        tid = tids.setdefault(component, len(tids) + 1)
+        args: Dict[str, object] = {
+            "bytes": event["bytes"],
+            "outcome": event["outcome"],
+        }
+        if event.get("detail"):
+            args.update(event["detail"])
+        out.append(
+            {
+                "name": event["op"],
+                "cat": component,
+                "ph": "X",
+                "ts": event["t"] * 1e6,
+                "dur": event["latency_s"] * 1e6,
+                "pid": 1,
+                "tid": tid,
+                "args": args,
             }
-            if event.get("detail"):
-                args.update(event["detail"])
-            out.append(
-                {
-                    "name": event["op"],
-                    "cat": component,
-                    "ph": "X",
-                    "ts": event["t"] * 1e6,
-                    "dur": event["latency_s"] * 1e6,
-                    "pid": 1,
-                    "tid": tid,
-                    "args": args,
-                }
-            )
+        )
     doc = {
         "traceEvents": out,
         "displayTimeUnit": "ms",
         "otherData": {"dropped_events": dropped},
     }
-    with open(chrome_path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
     return len(out)
+
+
+def jsonl_to_chrome(jsonl_path: str, chrome_path: str, dropped: int = 0) -> int:
+    """Convert a (merged) JSONL trace to Chrome ``trace_event`` format.
+
+    Shares :func:`_write_chrome` with :meth:`Tracer.to_chrome`, so serial
+    and merged parallel traces render identically in the viewer.
+    """
+    return _write_chrome(iter_trace(jsonl_path), chrome_path, dropped)

@@ -1,9 +1,10 @@
 """Trace replay against any file system.
 
-The replayer is the measurement harness most experiments share: it walks
-a trace, fast-forwards the event engine to each record's timestamp (so
-periodic flush/sync timers fire exactly as they would in a live system),
-issues the operation, and collects per-operation latency.
+The replayer is the measurement harness most experiments share: it runs
+one or more client streams through the cooperative scheduler, which
+fast-forwards the event engine to each record's timestamp (so periodic
+flush/sync timers fire exactly as they would in a live system), issues
+the operation, and collects per-operation latency.
 
 Payload bytes are generated deterministically from (path, offset), so a
 replay on two different organizations writes identical data -- and reads
@@ -19,10 +20,10 @@ from functools import lru_cache
 from random import Random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.fs.api import FileSystem, FSError, FSRequest
+from repro.fs.api import FileSystem, FSRequest
 from repro.sim.engine import Engine
 from repro.sim.sched import Scheduler
-from repro.sim.stats import Histogram, StatRegistry
+from repro.sim.stats import Histogram
 from repro.trace.model import OpType, TraceRecord
 
 
@@ -84,6 +85,8 @@ class ReplayReport:
     """What a replay measured."""
 
     records: int = 0
+    # Replay is strict (an FSError propagates), so a returned report
+    # always has zero errors; the field keeps the snapshot schema.
     errors: int = 0
     bytes_written: int = 0
     bytes_read: int = 0
@@ -91,8 +94,8 @@ class ReplayReport:
     trace_duration_s: float = 0.0
     op_counts: Dict[str, int] = field(default_factory=dict)
     op_latency: Dict[str, dict] = field(default_factory=dict)
-    # Multi-client replay only (empty / None for single-client runs, so
-    # single-client snapshots stay identical to the synchronous path).
+    # Multi-client replay only: empty / None for a single stream, so a
+    # single-client snapshot carries no per-client attribution.
     per_client: Dict[int, dict] = field(default_factory=dict)
     scheduler: Optional[dict] = None
 
@@ -106,9 +109,6 @@ class ReplayReport:
         if self.trace_duration_s <= 0:
             return 0.0
         return self.elapsed_sim_s / self.trace_duration_s
-
-    def mean_latency(self, op: str) -> float:
-        return self.op_latency.get(op, {}).get("mean", 0.0)
 
     def snapshot(self) -> dict:
         out = {
@@ -129,75 +129,39 @@ class ReplayReport:
 
 
 class TraceReplayer:
-    """Drives a :class:`FileSystem` (and optionally an engine) with a trace."""
+    """Drives a :class:`FileSystem` and its event engine with client streams.
+
+    Each stream becomes a cooperative process (see
+    :mod:`repro.sim.sched`); steps across clients interleave in global
+    timestamp order against the shared clock and engine.  Replay is
+    strict: an :class:`~repro.fs.api.FSError` from the file system
+    propagates to the caller.
+    """
 
     def __init__(
         self,
         fs: FileSystem,
-        engine: Optional[Engine] = None,
+        engine: Engine,
         exec_handler: Optional[Callable[[TraceRecord], None]] = None,
-        strict: bool = True,
     ) -> None:
         self.fs = fs
         self.engine = engine
         self.exec_handler = exec_handler
-        self.strict = strict
-        self.stats = StatRegistry("replay")
-
-    def _clock_now(self) -> float:
-        if self.engine is not None:
-            return self.engine.clock.now
-        # Fall back to the FS's own clock (every FS here has one).
-        return self.fs.clock.now  # type: ignore[attr-defined]
-
-    def replay(self, trace: Iterable[TraceRecord]) -> ReplayReport:
-        report = ReplayReport()
-        histograms: Dict[str, Histogram] = {}
-        last_time = 0.0
-        for record in trace:
-            last_time = max(last_time, record.time)
-            if self.engine is not None:
-                self.engine.run_until(max(record.time, self.engine.clock.now))
-            start = self._clock_now()
-            try:
-                self._dispatch(record, report)
-            except FSError:
-                report.errors += 1
-                if self.strict:
-                    raise
-            elapsed = self._clock_now() - start
-            op = record.op.value
-            report.records += 1
-            report.op_counts[op] = report.op_counts.get(op, 0) + 1
-            histograms.setdefault(op, Histogram(op)).record(elapsed)
-        report.trace_duration_s = last_time
-        report.elapsed_sim_s = self._clock_now()
-        report.op_latency = {op: h.summary() for op, h in histograms.items()}
-        return report
-
-    # ------------------------------------------------------------------
-    # Kernel request path: N concurrent client streams.
-    # ------------------------------------------------------------------
 
     def replay_scheduled(
         self, streams: Sequence[Iterable[TraceRecord]]
     ) -> ReplayReport:
         """Replay one or more client streams through the scheduler.
 
-        Each stream becomes a cooperative process (see
-        :mod:`repro.sim.sched`); steps across clients interleave in
-        global timestamp order against the shared clock and engine.
-        With one stream the loop is step-for-step identical to
-        :meth:`replay` -- the process spawns with ``client=None`` so no
-        client context is set and metrics/trace bytes match the
-        synchronous path exactly (pinned by ``tests/test_equivalence``).
+        With one stream the process spawns with ``client=None``: no
+        client context is set, so metrics and trace bytes carry no
+        per-client attribution (the golden digests in
+        ``tests/test_equivalence`` pin this path).
 
         With several streams the report additionally carries
         ``per_client`` op counts/latency and the scheduler's
         dispatch-delay accounting.
         """
-        if self.engine is None:
-            raise ValueError("scheduled replay requires an engine")
         if not streams:
             raise ValueError("scheduled replay needs at least one stream")
         report = ReplayReport()
@@ -228,7 +192,7 @@ class TraceReplayer:
             )
         sched.run()
         report.trace_duration_s = last_time[0]
-        report.elapsed_sim_s = self._clock_now()
+        report.elapsed_sim_s = self.engine.clock.now
         report.op_latency = {op: h.summary() for op, h in histograms.items()}
         if multi:
             for idx, stats in client_stats.items():
@@ -257,6 +221,7 @@ class TraceReplayer:
         caches, and buffers -- while per-client op counts are conserved
         under any interleaving (the hypothesis property pins this).
         """
+        clock = self.engine.clock
         prefix = f"/c{client}" if client is not None else None
         rooted = prefix is None
         for record in records:
@@ -275,17 +240,10 @@ class TraceReplayer:
                 if not self.fs.exists(prefix):
                     self.fs.mkdir(prefix)
                 rooted = True
-            start = self._clock_now()
+            start = clock.now
             written, read = report.bytes_written, report.bytes_read
-            try:
-                self._dispatch(record, report, client=client)
-            except FSError:
-                report.errors += 1
-                if stats is not None:
-                    stats["errors"] += 1
-                if self.strict:
-                    raise
-            elapsed = self._clock_now() - start
+            self._dispatch(record, report, client=client)
+            elapsed = clock.now - start
             op = record.op.value
             report.records += 1
             report.op_counts[op] = report.op_counts.get(op, 0) + 1

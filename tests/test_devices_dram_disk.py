@@ -37,6 +37,23 @@ class TestDRAM:
         assert data == b"\x00\x00\x00\x00"
         assert d.content_losses == 1
 
+    def test_power_loss_zeroes_whole_array_in_place(self):
+        d = DRAM(MB)
+        d.write(0, b"\xa5" * 4096, 0.0)
+        d.write(MB - 4096, b"\x5a" * 4096, 0.0)
+        # A view handed out before the loss aliases the live array, so
+        # it must observe the zeroing rather than stale bytes.
+        view, _ = d.read_view(MB - 4096, 4096, 1.0)
+        d.power_loss()
+        assert d.content_losses == 1
+        assert bytes(view) == bytes(4096)
+        assert d.snapshot_bytes() == bytes(MB)
+        d.power_restore()
+        data, _ = d.read(0, 4096, 2.0)
+        assert data == bytes(4096)
+        d.power_loss()
+        assert d.content_losses == 2
+
     def test_stats_accumulate(self):
         d = DRAM(MB)
         d.write(0, b"ab", 0.0)

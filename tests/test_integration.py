@@ -10,7 +10,7 @@ orderings the paper predicts must hold across seeds.
 import pytest
 
 from repro.core import MobileComputer, Organization, SystemConfig
-from repro.trace import TraceReplayer, generate_workload
+from repro.trace import generate_workload
 
 KB = 1024
 MB = 1024 * 1024
@@ -55,7 +55,7 @@ class TestCrossOrganizationEquivalence:
             Organization.FLASH_DISK,
         ):
             machine = build(org)
-            report = machine.run_trace(trace)
+            report = machine.run_streams([trace])
             assert report.errors == 0
             images[org] = fs_image(machine)
         solid = images[Organization.SOLID_STATE]
@@ -67,8 +67,8 @@ class TestCrossOrganizationEquivalence:
         trace = generate_workload("pim", seed=5, duration_s=60.0)
         plain = build(Organization.SOLID_STATE)
         compressed = build(Organization.SOLID_STATE, compress_flash=True)
-        plain.run_trace(trace)
-        compressed.run_trace(trace)
+        plain.run_streams([trace])
+        compressed.run_streams([trace])
         assert fs_image(plain) == fs_image(compressed)
 
 

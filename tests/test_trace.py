@@ -118,7 +118,7 @@ class TestReplay:
     def test_replay_counts_everything(self):
         fs, engine = self.make_fs()
         trace = generate_workload("office", seed=9, duration_s=60.0)
-        report = TraceReplayer(fs, engine=engine).replay(trace)
+        report = TraceReplayer(fs, engine).replay_scheduled([trace])
         assert report.records == len(trace)
         assert report.errors == 0
         assert report.bytes_written > 0
@@ -133,7 +133,7 @@ class TestReplay:
         fs.manager.attach_flush_timer(engine, interval_s=5.0)
         fs.manager.buffer.age_limit_s = 10.0
         trace = generate_workload("office", seed=9, duration_s=90.0)
-        TraceReplayer(fs, engine=engine).replay(trace)
+        TraceReplayer(fs, engine).replay_scheduled([trace])
         aged = fs.manager.buffer.stats.counter("flushed_age").value
         assert aged > 0, "age-based flushes should have fired via the engine"
 
@@ -142,13 +142,13 @@ class TestReplay:
         launched = []
         trace = generate_workload("exec_heavy", seed=3, duration_s=60.0)
         replayer = TraceReplayer(
-            fs, engine=engine, exec_handler=lambda r: launched.append(r.program)
+            fs, engine, exec_handler=lambda r: launched.append(r.program)
         )
-        replayer.replay(trace)
+        replayer.replay_scheduled([trace])
         assert launched
 
     def test_slowdown_metric(self):
         fs, engine = self.make_fs()
         trace = generate_workload("pim", seed=2, duration_s=60.0)
-        report = TraceReplayer(fs, engine=engine).replay(trace)
+        report = TraceReplayer(fs, engine).replay_scheduled([trace])
         assert report.slowdown >= 1.0  # clock can't finish before the trace
