@@ -3,15 +3,16 @@
 PY ?= python
 export PYTHONPATH := src
 
-.PHONY: check test golden-check replaybench-test trace-smoke analyze-smoke e14-smoke bench \
-	bench-record replaybench experiments torture
+.PHONY: check test golden-check replaybench-test trace-smoke analyze-smoke e14-smoke \
+	work-record replaybench experiments torture
 
-# The default gate: unit tests, then the experiment-table goldens, then
-# the replay benchmark's own tests, then the traced-run smoke
-# (schema-valid JSONL + hub/device accounting identity + clean online
-# monitors), then the trace-analytics smoke over that trace, then the
-# multi-client contention smoke, then the perf bench.
-check: test golden-check replaybench-test trace-smoke analyze-smoke e14-smoke bench
+# The default gate: unit tests (the deterministic work gate,
+# tests/test_work_gate.py, among them), then the experiment-table
+# goldens, then the replay benchmark's own tests, then the traced-run
+# smoke (schema-valid JSONL + hub/device accounting identity + clean
+# online monitors), then the trace-analytics smoke over that trace, then
+# the multi-client contention smoke.  It writes only git-ignored files.
+check: test golden-check replaybench-test trace-smoke analyze-smoke e14-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -47,14 +48,11 @@ e14-smoke:
 	$(PY) -m repro experiments E14 -j 2 \
 		--trace benchmarks/out/e14_smoke.jsonl --monitors > /dev/null
 
-# Quick per-subsystem throughput benches; fails (exit 1) on a >20%
-# regression against the newest committed trajectory file.
-bench:
-	./benchmarks/run_quick.sh
-
-# Record a new BENCH_<stamp>.json baseline (commit the file it prints).
-bench-record:
-	$(PY) -m repro bench --json
+# Re-record the work gate's per-module call counts into
+# benchmarks/work_counts.json (commit the file with the change that
+# moved them; tests/test_work_gate.py requires an exact match).
+work-record:
+	$(PY) -m repro.analysis.workgate
 
 # One short run of each replaybench workload (tracer off): end-to-end
 # metrics and the read-back correctness check, ~10 s per workload.

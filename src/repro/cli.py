@@ -12,9 +12,6 @@ Commands:
   parallel (``-j N`` fans them across a process pool; every driver is
   independent and seed-deterministic, so the tables are identical to a
   serial run) and optionally under cProfile (``--profile``).
-- ``bench``        -- per-subsystem simulator-throughput benches; with
-  ``--json`` records a ``BENCH_<stamp>.json`` trajectory file, with
-  ``--check`` fails on >20% regression vs. the newest trajectory.
 - ``torture``      -- crash-consistency torture: power-cut sweep plus
   bit-flip and program-failure campaigns; exits non-zero on any
   invariant violation.
@@ -23,9 +20,10 @@ Commands:
 - ``analyze``      -- streaming analytics over a recorded ``.jsonl``
   trace: per-component/per-op latency percentiles, GC pause stats,
   per-bank write amplification and wear, engine dispatch aggregation.
-- ``trace-diff``   -- compare two traces (or one trace against a
-  ``BENCH_*.json`` trajectory point via ``--bench``) and flag metric
-  deltas beyond a threshold; ``--check`` exits non-zero on any.
+- ``trace-diff``   -- compare two traces (or one trace against the
+  ``hub`` block of a record such as ``benchmarks/work_counts.json`` via
+  ``--bench``) and flag metric deltas beyond a threshold; ``--check``
+  exits non-zero on any.
 - ``trace-smoke``  -- tiny traced run validating the JSONL trace against
   its schema, the Chrome export, the hub/device accounting identity,
   the online monitors (zero violations), and the ``analyze`` /
@@ -47,9 +45,9 @@ The same commands accept ``--monitors`` (or repeated ``--monitor NAME``)
 to attach online invariant monitors (:mod:`repro.obs.monitor`) to the
 live stream; any violation is reported and the command exits non-zero.
 
-Except for ``bench --json``, ``experiments --profile``, ``--trace``,
-and ``trace-smoke`` (which write under ``benchmarks/`` or the given
-path), everything prints plain ASCII tables.
+Except for ``experiments --profile``, ``--trace``, and ``trace-smoke``
+(which write under ``benchmarks/`` or the given path), everything
+prints plain ASCII tables.
 """
 
 from __future__ import annotations
@@ -421,45 +419,6 @@ def _report_job_monitors(outputs: List[Tuple[str, str, Optional[dict]]]) -> int:
     return 0
 
 
-def _cmd_bench(args) -> int:
-    from repro.analysis.perfbench import (
-        compare,
-        latest_trajectory,
-        run_benches,
-        trajectory_record,
-        write_trajectory,
-    )
-
-    benches = run_benches(quick=not args.full, repeats=args.repeats)
-    rows = [[name, f"{value:,.0f}"] for name, value in benches.items()]
-    print(format_table(["subsystem bench", "throughput/s"], rows,
-                       title="simulator throughput (host wall-clock)"))
-    record = trajectory_record(benches)
-    written_name = None
-    if args.json:
-        path = write_trajectory(record, args.dir)
-        written_name = os.path.basename(path)
-        print(f"\ntrajectory written: {path}")
-    if args.check:
-        baseline = latest_trajectory(args.dir, before=written_name)
-        if baseline is None:
-            print(f"bench --check: no baseline trajectory in {args.dir}", file=sys.stderr)
-            return 2
-        regressions = compare(baseline["benches"], benches, threshold=args.threshold)
-        if regressions:
-            print(
-                f"\nBENCH FAILED vs {baseline['stamp']}: "
-                f">{args.threshold:.0%} throughput regression",
-                file=sys.stderr,
-            )
-            for name, old, new, drop in regressions:
-                print(f"  {name}: {old:,.0f} -> {new:,.0f} (-{drop:.0%})", file=sys.stderr)
-            return 1
-        print(f"\nbench ok vs {baseline['stamp']}: no regression above "
-              f"{args.threshold:.0%}")
-    return 0
-
-
 def _cmd_metrics(args) -> int:
     import json
 
@@ -639,29 +598,17 @@ def _cmd_trace_diff(args) -> int:
         return 2
     try:
         if args.bench is not None:
-            bench_path = args.bench
-            if os.path.isdir(bench_path):
-                from repro.analysis.perfbench import latest_trajectory
-
-                record = latest_trajectory(bench_path)
-                if record is None:
-                    print(
-                        f"trace-diff: no BENCH_*.json trajectory in {bench_path}",
-                        file=sys.stderr,
-                    )
-                    return 2
-            else:
-                with open(bench_path, encoding="utf-8") as fh:
-                    record = json.load(fh)
+            with open(args.bench, encoding="utf-8") as fh:
+                record = json.load(fh)
             current = analyze_trace(args.traces[0]).summary()
             rows = diff_against_trajectory(current, record, threshold=args.threshold)
-            label = f"{args.traces[0]} vs trajectory {record.get('stamp', '?')}"
+            label = f"{args.traces[0]} vs {args.bench}"
         else:
             baseline = analyze_trace(args.traces[0]).summary()
             current = analyze_trace(args.traces[1]).summary()
             rows = diff_summaries(baseline, current, threshold=args.threshold)
             label = f"{args.traces[0]} vs {args.traces[1]}"
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         print(f"trace-diff: {exc}", file=sys.stderr)
         return 2
     print(f"trace-diff: {label} (threshold {args.threshold:.0%})")
@@ -829,14 +776,14 @@ def build_parser() -> argparse.ArgumentParser:
     diff_p = sub.add_parser(
         "trace-diff",
         help="flag metric deltas between two traces, or a trace and a "
-        "BENCH_*.json trajectory point",
+        "record's hub counters",
     )
     diff_p.add_argument("traces", nargs="+",
                         help="baseline and current trace files (one file "
                         "with --bench)")
     diff_p.add_argument("--bench", metavar="PATH", default=None,
-                        help="compare against a BENCH_*.json file, or the "
-                        "newest trajectory in a directory")
+                        help="compare against the hub block of a JSON "
+                        "record (e.g. benchmarks/work_counts.json)")
     diff_p.add_argument("--threshold", type=float, default=0.10,
                         help="relative delta that flags a metric "
                         "(default 0.10)")
@@ -851,22 +798,6 @@ def build_parser() -> argparse.ArgumentParser:
     smoke_p.add_argument("--dir", default=os.path.join("benchmarks", "out"),
                          help="output directory (default benchmarks/out)")
     smoke_p.add_argument("--seed", type=int, default=0)
-
-    bench_p = sub.add_parser(
-        "bench", help="per-subsystem throughput benches + regression check"
-    )
-    bench_p.add_argument("--json", action="store_true",
-                         help="record a BENCH_<stamp>.json trajectory file")
-    bench_p.add_argument("--check", action="store_true",
-                         help="fail on throughput regression vs newest trajectory")
-    bench_p.add_argument("--dir", default=os.path.join("benchmarks", "trajectory"),
-                         help="trajectory directory (default benchmarks/trajectory)")
-    bench_p.add_argument("--threshold", type=float, default=0.20,
-                         help="regression threshold as a fraction (default 0.20)")
-    bench_p.add_argument("--repeats", type=int, default=3,
-                         help="best-of-N repeats per bench (default 3)")
-    bench_p.add_argument("--full", action="store_true",
-                         help="longer bench workloads (less noisy, slower)")
 
     tort_p = sub.add_parser("torture", help="crash-consistency torture harness")
     tort_p.add_argument("--mode", default="flashstore", choices=["flashstore", "fsck"],
@@ -891,7 +822,6 @@ _COMMANDS = {
     "compare": _cmd_compare,
     "experiment": _cmd_experiment,
     "experiments": _cmd_experiments,
-    "bench": _cmd_bench,
     "torture": _cmd_torture,
     "metrics": _cmd_metrics,
     "analyze": _cmd_analyze,

@@ -18,7 +18,8 @@ subsystem:
   installs and :class:`MobileComputer` picks up at build time.
 - :mod:`repro.obs.analyze` -- streaming trace analytics: per-op latency
   percentiles, GC pause timelines, per-bank write amplification, engine
-  dispatch aggregation, and cross-run / trajectory diffs.
+  dispatch aggregation, and diffs against another trace or a record's
+  hub counters.
 - :mod:`repro.obs.monitor` -- online invariant monitors subscribed to
   the live tracer, raising structured violations during a run.
 """

@@ -18,9 +18,9 @@ pass, never materializing the file, and aggregates:
 
 :func:`diff_summaries` compares two analyses and flags relative metric
 deltas beyond a threshold; :func:`diff_against_trajectory` cross-links a
-trace against the ``hub`` block of a ``BENCH_*.json`` perf-trajectory
-point (the subset of MetricsHub counters a trace can independently
-re-derive -- see ``analysis.perfbench.TRACE_COMPARABLE_HUB_KEYS``).
+trace against the ``hub`` block of a committed record such as
+``benchmarks/work_counts.json`` (the subset of MetricsHub counters a
+trace can independently re-derive: :data:`TRACE_COMPARABLE_HUB_KEYS`).
 
 Everything here is deterministic: identical traces produce identical
 summaries, identical renderings, and identical diffs, which is what lets
@@ -659,9 +659,21 @@ def diff_summaries(
     return rows
 
 
+#: MetricsHub counters a trace can independently re-derive from its own
+#: event stream (:func:`trace_hub_metrics`): ``trace-diff --bench``
+#: compares a trace against a record's ``hub`` block on exactly these.
+TRACE_COMPARABLE_HUB_KEYS = (
+    "flash_bytes_written",
+    "flash_erases",
+    "writebuffer_bytes_in",
+    "writebuffer_flushed_bytes",
+    "gc_bytes_copied",
+)
+
+
 def trace_hub_metrics(summary: dict) -> Dict[str, float]:
     """Re-derive, from a trace summary, the MetricsHub counters a
-    ``BENCH_*.json`` trajectory point embeds (its ``hub`` block).
+    record's ``hub`` block holds (:data:`TRACE_COMPARABLE_HUB_KEYS`).
 
     Only counters a trace can reconstruct appear; comparison happens on
     the intersection of keys.
@@ -692,16 +704,40 @@ def trace_hub_metrics(summary: dict) -> Dict[str, float]:
     return out
 
 
+def hub_metrics(hub) -> Dict[str, float]:
+    """The :data:`TRACE_COMPARABLE_HUB_KEYS` counters of a live MetricsHub."""
+    return {
+        "flash_bytes_written": hub.device_stat("flash-data", "bytes_written"),
+        "flash_erases": hub.device_stat("flash-data", "erases"),
+        "writebuffer_bytes_in": hub.counter_value("writebuffer", "bytes_in"),
+        "writebuffer_flushed_bytes": hub.counter_value("writebuffer", "flushed_bytes"),
+        "gc_bytes_copied": hub.counter_value("flashstore", "gc_bytes_copied"),
+    }
+
+
+def trajectory_hub_metrics(record: dict) -> Dict[str, float]:
+    """Trace-comparable subset of a record's ``hub`` block."""
+    hub = record.get("hub") or {}
+    return {key: float(hub[key]) for key in TRACE_COMPARABLE_HUB_KEYS if key in hub}
+
+
 def diff_against_trajectory(
     summary: dict, bench_record: dict, threshold: float = 0.10
 ) -> List[Tuple[str, Optional[float], Optional[float], Optional[float]]]:
-    """Compare a trace summary against a BENCH trajectory point's hub
-    block.  Same row shape as :func:`diff_summaries`."""
-    from repro.analysis.perfbench import trajectory_hub_metrics
+    """Compare a trace summary against a record's hub block.  Same row
+    shape as :func:`diff_summaries`.
 
+    Raises ``ValueError`` when the two share no trace-comparable key:
+    an empty comparison must not pass as a clean one.
+    """
     baseline = trajectory_hub_metrics(bench_record)
     derived = trace_hub_metrics(summary)
     shared = set(baseline) & set(derived)
+    if not shared:
+        raise ValueError(
+            "the record and the trace share no trace-comparable hub counter "
+            f"({', '.join(TRACE_COMPARABLE_HUB_KEYS)})"
+        )
     return diff_summaries(
         {k: baseline[k] for k in shared},
         {k: derived[k] for k in shared},

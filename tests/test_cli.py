@@ -1,5 +1,6 @@
 """Unit tests for the command-line interface."""
 
+import json
 import os
 
 import pytest
@@ -106,52 +107,40 @@ class TestExperimentsCommand:
         assert "cumulative" in summary
 
 
-class TestBenchCommand:
+class TestTraceDiffCommand:
     @pytest.fixture()
-    def tiny_benches(self, monkeypatch):
-        # Real benches take seconds each; the CLI plumbing is what is
-        # under test here, so substitute instant fakes.
-        from repro.analysis import perfbench
+    def trace(self, tmp_path):
+        path = tmp_path / "tiny.jsonl"
+        event = {"t": 1.0, "component": "flash-data", "op": "program",
+                 "bytes": 4096, "latency_s": 5e-4, "outcome": "ok"}
+        path.write_text(json.dumps(event) + "\n")
+        return str(path)
 
-        monkeypatch.setattr(
-            perfbench, "BENCHES", {"fake_per_s": lambda quick=True: 123.0}
-        )
-        return perfbench
+    def _record(self, tmp_path, record):
+        path = tmp_path / "record.json"
+        path.write_text(json.dumps(record))
+        return str(path)
 
-    def test_parser_defaults(self):
-        args = build_parser().parse_args(["bench"])
-        assert args.threshold == 0.20
-        assert args.dir == os.path.join("benchmarks", "trajectory")
-
-    def test_bench_prints_table(self, capsys, tiny_benches):
-        assert main(["bench", "--repeats", "1"]) == 0
-        assert "fake_per_s" in capsys.readouterr().out
-
-    def test_bench_json_writes_trajectory(self, capsys, tmp_path, tiny_benches):
-        assert main(["bench", "--json", "--repeats", "1", "--dir", str(tmp_path)]) == 0
-        names = [n for n in os.listdir(tmp_path) if n.startswith("BENCH_")]
-        assert len(names) == 1
-
-    def test_bench_check_without_baseline(self, capsys, tmp_path, tiny_benches):
-        assert main(["bench", "--check", "--repeats", "1", "--dir", str(tmp_path)]) == 2
-        assert "no baseline" in capsys.readouterr().err
-
-    def test_bench_check_flags_regression(self, capsys, tmp_path, tiny_benches):
-        record = tiny_benches.trajectory_record(
-            {"fake_per_s": 1000.0}, stamp="20250101_000000"
-        )
-        tiny_benches.write_trajectory(record, str(tmp_path))
-        rc = main(["bench", "--check", "--repeats", "1", "--dir", str(tmp_path)])
-        assert rc == 1
-        assert "BENCH FAILED" in capsys.readouterr().err
-
-    def test_bench_check_passes_and_skips_own_file(self, capsys, tmp_path, tiny_benches):
-        record = tiny_benches.trajectory_record(
-            {"fake_per_s": 120.0}, stamp="20250101_000000"
-        )
-        tiny_benches.write_trajectory(record, str(tmp_path))
-        rc = main(
-            ["bench", "--json", "--check", "--repeats", "1", "--dir", str(tmp_path)]
-        )
+    def test_bench_matching_hub_passes(self, capsys, tmp_path, trace):
+        bench = self._record(tmp_path, {"hub": {"flash_bytes_written": 4096}})
+        rc = main(["trace-diff", trace, "--bench", bench, "--threshold", "0", "--check"])
         assert rc == 0
-        assert "bench ok vs 20250101_000000" in capsys.readouterr().out
+
+    def test_bench_hub_delta_fails_check(self, capsys, tmp_path, trace):
+        bench = self._record(tmp_path, {"hub": {"flash_bytes_written": 8192}})
+        assert main(["trace-diff", trace, "--bench", bench, "--check"]) == 1
+        assert "flash_bytes_written" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("record", [{}, {"hub": {"replay_records": 1}}])
+    def test_bench_without_shared_keys_exits_2(self, capsys, tmp_path, trace, record):
+        bench = self._record(tmp_path, record)
+        assert main(["trace-diff", trace, "--bench", bench, "--check"]) == 2
+        assert "share no trace-comparable" in capsys.readouterr().err
+
+    def test_bench_benchmark_manifest_exits_2(self, capsys, trace):
+        # BENCHMARK.json describes the replay benchmark; it has no hub.
+        manifest = os.path.join(os.path.dirname(__file__), os.pardir, "BENCHMARK.json")
+        assert main(["trace-diff", trace, "--bench", manifest, "--check"]) == 2
+
+    def test_bench_directory_exits_2(self, capsys, tmp_path, trace):
+        assert main(["trace-diff", trace, "--bench", str(tmp_path), "--check"]) == 2

@@ -328,6 +328,12 @@ class TestDiffs:
         assert [r[0] for r in rows] == ["flash_bytes_written"]
         assert rows[0][3] == pytest.approx(-0.5)
 
+    def test_diff_against_trajectory_needs_a_shared_key(self):
+        summary = _canned_analysis().summary()
+        for record in ({}, {"hub": {"replay_records": 123}}):
+            with pytest.raises(ValueError, match="share no trace-comparable"):
+                diff_against_trajectory(summary, record)
+
     def test_real_run_crosschecks_hub(self):
         # The trace-derived metrics must agree with the MetricsHub's own
         # counters for the same run -- the cross-link trace-diff --bench
