@@ -30,7 +30,6 @@ from repro.core.hierarchy import MobileComputer
 from repro.devices.catalog import MB
 from repro.obs.analyze import hub_metrics
 from repro.sim.rand import RandomStream
-from repro.trace import replay
 
 SEED = 1
 COUNTS_FILE = os.path.join("benchmarks", "work_counts.json")
@@ -60,15 +59,13 @@ def measure(runs: Sequence[str] = tuple(run[0] for run in RUNS)) -> dict:
     """Measure the named runs (all of :data:`RUNS` by default).
 
     Each run's machine set-up and replay are profiled together.  The
-    payload and Zipf memos are process-global, so every run clears them
-    first: a warm memo would skip calls.
+    Zipf CDF memo is process-global, so every run clears it first: a
+    warm memo would skip calls.
     """
     record: dict = {"python": "%d.%d" % sys.version_info[:2], "records": {}, "calls": {}}
     for name, org, workload, duration_s, flash_bytes in RUNS:
         if name not in runs:
             continue
-        replay._payload.cache_clear()
-        replay._pattern_unit.cache_clear()
         RandomStream._zipf_cache.clear()
         config = SystemConfig(organization=org, flash_bytes=flash_bytes, seed=SEED)
         profiler = cProfile.Profile(subcalls=False, builtins=False)

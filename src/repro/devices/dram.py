@@ -52,10 +52,6 @@ class DRAM(StorageDevice):
         self._read_results: Dict[int, AccessResult] = {}
         self._write_results: Dict[int, AccessResult] = {}
 
-    def _require_power(self) -> None:
-        if not self.powered:
-            raise PowerLossError(self.name, "DRAM is unpowered")
-
     def _access(self, write: bool, nbytes: int, offset: int, now: float, op: str) -> AccessResult:
         """Check, account and trace one access; the single timing path.
 
@@ -65,9 +61,17 @@ class DRAM(StorageDevice):
         :class:`AccessResult` once and every later access of that size
         shares it; other sizes get a fresh one.  Power and range checks,
         stats and the trace record still happen on every call.
+
+        Every DRAM touch of the simulation passes here, so the power
+        check, the range check and the :class:`DeviceStats` update are
+        inlined: the stats fields take the same float additions, in the
+        same order, as ``record_read``/``record_write``, and an
+        out-of-range access still raises from ``check_range``.
         """
-        self._require_power()
-        self.check_range(offset, nbytes)
+        if not self.powered:
+            raise PowerLossError(self.name, "DRAM is unpowered")
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
+            self.check_range(offset, nbytes)
         results = self._write_results if write else self._read_results
         result = results.get(nbytes)
         if result is None:
@@ -81,10 +85,16 @@ class DRAM(StorageDevice):
             result = AccessResult(latency=latency, energy=power * latency)
             if len(results) < MAX_SHARED_RESULTS:
                 results[nbytes] = result
+        stats = self.stats
         if write:
-            self.stats.record_write(nbytes, result)
+            stats.writes += 1
+            stats.bytes_written += nbytes
         else:
-            self.stats.record_read(nbytes, result)
+            stats.reads += 1
+            stats.bytes_read += nbytes
+        stats.busy_time += result.latency - result.wait
+        stats.wait_time += result.wait
+        stats.energy_joules += result.energy
         if self.tracer is not None:
             self.tracer.emit(self.name, op, now, nbytes, result.latency)
         return result

@@ -18,6 +18,7 @@ from repro.devices.dram import DRAM
 from repro.fs.blockdev import BlockDevice
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
+from repro.sim import sched
 from repro.sim.sched import current_client
 from repro.sim.stats import StatRegistry
 
@@ -81,11 +82,14 @@ class BufferCache:
         long as the block is neither rewritten nor evicted, so a parse of
         it may be memoized on object identity.
         """
-        client = current_client()
+        # The hit path is the hottest in the block-FS stack: it reads the
+        # scheduler's client context and bumps the hit counter directly
+        # (the same values ``current_client()`` and ``Counter.add`` give).
+        client = sched._current_client
         block = self._blocks.get(lba)
         if block is not None:
             self._blocks.move_to_end(lba)
-            self._hits.add(1)
+            self._hits.value += 1
             if client is not None:
                 self.stats.counter(f"client{client}_hits").add(1)
             dram = self.dram

@@ -18,17 +18,17 @@ class SimClock:
     point (trace replay jumping to the next record's timestamp).
     """
 
-    __slots__ = ("_now",)
+    #: ``now`` is the current virtual time in seconds: a plain slot, read
+    #: directly on every hot path.  Only :meth:`advance`,
+    #: :meth:`advance_to` and :meth:`reset` assign it, each behind its
+    #: check (``tests/test_flat_accounting.py`` pins that no other module
+    #: writes it).
+    __slots__ = ("now",)
 
     def __init__(self, start: float = 0.0) -> None:
         if start < 0.0:
             raise ValueError("clock cannot start before time zero")
-        self._now = float(start)
-
-    @property
-    def now(self) -> float:
-        """Current virtual time in seconds."""
-        return self._now
+        self.now = float(start)
 
     def advance(self, delta: float) -> float:
         """Move time forward by ``delta`` seconds and return the new time.
@@ -37,8 +37,8 @@ class SimClock:
         """
         if delta < 0.0:
             raise ValueError(f"cannot advance clock by negative delta {delta!r}")
-        self._now += delta
-        return self._now
+        self.now += delta
+        return self.now
 
     def advance_to(self, when: float) -> float:
         """Fast-forward to absolute time ``when`` if it is in the future.
@@ -48,15 +48,15 @@ class SimClock:
         because the previous request ran long.  Returns the (possibly
         unchanged) current time.
         """
-        if when > self._now:
-            self._now = when
-        return self._now
+        if when > self.now:
+            self.now = when
+        return self.now
 
     def reset(self, start: float = 0.0) -> None:
         """Rewind the clock to ``start`` (used between experiment runs)."""
         if start < 0.0:
             raise ValueError("clock cannot be reset before time zero")
-        self._now = float(start)
+        self.now = float(start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"SimClock(now={self._now:.9f})"
+        return f"SimClock(now={self.now:.9f})"

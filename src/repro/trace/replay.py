@@ -16,7 +16,6 @@ from __future__ import annotations
 import dataclasses
 import zlib
 from dataclasses import dataclass, field
-from functools import lru_cache
 from random import Random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
@@ -27,22 +26,23 @@ from repro.sim.stats import Histogram
 from repro.trace.model import OpType, TraceRecord
 
 
-@lru_cache(maxsize=4096)
-def _pattern_unit(seedling: int) -> bytes:
-    """Memoized 64-byte repeating unit for the compressible half."""
-    return bytes(((seedling + i) & 0xFF) for i in range(64))
+#: Two periods of the byte ramp 0..255: every 64-byte pattern unit is
+#: one slice of it.
+_RAMP = bytes(range(256)) * 2
 
 
-@lru_cache(maxsize=1024)
 def _payload(seedling: int, nbytes: int) -> bytes:
-    """Build one payload; bounded LRU memo keyed on ``(seed, nbytes)``.
+    """Build one payload: the pattern half, then the random half.
 
-    Replays rewrite the same (path, offset) pairs over and over, so most
-    calls are cache hits; misses generate the incompressible half in one
-    C-speed ``randbytes`` batch instead of a per-byte Python PRNG loop.
+    The pattern half repeats the 64-byte unit ``seedling + i (mod 256)``,
+    sliced from :data:`_RAMP`; the random half is one C-speed
+    ``randbytes`` batch.  Nothing is memoized: replays seldom repeat a
+    ``(seed, nbytes)`` pair, so a memo would hold megabytes for a few
+    hits.
     """
     half = nbytes // 2
-    unit = _pattern_unit(seedling)
+    start = seedling & 0xFF
+    unit = _RAMP[start : start + 64]
     patterned = (unit * (half // 64 + 1))[:half]
     return patterned + Random(seedling).randbytes(nbytes - half)
 
@@ -69,10 +69,9 @@ def payload_for(path: str, offset: int, nbytes: int) -> bytes:
     (incompressible), so zlib lands near that 2:1 ratio -- which keeps
     the compression ablation (bench_x01) honest.
 
-    Generation is batched: the pattern half comes from a memoized 64-byte
-    unit, the random half from one ``Random(seed).randbytes`` call, and
-    whole payloads are memoized in a bounded LRU keyed on
-    ``(seed, nbytes)``.  The seed derives from ``zlib.crc32`` so payload
+    Generation is batched: the pattern half repeats a 64-byte unit
+    sliced from a fixed byte ramp, and the random half comes from one
+    ``Random(seed).randbytes`` call.  The seed derives from ``zlib.crc32`` so payload
     bytes are identical across processes regardless of PYTHONHASHSEED
     (the one-time payload-bytes change vs. the old salted-``hash`` LCG
     generator is intentional and documented in DESIGN.md).

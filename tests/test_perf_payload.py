@@ -17,7 +17,8 @@ import subprocess
 import sys
 import zlib
 
-from repro.trace.replay import _pattern_unit, _payload, payload_for, payload_seed
+from repro.trace import replay
+from repro.trace.replay import payload_for, payload_seed
 
 GOLDEN = {
     ("/usr/alice/mail/inbox", 0, 4096): (
@@ -44,10 +45,12 @@ class TestGoldenHashes:
         assert a == payload_for("/x/y", 4096, 777)
         assert a != payload_for("/x/z", 4096, 777)
 
-    def test_pattern_half_is_the_memoized_unit(self):
+    def test_pattern_half_is_a_slice_of_the_ramp(self):
         seed = payload_seed("/p", 128)
         data = payload_for("/p", 128, 4096)
-        unit = _pattern_unit(seed)
+        unit = bytes((seed + i) & 0xFF for i in range(64))
+        ramp = bytes(range(256)) * 2
+        assert unit == ramp[seed % 256 : seed % 256 + 64]
         assert data[:2048] == (unit * (2048 // 64 + 1))[:2048]
 
     def test_compression_ratio_near_two_to_one(self):
@@ -57,11 +60,15 @@ class TestGoldenHashes:
         ratio = len(blob) / len(zlib.compress(blob))
         assert 1.5 <= ratio <= 3.0, ratio
 
-    def test_memo_returns_identical_object(self):
-        # The bounded LRU memo makes repeat payloads allocation-free.
+    def test_no_process_global_cache(self):
+        # Payloads are rebuilt on every call: equal bytes, distinct
+        # objects, and no memo anywhere in the module holding them.
         first = payload_for("/memo", 0, 512)
         second = payload_for("/memo", 0, 512)
-        assert first is second
+        assert first == second and first is not second
+        for name, value in vars(replay).items():
+            assert not hasattr(value, "cache_info"), name
+            assert not isinstance(value, dict) or name.startswith("__"), name
 
 
 class TestCrossProcessDeterminism:
@@ -94,9 +101,3 @@ class TestCrossProcessDeterminism:
     def test_seed_is_crc32_based(self):
         raw = b"/a/b\x00" + b"8192"
         assert payload_seed("/a/b", 8192) == ((zlib.crc32(raw) & 0xFFFF) or 1)
-
-    def test_memo_is_bounded(self):
-        _payload.cache_clear()
-        for i in range(3000):
-            payload_for(f"/bound/{i}", 0, 64)
-        assert _payload.cache_info().currsize <= 1024
