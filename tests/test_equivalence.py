@@ -42,19 +42,19 @@ GOLDEN = {
         "report": "92c892c6fbb90a900b918a0c040721f8e8bbbdc8774aff2c45e6e2da4253705b",
     },
     "disk": {
-        "hub": "8cf8d0c0939949de2bcc271a7f3178b374c76fbc7ba71898e57b64bfb3562b5b",
-        "trace": "22b7f7593d9c19e1b2e2ecadffdc6afc353fbb91ba3edfade47a6128b6ef2110",
-        "report": "211d2873bc9f893299dce3d7e5e2631877eeea13b36f968cf0cbdd2d5a593257",
+        "hub": "49f1ff7893081e108467a489c4a3238aa8bf7c3226eda8d43fe82dd862ebe972",
+        "trace": "38b8dac489a368237be203235b455a04c3bcee141060a8b46fd0bdf014aa654c",
+        "report": "a0b837c3fd0251559e4bc4223cd9429ce461a1fbb671b5fefd7ad0024da92490",
     },
     "flash_disk": {
-        "hub": "4735e4e2d249cd135cf96fd562fb4a865a56aa1003367859d35c66ffa31a0f94",
-        "trace": "d03c7980ef28c13dd5eb199ea7872ae0ecc7857c8bce6c7cc57a3aa2ea45c77a",
-        "report": "e630ea57d7318809a51c1664ca401a45269d484da24c8bf82e7758b68a3f63d5",
+        "hub": "2dc9d685435e3a5bc0059ed20292a16d51225f7e07d619dcd6eb66c04c747e4a",
+        "trace": "19f6de6758128846ddf38075ef2fe1e6494cfe2a2af16edeabd976503c3222fa",
+        "report": "7e7571d68cdd14601ade91f7c13cad5d912da7cd8f6bd8c0d84d8b36cbf7ce3e",
     },
     "flash_eip": {
-        "hub": "164db91634a0c267bb51fde799f00aec6fc886fd0385366a59f241cc3f66c96f",
-        "trace": "da8b9fecebb4c7833ee7f7b76949b3360271aa7641f09a72ebd81ceb938e59e1",
-        "report": "1031b2e03e10e1e9db57875975b7b6662b1caf6888f610fd611e033cb6368619",
+        "hub": "3a02cbec38996fb8952f34a98915f3e7bc4c9b64e1b61d4b56dee3345712d232",
+        "trace": "45f55d52047092431fb0828edf4467082849d4cb3e0b086144982f0016ce0760",
+        "report": "d274437d55348968173eeca4e732a82fa5c4a10e06f199e3f51c175590d0c5b2",
     },
     "naive_flash": {
         "hub": "4ab6cb9ae02e4d57b299424a14270038752bf0a1401b0093a4b03373ec9f3120",
