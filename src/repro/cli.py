@@ -7,11 +7,11 @@ Commands:
 - ``workloads``    -- list the available synthetic workloads.
 - ``run``          -- run one workload on one organization, print metrics.
 - ``compare``      -- run one workload on every organization, side by side.
-- ``experiment``   -- run one (or all) of the E1-E13 experiment drivers.
-- ``experiments``  -- run many experiment drivers, optionally in
-  parallel (``-j N`` fans them across a process pool; every driver is
-  independent and seed-deterministic, so the tables are identical to a
-  serial run) and optionally under cProfile (``--profile``).
+- ``experiments``  -- run experiment drivers (named ids, or all),
+  optionally in parallel (``-j N`` fans them across a process pool;
+  every driver is independent and seed-deterministic, so the tables are
+  identical to a serial run) and optionally under cProfile
+  (``--profile``).
 - ``torture``      -- crash-consistency torture: power-cut sweep plus
   bit-flip and program-failure campaigns; exits non-zero on any
   invariant violation.
@@ -29,21 +29,23 @@ Commands:
   the online monitors (zero violations), and the ``analyze`` /
   ``trace-diff`` tooling (wired into ``make check``).
 
-``run``, ``compare``, ``experiment``, ``experiments``, ``metrics``, and
-``torture`` accept ``--trace PATH``: the run executes with a
-:class:`~repro.obs.Tracer` attached and writes the event stream as JSONL
-to ``PATH``, a Chrome ``trace_event`` file to ``PATH.chrome.json``
-(load it in ``chrome://tracing`` or Perfetto), and a run manifest to
-``PATH.manifest.json``.  Tracing composes with ``experiments -j N``:
-each job traces into its own shard and the shards merge
-deterministically (stable sort on ``(t, seq, shard)``), so the merged
-trace is byte-identical for any ``-j``.  ``--trace-mode single``
-requests the raw single-sink stream in emission order instead; it is
-incompatible with ``-j N`` and errors rather than silently serializing.
-
-The same commands accept ``--monitors`` (or repeated ``--monitor NAME``)
-to attach online invariant monitors (:mod:`repro.obs.monitor`) to the
-live stream; any violation is reported and the command exits non-zero.
+``run``, ``compare``, ``experiments``, ``metrics`` and ``torture``
+accept ``--trace PATH`` and ``--monitors``, and every such observed run
+takes one path.  :func:`_observed` calls the work under a fresh
+:class:`~repro.obs.Tracer` (installed with
+:func:`repro.obs.runtime.tracing`, so machines built inside pick it
+up), attaches every stock online invariant monitor
+(:mod:`repro.obs.monitor`) with ``--monitors``, and writes the buffered
+events as one JSONL shard with ``--trace``.  ``experiments`` runs it
+once per job (also across ``-j N`` worker processes); the other four
+run as one in-process job.  :func:`_finish_observed` then merges the
+shards deterministically (stable sort on ``(t, seq, shard)``) into
+``PATH``, so the trace is byte-identical for any ``-j``, and writes a
+Chrome ``trace_event`` file to ``PATH.chrome.json`` (load it in
+``chrome://tracing`` or Perfetto) and a run manifest to
+``PATH.manifest.json``.  :func:`_report_monitors` prints the monitor
+report; any violation makes the command exit non-zero.  ``trace-smoke``
+uses the same runner with a 2^16-event ring.
 
 Except for ``experiments --profile``, ``--trace``, and ``trace-smoke``
 (which write under ``benchmarks/`` or the given path), everything
@@ -55,15 +57,30 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import List, Optional, Tuple
+import tempfile
+import time
+from contextlib import contextmanager
+from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.analysis.experiments import ALL_EXPERIMENTS
 from repro.analysis.report import format_kv, format_table, human_bytes, human_seconds
 from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
 from repro.devices.catalog import MB, catalog_specs
+from repro.obs import (
+    Tracer,
+    jsonl_to_chrome,
+    merge_shards_to_jsonl,
+    run_manifest,
+    runtime,
+    shard_filename,
+    write_manifest,
+)
+from repro.obs.monitor import MonitorSet, Violation, build_monitors
 from repro.trace.workloads import WORKLOADS
 from repro.trends.model import SmallConfigCostModel, default_trends_1993
+
+_T = TypeVar("_T")
 
 
 def _cmd_devices(_args) -> int:
@@ -230,20 +247,6 @@ def _cmd_compare(args) -> int:
     return 0
 
 
-def _cmd_experiment(args) -> int:
-    ids = list(ALL_EXPERIMENTS) if args.id == "all" else [args.id.upper()]
-    for eid in ids:
-        driver = ALL_EXPERIMENTS.get(eid)
-        if driver is None:
-            print(f"unknown experiment {eid!r}; choose from {', '.join(ALL_EXPERIMENTS)}",
-                  file=sys.stderr)
-            return 2
-        result = driver(quick=not args.full)
-        print(result.render())
-        print()
-    return 0
-
-
 def _run_driver(eid: str, full: bool, profile_dir: Optional[str]) -> str:
     """Run one experiment driver, optionally under cProfile."""
     driver = ALL_EXPERIMENTS[eid]
@@ -263,43 +266,136 @@ def _run_driver(eid: str, full: bool, profile_dir: Optional[str]) -> str:
     return result.render()
 
 
-def _experiment_worker(
-    job: Tuple[str, bool, Optional[str], Optional[str], Optional[List[str]]],
-) -> Tuple[str, str, Optional[dict]]:
-    """Run one experiment job; returns (id, rendered table, obs meta).
+# ----------------------------------------------------------------------
+# Observed runs: the one tracer-and-monitor runner and its finisher.
+# ----------------------------------------------------------------------
 
-    Top-level so a multiprocessing pool can pickle it.  With a shard
-    path or monitor names set, the job runs under its *own* tracer
-    (installed process-wide for the duration: workers never share a
-    tracer across processes), writes its trace shard, and attaches the
-    requested online monitors.  The returned meta dict carries event /
-    drop counts and the monitor summary; it is None for a plain job.
+
+@contextmanager
+def _shards(trace: Optional[str], count: int) -> Iterator[List[Optional[str]]]:
+    """Per-job shard paths in a scratch directory (all None untraced).
+
+    One shard per *job*, not per worker process: shard content and order
+    depend only on the seed-deterministic job and its submission index,
+    so the merged trace is identical for any ``-j``.
     """
-    eid, full, profile_dir, shard_path, monitor_names = job
-    if shard_path is None and monitor_names is None:
-        return eid, _run_driver(eid, full, profile_dir), None
+    if trace is None:
+        yield [None] * count
+        return
+    with tempfile.TemporaryDirectory(prefix="repro-trace-shards-") as tmp:
+        base = os.path.join(tmp, "trace")
+        yield [shard_filename(base, i) for i in range(count)]
 
-    from repro.obs import Tracer, runtime
-    from repro.obs.monitor import MonitorSet, build_monitors
 
-    tracer = Tracer()
-    monitor_set = None
-    if monitor_names is not None:
-        monitor_set = MonitorSet(build_monitors(monitor_names))
-        monitor_set.attach(tracer)
-    previous = runtime.set_tracer(tracer)
-    try:
-        rendered = _run_driver(eid, full, profile_dir)
-    finally:
-        runtime.set_tracer(previous)
+def _observed(
+    run: Callable[[], _T],
+    shard_path: Optional[str] = None,
+    monitors: bool = False,
+    capacity: int = 1 << 20,
+) -> Tuple[_T, Optional[dict]]:
+    """Call ``run()`` under its own tracer; return (its result, obs meta).
+
+    With neither a shard path nor monitors the callable simply runs and
+    meta is None.  Otherwise a fresh :class:`~repro.obs.Tracer` is
+    installed process-wide for the call (so machines built inside pick
+    it up; worker processes never share one), ``monitors`` subscribes
+    every stock online monitor to the live stream, and the buffered
+    events are written to ``shard_path`` as one JSONL shard.  Meta
+    carries the ring's drop count and the monitor summary.
+    """
+    if shard_path is None and not monitors:
+        return run(), None
+    monitor_set = MonitorSet(build_monitors()) if monitors else None
+    # Monitors see every emit before the ring drops anything, so a run
+    # that writes no shard needs only a small ring.
+    with runtime.tracing(Tracer(capacity if shard_path else 1024)) as tracer:
         if monitor_set is not None:
-            monitor_set.detach()
-            monitor_set.finish()
-    meta: dict = {"events": len(tracer), "dropped": tracer.dropped}
+            monitor_set.attach(tracer)
+        try:
+            result = run()
+        finally:
+            if monitor_set is not None:
+                monitor_set.detach()
+                monitor_set.finish()
+    meta: dict = {"dropped": tracer.dropped}
     if shard_path is not None:
         tracer.to_jsonl(shard_path)
     if monitor_set is not None:
         meta["monitors"] = monitor_set.summary()
+    return result, meta
+
+
+def _finish_observed(
+    trace: str,
+    shard_paths: List[str],
+    metas: List[dict],
+    wall_start: float,
+    command: str,
+    seed: Optional[int] = None,
+    config: object = None,
+    sim_seconds: Optional[float] = None,
+    **extra,
+) -> None:
+    """Merge the shards into ``trace`` (canonical ``(t, seq, shard)``
+    order), then write ``trace.chrome.json`` and ``trace.manifest.json``.
+    """
+    events = merge_shards_to_jsonl(trace, shard_paths)
+    dropped = sum(meta["dropped"] for meta in metas)
+    jsonl_to_chrome(trace, trace + ".chrome.json", dropped=dropped)
+    extra.update(events=events, dropped=dropped, shards=len(shard_paths))
+    monitor_summaries = [meta["monitors"] for meta in metas if "monitors" in meta]
+    if monitor_summaries:
+        extra["monitors"] = monitor_summaries
+    write_manifest(
+        trace + ".manifest.json",
+        run_manifest(
+            command=command,
+            config=config,
+            seed=seed,
+            sim_seconds=sim_seconds,
+            wall_seconds=time.perf_counter() - wall_start,
+            extra=extra,
+        ),
+    )
+    print(
+        f"\ntrace written: {trace} ({events} events from {len(shard_paths)} "
+        f"shard(s), {dropped} dropped) + .chrome.json + .manifest.json",
+        file=sys.stderr,
+    )
+
+
+def _report_monitors(jobs: List[Tuple[str, Optional[dict]]]) -> int:
+    """Print the monitor report over ``(label, meta)`` jobs; 1 on any
+    violation, 0 otherwise (and when no job ran monitors)."""
+    summaries = [(label, meta["monitors"]) for label, meta in jobs
+                 if meta is not None and "monitors" in meta]
+    if not summaries:
+        return 0
+    total = sum(summary["violation_count"] for _label, summary in summaries)
+    if total:
+        print(f"MONITOR VIOLATIONS: {total} across {len(summaries)} job(s)",
+              file=sys.stderr)
+        for label, summary in summaries:
+            for violation in summary["violations"][:20]:
+                print(f"  {label}: {Violation(**violation)}", file=sys.stderr)
+        return 1
+    names = list(summaries[0][1]["monitors"])
+    print(f"monitors ok: {len(names)} monitor(s) [{', '.join(names)}] "
+          f"per job, 0 violations")
+    return 0
+
+
+def _experiment_worker(
+    job: Tuple[str, bool, Optional[str], Optional[str], bool],
+) -> Tuple[str, str, Optional[dict]]:
+    """Run one experiment job; returns (id, rendered table, obs meta).
+
+    Top-level so a multiprocessing pool can pickle it.
+    """
+    eid, full, profile_dir, shard_path, monitors = job
+    rendered, meta = _observed(
+        lambda: _run_driver(eid, full, profile_dir), shard_path, monitors
+    )
     return eid, rendered, meta
 
 
@@ -316,30 +412,13 @@ def _cmd_experiments(args) -> int:
             file=sys.stderr,
         )
         return 2
-    import time
-
     wall_start = time.perf_counter()
     profile_dir = args.profile_dir if args.profile else None
-    trace = getattr(args, "trace", None)
-    monitor_names = _monitor_names(args)
-    shard_ctx = None
-    shard_paths: List[Optional[str]] = [None] * len(ids)
-    if trace is not None:
-        # One shard per *job* (not per worker process): shard content
-        # and order depend only on the seed-deterministic job and its
-        # submission index, so the merged trace is identical for any -j.
-        import tempfile
-
-        from repro.obs import shard_filename
-
-        shard_ctx = tempfile.TemporaryDirectory(prefix="repro-trace-shards-")
-        base = os.path.join(shard_ctx.name, "trace")
-        shard_paths = [shard_filename(base, i) for i in range(len(ids))]
-    jobs = [
-        (eid, args.full, profile_dir, shard_paths[i], monitor_names)
-        for i, eid in enumerate(ids)
-    ]
-    try:
+    with _shards(args.trace, len(ids)) as shard_paths:
+        jobs = [
+            (eid, args.full, profile_dir, shard_paths[i], args.monitors)
+            for i, eid in enumerate(ids)
+        ]
         if args.jobs > 1 and len(jobs) > 1:
             import multiprocessing
 
@@ -352,71 +431,12 @@ def _cmd_experiments(args) -> int:
         for _eid, rendered, _meta in outputs:
             print(rendered)
             print()
-        if trace is not None:
-            from repro.obs import (
-                jsonl_to_chrome,
-                merge_shards_to_jsonl,
-                run_manifest,
-                write_manifest,
+        if args.trace is not None:
+            _finish_observed(
+                args.trace, shard_paths, [meta for _e, _r, meta in outputs],
+                wall_start, f"experiments {' '.join(ids)}", jobs=args.jobs,
             )
-
-            events = merge_shards_to_jsonl(
-                trace, [path for path in shard_paths if path is not None]
-            )
-            dropped = sum(meta["dropped"] for _e, _r, meta in outputs if meta)
-            jsonl_to_chrome(trace, trace + ".chrome.json", dropped=dropped)
-            write_manifest(
-                trace + ".manifest.json",
-                run_manifest(
-                    command=f"experiments {' '.join(ids)}",
-                    seed=None,
-                    wall_seconds=time.perf_counter() - wall_start,
-                    extra={
-                        "events": events,
-                        "dropped": dropped,
-                        "shards": len(ids),
-                        "jobs": args.jobs,
-                    },
-                ),
-            )
-            print(
-                f"\ntrace written: {trace} ({events} events from {len(ids)} "
-                f"shard(s), {dropped} dropped) + .chrome.json + .manifest.json",
-                file=sys.stderr,
-            )
-    finally:
-        if shard_ctx is not None:
-            shard_ctx.cleanup()
-    if monitor_names is not None:
-        return _report_job_monitors(outputs)
-    return 0
-
-
-def _report_job_monitors(outputs: List[Tuple[str, str, Optional[dict]]]) -> int:
-    """Aggregate per-job monitor summaries; non-zero on any violation."""
-    total = 0
-    names: List[str] = []
-    for eid, _rendered, meta in outputs:
-        summary = (meta or {}).get("monitors")
-        if summary is None:
-            continue
-        names = names or list(summary["monitors"])
-        count = summary["violation_count"]
-        total += count
-        for violation in summary["violations"][:20]:
-            print(
-                f"  {eid}: [{violation['monitor']}] t={violation['t']:.6f}: "
-                f"{violation['message']}",
-                file=sys.stderr,
-            )
-    if total:
-        print(f"MONITOR VIOLATIONS: {total} across jobs", file=sys.stderr)
-        return 1
-    print(
-        f"monitors ok: {len(names)} monitor(s) [{', '.join(names)}] "
-        f"per job, 0 violations"
-    )
-    return 0
+    return _report_monitors([(eid, meta) for eid, _r, meta in outputs])
 
 
 def _cmd_metrics(args) -> int:
@@ -459,60 +479,37 @@ def _cmd_metrics(args) -> int:
 
 def _cmd_trace_smoke(args) -> int:
     import json
-    import time
 
-    from repro.obs import (
-        Tracer,
-        jsonl_to_chrome,
-        run_manifest,
-        runtime,
-        validate_jsonl,
-        write_manifest,
-    )
+    from repro.obs import validate_jsonl
     from repro.obs.analyze import analyze_trace, diff_summaries
-    from repro.obs.monitor import MonitorSet, build_monitors
 
     os.makedirs(args.dir, exist_ok=True)
     jsonl = os.path.join(args.dir, "trace_smoke.jsonl")
     chrome = jsonl + ".chrome.json"
     wall_start = time.perf_counter()
-    # Small capacity keeps the smoke's output bounded; the ring counts
-    # anything it drops, so truncation is visible in the manifest.
-    tracer = Tracer(capacity=1 << 16)
-    # Every stock online monitor rides along; any violation fails CI.
-    monitor_set = MonitorSet(build_monitors())
-    monitor_set.attach(tracer)
-    previous = runtime.set_tracer(tracer)
-    try:
+    config = SystemConfig(organization=Organization.SOLID_STATE, seed=args.seed)
+
+    def smoke() -> MobileComputer:
         # A tiny traced experiment exercises the full driver path
         # (machines built internally pick the tracer up)...
         ALL_EXPERIMENTS["E3"](quick=True)
         # ...and one direct run supplies the machine for the
         # hub-vs-device accounting identity check.
-        config = SystemConfig(organization=Organization.SOLID_STATE, seed=args.seed)
         machine = MobileComputer(config)
         machine.run_workload("office", duration_s=20.0)
-    finally:
-        runtime.set_tracer(previous)
-        monitor_set.detach()
-        monitor_set.finish()
-    tracer.to_canonical_jsonl(jsonl)
-    jsonl_to_chrome(jsonl, chrome, dropped=tracer.dropped)
-    write_manifest(
-        jsonl + ".manifest.json",
-        run_manifest(
-            command="trace-smoke",
-            config=config,
-            seed=args.seed,
-            sim_seconds=machine.clock.now,
-            wall_seconds=time.perf_counter() - wall_start,
-            extra={
-                "events": len(tracer),
-                "dropped": tracer.dropped,
-                "monitors": monitor_set.summary(),
-            },
-        ),
-    )
+        return machine
+
+    with _shards(jsonl, 1) as shard_paths:
+        # Small capacity keeps the smoke's output bounded; the ring
+        # counts anything it drops, so truncation is visible in the
+        # manifest.  Every stock online monitor rides along; any
+        # violation fails CI.
+        machine, meta = _observed(smoke, shard_paths[0], monitors=True,
+                                  capacity=1 << 16)
+        _finish_observed(jsonl, shard_paths, [meta], wall_start, "trace-smoke",
+                         seed=args.seed, config=config,
+                         sim_seconds=machine.clock.now)
+    monitors = meta["monitors"]
 
     failures: List[str] = []
     valid, errors = validate_jsonl(jsonl)
@@ -533,8 +530,8 @@ def _cmd_trace_smoke(args) -> int:
         json.dumps(machine.hub.snapshot(machine.clock.now))
     except (TypeError, ValueError) as exc:
         failures.append(f"hub snapshot not JSON-able: {exc}")
-    for violation in monitor_set.violations():
-        failures.append(f"monitor violation: {violation}")
+    for violation in monitors["violations"]:
+        failures.append(f"monitor violation: {Violation(**violation)}")
     # The analytics layer must digest its own freshly-recorded trace...
     summary = analyze_trace(jsonl).summary()
     if not summary["components"]:
@@ -552,9 +549,9 @@ def _cmd_trace_smoke(args) -> int:
         return 1
     print(
         f"trace smoke ok: {valid} schema-valid events "
-        f"({tracer.dropped} dropped by the ring), chrome export parses, "
+        f"({meta['dropped']} dropped by the ring), chrome export parses, "
         f"hub/device flash accounting identical ({int(dev_bytes):,} bytes), "
-        f"{len(monitor_set.monitors)} monitors clean, analyze + self-diff ok"
+        f"{len(monitors['monitors'])} monitors clean, analyze + self-diff ok"
     )
     return 0
 
@@ -687,7 +684,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--clients", type=int, default=1,
                        help="concurrent client streams (default 1)")
 
-    def add_trace_arg(p):
+    def add_obs_args(p):
         p.add_argument(
             "--trace", metavar="PATH", default=None,
             help="trace the run: canonical JSONL events to PATH, Chrome trace "
@@ -695,43 +692,18 @@ def build_parser() -> argparse.ArgumentParser:
             "with experiments -j N via deterministic shard merge",
         )
         p.add_argument(
-            "--trace-mode", choices=["sharded", "single"], default="sharded",
-            help="'sharded' (default) writes the canonical merged stream, "
-            "byte-identical for any -j; 'single' writes the raw "
-            "emission-order stream and errors with -j N",
-        )
-
-    def add_monitor_args(p):
-        from repro.obs.monitor import MONITORS
-
-        p.add_argument(
             "--monitors", action="store_true",
             help="attach every stock online invariant monitor to the live "
             "stream; any violation makes the command exit non-zero",
         )
-        p.add_argument(
-            "--monitor", metavar="NAME", action="append", default=None,
-            choices=sorted(MONITORS),
-            help=f"attach one monitor by name (repeatable): "
-            f"{', '.join(sorted(MONITORS))}",
-        )
 
     run_p = sub.add_parser("run", help="run one workload on one organization")
     add_machine_args(run_p)
-    add_trace_arg(run_p)
-    add_monitor_args(run_p)
+    add_obs_args(run_p)
 
     cmp_p = sub.add_parser("compare", help="run one workload on all organizations")
     add_machine_args(cmp_p)
-    add_trace_arg(cmp_p)
-    add_monitor_args(cmp_p)
-
-    exp_p = sub.add_parser("experiment", help="run experiment drivers (E1-E13)")
-    exp_p.add_argument("id", help="experiment id (E1..E13) or 'all'")
-    exp_p.add_argument("--full", action="store_true",
-                       help="paper-length durations instead of quick mode")
-    add_trace_arg(exp_p)
-    add_monitor_args(exp_p)
+    add_obs_args(cmp_p)
 
     exps_p = sub.add_parser(
         "experiments",
@@ -749,8 +721,7 @@ def build_parser() -> argparse.ArgumentParser:
     exps_p.add_argument("--profile-dir",
                         default=os.path.join("benchmarks", "out", "profiles"),
                         help="where --profile writes <ID>.pstats/<ID>.txt")
-    add_trace_arg(exps_p)
-    add_monitor_args(exps_p)
+    add_obs_args(exps_p)
 
     met_p = sub.add_parser(
         "metrics", help="run a workload and print the merged MetricsHub snapshot"
@@ -760,8 +731,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="print the full snapshot tree as JSON")
     met_p.add_argument("--top", type=int, default=20,
                        help="rows in the top-counter table (default 20)")
-    add_trace_arg(met_p)
-    add_monitor_args(met_p)
+    add_obs_args(met_p)
 
     ana_p = sub.add_parser(
         "analyze",
@@ -809,8 +779,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="cap the number of power-cut points (default: all)")
     tort_p.add_argument("--quick", action="store_true",
                         help="small sweep for CI smoke (a few seconds)")
-    add_trace_arg(tort_p)
-    add_monitor_args(tort_p)
+    add_obs_args(tort_p)
     return parser
 
 
@@ -820,7 +789,6 @@ _COMMANDS = {
     "workloads": _cmd_workloads,
     "run": _cmd_run,
     "compare": _cmd_compare,
-    "experiment": _cmd_experiment,
     "experiments": _cmd_experiments,
     "torture": _cmd_torture,
     "metrics": _cmd_metrics,
@@ -830,162 +798,25 @@ _COMMANDS = {
 }
 
 
-def _monitor_names(args) -> Optional[List[str]]:
-    """Requested online-monitor names.
-
-    ``--monitor NAME`` (repeatable) selects specific monitors;
-    ``--monitors`` selects every stock monitor; None means monitoring
-    is off for this invocation.
-    """
-    explicit = getattr(args, "monitor", None)
-    if explicit:
-        return list(dict.fromkeys(explicit))
-    if getattr(args, "monitors", False):
-        from repro.obs.monitor import MONITORS
-
-        return list(MONITORS)
-    return None
-
-
-def _attach_monitors(tracer, monitor_names: Optional[List[str]]):
-    if monitor_names is None:
-        return None
-    from repro.obs.monitor import MonitorSet, build_monitors
-
-    monitor_set = MonitorSet(build_monitors(monitor_names))
-    monitor_set.attach(tracer)
-    return monitor_set
-
-
-def _finish_monitors(monitor_set) -> int:
-    """Detach + finalize a MonitorSet; non-zero when anything violated."""
-    if monitor_set is None:
-        return 0
-    monitor_set.detach()
-    monitor_set.finish()
-    if monitor_set.violation_count:
-        print(monitor_set.render(), file=sys.stderr)
-        return 1
-    print(monitor_set.render())
-    return 0
-
-
-def _neutralize_obs_flags(args) -> None:
-    """Strip trace/monitor flags before re-dispatching a command whose
-    observability is already being handled by the caller (otherwise
-    ``experiments`` would shard its own second trace)."""
-    if hasattr(args, "trace"):
-        args.trace = None
-    if hasattr(args, "monitors"):
-        args.monitors = False
-    if hasattr(args, "monitor"):
-        args.monitor = None
-
-
-def _run_traced(args, argv: Optional[List[str]]) -> int:
-    """Execute the command with a process-wide tracer, then sink the
-    stream as JSONL + Chrome trace + run manifest next to ``args.trace``.
-
-    The default mode writes the *canonical* ``(t, seq, shard)``-sorted
-    stream -- the same format the sharded ``experiments -j N`` merge
-    produces -- so any two traces of the same work are byte-comparable.
-    ``--trace-mode single`` keeps the raw emission-order sink.
-    """
-    import time
-
-    from repro.obs import Tracer, jsonl_to_chrome, run_manifest, runtime, write_manifest
-
-    trace = args.trace
-    single = getattr(args, "trace_mode", "sharded") == "single"
-    monitor_names = _monitor_names(args)
-    _neutralize_obs_flags(args)
-    tracer = Tracer()
-    monitor_set = _attach_monitors(tracer, monitor_names)
-    previous = runtime.set_tracer(tracer)
-    wall_start = time.perf_counter()
-    try:
-        rc = _COMMANDS[args.command](args)
-    finally:
-        runtime.set_tracer(previous)
-        if monitor_set is not None:
-            monitor_set.detach()
-            monitor_set.finish()
-    if single:
-        tracer.to_jsonl(trace)
-        tracer.to_chrome(trace + ".chrome.json")
-    else:
-        tracer.to_canonical_jsonl(trace)
-        jsonl_to_chrome(trace, trace + ".chrome.json", dropped=tracer.dropped)
-    extra = {
-        "events": len(tracer),
-        "dropped": tracer.dropped,
-        "trace_mode": "single" if single else "sharded",
-    }
-    if monitor_set is not None:
-        extra["monitors"] = monitor_set.summary()
-    write_manifest(
-        trace + ".manifest.json",
-        run_manifest(
-            command=" ".join(argv if argv is not None else sys.argv[1:]),
-            seed=getattr(args, "seed", None),
-            wall_seconds=time.perf_counter() - wall_start,
-            extra=extra,
-        ),
-    )
-    print(
-        f"\ntrace written: {trace} ({len(tracer)} events, "
-        f"{tracer.dropped} dropped) + .chrome.json + .manifest.json",
-        file=sys.stderr,
-    )
-    if monitor_set is not None:
-        if monitor_set.violation_count:
-            print(monitor_set.render(), file=sys.stderr)
-            return rc or 1
-        print(monitor_set.render())
-    return rc
-
-
-def _run_monitored(args) -> int:
-    """``--monitors`` without ``--trace``: feed the live stream through
-    the monitors via a small throwaway ring (observers see every event
-    regardless of ring size); nothing is written to disk."""
-    from repro.obs import Tracer, runtime
-
-    monitor_names = _monitor_names(args)
-    _neutralize_obs_flags(args)
-    tracer = Tracer(capacity=1024)
-    monitor_set = _attach_monitors(tracer, monitor_names)
-    previous = runtime.set_tracer(tracer)
-    try:
-        rc = _COMMANDS[args.command](args)
-    finally:
-        runtime.set_tracer(previous)
-    return rc or _finish_monitors(monitor_set)
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
+    command = _COMMANDS[args.command]
     trace = getattr(args, "trace", None)
-    single = getattr(args, "trace_mode", "sharded") == "single"
-    if trace and single and getattr(args, "jobs", 1) > 1:
-        # Satellite of the sharded-merge work: the old single-sink path
-        # cannot compose with a worker pool, so it errors instead of
-        # silently forcing -j 1 as earlier versions did.
-        print(
-            "--trace-mode single cannot record across -j "
-            f"{args.jobs} worker processes; drop --trace-mode single "
-            "(the default sharded mode merges deterministically) or use -j 1",
-            file=sys.stderr,
-        )
-        return 2
-    if args.command == "experiments" and not (trace and single):
-        # experiments handles sharded tracing + per-job monitors itself.
-        return _COMMANDS[args.command](args)
-    if trace:
-        return _run_traced(args, argv)
-    if _monitor_names(args) is not None:
-        return _run_monitored(args)
-    return _COMMANDS[args.command](args)
+    monitors = getattr(args, "monitors", False)
+    if args.command == "experiments" or not (trace or monitors):
+        return command(args)
+    # run / compare / metrics / torture: one in-process job, one shard.
+    wall_start = time.perf_counter()
+    with _shards(trace, 1) as shard_paths:
+        rc, meta = _observed(lambda: command(args), shard_paths[0], monitors)
+        if trace is not None:
+            _finish_observed(
+                trace, shard_paths, [meta], wall_start,
+                " ".join(argv if argv is not None else sys.argv[1:]),
+                seed=getattr(args, "seed", None),
+            )
+    violations = _report_monitors([(args.command, meta)])
+    return rc or violations
 
 
 if __name__ == "__main__":  # pragma: no cover

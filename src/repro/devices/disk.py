@@ -84,19 +84,6 @@ class MagneticDisk(StorageDevice):
     # Idle power / spin state.
     # ------------------------------------------------------------------
 
-    def _idle_power_at(self, when: float) -> float:
-        """Instantaneous idle power, given the spin-state timeline.
-
-        The drive spins (idle power) from the last operation until the
-        spin-down timeout elapses, then sits in standby.  An explicit
-        :meth:`spin_down` puts it in standby immediately.
-        """
-        if not self.spinning:
-            return self.spec.standby_power_w
-        if when < self._last_op_end + self.spin_down_timeout_s:
-            return self.spec.idle_power_w
-        return self.spec.standby_power_w
-
     def accrue_idle(self, now: float) -> None:
         """Charge idle/standby power from the last accounting point."""
         start = self._idle_accounted_to

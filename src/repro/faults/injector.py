@@ -119,9 +119,6 @@ class FaultInjector:
         physical damage, not injector state)."""
         self.armed = False
 
-    def rearm(self) -> None:
-        self.armed = True
-
     # ------------------------------------------------------------------
     # Hooks called by FlashMemory.
     # ------------------------------------------------------------------

@@ -168,13 +168,6 @@ class BufferCache:
         self._blocks.pop(lba, None)
         self._dirty.pop(lba, None)
 
-    def drop_clean(self) -> None:
-        """Invalidate clean blocks (used by crash simulations)."""
-        for lba in list(self._blocks):
-            if not self._dirty.get(lba):
-                del self._blocks[lba]
-                del self._dirty[lba]
-
     def crash(self) -> int:
         """Volatile cache contents vanish; returns dirty blocks lost."""
         lost = sum(1 for d in self._dirty.values() if d)

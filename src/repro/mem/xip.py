@@ -90,10 +90,6 @@ class ProgramStore:
     def installed(self) -> Dict[str, ProgramImage]:
         return dict(self._images)
 
-    @property
-    def bytes_used(self) -> int:
-        return self._bump
-
 
 def launch_xip(
     vm: VirtualMemory,

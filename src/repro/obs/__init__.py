@@ -5,7 +5,8 @@ simulator's instrumentation, so that instrumentation is a first-class
 subsystem:
 
 - :mod:`repro.obs.tracer` -- a ring-buffered, seed-deterministic trace
-  event stream with JSONL and Chrome ``trace_event`` sinks.
+  event stream, its JSONL shard sink, the canonical shard merge and the
+  Chrome ``trace_event`` export.
 - :mod:`repro.obs.hub` -- :class:`MetricsHub`, registering every
   component's :class:`~repro.sim.stats.StatRegistry` and device stats at
   machine-build time and rendering one merged JSON-able snapshot with
@@ -15,7 +16,8 @@ subsystem:
 - :mod:`repro.obs.manifest` -- per-run manifests (config, seed, git
   rev, wall/sim time) written next to experiment output.
 - :mod:`repro.obs.runtime` -- the process-wide active tracer the CLI
-  installs and :class:`MobileComputer` picks up at build time.
+  scopes around an observed run and :class:`MobileComputer` picks up at
+  build time.
 - :mod:`repro.obs.analyze` -- streaming trace analytics: per-op latency
   percentiles, GC pause timelines, per-bank write amplification, engine
   dispatch aggregation, and diffs against another trace or a record's

@@ -342,12 +342,6 @@ class TraceAnalysis:
             hist.merge(stats.latency)
         return merged
 
-    def component_bytes(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for (component, _op), stats in self.ops.items():
-            out[component] = out.get(component, 0) + stats.bytes
-        return out
-
     def logical_bytes_total(self) -> int:
         return sum(self.logical.values()) + self.logical_untagged_bytes
 

@@ -62,7 +62,7 @@ class Violation:
 class Monitor:
     """Base class: dispatches events, collects bounded violations."""
 
-    #: Registry name (CLI ``--monitor NAME``); subclasses override.
+    #: Registry name (:func:`build_monitors` key); subclasses override.
     name = "monitor"
     #: Stop recording (but keep counting) beyond this many violations.
     max_violations = 100
@@ -269,7 +269,8 @@ class ReadOnlyTransitionMonitor(Monitor):
             )
 
 
-#: Name -> class registry for the CLI ``--monitor NAME`` flag.
+#: Name -> class registry.  The CLI's ``--monitors`` attaches all of
+#: them; :func:`build_monitors` picks a subset by name for library use.
 MONITORS: Dict[str, Type[Monitor]] = {
     cls.name: cls
     for cls in (

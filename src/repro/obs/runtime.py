@@ -1,14 +1,17 @@
 """Process-wide active tracer.
 
 Experiment drivers build their machines internally, so the CLI cannot
-thread a tracer argument through every call chain.  Instead the CLI
-installs a tracer here and :class:`~repro.core.hierarchy.MobileComputer`
+thread a tracer argument through every call chain.  Instead the CLI's
+one observed-run path (``repro.cli._observed``) scopes a fresh tracer
+with :func:`tracing`, and :class:`~repro.core.hierarchy.MobileComputer`
 picks it up at construction time, attaching it to every component it
 builds.  Code that constructs components directly can still pass or set
-tracers explicitly; this is only the default.
+tracers explicitly; this is only the default.  :func:`set_tracer` is
+the raw install/restore primitive under :func:`tracing`, kept for
+callers that cannot use a ``with`` block.
 
 The setting is per-process: a parallel experiment run's worker processes
-do not inherit it.  Instead each traced job installs its *own* tracer in
+do not inherit it.  Instead each traced job scopes its *own* tracer in
 whatever process runs it, writes a per-job shard file, and the parent
 merges the shards deterministically (see
 :func:`repro.obs.tracer.merge_shards_to_jsonl`) -- so ``--trace``

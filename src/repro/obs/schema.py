@@ -20,9 +20,9 @@ TRACE_EVENT_SCHEMA: Dict[str, Tuple[bool, tuple]] = {
     "latency_s": (True, (int, float)),
     "outcome": (True, (str,)),
     "detail": (False, (dict,)),
-    # Stamped by the canonical merge (tracer.merge_shards_to_jsonl /
-    # Tracer.to_canonical_jsonl): position within the originating shard
-    # and the shard's job-submission index.  Absent from raw shard files.
+    # Stamped by the canonical merge (tracer.merge_shards_to_jsonl):
+    # position within the originating shard and the shard's
+    # job-submission index.  Absent from raw shard files.
     "seq": (False, (int,)),
     "shard": (False, (int,)),
 }

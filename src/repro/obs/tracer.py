@@ -18,27 +18,29 @@ Design constraints:
   pop per append) and counted in ``dropped`` so truncation is never
   silent.
 
-Sinks: :meth:`Tracer.to_jsonl` writes one JSON object per line (the
-schema lives in :mod:`repro.obs.schema`); :meth:`Tracer.to_chrome`
-writes Chrome ``trace_event`` format -- load it at ``chrome://tracing``
-or https://ui.perfetto.dev for a flame-chart view per component.
+Sink: :meth:`Tracer.to_jsonl` writes the buffered events one JSON
+object per line (the schema lives in :mod:`repro.obs.schema`), in
+emission order -- the raw *shard* format.  Final traces always come out
+of :func:`merge_shards_to_jsonl` (canonical order) and
+:func:`jsonl_to_chrome` (Chrome ``trace_event`` format -- load it at
+``chrome://tracing`` or https://ui.perfetto.dev for a flame-chart view
+per component).
 
 Live consumers (the online invariant monitors in
 :mod:`repro.obs.monitor`) :meth:`~Tracer.subscribe` a callable and see
 every event as it is emitted -- including events the ring later drops,
 so a monitor's view is never truncated.
 
-**Sharding.**  A parallel run (``experiments -j N --trace``) gives each
-job its own tracer and writes one *shard* file per job
-(:func:`shard_filename`); :func:`merge_shards_to_jsonl` then merges the
-shards into one canonical stream: a stable sort on ``(t, seq, shard)``
-where ``seq`` is the event's position within its shard and ``shard`` is
-the job's submission index.  Because both keys are functions of the
-(seed-deterministic) job content and submission order -- never of which
-worker process ran the job or when -- the merged file is byte-identical
-for any ``-j``.  Serial traced runs write through the same canonical
-path (one shard) so every final ``.jsonl`` carries ``seq``/``shard``
-fields and tools never see two formats.
+**Sharding.**  Every traced CLI run writes one *shard* file per job
+(:func:`shard_filename`) -- a serial run is one job with one shard --
+and :func:`merge_shards_to_jsonl` merges the shards into one canonical
+stream: a stable sort on ``(t, seq, shard)`` where ``seq`` is the
+event's position within its shard and ``shard`` is the job's submission
+index.  Because both keys are functions of the (seed-deterministic) job
+content and submission order -- never of which worker process ran the
+job or when -- the merged file is byte-identical for any ``-j``, and
+every final ``.jsonl`` carries ``seq``/``shard`` fields so tools never
+see two formats.
 """
 
 from __future__ import annotations
@@ -129,7 +131,7 @@ class Tracer:
         return totals
 
     # ------------------------------------------------------------------
-    # Sinks.
+    # Sink.
     # ------------------------------------------------------------------
 
     def to_jsonl(self, path: str) -> int:
@@ -142,25 +144,6 @@ class Tracer:
                 n += 1
         return n
 
-    def to_canonical_jsonl(self, path: str, shard: int = 0) -> int:
-        """Write buffered events through the canonical merge path.
-
-        Equivalent to :meth:`to_jsonl` into a shard file followed by
-        :func:`merge_shards_to_jsonl` over that single shard: events are
-        stable-sorted on ``(t, seq)`` and stamped with ``seq``/``shard``
-        fields.  Serial traced runs use this so their output format and
-        ordering match a merged parallel run exactly.
-        """
-        indexed = [
-            (record[0], seq, shard, event)
-            for seq, (record, event) in enumerate(zip(self._events, self.events()))
-        ]
-        return _write_merged(path, indexed)
-
-    def to_chrome(self, path: str) -> int:
-        """Write Chrome ``trace_event`` format (see :func:`_write_chrome`)."""
-        return _write_chrome(self.events(), path, self.dropped)
-
 
 # ----------------------------------------------------------------------
 # Shards and the canonical deterministic merge.
@@ -168,22 +151,8 @@ class Tracer:
 
 
 def shard_filename(base: str, index: int) -> str:
-    """Per-job shard path for a parallel traced run."""
+    """Per-job shard path for a traced run."""
     return f"{base}.shard{index:04d}.jsonl"
-
-
-def _write_merged(path: str, indexed: List[Tuple[float, int, int, dict]]) -> int:
-    """Sort ``(t, seq, shard, event)`` rows and write canonical JSONL."""
-    indexed.sort(key=lambda row: (row[0], row[1], row[2]))
-    n = 0
-    with open(path, "w", encoding="utf-8") as fh:
-        for _t, seq, shard, event in indexed:
-            event["seq"] = seq
-            event["shard"] = shard
-            fh.write(json.dumps(event, sort_keys=True))
-            fh.write("\n")
-            n += 1
-    return n
 
 
 def merge_shards_to_jsonl(out_path: str, shard_paths: Iterable[str]) -> int:
@@ -200,7 +169,14 @@ def merge_shards_to_jsonl(out_path: str, shard_paths: Iterable[str]) -> int:
     for shard, path in enumerate(shard_paths):
         for seq, event in enumerate(iter_trace(path)):
             indexed.append((event["t"], seq, shard, event))
-    return _write_merged(out_path, indexed)
+    indexed.sort(key=lambda row: (row[0], row[1], row[2]))
+    with open(out_path, "w", encoding="utf-8") as fh:
+        for _t, seq, shard, event in indexed:
+            event["seq"] = seq
+            event["shard"] = shard
+            fh.write(json.dumps(event, sort_keys=True))
+            fh.write("\n")
+    return len(indexed)
 
 
 # ----------------------------------------------------------------------
@@ -217,16 +193,17 @@ def iter_trace(path: str) -> Iterator[dict]:
                 yield json.loads(line)
 
 
-def _write_chrome(events: Iterable[dict], path: str, dropped: int) -> int:
-    """Write event dicts as Chrome ``trace_event`` format (complete 'X'
-    events); returns the number of events written.
+def jsonl_to_chrome(jsonl_path: str, chrome_path: str, dropped: int = 0) -> int:
+    """Convert a (merged) JSONL trace to Chrome ``trace_event`` format
+    (complete 'X' events); returns the number of events written.
 
     Sim seconds map to microseconds; each component gets its own
     ``tid`` so the viewer lays components out as separate tracks.
+    ``dropped`` (the ring's drop count) lands in ``otherData``.
     """
     tids: Dict[str, int] = {}
     out = []
-    for event in events:
+    for event in iter_trace(jsonl_path):
         component = event["component"]
         tid = tids.setdefault(component, len(tids) + 1)
         args: Dict[str, object] = {
@@ -252,16 +229,7 @@ def _write_chrome(events: Iterable[dict], path: str, dropped: int) -> int:
         "displayTimeUnit": "ms",
         "otherData": {"dropped_events": dropped},
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(chrome_path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")
     return len(out)
-
-
-def jsonl_to_chrome(jsonl_path: str, chrome_path: str, dropped: int = 0) -> int:
-    """Convert a (merged) JSONL trace to Chrome ``trace_event`` format.
-
-    Shares :func:`_write_chrome` with :meth:`Tracer.to_chrome`, so serial
-    and merged parallel traces render identically in the viewer.
-    """
-    return _write_chrome(iter_trace(jsonl_path), chrome_path, dropped)

@@ -56,10 +56,6 @@ class PowerModel:
         self._settled_energy: Dict[str, float] = {d.name: 0.0 for d in self.devices}
         self._last_settle_time = 0.0
 
-    def add_device(self, device: StorageDevice) -> None:
-        self.devices.append(device)
-        self._settled_energy.setdefault(device.name, 0.0)
-
     def settle(self, now: float) -> float:
         """Charge all energy consumed up to ``now``; returns joules drawn."""
         drawn = 0.0

@@ -95,9 +95,6 @@ class SectorInfo:
     # offset -> (key, length) for every live block in this sector.
     blocks: Dict[int, Tuple[Hashable, int]] = field(default_factory=dict)
 
-    def free_bytes(self, sector_bytes: int) -> int:
-        return sector_bytes - self.write_ptr
-
     def utilization(self, sector_bytes: int) -> float:
         return self.live_bytes / sector_bytes if sector_bytes else 0.0
 

@@ -299,11 +299,6 @@ class FlashStore:
             raise NotImplementedError("in-place store has fixed slots")
         return self._index[key]
 
-    def block_length(self, key: Hashable) -> int:
-        if self.mode is StoreMode.IN_PLACE:
-            raise NotImplementedError("in-place store keeps fixed-size slots")
-        return self._index[key].length
-
     def keys(self) -> List[Hashable]:
         if self.mode is StoreMode.IN_PLACE:
             return list(self._in_place_lengths)

@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
 from repro.obs import runtime
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, merge_shards_to_jsonl, shard_filename
 from repro.sim.rand import substream
 from repro.trace.workloads import generate_workload
 
@@ -78,18 +78,17 @@ def _dumps(obj) -> bytes:
 
 def _sched_run(org: Organization, clients: int = 1):
     """Traced scheduler-driven replay; returns (hub JSON, trace bytes, report)."""
-    tracer = Tracer()
-    previous = runtime.set_tracer(tracer)
-    try:
+    with runtime.tracing(Tracer()) as tracer:
         machine = _machine(org)
         report, _metrics = machine.run_workload(
             "office", seed=SEED, duration_s=DURATION, clients=clients
         )
-    finally:
-        runtime.set_tracer(previous)
     with tempfile.TemporaryDirectory() as tmp:
+        # The CLI's trace path: one raw shard, then the canonical merge.
+        shard = shard_filename(os.path.join(tmp, "trace"), 0)
+        tracer.to_jsonl(shard)
         path = os.path.join(tmp, "trace.jsonl")
-        tracer.to_canonical_jsonl(path)
+        merge_shards_to_jsonl(path, [shard])
         with open(path, "rb") as fh:
             trace = fh.read()
     return _dumps(machine.hub.snapshot()), trace, report

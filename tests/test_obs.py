@@ -12,7 +12,6 @@ The regression tests here each pin a specific latent bug:
 """
 
 import json
-import os
 import statistics
 
 import pytest
@@ -27,6 +26,7 @@ from repro.obs import (
     MetricsHub,
     Tracer,
     flatten_numeric,
+    jsonl_to_chrome,
     run_manifest,
     runtime,
     validate_event,
@@ -94,8 +94,10 @@ class TestTracer:
         tr = Tracer()
         tr.emit("flash", "erase", 0.25, 65536, 1.0, detail={"sector": 3})
         tr.emit("dram", "read", 0.5, 64, 1e-6)
+        jsonl = str(tmp_path / "t.jsonl")
+        tr.to_jsonl(jsonl)
         path = str(tmp_path / "t.chrome.json")
-        assert tr.to_chrome(path) == 2
+        assert jsonl_to_chrome(jsonl, path, dropped=tr.dropped) == 2
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         ev = doc["traceEvents"][0]
@@ -609,16 +611,6 @@ class TestCLI:
         count, errors = validate_jsonl(path)
         assert errors == [] and count > 0
 
-    def test_single_sink_trace_rejects_parallel_jobs(self, capsys, tmp_path):
-        from repro.cli import main
-
-        path = str(tmp_path / "e.jsonl")
-        rc = main(["experiments", "E1", "E2", "-j", "2", "--trace", path,
-                   "--trace-mode", "single"])
-        assert rc == 2
-        assert "cannot record across -j 2" in capsys.readouterr().err
-        assert not os.path.exists(path)
-
     def test_trace_smoke(self, capsys, tmp_path):
         from repro.cli import main
 
@@ -626,4 +618,8 @@ class TestCLI:
         assert "trace smoke ok" in capsys.readouterr().out
         assert (tmp_path / "trace_smoke.jsonl").exists()
         assert (tmp_path / "trace_smoke.jsonl.chrome.json").exists()
-        assert (tmp_path / "trace_smoke.jsonl.manifest.json").exists()
+        with open(tmp_path / "trace_smoke.jsonl.manifest.json", encoding="utf-8") as fh:
+            manifest = json.load(fh)
+        assert manifest["config"]["organization"] == "solid_state"
+        assert manifest["sim_seconds"] > 0
+        assert manifest["seed"] == 0

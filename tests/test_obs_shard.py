@@ -6,7 +6,7 @@ import json
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs import Tracer, jsonl_to_chrome, merge_shards_to_jsonl, shard_filename
+from repro.obs import Tracer, merge_shards_to_jsonl, shard_filename
 
 COMPONENTS = ["flash", "dram", "writebuffer", "engine"]
 
@@ -32,13 +32,18 @@ class TestCanonicalMerge:
         tracer = Tracer()
         _emit_all(tracer, [(2.0, "flash", "read", 10), (1.0, "dram", "write", 4),
                            (1.0, "flash", "write", 8)])
-        canonical = tmp_path / "canonical.jsonl"
-        tracer.to_canonical_jsonl(str(canonical))
         shard = shard_filename(str(tmp_path / "trace"), 0)
         tracer.to_jsonl(shard)
         merged = tmp_path / "merged.jsonl"
-        merge_shards_to_jsonl(str(merged), [shard])
-        assert canonical.read_bytes() == merged.read_bytes()
+        assert merge_shards_to_jsonl(str(merged), [shard]) == 3
+        # The canonical form of one shard: the raw lines stable-sorted on
+        # (t, seq), each stamped with its emission index and shard 0.
+        raw = [json.loads(line) for line in open(shard, encoding="utf-8")]
+        expected = [dict(event, seq=seq, shard=0) for seq, event in enumerate(raw)]
+        expected.sort(key=lambda event: (event["t"], event["seq"]))
+        assert merged.read_text() == "".join(
+            json.dumps(event, sort_keys=True) + "\n" for event in expected
+        )
 
     def test_equal_timestamps_keep_shard_order(self, tmp_path):
         a, b = Tracer(), Tracer()
@@ -93,18 +98,6 @@ class TestCanonicalMerge:
         out2 = tmp_path / "merged2.jsonl"
         merge_shards_to_jsonl(str(out2), paths)
         assert out.read_bytes() == out2.read_bytes()
-
-    def test_jsonl_to_chrome_mirrors_tracer_export(self, tmp_path):
-        tracer = Tracer()
-        _emit_all(tracer, [(1.0, "flash", "read", 10), (2.0, "dram", "write", 4)])
-        tracer.emit("engine", "event", 3.0, detail={"pending": 2})
-        jsonl = tmp_path / "t.jsonl"
-        tracer.to_jsonl(str(jsonl))
-        direct = tmp_path / "direct.chrome.json"
-        converted = tmp_path / "converted.chrome.json"
-        tracer.to_chrome(str(direct))
-        jsonl_to_chrome(str(jsonl), str(converted), dropped=tracer.dropped)
-        assert direct.read_bytes() == converted.read_bytes()
 
 
 class TestParallelCLI:
