@@ -64,9 +64,8 @@ def _run_case(
         events.append((t, "read"))
     events.sort()
 
-    latency = Histogram("read_latency")
+    latency = Histogram()
     stalled = 0
-    reads = 0
     wi = 0
     for when, kind in events:
         if kind == "write":
@@ -80,12 +79,11 @@ def _run_case(
             start, _ = flash.sector_range(sector)
             _, result = flash.read(start, READ_BYTES, when)
             latency.record(result.latency)
-            reads += 1
             if result.wait > 1e-12:
                 stalled += 1
     return {
-        "reads": reads,
-        "stall_fraction": stalled / reads if reads else 0.0,
+        "reads": latency.count,
+        "stall_fraction": stalled / latency.count if latency.count else 0.0,
         "mean_ms": latency.mean * 1e3,
         "p95_ms": latency.percentile(95) * 1e3,
         "p99_ms": latency.percentile(99) * 1e3,

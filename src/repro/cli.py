@@ -27,7 +27,9 @@ Commands:
 - ``trace-smoke``  -- tiny traced run validating the JSONL trace against
   its schema, the Chrome export, the hub/device accounting identity,
   the online monitors (zero violations), and the ``analyze`` /
-  ``trace-diff`` tooling (wired into ``make check``).
+  ``trace-diff`` tooling, including that every ``analyze`` percentile
+  lies within its op's or component's [min, max] (wired into
+  ``make check``).
 
 ``run``, ``compare``, ``experiments``, ``metrics`` and ``torture``
 accept ``--trace PATH`` and ``--monitors``, and every such observed run
@@ -536,8 +538,18 @@ def _cmd_trace_smoke(args) -> int:
     summary = analyze_trace(jsonl).summary()
     if not summary["components"]:
         failures.append("analyze produced no per-component stats")
-    elif all(s["latency"]["p95_s"] == 0.0 for s in summary["ops"].values()):
+    elif all(s["latency"]["p95"] == 0.0 for s in summary["ops"].values()):
         failures.append("analyze saw only zero latencies")
+    # Every reported percentile must lie within its observed range.
+    latencies = [(f"op {name}", s["latency"]) for name, s in summary["ops"].items()]
+    latencies += [(f"component {name}", s) for name, s in summary["components"].items()]
+    for where, lat in latencies:
+        for key in ("p50", "p95", "p99"):
+            if not lat["min"] <= lat[key] <= lat["max"]:
+                failures.append(
+                    f"analyze {where}: {key} {lat[key]!r} outside "
+                    f"[{lat['min']!r}, {lat['max']!r}]"
+                )
     # ...and a trace diffed against itself must report no deltas.
     self_diff = diff_summaries(summary, summary, threshold=0.0)
     if self_diff:
@@ -551,7 +563,8 @@ def _cmd_trace_smoke(args) -> int:
         f"trace smoke ok: {valid} schema-valid events "
         f"({meta['dropped']} dropped by the ring), chrome export parses, "
         f"hub/device flash accounting identical ({int(dev_bytes):,} bytes), "
-        f"{len(monitors['monitors'])} monitors clean, analyze + self-diff ok"
+        f"{len(monitors['monitors'])} monitors clean, analyze percentiles in range, "
+        f"self-diff ok"
     )
     return 0
 

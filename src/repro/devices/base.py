@@ -167,26 +167,5 @@ class StorageDevice(ABC):
     def write(self, offset: int, data: bytes, now: float) -> AccessResult:
         """Write ``data`` at ``offset``."""
 
-    # ------------------------------------------------------------------
-    # Accounting-only charges.
-    #
-    # Several layers (buffer cache, write buffer, metadata touches) need
-    # only the *timing and energy* of a device access: the bytes either
-    # live elsewhere or are synthetic.  The ``charge_*`` APIs produce an
-    # AccessResult identical to the matching read()/write() -- including
-    # device-stats accounting -- without allocating, copying, or storing
-    # any data.  Subclasses override with allocation-free computations;
-    # these fallbacks guarantee the substitution is always available.
-    # ------------------------------------------------------------------
-
-    def charge_read(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
-        """Account a read of ``nbytes`` without materializing the data."""
-        _, result = self.read(offset, nbytes, now)
-        return result
-
-    def charge_write(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
-        """Account a write of ``nbytes`` without supplying real data."""
-        return self.write(offset, bytes(nbytes), now)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, capacity={self.capacity_bytes})"

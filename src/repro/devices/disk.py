@@ -118,7 +118,15 @@ class MagneticDisk(StorageDevice):
     # Operations.
     # ------------------------------------------------------------------
 
-    def _access(self, offset: int, nbytes: int, now: float, write: bool) -> AccessResult:
+    def _account(
+        self, op: str, offset: int, nbytes: int, now: float, write: bool
+    ) -> AccessResult:
+        """Check, time, record and trace one access; the single path.
+
+        Accounting-only charges get full mechanical accounting too: they
+        still move the head and keep the spindle spinning.
+        """
+        self.check_range(offset, nbytes)
         spin_delay, spin_energy = self._begin_op(now)
         target = self.cylinder_of(offset)
         seek = self.seek_time(self.head_cylinder, target)
@@ -132,58 +140,35 @@ class MagneticDisk(StorageDevice):
         self._last_op_end = now + spin_delay + service
         # Time covered by the operation is active, not idle.
         self._idle_accounted_to = max(self._idle_accounted_to, self._last_op_end)
-        return AccessResult(
+        result = AccessResult(
             latency=spin_delay + service,
             energy=spin_energy + power * service,
             wait=spin_delay,
         )
-
-    def read(self, offset: int, nbytes: int, now: float) -> Tuple[bytes, AccessResult]:
-        self.check_range(offset, nbytes)
-        result = self._access(offset, nbytes, now, write=False)
-        self.stats.record_read(nbytes, result)
+        if write:
+            self.stats.record_write(nbytes, result)
+        else:
+            self.stats.record_read(nbytes, result)
         if self.tracer is not None:
             detail = {"wait": result.wait} if result.wait > 0.0 else None
-            self.tracer.emit(self.name, "read", now, nbytes, result.latency,
-                             detail=detail)
+            self.tracer.emit(self.name, op, now, nbytes, result.latency, detail=detail)
+        return result
+
+    def read(self, offset: int, nbytes: int, now: float) -> Tuple[bytes, AccessResult]:
+        result = self._account("read", offset, nbytes, now, write=False)
         return bytes(self._data_view(offset, nbytes)), result
 
     def charge_read(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
-        """Timing/energy of a read without materializing data.
-
-        Full mechanical accounting (seek, rotation, spin-up) applies:
-        an accounting-only access still moves the head and keeps the
-        spindle spinning.
-        """
-        self.check_range(offset, nbytes)
-        result = self._access(offset, nbytes, now, write=False)
-        self.stats.record_read(nbytes, result)
-        if self.tracer is not None:
-            detail = {"wait": result.wait} if result.wait > 0.0 else None
-            self.tracer.emit(self.name, "charge_read", now, nbytes, result.latency,
-                             detail=detail)
-        return result
+        """Timing/energy of a read without materializing data."""
+        return self._account("charge_read", offset, nbytes, now, write=False)
 
     def charge_write(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
         """Timing/energy of a write; the stored bytes are untouched."""
-        self.check_range(offset, nbytes)
-        result = self._access(offset, nbytes, now, write=True)
-        self.stats.record_write(nbytes, result)
-        if self.tracer is not None:
-            detail = {"wait": result.wait} if result.wait > 0.0 else None
-            self.tracer.emit(self.name, "charge_write", now, nbytes, result.latency,
-                             detail=detail)
-        return result
+        return self._account("charge_write", offset, nbytes, now, write=True)
 
     def write(self, offset: int, data: bytes, now: float) -> AccessResult:
-        self.check_range(offset, len(data))
-        result = self._access(offset, len(data), now, write=True)
+        result = self._account("write", offset, len(data), now, write=True)
         self._store(offset, data)
-        self.stats.record_write(len(data), result)
-        if self.tracer is not None:
-            detail = {"wait": result.wait} if result.wait > 0.0 else None
-            self.tracer.emit(self.name, "write", now, len(data), result.latency,
-                             detail=detail)
         return result
 
     # Disks can be large; allocate backing store lazily per 64 KB chunk so

@@ -2,16 +2,20 @@
 
 Both file systems (memory-resident and conventional) implement
 :class:`FileSystem`, so trace replay, experiments, and examples are
-organization-agnostic.  Paths are Unix-style (``/dir/file``); operations
-are whole-call timed against the owning machine's simulated clock by the
-implementations themselves.
+organization-agnostic.  Paths are Unix-style (``/dir/file``); each
+implementation times its operations whole-call against the owning
+machine's simulated clock through the shared :meth:`FileSystem._timed`
+wrapper.
 """
 
 from __future__ import annotations
 
+import contextlib
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Iterator, List, Optional, Tuple
+
+from repro.sim.sched import current_client
 
 
 class FSError(Exception):
@@ -206,3 +210,18 @@ class FileSystem(ABC):
             self.truncate(path, 0)
         if data:
             self.write(path, 0, data)
+
+    @contextlib.contextmanager
+    def _timed(self, op: str) -> Iterator[None]:
+        """Count one ``op`` in ``self.stats`` and record its latency on ``self.clock``."""
+        start = self.clock.now
+        yield
+        elapsed = self.clock.now - start
+        self.stats.counter(f"{op}_ops").add(1)
+        self.stats.histogram(f"{op}_latency").record(elapsed)
+        client = current_client()
+        if client is not None:
+            # Per-client attribution exists only under the multi-client
+            # scheduler, so single-client snapshots are unchanged.
+            self.stats.counter(f"client{client}_{op}_ops").add(1)
+            self.stats.histogram(f"client{client}_{op}_latency").record(elapsed)

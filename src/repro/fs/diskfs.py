@@ -36,12 +36,10 @@ data region           everything else
 
 from __future__ import annotations
 
-import contextlib
 import struct
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.sim.sched import current_client
 from repro.fs.api import (
     FileExistsFSError,
     FileNotFoundFSError,
@@ -270,24 +268,6 @@ class ConventionalFileSystem(FileSystem):
         # through the cache, so the simulated cost is unchanged.
         self._dir_memo: Dict[int, _DirBlock] = {}
         self._inode_memo: Dict[int, Tuple[bytes, Dict[int, tuple]]] = {}
-
-    # ------------------------------------------------------------------
-    # Timing wrapper.
-    # ------------------------------------------------------------------
-
-    @contextlib.contextmanager
-    def _timed(self, op: str) -> Iterator[None]:
-        start = self.clock.now
-        yield
-        elapsed = self.clock.now - start
-        self.stats.counter(f"{op}_ops").add(1)
-        self.stats.histogram(f"{op}_latency").record(elapsed)
-        client = current_client()
-        if client is not None:
-            # Per-client attribution exists only under the multi-client
-            # scheduler, so single-client snapshots are unchanged.
-            self.stats.counter(f"client{client}_{op}_ops").add(1)
-            self.stats.histogram(f"client{client}_{op}_latency").record(elapsed)
 
     # ------------------------------------------------------------------
     # Inode table access.

@@ -30,13 +30,11 @@ mapped into address spaces with zero copies.
 
 from __future__ import annotations
 
-import contextlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.devices.dram import DRAM
-from repro.sim.sched import current_client
 from repro.fs.api import (
     FileExistsFSError,
     FileNotFoundFSError,
@@ -118,7 +116,7 @@ class MemoryFileSystem(FileSystem):
         self._prev_checkpoint_chunks = 0
 
     # ------------------------------------------------------------------
-    # Internals: timing and lookup.
+    # Internals: metadata touches and lookup.
     # ------------------------------------------------------------------
 
     def _meta_touch(self, touches: int = 1) -> None:
@@ -127,20 +125,6 @@ class MemoryFileSystem(FileSystem):
         if self.dram is not None and touches > 0:
             result = self.dram.charge_read(META_TOUCH_BYTES * touches, self.clock.now)
             self.clock.advance(result.latency)
-
-    @contextlib.contextmanager
-    def _timed(self, op: str) -> Iterator[None]:
-        start = self.clock.now
-        yield
-        elapsed = self.clock.now - start
-        self.stats.counter(f"{op}_ops").add(1)
-        self.stats.histogram(f"{op}_latency").record(elapsed)
-        client = current_client()
-        if client is not None:
-            # Per-client attribution exists only under the multi-client
-            # scheduler, so single-client snapshots are unchanged.
-            self.stats.counter(f"client{client}_{op}_ops").add(1)
-            self.stats.histogram(f"client{client}_{op}_latency").record(elapsed)
 
     def _lookup(self, parts: List[str]) -> MemInode:
         node = self._root

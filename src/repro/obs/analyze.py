@@ -5,8 +5,9 @@ merged file -- ``seq``/``shard`` fields are ignored) in one streaming
 pass, never materializing the file, and aggregates:
 
 - per-component / per-op counts, byte totals, outcome tallies, and
-  latency percentiles (p50/p95/p99) from deterministic log-binned
-  histograms (:class:`LatencyHistogram`);
+  latency percentiles (p50/p95/p99) from the simulator's own log-binned
+  :class:`~repro.sim.stats.Histogram`, so an op's percentiles here equal
+  the live MetricsHub's for the same recorded latencies;
 - GC pause statistics and a bounded reclaim timeline plus the cleaning
   overhead ratio (bytes copied by GC per user byte written);
 - per-flash-bank wear (programs / programmed bytes / erases) and write
@@ -33,6 +34,7 @@ import math
 from typing import Dict, List, Optional, Tuple
 
 from repro.obs.tracer import iter_trace
+from repro.sim.stats import Histogram
 
 #: Flattened-summary path fragments excluded from diffs: positional
 #: timeline buckets shift legitimately when event counts change.
@@ -42,94 +44,6 @@ _DIFF_EXCLUDE = (".timeline.",)
 # ----------------------------------------------------------------------
 # Deterministic streaming aggregates.
 # ----------------------------------------------------------------------
-
-
-class LatencyHistogram:
-    """Log-binned latency histogram with O(1) memory per decade.
-
-    Bins are geometric: ``BINS_PER_DECADE`` bins per factor of 10
-    starting at ``MIN_LATENCY`` (1 ns), giving ~15% relative resolution.
-    Percentiles return the geometric midpoint of the bin holding the
-    requested rank -- a pure function of the recorded multiset, so two
-    identical traces always report identical percentiles.
-    """
-
-    BINS_PER_DECADE = 16
-    MIN_LATENCY = 1e-9
-
-    __slots__ = ("count", "zeros", "total", "max", "_min", "bins")
-
-    def __init__(self) -> None:
-        self.count = 0
-        self.zeros = 0
-        self.total = 0.0
-        self.max = 0.0
-        self._min: Optional[float] = None
-        self.bins: Dict[int, int] = {}
-
-    def record(self, latency_s: float) -> None:
-        self.count += 1
-        self.total += latency_s
-        if latency_s > self.max:
-            self.max = latency_s
-        if self._min is None or latency_s < self._min:
-            self._min = latency_s
-        if latency_s <= 0.0:
-            self.zeros += 1
-            return
-        idx = int(
-            math.floor(
-                math.log10(latency_s / self.MIN_LATENCY) * self.BINS_PER_DECADE
-            )
-        )
-        if idx < 0:
-            idx = 0
-        self.bins[idx] = self.bins.get(idx, 0) + 1
-
-    def merge(self, other: "LatencyHistogram") -> None:
-        self.count += other.count
-        self.zeros += other.zeros
-        self.total += other.total
-        if other.max > self.max:
-            self.max = other.max
-        if other._min is not None and (self._min is None or other._min < self._min):
-            self._min = other._min
-        for idx, n in other.bins.items():
-            self.bins[idx] = self.bins.get(idx, 0) + n
-
-    @property
-    def min(self) -> float:
-        return 0.0 if self._min is None else self._min
-
-    @property
-    def mean(self) -> float:
-        return self.total / self.count if self.count else 0.0
-
-    def percentile(self, q: float) -> float:
-        """Latency at quantile ``q`` in (0, 1]; geometric bin midpoint."""
-        if self.count == 0:
-            return 0.0
-        rank = max(1, math.ceil(q * self.count))
-        if rank <= self.zeros:
-            return 0.0
-        seen = self.zeros
-        base = 10.0 ** (1.0 / self.BINS_PER_DECADE)
-        for idx in sorted(self.bins):
-            seen += self.bins[idx]
-            if seen >= rank:
-                return self.MIN_LATENCY * (base ** idx) * math.sqrt(base)
-        return self.max
-
-    def summary(self) -> dict:
-        return {
-            "count": self.count,
-            "mean_s": self.mean,
-            "min_s": self.min,
-            "max_s": self.max,
-            "p50_s": self.percentile(0.50),
-            "p95_s": self.percentile(0.95),
-            "p99_s": self.percentile(0.99),
-        }
 
 
 class Timeline:
@@ -162,40 +76,35 @@ class Timeline:
 class OpStats:
     """Count / byte / outcome / latency aggregate for one (component, op)."""
 
-    __slots__ = ("count", "bytes", "outcomes", "latency",
-                 "total_latency_s", "wait_s", "stalled")
+    __slots__ = ("bytes", "outcomes", "latency", "wait_s", "stalled")
 
     def __init__(self) -> None:
-        self.count = 0
         self.bytes = 0
         self.outcomes: Dict[str, int] = {}
-        self.latency = LatencyHistogram()
+        self.latency = Histogram()
         # Stall accounting: devices report the queueing/spin-up portion
         # of each access in the event's ``detail.wait``; splitting it
         # out separates pure service time from time spent waiting.
-        self.total_latency_s = 0.0
         self.wait_s = 0.0
         self.stalled = 0
 
     def feed(self, nbytes: int, latency_s: float, outcome: str,
              wait_s: float = 0.0) -> None:
-        self.count += 1
         self.bytes += nbytes
         self.outcomes[outcome] = self.outcomes.get(outcome, 0) + 1
         self.latency.record(latency_s)
-        self.total_latency_s += latency_s
         if wait_s > 0.0:
             self.wait_s += wait_s
             self.stalled += 1
 
     def summary(self) -> dict:
         return {
-            "count": self.count,
+            "count": self.latency.count,
             "bytes": self.bytes,
             "outcomes": dict(sorted(self.outcomes.items())),
             "latency": self.latency.summary(),
             "wait_s": self.wait_s,
-            "service_s": max(0.0, self.total_latency_s - self.wait_s),
+            "service_s": max(0.0, self.latency.total - self.wait_s),
             "stalled": self.stalled,
         }
 
@@ -231,7 +140,7 @@ class TraceAnalysis:
         self.gc_erase_failures = 0
         self.gc_reclaimed_bytes = 0
         self.gc_copy_bytes = 0
-        self.gc_pause = LatencyHistogram()
+        self.gc_pause = Histogram()
         self.gc_timeline = Timeline()
         # Per-(device, bank) wear; logical store writes per (device, bank).
         self.banks: Dict[Tuple[str, int], _BankStats] = {}
@@ -332,13 +241,13 @@ class TraceAnalysis:
     # Derived views.
     # ------------------------------------------------------------------
 
-    def component_latency(self) -> Dict[str, LatencyHistogram]:
+    def component_latency(self) -> Dict[str, Histogram]:
         """Per-component latency histogram (merged over the component's ops)."""
-        merged: Dict[str, LatencyHistogram] = {}
+        merged: Dict[str, Histogram] = {}
         for (component, _op), stats in sorted(self.ops.items()):
             hist = merged.get(component)
             if hist is None:
-                hist = merged[component] = LatencyHistogram()
+                hist = merged[component] = Histogram()
             hist.merge(stats.latency)
         return merged
 
@@ -475,10 +384,10 @@ def render_summary(summary: dict, top_ops: int = 20) -> str:
         [
             name,
             stats["count"],
-            _fmt_lat(stats["p50_s"]),
-            _fmt_lat(stats["p95_s"]),
-            _fmt_lat(stats["p99_s"]),
-            _fmt_lat(stats["max_s"]),
+            _fmt_lat(stats["p50"]),
+            _fmt_lat(stats["p95"]),
+            _fmt_lat(stats["p99"]),
+            _fmt_lat(stats["max"]),
         ]
         for name, stats in summary["components"].items()
     ]
@@ -500,9 +409,9 @@ def render_summary(summary: dict, top_ops: int = 20) -> str:
                     name,
                     stats["count"],
                     stats["bytes"],
-                    _fmt_lat(stats["latency"]["p50_s"]),
-                    _fmt_lat(stats["latency"]["p95_s"]),
-                    _fmt_lat(stats["latency"]["p99_s"]),
+                    _fmt_lat(stats["latency"]["p50"]),
+                    _fmt_lat(stats["latency"]["p95"]),
+                    _fmt_lat(stats["latency"]["p99"]),
                     stats.get("stalled", 0) or None,
                     f"{stats['wait_s']:.3f}" if stats.get("wait_s") else None,
                 ]
@@ -521,10 +430,10 @@ def render_summary(summary: dict, top_ops: int = 20) -> str:
                 ["reclaimed bytes", gc["reclaimed_bytes"]],
                 ["copied bytes", gc["copy_bytes"]],
                 ["cleaning overhead", f"{gc['cleaning_overhead']:.4f}"],
-                ["pause p50", _fmt_lat(gc["pause"]["p50_s"])],
-                ["pause p95", _fmt_lat(gc["pause"]["p95_s"])],
-                ["pause p99", _fmt_lat(gc["pause"]["p99_s"])],
-                ["pause max", _fmt_lat(gc["pause"]["max_s"])],
+                ["pause p50", _fmt_lat(gc["pause"]["p50"])],
+                ["pause p95", _fmt_lat(gc["pause"]["p95"])],
+                ["pause p99", _fmt_lat(gc["pause"]["p99"])],
+                ["pause max", _fmt_lat(gc["pause"]["max"])],
             ],
             title="GC / cleaning",
         )

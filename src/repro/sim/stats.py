@@ -5,8 +5,11 @@ primitives:
 
 - :class:`Counter` -- monotonically increasing totals (bytes written,
   erase operations, page faults).
-- :class:`Histogram` -- value distributions with mean / percentiles
-  (operation latency, read tail during erases -- claim E8).
+- :class:`Histogram` -- log-binned, mergeable value distributions with
+  exact mean / stdev / min / max and bin-resolution percentiles
+  (operation latency, read tail during erases -- claim E8).  The live
+  metrics and the trace analytics (:mod:`repro.obs.analyze`) share it,
+  so both report the same percentiles for the same values.
 - :class:`TimeWeightedValue` -- time-integrated averages (buffer
   occupancy, DRAM in use).
 
@@ -18,7 +21,7 @@ harnesses never reach into component internals.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Union
+from typing import Dict, Optional, Union
 
 Number = Union[int, float]
 
@@ -45,26 +48,34 @@ class Counter:
 
 
 class Histogram:
-    """A value distribution that keeps raw samples.
+    """A log-binned, mergeable value distribution.
 
-    Experiments here run at most a few hundred thousand operations, so
-    keeping raw samples (instead of fixed buckets) is affordable and gives
-    exact percentiles.  ``max_samples`` guards against pathological runs by
-    switching to reservoir-free decimation: once full, every second sample
-    is dropped and the stride doubles, preserving distribution shape.
+    Positive values fall into geometric bins, :attr:`BINS_PER_DECADE`
+    per factor of 10 starting at :attr:`MIN_VALUE` (1 ns for latencies),
+    so each bin spans ~15% and memory is O(bins), not O(samples).
+    Values <= 0 are counted apart.  Count, total, sum of squares, min
+    and max are kept exactly, so mean and stdev are exact; a percentile
+    is the geometric midpoint of the bin holding the requested rank,
+    clamped to [min, max].  It is a pure function of the recorded
+    multiset: recording order does not matter, and :meth:`merge` of two
+    histograms equals one histogram that recorded both streams.
     """
 
-    def __init__(self, name: str, max_samples: int = 250_000) -> None:
-        self.name = name
-        self.max_samples = max_samples
-        self._samples: List[float] = []
-        self._stride = 1
-        self._pending = 0
+    BINS_PER_DECADE = 16
+    MIN_VALUE = 1e-9
+    _BASE = 10.0 ** (1.0 / BINS_PER_DECADE)
+    _HALF_BIN = math.sqrt(_BASE)
+
+    __slots__ = ("count", "zeros", "total", "_sumsq", "_min", "_max", "bins")
+
+    def __init__(self) -> None:
         self.count = 0
+        self.zeros = 0
         self.total = 0.0
         self._sumsq = 0.0
         self._min: Optional[float] = None
         self._max: Optional[float] = None
+        self.bins: Dict[int, int] = {}
 
     def record(self, value: Number) -> None:
         value = float(value)
@@ -75,13 +86,28 @@ class Histogram:
             self._min = value
         if self._max is None or value > self._max:
             self._max = value
-        self._pending += 1
-        if self._pending >= self._stride:
-            self._pending = 0
-            self._samples.append(value)
-            if len(self._samples) >= self.max_samples:
-                self._samples = self._samples[::2]
-                self._stride *= 2
+        if value <= 0.0:
+            self.zeros += 1
+            return
+        idx = math.floor(math.log10(value / self.MIN_VALUE) * self.BINS_PER_DECADE)
+        if idx < 0:
+            idx = 0
+        bins = self.bins
+        bins[idx] = bins.get(idx, 0) + 1
+
+    def merge(self, other: "Histogram") -> None:
+        """Fold ``other`` in, as if this histogram had recorded its values."""
+        self.count += other.count
+        self.zeros += other.zeros
+        self.total += other.total
+        self._sumsq += other._sumsq
+        if other._min is not None and (self._min is None or other._min < self._min):
+            self._min = other._min
+        if other._max is not None and (self._max is None or other._max > self._max):
+            self._max = other._max
+        bins = self.bins
+        for idx, n in other.bins.items():
+            bins[idx] = bins.get(idx, 0) + n
 
     @property
     def mean(self) -> float:
@@ -96,31 +122,37 @@ class Histogram:
         return self._max if self._max is not None else 0.0
 
     def percentile(self, p: float) -> float:
-        """Exact (nearest-rank, interpolated) percentile of retained samples."""
+        """Value at percentile ``p`` in [0, 100], to bin resolution.
+
+        The bin holding rank ``ceil(p% * count)`` reports its geometric
+        midpoint, clamped to the exact [min, max], so a constant stream
+        reports its value exactly.
+        """
         if not 0.0 <= p <= 100.0:
             raise ValueError(f"percentile {p} outside [0, 100]")
-        if not self._samples:
+        if not self.count:
             return 0.0
-        ordered = sorted(self._samples)
-        if len(ordered) == 1:
-            return ordered[0]
-        rank = (p / 100.0) * (len(ordered) - 1)
-        lo = math.floor(rank)
-        hi = math.ceil(rank)
-        if lo == hi:
-            return ordered[lo]
-        frac = rank - lo
-        return ordered[lo] * (1.0 - frac) + ordered[hi] * frac
+        rank = max(1, math.ceil(p / 100.0 * self.count))
+        if rank <= self.zeros:
+            value = 0.0
+        else:
+            seen = self.zeros
+            bins = self.bins
+            for idx in sorted(bins):
+                seen += bins[idx]
+                if seen >= rank:
+                    break
+            value = self.MIN_VALUE * self._BASE ** idx * self._HALF_BIN
+        if value < self._min:
+            return self._min
+        if value > self._max:
+            return self._max
+        return value
 
     @property
     def stdev(self) -> float:
-        """Exact sample standard deviation over *all* recorded values.
-
-        Computed from the running ``count``/``total``/sum-of-squares, so
-        it matches ``statistics.stdev`` on the full undecimated stream
-        (a prior version re-derived the mean from the decimated sample
-        list, biasing the result once decimation kicked in).
-        """
+        """Exact sample standard deviation over all recorded values,
+        from the running count, total and sum of squares."""
         if self.count < 2:
             return 0.0
         mean = self.total / self.count
@@ -141,14 +173,13 @@ class Histogram:
         }
 
     def reset(self) -> None:
-        self._samples.clear()
-        self._stride = 1
-        self._pending = 0
         self.count = 0
+        self.zeros = 0
         self.total = 0.0
         self._sumsq = 0.0
         self._min = None
         self._max = None
+        self.bins.clear()
 
 
 class TimeWeightedValue:
@@ -222,7 +253,7 @@ class StatRegistry:
 
     def histogram(self, name: str) -> Histogram:
         if name not in self.histograms:
-            self.histograms[name] = Histogram(name)
+            self.histograms[name] = Histogram()
         return self.histograms[name]
 
     def gauge(self, name: str, start_time: float = 0.0, initial: float = 0.0) -> TimeWeightedValue:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import dataclasses
 import zlib
+from collections import defaultdict
 from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
@@ -164,7 +165,7 @@ class TraceReplayer:
         if not streams:
             raise ValueError("scheduled replay needs at least one stream")
         report = ReplayReport()
-        histograms: Dict[str, Histogram] = {}
+        histograms: Dict[str, Histogram] = defaultdict(Histogram)
         multi = len(streams) > 1
         # Mutable cell for the max record timestamp across all clients.
         last_time = [0.0]
@@ -178,8 +179,7 @@ class TraceReplayer:
                     "errors": 0,
                     "bytes_written": 0,
                     "bytes_read": 0,
-                    "op_counts": {},
-                    "_hists": {},
+                    "_hists": defaultdict(Histogram),
                 }
             sched.spawn(
                 self._client_process(
@@ -192,10 +192,13 @@ class TraceReplayer:
         sched.run()
         report.trace_duration_s = last_time[0]
         report.elapsed_sim_s = self.engine.clock.now
-        report.op_latency = {op: h.summary() for op, h in histograms.items()}
+        for op, hist in histograms.items():
+            report.op_counts[op] = hist.count
+            report.op_latency[op] = hist.summary()
         if multi:
             for idx, stats in client_stats.items():
                 hists = stats.pop("_hists")
+                stats["op_counts"] = {op: h.count for op, h in hists.items()}
                 stats["op_latency"] = {op: h.summary() for op, h in hists.items()}
                 report.per_client[idx] = stats
             report.scheduler = sched.snapshot()
@@ -245,14 +248,12 @@ class TraceReplayer:
             elapsed = clock.now - start
             op = record.op.value
             report.records += 1
-            report.op_counts[op] = report.op_counts.get(op, 0) + 1
-            histograms.setdefault(op, Histogram(op)).record(elapsed)
+            histograms[op].record(elapsed)
             if stats is not None:
                 stats["records"] += 1
                 stats["bytes_written"] += report.bytes_written - written
                 stats["bytes_read"] += report.bytes_read - read
-                stats["op_counts"][op] = stats["op_counts"].get(op, 0) + 1
-                stats["_hists"].setdefault(op, Histogram(op)).record(elapsed)
+                stats["_hists"][op].record(elapsed)
 
     # Trace ops that translate 1:1 into kernel FS requests (EXEC is a
     # program launch, not a file operation, and stays out of the map).

@@ -37,29 +37,29 @@ SEED = 42
 #: JSON) for the office workload, seed 42, 12 s, one client.
 GOLDEN = {
     "solid_state": {
-        "hub": "329e7e623bc9fe54adac6891b2a9a128bfcfb91b9916383991fd61b9affe0345",
+        "hub": "e464c77745fd6c5113c9f76aac3b54a4fef0b3c24baf1edce8e636fb8467fe82",
         "trace": "5bb0a56cc4453c5e3203fbfc3bb3be53c78e516f7efba842087872711f9f2420",
-        "report": "92c892c6fbb90a900b918a0c040721f8e8bbbdc8774aff2c45e6e2da4253705b",
+        "report": "5843de5df8d8850b7645e9507e80bcffbdc74eeb42b9ab89db28fa244fc8ad68",
     },
     "disk": {
-        "hub": "49f1ff7893081e108467a489c4a3238aa8bf7c3226eda8d43fe82dd862ebe972",
+        "hub": "e7b46d251ac11ddfbe70c8dfa8c574c3e6165f55ab818c9a24a01ff10448274f",
         "trace": "38b8dac489a368237be203235b455a04c3bcee141060a8b46fd0bdf014aa654c",
-        "report": "a0b837c3fd0251559e4bc4223cd9429ce461a1fbb671b5fefd7ad0024da92490",
+        "report": "5f0e57bbac570aaa5b6e7f895b15ce01e3dd02c411421064d1bff67d09555341",
     },
     "flash_disk": {
-        "hub": "2dc9d685435e3a5bc0059ed20292a16d51225f7e07d619dcd6eb66c04c747e4a",
+        "hub": "e4c58e552933d9ee537636ee69f2cf68f78710e79d2339e39116ed3a3dc14cbc",
         "trace": "19f6de6758128846ddf38075ef2fe1e6494cfe2a2af16edeabd976503c3222fa",
-        "report": "7e7571d68cdd14601ade91f7c13cad5d912da7cd8f6bd8c0d84d8b36cbf7ce3e",
+        "report": "d0392c37ada608a542898914ce94374ee057f91c6a1aabe32ce9fa5b9baa7873",
     },
     "flash_eip": {
-        "hub": "3a02cbec38996fb8952f34a98915f3e7bc4c9b64e1b61d4b56dee3345712d232",
+        "hub": "9af0ed16e0b0f8fd8aa8d532b7dd7beb64bfb51a94238ffa9ebb7f618b382510",
         "trace": "45f55d52047092431fb0828edf4467082849d4cb3e0b086144982f0016ce0760",
-        "report": "d274437d55348968173eeca4e732a82fa5c4a10e06f199e3f51c175590d0c5b2",
+        "report": "b987b54fa65dbc9ccc107d5d5ff8d3b606525fec000addd6346c1771841f7d3c",
     },
     "naive_flash": {
-        "hub": "4ab6cb9ae02e4d57b299424a14270038752bf0a1401b0093a4b03373ec9f3120",
+        "hub": "1f238cca948a0695eb0962f344282f1ada01533b92c1476d17d8008563706605",
         "trace": "3e537c196ee93196b29295abaedfc7405c77014aab6d619d5981a809a1bb2c80",
-        "report": "a8749ef93e27bca2fe6731f6df3f55fbd44e2eeee260367971c79f3bcb808251",
+        "report": "fa9a230d90c8fb7d3a94d760dd1913d4f29c521d7fd08342a23c89673123986e",
     },
 }
 

@@ -10,8 +10,10 @@ import math
 
 import pytest
 
+from repro.core.config import Organization, SystemConfig
+from repro.core.hierarchy import MobileComputer
+from repro.obs import runtime
 from repro.obs.analyze import (
-    LatencyHistogram,
     Timeline,
     TraceAnalysis,
     analyze_trace,
@@ -21,6 +23,8 @@ from repro.obs.analyze import (
     render_summary,
     trace_hub_metrics,
 )
+from repro.obs.tracer import Tracer
+from repro.sim.stats import Histogram
 
 
 def _event(component, op, t=0.0, nbytes=0, latency_s=0.0, outcome="ok", detail=None):
@@ -38,50 +42,53 @@ def _event(component, op, t=0.0, nbytes=0, latency_s=0.0, outcome="ok", detail=N
 
 
 # ----------------------------------------------------------------------
-# LatencyHistogram.
+# Latency binning (the shared repro.sim.stats.Histogram).
 # ----------------------------------------------------------------------
 
 
 class TestLatencyHistogram:
     def test_empty(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         assert hist.summary() == {
-            "count": 0, "mean_s": 0.0, "min_s": 0.0, "max_s": 0.0,
-            "p50_s": 0.0, "p95_s": 0.0, "p99_s": 0.0,
+            "count": 0, "mean": 0.0, "stdev": 0.0, "min": 0.0, "max": 0.0,
+            "p50": 0.0, "p95": 0.0, "p99": 0.0,
         }
 
     def test_golden_percentiles(self):
         # 99 samples at 1 ms + 1 at 100 ms: p50/p95/p99 land in the 1 ms
         # bin, p99.5+ in the 100 ms bin.  The geometric bin midpoint for
-        # latency x is MIN * base**floor(log10(x/MIN)*16) * sqrt(base).
-        hist = LatencyHistogram()
+        # latency x is MIN * base**floor(log10(x/MIN)*16) * sqrt(base),
+        # clamped to the observed [min, max].
+        hist = Histogram()
         for _ in range(99):
             hist.record(1e-3)
         hist.record(1e-1)
         base = 10.0 ** (1.0 / 16.0)
         mid_1ms = 1e-9 * base**96 * math.sqrt(base)
-        mid_100ms = 1e-9 * base**128 * math.sqrt(base)
-        assert hist.percentile(0.50) == pytest.approx(mid_1ms)
-        assert hist.percentile(0.99) == pytest.approx(mid_1ms)
-        assert hist.percentile(0.995) == pytest.approx(mid_100ms)
+        assert hist.percentile(50) == pytest.approx(mid_1ms)
+        assert hist.percentile(99) == pytest.approx(mid_1ms)
+        # The 100 ms bin's midpoint lies above the max: it clamps.
+        assert 1e-9 * base**128 * math.sqrt(base) > 1e-1
+        assert hist.percentile(99.5) == 1e-1
+        assert hist.percentile(100) == 1e-1
         # Bin resolution is ~15%; midpoints stay within that of truth.
-        assert abs(hist.percentile(0.50) - 1e-3) / 1e-3 < 0.15
-        assert abs(hist.percentile(1.0) - 1e-1) / 1e-1 < 0.15
-        assert hist.max == 1e-1
+        assert abs(hist.percentile(50) - 1e-3) / 1e-3 < 0.15
+        assert hist.maximum == 1e-1
         assert hist.mean == pytest.approx((99 * 1e-3 + 1e-1) / 100)
 
     def test_zeros_bucket(self):
-        hist = LatencyHistogram()
+        hist = Histogram()
         for _ in range(9):
             hist.record(0.0)
         hist.record(2e-6)
-        assert hist.percentile(0.50) == 0.0
-        assert hist.percentile(0.90) == 0.0
-        assert hist.percentile(0.95) > 0.0
-        assert hist.min == 0.0
+        assert hist.percentile(50) == 0.0
+        assert hist.percentile(90) == 0.0
+        assert 0.0 < hist.percentile(95) <= 2e-6
+        assert hist.minimum == 0.0
+        assert hist.zeros == 9
 
     def test_merge_equals_union(self):
-        a, b, union = LatencyHistogram(), LatencyHistogram(), LatencyHistogram()
+        a, b, union = Histogram(), Histogram(), Histogram()
         xs = [1e-6, 5e-5, 0.0, 3e-3, 1e-2]
         ys = [2e-6, 0.0, 7e-4, 8e-1]
         for x in xs:
@@ -91,16 +98,18 @@ class TestLatencyHistogram:
             b.record(y)
             union.record(y)
         a.merge(b)
-        assert a.summary() == union.summary()
+        assert a.bins == union.bins
+        assert a.summary() == pytest.approx(union.summary())
 
     def test_determinism_under_permutation(self):
         xs = [1e-6, 5e-5, 3e-3, 1e-2, 2e-6, 7e-4, 8e-1] * 3
-        a, b = LatencyHistogram(), LatencyHistogram()
+        a, b = Histogram(), Histogram()
         for x in xs:
             a.record(x)
         for x in reversed(xs):
             b.record(x)
-        assert a.summary() == b.summary()
+        assert a.bins == b.bins
+        assert a.summary() == pytest.approx(b.summary())
 
 
 class TestTimeline:
@@ -195,7 +204,7 @@ class TestTraceAnalysis:
         # copied bytes per logical store byte: 4096 / 16384.
         assert gc["cleaning_overhead"] == pytest.approx(0.25)
         assert gc["pause"]["count"] == 1
-        assert gc["pause"]["max_s"] == pytest.approx(1.2e-2)
+        assert gc["pause"]["max"] == pytest.approx(1.2e-2)
         assert gc["timeline"] == [[4.0, 65536.0]]
 
     def test_golden_engine(self):
@@ -365,3 +374,28 @@ class TestDiffs:
         assert derived["writebuffer_flushed_bytes"] == pytest.approx(
             hub.counter_value("writebuffer", "flushed_bytes")
         )
+
+
+# ----------------------------------------------------------------------
+# Live metrics and trace analytics agree.
+# ----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "org", [Organization.SOLID_STATE, Organization.FLASH_DISK], ids=lambda o: o.value
+)
+def test_hub_and_analyze_report_the_same_read_latency(org, tmp_path):
+    """The MetricsHub's flashstore read histogram and ``analyze``'s
+    ``flash-data.read`` histogram see the same latencies, so they must
+    report the same count, extremes and percentiles exactly."""
+    with runtime.tracing(Tracer()) as tracer:
+        machine = MobileComputer(SystemConfig(organization=org, seed=42))
+        machine.run_workload("office", seed=42, duration_s=60.0)
+    assert tracer.dropped == 0
+    path = str(tmp_path / "trace.jsonl")
+    tracer.to_jsonl(path)
+    traced = analyze_trace(path).summary()["ops"]["flash-data.read"]["latency"]
+    live = machine.hub.snapshot()["components"]["flashstore"]["histograms"]["read_latency"]
+    assert live["count"] > 0
+    for key in ("count", "min", "max", "p50", "p95", "p99"):
+        assert live[key] == traced[key], key
