@@ -186,19 +186,17 @@ class MobileComputer:
 
         # --- Observability. ----------------------------------------------
         self.hub = MetricsHub()
-        self.tracer = None
         self._register_observability()
-        # The CLI installs a process-wide tracer before building machines
-        # (experiment drivers construct them internally, so a tracer
-        # argument cannot be threaded through every call chain).
-        active = obs_runtime.get_tracer()
-        if active is not None:
-            self.attach_tracer(active)
+        # Every component built above took the tracer active now (see
+        # repro.obs.runtime); the machine keeps it for its lifecycle
+        # markers and to rebuild inside the same scope on reboot.
+        self.tracer = obs_runtime.get_tracer()
+        if self.tracer is not None:
             # Machine-lifecycle marker: monitors key per-machine state
             # (buffered-byte conservation, read-only latches) off these
             # so one trace spanning a sweep of machines checks each
             # machine independently.
-            active.emit(
+            self.tracer.emit(
                 "machine", "build", self.clock.now,
                 detail={"organization": config.organization.value},
             )
@@ -304,23 +302,6 @@ class MobileComputer:
             hub.register_device(self.disk)
         hub.register_device(self.program_flash)
 
-    def attach_tracer(self, tracer) -> None:
-        """Point every traced component at ``tracer`` (None detaches)."""
-        self.tracer = tracer
-        self.engine.tracer = tracer
-        self.dram.tracer = tracer
-        if self.flash is not None:
-            self.flash.tracer = tracer
-        if self.disk is not None:
-            self.disk.tracer = tracer
-        self.program_flash.tracer = tracer
-        if self.store is not None:
-            self.store.tracer = tracer
-        if self.manager is not None:
-            self.manager.tracer = tracer
-            self.manager.buffer.tracer = tracer
-        self.vm.tracer = tracer
-
     # ------------------------------------------------------------------
     # Programs (experiment E6).
     # ------------------------------------------------------------------
@@ -419,22 +400,23 @@ class MobileComputer:
         # Processes and their frames did not survive; rebuild the VM.
         self._resident.clear()
         self.tlb.flush()
-        if org is Organization.SOLID_STATE:
-            swap, report = self._build_memory_fs(recover=True)
-            self._build_vm(swap)
-            self.mmap = MmapManager(self.vm, self.flash_region, self.store)
-        else:
-            # Conventional organizations: remount from the device.
-            assert self.cache is not None
-            report = None
-            self._build_vm(self.swap)
-            self.fs = ConventionalFileSystem(self.cache)
+        # Rebuild inside the machine's own tracer scope, so the new
+        # components trace exactly where the ones they replace did.
+        with obs_runtime.tracing(self.tracer):
+            if org is Organization.SOLID_STATE:
+                swap, report = self._build_memory_fs(recover=True)
+                self._build_vm(swap)
+                self.mmap = MmapManager(self.vm, self.flash_region, self.store)
+            else:
+                # Conventional organizations: remount from the device.
+                assert self.cache is not None
+                report = None
+                self._build_vm(self.swap)
+                self.fs = ConventionalFileSystem(self.cache)
         self.stats.counter("reboots").add(1)
-        # Rebuilt components replaced their registries and lost their
-        # tracer pointers; re-wire observability over the new objects.
+        # Rebuilt components replaced their registries.
         self._register_observability()
         if self.tracer is not None:
-            self.attach_tracer(self.tracer)
             self.tracer.emit("machine", "reboot", self.clock.now)
         return report
 

@@ -28,6 +28,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 
 from repro.devices.errors import OutOfRangeError
+from repro.obs import runtime as obs_runtime
 
 
 @dataclass(frozen=True)
@@ -134,13 +135,9 @@ class StorageDevice(ABC):
         self.capacity_bytes = capacity_bytes
         self.stats = DeviceStats()
         self._idle = _IdleTracker(idle_power_watts)
-        # Optional repro.obs.Tracer; devices emit one trace record per
-        # operation when set.  Defaults to the process-wide tracer so
-        # directly-built devices (torture harness, benches) trace too;
-        # MobileComputer.attach_tracer may override it later.
-        from repro.obs import runtime as _obs_runtime
-
-        self.tracer = _obs_runtime.get_tracer()
+        # Optional repro.obs.Tracer (the one active at construction);
+        # devices emit one trace record per operation when set.
+        self.tracer = obs_runtime.get_tracer()
 
     def check_range(self, offset: int, nbytes: int) -> None:
         if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:

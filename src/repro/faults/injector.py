@@ -31,6 +31,7 @@ from typing import Dict, Optional, Set
 
 from repro.devices.errors import EraseFailedError, PowerCutError, ProgramFailedError
 from repro.devices.flash import FlashMemory
+from repro.obs import runtime as obs_runtime
 from repro.sim.rand import substream
 
 
@@ -84,12 +85,10 @@ class FaultInjector:
             "permanent_failures": 0,
             "power_cuts": 0,
         }
-        # Optional repro.obs.Tracer; every injected fault emits a
-        # "faults" trace record when set, so torture runs are analyzable
-        # with repro.obs.analyze.  Defaults to the process-wide tracer.
-        from repro.obs import runtime as _obs_runtime
-
-        self.tracer = _obs_runtime.get_tracer()
+        # Optional repro.obs.Tracer (the one active at construction);
+        # every injected fault emits a "faults" trace record when set,
+        # so torture runs are analyzable with repro.obs.analyze.
+        self.tracer = obs_runtime.get_tracer()
 
     def _emit(
         self,

@@ -34,6 +34,7 @@ from repro.mem.paging import (
 )
 from repro.mem.swap import SwapBackend
 from repro.mem.tlb import TLB
+from repro.obs import runtime as obs_runtime
 from repro.sim.sched import current_client
 from repro.sim.stats import StatRegistry
 
@@ -91,8 +92,9 @@ class VirtualMemory:
         self.tlb = tlb
         self.cpu = cpu
         self.stats = StatRegistry("vm")
-        # Optional repro.obs.Tracer; page faults emit trace records.
-        self.tracer = None
+        # Optional repro.obs.Tracer (the one active at construction);
+        # page faults emit trace records.
+        self.tracer = obs_runtime.get_tracer()
         self._spaces: Dict[int, AddressSpace] = {}
         self._next_asid = 1
         # Clock-algorithm queue of resident, evictable pages:

@@ -10,14 +10,14 @@ subsystem:
 - :mod:`repro.obs.hub` -- :class:`MetricsHub`, registering every
   component's :class:`~repro.sim.stats.StatRegistry` and device stats at
   machine-build time and rendering one merged JSON-able snapshot with
-  derived rates and delta-since-mark support.
+  derived rates.
 - :mod:`repro.obs.schema` -- the trace-record schema and a
   dependency-free JSONL validator (``make trace-smoke``).
 - :mod:`repro.obs.manifest` -- per-run manifests (config, seed, git
   rev, wall/sim time) written next to experiment output.
 - :mod:`repro.obs.runtime` -- the process-wide active tracer the CLI
-  scopes around an observed run and :class:`MobileComputer` picks up at
-  build time.
+  scopes around an observed run; every traced component takes it when
+  it is built.
 - :mod:`repro.obs.analyze` -- streaming trace analytics: per-op latency
   percentiles, GC pause timelines, per-bank write amplification, engine
   dispatch aggregation, and diffs against another trace or a record's

@@ -7,7 +7,7 @@ this hub existed those were islands: every experiment reached into the
 specific objects it knew about, and nothing could render the whole
 machine's accounting at once.  The hub registers them all at
 machine-build time and renders one JSON-able snapshot with derived
-rates, plus delta-since-mark support for measuring a phase of a run.
+rates.
 
 Registries are held by reference, so re-registering after a rebuild
 (e.g. :meth:`MobileComputer.reboot_after_power_loss` replacing the
@@ -40,8 +40,6 @@ class MetricsHub:
         self.name = name
         self._registries: Dict[str, StatRegistry] = {}
         self._devices: Dict[str, object] = {}
-        self._mark: Optional[Dict[str, float]] = None
-        self._mark_now: Optional[float] = None
 
     # ------------------------------------------------------------------
     # Registration (at machine-build time).
@@ -111,29 +109,6 @@ class MetricsHub:
             },
             "devices": devices,
         }
-
-    # ------------------------------------------------------------------
-    # Delta-since-mark.
-    # ------------------------------------------------------------------
-
-    def mark(self, now: Optional[float] = None) -> None:
-        """Remember the current numeric state for a later delta."""
-        self._mark = flatten_numeric(self.snapshot(now))
-        self._mark_now = now
-
-    def delta_since_mark(self, now: Optional[float] = None) -> Dict[str, float]:
-        """``{dotted.path: change}`` for every metric that moved since
-        :meth:`mark` (monotonic counters go up; gauges may go anywhere).
-        Raises if no mark was taken."""
-        if self._mark is None:
-            raise RuntimeError("delta_since_mark() called before mark()")
-        current = flatten_numeric(self.snapshot(now))
-        delta = {}
-        for path, value in current.items():
-            before = self._mark.get(path, 0.0)
-            if value != before:
-                delta[path] = value - before
-        return delta
 
     def top_counters(self, limit: int = 20) -> List[Tuple[str, float]]:
         """Largest component counters, for quick CLI summaries."""

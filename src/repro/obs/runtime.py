@@ -1,14 +1,24 @@
 """Process-wide active tracer.
 
-Experiment drivers build their machines internally, so the CLI cannot
-thread a tracer argument through every call chain.  Instead the CLI's
-one observed-run path (``repro.cli._observed``) scopes a fresh tracer
-with :func:`tracing`, and :class:`~repro.core.hierarchy.MobileComputer`
-picks it up at construction time, attaching it to every component it
-builds.  Code that constructs components directly can still pass or set
-tracers explicitly; this is only the default.  :func:`set_tracer` is
-the raw install/restore primitive under :func:`tracing`, kept for
-callers that cannot use a ``with`` block.
+One rule wires tracing: **a component traces into the tracer that was
+active when it was built.**  Every traced component (the engine,
+devices, flash store, write buffer, storage manager, virtual memory,
+fault injector, and :class:`~repro.core.hierarchy.MobileComputer`
+itself) reads :func:`get_tracer` once in its constructor and never
+changes it.  Experiment drivers build their machines internally, so
+the CLI cannot thread a tracer argument through every call chain;
+instead its one observed-run path (``repro.cli._observed``) scopes a
+tracer with :func:`tracing` around the whole run.  A machine rebooted
+after power loss rebuilds its components inside its own tracer's
+scope, so a reboot neither detaches a traced machine nor lets an
+untraced one pick up some other scope's tracer.
+
+The slot is process-wide rather than a constructor argument because
+the components some experiment drivers and the torture harness build
+outside any machine must trace too, and because the replay benchmark
+installs its tracer through :func:`set_tracer`, the raw install/restore
+primitive under :func:`tracing`, kept for callers that cannot use a
+``with`` block.
 
 The setting is per-process: a parallel experiment run's worker processes
 do not inherit it.  Instead each traced job scopes its *own* tracer in
@@ -42,11 +52,11 @@ def get_tracer() -> Optional[Tracer]:
 
 
 @contextmanager
-def tracing(tracer: Optional[Tracer] = None) -> Iterator[Tracer]:
-    """Scope a tracer: machines built inside the block trace into it."""
-    active = tracer if tracer is not None else Tracer()
-    previous = set_tracer(active)
+def tracing(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
+    """Scope ``tracer`` (None: untraced): components built inside the
+    block trace into it."""
+    previous = set_tracer(tracer)
     try:
-        yield active
+        yield tracer
     finally:
         set_tracer(previous)

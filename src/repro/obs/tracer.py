@@ -8,11 +8,12 @@ clock -- so two identically-seeded runs produce byte-identical streams.
 
 Design constraints:
 
-- **Low overhead when off.**  Components hold ``tracer = None`` by
-  default and guard every emit with ``if self.tracer is not None``; the
-  cost of disabled tracing is one attribute load per operation.  The
-  cost of tracing *on* (with the stock online monitors) is measured,
-  not assumed: replaybench reports it as ``obs.tracer_cost_frac``.
+- **Low overhead when off.**  Components take the tracer active when
+  they are built (:mod:`repro.obs.runtime`; None when untraced) and
+  guard every emit with ``if self.tracer is not None``; the cost of
+  disabled tracing is one attribute load per operation.  The cost of
+  tracing *on* (with the stock online monitors) is measured, not
+  assumed: replaybench reports it as ``obs.tracer_cost_frac``.
 - **Bounded memory when on.**  Events land in a ring buffer; when it
   fills, the oldest half is dropped in one slice (cheaper than a deque
   pop per append) and counted in ``dropped`` so truncation is never

@@ -21,6 +21,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional
 
+from repro.obs import runtime as obs_runtime
 from repro.sim.clock import SimClock
 
 
@@ -61,9 +62,10 @@ class Engine:
         self._seq = itertools.count()
         self._events_run = 0
         self._pending = 0
-        # Optional repro.obs.Tracer; when set, every executed event is
-        # emitted as an "engine" trace record.
-        self.tracer = None
+        # Optional repro.obs.Tracer (the one active at construction);
+        # when set, every executed event is emitted as an "engine" trace
+        # record.
+        self.tracer = obs_runtime.get_tracer()
 
     @property
     def events_run(self) -> int:

@@ -35,6 +35,7 @@ from typing import Dict, Hashable, List, Optional, Tuple
 from repro.devices.errors import EraseFailedError, ProgramFailedError
 from repro.devices.flash import FlashMemory
 from repro.faults.ecc import ECC_BYTES, ecc_check, ecc_encode
+from repro.obs import runtime as obs_runtime
 from repro.sim.clock import SimClock
 from repro.sim.sched import current_client
 from repro.sim.stats import StatRegistry
@@ -203,14 +204,10 @@ class FlashStore:
         self._seq = 0
         self.cleaning_stats = CleaningStats()
         self.stats = StatRegistry("flashstore")
-        # Optional repro.obs.Tracer; writes, GC activity (copies,
-        # cleans, retirements) and ECC outcomes emit trace records when
-        # set.  Defaults to the process-wide tracer so directly-built
-        # stores (torture harness, recovery) trace too;
-        # MobileComputer.attach_tracer may override it later.
-        from repro.obs import runtime as _obs_runtime
-
-        self.tracer = _obs_runtime.get_tracer()
+        # Optional repro.obs.Tracer (the one active at construction);
+        # writes, GC activity (copies, cleans, retirements) and ECC
+        # outcomes emit trace records when set.
+        self.tracer = obs_runtime.get_tracer()
         self._index: Dict[Hashable, Location] = {}
         # Pool name -> currently open sector (logging mode).
         self._open: Dict[str, Optional[int]] = {"write": None, "read_mostly": None}

@@ -21,6 +21,7 @@ from typing import Hashable, List, Optional
 
 from repro.devices.dram import DRAM
 from repro.devices.flash import FlashMemory
+from repro.obs import runtime as obs_runtime
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
 from repro.sim.sched import current_client
@@ -67,12 +68,9 @@ class StorageManager:
         self.dram = dram
         self.compressor = compressor
         self.stats = StatRegistry("storage-manager")
-        # Optional repro.obs.Tracer; read-only degradation transitions
-        # emit a trace record when set.  Defaults to the process-wide
-        # tracer; MobileComputer.attach_tracer may override it later.
-        from repro.obs import runtime as _obs_runtime
-
-        self.tracer = _obs_runtime.get_tracer()
+        # Optional repro.obs.Tracer (the one active at construction);
+        # read-only degradation transitions emit a trace record.
+        self.tracer = obs_runtime.get_tracer()
         self._flush_timer = None
         # Items popped from the buffer but not yet persisted: volatile
         # state a power failure loses alongside the buffer itself.

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Hashable, List, Optional
 
 from repro.devices.dram import DRAM
+from repro.obs import runtime as obs_runtime
 from repro.sim.clock import SimClock
 from repro.sim.sched import current_client
 from repro.sim.stats import StatRegistry
@@ -95,8 +96,8 @@ class WriteBuffer:
         self.age_limit_s = age_limit_s
         self.low_watermark = low_watermark
         self.stats = StatRegistry("writebuffer")
-        # Optional repro.obs.Tracer (attached by MobileComputer).
-        self.tracer = None
+        # Optional repro.obs.Tracer (the one active at construction).
+        self.tracer = obs_runtime.get_tracer()
         self._entries: "OrderedDict[Hashable, _Entry]" = OrderedDict()
         self._bytes = 0
 

@@ -160,7 +160,13 @@ class TestRuntime:
 
     def test_tracing_contextmanager(self):
         before = runtime.get_tracer()
-        with runtime.tracing() as tr:
+        tr = Tracer()
+        with runtime.tracing(tr) as scoped:
+            assert scoped is tr
+            assert runtime.get_tracer() is tr
+            with runtime.tracing(None) as untraced:
+                assert untraced is None
+                assert runtime.get_tracer() is None
             assert runtime.get_tracer() is tr
         assert runtime.get_tracer() is before
 
@@ -206,18 +212,6 @@ class TestMetricsHub:
         hub.register(fresh)
         assert hub.counter_value("comp", "ops") == 1
         assert hub.components().count("comp") == 1
-
-    def test_delta_since_mark(self):
-        hub, reg, _flash = self._hub()
-        hub.mark(now=2.0)
-        reg.counter("ops").add(7)
-        delta = hub.delta_since_mark(now=2.0)
-        assert delta["components.comp.counters.ops"] == 7
-
-    def test_delta_before_mark_raises(self):
-        hub = MetricsHub()
-        with pytest.raises(RuntimeError):
-            hub.delta_since_mark()
 
     def test_top_counters(self):
         hub, _reg, _flash = self._hub()
@@ -471,15 +465,11 @@ class TestAbsorptionConservation:
 
 
 def _traced_run(seed=0, duration=20.0):
-    tracer = Tracer()
-    previous = runtime.set_tracer(tracer)
-    try:
+    with runtime.tracing(Tracer()) as tracer:
         machine = MobileComputer(SystemConfig(
             organization=Organization.SOLID_STATE, seed=seed,
         ))
         machine.run_workload("office", duration_s=duration)
-    finally:
-        runtime.set_tracer(previous)
     return machine, tracer
 
 
@@ -534,6 +524,8 @@ class TestMachineObservability:
         assert machine.tracer is None
         assert machine.flash.tracer is None
         assert machine.engine.tracer is None
+        assert machine.manager.buffer.tracer is None
+        assert machine.vm.tracer is None
 
     def test_reboot_rewires_hub_and_tracer(self):
         machine, tracer = _traced_run(duration=10.0)

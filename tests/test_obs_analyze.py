@@ -347,19 +347,11 @@ class TestDiffs:
         # The trace-derived metrics must agree with the MetricsHub's own
         # counters for the same run -- the cross-link trace-diff --bench
         # relies on.
-        from repro.core.config import Organization, SystemConfig
-        from repro.core.hierarchy import MobileComputer
-        from repro.obs import Tracer, runtime
-
-        tracer = Tracer()
-        previous = runtime.set_tracer(tracer)
-        try:
+        with runtime.tracing(Tracer()) as tracer:
             machine = MobileComputer(
                 SystemConfig(organization=Organization.SOLID_STATE, seed=3)
             )
             machine.run_workload("office", duration_s=30.0)
-        finally:
-            runtime.set_tracer(previous)
         analysis = TraceAnalysis()
         for event in tracer.events():
             analysis.feed(event)

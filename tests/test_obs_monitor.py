@@ -218,8 +218,7 @@ class TestIntegration:
         tracer = Tracer(capacity=1 << 12)
         mset = MonitorSet(build_monitors())
         mset.attach(tracer)
-        previous = runtime.set_tracer(tracer)
-        try:
+        with runtime.tracing(tracer):
             machine = MobileComputer(SystemConfig(
                 organization=Organization.SOLID_STATE, seed=1,
             ))
@@ -227,10 +226,8 @@ class TestIntegration:
             machine.inject_battery_failure()
             machine.reboot_after_power_loss()
             machine.run_workload("office", duration_s=10.0)
-        finally:
-            runtime.set_tracer(previous)
-            mset.detach()
-            mset.finish()
+        mset.detach()
+        mset.finish()
         assert mset.monitors[0].events_seen > 1000
         assert mset.violations() == []
 
@@ -240,15 +237,12 @@ class TestIntegration:
         tracer = Tracer()
         mset = MonitorSet(build_monitors(["buffer-conservation"]))
         mset.attach(tracer)
-        previous = runtime.set_tracer(tracer)
-        try:
+        with runtime.tracing(tracer):
             machine = MobileComputer(SystemConfig(
                 organization=Organization.SOLID_STATE, seed=2,
             ))
             machine.run_workload("office", duration_s=10.0)
             tracer.emit("writebuffer", "flush", machine.clock.now,
                         10 ** 9, outcome="sync")
-        finally:
-            runtime.set_tracer(previous)
-            mset.detach()
+        mset.detach()
         assert mset.violation_count == 1
