@@ -12,8 +12,11 @@ stale and must be re-recorded with ``make work-record``
 
 The runs are fixed here, not configurable: the office trace on all five
 organizations, plus a database trace on ``flash_disk`` with flash small
-enough that the cleaner copies live data.  Wall-clock evidence lives in
-``replaybench/`` (paired median-of-N runs).
+enough that the cleaner copies live data, plus one traced office run on
+``solid_state`` with every stock online monitor attached, so the calls
+into ``repro.obs.*`` per op -- the host cost of tracing -- are pinned
+too.  Wall-clock evidence lives in ``replaybench/`` (paired median-of-N
+runs).
 """
 
 from __future__ import annotations
@@ -28,16 +31,23 @@ from typing import Dict, List, Sequence, Tuple
 from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
 from repro.devices.catalog import MB
+from repro.obs import Tracer, runtime
 from repro.obs.analyze import hub_metrics
+from repro.obs.monitor import MonitorSet, build_monitors
 from repro.sim.rand import RandomStream
 
 SEED = 1
 COUNTS_FILE = os.path.join("benchmarks", "work_counts.json")
 
-#: (run name, organization, workload, simulated seconds, flash bytes).
-RUNS: Tuple[Tuple[str, Organization, str, float, int], ...] = tuple(
-    (f"office/{org.value}", org, "office", 60.0, 16 * MB) for org in Organization
-) + (("database/flash_disk", Organization.FLASH_DISK, "database", 300.0, 10 * MB),)
+#: (run name, organization, workload, simulated seconds, flash bytes,
+#: traced).  A traced run builds and replays its machine under a Tracer
+#: with every stock online monitor attached.
+RUNS: Tuple[Tuple[str, Organization, str, float, int, bool], ...] = tuple(
+    (f"office/{org.value}", org, "office", 60.0, 16 * MB, False) for org in Organization
+) + (
+    ("database/flash_disk", Organization.FLASH_DISK, "database", 300.0, 10 * MB, False),
+    ("office/solid_state+monitors", Organization.SOLID_STATE, "office", 60.0, 16 * MB, True),
+)
 
 #: The run whose trace-comparable hub counters the file also records, so
 #: ``trace-diff --bench`` can check a trace of the same run against them
@@ -58,19 +68,29 @@ def _module_of(filename: str) -> str:
 def measure(runs: Sequence[str] = tuple(run[0] for run in RUNS)) -> dict:
     """Measure the named runs (all of :data:`RUNS` by default).
 
-    Each run's machine set-up and replay are profiled together.  The
-    Zipf CDF memo is process-global, so every run clears it first: a
-    warm memo would skip calls.
+    Each run's machine set-up and replay are profiled together; a
+    traced run's tracer and monitors are built and attached outside the
+    profile, so it counts only what tracing costs per event.  The Zipf
+    CDF memo is process-global, so every run clears it first: a warm
+    memo would skip calls.
     """
     record: dict = {"python": "%d.%d" % sys.version_info[:2], "records": {}, "calls": {}}
-    for name, org, workload, duration_s, flash_bytes in RUNS:
+    for name, org, workload, duration_s, flash_bytes, traced in RUNS:
         if name not in runs:
             continue
         RandomStream._zipf_cache.clear()
         config = SystemConfig(organization=org, flash_bytes=flash_bytes, seed=SEED)
+        tracer = Tracer() if traced else None
+        monitors = MonitorSet(build_monitors())
+        if tracer is not None:
+            monitors.attach(tracer)
         profiler = cProfile.Profile(subcalls=False, builtins=False)
-        machine = profiler.runcall(MobileComputer, config)
-        report, _ = profiler.runcall(machine.run_workload, workload, duration_s=duration_s)
+        with runtime.tracing(tracer):
+            machine = profiler.runcall(MobileComputer, config)
+            report, _ = profiler.runcall(
+                machine.run_workload, workload, duration_s=duration_s
+            )
+        monitors.detach()
         calls: Dict[str, int] = {}
         for (filename, _line, _func), stat in pstats.Stats(profiler).stats.items():
             module = _module_of(filename)
