@@ -23,17 +23,21 @@ Monitors key their per-machine state off the ``machine build`` /
 spanning many sequentially-built machines (an experiment sweep) checks
 each machine independently.
 
-Monitors see the raw event *tuples* (``EVENT_FIELDS`` order) straight
-from ``Tracer.emit`` -- before any ring drop, so their view is complete
-even when the buffered trace is truncated.  A traced-and-monitored run
-therefore costs one extra callable per event; an unmonitored traced run
-costs one empty-list check.
+Each monitor declares the trace components its ``check`` reads
+(:attr:`Monitor.components`), and :class:`MonitorSet` subscribes its
+``observe`` to the tracer for exactly those components.  Monitors see
+the raw event *tuples* (``EVENT_FIELDS`` order) straight from
+``Tracer.emit`` -- before any ring drop, so their view is complete even
+when the buffered trace is truncated.  Every emit of a traced run costs
+one dict lookup on its component; an event some monitors read costs
+one ``observe`` plus one ``check`` call per such monitor, and an event
+none reads (every device record) costs nothing more.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Type
+from typing import Dict, List, Optional, Tuple, Type
 
 from repro.obs.tracer import Tracer
 
@@ -64,10 +68,14 @@ class Monitor:
 
     #: Registry name (:func:`build_monitors` key); subclasses override.
     name = "monitor"
+    #: The trace components ``check`` reads; the tracer routes only
+    #: their events here.  Subclasses override.
+    components: Tuple[str, ...] = ()
     #: Stop recording (but keep counting) beyond this many violations.
     max_violations = 100
 
     def __init__(self) -> None:
+        #: Events routed to this monitor (those of its ``components``).
         self.events_seen = 0
         self.violation_count = 0
         self.violations: List[Violation] = []
@@ -113,6 +121,7 @@ class BufferConservationMonitor(Monitor):
     """
 
     name = "buffer-conservation"
+    components = ("machine", "writebuffer")
 
     def __init__(self) -> None:
         super().__init__()
@@ -170,6 +179,7 @@ class BufferAgeBoundMonitor(Monitor):
     """
 
     name = "buffer-age-bound"
+    components = ("writebuffer",)
 
     def __init__(self, slack_s: float = 600.0) -> None:
         super().__init__()
@@ -204,6 +214,7 @@ class QueueDepthBoundMonitor(Monitor):
     """Engine pending-event depth must stay under a sanity bound."""
 
     name = "engine-queue-depth"
+    components = ("engine",)
 
     def __init__(self, bound: int = 100_000) -> None:
         super().__init__()
@@ -237,6 +248,7 @@ class ReadOnlyTransitionMonitor(Monitor):
     """
 
     name = "read-only-transition"
+    components = ("machine", "storage-manager", "writebuffer")
 
     def __init__(self) -> None:
         super().__init__()
@@ -294,24 +306,42 @@ def build_monitors(names: Optional[List[str]] = None) -> List[Monitor]:
 
 
 class MonitorSet:
-    """Fan one tracer subscription out to a set of monitors."""
+    """Subscribe a set of monitors to one tracer, each for its own
+    components, and report on them together."""
 
     def __init__(self, monitors: List[Monitor]) -> None:
         self.monitors = monitors
         self._tracer: Optional[Tracer] = None
+        self._emitted_at_attach = 0
+        self._events_observed = 0
 
     def observe(self, record: tuple) -> None:
+        """Feed one event by hand, routed as an attached tracer would."""
+        self._events_observed += 1
         for monitor in self.monitors:
-            monitor.observe(record)
+            if record[1] in monitor.components:
+                monitor.observe(record)
 
     def attach(self, tracer: Tracer) -> None:
         self._tracer = tracer
-        tracer.subscribe(self.observe)
+        self._emitted_at_attach = tracer.emitted
+        for monitor in self.monitors:
+            tracer.subscribe(monitor.observe, monitor.components)
 
     def detach(self) -> None:
         if self._tracer is not None:
-            self._tracer.unsubscribe(self.observe)
+            self._events_observed = self.events_observed
+            for monitor in self.monitors:
+                self._tracer.unsubscribe(monitor.observe)
             self._tracer = None
+
+    @property
+    def events_observed(self) -> int:
+        """Events in the whole stream while attached (plus any fed by
+        hand), whether or not a monitor read them."""
+        if self._tracer is None:
+            return self._events_observed
+        return self._events_observed + self._tracer.emitted - self._emitted_at_attach
 
     def finish(self) -> None:
         for monitor in self.monitors:
@@ -344,10 +374,9 @@ class MonitorSet:
     def render(self) -> str:
         names = ", ".join(m.name for m in self.monitors)
         if not self.violation_count:
-            events = self.monitors[0].events_seen if self.monitors else 0
             return (
                 f"monitors ok: {len(self.monitors)} monitor(s) [{names}] "
-                f"observed {events} event(s), 0 violations"
+                f"observed {self.events_observed} event(s), 0 violations"
             )
         lines = [
             f"MONITOR VIOLATIONS: {self.violation_count} across "

@@ -28,9 +28,13 @@ of :func:`merge_shards_to_jsonl` (canonical order) and
 per component).
 
 Live consumers (the online invariant monitors in
-:mod:`repro.obs.monitor`) :meth:`~Tracer.subscribe` a callable and see
-every event as it is emitted -- including events the ring later drops,
-so a monitor's view is never truncated.
+:mod:`repro.obs.monitor`) :meth:`~Tracer.subscribe` a callable for the
+components they read and see each of those components' events as it is
+emitted -- including events the ring later drops, so a monitor's view
+is never truncated.  The tracer routes by component: an emit costs one
+dict lookup plus one call per observer subscribed to that component,
+and events no observer reads (most device records) cost only the
+lookup.
 
 **Sharding.**  Every traced CLI run writes one *shard* file per job
 (:func:`shard_filename`) -- a serial run is one job with one shard --
@@ -53,6 +57,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 EVENT_FIELDS = ("t", "component", "op", "bytes", "latency_s", "outcome", "detail")
 
 _EventTuple = Tuple[float, str, str, int, float, str, Optional[dict]]
+_Observer = Callable[[_EventTuple], None]
 
 
 class Tracer:
@@ -63,11 +68,10 @@ class Tracer:
             raise ValueError("tracer capacity must be at least 2")
         self.capacity = capacity
         self._events: List[_EventTuple] = []
-        #: Total events ever emitted (including ones the ring dropped).
-        self.emitted = 0
         #: Events discarded because the ring buffer filled.
         self.dropped = 0
-        self._observers: List[Callable[[_EventTuple], None]] = []
+        #: component -> the observers subscribed to it, in subscription order.
+        self._routes: Dict[str, Tuple[_Observer, ...]] = {}
 
     def emit(
         self,
@@ -79,8 +83,8 @@ class Tracer:
         outcome: str = "ok",
         detail: Optional[dict] = None,
     ) -> None:
-        """Record one event.  Hot path: appends a tuple, no dict churn."""
-        self.emitted += 1
+        """Record one event.  Hot path: appends a tuple, then calls only
+        the observers subscribed to ``component``."""
         events = self._events
         if len(events) >= self.capacity:
             drop = self.capacity // 2
@@ -88,26 +92,39 @@ class Tracer:
             self.dropped += drop
         record = (t, component, op, nbytes, latency_s, outcome, detail)
         events.append(record)
-        if self._observers:
-            for observer in self._observers:
+        observers = self._routes.get(component)
+        if observers is not None:
+            for observer in observers:
                 observer(record)
 
-    def subscribe(self, observer: Callable[[_EventTuple], None]) -> None:
-        """Call ``observer(record)`` on every future emit (before any
-        ring drop, so live consumers see the full stream)."""
-        if observer not in self._observers:
-            self._observers.append(observer)
+    @property
+    def emitted(self) -> int:
+        """Total events ever emitted (including ones the ring dropped)."""
+        return self.dropped + len(self._events)
 
-    def unsubscribe(self, observer: Callable[[_EventTuple], None]) -> None:
-        if observer in self._observers:
-            self._observers.remove(observer)
+    def subscribe(self, observer: _Observer, components: Iterable[str]) -> None:
+        """Call ``observer(record)`` on every future emit from one of
+        ``components`` (before any ring drop, so live consumers see the
+        full stream of what they read)."""
+        for component in components:
+            observers = self._routes.get(component, ())
+            if observer not in observers:
+                self._routes[component] = observers + (observer,)
+
+    def unsubscribe(self, observer: _Observer) -> None:
+        """Stop calling ``observer`` for every component."""
+        for component, observers in list(self._routes.items()):
+            kept = tuple(o for o in observers if o != observer)
+            if kept:
+                self._routes[component] = kept
+            else:
+                del self._routes[component]
 
     def __len__(self) -> int:
         return len(self._events)
 
     def clear(self) -> None:
         self._events.clear()
-        self.emitted = 0
         self.dropped = 0
 
     # ------------------------------------------------------------------
@@ -230,7 +247,9 @@ def jsonl_to_chrome(jsonl_path: str, chrome_path: str, dropped: int = 0) -> int:
         "displayTimeUnit": "ms",
         "otherData": {"dropped_events": dropped},
     }
+    # One json.dumps call runs the C encoder; json.dump streams through
+    # the pure-Python one.  Both write the same bytes.
     with open(chrome_path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
+        fh.write(json.dumps(doc))
         fh.write("\n")
     return len(out)

@@ -246,3 +246,194 @@ class TestIntegration:
                         10 ** 9, outcome="sync")
         mset.detach()
         assert mset.violation_count == 1
+
+
+#: Every component a real traced run emits (devices under their machine
+#: names), so routing is checked on the stream the monitors really see.
+STREAM_COMPONENTS = (
+    "machine", "writebuffer", "engine", "storage-manager", "dram", "disk",
+    "flash-data", "fs-checkpoint", "flash-programs", "flashstore", "vm",
+    "faults",
+)
+
+_DEVICE_OPS = {
+    "dram": ("charge_read", "charge_write"),
+    "disk": ("read", "write"),
+    "flash-data": ("read", "program", "erase"),
+    "fs-checkpoint": ("read", "program", "erase"),
+    "flash-programs": ("read", "program"),
+    "flashstore": ("write", "gc_copy", "gc_clean", "ecc", "retire"),
+    "vm": ("page_fault",),
+    "faults": ("power_cut", "bit_flip"),
+}
+
+
+def _writebuffer_event(rng, t, buffered):
+    """One healthy write-buffer event; returns it and the new buffered
+    byte count."""
+    op = rng.choice(("put", "put", "put", "flush", "drop", "restore"))
+    detail = None
+    if op == "put":
+        nbytes = rng.randrange(1, 8192)
+        outcome = rng.choice(("buffered", "overwrite", "writethrough"))
+        if outcome == "overwrite":
+            prev = rng.randrange(0, min(buffered, nbytes) + 1)
+            detail = {"prev": prev}
+            buffered -= prev
+        if outcome != "writethrough":
+            buffered += nbytes
+    elif op == "restore":
+        nbytes, outcome = rng.randrange(1, 4096), "ok"
+        buffered += nbytes
+    elif op == "drop":
+        nbytes, outcome = rng.randrange(0, buffered + 1), "died"
+        buffered -= nbytes
+    else:
+        nbytes = rng.randrange(0, buffered + 1)
+        buffered -= nbytes
+        outcome = rng.choice(("age", "sync", "watermark"))
+        age = 30.0 + rng.uniform(0.0, 60.0) if outcome == "age" else rng.uniform(0.0, 30.0)
+        detail = {"age_s": age, "limit_s": 30.0}
+    return (t, "writebuffer", op, nbytes, 0.0, outcome, detail), buffered
+
+
+#: Corruptions planted into the stream, keyed by the step they follow.
+_PLANTED = {
+    500: [("machine", "reboot", 0, "ok", None),
+          ("writebuffer", "flush", 4096, "sync",  # nothing is buffered
+           {"age_s": 1.0, "limit_s": 30.0})],
+    1000: [("writebuffer", "power_loss", 7, "lost", None)],  # byte mismatch
+    1500: [("writebuffer", "flush", 64, "age",  # under-age age flush
+            {"age_s": 3.0, "limit_s": 30.0})],
+    2000: [("engine", "event", 0, "ok", {"pending": 200_000})],  # over bound
+    2500: [("storage-manager", "read_only", 0, "degraded",
+            {"reason": "flash", "transition": 1}),
+           ("writebuffer", "put", 512, "buffered", None),  # put after read_only
+           ("storage-manager", "read_only", 0, "degraded",  # a second one
+            {"reason": "flash", "transition": 2})],
+    3000: [("machine", "reboot", 0, "ok", None)],
+}
+
+
+def _random_stream(seed, steps=4000):
+    """A seeded event stream over every component a real traced run
+    emits: healthy, apart from one planted corruption of each kind the
+    stock monitors catch."""
+    import random
+
+    rng = random.Random(seed)
+    t = 0.0
+    buffered = 0
+    stream = [(t, "machine", "build", 0, 0.0, "ok", None)]
+    kinds = ["writebuffer"] * 4 + ["engine", "power_loss"] + list(_DEVICE_OPS) * 3
+    for step in range(steps):
+        t += rng.expovariate(50.0)
+        for component, op, nbytes, outcome, detail in _PLANTED.get(step, ()):
+            stream.append((t, component, op, nbytes, 0.0, outcome, detail))
+            if component == "machine" or op == "power_loss":
+                buffered = 0
+            elif op == "put":
+                buffered += nbytes
+            elif op == "flush":  # the monitor resets a negative estimate
+                buffered = max(0, buffered - nbytes)
+        kind = rng.choice(kinds)
+        if kind == "writebuffer":
+            event, buffered = _writebuffer_event(rng, t, buffered)
+        elif kind == "engine":
+            event = (t, "engine", "event", 0, 0.0, "ok", {"pending": rng.randrange(500)})
+        elif kind == "power_loss":  # reports exactly what is buffered
+            event = (t, "writebuffer", "power_loss", buffered, 0.0, "lost", None)
+            buffered = 0
+        else:
+            event = (t, kind, rng.choice(_DEVICE_OPS[kind]), rng.randrange(65536),
+                     rng.uniform(0.0, 0.01), "ok", None)
+        stream.append(event)
+    return stream
+
+
+def _end_state(monitor):
+    return {key: getattr(monitor, key)
+            for key in ("buffered", "max_pending", "read_only_since")
+            if hasattr(monitor, key)}
+
+
+class TestRouting:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_routed_monitors_match_unrouted(self, seed):
+        stream = _random_stream(seed)
+        assert {event[1] for event in stream} == set(STREAM_COMPONENTS)
+
+        unrouted = build_monitors()
+        for monitor in unrouted:
+            _feed(monitor, stream)
+
+        tracer = Tracer(capacity=256)  # the ring drops; monitors must not
+        mset = MonitorSet(build_monitors())
+        mset.attach(tracer)
+        for t, component, op, nbytes, latency_s, outcome, detail in stream:
+            tracer.emit(component, op, t, nbytes, latency_s, outcome, detail)
+        mset.detach()
+        mset.finish()
+        assert tracer.dropped > 0
+        assert mset.events_observed == len(stream)
+
+        for plain, routed in zip(unrouted, mset.monitors):
+            assert routed.name == plain.name
+            assert routed.violations == plain.violations
+            assert routed.violation_count == plain.violation_count
+            assert _end_state(routed) == _end_state(plain)
+            assert routed.events_seen == sum(
+                1 for event in stream if event[1] in routed.components
+            )
+
+        # Every planted corruption is caught, and nothing else is: the
+        # read-only monitor flags every put until the next reboot.
+        kinds = {}
+        for v in mset.violations():
+            kind = (v.monitor, v.message.split(" ")[2])
+            kinds[kind] = kinds.get(kind, 0) + 1
+        puts = kinds.pop(("read-only-transition", "after"))
+        assert puts >= 1
+        assert kinds == {
+            ("buffer-conservation", "went"): 1,  # flush of nothing
+            ("buffer-conservation", "reported"): 1,  # power-loss mismatch
+            ("buffer-age-bound", "at"): 1,  # under-age age flush
+            ("engine-queue-depth", "depth"): 1,
+            ("read-only-transition", "counter"): 1,  # second read_only
+        }
+
+    def test_events_reach_only_subscribed_components(self):
+        tracer = Tracer()
+        seen_a, seen_b = [], []
+        tracer.subscribe(seen_a.append, ("engine", "machine"))
+        tracer.subscribe(seen_b.append, ("engine",))
+        tracer.subscribe(seen_b.append, ("engine",))  # no double delivery
+        for component in ("engine", "dram", "machine"):
+            tracer.emit(component, "x", 1.0)
+        assert [r[1] for r in seen_a] == ["engine", "machine"]
+        assert [r[1] for r in seen_b] == ["engine"]
+        tracer.unsubscribe(seen_a.append)
+        tracer.emit("machine", "x", 2.0)
+        assert len(seen_a) == 2
+        tracer.unsubscribe(seen_b.append)
+        assert tracer._routes == {}
+
+    def test_emitted_counts_dropped_and_buffered(self):
+        tracer = Tracer(capacity=4)
+        for i in range(11):
+            tracer.emit("dram", "charge_read", float(i))
+            assert tracer.emitted == i + 1 == tracer.dropped + len(tracer)
+
+    def test_render_counts_the_whole_stream(self):
+        tracer = Tracer()
+        tracer.emit("dram", "charge_read", 0.0)  # before attach: not counted
+        mset = MonitorSet(build_monitors(["engine-queue-depth"]))
+        mset.attach(tracer)
+        tracer.emit("engine", "event", 1.0, detail={"pending": 1})
+        for i in range(9):
+            tracer.emit("dram", "charge_read", 2.0 + i)
+        assert "observed 10 event(s)" in mset.render()
+        mset.detach()
+        tracer.emit("engine", "event", 20.0, detail={"pending": 1})
+        assert mset.monitors[0].events_seen == 1
+        assert "observed 10 event(s)" in mset.render()
