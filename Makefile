@@ -19,7 +19,9 @@ test:
 
 # Regenerate all 15 experiment tables (E1-E13, X1, X2) and fail if any
 # differs from the committed benchmarks/out/*.txt: a simplification must
-# leave every simulated number byte-identical.
+# leave every simulated number byte-identical.  The glob matches the one
+# harness, benchmarks/bench_experiments.py, which runs a case per
+# committed golden and fails on a golden with no driver.
 golden-check:
 	$(PY) -m pytest benchmarks/bench_*.py --benchmark-disable -q
 	git diff --exit-code -- 'benchmarks/out/*.txt'

@@ -1,47 +1,11 @@
-"""Shared helpers for the benchmark harness.
+"""Options and fixtures for the golden harness (``bench_experiments.py``).
 
-Each ``bench_eNN_*.py`` runs one experiment driver under
-pytest-benchmark and saves the rendered table to
-``benchmarks/out/ENN.txt`` so EXPERIMENTS.md can quote regenerated
-numbers.  Timings reported by pytest-benchmark measure the *driver*
-(host-side simulation cost); the experiment's scientific output is the
-table itself.
+Experiments run in quick mode unless ``--full-experiments`` is given.
 """
 
 from __future__ import annotations
 
-import os
-
 import pytest
-
-OUT_DIR = os.path.join(os.path.dirname(__file__), "out")
-
-
-@pytest.fixture(scope="session")
-def save_result():
-    os.makedirs(OUT_DIR, exist_ok=True)
-
-    def _save(result) -> None:
-        path = os.path.join(OUT_DIR, f"{result.experiment_id}.txt")
-        rendered = result.render()
-        extra_tables = []
-        headers = result.extras.get("failure_headers") or result.extras.get(
-            "workload_headers"
-        )
-        rows = result.extras.get("failure_rows") or result.extras.get("workload_rows")
-        if headers and rows:
-            from repro.analysis.report import format_table
-
-            extra_tables.append(format_table(headers, rows))
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(rendered + "\n")
-            for table in extra_tables:
-                fh.write("\n" + table + "\n")
-        print("\n" + rendered)
-        for table in extra_tables:
-            print(table)
-
-    return _save
 
 
 def pytest_addoption(parser):

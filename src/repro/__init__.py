@@ -5,7 +5,7 @@ The package simulates diskless mobile computers built from
 battery-backed DRAM and direct-mapped flash memory, together with the
 conventional disk-based organization the paper argues against, and
 regenerates every quantitative claim in the paper as an experiment
-(E1-E12; see DESIGN.md and EXPERIMENTS.md).
+(E1-E14, plus ablations X1 and X2; see DESIGN.md and EXPERIMENTS.md).
 
 Quickstart::
 
@@ -26,7 +26,7 @@ Subpackages:
 - :mod:`repro.power`    -- energy accounting
 - :mod:`repro.trends`   -- 1993 technology-trend extrapolation
 - :mod:`repro.core`     -- whole-machine assembly and metrics
-- :mod:`repro.analysis` -- experiment drivers E1-E12 and reporting
+- :mod:`repro.analysis` -- experiment drivers E1-E14, X1, X2 and reporting
 """
 
 from repro.core.config import Organization, SystemConfig

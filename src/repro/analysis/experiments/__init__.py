@@ -1,9 +1,9 @@
-"""Experiment drivers E1-E14.
+"""Experiment drivers E1-E14, X1 and X2.
 
 Each module exposes ``run(quick: bool = False, **kwargs) ->
-ExperimentResult``.  ``ALL_EXPERIMENTS`` maps experiment ids to drivers
-so the EXPERIMENTS.md regenerator and the benchmark harness stay in
-sync with DESIGN.md's index.
+ExperimentResult``.  ``ALL_EXPERIMENTS`` maps experiment ids to drivers;
+the CLI (``python -m repro experiments``) and the golden harness
+(``benchmarks/bench_experiments.py``) both look drivers up here.
 """
 
 from repro.analysis.experiments import (

@@ -93,7 +93,6 @@ def run(quick: bool = False) -> ExperimentResult:
         f"ordering holds: DRAM read {dram_row[1]:.4f} ms < flash read "
         f"{intel_row[1]:.4f} ms < disk read {kh_row[1]:.3f} ms"
     )
-    result.extras["rows_by_device"] = by_name
     return result
 
 

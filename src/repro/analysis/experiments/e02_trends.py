@@ -72,7 +72,4 @@ def run(quick: bool = False) -> ExperimentResult:
         "manufacturers' assumptions (paper relays 'by the year 1996'); the "
         f"conservative per-MB rates alone give {trends.flash_disk_cost_crossover():.1f}"
     )
-    result.extras["density_crossover"] = density_x
-    result.extras["cost_crossover"] = cost_x
-    result.extras["parity_year_40mb"] = parity
     return result

@@ -98,5 +98,4 @@ def run(
             f"{workload}: 1 MB buffer absorbs {reduction:.0%} of write traffic "
             "(paper claim for workstation traces: 40-50%)"
         )
-    result.extras["reduction_at_1mb"] = reduction_at_1mb
     return result

@@ -105,7 +105,4 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
         "memory-resident FS performs zero indirect-block reads and has no "
         "cache to miss -- those columns are structural, not tuning"
     )
-    result.extras["by_org"] = {
-        k: v["metrics"].snapshot() for k, v in by_org.items()
-    }
     return result

@@ -111,13 +111,4 @@ def run(quick: bool = False, file_pages: int = 64, touched_pages: int = 8) -> Ex
         f"COW promoted only {int(cow_faults)} pages and wrote {deferred:.0f} "
         "bytes to flash at write time (erase/write deferred to the buffer flush)"
     )
-    result.extras.update(
-        {
-            "mmap_frames": mmap_frames,
-            "copy_frames": copy_frames,
-            "cow_faults": cow_faults,
-            "map_latency_s": map_latency,
-            "copy_latency_s": copy_latency,
-        }
-    )
     return result

@@ -136,13 +136,9 @@ def run(quick: bool = False) -> ExperimentResult:
     )
     rows_wl = []
     outputs = _workload_comparison(rows_wl, quick)
-    result.extras["workload_rows"] = rows_wl
-    result.extras["workload_headers"] = [
-        "organization",
-        "launches",
-        "mean_launch_ms",
-        "dram_pages_per_launch",
-    ]
+    result.tables.append(
+        (["organization", "launches", "mean_launch_ms", "dram_pages_per_launch"], rows_wl)
+    )
     solid = outputs["solid_state"]
     disk = outputs["disk"]
     if solid.mean_launch_latency > 0:

@@ -130,5 +130,4 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
         f"erases (p99 {single['p99_ms']:.1f} ms); with a dedicated write bank "
         f"{part['stall_fraction']:.1%} stall (p99 {part['p99_ms']:.3f} ms)"
     )
-    result.extras["by_case"] = by_case
     return result

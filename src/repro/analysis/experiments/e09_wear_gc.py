@@ -132,5 +132,4 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     result.notes.append(
         "wear CoV drops monotonically: in-place >> log/none > dynamic > static"
     )
-    result.extras["by_case"] = by_case
     return result

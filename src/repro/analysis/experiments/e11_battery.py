@@ -122,13 +122,9 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
                 out["lost"] / 1024.0,
             ]
         )
-    result.extras["failure_headers"] = [
-        "policy",
-        "app_KB_written",
-        "avg_dirty_KB",
-        "KB_lost_at_failure",
-    ]
-    result.extras["failure_rows"] = failure_rows
+    result.tables.append(
+        (["policy", "app_KB_written", "avg_dirty_KB", "KB_lost_at_failure"], failure_rows)
+    )
     result.notes.append(
         "primary batteries hold an idle system's DRAM for weeks, the lithium "
         "backup for days-to-hours -- matching the paper's 'many days'/'many "
@@ -140,7 +136,6 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
         "bounds the loss, while flash contents always survive"
     )
     recovery = _recovery_case(duration, seed)
-    result.extras["recovery"] = recovery
     result.notes.append(
         f"full crash-recovery cycle: {recovery['files_after']} of "
         f"{recovery['files_before']} checkpointed files reconstructed from the "

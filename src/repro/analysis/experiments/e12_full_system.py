@@ -107,5 +107,4 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "slower on naive flash than with the paper's buffering+logging -- "
             "the medium alone is not the win, the OS policies are"
         )
-    result.extras["by_key"] = {f"{k[0]}/{k[1]}": v.snapshot() for k, v in by_key.items()}
     return result

@@ -93,11 +93,6 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     total_violations = sum(len(report.violations) for _, report in sweeps)
     flips = sweeps[2][1]
     fails = sweeps[3][1]
-    result.extras["total_cuts"] = total_cuts
-    result.extras["total_violations"] = total_violations
-    result.extras["violations"] = [
-        v for _, report in sweeps for v in report.violations
-    ]
     result.notes.append(
         f"{total_cuts} injected power cuts, every one recovered by summary "
         f"scan with {total_violations} invariant violations: acknowledged "

@@ -53,7 +53,7 @@ def run_one(org: Organization, clients: int, duration: float, seed: int) -> dict
         seed=seed,
     )
     machine = MobileComputer(config)
-    report, metrics = machine.run_workload(
+    report, _metrics = machine.run_workload(
         "office", duration_s=duration, clients=clients
     )
     elapsed = report.elapsed_sim_s or 1e-12
@@ -68,7 +68,7 @@ def run_one(org: Organization, clients: int, duration: float, seed: int) -> dict
         "p99_read_ms": read.get("p99", 0.0) * 1e3,
         "mean_write_ms": write.get("mean", 0.0) * 1e3,
         "p99_write_ms": write.get("p99", 0.0) * 1e3,
-        "dispatch_delay_s": metrics.extras.get("dispatch_delay_total_s", 0.0),
+        "dispatch_delay_s": report.dispatch_delay_total_s,
         "per_client_records": (
             {c: d["records"] for c, d in report.per_client.items()}
             if report.per_client
@@ -134,8 +134,4 @@ def run(
         f"disk x{_ratio(disk_hi, disk_lo):.1f} -- uniform fast access degrades "
         f"gracefully where the mechanical path amplifies contention (cf. E8)"
     )
-    result.extras["by_key"] = {
-        f"{org}:{clients}": out for (org, clients), out in by_key.items()
-    }
-    result.extras["client_counts"] = client_counts
     return result

@@ -86,5 +86,4 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "(with ~2:1-compressible payloads), at the cost of CPU time on "
             "flushes and read misses and of losing zero-copy mmap"
         )
-    result.extras["gains"] = gains
     return result

@@ -201,7 +201,7 @@ def _cmd_run(args) -> int:
     if clients > 1:
         rows.append(
             ("dispatch delay (total)",
-             f"{metrics.extras.get('dispatch_delay_total_s', 0.0):.2f} s")
+             f"{report.dispatch_delay_total_s:.2f} s")
         )
         for cid, stats in sorted(report.per_client.items()):
             rows.append(

@@ -10,7 +10,7 @@ several configs differing in one knob and compare the resulting
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.devices.catalog import (
@@ -73,7 +73,7 @@ class SystemConfig:
     # power failure can lose to roughly one interval of metadata churn.
     checkpoint_interval_s: float = 0.0
     # Compress blocks on the buffer-to-flash path (space-for-CPU trade;
-    # ablation benchmark bench_x01).
+    # the compression ablation, experiment X1).
     compress_flash: bool = False
 
     # Conventional organization.
@@ -120,10 +120,6 @@ class SystemConfig:
     def vm_frame_bytes(self) -> int:
         """DRAM left for page frames after buffers and reserve."""
         return self.dram_bytes - self._dram_consumers() - self.vm_reserved_bytes
-
-    def with_changes(self, **kwargs) -> "SystemConfig":
-        """A modified copy (configs are frozen)."""
-        return replace(self, **kwargs)
 
     def storage_budget_dollars(self) -> float:
         """What this machine's storage complement costs (paper Section 4)."""

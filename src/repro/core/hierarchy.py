@@ -469,7 +469,7 @@ class MobileComputer:
                 for i in range(clients)
             ]
         report = self.run_streams(streams, sync_at_end=sync_at_end)
-        return report, self.collect_metrics(report, workload, clients=clients)
+        return report, self.collect_metrics(report, workload)
 
     def run_streams(self, streams, sync_at_end: bool = True) -> ReplayReport:
         """Replay one or more client streams via the kernel request path."""
@@ -484,9 +484,7 @@ class MobileComputer:
     # Metrics.
     # ------------------------------------------------------------------
 
-    def collect_metrics(
-        self, report: ReplayReport, workload: str, clients: int = 1
-    ) -> RunMetrics:
+    def collect_metrics(self, report: ReplayReport, workload: str) -> RunMetrics:
         now = self.clock.now
         self.power.settle(now)
         m = RunMetrics(
@@ -533,20 +531,6 @@ class MobileComputer:
             m.launches = int(launches)
             m.mean_launch_latency = self.stats.histogram("launch_latency").mean
             m.launch_dram_pages = int(self.stats.histogram("launch_dram_pages").mean)
-        if clients > 1:
-            # Contention metrics only exist under concurrency; single-
-            # client snapshots stay byte-identical to the seed output.
-            m.extras["clients"] = clients
-            m.extras["p99_read_latency"] = report.op_latency.get("read", {}).get("p99", 0.0)
-            m.extras["p99_write_latency"] = report.op_latency.get("write", {}).get("p99", 0.0)
-            if report.scheduler is not None:
-                procs = report.scheduler["processes"]
-                m.extras["dispatch_delay_total_s"] = sum(
-                    p["dispatch_delay_total_s"] for p in procs
-                )
-                m.extras["dispatch_delay_max_s"] = max(
-                    p["dispatch_delay_max_s"] for p in procs
-                )
         return m
 
     def snapshot(self) -> dict:

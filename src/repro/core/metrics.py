@@ -58,8 +58,6 @@ class RunMetrics:
     mean_launch_latency: float = 0.0
     launch_dram_pages: int = 0
 
-    extras: Dict[str, object] = field(default_factory=dict)
-
     def snapshot(self) -> dict:
         out = {
             "organization": self.organization,
@@ -90,5 +88,4 @@ class RunMetrics:
         }
         if self.lifetime is not None:
             out["lifetime"] = self.lifetime.snapshot()
-        out.update(self.extras)
         return out

@@ -179,18 +179,3 @@ class MmapManager:
 
     def live_mappings(self) -> int:
         return len(self._mappings)
-
-    def dram_copies_avoided(self) -> int:
-        """Pages currently served straight from flash across mappings."""
-        avoided = 0
-        for mapping in self._mappings:
-            for i in range(mapping.npages):
-                entry = mapping.page_entry(i)
-                if (
-                    entry is not None
-                    and entry.present
-                    and entry.phys_addr is not None
-                    and not self.vm.frames.contains(entry.phys_addr)
-                ):
-                    avoided += 1
-        return avoided

@@ -68,9 +68,6 @@ class PageTable:
     def entries(self) -> List[PageTableEntry]:
         return list(self._entries.values())
 
-    def resident_entries(self) -> List[PageTableEntry]:
-        return [e for e in self._entries.values() if e.present]
-
     def __len__(self) -> int:
         return len(self._entries)
 

@@ -139,15 +139,6 @@ class Tracer:
                 del out["detail"]
             yield out
 
-    def component_totals(self) -> Dict[str, Dict[str, int]]:
-        """``{component: {op: count}}`` over buffered events."""
-        totals: Dict[str, Dict[str, int]] = {}
-        for _t, component, op, _n, _lat, _out, _detail in self._events:
-            totals.setdefault(component, {})[op] = (
-                totals.get(component, {}).get(op, 0) + 1
-            )
-        return totals
-
     # ------------------------------------------------------------------
     # Sink.
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ extension to the storage manager:
 - 1993-realistic CPU costs are charged against the simulated clock: a
   386/25-class laptop compressed at single-digit MB/s.
 
-Trade-offs the ablation benchmark (``benchmarks/bench_x01``) measures:
+Trade-offs the compression ablation (experiment X1) measures:
 less flash traffic and more effective capacity, bought with CPU time on
 every flush and read miss.  Compressed blocks also cannot be
 memory-mapped in place (their flash bytes are not the file bytes) --

@@ -107,14 +107,3 @@ def static_rotation_victim(
     if allocator.flash.sector_erase_count(victim.index) > min(counts) + gap_threshold // 2:
         return None
     return victim.index
-
-
-def wear_report(allocator: SectorAllocator) -> dict:
-    """Wear statistics for experiment output."""
-    flash = allocator.flash
-    summary = flash.wear_summary()
-    summary["wear_gap"] = wear_gap(allocator)
-    summary["sealed_sectors"] = sum(
-        1 for s in allocator.sectors if s.state is SectorState.SEALED
-    )
-    return summary

@@ -68,7 +68,7 @@ def payload_for(path: str, offset: int, nbytes: int) -> bytes:
     with LZ-class compressors.  Half of each payload is a repeating
     pattern (highly compressible), half is a seeded PRNG stream
     (incompressible), so zlib lands near that 2:1 ratio -- which keeps
-    the compression ablation (bench_x01) honest.
+    the compression ablation (X1) honest.
 
     Generation is batched: the pattern half repeats a 64-byte unit
     sliced from a fixed byte ramp, and the random half comes from one
@@ -109,6 +109,13 @@ class ReplayReport:
         if self.trace_duration_s <= 0:
             return 0.0
         return self.elapsed_sim_s / self.trace_duration_s
+
+    @property
+    def dispatch_delay_total_s(self) -> float:
+        """Scheduler dispatch delay summed over all clients (0.0 for one)."""
+        if self.scheduler is None:
+            return 0.0
+        return sum(p["dispatch_delay_total_s"] for p in self.scheduler["processes"])
 
     def snapshot(self) -> dict:
         out = {

@@ -75,6 +75,20 @@ class TestExperimentResult:
         assert "[EX] test" in out
         assert "note: something important" in out
 
+    def test_render_prints_further_tables_after_notes(self):
+        result = ExperimentResult(
+            "EX", "t", ["a"], [[1]], notes=["n"],
+            tables=[(["b"], [[2]]), (["c"], [[3]])],
+        )
+        assert result.render() == "\n".join([
+            format_table(["a"], [[1]], title="[EX] t"),
+            "  note: n",
+            "",
+            format_table(["b"], [[2]]),
+            "",
+            format_table(["c"], [[3]]),
+        ])
+
     def test_row_dicts(self):
         result = ExperimentResult("EX", "t", ["a", "b"], [[1, 2], [3, 4]])
         assert result.row_dicts() == [{"a": 1, "b": 2}, {"a": 3, "b": 4}]

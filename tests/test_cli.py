@@ -8,6 +8,8 @@ import pytest
 
 from repro.cli import build_parser, main
 
+GOLDEN_DIR = os.path.join(os.path.dirname(__file__), "..", "benchmarks", "out")
+
 
 class TestParser:
     def test_requires_command(self):
@@ -54,6 +56,11 @@ class TestCommands:
         assert "write-traffic reduction" in out
         assert "solid_state" in out
 
+    def test_run_clients_prints_dispatch_delay(self, capsys):
+        rc = main(["run", "--clients", "2", "--duration", "5"])
+        assert rc == 0
+        assert "dispatch delay (total)" in capsys.readouterr().out
+
     def test_run_disk_org(self, capsys):
         rc = main(
             ["run", "--organization", "disk", "--workload", "pim", "--duration", "15"]
@@ -72,6 +79,13 @@ class TestCommands:
         rc = main(["experiments", "E1"])
         assert rc == 0
         assert "[E1]" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("eid", ["E1", "E2", "E5"])
+    def test_experiment_prints_golden(self, capsys, eid):
+        assert main(["experiments", eid]) == 0
+        golden = os.path.join(GOLDEN_DIR, f"{eid}.txt")
+        with open(golden, encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read() + "\n"
 
     def test_experiment_lowercase(self, capsys):
         assert main(["experiments", "e2"]) == 0

@@ -31,12 +31,6 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             config.validate()
 
-    def test_with_changes(self):
-        base = SystemConfig()
-        changed = base.with_changes(dram_bytes=8 * MB)
-        assert changed.dram_bytes == 8 * MB
-        assert base.dram_bytes != changed.dram_bytes
-
     def test_storage_budget(self):
         solid = SystemConfig(organization=Organization.SOLID_STATE)
         disk = SystemConfig(organization=Organization.DISK)

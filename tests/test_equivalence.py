@@ -106,7 +106,7 @@ def test_single_client_golden_equivalence(org):
     hub, trace, report = _single_client_run(org)
     assert _sha256(hub) == GOLDEN[org.value]["hub"]
     assert _sha256(trace) == GOLDEN[org.value]["trace"]
-    # Single-client reports carry no multi-client extras.
+    # Single-client reports carry no per-client or scheduler attribution.
     assert report.per_client == {}
     assert report.scheduler is None
 
@@ -136,6 +136,11 @@ def test_multi_client_totals_and_attribution():
         assert stats["records"] == expected
     assert report.scheduler is not None
     assert report.scheduler["steps_run"] == report.records
+    assert report.dispatch_delay_total_s == sum(
+        p["dispatch_delay_total_s"] for p in report.scheduler["processes"]
+    )
+    _hub, _trace, single = _single_client_run(Organization.SOLID_STATE)
+    assert single.dispatch_delay_total_s == 0.0
 
 
 @settings(max_examples=10, deadline=None)

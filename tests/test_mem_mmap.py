@@ -39,7 +39,6 @@ class TestZeroCopyMapping:
     def test_synced_file_maps_direct_no_dram(self, machine):
         _d, _h, _s, mapping = make_mapped_file(machine, sync=True)
         assert mapping.direct_pages == mapping.npages
-        assert machine.mmap.dram_copies_avoided() == mapping.npages
 
     def test_buffered_file_maps_by_reference(self, machine):
         data, _h, space, mapping = make_mapped_file(machine, sync=False)

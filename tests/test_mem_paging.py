@@ -32,13 +32,6 @@ class TestPageTable:
         with pytest.raises(KeyError):
             pt.remove(5)
 
-    def test_resident_entries(self):
-        pt = PageTable()
-        pt.insert(PageTableEntry(vpn=1, perms=Permissions.RW, present=True, phys_addr=0))
-        pt.insert(PageTableEntry(vpn=2, perms=Permissions.RW, present=False))
-        assert len(pt.resident_entries()) == 1
-        assert len(pt) == 2
-
 
 class TestPermissions:
     def test_flag_composition(self):

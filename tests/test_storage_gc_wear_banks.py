@@ -12,7 +12,6 @@ from repro.storage.wear import (
     choose_erased_sector,
     static_rotation_victim,
     wear_gap,
-    wear_report,
 )
 
 KB = 1024
@@ -116,10 +115,6 @@ class TestWearHelpers:
     def test_invalid_threshold(self, alloc):
         with pytest.raises(ValueError):
             static_rotation_victim(alloc, None, gap_threshold=0)
-
-    def test_wear_report_shape(self, alloc):
-        report = wear_report(alloc)
-        assert {"total_erases", "wear_gap", "sealed_sectors"} <= set(report)
 
 
 class TestBankPartition:
