@@ -23,6 +23,7 @@ tests verify integrity end-to-end.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -39,23 +40,34 @@ class _SectorState:
 
     erase_count: int = 0
     worn_out: bool = False
-    # Sorted, disjoint [start, end) byte intervals (sector-relative) that
-    # currently hold programmed data.
+    # Sorted, disjoint, non-adjacent [start, end) byte intervals
+    # (sector-relative) that currently hold programmed data.  Their ends
+    # increase with their starts, so both methods below find the only
+    # intervals that can matter by bisection: a log's appends (payload
+    # growing up from the front, summaries down from the tail) cost
+    # O(log n), not a scan and a re-sort of the whole list.
     programmed: List[Tuple[int, int]] = field(default_factory=list)
 
     def is_erased(self, start: int, end: int) -> bool:
-        return all(end <= lo or start >= hi for lo, hi in self.programmed)
+        """True when no programmed interval overlaps ``[start, end)``."""
+        programmed = self.programmed
+        # The last interval starting before ``end`` ends furthest right.
+        i = bisect_left(programmed, (end,))
+        return i == 0 or programmed[i - 1][1] <= start
 
     def mark_programmed(self, start: int, end: int) -> None:
-        intervals = self.programmed + [(start, end)]
-        intervals.sort()
-        merged: List[Tuple[int, int]] = []
-        for lo, hi in intervals:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        self.programmed = merged
+        """Insert ``[start, end)``, coalescing what it overlaps or touches."""
+        programmed = self.programmed
+        lo, hi = start, end
+        first = last = bisect_right(programmed, (start, end))
+        if first and start <= programmed[first - 1][1]:
+            first -= 1
+            lo = programmed[first][0]
+            hi = max(programmed[first][1], end)
+        while last < len(programmed) and programmed[last][0] <= hi:
+            hi = max(hi, programmed[last][1])
+            last += 1
+        programmed[first:last] = [(lo, hi)]
 
     def programmed_bytes(self) -> int:
         return sum(hi - lo for lo, hi in self.programmed)
@@ -263,8 +275,15 @@ class FlashMemory(StorageDevice):
     def program(self, offset: int, data: bytes, now: float) -> AccessResult:
         nbytes = len(data)
         self.check_range(offset, nbytes)
-        for sector, start, end in self._split_by_sector(offset, nbytes):
-            if not self._sectors[sector].is_erased(start, end):
+        sector, start = divmod(offset, self.sector_bytes)
+        if 0 < nbytes <= self.sector_bytes - start:
+            # Within one sector, as every log append is: no split walk.
+            spans = ((sector, start, start + nbytes),)
+        else:
+            spans = tuple(self._split_by_sector(offset, nbytes))
+        sectors = self._sectors
+        for sector, start, end in spans:
+            if not sectors[sector].is_erased(start, end):
                 raise WriteBeforeEraseError(self.name, offset, nbytes)
         if self.injector is not None:
             # May raise ProgramFailedError (transient/permanent) or cut
@@ -272,8 +291,8 @@ class FlashMemory(StorageDevice):
             self.injector.on_program(self, offset, data, now=now)
         result = self._account("program", offset, nbytes, now, write=True)
         self._data[offset : offset + nbytes] = data
-        for sector, start, end in self._split_by_sector(offset, nbytes):
-            self._sectors[sector].mark_programmed(start, end)
+        for sector, start, end in spans:
+            sectors[sector].mark_programmed(start, end)
         return result
 
     def erase_sector(self, sector: int, now: float) -> AccessResult:

@@ -4,18 +4,18 @@ Both file systems (memory-resident and conventional) implement
 :class:`FileSystem`, so trace replay, experiments, and examples are
 organization-agnostic.  Paths are Unix-style (``/dir/file``); each
 implementation times its operations whole-call against the owning
-machine's simulated clock through the shared :meth:`FileSystem._timed`
-wrapper.
+machine's simulated clock through the shared :attr:`FileSystem._timed`
+op boundary.
 """
 
 from __future__ import annotations
 
-import contextlib
+import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Iterator, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.sim.sched import current_client
+from repro.sim import sched
 
 
 class FSError(Exception):
@@ -69,12 +69,15 @@ def split_path(path: str) -> List[str]:
     """
     if not path or not path.startswith("/"):
         raise InvalidPathError(f"path must be absolute: {path!r}")
-    parts = [p for p in path.split("/") if p]
-    for part in parts:
+    parts = []
+    for part in path.split("/"):
+        if not part:
+            continue
         if part in (".", ".."):
             raise InvalidPathError(f"relative component in {path!r}")
         if len(part) > 59:
             raise InvalidPathError(f"component too long in {path!r}")
+        parts.append(part)
     return parts
 
 
@@ -211,17 +214,67 @@ class FileSystem(ABC):
         if data:
             self.write(path, 0, data)
 
-    @contextlib.contextmanager
-    def _timed(self, op: str) -> Iterator[None]:
-        """Count one ``op`` in ``self.stats`` and record its latency on ``self.clock``."""
-        start = self.clock.now
-        yield
-        elapsed = self.clock.now - start
-        self.stats.counter(f"{op}_ops").add(1)
-        self.stats.histogram(f"{op}_latency").record(elapsed)
-        client = current_client()
+    @functools.cached_property
+    def _timed(self) -> "_OpTimers":
+        """The op boundary: ``with self._timed["write"]:`` times one op.
+
+        On a normal exit (an early ``return`` included) the op counts
+        one ``<op>_ops`` in ``self.stats`` and records its elapsed
+        ``self.clock`` time in ``<op>_latency``; under the multi-client
+        scheduler it is also attributed to ``client<N>_<op>_ops`` and
+        ``client<N>_<op>_latency``.  An op that raises records nothing.
+        """
+        return _OpTimers(self)
+
+
+class _OpTimer:
+    """The op boundary of one (file system, op name) pair.
+
+    Its counter and histogram are looked up on the first op that
+    completes, so a snapshot never shows a metric no op has recorded.
+    One start slot suffices because a file system's ops never nest: no
+    op calls another timed op, and the scheduler runs each op to
+    completion before it resumes another client.
+    """
+
+    __slots__ = ("fs", "op", "start", "ops", "latency")
+
+    def __init__(self, fs: FileSystem, op: str) -> None:
+        self.fs = fs
+        self.op = op
+        self.start = 0.0
+        self.ops = None
+        self.latency = None
+
+    def __enter__(self) -> None:
+        self.start = self.fs.clock.now
+
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            return
+        fs = self.fs
+        elapsed = fs.clock.now - self.start
+        ops = self.ops
+        if ops is None:
+            ops = self.ops = fs.stats.counter(f"{self.op}_ops")
+            self.latency = fs.stats.histogram(f"{self.op}_latency")
+        ops.value += 1
+        self.latency.record(elapsed)
+        client = sched._current_client
         if client is not None:
             # Per-client attribution exists only under the multi-client
             # scheduler, so single-client snapshots are unchanged.
-            self.stats.counter(f"client{client}_{op}_ops").add(1)
-            self.stats.histogram(f"client{client}_{op}_latency").record(elapsed)
+            fs.stats.counter(f"client{client}_{self.op}_ops").add(1)
+            fs.stats.histogram(f"client{client}_{self.op}_latency").record(elapsed)
+
+
+class _OpTimers(dict):
+    """One file system's :class:`_OpTimer` per op name, made on first use."""
+
+    def __init__(self, fs: FileSystem) -> None:
+        super().__init__()
+        self.fs = fs
+
+    def __missing__(self, op: str) -> _OpTimer:
+        timer = self[op] = _OpTimer(self.fs, op)
+        return timer

@@ -632,7 +632,7 @@ class ConventionalFileSystem(FileSystem):
     # ------------------------------------------------------------------
 
     def create(self, path: str) -> None:
-        with self._timed("create"):
+        with self._timed["create"]:
             parent, name = self._resolve_parent(path)
             if self._dir_lookup(parent, name) is not None:
                 raise FileExistsFSError(path)
@@ -640,7 +640,7 @@ class ConventionalFileSystem(FileSystem):
             self._dir_add(parent, name, inode.ino)
 
     def mkdir(self, path: str) -> None:
-        with self._timed("mkdir"):
+        with self._timed["mkdir"]:
             parent, name = self._resolve_parent(path)
             if self._dir_lookup(parent, name) is not None:
                 raise FileExistsFSError(path)
@@ -648,7 +648,7 @@ class ConventionalFileSystem(FileSystem):
             self._dir_add(parent, name, inode.ino)
 
     def rmdir(self, path: str) -> None:
-        with self._timed("rmdir"):
+        with self._timed["rmdir"]:
             parent, name = self._resolve_parent(path)
             ino = self._dir_lookup(parent, name)
             if ino is None:
@@ -672,7 +672,7 @@ class ConventionalFileSystem(FileSystem):
         inode.size = 0
 
     def delete(self, path: str) -> None:
-        with self._timed("delete"):
+        with self._timed["delete"]:
             parent, name = self._resolve_parent(path)
             ino = self._dir_lookup(parent, name)
             if ino is None:
@@ -686,7 +686,7 @@ class ConventionalFileSystem(FileSystem):
             self._dir_remove(parent, name)
 
     def rename(self, old: str, new: str) -> None:
-        with self._timed("rename"):
+        with self._timed["rename"]:
             old_parent, old_name = self._resolve_parent(old)
             ino = self._dir_lookup(old_parent, old_name)
             if ino is None:
@@ -710,14 +710,14 @@ class ConventionalFileSystem(FileSystem):
             self._dir_add(new_parent, new_name, ino)
 
     def listdir(self, path: str) -> List[str]:
-        with self._timed("listdir"):
+        with self._timed["listdir"]:
             inode = self._resolve(split_path(path))
             if not inode.is_dir:
                 raise NotADirectoryFSError(path)
             return sorted(name for _b, _s, name, _i in self._dir_entries(inode))
 
     def stat(self, path: str) -> FileStat:
-        with self._timed("stat"):
+        with self._timed["stat"]:
             inode = self._resolve(split_path(path))
             nblocks = sum(1 for kind, _ in self._file_lbas(inode) if kind == "data")
             return FileStat(
@@ -740,7 +740,7 @@ class ConventionalFileSystem(FileSystem):
             raise InvalidPathError("negative offset")
         if not data:
             return 0
-        with self._timed("write"):
+        with self._timed["write"]:
             inode = self._resolve(split_path(path))
             if inode.is_dir:
                 raise IsADirectoryFSError(path)
@@ -767,7 +767,7 @@ class ConventionalFileSystem(FileSystem):
     def read(self, path: str, offset: int, nbytes: int) -> bytes:
         if offset < 0 or nbytes < 0:
             raise InvalidPathError("negative read range")
-        with self._timed("read"):
+        with self._timed["read"]:
             inode = self._resolve(split_path(path))
             if inode.is_dir:
                 raise IsADirectoryFSError(path)
@@ -793,7 +793,7 @@ class ConventionalFileSystem(FileSystem):
     def truncate(self, path: str, size: int) -> None:
         if size < 0:
             raise InvalidPathError("negative truncate size")
-        with self._timed("truncate"):
+        with self._timed["truncate"]:
             inode = self._resolve(split_path(path))
             if inode.is_dir:
                 raise IsADirectoryFSError(path)
@@ -837,7 +837,7 @@ class ConventionalFileSystem(FileSystem):
                 self._ptr_set(inner_lba, inner_idx, 0)
 
     def sync(self) -> None:
-        with self._timed("sync"):
+        with self._timed["sync"]:
             self.cache.flush()
 
     # ------------------------------------------------------------------

@@ -47,7 +47,7 @@ from repro.fs.api import (
     parent_and_name,
     split_path,
 )
-from repro.sim.stats import StatRegistry
+from repro.sim.stats import StatHandle, StatRegistry
 from repro.storage.allocator import Location
 from repro.storage.manager import StorageManager
 
@@ -101,7 +101,16 @@ class MemInode:
 
 
 class MemoryFileSystem(FileSystem):
-    """Paper-organization FS over a :class:`StorageManager`."""
+    """Paper-organization FS over a :class:`StorageManager`.
+
+    Metadata steps charge ``META_TOUCH_BYTES`` of DRAM per inode or
+    dirent touched (accounting only -- the inodes are host-side Python
+    objects, not DRAM-array bytes); each step is charged inline where it
+    happens, with the same ``dram.charge_read`` and ``clock.advance``.
+    """
+
+    _bytes_written = StatHandle(StatRegistry.counter, "bytes_written")
+    _bytes_read = StatHandle(StatRegistry.counter, "bytes_read")
 
     def __init__(self, manager: StorageManager, dram: Optional[DRAM] = None) -> None:
         self.manager = manager
@@ -116,24 +125,21 @@ class MemoryFileSystem(FileSystem):
         self._prev_checkpoint_chunks = 0
 
     # ------------------------------------------------------------------
-    # Internals: metadata touches and lookup.
+    # Internals: lookup.
     # ------------------------------------------------------------------
 
-    def _meta_touch(self, touches: int = 1) -> None:
-        """Charge DRAM time for metadata accesses (accounting only --
-        the inodes are host-side Python objects, not DRAM-array bytes)."""
-        if self.dram is not None and touches > 0:
-            result = self.dram.charge_read(META_TOUCH_BYTES * touches, self.clock.now)
-            self.clock.advance(result.latency)
-
     def _lookup(self, parts: List[str]) -> MemInode:
+        dram = self.dram
+        clock = self.clock
         node = self._root
-        self._meta_touch(1)
+        if dram is not None:
+            clock.advance(dram.charge_read(META_TOUCH_BYTES, clock.now).latency)
         for part in parts:
             if not node.is_dir:
                 raise NotADirectoryFSError("/" + "/".join(parts))
             child = node.children.get(part)
-            self._meta_touch(1)
+            if dram is not None:
+                clock.advance(dram.charge_read(META_TOUCH_BYTES, clock.now).latency)
             if child is None:
                 raise FileNotFoundFSError("/" + "/".join(parts))
             node = self._inodes[child]
@@ -146,15 +152,12 @@ class MemoryFileSystem(FileSystem):
             raise NotADirectoryFSError(path)
         return parent, name
 
-    def _block_key(self, ino: int, index: int) -> Tuple[str, int, int]:
-        return ("data", ino, index)
-
     # ------------------------------------------------------------------
     # Namespace operations.
     # ------------------------------------------------------------------
 
     def create(self, path: str) -> None:
-        with self._timed("create"):
+        with self._timed["create"]:
             parent, name = self._lookup_parent(path)
             if name in parent.children:
                 raise FileExistsFSError(path)
@@ -162,10 +165,13 @@ class MemoryFileSystem(FileSystem):
             self._next_ino += 1
             self._inodes[inode.ino] = inode
             parent.children[name] = inode.ino
-            self._meta_touch(2)
+            dram = self.dram
+            if dram is not None:
+                clock = self.clock
+                clock.advance(dram.charge_read(META_TOUCH_BYTES * 2, clock.now).latency)
 
     def mkdir(self, path: str) -> None:
-        with self._timed("mkdir"):
+        with self._timed["mkdir"]:
             parent, name = self._lookup_parent(path)
             if name in parent.children:
                 raise FileExistsFSError(path)
@@ -173,10 +179,13 @@ class MemoryFileSystem(FileSystem):
             self._next_ino += 1
             self._inodes[inode.ino] = inode
             parent.children[name] = inode.ino
-            self._meta_touch(2)
+            dram = self.dram
+            if dram is not None:
+                clock = self.clock
+                clock.advance(dram.charge_read(META_TOUCH_BYTES * 2, clock.now).latency)
 
     def rmdir(self, path: str) -> None:
-        with self._timed("rmdir"):
+        with self._timed["rmdir"]:
             parent, name = self._lookup_parent(path)
             ino = parent.children.get(name)
             if ino is None:
@@ -188,10 +197,13 @@ class MemoryFileSystem(FileSystem):
                 raise NotEmptyFSError(path)
             del parent.children[name]
             del self._inodes[ino]
-            self._meta_touch(2)
+            dram = self.dram
+            if dram is not None:
+                clock = self.clock
+                clock.advance(dram.charge_read(META_TOUCH_BYTES * 2, clock.now).latency)
 
     def delete(self, path: str) -> None:
-        with self._timed("delete"):
+        with self._timed["delete"]:
             parent, name = self._lookup_parent(path)
             ino = parent.children.get(name)
             if ino is None:
@@ -200,13 +212,16 @@ class MemoryFileSystem(FileSystem):
             if node.is_dir:
                 raise IsADirectoryFSError(path)
             for index in list(node.blocks):
-                self.manager.delete_block(self._block_key(ino, index))
+                self.manager.delete_block(("data", ino, index))
             del parent.children[name]
             del self._inodes[ino]
-            self._meta_touch(2)
+            dram = self.dram
+            if dram is not None:
+                clock = self.clock
+                clock.advance(dram.charge_read(META_TOUCH_BYTES * 2, clock.now).latency)
 
     def rename(self, old: str, new: str) -> None:
-        with self._timed("rename"):
+        with self._timed["rename"]:
             old_parent, old_name = self._lookup_parent(old)
             if old_name not in old_parent.children:
                 raise FileNotFoundFSError(old)
@@ -219,23 +234,30 @@ class MemoryFileSystem(FileSystem):
                     raise IsADirectoryFSError(new)
                 # POSIX rename-over: the target file is replaced.
                 for index in list(target.blocks):
-                    self.manager.delete_block(self._block_key(existing, index))
+                    self.manager.delete_block(("data", existing, index))
                 del self._inodes[existing]
             del old_parent.children[old_name]
             new_parent.children[new_name] = moving_ino
             self._inodes[moving_ino].mtime = self.clock.now
-            self._meta_touch(3)
+            dram = self.dram
+            if dram is not None:
+                clock = self.clock
+                clock.advance(dram.charge_read(META_TOUCH_BYTES * 3, clock.now).latency)
 
     def listdir(self, path: str) -> List[str]:
-        with self._timed("listdir"):
+        with self._timed["listdir"]:
             node = self._lookup(split_path(path))
             if not node.is_dir:
                 raise NotADirectoryFSError(path)
-            self._meta_touch(max(1, len(node.children) // 8))
+            dram = self.dram
+            if dram is not None:
+                clock = self.clock
+                nbytes = META_TOUCH_BYTES * max(1, len(node.children) // 8)
+                clock.advance(dram.charge_read(nbytes, clock.now).latency)
             return sorted(node.children)
 
     def stat(self, path: str) -> FileStat:
-        with self._timed("stat"):
+        with self._timed["stat"]:
             node = self._lookup(split_path(path))
             return FileStat(
                 path=path,
@@ -264,7 +286,7 @@ class MemoryFileSystem(FileSystem):
 
     def _read_block_or_zeros(self, ino: int, index: int, node: MemInode) -> bytes:
         if index in node.blocks:
-            data = self.manager.read_block(self._block_key(ino, index))
+            data = self.manager.read_block(("data", ino, index))
             if len(data) < BLOCK_SIZE:
                 data = data + bytes(BLOCK_SIZE - len(data))
             return data
@@ -275,7 +297,7 @@ class MemoryFileSystem(FileSystem):
             raise InvalidPathError("negative offset")
         if not data:
             return 0
-        with self._timed("write"):
+        with self._timed["write"]:
             node = self._file_inode(path)
             pos = offset
             remaining = memoryview(data)
@@ -295,20 +317,23 @@ class MemoryFileSystem(FileSystem):
                 block_end = (index + 1) * BLOCK_SIZE
                 if block_end > logical_end:
                     block = block[: logical_end - index * BLOCK_SIZE]
-                self.manager.write_block(self._block_key(node.ino, index), block)
+                self.manager.write_block(("data", node.ino, index), block)
                 node.blocks.add(index)
                 pos += take
                 remaining = remaining[take:]
             node.size = max(node.size, offset + len(data))
             node.mtime = self.clock.now
-            self._meta_touch(1)
-            self.stats.counter("bytes_written").add(len(data))
+            dram = self.dram
+            if dram is not None:
+                clock = self.clock
+                clock.advance(dram.charge_read(META_TOUCH_BYTES, clock.now).latency)
+            self._bytes_written.value += len(data)
             return len(data)
 
     def read(self, path: str, offset: int, nbytes: int) -> bytes:
         if offset < 0 or nbytes < 0:
             raise InvalidPathError("negative read range")
-        with self._timed("read"):
+        with self._timed["read"]:
             node = self._file_inode(path)
             if offset >= node.size:
                 return b""
@@ -323,32 +348,35 @@ class MemoryFileSystem(FileSystem):
                 out += block[within : within + take]
                 pos += take
                 remaining -= take
-            self.stats.counter("bytes_read").add(len(out))
+            self._bytes_read.value += len(out)
             return bytes(out)
 
     def truncate(self, path: str, size: int) -> None:
         if size < 0:
             raise InvalidPathError("negative truncate size")
-        with self._timed("truncate"):
+        with self._timed["truncate"]:
             node = self._file_inode(path)
             if size < node.size:
                 keep_blocks = (size + BLOCK_SIZE - 1) // BLOCK_SIZE
                 for index in [i for i in node.blocks if i >= keep_blocks]:
-                    self.manager.delete_block(self._block_key(node.ino, index))
+                    self.manager.delete_block(("data", node.ino, index))
                     node.blocks.discard(index)
                 # Trim the now-final block if it straddles the new end.
                 if size % BLOCK_SIZE and (size // BLOCK_SIZE) in node.blocks:
                     index = size // BLOCK_SIZE
                     block = self._read_block_or_zeros(node.ino, index, node)
                     self.manager.write_block(
-                        self._block_key(node.ino, index), block[: size % BLOCK_SIZE]
+                        ("data", node.ino, index), block[: size % BLOCK_SIZE]
                     )
             node.size = size
             node.mtime = self.clock.now
-            self._meta_touch(1)
+            dram = self.dram
+            if dram is not None:
+                clock = self.clock
+                clock.advance(dram.charge_read(META_TOUCH_BYTES, clock.now).latency)
 
     def sync(self) -> None:
-        with self._timed("sync"):
+        with self._timed["sync"]:
             self.manager.sync()
 
     # ------------------------------------------------------------------
@@ -369,7 +397,7 @@ class MemoryFileSystem(FileSystem):
         system reconstructible after total power loss.  Returns the new
         generation number.
         """
-        with self._timed("checkpoint"):
+        with self._timed["checkpoint"]:
             self.manager.sync()
             self._generation += 1
             gen = self._generation
@@ -458,7 +486,7 @@ class MemoryFileSystem(FileSystem):
             )
             if not entry["dir"]:
                 for index in entry["blocks"]:
-                    if store.contains(fs._block_key(node.ino, index)):
+                    if store.contains(("data", node.ino, index)):
                         node.blocks.add(index)
                     else:
                         lost += 1  # died in the DRAM buffer with the power
@@ -521,7 +549,7 @@ class MemoryFileSystem(FileSystem):
         stable = sum(
             1
             for index in node.blocks
-            if self.manager.in_flash(self._block_key(node.ino, index))
+            if self.manager.in_flash(("data", node.ino, index))
         )
         return stable / len(node.blocks)
 
@@ -550,8 +578,8 @@ class MemFile:
             return 0
         return (self.inode.size + BLOCK_SIZE - 1) // BLOCK_SIZE
 
-    def block_key(self, index: int):
-        return self.fs._block_key(self.inode.ino, index)
+    def block_key(self, index: int) -> Tuple[str, int, int]:
+        return ("data", self.inode.ino, index)
 
     def read_block(self, index: int) -> bytes:
         return self.fs._read_block_or_zeros(self.inode.ino, index, self.inode)
@@ -578,7 +606,7 @@ class MemFile:
         key = self.block_key(index)
         if index not in self.inode.blocks:
             return None
-        if key in self.fs.manager.buffer.dirty_keys():
+        if self.fs.manager.buffer.is_dirty(key):
             return None  # newest version is buffered in DRAM
         if not self.fs.manager.store.contains(key):
             return None

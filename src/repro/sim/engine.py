@@ -164,6 +164,11 @@ class Engine:
         The clock lands exactly on ``when`` afterwards (or stays put if
         ``when`` is in the past).  Returns the number of events executed.
         """
+        queue = self._queue
+        if not queue or queue[0].when > when:
+            # Nothing due: the common case between replayed records.
+            self.clock.advance_to(when)
+            return 0
         ran = 0
         while True:
             event = self._pop_due(when)

@@ -15,7 +15,9 @@ primitives:
 
 A :class:`StatRegistry` groups the primitives belonging to one component
 and renders them into plain dictionaries for reports, so benchmark
-harnesses never reach into component internals.
+harnesses never reach into component internals.  A :class:`StatHandle`
+gives a component's hot path a direct reference to one of its metrics,
+looked up once, on first use.
 """
 
 from __future__ import annotations
@@ -247,19 +249,22 @@ class StatRegistry:
         self.gauges: Dict[str, TimeWeightedValue] = {}
 
     def counter(self, name: str) -> Counter:
-        if name not in self.counters:
-            self.counters[name] = Counter(name)
-        return self.counters[name]
+        counter = self.counters.get(name)
+        if counter is None:
+            counter = self.counters[name] = Counter(name)
+        return counter
 
     def histogram(self, name: str) -> Histogram:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram()
-        return self.histograms[name]
+        histogram = self.histograms.get(name)
+        if histogram is None:
+            histogram = self.histograms[name] = Histogram()
+        return histogram
 
     def gauge(self, name: str, start_time: float = 0.0, initial: float = 0.0) -> TimeWeightedValue:
-        if name not in self.gauges:
-            self.gauges[name] = TimeWeightedValue(name, start_time, initial)
-        return self.gauges[name]
+        gauge = self.gauges.get(name)
+        if gauge is None:
+            gauge = self.gauges[name] = TimeWeightedValue(name, start_time, initial)
+        return gauge
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, object]:
         """Render every metric into a plain, JSON-able dictionary."""
@@ -287,3 +292,35 @@ class StatRegistry:
             histogram.reset()
         for gauge in self.gauges.values():
             gauge.reset(now)
+
+
+class StatHandle:
+    """A component's direct reference to one of its ``self.stats`` metrics.
+
+    Declared in a class body, for example ``_puts =
+    StatHandle(StatRegistry.counter, "puts")``.  The first read of the
+    attribute on an instance calls ``self.stats.counter("puts")`` and
+    stores the metric in the instance ``__dict__``, which shadows this
+    (non-data) descriptor from then on, so every later read is a plain
+    attribute hit.  Binding on first use rather than at construction
+    keeps a snapshot's keys exactly the metrics that have been touched;
+    :meth:`StatRegistry.reset` resets metrics in place, so the bound
+    reference stays valid.
+    """
+
+    __slots__ = ("lookup", "name", "attr")
+
+    def __init__(self, lookup, name: str) -> None:
+        self.lookup = lookup
+        self.name = name
+        self.attr = ""
+
+    def __set_name__(self, owner: type, attr: str) -> None:
+        self.attr = attr
+
+    def __get__(self, obj, owner: Optional[type] = None):
+        if obj is None:
+            return self
+        metric = self.lookup(obj.stats, self.name)
+        obj.__dict__[self.attr] = metric
+        return metric

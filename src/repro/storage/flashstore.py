@@ -36,9 +36,9 @@ from repro.devices.errors import EraseFailedError, ProgramFailedError
 from repro.devices.flash import FlashMemory
 from repro.faults.ecc import ECC_BYTES, ecc_check, ecc_encode
 from repro.obs import runtime as obs_runtime
+from repro.sim import sched
 from repro.sim.clock import SimClock
-from repro.sim.sched import current_client
-from repro.sim.stats import StatRegistry
+from repro.sim.stats import StatHandle, StatRegistry
 from repro.storage.allocator import Location, OutOfFlashSpace, SectorAllocator, SectorState
 from repro.storage.banks import BankPartition
 from repro.storage.gc import CleaningPolicy, CleaningStats, choose_victim
@@ -147,6 +147,9 @@ def unpack_summary(
 class FlashStore:
     """Keyed block store over a :class:`FlashMemory` device."""
 
+    _user_bytes_written = StatHandle(StatRegistry.counter, "user_bytes_written")
+    _read_latency = StatHandle(StatRegistry.histogram, "read_latency")
+
     def __init__(
         self,
         flash: FlashMemory,
@@ -240,7 +243,7 @@ class FlashStore:
     def _do_read(self, offset: int, nbytes: int) -> bytes:
         data, result = self.flash.read(offset, nbytes, self.clock.now)
         self.clock.advance(result.latency)
-        self.stats.histogram("read_latency").record(result.latency)
+        self._read_latency.record(result.latency)
         if result.wait > 0:
             self.stats.counter("reads_stalled").add(1)
             self.stats.histogram("read_stall").record(result.wait)
@@ -313,7 +316,7 @@ class FlashStore:
                 f"block of {len(data)} bytes exceeds what an erase sector "
                 f"holds ({max_payload}); chunk it"
             )
-        self.stats.counter("user_bytes_written").add(len(data))
+        self._user_bytes_written.value += len(data)
         t0 = self.clock.now
         if self.mode is StoreMode.IN_PLACE:
             self._write_in_place(key, data)
@@ -332,7 +335,7 @@ class FlashStore:
                 "sector": sector,
                 "bank": self.flash.bank_of_sector(sector),
             }
-            client = current_client()
+            client = sched._current_client
             if client is not None:
                 detail["client"] = client
             self.tracer.emit(

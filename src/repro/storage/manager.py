@@ -22,10 +22,10 @@ from typing import Hashable, List, Optional
 from repro.devices.dram import DRAM
 from repro.devices.flash import FlashMemory
 from repro.obs import runtime as obs_runtime
+from repro.sim import sched
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
-from repro.sim.sched import current_client
-from repro.sim.stats import StatRegistry
+from repro.sim.stats import StatHandle, StatRegistry
 from repro.storage.allocator import OutOfFlashSpace
 from repro.storage.compression import BlockCompressor
 from repro.storage.flashstore import FlashStore, StoreMode
@@ -49,6 +49,8 @@ class StorageReadOnlyError(Exception):
 
 class StorageManager:
     """Migration + buffering layer between the FS and the flash store."""
+
+    _user_bytes_written = StatHandle(StatRegistry.counter, "user_bytes_written")
 
     def __init__(
         self,
@@ -155,13 +157,12 @@ class StorageManager:
     def write_block(self, key: Hashable, data: bytes) -> None:
         if self.read_only:
             raise StorageReadOnlyError(self.read_only_reason or "degraded")
-        now = self.clock.now
-        self.tracker.record_write(key, now)
-        self.stats.counter("user_bytes_written").add(len(data))
-        client = current_client()
+        # The tracker classifies the key as of this write.
+        hot = self.tracker.record_write(key, self.clock.now)
+        self._user_bytes_written.value += len(data)
+        client = sched._current_client
         if client is not None:
             self.stats.counter(f"client{client}_bytes_written").add(len(data))
-        hot = self.tracker.is_hot(key, now)
         items = self.buffer.put(key, data, hot=hot)
         self._persist_items(items)
 
@@ -175,7 +176,7 @@ class StorageManager:
         return blob
 
     def contains(self, key: Hashable) -> bool:
-        return key in self.buffer.dirty_keys() or self.store.contains(key)
+        return self.buffer.is_dirty(key) or self.store.contains(key)
 
     def in_flash(self, key: Hashable) -> bool:
         """True when a stable (battery-proof) copy exists in flash."""

@@ -52,13 +52,19 @@ class HotColdTracker:
         dt = max(0.0, now - heat.last_update)
         return heat.rate * math.exp(-self._ln2 * dt / self.half_life_s)
 
-    def record_write(self, key: Hashable, now: float) -> None:
+    def record_write(self, key: Hashable, now: float) -> bool:
+        """Count one write of ``key`` at ``now``; returns ``is_hot(key, now)``.
+
+        The score at ``now`` is exactly the rate just stored: with no
+        time elapsed the decay factor is ``exp(-0.0) == 1.0``.
+        """
         heat = self._heat.get(key)
         if heat is None:
             self._heat[key] = _Heat(rate=1.0, last_update=now)
-            return
+            return 1.0 >= self.hot_threshold
         heat.rate = self._decayed(heat, now) + 1.0
         heat.last_update = now
+        return heat.rate >= self.hot_threshold
 
     def forget(self, key: Hashable) -> None:
         self._heat.pop(key, None)
@@ -77,7 +83,13 @@ class HotColdTracker:
         )
 
     def is_hot(self, key: Hashable, now: float) -> bool:
-        return self.classify(key, now) is Temperature.HOT
+        """``classify(key, now) is Temperature.HOT``, in one frame."""
+        heat = self._heat.get(key)
+        if heat is None:
+            return 0.0 >= self.hot_threshold
+        dt = max(0.0, now - heat.last_update)
+        rate = heat.rate * math.exp(-self._ln2 * dt / self.half_life_s)
+        return rate >= self.hot_threshold
 
     def hottest(self, now: float, limit: int = 10) -> List[Tuple[Hashable, float]]:
         scored = [(key, self._decayed(h, now)) for key, h in self._heat.items()]

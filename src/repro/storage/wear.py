@@ -72,12 +72,6 @@ def _serviceable_counts(allocator: SectorAllocator) -> List[int]:
     ]
 
 
-def wear_gap(allocator: SectorAllocator) -> int:
-    """Spread between the most- and least-worn in-service sectors."""
-    counts = _serviceable_counts(allocator)
-    return max(counts) - min(counts) if counts else 0
-
-
 def static_rotation_victim(
     allocator: SectorAllocator,
     banks: Optional[List[int]],

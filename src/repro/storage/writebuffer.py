@@ -35,9 +35,9 @@ from typing import Hashable, List, Optional
 
 from repro.devices.dram import DRAM
 from repro.obs import runtime as obs_runtime
+from repro.sim import sched
 from repro.sim.clock import SimClock
-from repro.sim.sched import current_client
-from repro.sim.stats import StatRegistry
+from repro.sim.stats import StatHandle, StatRegistry
 
 
 class FlushReason(enum.Enum):
@@ -78,6 +78,14 @@ class _Entry:
 class WriteBuffer:
     """Watermark/age write-behind buffer in battery-backed DRAM."""
 
+    # Metrics every put, hit or flush touches.
+    _bytes_in = StatHandle(StatRegistry.counter, "bytes_in")
+    _puts = StatHandle(StatRegistry.counter, "puts")
+    _read_hits = StatHandle(StatRegistry.counter, "read_hits")
+    _overwritten_bytes = StatHandle(StatRegistry.counter, "overwritten_bytes")
+    _flushed_bytes = StatHandle(StatRegistry.counter, "flushed_bytes")
+    _occupancy = StatHandle(StatRegistry.gauge, "occupancy_bytes")
+
     def __init__(
         self,
         capacity_bytes: int,
@@ -106,10 +114,6 @@ class WriteBuffer:
     # ------------------------------------------------------------------
 
     @property
-    def enabled(self) -> bool:
-        return self.capacity_bytes > 0
-
-    @property
     def buffered_bytes(self) -> int:
         return self._bytes
 
@@ -117,27 +121,14 @@ class WriteBuffer:
     def entry_count(self) -> int:
         return len(self._entries)
 
-    def dirty_keys(self) -> List[Hashable]:
-        return list(self._entries)
+    def is_dirty(self, key: Hashable) -> bool:
+        """True while ``key``'s newest version sits in the buffer."""
+        return key in self._entries
 
     # ------------------------------------------------------------------
-    # DRAM charging.
-    # ------------------------------------------------------------------
-
-    def _charge_dram_write(self, nbytes: int) -> None:
-        # Accounting-only: the block bytes live in the buffer's own map,
-        # so no ghost buffer is allocated just to model the DRAM copy.
-        if self.dram is not None:
-            result = self.dram.charge_write(nbytes, self.clock.now)
-            self.clock.advance(result.latency)
-
-    def _charge_dram_read(self, nbytes: int) -> None:
-        if self.dram is not None:
-            result = self.dram.charge_read(nbytes, self.clock.now)
-            self.clock.advance(result.latency)
-
-    # ------------------------------------------------------------------
-    # Core operations.
+    # Core operations.  Bytes entering and leaving the buffer charge
+    # accounting-only DRAM copies: the block bytes live in the buffer's
+    # own map, so no ghost buffer is allocated to model them.
     # ------------------------------------------------------------------
 
     def put(self, key: Hashable, data: bytes, hot: bool = True) -> List[FlushItem]:
@@ -148,18 +139,21 @@ class WriteBuffer:
         """
         if not data:
             raise ValueError("cannot buffer an empty block")
-        now = self.clock.now
-        self.stats.counter("bytes_in").add(len(data))
-        self.stats.counter("puts").add(1)
-        self._charge_dram_write(len(data))
+        clock = self.clock
+        now = clock.now
+        self._bytes_in.value += len(data)
+        self._puts.value += 1
+        dram = self.dram
+        if dram is not None:
+            clock.advance(dram.charge_write(len(data), clock.now).latency)
 
-        if not self.enabled:
+        if self.capacity_bytes <= 0:
             # Write-through: account it as an immediate flush so the
             # conservation identity (in == flushed + absorbed) holds.
-            self.stats.counter("flushed_bytes").add(len(data))
+            self._flushed_bytes.value += len(data)
             self.stats.counter(f"flushed_{FlushReason.WATERMARK.value}").add(1)
             if self.tracer is not None:
-                client = current_client()
+                client = sched._current_client
                 self.tracer.emit(
                     "writebuffer", "put", now, len(data), outcome="writethrough",
                     detail={"client": client} if client is not None else None,
@@ -170,7 +164,7 @@ class WriteBuffer:
         if existing is not None:
             # Overwrite absorbed: the earlier version never reaches flash.
             self._bytes -= len(existing.data)
-            self.stats.counter("overwritten_bytes").add(len(existing.data))
+            self._overwritten_bytes.value += len(existing.data)
             entry = _Entry(
                 data=data,
                 first_write=existing.first_write,
@@ -187,7 +181,7 @@ class WriteBuffer:
             # "prev" (bytes of the overwritten version) lets a live
             # conservation monitor track buffered bytes exactly.
             detail = {"prev": len(existing.data)} if existing is not None else {}
-            client = current_client()
+            client = sched._current_client
             if client is not None:
                 detail["client"] = client
             self.tracer.emit(
@@ -239,8 +233,11 @@ class WriteBuffer:
         entry = self._entries.get(key)
         if entry is None:
             return None
-        self.stats.counter("read_hits").add(1)
-        self._charge_dram_read(len(entry.data))
+        self._read_hits.value += 1
+        dram = self.dram
+        if dram is not None:
+            clock = self.clock
+            clock.advance(dram.charge_read(len(entry.data), clock.now).latency)
         return entry.data
 
     def drop(self, key: Hashable) -> int:
@@ -264,9 +261,12 @@ class WriteBuffer:
     def _remove_for_flush(self, key: Hashable, reason: FlushReason) -> FlushItem:
         entry = self._entries.pop(key)
         self._bytes -= len(entry.data)
-        self.stats.counter("flushed_bytes").add(len(entry.data))
+        self._flushed_bytes.value += len(entry.data)
         self.stats.counter(f"flushed_{reason.value}").add(1)
-        self._charge_dram_read(len(entry.data))
+        dram = self.dram
+        if dram is not None:
+            clock = self.clock
+            clock.advance(dram.charge_read(len(entry.data), clock.now).latency)
         self._track_occupancy()
         if self.tracer is not None:
             self.tracer.emit(
@@ -335,7 +335,7 @@ class WriteBuffer:
     # ------------------------------------------------------------------
 
     def _track_occupancy(self) -> None:
-        self.stats.gauge("occupancy_bytes").set(self._bytes, self.clock.now)
+        self._occupancy.set(self._bytes, self.clock.now)
 
     def absorption_ratio(self) -> float:
         """Fraction of incoming write traffic that never reached flash.

@@ -1,0 +1,224 @@
+"""Property tests for two host-side shortcuts that must not move a number.
+
+- ``HotColdTracker.record_write`` returns the key's classification at the
+  write's own timestamp, which ``StorageManager.write_block`` uses instead
+  of asking ``is_hot`` again; ``is_hot`` computes the decayed score in
+  one frame.  Both must agree with the original score/classify chain,
+  copied verbatim below, for any write sequence: repeated timestamps,
+  and gaps of several half-lives.
+- ``FlashMemory``'s per-sector programmed-interval bookkeeping finds the
+  intervals that matter by bisection.  It must match the original
+  scan-and-re-sort bookkeeping, copied verbatim below, on any program /
+  torn-program / erase sequence: in-order appends, tail writes growing
+  down, gaps, programs across the sector boundary, and overlaps that
+  must raise :class:`WriteBeforeEraseError`.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import math
+from typing import List, Tuple
+
+from hypothesis import given, settings, strategies as st
+
+from repro.devices import FlashMemory, WriteBeforeEraseError
+from repro.devices.catalog import FLASH_PAPER_NOMINAL
+from repro.storage.migration import HotColdTracker, Temperature
+
+KB = 1024
+
+
+# ----------------------------------------------------------------------
+# Hot/cold classification.
+# ----------------------------------------------------------------------
+
+
+class _ReferenceTracker:
+    """The tracker's original record/score/classify chain, verbatim."""
+
+    def __init__(self, half_life_s: float, hot_threshold: float) -> None:
+        self.half_life_s = half_life_s
+        self.hot_threshold = hot_threshold
+        self._heat = {}
+        self._ln2 = math.log(2.0)
+
+    def _decayed(self, heat, now):
+        dt = max(0.0, now - heat[1])
+        return heat[0] * math.exp(-self._ln2 * dt / self.half_life_s)
+
+    def record_write(self, key, now):
+        heat = self._heat.get(key)
+        if heat is None:
+            self._heat[key] = [1.0, now]
+            return
+        heat[0] = self._decayed(heat, now) + 1.0
+        heat[1] = now
+
+    def score(self, key, now):
+        heat = self._heat.get(key)
+        if heat is None:
+            return 0.0
+        return self._decayed(heat, now)
+
+    def is_hot(self, key, now):
+        return self.score(key, now) >= self.hot_threshold
+
+
+@st.composite
+def write_sequences(draw):
+    half_life = draw(st.sampled_from([1.0, 10.0, 60.0]))
+    # Gaps: none (repeated timestamps), fractions of a half-life, and
+    # several half-lives; times never decrease, as on the write path.
+    gap = st.one_of(
+        st.just(0.0),
+        st.floats(0.0, half_life, allow_nan=False),
+        st.floats(2.0 * half_life, 8.0 * half_life, allow_nan=False),
+    )
+    writes = []
+    now = 0.0
+    for _ in range(draw(st.integers(1, 40))):
+        now += draw(gap)
+        writes.append((draw(st.sampled_from("abc")), now))
+    threshold = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
+    return half_life, threshold, writes
+
+
+@given(write_sequences(), st.floats(0.0, 500.0, allow_nan=False))
+@settings(max_examples=200, deadline=None)
+def test_record_write_flag_is_the_classification_at_now(case, later):
+    half_life, threshold, writes = case
+    tracker = HotColdTracker(half_life_s=half_life, hot_threshold=threshold)
+    reference = _ReferenceTracker(half_life, threshold)
+    for key, now in writes:
+        hot = tracker.record_write(key, now)
+        reference.record_write(key, now)
+        assert hot is tracker.is_hot(key, now)
+        assert hot is reference.is_hot(key, now)
+        assert tracker.score(key, now) == reference.score(key, now)
+    # Later re-classification (the flush-time path), for every key,
+    # tracked or not.
+    end = writes[-1][1] + later
+    for key in "abcd":
+        assert tracker.is_hot(key, end) is reference.is_hot(key, end)
+        assert tracker.is_hot(key, end) is (
+            tracker.classify(key, end) is Temperature.HOT
+        )
+
+
+# ----------------------------------------------------------------------
+# Flash programmed-interval bookkeeping.
+# ----------------------------------------------------------------------
+
+SECTOR = 4 * KB
+FLASH_4K = dataclasses.replace(
+    FLASH_PAPER_NOMINAL, name="test 4K-sector flash", erase_sector_bytes=SECTOR
+)
+
+
+class _ReferenceSector:
+    """The original interval bookkeeping of ``_SectorState``, verbatim."""
+
+    def __init__(self) -> None:
+        self.programmed: List[Tuple[int, int]] = []
+
+    def is_erased(self, start: int, end: int) -> bool:
+        return all(end <= lo or start >= hi for lo, hi in self.programmed)
+
+    def mark_programmed(self, start: int, end: int) -> None:
+        intervals = self.programmed + [(start, end)]
+        intervals.sort()
+        merged: List[Tuple[int, int]] = []
+        for lo, hi in intervals:
+            if merged and lo <= merged[-1][1]:
+                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+            else:
+                merged.append((lo, hi))
+        self.programmed = merged
+
+
+def _split(offset: int, end: int):
+    """(sector, sector-relative start, end) pieces of ``[offset, end)``."""
+    while offset < end:
+        sector, start = divmod(offset, SECTOR)
+        stop = min(end, (sector + 1) * SECTOR)
+        yield sector, start, stop - sector * SECTOR
+        offset = stop
+
+
+#: Abstract ops on a two-sector device, placed against a sector's head
+#: and tail pointers when run: "append" programs at the head (plus a
+#: small gap), "tail" programs the slot below the tail, "at" programs
+#: anywhere (possibly across the sector boundary), "torn" marks a range
+#: programmed without the erased check (a power cut mid-program).
+offsets = st.one_of(
+    st.integers(0, 2 * SECTOR - 1), st.integers(SECTOR - 16, SECTOR + 16)
+)
+lengths = st.one_of(st.integers(1, 1200), st.integers(1, 17))
+device_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("append"), st.integers(0, 1),
+                  st.sampled_from([0, 0, 0, 1, 7]), st.integers(1, 700)),
+        st.tuples(st.just("tail"), st.integers(0, 1), st.just(0),
+                  st.sampled_from([64, 64, 100])),
+        st.tuples(st.just("at"), st.just(0), offsets, lengths),
+        st.tuples(st.just("torn"), st.just(0), offsets, lengths),
+        st.tuples(st.just("erase"), st.integers(0, 1), st.just(0), st.just(0)),
+    ),
+    min_size=1,
+    max_size=60,
+)
+
+
+@given(device_ops)
+@settings(max_examples=300, deadline=None)
+def test_interval_bookkeeping_matches_the_original(ops):
+    flash = FlashMemory(2 * SECTOR, spec=FLASH_4K, banks=1)
+    states = flash._sectors
+    references = [_ReferenceSector(), _ReferenceSector()]
+    heads, tails = [0, 0], [SECTOR, SECTOR]
+    now = 0.0
+    for kind, sector, a, b in ops:
+        now += 1.0
+        if kind == "erase":
+            flash.erase_sector(sector, now)
+            references[sector].programmed = []
+            heads[sector], tails[sector] = 0, SECTOR
+            continue
+        if kind == "append":
+            start = sector * SECTOR + min(heads[sector] + a, SECTOR - 1)
+            end = min((sector + 1) * SECTOR, start + b)
+        elif kind == "tail":
+            start = sector * SECTOR + max(0, tails[sector] - b)
+            end = sector * SECTOR + tails[sector]
+            if start == end:
+                continue
+        else:
+            start, end = a, min(2 * SECTOR, a + b)
+        pieces = list(_split(start, end))
+        data = bytes([0x5A]) * (end - start)
+        if kind == "torn":
+            flash.fault_apply_torn_program(start, data, 0)
+        elif all(references[s].is_erased(lo, hi) for s, lo, hi in pieces):
+            assert all(states[s].is_erased(lo, hi) for s, lo, hi in pieces)
+            flash.program(start, data, now)
+        else:
+            assert not all(states[s].is_erased(lo, hi) for s, lo, hi in pieces)
+            try:
+                flash.program(start, data, now)
+            except WriteBeforeEraseError:
+                pieces = []
+            else:
+                raise AssertionError(f"programmed over [{start}, {end})")
+        for s, lo, hi in pieces:
+            references[s].mark_programmed(lo, hi)
+        if kind == "append":
+            heads[sector] = end - sector * SECTOR
+        elif kind == "tail":
+            tails[sector] = start - sector * SECTOR
+        for state, reference in zip(states, references):
+            assert state.programmed == reference.programmed
+    for state, reference in zip(states, references):
+        for lo in range(0, SECTOR, 256):
+            for hi in (lo, lo + 1, lo + 256):
+                assert state.is_erased(lo, hi) == reference.is_erased(lo, hi)

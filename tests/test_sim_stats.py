@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.sim import Counter, Histogram, StatRegistry, TimeWeightedValue
+from repro.sim.stats import StatHandle
 
 
 class TestCounter:
@@ -133,6 +134,47 @@ class TestStatRegistry:
         # The held reference keeps feeding the registry's histogram.
         hist.record(5e-3)
         assert reg.snapshot()["histograms"]["lat"]["count"] == 1
+
+
+class _Component:
+    _ops = StatHandle(StatRegistry.counter, "ops")
+    _lat = StatHandle(StatRegistry.histogram, "lat")
+    _occ = StatHandle(StatRegistry.gauge, "occ")
+
+    def __init__(self):
+        self.stats = StatRegistry("component")
+
+
+class TestStatHandle:
+    def test_binds_on_first_use_only(self):
+        comp = _Component()
+        assert comp.stats.snapshot()["counters"] == {}
+        counter = comp._ops
+        assert counter is comp.stats.counter("ops")
+        assert comp._ops is counter  # a plain instance attribute from now on
+        assert "_ops" in vars(comp)
+        assert set(comp.stats.counters) == {"ops"}
+        assert comp.stats.histograms == {} and comp.stats.gauges == {}
+
+    def test_handles_are_per_instance(self):
+        a, b = _Component(), _Component()
+        a._ops.value += 2
+        assert b._ops.value == 0
+        assert a.stats.counter("ops").value == 2
+
+    def test_same_metric_as_the_registry_lookup(self):
+        comp = _Component()
+        comp._lat.record(1e-3)
+        comp._occ.set(4.0, 1.0)
+        assert comp.stats.histogram("lat").count == 1
+        assert comp.stats.gauge("occ").current == 4.0
+
+    def test_reset_keeps_the_handle_valid(self):
+        comp = _Component()
+        comp._ops.value += 5
+        comp.stats.reset()
+        comp._ops.value += 1
+        assert comp.stats.snapshot()["counters"] == {"ops": 1}
 
 
 # ----------------------------------------------------------------------

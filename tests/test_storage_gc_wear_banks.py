@@ -8,11 +8,7 @@ from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.storage import BankPartition, SectorAllocator, WearPolicy
 from repro.storage.gc import CleaningPolicy, choose_victim
-from repro.storage.wear import (
-    choose_erased_sector,
-    static_rotation_victim,
-    wear_gap,
-)
+from repro.storage.wear import choose_erased_sector, static_rotation_victim
 
 KB = 1024
 
@@ -90,12 +86,6 @@ class TestWearHelpers:
         for s in range(16):
             alloc.take_erased(s)
         assert choose_erased_sector(alloc, [0, 1], WearPolicy.DYNAMIC) is None
-
-    def test_wear_gap(self, alloc):
-        flash = alloc.flash
-        for _ in range(7):
-            flash.erase_sector(3, 0.0)
-        assert wear_gap(alloc) == 7
 
     def test_static_rotation_needs_gap(self, alloc):
         seal_with(alloc, 0, live=2 * KB, dead=0, when=0.0)
