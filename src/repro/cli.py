@@ -37,17 +37,24 @@ takes one path.  :func:`_observed` calls the work under a fresh
 :class:`~repro.obs.Tracer` (installed with
 :func:`repro.obs.runtime.tracing`, so machines built inside pick it
 up), attaches every stock online invariant monitor
-(:mod:`repro.obs.monitor`) with ``--monitors``, and writes the buffered
-events as one JSONL shard with ``--trace``.  ``experiments`` runs it
-once per job (also across ``-j N`` worker processes); the other four
-run as one in-process job.  :func:`_finish_observed` then merges the
-shards deterministically (stable sort on ``(t, seq, shard)``) into
-``PATH``, so the trace is byte-identical for any ``-j``, and writes a
-Chrome ``trace_event`` file to ``PATH.chrome.json`` (load it in
-``chrome://tracing`` or Perfetto) and a run manifest to
+(:mod:`repro.obs.monitor`) with ``--monitors``, and with ``--trace``
+returns the tracer's buffered records in the job's meta.
+``experiments`` runs it once per job (also across ``-j N`` worker
+processes, whose records come back through ``Pool.map``); the other
+four run as one in-process job.  :func:`_finish_observed` then merges
+every job's records in memory (sort on ``(t, seq, shard)``), so the
+trace is byte-identical for any ``-j``, and one writer emits them to
+``PATH`` (JSONL) and ``PATH.chrome.json`` (Chrome ``trace_event``; load
+it in ``chrome://tracing`` or Perfetto); a run manifest goes to
 ``PATH.manifest.json``.  :func:`_report_monitors` prints the monitor
 report; any violation makes the command exit non-zero.  ``trace-smoke``
 uses the same runner with a 2^16-event ring.
+
+``analyze``, ``trace-diff`` and ``trace-smoke`` read a trace through the
+one validating reader (:class:`~repro.obs.schema.TraceReader`), so
+``trace-smoke`` validates and analyzes in a single pass, and
+``analyze`` and ``trace-diff`` exit 2, naming the line, when a line
+does not parse or breaks the schema.
 
 Except for ``experiments --profile``, ``--trace``, and ``trace-smoke``
 (which write under ``benchmarks/`` or the given path), everything
@@ -59,25 +66,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-import tempfile
 import time
-from contextlib import contextmanager
-from typing import Callable, Iterator, List, Optional, Tuple, TypeVar
+from typing import Callable, List, Optional, Tuple, TypeVar
 
 from repro.analysis.experiments import ALL_EXPERIMENTS
 from repro.analysis.report import format_kv, format_table, human_bytes, human_seconds
 from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
 from repro.devices.catalog import MB, catalog_specs
-from repro.obs import (
-    Tracer,
-    jsonl_to_chrome,
-    merge_shards_to_jsonl,
-    run_manifest,
-    runtime,
-    shard_filename,
-    write_manifest,
-)
+from repro.obs import Tracer, run_manifest, runtime, write_manifest, write_trace
 from repro.obs.monitor import MonitorSet, Violation, build_monitors
 from repro.trace.workloads import WORKLOADS
 from repro.trends.model import SmallConfigCostModel, default_trends_1993
@@ -273,44 +270,29 @@ def _run_driver(eid: str, full: bool, profile_dir: Optional[str]) -> str:
 # ----------------------------------------------------------------------
 
 
-@contextmanager
-def _shards(trace: Optional[str], count: int) -> Iterator[List[Optional[str]]]:
-    """Per-job shard paths in a scratch directory (all None untraced).
-
-    One shard per *job*, not per worker process: shard content and order
-    depend only on the seed-deterministic job and its submission index,
-    so the merged trace is identical for any ``-j``.
-    """
-    if trace is None:
-        yield [None] * count
-        return
-    with tempfile.TemporaryDirectory(prefix="repro-trace-shards-") as tmp:
-        base = os.path.join(tmp, "trace")
-        yield [shard_filename(base, i) for i in range(count)]
-
-
 def _observed(
     run: Callable[[], _T],
-    shard_path: Optional[str] = None,
+    trace: bool = False,
     monitors: bool = False,
     capacity: int = 1 << 20,
 ) -> Tuple[_T, Optional[dict]]:
     """Call ``run()`` under its own tracer; return (its result, obs meta).
 
-    With neither a shard path nor monitors the callable simply runs and
+    With neither ``trace`` nor ``monitors`` the callable simply runs and
     meta is None.  Otherwise a fresh :class:`~repro.obs.Tracer` is
     installed process-wide for the call (so machines built inside pick
-    it up; worker processes never share one), ``monitors`` subscribes
-    every stock online monitor to the live stream, and the buffered
-    events are written to ``shard_path`` as one JSONL shard.  Meta
-    carries the ring's drop count and the monitor summary.
+    it up; worker processes never share one) and ``monitors``
+    subscribes every stock online monitor to the live stream.  Meta
+    carries the ring's drop count, the monitor summary and, with
+    ``trace``, the tracer's buffered records for
+    :func:`_finish_observed`.
     """
-    if shard_path is None and not monitors:
+    if not trace and not monitors:
         return run(), None
     monitor_set = MonitorSet(build_monitors()) if monitors else None
     # Monitors see every emit before the ring drops anything, so a run
-    # that writes no shard needs only a small ring.
-    with runtime.tracing(Tracer(capacity if shard_path else 1024)) as tracer:
+    # that keeps no trace needs only a small ring.
+    with runtime.tracing(Tracer(capacity if trace else 1024)) as tracer:
         if monitor_set is not None:
             monitor_set.attach(tracer)
         try:
@@ -320,8 +302,8 @@ def _observed(
                 monitor_set.detach()
                 monitor_set.finish()
     meta: dict = {"dropped": tracer.dropped}
-    if shard_path is not None:
-        tracer.to_jsonl(shard_path)
+    if trace:
+        meta["records"] = tracer.records
     if monitor_set is not None:
         meta["monitors"] = monitor_set.summary()
     return result, meta
@@ -329,7 +311,6 @@ def _observed(
 
 def _finish_observed(
     trace: str,
-    shard_paths: List[str],
     metas: List[dict],
     wall_start: float,
     command: str,
@@ -338,13 +319,13 @@ def _finish_observed(
     sim_seconds: Optional[float] = None,
     **extra,
 ) -> None:
-    """Merge the shards into ``trace`` (canonical ``(t, seq, shard)``
-    order), then write ``trace.chrome.json`` and ``trace.manifest.json``.
+    """Merge every job's records in canonical ``(t, seq, shard)`` order
+    into ``trace`` and ``trace.chrome.json``, then write
+    ``trace.manifest.json``.
     """
-    events = merge_shards_to_jsonl(trace, shard_paths)
     dropped = sum(meta["dropped"] for meta in metas)
-    jsonl_to_chrome(trace, trace + ".chrome.json", dropped=dropped)
-    extra.update(events=events, dropped=dropped, shards=len(shard_paths))
+    events = write_trace(trace, [meta["records"] for meta in metas], dropped)
+    extra.update(events=events, dropped=dropped, shards=len(metas))
     monitor_summaries = [meta["monitors"] for meta in metas if "monitors" in meta]
     if monitor_summaries:
         extra["monitors"] = monitor_summaries
@@ -360,7 +341,7 @@ def _finish_observed(
         ),
     )
     print(
-        f"\ntrace written: {trace} ({events} events from {len(shard_paths)} "
+        f"\ntrace written: {trace} ({events} events from {len(metas)} "
         f"shard(s), {dropped} dropped) + .chrome.json + .manifest.json",
         file=sys.stderr,
     )
@@ -388,15 +369,15 @@ def _report_monitors(jobs: List[Tuple[str, Optional[dict]]]) -> int:
 
 
 def _experiment_worker(
-    job: Tuple[str, bool, Optional[str], Optional[str], bool],
+    job: Tuple[str, bool, Optional[str], bool, bool],
 ) -> Tuple[str, str, Optional[dict]]:
     """Run one experiment job; returns (id, rendered table, obs meta).
 
     Top-level so a multiprocessing pool can pickle it.
     """
-    eid, full, profile_dir, shard_path, monitors = job
+    eid, full, profile_dir, trace, monitors = job
     rendered, meta = _observed(
-        lambda: _run_driver(eid, full, profile_dir), shard_path, monitors
+        lambda: _run_driver(eid, full, profile_dir), trace, monitors
     )
     return eid, rendered, meta
 
@@ -416,28 +397,28 @@ def _cmd_experiments(args) -> int:
         return 2
     wall_start = time.perf_counter()
     profile_dir = args.profile_dir if args.profile else None
-    with _shards(args.trace, len(ids)) as shard_paths:
-        jobs = [
-            (eid, args.full, profile_dir, shard_paths[i], args.monitors)
-            for i, eid in enumerate(ids)
-        ]
-        if args.jobs > 1 and len(jobs) > 1:
-            import multiprocessing
+    jobs = [
+        (eid, args.full, profile_dir, args.trace is not None, args.monitors)
+        for eid in ids
+    ]
+    if args.jobs > 1 and len(jobs) > 1:
+        import multiprocessing
 
-            with multiprocessing.Pool(processes=min(args.jobs, len(jobs))) as pool:
-                outputs = pool.map(_experiment_worker, jobs)
-        else:
-            outputs = [_experiment_worker(job) for job in jobs]
-        # Pool.map preserves submission order, so parallel output is
-        # byte-identical to the serial run.
-        for _eid, rendered, _meta in outputs:
-            print(rendered)
-            print()
-        if args.trace is not None:
-            _finish_observed(
-                args.trace, shard_paths, [meta for _e, _r, meta in outputs],
-                wall_start, f"experiments {' '.join(ids)}", jobs=args.jobs,
-            )
+        with multiprocessing.Pool(processes=min(args.jobs, len(jobs))) as pool:
+            outputs = pool.map(_experiment_worker, jobs)
+    else:
+        outputs = [_experiment_worker(job) for job in jobs]
+    # Pool.map preserves submission order, so parallel output (tables
+    # and the merge's shard indices alike) is byte-identical to the
+    # serial run.
+    for _eid, rendered, _meta in outputs:
+        print(rendered)
+        print()
+    if args.trace is not None:
+        _finish_observed(
+            args.trace, [meta for _e, _r, meta in outputs],
+            wall_start, f"experiments {' '.join(ids)}", jobs=args.jobs,
+        )
     return _report_monitors([(eid, meta) for eid, _r, meta in outputs])
 
 
@@ -482,8 +463,8 @@ def _cmd_metrics(args) -> int:
 def _cmd_trace_smoke(args) -> int:
     import json
 
-    from repro.obs import validate_jsonl
-    from repro.obs.analyze import analyze_trace, diff_summaries
+    from repro.obs import TraceReader
+    from repro.obs.analyze import TraceAnalysis, diff_summaries
 
     os.makedirs(args.dir, exist_ok=True)
     jsonl = os.path.join(args.dir, "trace_smoke.jsonl")
@@ -501,22 +482,22 @@ def _cmd_trace_smoke(args) -> int:
         machine.run_workload("office", duration_s=20.0)
         return machine
 
-    with _shards(jsonl, 1) as shard_paths:
-        # Small capacity keeps the smoke's output bounded; the ring
-        # counts anything it drops, so truncation is visible in the
-        # manifest.  Every stock online monitor rides along; any
-        # violation fails CI.
-        machine, meta = _observed(smoke, shard_paths[0], monitors=True,
-                                  capacity=1 << 16)
-        _finish_observed(jsonl, shard_paths, [meta], wall_start, "trace-smoke",
-                         seed=args.seed, config=config,
-                         sim_seconds=machine.clock.now)
+    # Small capacity keeps the smoke's output bounded; the ring counts
+    # anything it drops, so truncation is visible in the manifest.
+    # Every stock online monitor rides along; any violation fails CI.
+    machine, meta = _observed(smoke, trace=True, monitors=True, capacity=1 << 16)
+    _finish_observed(jsonl, [meta], wall_start, "trace-smoke", seed=args.seed,
+                     config=config, sim_seconds=machine.clock.now)
     monitors = meta["monitors"]
 
     failures: List[str] = []
-    valid, errors = validate_jsonl(jsonl)
-    failures.extend(errors)
-    if valid == 0:
+    # One validating pass over the written trace also feeds the analysis.
+    reader = TraceReader(jsonl)
+    analysis = TraceAnalysis()
+    for event in reader:
+        analysis.feed(event)
+    failures.extend(reader.errors)
+    if reader.valid == 0:
         failures.append("trace produced no events")
     with open(chrome, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
@@ -535,7 +516,7 @@ def _cmd_trace_smoke(args) -> int:
     for violation in monitors["violations"]:
         failures.append(f"monitor violation: {Violation(**violation)}")
     # The analytics layer must digest its own freshly-recorded trace...
-    summary = analyze_trace(jsonl).summary()
+    summary = analysis.summary()
     if not summary["components"]:
         failures.append("analyze produced no per-component stats")
     elif all(s["latency"]["p95"] == 0.0 for s in summary["ops"].values()):
@@ -560,7 +541,7 @@ def _cmd_trace_smoke(args) -> int:
             print(f"  {failure}", file=sys.stderr)
         return 1
     print(
-        f"trace smoke ok: {valid} schema-valid events "
+        f"trace smoke ok: {reader.valid} schema-valid events "
         f"({meta['dropped']} dropped by the ring), chrome export parses, "
         f"hub/device flash accounting identical ({int(dev_bytes):,} bytes), "
         f"{len(monitors['monitors'])} monitors clean, analyze percentiles in range, "
@@ -578,6 +559,9 @@ def _cmd_analyze(args) -> int:
         summary = analyze_trace(args.trace_file).summary()
     except OSError as exc:
         print(f"analyze: cannot read {args.trace_file}: {exc}", file=sys.stderr)
+        return 2
+    except ValueError as exc:
+        print(f"analyze: {exc}", file=sys.stderr)
         return 2
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -702,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
             "--trace", metavar="PATH", default=None,
             help="trace the run: canonical JSONL events to PATH, Chrome trace "
             "to PATH.chrome.json, manifest to PATH.manifest.json; composes "
-            "with experiments -j N via deterministic shard merge",
+            "with experiments -j N via a deterministic merge",
         )
         p.add_argument(
             "--monitors", action="store_true",
@@ -818,16 +802,15 @@ def main(argv: Optional[List[str]] = None) -> int:
     monitors = getattr(args, "monitors", False)
     if args.command == "experiments" or not (trace or monitors):
         return command(args)
-    # run / compare / metrics / torture: one in-process job, one shard.
+    # run / compare / metrics / torture: one in-process job.
     wall_start = time.perf_counter()
-    with _shards(trace, 1) as shard_paths:
-        rc, meta = _observed(lambda: command(args), shard_paths[0], monitors)
-        if trace is not None:
-            _finish_observed(
-                trace, shard_paths, [meta], wall_start,
-                " ".join(argv if argv is not None else sys.argv[1:]),
-                seed=getattr(args, "seed", None),
-            )
+    rc, meta = _observed(lambda: command(args), trace is not None, monitors)
+    if trace is not None:
+        _finish_observed(
+            trace, [meta], wall_start,
+            " ".join(argv if argv is not None else sys.argv[1:]),
+            seed=getattr(args, "seed", None),
+        )
     violations = _report_monitors([(args.command, meta)])
     return rc or violations
 

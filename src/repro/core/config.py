@@ -10,18 +10,23 @@ several configs differing in one knob and compare the resulting
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.devices.catalog import (
     DISK_HP_KITTYHAWK,
     DRAM_NEC_LOW_POWER,
     FLASH_PAPER_NOMINAL,
-    DeviceSpec,
     MB,
 )
-from repro.storage.gc import CleaningPolicy
 from repro.storage.wear import WearPolicy
+
+#: Flash banks in the data-flash array.
+FLASH_BANKS = 4
+#: Buffer cache of the conventional organizations (comes out of DRAM).
+CACHE_BYTES = 1 * MB
+#: DRAM reserved for kernel metadata, never a page frame.
+VM_RESERVED_BYTES = 256 * 1024
 
 
 class Organization(enum.Enum):
@@ -53,16 +58,9 @@ class SystemConfig:
     disk_bytes: int = 40 * MB
     program_flash_bytes: int = 2 * MB  # XIP program area (own chip)
 
-    # Device specs.
-    dram_spec: DeviceSpec = DRAM_NEC_LOW_POWER
-    flash_spec: DeviceSpec = FLASH_PAPER_NOMINAL
-    disk_spec: DeviceSpec = DISK_HP_KITTYHAWK
-
-    # Flash geometry / policies.
-    flash_banks: int = 4
+    # Flash policies.
     write_banks: Optional[int] = None  # None => unpartitioned
     wear_policy: WearPolicy = WearPolicy.DYNAMIC
-    cleaning_policy: CleaningPolicy = CleaningPolicy.COST_BENEFIT
 
     # Storage manager.
     write_buffer_bytes: int = 1 * MB
@@ -76,22 +74,9 @@ class SystemConfig:
     # the compression ablation, experiment X1).
     compress_flash: bool = False
 
-    # Conventional organization.
-    cache_bytes: int = 1 * MB  # buffer cache size (comes out of DRAM)
-    cache_sync_interval_s: float = 30.0
-    disk_spin_down_s: float = 5.0
-
-    # Virtual memory.
-    vm_reserved_bytes: int = 256 * 1024  # kernel metadata reserve
-    swap_bytes: int = 8 * MB
-    fault_overhead_s: float = 50e-6
-    tlb_entries: int = 32
-
     # Power.
     primary_battery_joules: float = 40_000.0  # ~8 NiCd AA cells
     backup_battery_joules: float = 2_000.0  # lithium coin cells
-    base_load_watts: float = 0.0  # rest-of-machine draw, if modelled
-    power_settle_interval_s: float = 1.0
 
     seed: int = 0
 
@@ -103,31 +88,31 @@ class SystemConfig:
             raise ValueError("flash organizations need flash_bytes > 0")
         if self.organization is Organization.DISK and self.disk_bytes <= 0:
             raise ValueError("disk organization needs disk_bytes > 0")
-        reserved = self.vm_reserved_bytes + self._dram_consumers()
+        reserved = VM_RESERVED_BYTES + self._dram_consumers()
         if reserved >= self.dram_bytes:
             raise ValueError(
                 f"DRAM too small: {self.dram_bytes} bytes cannot hold "
                 f"{reserved} bytes of buffer/cache/reserve"
             )
-        if self.write_banks is not None and not 1 <= self.write_banks <= self.flash_banks:
-            raise ValueError("write_banks outside [1, flash_banks]")
+        if self.write_banks is not None and not 1 <= self.write_banks <= FLASH_BANKS:
+            raise ValueError(f"write_banks outside [1, {FLASH_BANKS}]")
 
     def _dram_consumers(self) -> int:
         if self.organization in (Organization.SOLID_STATE, Organization.NAIVE_FLASH):
             return self.write_buffer_bytes
-        return self.cache_bytes
+        return CACHE_BYTES
 
     def vm_frame_bytes(self) -> int:
         """DRAM left for page frames after buffers and reserve."""
-        return self.dram_bytes - self._dram_consumers() - self.vm_reserved_bytes
+        return self.dram_bytes - self._dram_consumers() - VM_RESERVED_BYTES
 
     def storage_budget_dollars(self) -> float:
         """What this machine's storage complement costs (paper Section 4)."""
-        cost = self.dram_spec.dollars_per_mb * self.dram_bytes / MB
+        cost = DRAM_NEC_LOW_POWER.dollars_per_mb * self.dram_bytes / MB
         if self.organization is Organization.DISK:
-            cost += self.disk_spec.dollars_per_mb * self.disk_bytes / MB
+            cost += DISK_HP_KITTYHAWK.dollars_per_mb * self.disk_bytes / MB
         else:
-            cost += self.flash_spec.dollars_per_mb * (
+            cost += FLASH_PAPER_NOMINAL.dollars_per_mb * (
                 (self.flash_bytes + self.program_flash_bytes) / MB
             )
         return cost

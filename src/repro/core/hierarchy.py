@@ -27,10 +27,16 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.core.config import Organization, SystemConfig
+from repro.core.config import CACHE_BYTES, FLASH_BANKS, Organization, SystemConfig
 from repro.core.lifetime import lifetime_projection
 from repro.core.metrics import RunMetrics
 from repro.devices.battery import BatteryBank
+from repro.devices.catalog import (
+    DISK_HP_KITTYHAWK,
+    DRAM_NEC_LOW_POWER,
+    FLASH_PAPER_NOMINAL,
+    MB,
+)
 from repro.devices.cpu import CPU
 from repro.devices.dram import DRAM
 from repro.devices.flash import FlashMemory
@@ -63,6 +69,8 @@ from repro.trace.replay import ReplayReport, TraceReplayer
 from repro.trace.workloads import WORKLOADS, generate_workload
 
 DEFAULT_PROGRAM_BYTES = 64 * 1024
+#: Disk space the disk organization sets aside as raw swap.
+SWAP_BYTES = 8 * MB
 MAX_RESIDENT_PROCESSES = 4
 
 
@@ -79,7 +87,7 @@ class MobileComputer:
 
         # --- Primary storage and power. ---------------------------------
         self.cpu = CPU()
-        self.dram = DRAM(config.dram_bytes, spec=config.dram_spec)
+        self.dram = DRAM(config.dram_bytes, spec=DRAM_NEC_LOW_POWER)
         self.dram_region = self.phys.add_region("dram", self.dram)
         self.battery = BatteryBank(
             config.primary_battery_joules, config.backup_battery_joules
@@ -100,8 +108,8 @@ class MobileComputer:
         if org is not Organization.DISK:
             self.flash = FlashMemory(
                 config.flash_bytes,
-                spec=config.flash_spec,
-                banks=config.flash_banks,
+                spec=FLASH_PAPER_NOMINAL,
+                banks=FLASH_BANKS,
                 name="flash-data",
             )
             self.flash_region = self.phys.add_region(
@@ -119,27 +127,17 @@ class MobileComputer:
                 )
         else:
             if org is Organization.DISK:
-                self.disk = MagneticDisk(
-                    config.disk_bytes,
-                    spec=config.disk_spec,
-                    spin_down_timeout_s=config.disk_spin_down_s,
-                )
+                self.disk = MagneticDisk(config.disk_bytes, spec=DISK_HP_KITTYHAWK)
                 devices.append(self.disk)
-                data_bytes = config.disk_bytes - config.swap_bytes
+                data_bytes = config.disk_bytes - SWAP_BYTES
                 blockdev = DiskBlockDevice(
                     self.disk, self.clock, nblocks=data_bytes // 4096
                 )
-                if config.swap_bytes >= PAGE_SIZE:
-                    swap = RawDiskSwap(
-                        self.disk, self.clock, data_bytes, config.swap_bytes
-                    )
+                swap = RawDiskSwap(self.disk, self.clock, data_bytes, SWAP_BYTES)
             elif org is Organization.FLASH_DISK:
                 assert self.flash is not None
                 self.store = FlashStore(
-                    self.flash,
-                    self.clock,
-                    cleaning=config.cleaning_policy,
-                    wear=config.wear_policy,
+                    self.flash, self.clock, wear=config.wear_policy
                 )
                 blockdev = LogStructuredFTL(self.store)
                 swap = FlashSwap(self.store)
@@ -149,20 +147,20 @@ class MobileComputer:
             self.cache = BufferCache(
                 blockdev,
                 self.clock,
-                capacity_blocks=max(8, config.cache_bytes // 4096),
+                capacity_blocks=max(8, CACHE_BYTES // 4096),
                 dram=self.dram,
             )
-            self.cache.attach_sync_timer(self.engine, config.cache_sync_interval_s)
+            self.cache.attach_sync_timer(self.engine)
             self.fs = ConventionalFileSystem(self.cache, mkfs(self.cache))
 
         # --- Virtual memory. ---------------------------------------------
-        self.tlb = TLB(entries=config.tlb_entries)
+        self.tlb = TLB()
         self._build_vm(swap)
 
         # --- Program store (XIP flash card). -----------------------------
         self.program_flash = FlashMemory(
             config.program_flash_bytes,
-            spec=config.flash_spec,
+            spec=FLASH_PAPER_NOMINAL,
             banks=1,
             name="flash-programs",
         )
@@ -178,10 +176,8 @@ class MobileComputer:
             self.mmap = MmapManager(self.vm, self.flash_region, self.store)
 
         # --- Power model. -------------------------------------------------
-        self.power = PowerModel(
-            devices, battery=self.battery, base_load_watts=config.base_load_watts
-        )
-        self.power.attach_timer(self.engine, config.power_settle_interval_s)
+        self.power = PowerModel(devices, battery=self.battery)
+        self.power.attach_timer(self.engine)
         self._rng = substream(config.seed, "machine")
 
         # --- Observability. ----------------------------------------------
@@ -227,7 +223,6 @@ class MobileComputer:
             self.flash,
             self.clock,
             mode=StoreMode.LOGGING if solid else StoreMode.IN_PLACE,
-            cleaning=config.cleaning_policy,
             wear=config.wear_policy,
             partition=partition,
         )
@@ -261,9 +256,7 @@ class MobileComputer:
         frame_bytes = (config.vm_frame_bytes() // PAGE_SIZE) * PAGE_SIZE
         self.frames = PageFrameAllocator(self.dram_region.base, frame_bytes)
         self.vm = VirtualMemory(
-            self.phys, self.frames, swap=swap,
-            fault_overhead_s=config.fault_overhead_s,
-            tlb=self.tlb, cpu=self.cpu,
+            self.phys, self.frames, swap=swap, tlb=self.tlb, cpu=self.cpu,
         )
         self.swap = swap
 

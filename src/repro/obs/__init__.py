@@ -5,14 +5,16 @@ simulator's instrumentation, so that instrumentation is a first-class
 subsystem:
 
 - :mod:`repro.obs.tracer` -- a ring-buffered, seed-deterministic trace
-  event stream, its JSONL shard sink, the canonical shard merge and the
-  Chrome ``trace_event`` export.
+  event stream and its one writer, which merges every job's records in
+  memory into canonical order and writes the JSONL trace and its Chrome
+  ``trace_event`` export.
 - :mod:`repro.obs.hub` -- :class:`MetricsHub`, registering every
   component's :class:`~repro.sim.stats.StatRegistry` and device stats at
   machine-build time and rendering one merged JSON-able snapshot with
   derived rates.
-- :mod:`repro.obs.schema` -- the trace-record schema and a
-  dependency-free JSONL validator (``make trace-smoke``).
+- :mod:`repro.obs.schema` -- the trace-record schema and the one
+  dependency-free, validating JSONL reader every trace tool reads
+  through (``make trace-smoke``, ``analyze``, ``trace-diff``).
 - :mod:`repro.obs.manifest` -- per-run manifests (config, seed, git
   rev, wall/sim time) written next to experiment output.
 - :mod:`repro.obs.runtime` -- the process-wide active tracer the CLI
@@ -28,27 +30,25 @@ subsystem:
 
 from repro.obs.hub import MetricsHub, flatten_numeric
 from repro.obs.manifest import git_revision, run_manifest, write_manifest
-from repro.obs.schema import TRACE_EVENT_SCHEMA, validate_event, validate_jsonl
-from repro.obs.tracer import (
-    EVENT_FIELDS,
-    Tracer,
-    jsonl_to_chrome,
-    merge_shards_to_jsonl,
-    shard_filename,
+from repro.obs.schema import (
+    TRACE_EVENT_SCHEMA,
+    TraceReader,
+    validate_event,
+    validate_jsonl,
 )
+from repro.obs.tracer import EVENT_FIELDS, Tracer, write_trace
 from repro.obs import analyze, monitor, runtime
 
 __all__ = [
     "Tracer",
     "EVENT_FIELDS",
-    "shard_filename",
-    "merge_shards_to_jsonl",
-    "jsonl_to_chrome",
+    "write_trace",
     "analyze",
     "monitor",
     "MetricsHub",
     "flatten_numeric",
     "TRACE_EVENT_SCHEMA",
+    "TraceReader",
     "validate_event",
     "validate_jsonl",
     "run_manifest",

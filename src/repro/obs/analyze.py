@@ -1,8 +1,9 @@
 """Streaming trace analytics: the *consume* side of ``repro.obs``.
 
-:func:`analyze_trace` reads a ``.jsonl`` trace (raw shard or canonical
-merged file -- ``seq``/``shard`` fields are ignored) in one streaming
-pass, never materializing the file, and aggregates:
+:func:`analyze_trace` reads a ``.jsonl`` trace (``seq``/``shard`` fields
+are ignored) through the one validating reader,
+:class:`~repro.obs.schema.TraceReader`, in one streaming pass, never
+materializing the file, and aggregates:
 
 - per-component / per-op counts, byte totals, outcome tallies, and
   latency percentiles (p50/p95/p99) from the simulator's own log-binned
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 from typing import Dict, List, Optional, Tuple
 
-from repro.obs.tracer import iter_trace
+from repro.obs.schema import TraceReader
 from repro.sim.stats import Histogram
 
 #: Flattened-summary path fragments excluded from diffs: positional
@@ -349,10 +350,20 @@ class TraceAnalysis:
 
 
 def analyze_trace(path: str) -> TraceAnalysis:
-    """Stream a JSONL trace through a :class:`TraceAnalysis`."""
+    """Stream a JSONL trace through a :class:`TraceAnalysis`.
+
+    Raises ``ValueError`` naming the first bad lines when any line does
+    not parse or breaks the schema: a summary of part of a trace must
+    not pass for the whole.
+    """
+    reader = TraceReader(path)
     analysis = TraceAnalysis()
-    for event in iter_trace(path):
+    for event in reader:
         analysis.feed(event)
+    if reader.errors:
+        raise ValueError(
+            f"{path} is not a valid trace:\n  " + "\n  ".join(reader.errors)
+        )
     return analysis
 
 

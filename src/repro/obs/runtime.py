@@ -22,9 +22,9 @@ primitive under :func:`tracing`, kept for callers that cannot use a
 
 The setting is per-process: a parallel experiment run's worker processes
 do not inherit it.  Instead each traced job scopes its *own* tracer in
-whatever process runs it, writes a per-job shard file, and the parent
-merges the shards deterministically (see
-:func:`repro.obs.tracer.merge_shards_to_jsonl`) -- so ``--trace``
+whatever process runs it and returns the tracer's buffered records to
+the parent, which merges every job's records deterministically in
+memory (see :func:`repro.obs.tracer.write_trace`) -- so ``--trace``
 composes with ``-j N`` without any cross-process tracer sharing.
 """
 

@@ -1,15 +1,19 @@
-"""Trace-record schema and JSONL validation.
+"""Trace-record schema and the one validating trace reader.
 
-The JSONL sink writes one object per line with the fields below.  The
-validator is deliberately dependency-free (no jsonschema): ``make
-trace-smoke`` runs it over a freshly recorded stream in CI, and tests
-use it to pin the schema against accidental drift.
+The trace writer (:func:`repro.obs.tracer.write_trace`) puts one object
+per line with the fields below.  Every tool reads a trace file through
+:class:`TraceReader`, which parses each line once, checks it against
+the schema and yields only valid events, keeping the first problems
+with their line numbers.  The validator is deliberately
+dependency-free (no jsonschema): ``make trace-smoke`` runs it over a
+freshly recorded stream in CI, and tests use it to pin the schema
+against accidental drift.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Dict, List, Tuple
+from typing import Dict, Iterator, List, Tuple
 
 #: field -> (required, allowed python types)
 TRACE_EVENT_SCHEMA: Dict[str, Tuple[bool, tuple]] = {
@@ -20,9 +24,9 @@ TRACE_EVENT_SCHEMA: Dict[str, Tuple[bool, tuple]] = {
     "latency_s": (True, (int, float)),
     "outcome": (True, (str,)),
     "detail": (False, (dict,)),
-    # Stamped by the canonical merge (tracer.merge_shards_to_jsonl):
-    # position within the originating shard and the shard's
-    # job-submission index.  Absent from raw shard files.
+    # Stamped by the canonical merge (tracer.write_trace): position
+    # among the originating job's records and the job's submission
+    # index.  Optional, so a hand-written trace may leave them out.
     "seq": (False, (int,)),
     "shard": (False, (int,)),
 }
@@ -60,29 +64,47 @@ def validate_event(obj: object) -> List[str]:
     return errors
 
 
-def validate_jsonl(path: str, max_errors: int = 20) -> Tuple[int, List[str]]:
-    """Validate a JSONL trace file.
+class TraceReader:
+    """One streaming, validating pass over a JSONL trace file.
 
-    Returns ``(valid_event_count, errors)``; validation stops collecting
-    after ``max_errors`` problems (the count keeps going).
+    Iterating parses each non-blank line once and yields the events
+    that pass :func:`validate_event`.  Lines that do not parse or break
+    the schema are skipped; ``valid`` counts the yielded events and
+    ``errors`` keeps the first ``max_errors`` problems, each naming its
+    line (the count keeps going).
     """
-    count = 0
-    errors: List[str] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                if len(errors) < max_errors:
-                    errors.append(f"line {lineno}: not JSON ({exc})")
-                continue
-            problems = validate_event(obj)
-            if problems:
-                if len(errors) < max_errors:
-                    errors.append(f"line {lineno}: " + "; ".join(problems))
-            else:
-                count += 1
-    return count, errors
+
+    def __init__(self, path: str, max_errors: int = 20) -> None:
+        self.path = path
+        self.max_errors = max_errors
+        self.valid = 0
+        self.errors: List[str] = []
+
+    def __iter__(self) -> Iterator[dict]:
+        errors = self.errors
+        with open(self.path, encoding="utf-8") as fh:
+            for lineno, line in enumerate(fh, start=1):
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    if len(errors) < self.max_errors:
+                        errors.append(f"line {lineno}: not JSON ({exc})")
+                    continue
+                problems = validate_event(obj)
+                if problems:
+                    if len(errors) < self.max_errors:
+                        errors.append(f"line {lineno}: " + "; ".join(problems))
+                    continue
+                self.valid += 1
+                yield obj
+
+
+def validate_jsonl(path: str, max_errors: int = 20) -> Tuple[int, List[str]]:
+    """Validate a JSONL trace file: ``(valid_event_count, errors)``."""
+    reader = TraceReader(path, max_errors)
+    for _event in reader:
+        pass
+    return reader.valid, reader.errors

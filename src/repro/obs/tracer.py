@@ -19,13 +19,13 @@ Design constraints:
   pop per append) and counted in ``dropped`` so truncation is never
   silent.
 
-Sink: :meth:`Tracer.to_jsonl` writes the buffered events one JSON
-object per line (the schema lives in :mod:`repro.obs.schema`), in
-emission order -- the raw *shard* format.  Final traces always come out
-of :func:`merge_shards_to_jsonl` (canonical order) and
-:func:`jsonl_to_chrome` (Chrome ``trace_event`` format -- load it at
-``chrome://tracing`` or https://ui.perfetto.dev for a flame-chart view
-per component).
+Sink: :func:`write_trace` takes every job's buffered records
+(:attr:`Tracer.records`, the :data:`EVENT_FIELDS` tuples), merges them
+in memory into one canonical stream and writes it twice from that one
+sequence: as JSON Lines, one object per line (the schema lives in
+:mod:`repro.obs.schema`), and in Chrome ``trace_event`` format (load it
+at ``chrome://tracing`` or https://ui.perfetto.dev for a flame-chart
+view per component).
 
 Live consumers (the online invariant monitors in
 :mod:`repro.obs.monitor`) :meth:`~Tracer.subscribe` a callable for the
@@ -36,22 +36,26 @@ dict lookup plus one call per observer subscribed to that component,
 and events no observer reads (most device records) cost only the
 lookup.
 
-**Sharding.**  Every traced CLI run writes one *shard* file per job
-(:func:`shard_filename`) -- a serial run is one job with one shard --
-and :func:`merge_shards_to_jsonl` merges the shards into one canonical
-stream: a stable sort on ``(t, seq, shard)`` where ``seq`` is the
-event's position within its shard and ``shard`` is the job's submission
-index.  Because both keys are functions of the (seed-deterministic) job
-content and submission order -- never of which worker process ran the
-job or when -- the merged file is byte-identical for any ``-j``, and
-every final ``.jsonl`` carries ``seq``/``shard`` fields so tools never
-see two formats.
+**Canonical order.**  Every traced CLI run is a list of jobs, each with
+its own tracer -- a serial run is one job -- and a job's records come
+back to the writer in memory (across ``-j N`` worker processes, through
+``Pool.map``).  :func:`write_trace` merges them with a sort on
+``(t, seq, shard)`` where ``seq`` is the record's position among its
+job's buffered records and ``shard`` is the job's submission index.
+Because both keys are functions of the (seed-deterministic) job content
+and submission order -- never of which worker process ran the job or
+when -- the written files are byte-identical for any ``-j``, and every
+``.jsonl`` line carries ``seq``/``shard`` fields.
+
+The records are serialized only at the end of the whole run, so an
+emitted ``detail`` dict must have string keys and must not be mutated
+after the emit: every emit site builds a fresh dict literal.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 #: Ordered field names of one trace record (the JSONL object keys).
 EVENT_FIELDS = ("t", "component", "op", "bytes", "latency_s", "outcome", "detail")
@@ -127,9 +131,11 @@ class Tracer:
         self._events.clear()
         self.dropped = 0
 
-    # ------------------------------------------------------------------
-    # Views.
-    # ------------------------------------------------------------------
+    @property
+    def records(self) -> List[_EventTuple]:
+        """The buffered records, oldest first (the ring's own list:
+        read it, do not mutate it)."""
+        return self._events
 
     def events(self) -> Iterator[dict]:
         """Yield events as plain dicts (JSON-able; detail omitted if None)."""
@@ -139,108 +145,85 @@ class Tracer:
                 del out["detail"]
             yield out
 
-    # ------------------------------------------------------------------
-    # Sink.
-    # ------------------------------------------------------------------
-
-    def to_jsonl(self, path: str) -> int:
-        """Write buffered events as JSON Lines; returns events written."""
-        n = 0
-        with open(path, "w", encoding="utf-8") as fh:
-            for event in self.events():
-                fh.write(json.dumps(event, sort_keys=True))
-                fh.write("\n")
-                n += 1
-        return n
-
 
 # ----------------------------------------------------------------------
-# Shards and the canonical deterministic merge.
+# The one writer: canonical merge, JSONL and Chrome export.
 # ----------------------------------------------------------------------
 
+#: ``json.dumps(event, sort_keys=True)``, without a new encoder per line.
+_encode_line = json.JSONEncoder(sort_keys=True).encode
+#: Chrome events encoded per ``json.dumps`` call (C encoder, bounded list).
+_CHROME_CHUNK = 4096
 
-def shard_filename(base: str, index: int) -> str:
-    """Per-job shard path for a traced run."""
-    return f"{base}.shard{index:04d}.jsonl"
 
+def write_trace(
+    path: str, jobs: Sequence[Sequence[_EventTuple]], dropped: int = 0
+) -> int:
+    """Merge every job's records into one canonical stream and write it
+    to ``path`` (JSON Lines) and ``path.chrome.json``; returns the
+    number of events written.
 
-def merge_shards_to_jsonl(out_path: str, shard_paths: Iterable[str]) -> int:
-    """Merge per-job shard files into one canonical trace.
+    Records are sorted on ``(t, seq, shard)``: ``seq`` is a record's
+    index within its job's list (emission order after any ring drop)
+    and ``shard`` is the job's index in ``jobs`` (submission order).
+    Both keys depend only on job content and submission order, so the
+    files are identical for any worker count.  Each JSONL line is the
+    event object with sorted keys plus its ``seq``/``shard``.
 
-    Events are stable-sorted on ``(t, seq, shard)``: ``seq`` is the
-    event's line number within its shard (emission order after any ring
-    drop) and ``shard`` is the shard's position in ``shard_paths`` (job
-    submission order).  Both keys depend only on job content and
-    submission order, so the merged file is identical for any worker
-    count.  Returns the number of events written.
+    The Chrome file holds complete ('X') events: sim seconds map to
+    microseconds, each component gets its own ``tid`` so the viewer lays
+    components out as separate tracks, an event's ``detail`` keys join
+    its ``args`` in sorted order, and ``dropped`` (the rings' drop
+    count) lands in ``otherData``.  Its bytes are those of one
+    ``json.dumps`` of the whole document, encoded a chunk of events at a
+    time so no list of every Chrome event is ever built.
     """
-    indexed: List[Tuple[float, int, int, dict]] = []
-    for shard, path in enumerate(shard_paths):
-        for seq, event in enumerate(iter_trace(path)):
-            indexed.append((event["t"], seq, shard, event))
-    indexed.sort(key=lambda row: (row[0], row[1], row[2]))
-    with open(out_path, "w", encoding="utf-8") as fh:
-        for _t, seq, shard, event in indexed:
-            event["seq"] = seq
-            event["shard"] = shard
-            fh.write(json.dumps(event, sort_keys=True))
-            fh.write("\n")
-    return len(indexed)
-
-
-# ----------------------------------------------------------------------
-# Reading and exporting JSONL traces.
-# ----------------------------------------------------------------------
-
-
-def iter_trace(path: str) -> Iterator[dict]:
-    """Yield trace events from a JSONL file, one at a time (streaming)."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if line:
-                yield json.loads(line)
-
-
-def jsonl_to_chrome(jsonl_path: str, chrome_path: str, dropped: int = 0) -> int:
-    """Convert a (merged) JSONL trace to Chrome ``trace_event`` format
-    (complete 'X' events); returns the number of events written.
-
-    Sim seconds map to microseconds; each component gets its own
-    ``tid`` so the viewer lays components out as separate tracks.
-    ``dropped`` (the ring's drop count) lands in ``otherData``.
-    """
+    rows = [
+        (record[0], seq, shard, record)
+        for shard, records in enumerate(jobs)
+        for seq, record in enumerate(records)
+    ]
+    # (seq, shard) is unique, so the sort never compares two records.
+    rows.sort()
     tids: Dict[str, int] = {}
-    out = []
-    for event in iter_trace(jsonl_path):
-        component = event["component"]
-        tid = tids.setdefault(component, len(tids) + 1)
-        args: Dict[str, object] = {
-            "bytes": event["bytes"],
-            "outcome": event["outcome"],
-        }
-        if event.get("detail"):
-            args.update(event["detail"])
-        out.append(
-            {
-                "name": event["op"],
-                "cat": component,
-                "ph": "X",
-                "ts": event["t"] * 1e6,
-                "dur": event["latency_s"] * 1e6,
-                "pid": 1,
-                "tid": tid,
-                "args": args,
+    chunk: List[dict] = []
+    with open(path, "w", encoding="utf-8") as jsonl, open(
+        path + ".chrome.json", "w", encoding="utf-8"
+    ) as chrome:
+        chrome.write('{"traceEvents": [')
+        separator = ""
+        for t, seq, shard, record in rows:
+            _t, component, op, nbytes, latency_s, outcome, detail = record
+            event = {
+                "t": t, "component": component, "op": op, "bytes": nbytes,
+                "latency_s": latency_s, "outcome": outcome,
+                "seq": seq, "shard": shard,
             }
-        )
-    doc = {
-        "traceEvents": out,
-        "displayTimeUnit": "ms",
-        "otherData": {"dropped_events": dropped},
-    }
-    # One json.dumps call runs the C encoder; json.dump streams through
-    # the pure-Python one.  Both write the same bytes.
-    with open(chrome_path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(doc))
-        fh.write("\n")
-    return len(out)
+            args: Dict[str, object] = {"bytes": nbytes, "outcome": outcome}
+            if detail is not None:
+                event["detail"] = detail
+                args.update(sorted(detail.items()))
+            jsonl.write(_encode_line(event))
+            jsonl.write("\n")
+            chunk.append(
+                {
+                    "name": op,
+                    "cat": component,
+                    "ph": "X",
+                    "ts": t * 1e6,
+                    "dur": latency_s * 1e6,
+                    "pid": 1,
+                    "tid": tids.setdefault(component, len(tids) + 1),
+                    "args": args,
+                }
+            )
+            if len(chunk) == _CHROME_CHUNK:
+                chrome.write(separator + json.dumps(chunk)[1:-1])
+                separator = ", "
+                chunk = []
+        if chunk:
+            chrome.write(separator + json.dumps(chunk)[1:-1])
+        chrome.write('], "displayTimeUnit": "ms", "otherData": ')
+        chrome.write(json.dumps({"dropped_events": dropped}))
+        chrome.write("}\n")
+    return len(rows)

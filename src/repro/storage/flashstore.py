@@ -79,12 +79,13 @@ _FLAG_ECC = 1
 _MAX_KEY_BYTES = SUMMARY_BYTES - _SUMMARY.size - _SUMMARY_CRC.size - ECC_BYTES
 
 
+#: One compact encoder for every key (a tuple encodes as a JSON array).
+_KEY_ENCODER = json.JSONEncoder(separators=(",", ":"))
+
+
 def encode_key(key: Hashable) -> bytes:
     """Serialize a block key (tuple of scalars, or a scalar) to JSON."""
-    if isinstance(key, tuple):
-        raw = json.dumps(list(key), separators=(",", ":")).encode("utf-8")
-    else:
-        raw = json.dumps(key, separators=(",", ":")).encode("utf-8")
+    raw = _KEY_ENCODER.encode(key).encode("utf-8")
     if len(raw) > _MAX_KEY_BYTES:
         raise ValueError(f"block key too large to log: {key!r}")
     return raw

@@ -75,11 +75,6 @@ class TestCommands:
         for org in ("solid_state", "disk", "flash_disk", "flash_eip", "naive_flash"):
             assert org in out
 
-    def test_experiment_e1(self, capsys):
-        rc = main(["experiments", "E1"])
-        assert rc == 0
-        assert "[E1]" in capsys.readouterr().out
-
     @pytest.mark.parametrize("eid", ["E1", "E2", "E5"])
     def test_experiment_prints_golden(self, capsys, eid):
         assert main(["experiments", eid]) == 0
@@ -164,6 +159,35 @@ class TestTraceDiffCommand:
         assert main(["trace-diff", trace, "--bench", str(tmp_path), "--check"]) == 2
 
 
+class TestInvalidTraceInput:
+    """``analyze`` and ``trace-diff`` read through the validating reader:
+    a bad line exits 2 and is named, never a traceback."""
+
+    GOOD = {"t": 1.0, "component": "flash-data", "op": "program",
+            "bytes": 4096, "latency_s": 5e-4, "outcome": "ok"}
+
+    @pytest.fixture(params=["not-json", "no-bytes"])
+    def bad_trace(self, request, tmp_path):
+        if request.param == "not-json":
+            bad, problem = "{not json", "line 2: not JSON"
+        else:
+            event = dict(self.GOOD)
+            del event["bytes"]
+            bad, problem = json.dumps(event), "line 2: missing required field 'bytes'"
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(self.GOOD) + "\n" + bad + "\n")
+        return str(path), problem
+
+    @pytest.mark.parametrize("command", ["analyze", "trace-diff"])
+    def test_bad_line_exits_2_and_names_it(self, capsys, bad_trace, command):
+        path, problem = bad_trace
+        argv = ["analyze", path] if command == "analyze" else ["trace-diff", path, path]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert problem in captured.err
+        assert captured.out == ""
+
+
 class TestObservedRuns:
     """Every --trace / --monitors command takes the one observed-run path."""
 
@@ -208,6 +232,22 @@ class TestObservedRuns:
         # The finished trace holds only the merged output, no shard files.
         assert sorted(os.listdir(tmp_path)) == [
             "run.jsonl", "run.jsonl.chrome.json", "run.jsonl.manifest.json",
+        ]
+
+    def test_traced_run_makes_no_temp_directory(self, capsys, tmp_path,
+                                                monkeypatch):
+        """Job records reach the writer in memory, not via scratch files."""
+        import tempfile
+
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("a traced run created a temp directory")
+
+        monkeypatch.setattr(tempfile, "mkdtemp", refuse)
+        monkeypatch.setattr(tempfile, "TemporaryDirectory", refuse)
+        path = str(tmp_path / "e.jsonl")
+        assert main(["experiments", "E1", "--trace", path]) == 0
+        assert sorted(os.listdir(tmp_path)) == [
+            "e.jsonl", "e.jsonl.chrome.json", "e.jsonl.manifest.json",
         ]
 
     def test_removed_knobs_absent(self):

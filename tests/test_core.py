@@ -27,7 +27,7 @@ class TestSystemConfig:
             config.validate()
 
     def test_write_banks_bounds(self):
-        config = SystemConfig(flash_banks=4, write_banks=5)
+        config = SystemConfig(write_banks=5)
         with pytest.raises(ValueError):
             config.validate()
 

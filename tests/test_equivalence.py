@@ -26,7 +26,7 @@ from hypothesis import strategies as st
 from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
 from repro.obs import runtime
-from repro.obs.tracer import Tracer, merge_shards_to_jsonl, shard_filename
+from repro.obs.tracer import Tracer, write_trace
 from repro.sim.rand import substream
 from repro.trace.workloads import generate_workload
 
@@ -84,11 +84,9 @@ def _sched_run(org: Organization, clients: int = 1):
             "office", seed=SEED, duration_s=DURATION, clients=clients
         )
     with tempfile.TemporaryDirectory() as tmp:
-        # The CLI's trace path: one raw shard, then the canonical merge.
-        shard = shard_filename(os.path.join(tmp, "trace"), 0)
-        tracer.to_jsonl(shard)
+        # The CLI's trace path: one job's records through the one writer.
         path = os.path.join(tmp, "trace.jsonl")
-        merge_shards_to_jsonl(path, [shard])
+        write_trace(path, [tracer.records])
         with open(path, "rb") as fh:
             trace = fh.read()
     return _dumps(machine.hub.snapshot()), trace, report

@@ -26,12 +26,12 @@ from repro.obs import (
     MetricsHub,
     Tracer,
     flatten_numeric,
-    jsonl_to_chrome,
     run_manifest,
     runtime,
     validate_event,
     validate_jsonl,
     write_manifest,
+    write_trace,
 )
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
@@ -79,7 +79,7 @@ class TestTracer:
         tr.emit("flash", "program", 0.5, 256, 0.003)
         tr.emit("engine", "event", 1.0, detail={"name": "tick"})
         path = str(tmp_path / "t.jsonl")
-        assert tr.to_jsonl(path) == 2
+        assert write_trace(path, [tr.records]) == 2
         count, errors = validate_jsonl(path)
         assert (count, errors) == (2, [])
 
@@ -88,10 +88,8 @@ class TestTracer:
         tr.emit("flash", "erase", 0.25, 65536, 1.0, detail={"sector": 3})
         tr.emit("dram", "read", 0.5, 64, 1e-6)
         jsonl = str(tmp_path / "t.jsonl")
-        tr.to_jsonl(jsonl)
-        path = str(tmp_path / "t.chrome.json")
-        assert jsonl_to_chrome(jsonl, path, dropped=tr.dropped) == 2
-        with open(path, encoding="utf-8") as fh:
+        assert write_trace(jsonl, [tr.records], dropped=tr.dropped) == 2
+        with open(jsonl + ".chrome.json", encoding="utf-8") as fh:
             doc = json.load(fh)
         ev = doc["traceEvents"][0]
         assert ev["ph"] == "X"
@@ -494,15 +492,15 @@ class TestMachineObservability:
         assert json.dumps(snap_a, sort_keys=True) == json.dumps(snap_b, sort_keys=True)
         path_a = str(tmp_path / "a.jsonl")
         path_b = str(tmp_path / "b.jsonl")
-        tracer_a.to_jsonl(path_a)
-        tracer_b.to_jsonl(path_b)
+        write_trace(path_a, [tracer_a.records])
+        write_trace(path_b, [tracer_b.records])
         with open(path_a, "rb") as fa, open(path_b, "rb") as fb:
             assert fa.read() == fb.read()  # byte-identical streams
 
     def test_trace_stream_schema_valid(self, tmp_path):
         _machine, tracer = _traced_run()
         path = str(tmp_path / "t.jsonl")
-        written = tracer.to_jsonl(path)
+        written = write_trace(path, [tracer.records])
         count, errors = validate_jsonl(path)
         assert errors == []
         assert count == written > 0

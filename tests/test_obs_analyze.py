@@ -23,7 +23,7 @@ from repro.obs.analyze import (
     render_summary,
     trace_hub_metrics,
 )
-from repro.obs.tracer import Tracer
+from repro.obs.tracer import Tracer, write_trace
 from repro.sim.stats import Histogram
 
 
@@ -266,6 +266,13 @@ class TestTraceAnalysis:
         assert restamped["events"] == 3
         assert analysis.summary()["events"] == 17
 
+    def test_invalid_line_raises_naming_it(self, tmp_path):
+        path = tmp_path / "bad.jsonl"
+        good = _event("machine", "build", 0.0)
+        path.write_text(json.dumps(good) + "\n[1, 2]\n" + json.dumps(good) + "\n")
+        with pytest.raises(ValueError, match="line 2: event is list"):
+            analyze_trace(str(path))
+
 
 # ----------------------------------------------------------------------
 # Diffs.
@@ -385,7 +392,7 @@ def test_hub_and_analyze_report_the_same_read_latency(org, tmp_path):
         machine.run_workload("office", seed=42, duration_s=60.0)
     assert tracer.dropped == 0
     path = str(tmp_path / "trace.jsonl")
-    tracer.to_jsonl(path)
+    write_trace(path, [tracer.records])
     traced = analyze_trace(path).summary()["ops"]["flash-data.read"]["latency"]
     live = machine.hub.snapshot()["components"]["flashstore"]["histograms"]["read_latency"]
     assert live["count"] > 0

@@ -14,6 +14,7 @@ from repro.storage import (
     StoreMode,
     WearPolicy,
 )
+from repro.storage.flashstore import decode_key, encode_key
 
 KB = 1024
 
@@ -22,6 +23,24 @@ def make_store(capacity=64 * KB, banks=1, **kwargs) -> FlashStore:
     clock = SimClock()
     flash = FlashMemory(capacity, spec=FLASH_PAPER_NOMINAL, banks=banks)
     return FlashStore(flash, clock, **kwargs)
+
+
+class TestKeyEncoding:
+    """The on-flash key format: compact JSON, pinned byte for byte."""
+
+    def test_tuple_key_bytes(self):
+        key = ("data", 3, 7)
+        assert encode_key(key) == b'["data",3,7]'
+        assert decode_key(encode_key(key)) == key
+
+    def test_scalar_key_bytes(self):
+        assert encode_key("root") == b'"root"'
+        assert encode_key(5) == b"5"
+        assert decode_key(encode_key("root")) == "root"
+
+    def test_key_too_large_to_log(self):
+        with pytest.raises(ValueError, match="too large to log"):
+            encode_key(("data", "x" * 64, 0))
 
 
 class TestBasicOps:
