@@ -114,7 +114,7 @@ def run(
             "p99_read_ms",
             "write_ms",
             "p99_write_ms",
-            "dispatch_s",
+            "dispatch_delay_sum_s",
         ],
         rows=rows,
     )

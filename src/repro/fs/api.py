@@ -2,10 +2,11 @@
 
 Both file systems (memory-resident and conventional) implement
 :class:`FileSystem`, so trace replay, experiments, and examples are
-organization-agnostic.  Paths are Unix-style (``/dir/file``); each
-implementation times its operations whole-call against the owning
-machine's simulated clock through the shared :attr:`FileSystem._timed`
-op boundary.
+organization-agnostic.  Callers, the trace replayer among them, call its
+methods directly; there is no request object.  Paths are Unix-style
+(``/dir/file``); each implementation times its operations whole-call
+against the owning machine's simulated clock through the shared
+:attr:`FileSystem._timed` op boundary.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import functools
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from repro.sim import sched
 
@@ -88,35 +89,6 @@ def parent_and_name(path: str) -> Tuple[List[str], str]:
     return parts[:-1], parts[-1]
 
 
-@dataclass
-class FSRequest:
-    """One kernel-level file-system request.
-
-    The replayer (and any future kernel entry point) describes each
-    operation as data, so requests can be attributed to a client and
-    dispatched uniformly by :meth:`FileSystem.apply`.
-
-    Attributes:
-        op: ``mkdir`` | ``create`` | ``write`` | ``read`` | ``truncate``
-            | ``delete`` | ``rename`` | ``sync``.
-        path: target path (unused for ``sync``).
-        offset: byte offset for ``read``/``write``.
-        nbytes: read size, or the target size for ``truncate``.
-        data: payload for ``write``.
-        new_path: destination for ``rename``.
-        client: originating client id (None for kernel-internal or
-            single-client traffic).
-    """
-
-    op: str
-    path: str = ""
-    offset: int = 0
-    nbytes: int = 0
-    data: Optional[bytes] = None
-    new_path: Optional[str] = None
-    client: Optional[int] = None
-
-
 class FileSystem(ABC):
     """Path-based file operations shared by all organizations."""
 
@@ -167,39 +139,6 @@ class FileSystem(ABC):
     @abstractmethod
     def sync(self) -> None:
         """Push all dirty state to stable storage."""
-
-    def apply(self, request: FSRequest) -> Optional[bytes]:
-        """Apply one :class:`FSRequest`; returns the payload for reads.
-
-        Dispatch uses the replayer's tolerant semantics (idempotent
-        ``mkdir``/``create``, create-on-first-write) so that replaying
-        the same trace against any organization -- or the same trace
-        from several concurrent clients -- is well defined.
-        """
-        op = request.op
-        if op == "mkdir":
-            if not self.exists(request.path):
-                self.mkdir(request.path)
-        elif op == "create":
-            if not self.exists(request.path):
-                self.create(request.path)
-        elif op == "write":
-            if not self.exists(request.path):
-                self.create(request.path)
-            self.write(request.path, request.offset, request.data or b"")
-        elif op == "read":
-            return self.read(request.path, request.offset, request.nbytes)
-        elif op == "truncate":
-            self.truncate(request.path, request.nbytes)
-        elif op == "delete":
-            self.delete(request.path)
-        elif op == "rename":
-            self.rename(request.path, request.new_path or request.path)
-        elif op == "sync":
-            self.sync()
-        else:
-            raise ValueError(f"unhandled FS request op {op!r}")
-        return None
 
     def read_file(self, path: str) -> bytes:
         """Convenience: whole-file read."""

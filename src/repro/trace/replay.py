@@ -6,6 +6,11 @@ fast-forwards the event engine to each record's timestamp (so periodic
 flush/sync timers fire exactly as they would in a live system), issues
 the operation, and collects per-operation latency.
 
+Each record goes straight into the file-system call(s) it stands for:
+there is no request object between the trace and the FS, and the op
+name that keys the latency histogram comes from the same branch that
+issued the call.
+
 Payload bytes are generated deterministically from (path, offset), so a
 replay on two different organizations writes identical data -- and reads
 can be verified against an independent model if desired.
@@ -20,7 +25,7 @@ from dataclasses import dataclass, field
 from random import Random
 from typing import Callable, Dict, Iterable, List, Optional, Sequence
 
-from repro.fs.api import FileSystem, FSRequest
+from repro.fs.api import FileSystem
 from repro.sim.engine import Engine
 from repro.sim.sched import Scheduler
 from repro.sim.stats import Histogram
@@ -31,21 +36,42 @@ from repro.trace.model import OpType, TraceRecord
 #: one slice of it.
 _RAMP = bytes(range(256)) * 2
 
+#: The one generator every payload draws its random half from.
+_rng = Random()
+
+# Trace ops, bound once: an enum member read through its class costs an
+# attribute lookup on every comparison.
+_READ = OpType.READ
+_WRITE = OpType.WRITE
+_CREATE = OpType.CREATE
+_DELETE = OpType.DELETE
+_TRUNCATE = OpType.TRUNCATE
+_EXEC = OpType.EXEC
+_SYNC = OpType.SYNC
+_MKDIR = OpType.MKDIR
+_RENAME = OpType.RENAME
+
 
 def _payload(seedling: int, nbytes: int) -> bytes:
     """Build one payload: the pattern half, then the random half.
 
     The pattern half repeats the 64-byte unit ``seedling + i (mod 256)``,
     sliced from :data:`_RAMP`; the random half is one C-speed
-    ``randbytes`` batch.  Nothing is memoized: replays seldom repeat a
-    ``(seed, nbytes)`` pair, so a memo would hold megabytes for a few
-    hits.
+    ``randbytes`` batch from :data:`_rng`, reseeded with ``seedling``
+    first.  Sharing the one generator is safe because every call
+    reseeds it before it draws: ``seed`` leaves exactly the state
+    ``Random(seedling)`` starts in, so no call's bytes depend on an
+    earlier call's (the simulator is single-threaded, so nothing runs
+    between the seed and the draw).  Nothing is memoized: replays
+    seldom repeat a ``(seed, nbytes)`` pair, so a memo would hold
+    megabytes for a few hits.
     """
     half = nbytes // 2
     start = seedling & 0xFF
     unit = _RAMP[start : start + 64]
     patterned = (unit * (half // 64 + 1))[:half]
-    return patterned + Random(seedling).randbytes(nbytes - half)
+    _rng.seed(seedling)
+    return patterned + _rng.randbytes(nbytes - half)
 
 
 def payload_seed(path: str, offset: int) -> int:
@@ -71,8 +97,9 @@ def payload_for(path: str, offset: int, nbytes: int) -> bytes:
     the compression ablation (X1) honest.
 
     Generation is batched: the pattern half repeats a 64-byte unit
-    sliced from a fixed byte ramp, and the random half comes from one
-    ``Random(seed).randbytes`` call.  The seed derives from ``zlib.crc32`` so payload
+    sliced from a fixed byte ramp, and the random half is one
+    ``randbytes`` call on a generator reseeded with the seed, the same
+    bytes as ``Random(seed).randbytes``.  The seed derives from ``zlib.crc32`` so payload
     bytes are identical across processes regardless of PYTHONHASHSEED
     (the one-time payload-bytes change vs. the old salted-``hash`` LCG
     generator is intentional and documented in DESIGN.md).
@@ -231,6 +258,7 @@ class TraceReplayer:
         under any interleaving (the hypothesis property pins this).
         """
         clock = self.engine.clock
+        dispatch = self._dispatch
         prefix = f"/c{client}" if client is not None else None
         rooted = prefix is None
         for record in records:
@@ -250,10 +278,10 @@ class TraceReplayer:
                     self.fs.mkdir(prefix)
                 rooted = True
             start = clock.now
-            written, read = report.bytes_written, report.bytes_read
-            self._dispatch(record, report, client=client)
+            if stats is not None:
+                written, read = report.bytes_written, report.bytes_read
+            op = dispatch(record, report)
             elapsed = clock.now - start
-            op = record.op.value
             report.records += 1
             histograms[op].record(elapsed)
             if stats is not None:
@@ -262,42 +290,54 @@ class TraceReplayer:
                 stats["bytes_read"] += report.bytes_read - read
                 stats["_hists"][op].record(elapsed)
 
-    # Trace ops that translate 1:1 into kernel FS requests (EXEC is a
-    # program launch, not a file operation, and stays out of the map).
-    _FS_OPS = {
-        OpType.MKDIR: "mkdir",
-        OpType.CREATE: "create",
-        OpType.WRITE: "write",
-        OpType.READ: "read",
-        OpType.TRUNCATE: "truncate",
-        OpType.DELETE: "delete",
-        OpType.RENAME: "rename",
-        OpType.SYNC: "sync",
-    }
+    def _dispatch(self, record: TraceRecord, report: ReplayReport) -> str:
+        """Issue one record's file-system call(s); return its op name.
 
-    def _dispatch(
-        self, record: TraceRecord, report: ReplayReport, client: Optional[int] = None
-    ) -> None:
+        Ops are tested by identity, most frequent first.  The semantics
+        are tolerant, so that replaying the same trace against any
+        organization -- or the same trace from several concurrent
+        clients -- is well defined: ``mkdir`` and ``create`` are
+        idempotent behind an ``exists`` probe, the first write to a
+        missing file creates it, and a rename without a target renames
+        the path to itself.  EXEC is a program launch, not a file
+        operation: it goes to ``exec_handler`` when one is set.
+        """
         op = record.op
-        if op is OpType.EXEC:
+        fs = self.fs
+        path = record.path
+        if op is _READ:
+            report.bytes_read += len(fs.read(path, record.offset, record.nbytes))
+            return "read"
+        if op is _WRITE:
+            offset = record.offset
+            nbytes = record.nbytes
+            if not fs.exists(path):
+                fs.create(path)
+            fs.write(path, offset, _payload(payload_seed(path, offset), nbytes))
+            report.bytes_written += nbytes
+            return "write"
+        if op is _CREATE:
+            if not fs.exists(path):
+                fs.create(path)
+            return "create"
+        if op is _DELETE:
+            fs.delete(path)
+            return "delete"
+        if op is _TRUNCATE:
+            fs.truncate(path, record.nbytes)
+            return "truncate"
+        if op is _EXEC:
             if self.exec_handler is not None:
                 self.exec_handler(record)
-            return
-        fs_op = self._FS_OPS.get(op)
-        if fs_op is None:  # pragma: no cover - exhaustive
-            raise ValueError(f"unhandled op {op}")
-        request = FSRequest(
-            op=fs_op,
-            path=record.path,
-            offset=record.offset,
-            nbytes=record.nbytes,
-            new_path=record.new_path,
-            client=client,
-        )
-        if op is OpType.WRITE:
-            request.data = payload_for(record.path, record.offset, record.nbytes)
-        payload = self.fs.apply(request)
-        if op is OpType.WRITE:
-            report.bytes_written += record.nbytes
-        elif op is OpType.READ and payload is not None:
-            report.bytes_read += len(payload)
+            return "exec"
+        if op is _SYNC:
+            fs.sync()
+            return "sync"
+        if op is _MKDIR:
+            if not fs.exists(path):
+                fs.mkdir(path)
+            return "mkdir"
+        if op is _RENAME:
+            fs.rename(path, record.new_path or path)
+            return "rename"
+        raise ValueError(f"unhandled op {op}")  # pragma: no cover - exhaustive
