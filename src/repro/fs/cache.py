@@ -19,7 +19,6 @@ from repro.fs.blockdev import BlockDevice
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
 from repro.sim import sched
-from repro.sim.sched import current_client
 from repro.sim.stats import StatRegistry
 
 
@@ -39,6 +38,9 @@ class BufferCache:
         self.clock = clock
         self.capacity_blocks = capacity_blocks
         self.dram = dram
+        # A block device's geometry is fixed, so it is bound once.
+        self._block_size = device.block_size
+        self._nblocks = device.nblocks
         self.stats = StatRegistry("buffercache")
         # Counters every read/write touches; StatRegistry.reset resets
         # them in place, so the references stay valid.
@@ -52,26 +54,6 @@ class BufferCache:
         self._sync_timer = None
 
     # ------------------------------------------------------------------
-    # DRAM charging for cache hits/installs.
-    # ------------------------------------------------------------------
-
-    def _charge_dram(self, nbytes: int, write: bool) -> None:
-        """Advance the clock by a DRAM touch of ``nbytes``.
-
-        Uses the accounting-only charge API: writes and installs pay DRAM
-        latency/energy without allocating ghost buffers (the block bytes
-        already live in the cache's own structures).  :meth:`read`
-        inlines the same charge on its hit path.
-        """
-        if self.dram is None:
-            return
-        if write:
-            result = self.dram.charge_write(nbytes, self.clock.now)
-        else:
-            result = self.dram.charge_read(nbytes, self.clock.now)
-        self.clock.advance(result.latency)
-
-    # ------------------------------------------------------------------
     # Core cache operations.
     # ------------------------------------------------------------------
 
@@ -83,8 +65,8 @@ class BufferCache:
         it may be memoized on object identity.
         """
         # The hit path is the hottest in the block-FS stack: it reads the
-        # scheduler's client context and bumps the hit counter directly
-        # (the same values ``current_client()`` and ``Counter.add`` give).
+        # scheduler's client context (``sched._current_client``, the value
+        # ``current_client()`` returns) and bumps the hit counter directly.
         client = sched._current_client
         block = self._blocks.get(lba)
         if block is not None:
@@ -95,15 +77,24 @@ class BufferCache:
             dram = self.dram
             if dram is not None:
                 clock = self.clock
-                clock.advance(dram.charge_read(self.device.block_size, clock.now).latency)
+                clock.advance(dram.charge_read(self._block_size, clock.now).latency)
             return block
-        self._misses.add(1)
+        self._misses.value += 1
         if client is not None:
             self.stats.counter(f"client{client}_misses").add(1)
         data = self.device.read_block(lba)  # timed device read
         if type(data) is not bytes:
             data = bytes(data)
-        self._install(lba, data, dirty=False)
+        # Install: one DRAM write of the block, then evict past capacity.
+        dram = self.dram
+        if dram is not None:
+            clock = self.clock
+            clock.advance(dram.charge_write(len(data), clock.now).latency)
+        blocks = self._blocks
+        blocks[lba] = data
+        self._dirty[lba] = False
+        if len(blocks) > self.capacity_blocks:
+            self._evict()
         return data
 
     def write(self, lba: int, data: bytes) -> None:
@@ -111,31 +102,43 @@ class BufferCache:
 
         The cache keeps ``data`` itself when it is ``bytes`` and one
         immutable copy otherwise, so a caller mutating its buffer later
-        cannot change the cached block.
+        cannot change the cached block.  The write is charged one DRAM
+        write of the block, and a block not yet resident a second one for
+        its install.
         """
-        if len(data) != self.device.block_size:
+        if len(data) != self._block_size:
             raise ValueError("cache writes whole blocks")
-        self.device.check_lba(lba)
-        self._writes.add(1)
-        client = current_client()
+        if not 0 <= lba < self._nblocks:
+            self.device.check_lba(lba)
+        self._writes.value += 1
+        client = sched._current_client
         if client is not None:
             self.stats.counter(f"client{client}_writes").add(1)
         if type(data) is not bytes:
             data = bytes(data)
-        self._charge_dram(len(data), write=True)
-        if lba in self._blocks:
-            self._blocks[lba] = data
-            self._blocks.move_to_end(lba)
+        dram = self.dram
+        clock = self.clock
+        if dram is not None:
+            clock.advance(dram.charge_write(self._block_size, clock.now).latency)
+        blocks = self._blocks
+        if lba in blocks:
+            blocks[lba] = data
+            blocks.move_to_end(lba)
             self._dirty[lba] = True
             return
-        self._install(lba, data, dirty=True)
+        if dram is not None:
+            clock.advance(dram.charge_write(self._block_size, clock.now).latency)
+        blocks[lba] = data
+        self._dirty[lba] = True
+        if len(blocks) > self.capacity_blocks:
+            self._evict()
 
-    def _install(self, lba: int, block: bytes, dirty: bool) -> None:
-        self._charge_dram(len(block), write=True)
-        self._blocks[lba] = block
-        self._dirty[lba] = dirty
-        while len(self._blocks) > self.capacity_blocks:
-            victim, vblock = self._blocks.popitem(last=False)
+    def _evict(self) -> None:
+        """Drop least-recently-used blocks down to capacity, writing back
+        the dirty ones."""
+        blocks = self._blocks
+        while len(blocks) > self.capacity_blocks:
+            victim, vblock = blocks.popitem(last=False)
             if self._dirty.pop(victim):
                 self.stats.counter("dirty_evictions").add(1)
                 self.device.write_block(victim, vblock)  # timed

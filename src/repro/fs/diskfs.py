@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import struct
 from dataclasses import dataclass
+from itertools import compress
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.fs.api import (
@@ -55,7 +56,7 @@ from repro.fs.api import (
     split_path,
 )
 from repro.fs.cache import BufferCache
-from repro.sim.stats import StatRegistry
+from repro.sim.stats import StatHandle, StatRegistry
 
 BLOCK_SIZE = 4096
 MAGIC = b"SSMC1993"
@@ -79,6 +80,8 @@ _SUPER = struct.Struct("<8sQIIIIII")
 _INODE = struct.Struct("<BBHQd12III")  # mode, pad, nlinks, size, mtime,
 # direct[12], indirect, dindirect -- 76 bytes, padded to 128 on write.
 _DIRENT = struct.Struct("<IB59s")
+# The inode number of every dirent in a block, in slot order.
+_DIRENT_INOS = struct.Struct("<" + "I60x" * DIRENTS_PER_BLOCK)
 
 ROOT_INO = 1
 
@@ -160,35 +163,39 @@ class _DirBlock(NamedTuple):
 
     ``entries`` lists ``(slot, name, ino)`` for live entries in slot
     order, ``first`` maps each name to its first live entry's inode and
-    ``free`` lists the dead slots.  A name that does not decode stops
-    ``entries`` at its slot, exactly where an unmemoized scan raised;
-    ``error`` holds the exception to raise there.
+    ``first_free`` is the lowest dead slot (-1 if none).  A name that
+    does not decode stops ``entries`` at its slot, exactly where an
+    unmemoized scan raised; ``error`` holds the exception to raise there.
     """
 
     block: bytes
     entries: List[Tuple[int, str, int]]
     first: Dict[str, int]
-    free: List[int]
+    first_free: int
     error: Optional[UnicodeDecodeError]
 
 
 def _parse_dir_block(block: bytes) -> _DirBlock:
+    # One unpack gives every slot's inode number; only the live slots
+    # (a handful in a typical block of 64) are then decoded.
+    inos = _DIRENT_INOS.unpack(block)
     entries: List[Tuple[int, str, int]] = []
     first: Dict[str, int] = {}
-    free: List[int] = []
     error = None
-    for slot, (ino, namelen, namebuf) in enumerate(_DIRENT.iter_unpack(block)):
-        if not ino:
-            free.append(slot)
-        elif error is None:
-            try:
-                name = namebuf[:namelen].decode("utf-8")
-            except UnicodeDecodeError as exc:
-                error = exc
-                continue
-            entries.append((slot, name, ino))
-            first.setdefault(name, ino)
-    return _DirBlock(block, entries, first, free, error)
+    for slot in compress(range(DIRENTS_PER_BLOCK), inos):
+        ino, namelen, namebuf = _DIRENT.unpack_from(block, slot * DIRENT_SIZE)
+        try:
+            name = namebuf[:namelen].decode("utf-8")
+        except UnicodeDecodeError as exc:
+            error = exc
+            break
+        entries.append((slot, name, ino))
+        first.setdefault(name, ino)
+    try:
+        first_free = inos.index(0)
+    except ValueError:
+        first_free = -1
+    return _DirBlock(block, entries, first, first_free, error)
 
 
 def _first_clear_bit(block: bytes, lo: int, hi: int) -> int:
@@ -252,6 +259,9 @@ def mkfs(cache: BufferCache, ninodes: int = 512) -> Layout:
 class ConventionalFileSystem(FileSystem):
     """Unix-like FS over a buffer cache over a block device."""
 
+    _bytes_written = StatHandle(StatRegistry.counter, "bytes_written")
+    _bytes_read = StatHandle(StatRegistry.counter, "bytes_read")
+
     def __init__(self, cache: BufferCache, layout: Optional[Layout] = None) -> None:
         self.cache = cache
         self.clock = cache.clock
@@ -260,12 +270,15 @@ class ConventionalFileSystem(FileSystem):
             layout = Layout.unpack(cache.read(0))
         self.layout = layout
         self._alloc_hint = layout.data_start
-        # Host-side memos of parsed metadata blocks, keyed by LBA.  An
-        # entry is valid only while cache.read(lba) returns the very
-        # object it was parsed from: the cache holds immutable bytes, and
-        # a rewrite, an eviction plus re-read, an fsck repair or a crash
-        # all yield a new object.  Every lookup still reads the block
-        # through the cache, so the simulated cost is unchanged.
+        # Host-side memos of parsed metadata blocks, keyed by LBA: a
+        # directory block's _DirBlock, and an inode-table block's
+        # unpacked fields per slot.  An entry is valid only while
+        # cache.read(lba) returns the very object it was parsed from: the
+        # cache holds immutable bytes, and a rewrite, an eviction plus
+        # re-read, an fsck repair or a crash all yield a new object.
+        # Every probe (_inode_fields, _dir_block, and their inline copies
+        # in _walk) reads the block through the cache first, so the
+        # simulated cost is unchanged.
         self._dir_memo: Dict[int, _DirBlock] = {}
         self._inode_memo: Dict[int, Tuple[bytes, Dict[int, tuple]]] = {}
 
@@ -561,9 +574,9 @@ class ConventionalFileSystem(FileSystem):
             if lba == 0:
                 continue
             parsed = self._dir_block(lba)
-            for slot in parsed.free:
-                if bi * BLOCK_SIZE + (slot + 1) * DIRENT_SIZE > dir_inode.size:
-                    break  # beyond current size; extend path below
+            slot = parsed.first_free
+            # A dead slot beyond the current size is left to the append.
+            if slot >= 0 and bi * BLOCK_SIZE + (slot + 1) * DIRENT_SIZE <= dir_inode.size:
                 off = slot * DIRENT_SIZE
                 block = parsed.block
                 self.cache.write(lba, block[:off] + entry + block[off + DIRENT_SIZE :])
@@ -595,29 +608,67 @@ class ConventionalFileSystem(FileSystem):
     # Path resolution.
     # ------------------------------------------------------------------
 
-    def _resolve(self, parts: List[str]) -> DiskInode:
-        """The inode at ``parts``, walked from the root.
+    def _walk(self, parts: List[str]) -> Tuple[int, tuple]:
+        """``(ino, fields)`` of the inode at ``parts``, walked from the root.
 
-        The walk stays on :meth:`_inode_fields` tuples and builds a
-        :class:`DiskInode` only for the last component; a directory
-        whose blocks are all direct is probed straight from its field
-        tuple, and a larger one through :meth:`_dir_lookup`.  Either way
-        the same blocks are read in the same order.
+        One loop does the whole walk on :meth:`_inode_fields` tuples: the
+        inode-table probe and the probe of each direct directory block
+        are inline copies of :meth:`_inode_fields` and :meth:`_dir_block`
+        (same cache reads, same memos), and a directory with more than
+        ``NDIRECT`` blocks is searched through :meth:`_dir_lookup`.
+        Either way the same blocks are read in the same order as
+        building a :class:`DiskInode` per component.
         """
+        cache_read = self.cache.read
+        inode_memo = self._inode_memo
+        dir_memo = self._dir_memo
+        ninodes = self.layout.ninodes
+        inode_start = self.layout.inode_start
         ino = ROOT_INO
-        fields = self._inode_fields(ino)
-        for part in parts:
+        depth = 0
+        while True:
+            if not 1 <= ino <= ninodes:
+                raise FSError(f"inode number {ino} out of range")
+            slot = ino - 1
+            lba = inode_start + slot // INODES_PER_BLOCK
+            slot %= INODES_PER_BLOCK
+            block = cache_read(lba)
+            memo = inode_memo.get(lba)
+            if memo is None or memo[0] is not block:
+                memo = inode_memo[lba] = (block, {})
+            fields = memo[1].get(slot)
+            if fields is None:
+                fields = memo[1][slot] = _INODE.unpack_from(block, slot * INODE_SIZE)
+            if depth == len(parts):
+                return ino, fields
             if fields[0] != MODE_DIR:
                 raise NotADirectoryFSError("/" + "/".join(parts))
+            part = parts[depth]
+            depth += 1
             nblocks = (fields[3] + BLOCK_SIZE - 1) // BLOCK_SIZE
-            if nblocks <= NDIRECT:
-                child = self._lookup_in(fields[5 : 5 + nblocks], part)
-            else:
+            child = None
+            if nblocks > NDIRECT:
                 child = self._dir_lookup(DiskInode.from_fields(ino, fields), part)
+            else:
+                for lba in fields[5 : 5 + nblocks]:
+                    if lba == 0:
+                        continue
+                    block = cache_read(lba)
+                    parsed = dir_memo.get(lba)
+                    if parsed is None or parsed.block is not block:
+                        parsed = dir_memo[lba] = _parse_dir_block(block)
+                    child = parsed.first.get(part)
+                    if child is not None:
+                        break
+                    if parsed.error is not None:
+                        raise parsed.error.with_traceback(None)
             if child is None:
                 raise FileNotFoundFSError("/" + "/".join(parts))
             ino = child
-            fields = self._inode_fields(ino)
+
+    def _resolve(self, parts: List[str]) -> DiskInode:
+        """The inode at ``parts`` (see :meth:`_walk`)."""
+        ino, fields = self._walk(parts)
         return DiskInode.from_fields(ino, fields)
 
     def _resolve_parent(self, path: str) -> Tuple[DiskInode, str]:
@@ -692,6 +743,8 @@ class ConventionalFileSystem(FileSystem):
             if ino is None:
                 raise FileNotFoundFSError(old)
             new_parent, new_name = self._resolve_parent(new)
+            if new_parent.ino == old_parent.ino and new_name == old_name:
+                return  # onto itself: POSIX makes this a no-op
             existing = self._dir_lookup(new_parent, new_name)
             if existing is not None:
                 target = self._read_inode(existing)
@@ -730,7 +783,7 @@ class ConventionalFileSystem(FileSystem):
 
     def exists(self, path: str) -> bool:
         try:
-            self._resolve(split_path(path))
+            self._walk(split_path(path))
             return True
         except (FileNotFoundFSError, NotADirectoryFSError):
             return False
@@ -742,52 +795,64 @@ class ConventionalFileSystem(FileSystem):
             return 0
         with self._timed["write"]:
             inode = self._resolve(split_path(path))
-            if inode.is_dir:
+            if inode.mode == MODE_DIR:
                 raise IsADirectoryFSError(path)
+            cache = self.cache
+            direct = inode.direct  # _bmap fills holes in this very list
             pos = offset
             view = memoryview(data)
             while view.nbytes > 0:
                 index, within = divmod(pos, BLOCK_SIZE)
                 take = min(view.nbytes, BLOCK_SIZE - within)
-                lba = self._bmap(inode, index, allocate=True)
+                lba = direct[index] if index < NDIRECT else 0
+                if lba == 0:
+                    lba = self._bmap(inode, index, allocate=True)
                 if within == 0 and take == BLOCK_SIZE:
-                    self.cache.write(lba, bytes(view[:take]))
+                    cache.write(lba, bytes(view[:take]))
                 else:
-                    block = bytearray(self.cache.read(lba))
+                    block = bytearray(cache.read(lba))
                     block[within : within + take] = view[:take]
-                    self.cache.write(lba, block)
+                    cache.write(lba, block)
                 pos += take
                 view = view[take:]
             inode.size = max(inode.size, offset + len(data))
             inode.mtime = self.clock.now
             self._write_inode(inode)
-            self.stats.counter("bytes_written").add(len(data))
+            self._bytes_written.value += len(data)
             return len(data)
 
     def read(self, path: str, offset: int, nbytes: int) -> bytes:
         if offset < 0 or nbytes < 0:
             raise InvalidPathError("negative read range")
         with self._timed["read"]:
-            inode = self._resolve(split_path(path))
-            if inode.is_dir:
+            ino, fields = self._walk(split_path(path))
+            if fields[0] == MODE_DIR:
                 raise IsADirectoryFSError(path)
-            if offset >= inode.size:
+            size = fields[3]
+            if offset >= size:
                 return b""
-            nbytes = min(nbytes, inode.size - offset)
+            nbytes = min(nbytes, size - offset)
+            cache_read = self.cache.read
+            inode = None  # built only to map a block past the direct ones
             out = bytearray()
             pos = offset
             remaining = nbytes
             while remaining > 0:
                 index, within = divmod(pos, BLOCK_SIZE)
                 take = min(remaining, BLOCK_SIZE - within)
-                lba = self._bmap(inode, index, allocate=False)
+                if index < NDIRECT:
+                    lba = fields[5 + index]
+                else:
+                    if inode is None:
+                        inode = DiskInode.from_fields(ino, fields)
+                    lba = self._bmap(inode, index, allocate=False)
                 if lba == 0:
                     out += bytes(take)  # hole
                 else:
-                    out += self.cache.read(lba)[within : within + take]
+                    out += cache_read(lba)[within : within + take]
                 pos += take
                 remaining -= take
-            self.stats.counter("bytes_read").add(len(out))
+            self._bytes_read.value += len(out)
             return bytes(out)
 
     def truncate(self, path: str, size: int) -> None:

@@ -226,6 +226,8 @@ class MemoryFileSystem(FileSystem):
             if old_name not in old_parent.children:
                 raise FileNotFoundFSError(old)
             new_parent, new_name = self._lookup_parent(new)
+            if new_parent is old_parent and new_name == old_name:
+                return  # onto itself: POSIX makes this a no-op
             moving_ino = old_parent.children[old_name]
             existing = new_parent.children.get(new_name)
             if existing is not None:

@@ -297,9 +297,8 @@ class TraceReplayer:
         are tolerant, so that replaying the same trace against any
         organization -- or the same trace from several concurrent
         clients -- is well defined: ``mkdir`` and ``create`` are
-        idempotent behind an ``exists`` probe, the first write to a
-        missing file creates it, and a rename without a target renames
-        the path to itself.  EXEC is a program launch, not a file
+        idempotent behind an ``exists`` probe, and the first write to a
+        missing file creates it.  EXEC is a program launch, not a file
         operation: it goes to ``exec_handler`` when one is set.
         """
         op = record.op
@@ -338,6 +337,6 @@ class TraceReplayer:
                 fs.mkdir(path)
             return "mkdir"
         if op is _RENAME:
-            fs.rename(path, record.new_path or path)
+            fs.rename(path, record.new_path)
             return "rename"
         raise ValueError(f"unhandled op {op}")  # pragma: no cover - exhaustive

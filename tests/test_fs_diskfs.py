@@ -11,6 +11,7 @@ from repro.fs.api import (
     NotEmptyFSError,
 )
 from repro.fs.diskfs import BLOCK_SIZE, NDIRECT, Layout
+from repro.fs.fsck import fsck
 from repro.sim import SimClock
 
 MB = 1024 * 1024
@@ -97,6 +98,20 @@ class TestNamespace:
         fs.write("/dst/f", 0, b"old")
         fs.rename("/src/f", "/dst/f")
         assert fs.read("/dst/f", 0, 3) == b"new"
+
+    def test_rename_onto_itself_is_a_timed_noop(self, fs):
+        fs.mkdir("/d")
+        fs.create("/d/f")
+        fs.write("/d/f", 0, b"payload")
+        listing = fs.listdir("/d")
+        fs.rename("/d/f", "/d/f")
+        fs.rename("/d", "/d")
+        assert fs.read("/d/f", 0, 7) == b"payload"
+        assert fs.listdir("/d") == listing
+        assert fs.stats.counter("rename_ops").value == 2
+        assert fsck(fs).clean
+        with pytest.raises(FileNotFoundFSError):
+            fs.rename("/d/ghost", "/d/ghost")
 
     def test_delete_dir_with_delete_rejected(self, fs):
         fs.mkdir("/d")

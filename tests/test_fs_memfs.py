@@ -90,6 +90,19 @@ class TestNamespace:
         assert fs.read("/dst", 0, 10) == b"new"
         assert not fs.exists("/src")
 
+    def test_rename_onto_itself_is_a_timed_noop(self, fs):
+        fs.mkdir("/d")
+        fs.create("/d/f")
+        fs.write("/d/f", 0, b"payload")
+        fs.rename("/d/f", "/d/f")
+        fs.rename("/d", "/d")
+        assert fs.read("/d/f", 0, 7) == b"payload"
+        assert fs.listdir("/d") == ["f"]
+        assert fs.exists("/d/f") and not fs.exists("/d/g")
+        assert fs.stats.counter("rename_ops").value == 2
+        with pytest.raises(FileNotFoundFSError):
+            fs.rename("/d/ghost", "/d/ghost")
+
     def test_stat(self, fs):
         fs.create("/f")
         fs.write("/f", 0, b"x" * 5000)

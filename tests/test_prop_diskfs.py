@@ -125,7 +125,7 @@ def test_diskfs_matches_model(ops, crash_after_sync):
 
 class OracleFS(ConventionalFileSystem):
     """Unmemoized metadata parsing: every touch unpacks the raw block,
-    and path resolution builds a DiskInode for every component."""
+    and the path walk builds a DiskInode for every component."""
 
     def _inode_fields(self, ino):
         lba, slot = self._inode_block(ino)
@@ -167,16 +167,19 @@ class OracleFS(ConventionalFileSystem):
                 if ino:
                     yield bi, slot, namebuf[:namelen].decode("utf-8"), ino
 
-    def _resolve(self, parts):
-        inode = self._read_inode(ROOT_INO)
+    def _walk(self, parts):
+        # The one walk every lookup goes through (exists, read, and
+        # _resolve for the rest), unmemoized.
+        ino, fields = ROOT_INO, self._inode_fields(ROOT_INO)
         for part in parts:
+            inode = DiskInode.from_fields(ino, fields)
             if not inode.is_dir:
                 raise NotADirectoryFSError("/" + "/".join(parts))
             child = self._dir_lookup(inode, part)
             if child is None:
                 raise FileNotFoundFSError("/" + "/".join(parts))
-            inode = self._read_inode(child)
-        return inode
+            ino, fields = child, self._inode_fields(child)
+        return ino, fields
 
     def _dir_lookup(self, inode, name):
         for _bi, _slot, entry_name, ino in self._dir_entries(inode):
