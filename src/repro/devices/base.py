@@ -11,7 +11,10 @@ Every device in the reproduction follows the same contract:
 Devices are *time-aware but passive*: callers pass the current simulated
 time in, and devices report how long the operation took (including any
 wait behind a busy flash bank or a disk spin-up).  The caller decides
-whether to advance a shared clock by that latency.
+whether to advance a shared clock by that latency.  The one exception is
+the most frequent access, a DRAM charge: ``DRAM.charge_read``/
+``charge_write`` take the caller's clock, advance it themselves and
+return nothing.
 
 Every access is a direct synchronous call (``read``/``write``/
 ``charge_*``) from the file systems and storage layers.  Contention

@@ -7,26 +7,25 @@ running.  The volatility is modelled explicitly -- :meth:`DRAM.power_loss`
 destroys contents, and the battery model decides when that is invoked --
 because the paper's central stability argument (Section 3.1) is about
 *when* battery-backed DRAM may safely hold the only copy of file data.
+
+Every buffer-cache hit, memfs metadata step and write-buffer copy is one
+accounting-only :meth:`DRAM.charge_read`/:meth:`DRAM.charge_write`: one
+call that checks, accounts, traces and advances the caller's clock.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro.devices.base import AccessResult, StorageDevice
 from repro.devices.catalog import MB, DRAM_NEC_LOW_POWER, DeviceSpec
 from repro.devices.errors import PowerLossError
-
-
-#: Distinct access sizes per direction whose AccessResult DRAM shares.
-#: The buffer cache and metadata touches use a handful of sizes; write
-#: buffer charges follow arbitrary write sizes, which would otherwise
-#: grow the table by one entry per size.
-MAX_SHARED_RESULTS = 64
+from repro.sim.clock import SimClock
 
 
 class DRAM(StorageDevice):
-    """A byte-addressable DRAM array."""
+    """A byte-addressable DRAM array.  It never queues: an access's whole
+    latency is busy time, and ``stats.wait_time`` stays 0.0."""
 
     def __init__(
         self,
@@ -37,67 +36,83 @@ class DRAM(StorageDevice):
     ) -> None:
         if spec.kind != "dram":
             raise ValueError(f"spec {spec.name!r} is not a DRAM spec")
+        costs = (
+            spec.read_overhead_s, spec.read_per_byte_s, spec.active_read_power_w,
+            spec.write_overhead_s, spec.write_per_byte_s, spec.active_write_power_w,
+        )
+        # Non-negative costs make every latency and energy non-negative.
+        if any(cost < 0.0 for cost in costs):
+            raise ValueError(f"spec {spec.name!r} has a negative cost or power")
         super().__init__(
             name,
             capacity_bytes,
             idle_power_watts=spec.idle_power_w_per_mb * (capacity_bytes / MB),
         )
         self.spec = spec
+        (self._read_overhead, self._read_per_byte, self._read_power,
+         self._write_overhead, self._write_per_byte, self._write_power) = costs
         self.battery_backed = battery_backed
         self.powered = True
         self._data = bytearray(capacity_bytes)
         # Number of times contents have been lost to power failure.
         self.content_losses = 0
-        # Shared AccessResult per access size, one dict per direction.
-        self._read_results: Dict[int, AccessResult] = {}
-        self._write_results: Dict[int, AccessResult] = {}
 
-    def _access(self, write: bool, nbytes: int, offset: int, now: float, op: str) -> AccessResult:
-        """Check, account and trace one access; the single timing path.
-
-        DRAM latency and energy depend only on the direction and
-        ``nbytes``, so the first :data:`MAX_SHARED_RESULTS` sizes seen in
-        each direction build and validate their frozen
-        :class:`AccessResult` once and every later access of that size
-        shares it; other sizes get a fresh one.  Power and range checks,
-        stats and the trace record still happen on every call.
-
-        Every DRAM touch of the simulation passes here, so the power
-        check, the range check and the :class:`DeviceStats` update are
-        inlined: the stats fields take the same float additions, in the
-        same order, as ``record_read``/``record_write``, and an
-        out-of-range access still raises from ``check_range``.
-        """
+    def charge_read(self, nbytes: int, clock: SimClock, offset: int = 0) -> None:
+        """Account a read of ``nbytes`` that moves no data: check power,
+        then range; update stats; trace at ``clock.now``; advance ``clock``."""
         if not self.powered:
             raise PowerLossError(self.name, "DRAM is unpowered")
         if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
             self.check_range(offset, nbytes)
-        results = self._write_results if write else self._read_results
-        result = results.get(nbytes)
-        if result is None:
-            spec = self.spec
-            if write:
-                latency = spec.write_overhead_s + spec.write_per_byte_s * nbytes
-                power = spec.active_write_power_w
-            else:
-                latency = spec.read_overhead_s + spec.read_per_byte_s * nbytes
-                power = spec.active_read_power_w
-            result = AccessResult(latency=latency, energy=power * latency)
-            if len(results) < MAX_SHARED_RESULTS:
-                results[nbytes] = result
+        latency = self._read_overhead + self._read_per_byte * nbytes
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += nbytes
+        stats.busy_time += latency
+        stats.energy_joules += self._read_power * latency
+        if self.tracer is not None:
+            self.tracer.emit(self.name, "charge_read", clock.now, nbytes, latency)
+        clock.advance(latency)
+
+    def charge_write(self, nbytes: int, clock: SimClock, offset: int = 0) -> None:
+        """As :meth:`charge_read`, for a write; the contents are untouched."""
+        if not self.powered:
+            raise PowerLossError(self.name, "DRAM is unpowered")
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
+            self.check_range(offset, nbytes)
+        latency = self._write_overhead + self._write_per_byte * nbytes
+        stats = self.stats
+        stats.writes += 1
+        stats.bytes_written += nbytes
+        stats.busy_time += latency
+        stats.energy_joules += self._write_power * latency
+        if self.tracer is not None:
+            self.tracer.emit(self.name, "charge_write", clock.now, nbytes, latency)
+        clock.advance(latency)
+
+    def _access(self, write: bool, nbytes: int, offset: int, now: float, op: str) -> AccessResult:
+        """Check, account and trace one data-moving access, as the charges
+        do; the caller advances its clock by the result's latency."""
+        if not self.powered:
+            raise PowerLossError(self.name, "DRAM is unpowered")
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
+            self.check_range(offset, nbytes)
         stats = self.stats
         if write:
+            latency = self._write_overhead + self._write_per_byte * nbytes
+            energy = self._write_power * latency
             stats.writes += 1
             stats.bytes_written += nbytes
         else:
+            latency = self._read_overhead + self._read_per_byte * nbytes
+            energy = self._read_power * latency
             stats.reads += 1
             stats.bytes_read += nbytes
-        stats.busy_time += result.latency - result.wait
-        stats.wait_time += result.wait
-        stats.energy_joules += result.energy
+        stats.busy_time += latency
+        stats.energy_joules += energy
         if self.tracer is not None:
-            self.tracer.emit(self.name, op, now, nbytes, result.latency)
-        return result
+            self.tracer.emit(self.name, op, now, nbytes, latency)
+        return AccessResult(latency=latency, energy=energy)
 
     def read(self, offset: int, nbytes: int, now: float) -> Tuple[bytes, AccessResult]:
         result = self._access(False, nbytes, offset, now, "read")
@@ -114,14 +129,6 @@ class DRAM(StorageDevice):
         """
         result = self._access(False, nbytes, offset, now, "read")
         return memoryview(self._data)[offset : offset + nbytes], result
-
-    def charge_read(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
-        """Latency+energy of a read, no data movement (accounting only)."""
-        return self._access(False, nbytes, offset, now, "charge_read")
-
-    def charge_write(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
-        """Latency+energy of a write, contents untouched (accounting only)."""
-        return self._access(True, nbytes, offset, now, "charge_write")
 
     def write(self, offset: int, data: bytes, now: float) -> AccessResult:
         result = self._access(True, len(data), offset, now, "write")

@@ -13,7 +13,7 @@ from typing import Dict, List
 
 from repro.devices.disk import MagneticDisk
 from repro.sim.clock import SimClock
-from repro.sim.sched import current_client
+from repro.sim import sched
 
 
 class BlockDevice(ABC):
@@ -28,14 +28,6 @@ class BlockDevice(ABC):
         # Per-client [reads, writes] tallies, populated only when block
         # I/O happens under the multi-client scheduler (empty otherwise).
         self.client_ops: Dict[int, List[int]] = {}
-
-    def note_client_io(self, write: bool) -> None:
-        """Attribute one block I/O to the scheduler's current client."""
-        client = current_client()
-        if client is None:
-            return
-        tally = self.client_ops.setdefault(client, [0, 0])
-        tally[1 if write else 0] += 1
 
     def check_lba(self, lba: int) -> None:
         if not 0 <= lba < self.nblocks:
@@ -72,16 +64,22 @@ class DiskBlockDevice(BlockDevice):
         self.clock = clock
 
     def read_block(self, lba: int) -> bytes:
-        self.check_lba(lba)
-        self.note_client_io(write=False)
+        if not 0 <= lba < self.nblocks:
+            self.check_lba(lba)
+        client = sched._current_client
+        if client is not None:
+            self.client_ops.setdefault(client, [0, 0])[0] += 1
         data, result = self.disk.read(lba * self.block_size, self.block_size, self.clock.now)
         self.clock.advance(result.latency)
         return data
 
     def write_block(self, lba: int, data: bytes) -> None:
-        self.check_lba(lba)
+        if not 0 <= lba < self.nblocks:
+            self.check_lba(lba)
         if len(data) != self.block_size:
             raise ValueError(f"block write must be exactly {self.block_size} bytes")
-        self.note_client_io(write=True)
+        client = sched._current_client
+        if client is not None:
+            self.client_ops.setdefault(client, [0, 0])[1] += 1
         result = self.disk.write(lba * self.block_size, data, self.clock.now)
         self.clock.advance(result.latency)

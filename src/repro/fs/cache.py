@@ -74,10 +74,8 @@ class BufferCache:
             self._hits.value += 1
             if client is not None:
                 self.stats.counter(f"client{client}_hits").add(1)
-            dram = self.dram
-            if dram is not None:
-                clock = self.clock
-                clock.advance(dram.charge_read(self._block_size, clock.now).latency)
+            if self.dram is not None:
+                self.dram.charge_read(self._block_size, self.clock)
             return block
         self._misses.value += 1
         if client is not None:
@@ -86,10 +84,8 @@ class BufferCache:
         if type(data) is not bytes:
             data = bytes(data)
         # Install: one DRAM write of the block, then evict past capacity.
-        dram = self.dram
-        if dram is not None:
-            clock = self.clock
-            clock.advance(dram.charge_write(len(data), clock.now).latency)
+        if self.dram is not None:
+            self.dram.charge_write(len(data), self.clock)
         blocks = self._blocks
         blocks[lba] = data
         self._dirty[lba] = False
@@ -117,9 +113,8 @@ class BufferCache:
         if type(data) is not bytes:
             data = bytes(data)
         dram = self.dram
-        clock = self.clock
         if dram is not None:
-            clock.advance(dram.charge_write(self._block_size, clock.now).latency)
+            dram.charge_write(self._block_size, self.clock)
         blocks = self._blocks
         if lba in blocks:
             blocks[lba] = data
@@ -127,7 +122,7 @@ class BufferCache:
             self._dirty[lba] = True
             return
         if dram is not None:
-            clock.advance(dram.charge_write(self._block_size, clock.now).latency)
+            dram.charge_write(self._block_size, self.clock)
         blocks[lba] = data
         self._dirty[lba] = True
         if len(blocks) > self.capacity_blocks:

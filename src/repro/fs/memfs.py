@@ -106,7 +106,8 @@ class MemoryFileSystem(FileSystem):
     Metadata steps charge ``META_TOUCH_BYTES`` of DRAM per inode or
     dirent touched (accounting only -- the inodes are host-side Python
     objects, not DRAM-array bytes); each step is charged inline where it
-    happens, with the same ``dram.charge_read`` and ``clock.advance``.
+    happens by one ``dram.charge_read(nbytes, clock)``, which also
+    advances the clock.
     """
 
     _bytes_written = StatHandle(StatRegistry.counter, "bytes_written")
@@ -133,13 +134,13 @@ class MemoryFileSystem(FileSystem):
         clock = self.clock
         node = self._root
         if dram is not None:
-            clock.advance(dram.charge_read(META_TOUCH_BYTES, clock.now).latency)
+            dram.charge_read(META_TOUCH_BYTES, clock)
         for part in parts:
             if not node.is_dir:
                 raise NotADirectoryFSError("/" + "/".join(parts))
             child = node.children.get(part)
             if dram is not None:
-                clock.advance(dram.charge_read(META_TOUCH_BYTES, clock.now).latency)
+                dram.charge_read(META_TOUCH_BYTES, clock)
             if child is None:
                 raise FileNotFoundFSError("/" + "/".join(parts))
             node = self._inodes[child]
@@ -165,10 +166,8 @@ class MemoryFileSystem(FileSystem):
             self._next_ino += 1
             self._inodes[inode.ino] = inode
             parent.children[name] = inode.ino
-            dram = self.dram
-            if dram is not None:
-                clock = self.clock
-                clock.advance(dram.charge_read(META_TOUCH_BYTES * 2, clock.now).latency)
+            if self.dram is not None:
+                self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
 
     def mkdir(self, path: str) -> None:
         with self._timed["mkdir"]:
@@ -179,10 +178,8 @@ class MemoryFileSystem(FileSystem):
             self._next_ino += 1
             self._inodes[inode.ino] = inode
             parent.children[name] = inode.ino
-            dram = self.dram
-            if dram is not None:
-                clock = self.clock
-                clock.advance(dram.charge_read(META_TOUCH_BYTES * 2, clock.now).latency)
+            if self.dram is not None:
+                self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
 
     def rmdir(self, path: str) -> None:
         with self._timed["rmdir"]:
@@ -197,10 +194,8 @@ class MemoryFileSystem(FileSystem):
                 raise NotEmptyFSError(path)
             del parent.children[name]
             del self._inodes[ino]
-            dram = self.dram
-            if dram is not None:
-                clock = self.clock
-                clock.advance(dram.charge_read(META_TOUCH_BYTES * 2, clock.now).latency)
+            if self.dram is not None:
+                self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
 
     def delete(self, path: str) -> None:
         with self._timed["delete"]:
@@ -215,10 +210,8 @@ class MemoryFileSystem(FileSystem):
                 self.manager.delete_block(("data", ino, index))
             del parent.children[name]
             del self._inodes[ino]
-            dram = self.dram
-            if dram is not None:
-                clock = self.clock
-                clock.advance(dram.charge_read(META_TOUCH_BYTES * 2, clock.now).latency)
+            if self.dram is not None:
+                self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
 
     def rename(self, old: str, new: str) -> None:
         with self._timed["rename"]:
@@ -241,21 +234,17 @@ class MemoryFileSystem(FileSystem):
             del old_parent.children[old_name]
             new_parent.children[new_name] = moving_ino
             self._inodes[moving_ino].mtime = self.clock.now
-            dram = self.dram
-            if dram is not None:
-                clock = self.clock
-                clock.advance(dram.charge_read(META_TOUCH_BYTES * 3, clock.now).latency)
+            if self.dram is not None:
+                self.dram.charge_read(META_TOUCH_BYTES * 3, self.clock)
 
     def listdir(self, path: str) -> List[str]:
         with self._timed["listdir"]:
             node = self._lookup(split_path(path))
             if not node.is_dir:
                 raise NotADirectoryFSError(path)
-            dram = self.dram
-            if dram is not None:
-                clock = self.clock
+            if self.dram is not None:
                 nbytes = META_TOUCH_BYTES * max(1, len(node.children) // 8)
-                clock.advance(dram.charge_read(nbytes, clock.now).latency)
+                self.dram.charge_read(nbytes, self.clock)
             return sorted(node.children)
 
     def stat(self, path: str) -> FileStat:
@@ -325,10 +314,8 @@ class MemoryFileSystem(FileSystem):
                 remaining = remaining[take:]
             node.size = max(node.size, offset + len(data))
             node.mtime = self.clock.now
-            dram = self.dram
-            if dram is not None:
-                clock = self.clock
-                clock.advance(dram.charge_read(META_TOUCH_BYTES, clock.now).latency)
+            if self.dram is not None:
+                self.dram.charge_read(META_TOUCH_BYTES, self.clock)
             self._bytes_written.value += len(data)
             return len(data)
 
@@ -372,10 +359,8 @@ class MemoryFileSystem(FileSystem):
                     )
             node.size = size
             node.mtime = self.clock.now
-            dram = self.dram
-            if dram is not None:
-                clock = self.clock
-                clock.advance(dram.charge_read(META_TOUCH_BYTES, clock.now).latency)
+            if self.dram is not None:
+                self.dram.charge_read(META_TOUCH_BYTES, self.clock)
 
     def sync(self) -> None:
         with self._timed["sync"]:

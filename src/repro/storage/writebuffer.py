@@ -143,9 +143,8 @@ class WriteBuffer:
         now = clock.now
         self._bytes_in.value += len(data)
         self._puts.value += 1
-        dram = self.dram
-        if dram is not None:
-            clock.advance(dram.charge_write(len(data), clock.now).latency)
+        if self.dram is not None:
+            self.dram.charge_write(len(data), clock)
 
         if self.capacity_bytes <= 0:
             # Write-through: account it as an immediate flush so the
@@ -234,10 +233,8 @@ class WriteBuffer:
         if entry is None:
             return None
         self._read_hits.value += 1
-        dram = self.dram
-        if dram is not None:
-            clock = self.clock
-            clock.advance(dram.charge_read(len(entry.data), clock.now).latency)
+        if self.dram is not None:
+            self.dram.charge_read(len(entry.data), self.clock)
         return entry.data
 
     def drop(self, key: Hashable) -> int:
@@ -263,10 +260,8 @@ class WriteBuffer:
         self._bytes -= len(entry.data)
         self._flushed_bytes.value += len(entry.data)
         self.stats.counter(f"flushed_{reason.value}").add(1)
-        dram = self.dram
-        if dram is not None:
-            clock = self.clock
-            clock.advance(dram.charge_read(len(entry.data), clock.now).latency)
+        if self.dram is not None:
+            self.dram.charge_read(len(entry.data), self.clock)
         self._track_occupancy()
         if self.tracer is not None:
             self.tracer.emit(

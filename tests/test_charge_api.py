@@ -2,19 +2,25 @@
 
 The buffer cache, write buffer, and metadata paths replaced ghost-buffer
 device accesses with ``charge_read``/``charge_write``.  That substitution
-is only legitimate if, for every device, a charge produces the *same*
-AccessResult and the *same* stats deltas as the data-moving operation it
-stands in for -- while leaving stored bytes untouched.
+is only legitimate if, for every device, a charge costs the *same*
+latency and energy and makes the *same* stats deltas as the data-moving
+operation it stands in for -- while leaving stored bytes untouched.
+Flash and disk charges return an ``AccessResult``; a DRAM charge
+advances the caller's clock by its latency and returns nothing.
 """
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
+from repro.devices.catalog import DRAM_NEC_LOW_POWER
 from repro.devices.disk import MagneticDisk
-from repro.devices.dram import DRAM, MAX_SHARED_RESULTS
+from repro.devices.dram import DRAM
 from repro.devices.errors import OutOfRangeError, PowerLossError
 from repro.devices.flash import FlashMemory
+from repro.sim.clock import SimClock
 
 MB = 1024 * 1024
 
@@ -27,21 +33,27 @@ class TestDramCharges:
     def test_charge_read_matches_read(self):
         real, ghost = DRAM(1 * MB), DRAM(1 * MB)
         _, r = real.read(4096, 8192, now=0.0)
-        c = ghost.charge_read(8192, now=0.0, offset=4096)
-        assert _results_equal(r, c)
+        clock = SimClock()
+        assert ghost.charge_read(8192, clock, offset=4096) is None
+        assert clock.now == r.latency
+        assert ghost.stats.energy_joules == r.energy
+        assert r.wait == 0.0
         assert real.stats.snapshot() == ghost.stats.snapshot()
 
     def test_charge_write_matches_write(self):
         real, ghost = DRAM(1 * MB), DRAM(1 * MB)
         r = real.write(0, b"\xaa" * 4096, now=0.0)
-        c = ghost.charge_write(4096, now=0.0)
-        assert _results_equal(r, c)
+        clock = SimClock()
+        assert ghost.charge_write(4096, clock) is None
+        assert clock.now == r.latency
+        assert ghost.stats.energy_joules == r.energy
+        assert r.wait == 0.0
         assert real.stats.snapshot() == ghost.stats.snapshot()
 
     def test_charge_leaves_contents_untouched(self):
         dram = DRAM(64 * 1024)
         dram.write(0, b"\x55" * 128, now=0.0)
-        dram.charge_write(128, now=0.0, offset=0)
+        dram.charge_write(128, SimClock(), offset=0)
         data, _ = dram.read(0, 128, now=0.0)
         assert data == b"\x55" * 128
 
@@ -59,6 +71,18 @@ class TestDramCharges:
         other = DRAM(64 * 1024)
         _, r2 = other.read(256, 64, now=0.0)
         assert _results_equal(r, r2)
+
+    @pytest.mark.parametrize("field", [
+        "read_overhead_s", "read_per_byte_s", "active_read_power_w",
+        "write_overhead_s", "write_per_byte_s", "active_write_power_w",
+    ])
+    def test_negative_spec_cost_is_rejected_at_construction(self, field):
+        with pytest.raises(ValueError):
+            DRAM(MB, spec=dataclasses.replace(DRAM_NEC_LOW_POWER, **{field: -1e-12}))
+        # Zero is a valid cost.
+        dram = DRAM(MB, spec=dataclasses.replace(DRAM_NEC_LOW_POWER, **{field: 0.0}))
+        dram.charge_read(64, SimClock())
+        dram.charge_write(64, SimClock())
 
 
 class TestFlashCharges:
@@ -121,91 +145,90 @@ class TestDiskCharges:
 
 
 class TestDramSharedResults:
-    """DRAM reuses one AccessResult per (direction, size); nothing else may change."""
+    """Every DRAM charge, of any size, costs what the spec says and equals
+    the data-moving operation; its checks run before anything is charged."""
 
     SIZES = (0, 1, 64, 128, 4096, 8192, 65536)
 
-    def test_reused_result_matches_fresh_computation(self):
-        dram = DRAM(1 * MB)
-        spec = dram.spec
-        for nbytes in self.SIZES:
-            for charge, overhead, per_byte, power in (
-                (dram.charge_read, spec.read_overhead_s, spec.read_per_byte_s,
-                 spec.active_read_power_w),
-                (dram.charge_write, spec.write_overhead_s, spec.write_per_byte_s,
-                 spec.active_write_power_w),
-            ):
-                first = charge(nbytes, now=0.0)
-                again = charge(nbytes, now=1.0, offset=1024)
-                assert again is first
-                latency = overhead + per_byte * nbytes
-                assert again.latency == latency
-                assert again.energy == power * latency
-                assert again.wait == 0.0
-
     def test_shared_result_equals_data_moving_ops(self):
-        warm, fresh = DRAM(1 * MB), DRAM(1 * MB)
         for nbytes in self.SIZES:
-            warm.charge_read(nbytes, now=0.0)
-            warm.charge_write(nbytes, now=0.0)
-            _, r = fresh.read(0, nbytes, now=0.0)
-            assert _results_equal(warm.charge_read(nbytes, now=0.0), r)
-            w = fresh.write(0, b"\x5a" * nbytes, now=0.0)
-            assert _results_equal(warm.charge_write(nbytes, now=0.0), w)
-
-    def test_shared_table_is_bounded_and_other_sizes_stay_exact(self):
-        dram = DRAM(1 * MB)
-        spec = dram.spec
-        sizes = range(1, 3 * MAX_SHARED_RESULTS)
-        for _ in range(2):
-            for nbytes in sizes:
-                result = dram.charge_write(nbytes, now=0.0)
-                latency = spec.write_overhead_s + spec.write_per_byte_s * nbytes
-                assert result.latency == latency
-                assert result.energy == spec.active_write_power_w * latency
-        assert len(dram._write_results) == MAX_SHARED_RESULTS
+            for moving, charge in (
+                (lambda d: d.read(0, nbytes, now=0.0)[1], DRAM.charge_read),
+                (lambda d: d.write(0, b"\x5a" * nbytes, now=0.0), DRAM.charge_write),
+            ):
+                real, ghost, clock = DRAM(1 * MB), DRAM(1 * MB), SimClock()
+                result = moving(real)
+                charge(ghost, nbytes, clock)
+                assert clock.now == result.latency
+                assert ghost.stats.energy_joules == result.energy
+                assert result.wait == 0.0
+                assert ghost.stats.snapshot() == real.stats.snapshot()
+                # A repeated charge of the same size costs the same.
+                again = SimClock()
+                charge(ghost, nbytes, again)
+                assert again.now == result.latency
 
     def test_unpowered_dram_still_raises_on_charge(self):
         dram = DRAM(64 * 1024)
-        dram.charge_read(4096, now=0.0)
-        dram.charge_write(4096, now=0.0)
+        clock = SimClock()
+        dram.charge_read(4096, clock)
+        dram.charge_write(4096, clock)
         dram.power_loss()
+        before, now = dram.stats.snapshot(), clock.now
         with pytest.raises(PowerLossError):
-            dram.charge_read(4096, now=1.0)
+            dram.charge_read(4096, clock)
         with pytest.raises(PowerLossError):
-            dram.charge_write(4096, now=1.0)
+            dram.charge_write(4096, clock)
         with pytest.raises(PowerLossError):
             dram.read(0, 4096, now=1.0)
+        assert dram.stats.snapshot() == before
+        assert clock.now == now
         dram.power_restore()
-        assert dram.charge_read(4096, now=2.0).latency > 0.0
+        dram.charge_read(4096, clock)
+        assert clock.now > now
 
     def test_out_of_range_still_raises_on_charge(self):
         dram = DRAM(64 * 1024)
-        dram.charge_read(4096, now=0.0)
-        dram.charge_write(4096, now=0.0)
+        clock = SimClock()
+        dram.charge_read(4096, clock)
+        dram.charge_write(4096, clock)
+        before, now = dram.stats.snapshot(), clock.now
         with pytest.raises(OutOfRangeError):
-            dram.charge_read(4096, now=0.0, offset=64 * 1024 - 100)
+            dram.charge_read(4096, clock, offset=64 * 1024 - 100)
         with pytest.raises(OutOfRangeError):
-            dram.charge_write(4096, now=0.0, offset=-1)
+            dram.charge_write(4096, clock, offset=-1)
         with pytest.raises(OutOfRangeError):
-            dram.charge_read(128 * 1024, now=0.0)
+            dram.charge_read(128 * 1024, clock)
+        assert dram.stats.snapshot() == before
+        assert clock.now == now
 
     def test_stats_totals_equal_per_call_sums(self):
         dram = DRAM(1 * MB)
+        spec = dram.spec
+        clock = SimClock()
         reads = writes = bytes_read = bytes_written = 0
         busy = energy = 0.0
-        for i in range(200):
-            nbytes = self.SIZES[i % len(self.SIZES)]
+        # More distinct sizes than the device ever cached results for.
+        sizes = self.SIZES + tuple(range(100, 100 + 3 * 64))
+        for i in range(2 * len(sizes)):
+            nbytes = sizes[i % len(sizes)]
+            before = clock.now
             if i % 3:
-                result = dram.charge_read(nbytes, now=float(i))
+                dram.charge_read(nbytes, clock, offset=i)
+                latency = spec.read_overhead_s + spec.read_per_byte_s * nbytes
+                power = spec.active_read_power_w
                 reads += 1
                 bytes_read += nbytes
             else:
-                result = dram.charge_write(nbytes, now=float(i))
+                dram.charge_write(nbytes, clock, offset=i)
+                latency = spec.write_overhead_s + spec.write_per_byte_s * nbytes
+                power = spec.active_write_power_w
                 writes += 1
                 bytes_written += nbytes
-            busy += result.latency - result.wait
-            energy += result.energy
+            # The clock advanced by exactly this charge's latency.
+            assert clock.now == before + latency
+            busy += latency
+            energy += power * latency
         stats = dram.stats
         assert (stats.reads, stats.writes) == (reads, writes)
         assert (stats.bytes_read, stats.bytes_written) == (bytes_read, bytes_written)

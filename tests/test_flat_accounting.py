@@ -1,10 +1,12 @@
 """The flattened accounting path behaves exactly like the layered one.
 
-``DRAM._access`` inlines its power check, range check and stats update,
-and ``SimClock.now`` is a plain attribute rather than a property.  These
+DRAM's charges and ``DRAM._access`` inline their power check, range
+check and stats update, a charge advances the caller's clock itself, and
+``SimClock.now`` is a plain attribute rather than a property.  These
 tests pin that nothing observable changed: the same exceptions, the same
-``DeviceStats`` bits, the same clock checks, and no writer of ``now``
-outside the clock itself.
+``DeviceStats`` bits, the same clock checks, no writer of ``now``
+outside the clock itself, and no caller that still advances a clock by
+a DRAM charge's result.
 """
 
 from __future__ import annotations
@@ -15,8 +17,7 @@ import os
 import pytest
 
 from repro.devices import DRAM
-from repro.devices.base import DeviceStats
-from repro.devices.dram import MAX_SHARED_RESULTS
+from repro.devices.base import AccessResult, DeviceStats
 from repro.devices.errors import OutOfRangeError, PowerLossError
 from repro.sim import SimClock
 
@@ -25,11 +26,11 @@ KB = 1024
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src", "repro")
 
 
-def _accesses(dram: DRAM):
+def _accesses(dram: DRAM, clock: SimClock):
     """Each public DRAM entry point as a one-argument (offset) call."""
     return {
-        "charge_read": lambda off: dram.charge_read(16, 0.0, off),
-        "charge_write": lambda off: dram.charge_write(16, 0.0, off),
+        "charge_read": lambda off: dram.charge_read(16, clock, off),
+        "charge_write": lambda off: dram.charge_write(16, clock, off),
         "read": lambda off: dram.read(off, 16, 0.0),
         "read_view": lambda off: dram.read_view(off, 16, 0.0),
         "write": lambda off: dram.write(off, bytes(16), 0.0),
@@ -39,44 +40,60 @@ def _accesses(dram: DRAM):
 ENTRIES = ["charge_read", "charge_write", "read", "read_view", "write"]
 
 
+def _charge(dram: DRAM, write: bool, nbytes: int, offset: int) -> AccessResult:
+    """One charge as an AccessResult: the latency a fresh clock advanced
+    by, and the energy the spec's power gives for it."""
+    clock = SimClock()
+    if write:
+        dram.charge_write(nbytes, clock, offset)
+        power = dram.spec.active_write_power_w
+    else:
+        dram.charge_read(nbytes, clock, offset)
+        power = dram.spec.active_read_power_w
+    return AccessResult(latency=clock.now, energy=power * clock.now)
+
+
 class TestDRAMChecks:
     @pytest.mark.parametrize("entry", ENTRIES)
     def test_unpowered_raises_power_loss(self, entry):
-        dram = DRAM(64 * KB)
+        dram, clock = DRAM(64 * KB), SimClock(1.0)
         dram.power_loss()
         with pytest.raises(PowerLossError):
-            _accesses(dram)[entry](0)
+            _accesses(dram, clock)[entry](0)
         assert dram.stats == DeviceStats()
+        assert clock.now == 1.0
 
     @pytest.mark.parametrize("entry", ENTRIES)
     @pytest.mark.parametrize("offset", [-1, 64 * KB - 15, 64 * KB])
     def test_out_of_range_raises(self, entry, offset):
-        dram = DRAM(64 * KB)
+        dram, clock = DRAM(64 * KB), SimClock(1.0)
         with pytest.raises(OutOfRangeError):
-            _accesses(dram)[entry](offset)
+            _accesses(dram, clock)[entry](offset)
         assert dram.stats == DeviceStats()
+        assert clock.now == 1.0
 
     def test_power_is_checked_before_range(self):
         dram = DRAM(64 * KB)
         dram.power_loss()
         with pytest.raises(PowerLossError):
-            dram.charge_read(16, 0.0, 64 * KB)
+            dram.charge_read(16, SimClock(), 64 * KB)
+        with pytest.raises(PowerLossError):
+            dram.charge_write(16, SimClock(), 64 * KB)
 
 
 class TestDRAMStats:
     def test_stats_bit_equal_to_record_calls(self):
         dram = DRAM(1024 * KB)
         reference = DeviceStats()
-        # Enough distinct sizes to overflow the shared-result table, so
-        # both shared and freshly built results are accounted.
-        sizes = [(i * 37) % 4096 + 1 for i in range(3 * MAX_SHARED_RESULTS)]
+        # Many distinct sizes, each charged and moved several times.
+        sizes = [(i * 37) % 4096 + 1 for i in range(3 * 64)]
         for i, nbytes in enumerate(sizes + sizes[::-1]):
             offset = (i * 4099) % (1024 * KB - nbytes)
             kind = i % 5
             if kind == 0:
-                reference.record_read(nbytes, dram.charge_read(nbytes, 0.0, offset))
+                reference.record_read(nbytes, _charge(dram, False, nbytes, offset))
             elif kind == 1:
-                reference.record_write(nbytes, dram.charge_write(nbytes, 0.0, offset))
+                reference.record_write(nbytes, _charge(dram, True, nbytes, offset))
             elif kind == 2:
                 reference.record_read(nbytes, dram.read(offset, nbytes, 0.0)[1])
             elif kind == 3:
@@ -147,3 +164,52 @@ class TestClock:
                     if any(isinstance(t, ast.Attribute) and t.attr == "now" for t in targets):
                         writers.add(func.name)
         assert writers == {"__init__", "advance", "advance_to", "reset"}
+
+
+def _advances_by_a_charge(tree: ast.AST):
+    """Lines of ``<clock>.advance(<...>.charge_read|charge_write(...).latency)``."""
+    lines = []
+    for node in ast.walk(tree):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "advance"
+        ):
+            continue
+        for arg in node.args:
+            for sub in ast.walk(arg):
+                if (
+                    isinstance(sub, ast.Attribute)
+                    and sub.attr == "latency"
+                    and isinstance(sub.value, ast.Call)
+                    and isinstance(sub.value.func, ast.Attribute)
+                    and sub.value.func.attr in ("charge_read", "charge_write")
+                ):
+                    lines.append(node.lineno)
+    return lines
+
+
+class TestDRAMChargeForm:
+    """A DRAM charge advances the clock itself: the one way to charge DRAM
+    is ``dram.charge_read(nbytes, clock)``."""
+
+    def test_guard_flags_the_two_step_form(self):
+        tree = ast.parse(
+            "clock.advance(dram.charge_read(64, clock.now).latency)\n"
+            "self.clock.advance(self.dram.charge_write(n, self.clock.now, 8).latency)\n"
+            "dram.charge_read(64, clock)\n"
+        )
+        assert _advances_by_a_charge(tree) == [1, 2]
+
+    def test_no_module_advances_a_clock_by_a_charge_result(self):
+        offenders = []
+        for root, _dirs, files in os.walk(SRC):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(root, name)
+                rel = os.path.relpath(path, SRC).replace(os.sep, "/")
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=path)
+                offenders += [f"{rel}:{line}" for line in _advances_by_a_charge(tree)]
+        assert offenders == []
