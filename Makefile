@@ -4,15 +4,17 @@ PY ?= python
 export PYTHONPATH := src
 
 .PHONY: check test golden-check replaybench-test trace-smoke analyze-smoke e14-smoke \
-	work-record replaybench experiments torture
+	examples-smoke work-record replaybench experiments torture
 
 # The default gate: unit tests (the deterministic work gate,
 # tests/test_work_gate.py, among them), then the experiment-table
 # goldens, then the replay benchmark's own tests, then the traced-run
 # smoke (schema-valid JSONL + hub/device accounting identity + clean
 # online monitors), then the trace-analytics smoke over that trace, then
-# the multi-client contention smoke.  It writes only git-ignored files.
-check: test golden-check replaybench-test trace-smoke analyze-smoke e14-smoke
+# the multi-client contention smoke, then every example script.  It
+# writes only git-ignored files.
+check: test golden-check replaybench-test trace-smoke analyze-smoke e14-smoke \
+	examples-smoke
 
 test:
 	$(PY) -m pytest -x -q
@@ -49,6 +51,12 @@ analyze-smoke:
 e14-smoke:
 	$(PY) -m repro experiments E14 -j 2 \
 		--trace benchmarks/out/e14_smoke.jsonl --monitors > /dev/null
+
+# Run every examples/*.py script (~8 s in all; they write no files).  The
+# examples are the only callers of a few public APIs, so a change that
+# breaks one must fail here.
+examples-smoke:
+	for f in examples/*.py; do $(PY) $$f > /dev/null || exit 1; done
 
 # Re-record the work gate's per-module call counts into
 # benchmarks/work_counts.json (commit the file with the change that

@@ -13,7 +13,7 @@ Quickstart::
 
     machine = MobileComputer(SystemConfig(organization=Organization.SOLID_STATE))
     report, metrics = machine.run_workload("office", duration_s=120.0)
-    print(metrics.snapshot())
+    print(metrics)
 
 Subpackages:
 

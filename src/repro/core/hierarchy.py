@@ -489,9 +489,7 @@ class MobileComputer:
             p95_read_latency=report.op_latency.get("read", {}).get("p95", 0.0),
             mean_write_latency=report.op_latency.get("write", {}).get("mean", 0.0),
             p95_write_latency=report.op_latency.get("write", {}).get("p95", 0.0),
-            slowdown=report.slowdown,
             app_bytes_written=report.bytes_written,
-            app_bytes_read=report.bytes_read,
             storage_cost_dollars=self.config.storage_budget_dollars(),
         )
         if self.flash is not None:
@@ -499,11 +497,8 @@ class MobileComputer:
             m.flash_erases = self.flash.stats.erases
             wear = self.flash.wear_summary()
             m.wear_cov = wear["wear_cov"]
-            m.max_sector_erases = wear["max_erases"]
             if now > 0:
                 m.lifetime = lifetime_projection(self.flash, now)
-        if self.disk is not None:
-            m.disk_bytes_written = self.disk.stats.bytes_written
         if self.manager is not None:
             m.write_traffic_reduction = self.manager.write_traffic_reduction()
         if self.store is not None:
@@ -511,10 +506,6 @@ class MobileComputer:
         breakdown = self.power.breakdown(now)
         m.energy_joules = breakdown.total
         m.average_power_watts = self.power.average_power_watts(now)
-        m.energy_by_device = {
-            name: breakdown.active.get(name, 0.0) + breakdown.idle.get(name, 0.0)
-            for name in set(breakdown.active) | set(breakdown.idle)
-        }
         m.battery_fraction_remaining = (
             self.battery.remaining_joules()
             / (self.config.primary_battery_joules + self.config.backup_battery_joules)

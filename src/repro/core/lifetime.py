@@ -39,20 +39,6 @@ class LifetimeProjection:
     def projected_days(self) -> float:
         return self.projected_seconds / 86_400.0
 
-    @property
-    def projected_years(self) -> float:
-        return self.projected_seconds / (86_400.0 * 365.25)
-
-    def snapshot(self) -> dict:
-        return {
-            "projected_days": self.projected_days,
-            "projected_years": self.projected_years,
-            "ideal_days": self.ideal_seconds / 86_400.0,
-            "leveling_efficiency": self.leveling_efficiency,
-            "total_erases": self.total_erases,
-            "max_sector_erases": self.max_sector_erases,
-        }
-
 
 def lifetime_projection(flash: FlashMemory, observed_seconds: float) -> LifetimeProjection:
     """Project lifetime from the wear a run has accumulated."""

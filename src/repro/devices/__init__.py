@@ -29,7 +29,6 @@ from repro.devices.catalog import (
     FLASH_PAPER_NOMINAL,
     FLASH_SUNDISK_SDI,
     catalog_specs,
-    spec_by_name,
 )
 from repro.devices.cpu import CPU, CPUSpec
 from repro.devices.disk import MagneticDisk
@@ -60,7 +59,6 @@ __all__ = [
     "BatteryState",
     "DeviceSpec",
     "catalog_specs",
-    "spec_by_name",
     "DRAM_NEC_LOW_POWER",
     "FLASH_INTEL_SERIES2",
     "FLASH_PAPER_NOMINAL",

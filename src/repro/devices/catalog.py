@@ -232,10 +232,3 @@ for _spec in _CATALOG.values():
 def catalog_specs() -> Dict[str, DeviceSpec]:
     """All catalogued specs, keyed by product name."""
     return dict(_CATALOG)
-
-
-def spec_by_name(name: str) -> DeviceSpec:
-    try:
-        return _CATALOG[name]
-    except KeyError:
-        raise KeyError(f"no catalog entry named {name!r}") from None

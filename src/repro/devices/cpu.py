@@ -70,10 +70,3 @@ class CPU:
     @property
     def total_energy_joules(self) -> float:
         return self.stats.energy_joules + self._idle_energy
-
-    def snapshot(self) -> dict:
-        return {
-            "busy_seconds": self.busy_seconds,
-            "active_energy_joules": self.stats.energy_joules,
-            "idle_energy_joules": self._idle_energy,
-        }

@@ -208,9 +208,3 @@ class MagneticDisk(StorageDevice):
                 chunks[idx] = chunk
             chunk[within : within + take] = data[pos : pos + take]
             pos += take
-
-    def spin_down(self, now: float) -> None:
-        """Explicit spin-down (OS-directed power management)."""
-        self.accrue_idle(now)
-        self._last_op_end = min(self._last_op_end, now)
-        self.spinning = False

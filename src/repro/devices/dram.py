@@ -151,7 +151,3 @@ class DRAM(StorageDevice):
     def power_restore(self) -> None:
         """Power returns; contents remain whatever power_loss left them."""
         self.powered = True
-
-    def snapshot_bytes(self) -> bytes:
-        """Full contents (used by recovery tests, not by the simulation)."""
-        return bytes(self._data)

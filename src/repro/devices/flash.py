@@ -138,9 +138,6 @@ class FlashMemory(StorageDevice):
             raise ValueError(f"sector {sector} outside device")
         return sector // self.sectors_per_bank
 
-    def bank_of_offset(self, offset: int) -> int:
-        return self.bank_of_sector(self.sector_of(offset))
-
     def sector_range(self, sector: int) -> Tuple[int, int]:
         start = sector * self.sector_bytes
         return start, start + self.sector_bytes
@@ -365,11 +362,6 @@ class FlashMemory(StorageDevice):
             "worn_sectors": self.worn_sector_count,
             "endurance": self.endurance,
         }
-
-    def raw_bytes(self, offset: int, nbytes: int) -> bytes:
-        """Zero-cost peek used by recovery and tests (no timing/energy)."""
-        self.check_range(offset, nbytes)
-        return bytes(self._data[offset : offset + nbytes])
 
     # ------------------------------------------------------------------
     # Fault-injection medium effects (called by repro.faults.injector).

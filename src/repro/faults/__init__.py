@@ -22,24 +22,10 @@ from repro.faults.ecc import ECC_BYTES, ecc_check, ecc_encode
 from repro.faults.injector import FaultInjector, FaultPlan
 
 
-def __getattr__(name):
-    # repro.storage.flashstore imports repro.faults.ecc, and the torture
-    # harness imports repro.storage — importing torture lazily keeps the
-    # package cycle-free while preserving `from repro.faults import ...`.
-    if name in ("TortureConfig", "TortureReport", "run_torture"):
-        from repro.faults import torture
-
-        return getattr(torture, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 __all__ = [
     "ECC_BYTES",
     "ecc_encode",
     "ecc_check",
     "FaultPlan",
     "FaultInjector",
-    "TortureConfig",
-    "TortureReport",
-    "run_torture",
 ]

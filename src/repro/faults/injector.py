@@ -109,10 +109,6 @@ class FaultInjector:
         flash.injector = self
         return self
 
-    def detach(self, flash: FlashMemory) -> None:
-        if flash.injector is self:
-            flash.injector = None
-
     def disarm(self) -> None:
         """Stop injecting new faults (bad sectors stay bad: they are
         physical damage, not injector state)."""

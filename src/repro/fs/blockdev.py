@@ -9,11 +9,9 @@ secondary-storage organizations experiment E12 compares.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List
 
 from repro.devices.disk import MagneticDisk
 from repro.sim.clock import SimClock
-from repro.sim import sched
 
 
 class BlockDevice(ABC):
@@ -25,9 +23,6 @@ class BlockDevice(ABC):
         self.name = name
         self.block_size = block_size
         self.nblocks = nblocks
-        # Per-client [reads, writes] tallies, populated only when block
-        # I/O happens under the multi-client scheduler (empty otherwise).
-        self.client_ops: Dict[int, List[int]] = {}
 
     def check_lba(self, lba: int) -> None:
         if not 0 <= lba < self.nblocks:
@@ -66,9 +61,6 @@ class DiskBlockDevice(BlockDevice):
     def read_block(self, lba: int) -> bytes:
         if not 0 <= lba < self.nblocks:
             self.check_lba(lba)
-        client = sched._current_client
-        if client is not None:
-            self.client_ops.setdefault(client, [0, 0])[0] += 1
         data, result = self.disk.read(lba * self.block_size, self.block_size, self.clock.now)
         self.clock.advance(result.latency)
         return data
@@ -78,8 +70,5 @@ class DiskBlockDevice(BlockDevice):
             self.check_lba(lba)
         if len(data) != self.block_size:
             raise ValueError(f"block write must be exactly {self.block_size} bytes")
-        client = sched._current_client
-        if client is not None:
-            self.client_ops.setdefault(client, [0, 0])[1] += 1
         result = self.disk.write(lba * self.block_size, data, self.clock.now)
         self.clock.advance(result.latency)

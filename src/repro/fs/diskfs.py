@@ -904,14 +904,3 @@ class ConventionalFileSystem(FileSystem):
     def sync(self) -> None:
         with self._timed["sync"]:
             self.cache.flush()
-
-    # ------------------------------------------------------------------
-    # Reporting.
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "layout": self.layout.__dict__,
-            "cache": self.cache.snapshot(),
-            "stats": self.stats.snapshot(self.clock.now),
-        }

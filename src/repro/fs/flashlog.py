@@ -22,7 +22,6 @@ from typing import Optional
 
 from repro.devices.flash import FlashMemory
 from repro.fs.blockdev import BlockDevice
-from repro.sim import sched
 from repro.sim.clock import SimClock
 from repro.storage.flashstore import FlashStore
 
@@ -45,9 +44,6 @@ class EraseInPlaceFlashBlockDevice(BlockDevice):
     def read_block(self, lba: int) -> bytes:
         if not 0 <= lba < self.nblocks:
             self.check_lba(lba)
-        client = sched._current_client
-        if client is not None:
-            self.client_ops.setdefault(client, [0, 0])[0] += 1
         data, result = self.flash.read(lba * self.block_size, self.block_size, self.clock.now)
         self.clock.advance(result.latency)
         return data
@@ -57,9 +53,6 @@ class EraseInPlaceFlashBlockDevice(BlockDevice):
             self.check_lba(lba)
         if len(data) != self.block_size:
             raise ValueError(f"block write must be exactly {self.block_size} bytes")
-        client = sched._current_client
-        if client is not None:
-            self.client_ops.setdefault(client, [0, 0])[1] += 1
         offset = lba * self.block_size
         sector_bytes = self.flash.sector_bytes
         first_sector = offset // sector_bytes
@@ -119,9 +112,6 @@ class LogStructuredFTL(BlockDevice):
     def read_block(self, lba: int) -> bytes:
         if not 0 <= lba < self.nblocks:
             self.check_lba(lba)
-        client = sched._current_client
-        if client is not None:
-            self.client_ops.setdefault(client, [0, 0])[0] += 1
         key = self._key(lba)
         if not self.store.contains(key):
             return bytes(self.block_size)  # never-written block
@@ -132,9 +122,6 @@ class LogStructuredFTL(BlockDevice):
             self.check_lba(lba)
         if len(data) != self.block_size:
             raise ValueError(f"block write must be exactly {self.block_size} bytes")
-        client = sched._current_client
-        if client is not None:
-            self.client_ops.setdefault(client, [0, 0])[1] += 1
         self.store.write_block(self._key(lba), data)
 
     def trim(self, lba: int) -> None:

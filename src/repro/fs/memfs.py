@@ -73,17 +73,6 @@ class RecoveryReport:
     pruned_blocks: int  # in flash but unreferenced (deleted/stale data)
     recovery_time_s: float
 
-    def snapshot(self) -> dict:
-        return {
-            "checkpoint_found": self.checkpoint_found,
-            "generation": self.generation,
-            "files": self.files,
-            "directories": self.directories,
-            "lost_blocks": self.lost_blocks,
-            "pruned_blocks": self.pruned_blocks,
-            "recovery_time_s": self.recovery_time_s,
-        }
-
 
 @dataclass
 class MemInode:
@@ -528,18 +517,6 @@ class MemoryFileSystem(FileSystem):
     def file_count(self) -> int:
         return sum(1 for n in self._inodes.values() if not n.is_dir)
 
-    def stable_fraction(self, path: str) -> float:
-        """Fraction of a file's blocks that currently live in flash."""
-        node = self._file_inode(path)
-        if not node.blocks:
-            return 1.0
-        stable = sum(
-            1
-            for index in node.blocks
-            if self.manager.in_flash(("data", node.ino, index))
-        )
-        return stable / len(node.blocks)
-
     def snapshot(self) -> dict:
         return {
             "files": self.file_count(),
@@ -554,10 +531,6 @@ class MemFile:
     def __init__(self, fs: MemoryFileSystem, inode: MemInode) -> None:
         self.fs = fs
         self.inode = inode
-
-    @property
-    def size(self) -> int:
-        return self.inode.size
 
     @property
     def nblocks(self) -> int:

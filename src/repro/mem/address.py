@@ -14,10 +14,9 @@ latencies.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Optional
 
 from repro.devices.base import StorageDevice
-from repro.devices.flash import FlashMemory
 from repro.sim.clock import SimClock
 
 #: Canonical region bases in the 64-bit space.  Generous gaps keep the
@@ -84,15 +83,6 @@ class PhysicalAddressSpace:
         last_end = max(r.end for r in self._regions)
         return (last_end + REGION_ALIGNMENT - 1) // REGION_ALIGNMENT * REGION_ALIGNMENT
 
-    def regions(self) -> List[Region]:
-        return list(self._regions)
-
-    def region_named(self, name: str) -> Region:
-        for region in self._regions:
-            if region.name == name:
-                return region
-        raise KeyError(f"no region named {name!r}")
-
     def region_of(self, addr: int, nbytes: int = 1) -> Region:
         for region in self._regions:
             if region.contains(addr, nbytes):
@@ -119,17 +109,6 @@ class PhysicalAddressSpace:
         result = region.device.write(region.to_device_offset(addr), data,
                                      self.clock.now)
         self.clock.advance(result.latency)
-
-    def read_latency_probe(self, addr: int, nbytes: int) -> Tuple[bytes, float]:
-        """Like :meth:`read` but also reports the latency (experiments)."""
-        region = self.region_of(addr, nbytes)
-        data, result = region.device.read(region.to_device_offset(addr), nbytes,
-                                          self.clock.now)
-        self.clock.advance(result.latency)
-        return data, result.latency
-
-    def is_flash(self, addr: int) -> bool:
-        return isinstance(self.region_of(addr).device, FlashMemory)
 
     def describe(self) -> List[dict]:
         return [

@@ -173,9 +173,3 @@ class MmapManager:
                 self.store.allocator.sector_bytes
             )
 
-    # ------------------------------------------------------------------
-    # Reporting.
-    # ------------------------------------------------------------------
-
-    def live_mappings(self) -> int:
-        return len(self._mappings)

@@ -100,10 +100,6 @@ class PageFrameAllocator:
         self._initialized = True
 
     @property
-    def free_frames(self) -> int:
-        return len(self._free)
-
-    @property
     def used_frames(self) -> int:
         return self.total_frames - len(self._free)
 

@@ -47,11 +47,6 @@ class SwapBackend(ABC):
     def discard(self, handle: object) -> None:
         """Release a handle without reading (page's owner died)."""
 
-    @property
-    @abstractmethod
-    def pages_held(self) -> int:
-        """Pages currently swapped out."""
-
 
 class RawDiskSwap(SwapBackend):
     """A contiguous swap partition on a magnetic disk."""
@@ -111,10 +106,6 @@ class RawDiskSwap(SwapBackend):
         del self._held[slot]
         self._free.append(slot)
 
-    @property
-    def pages_held(self) -> int:
-        return len(self._held)
-
 
 class FlashSwap(SwapBackend):
     """Paging into the log-structured flash store."""
@@ -150,7 +141,3 @@ class FlashSwap(SwapBackend):
             raise KeyError(f"invalid swap handle {handle!r}")
         self.store.delete_block(("swap", handle))
         del self._held[handle]
-
-    @property
-    def pages_held(self) -> int:
-        return len(self._held)

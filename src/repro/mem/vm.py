@@ -399,18 +399,3 @@ class VirtualMemory:
         for asid, space in self._spaces.items():
             if space.page_table.lookup(entry.vpn) is entry and self.tlb is not None:
                 self.tlb.invalidate(asid, entry.vpn)
-
-    # ------------------------------------------------------------------
-    # Reporting.
-    # ------------------------------------------------------------------
-
-    def resident_pages(self) -> int:
-        return len(self._resident)
-
-    def snapshot(self) -> dict:
-        return {
-            "spaces": len(self._spaces),
-            "resident_pages": len(self._resident),
-            "free_frames": self.frames.free_frames,
-            "stats": self.stats.snapshot(self.clock.now),
-        }

@@ -34,7 +34,6 @@ from repro.obs.schema import (
     TRACE_EVENT_SCHEMA,
     TraceReader,
     validate_event,
-    validate_jsonl,
 )
 from repro.obs.tracer import EVENT_FIELDS, Tracer, write_trace
 from repro.obs import analyze, monitor, runtime
@@ -50,7 +49,6 @@ __all__ = [
     "TRACE_EVENT_SCHEMA",
     "TraceReader",
     "validate_event",
-    "validate_jsonl",
     "run_manifest",
     "write_manifest",
     "git_revision",

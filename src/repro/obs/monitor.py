@@ -16,7 +16,7 @@ stock monitors cover the invariants the test suite pins offline:
   stays below a sanity bound (catches runaway timer leaks live);
 - :class:`ReadOnlyTransitionMonitor` -- read-only degradation is a
   one-way, single-shot transition per machine, and no buffered write is
-  accepted after it (paper §4: flash exhaustion / battery headroom).
+  accepted after it (paper §4: flash exhaustion).
 
 Monitors key their per-machine state off the ``machine build`` /
 ``machine reboot`` marker events the hierarchy emits, so one trace

@@ -100,11 +100,3 @@ class TraceReader:
                     continue
                 self.valid += 1
                 yield obj
-
-
-def validate_jsonl(path: str, max_errors: int = 20) -> Tuple[int, List[str]]:
-    """Validate a JSONL trace file: ``(valid_event_count, errors)``."""
-    reader = TraceReader(path, max_errors)
-    for _event in reader:
-        pass
-    return reader.valid, reader.errors

@@ -30,13 +30,6 @@ class EnergyBreakdown:
     def total(self) -> float:
         return sum(self.active.values()) + sum(self.idle.values())
 
-    def snapshot(self) -> dict:
-        return {
-            "active_joules": dict(self.active),
-            "idle_joules": dict(self.idle),
-            "total_joules": self.total,
-        }
-
 
 class PowerModel:
     """Meters a set of devices and drains a battery bank."""

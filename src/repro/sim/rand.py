@@ -60,9 +60,6 @@ class RandomStream:
             raise ValueError("choice() on empty sequence")
         return self._rng.choice(items)
 
-    def shuffle(self, items: List[T]) -> None:
-        self._rng.shuffle(items)
-
     def expovariate(self, rate: float) -> float:
         """Exponential inter-arrival time with the given rate (1/s)."""
         if rate <= 0.0:

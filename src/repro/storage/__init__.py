@@ -28,7 +28,7 @@ from repro.storage.compression import BlockCompressor, CompressionSpec
 from repro.storage.flashstore import CorruptBlockError, FlashStore, StoreMode
 from repro.storage.gc import CleaningPolicy
 from repro.storage.manager import StorageManager, StorageReadOnlyError
-from repro.storage.migration import HotColdTracker, Temperature
+from repro.storage.migration import HotColdTracker
 from repro.storage.wear import WearPolicy
 from repro.storage.writebuffer import FlushReason, WriteBuffer
 
@@ -49,6 +49,5 @@ __all__ = [
     "WriteBuffer",
     "FlushReason",
     "HotColdTracker",
-    "Temperature",
     "StorageManager",
 ]

@@ -95,9 +95,6 @@ class SectorInfo:
     # offset -> (key, length) for every live block in this sector.
     blocks: Dict[int, Tuple[Hashable, int]] = field(default_factory=dict)
 
-    def utilization(self, sector_bytes: int) -> float:
-        return self.live_bytes / sector_bytes if sector_bytes else 0.0
-
 
 #: One victim-index entry: ``(seal_time, sector, live_bytes)``.  Heap
 #: order is ``(seal_time, sector)``; ``live_bytes`` names the bucket.
@@ -185,12 +182,6 @@ class SectorAllocator:
             return sum(len(v) for v in self.free_by_bank.values())
         return sum(len(self.free_by_bank[b]) for b in banks)
 
-    def erased_sectors(self, banks: List[int]) -> List[int]:
-        out: List[int] = []
-        for bank in banks:
-            out.extend(self.free_by_bank[bank])
-        return out
-
     # ------------------------------------------------------------------
     # O(log n) erased-sector selection.
     # ------------------------------------------------------------------
@@ -256,7 +247,7 @@ class SectorAllocator:
         STATIC wear policies); otherwise by lowest index (the naive
         first-fit NONE policy).  ``exclude`` skips sectors that must not
         be chosen (e.g. the victim mid-clean).  Equivalent to a ``min``
-        scan over :meth:`erased_sectors` but O(log n) amortized.
+        scan over the banks' free lists but O(log n) amortized.
         """
         best: Optional[Tuple[int, int]] = None
         for bank in banks:

@@ -47,10 +47,6 @@ class BankPartition:
     def unpartitioned(cls, flash: FlashMemory) -> "BankPartition":
         return cls(flash, write_banks=flash.num_banks)
 
-    def pool_for(self, hot: bool) -> List[int]:
-        """Banks eligible for a block, by temperature."""
-        return self.write_pool if hot else self.read_mostly_pool
-
     def all_banks(self) -> List[int]:
         return list(range(self.flash.num_banks))
 

@@ -36,10 +36,10 @@ from repro.storage.writebuffer import FlushItem, FlushReason, WriteBuffer
 class StorageReadOnlyError(Exception):
     """The manager degraded to read-only mode and refused a write.
 
-    Raised *at the API boundary* (not mid-flush): once erased space or
-    battery headroom is exhausted, accepting more dirty data would
-    guarantee losing it, so new writes are refused while reads — and the
-    data already buffered — remain intact.
+    Raised *at the API boundary* (not mid-flush): once erased flash space
+    is exhausted, accepting more dirty data would guarantee losing it, so
+    new writes are refused while reads — and the data already buffered —
+    remain intact.
     """
 
     def __init__(self, reason: str) -> None:
@@ -79,8 +79,6 @@ class StorageManager:
         self._in_flight: List[FlushItem] = []
         self.read_only = False
         self.read_only_reason: Optional[str] = None
-        self._battery = None
-        self._battery_min_joules = 0.0
 
     # ------------------------------------------------------------------
     # Construction helpers.
@@ -116,24 +114,6 @@ class StorageManager:
     # ------------------------------------------------------------------
     # Block API used by the file system.
     # ------------------------------------------------------------------
-
-    def set_battery(self, battery, min_joules: float) -> None:
-        """Degrade to read-only before the batteries actually die.
-
-        ``battery`` is a :class:`~repro.devices.battery.BatteryBank`;
-        once its remaining energy drops below ``min_joules`` the manager
-        stops pushing new data to flash (each flash program costs energy
-        the shutdown path will need) and refuses new writes.
-        """
-        self._battery = battery
-        self._battery_min_joules = min_joules
-
-    def _battery_headroom_gone(self) -> bool:
-        return (
-            self._battery is not None
-            and self._battery_min_joules > 0.0
-            and self._battery.remaining_joules() < self._battery_min_joules
-        )
 
     def _enter_read_only(self, reason: str) -> None:
         if not self.read_only:
@@ -178,10 +158,6 @@ class StorageManager:
     def contains(self, key: Hashable) -> bool:
         return self.buffer.is_dirty(key) or self.store.contains(key)
 
-    def in_flash(self, key: Hashable) -> bool:
-        """True when a stable (battery-proof) copy exists in flash."""
-        return self.store.contains(key)
-
     def delete_block(self, key: Hashable) -> None:
         saved = self.buffer.drop(key)
         if saved:
@@ -216,12 +192,9 @@ class StorageManager:
     def _persist_items(self, items: List[FlushItem]) -> None:
         if not items:
             return
-        if self.read_only or self._battery_headroom_gone():
-            # Graceful degradation: instead of raising mid-workload (or
-            # burning the energy the shutdown path will need), keep the
-            # data safe in battery-backed DRAM and refuse *new* writes.
-            if not self.read_only:
-                self._enter_read_only("battery headroom exhausted")
+        if self.read_only:
+            # Degraded: keep the data safe in battery-backed DRAM rather
+            # than raising mid-workload; new writes are already refused.
             self._restore_items(items)
             return
         # Prepend any leftovers from an interrupted earlier flush (the

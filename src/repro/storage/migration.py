@@ -14,15 +14,9 @@ buffer).
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 from typing import Dict, Hashable, List, Tuple
-
-
-class Temperature(enum.Enum):
-    HOT = "hot"
-    COLD = "cold"
 
 
 @dataclass
@@ -69,21 +63,9 @@ class HotColdTracker:
     def forget(self, key: Hashable) -> None:
         self._heat.pop(key, None)
 
-    def score(self, key: Hashable, now: float) -> float:
-        heat = self._heat.get(key)
-        if heat is None:
-            return 0.0
-        return self._decayed(heat, now)
-
-    def classify(self, key: Hashable, now: float) -> Temperature:
-        return (
-            Temperature.HOT
-            if self.score(key, now) >= self.hot_threshold
-            else Temperature.COLD
-        )
-
     def is_hot(self, key: Hashable, now: float) -> bool:
-        """``classify(key, now) is Temperature.HOT``, in one frame."""
+        """True while the key's decayed score at ``now`` is at least
+        ``hot_threshold`` (an untracked key scores 0)."""
         heat = self._heat.get(key)
         if heat is None:
             return 0.0 >= self.hot_threshold

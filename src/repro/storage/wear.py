@@ -39,27 +39,9 @@ def choose_erased_sector(
     DYNAMIC and STATIC both allocate least-worn-first; STATIC's extra
     behaviour lives in static_rotation_victim().  Selection runs on the
     allocator's per-bank heaps (O(log n)); it picks exactly the sector a
-    ``min`` scan over :func:`choose_erased_sector_scan` would.
+    ``min`` scan over the banks' free lists would.
     """
     return allocator.peek_erased(banks, least_worn=policy is not WearPolicy.NONE)
-
-
-def choose_erased_sector_scan(
-    allocator: SectorAllocator,
-    banks: List[int],
-    policy: WearPolicy,
-) -> Optional[int]:
-    """Reference O(n) implementation of :func:`choose_erased_sector`.
-
-    Kept as the oracle for the heap-equivalence property tests; not used
-    on the hot path.
-    """
-    candidates = allocator.erased_sectors(banks)
-    if not candidates:
-        return None
-    if policy is WearPolicy.NONE:
-        return min(candidates)
-    return min(candidates, key=lambda s: (allocator.flash.sector_erase_count(s), s))
 
 
 def _serviceable_counts(allocator: SectorAllocator) -> List[int]:

@@ -117,10 +117,6 @@ class WriteBuffer:
     def buffered_bytes(self) -> int:
         return self._bytes
 
-    @property
-    def entry_count(self) -> int:
-        return len(self._entries)
-
     def is_dirty(self, key: Hashable) -> bool:
         """True while ``key``'s newest version sits in the buffer."""
         return key in self._entries

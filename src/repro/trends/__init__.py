@@ -5,7 +5,6 @@ from repro.trends.model import (
     TrendSet,
     crossover_year,
     default_trends_1993,
-    flash_disk_cost_parity,
 )
 
 __all__ = [
@@ -13,5 +12,4 @@ __all__ = [
     "TrendSet",
     "crossover_year",
     "default_trends_1993",
-    "flash_disk_cost_parity",
 ]

@@ -44,9 +44,6 @@ class TrendLine:
             raise ValueError("annual improvement must exceed -100%")
         return self.base_value * (1.0 + self.annual_improvement) ** (year - self.base_year)
 
-    def series(self, start_year: int, end_year: int) -> List[tuple]:
-        return [(y, self.value(y)) for y in range(start_year, end_year + 1)]
-
 
 def crossover_year(a: TrendLine, b: TrendLine) -> float:
     """Year when trend ``a`` catches trend ``b`` (a starts lower, grows faster).
@@ -133,12 +130,6 @@ def default_trends_1993() -> TrendSet:
             "disk MB/in^3", 1993, DISK_HP_KITTYHAWK.density_mb_per_cubic_inch, 0.25
         ),
     )
-
-
-def flash_disk_cost_parity(trends: TrendSet = None) -> float:
-    """Raw $/MB crossover under the conservative 40%/25% rates."""
-    trends = trends or default_trends_1993()
-    return trends.flash_disk_cost_crossover()
 
 
 @dataclass(frozen=True)

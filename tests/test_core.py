@@ -99,10 +99,10 @@ class TestMobileComputer:
                 SystemConfig(dram_bytes=4 * MB, flash_bytes=8 * MB, seed=5)
             )
             _report, metrics = machine.run_workload("office", duration_s=45.0)
-            return metrics.snapshot()
+            return metrics
 
         a, b = run(), run()
-        # Full metric dictionaries must match bit-for-bit.
+        # Every metric field must match bit-for-bit.
         assert a == b
 
     def test_solid_state_beats_disk_on_latency_and_energy(self):

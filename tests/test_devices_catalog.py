@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.devices import DeviceSpec, catalog_specs, spec_by_name
+from repro.devices import DeviceSpec, catalog_specs
 from repro.devices.catalog import (
     DISK_FUJITSU_M2633,
     DISK_HP_KITTYHAWK,
@@ -24,9 +24,9 @@ class TestCatalogContents:
         assert any("Fujitsu" in n for n in names)
 
     def test_lookup_by_name(self):
-        assert spec_by_name(DRAM_NEC_LOW_POWER.name) is DRAM_NEC_LOW_POWER
-        with pytest.raises(KeyError):
-            spec_by_name("IBM Microdrive")
+        specs = catalog_specs()
+        assert specs[DRAM_NEC_LOW_POWER.name] is DRAM_NEC_LOW_POWER
+        assert "IBM Microdrive" not in specs
 
     def test_all_specs_validate(self):
         for spec in catalog_specs().values():

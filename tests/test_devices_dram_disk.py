@@ -47,10 +47,9 @@ class TestDRAM:
         d.power_loss()
         assert d.content_losses == 1
         assert bytes(view) == bytes(4096)
-        assert d.snapshot_bytes() == bytes(MB)
         d.power_restore()
-        data, _ = d.read(0, 4096, 2.0)
-        assert data == bytes(4096)
+        whole, _ = d.read_view(0, MB, 2.0)
+        assert bytes(whole) == bytes(MB)
         d.power_loss()
         assert d.content_losses == 2
 
@@ -133,14 +132,6 @@ class TestDiskPower:
         # Mostly standby power over ~1000 s, far below spinning power.
         spinning_only = 1000.0 * disk.spec.idle_power_w
         assert accrued < spinning_only / 5
-
-    def test_explicit_spin_down(self):
-        disk = MagneticDisk(20 * MB, spin_down_timeout_s=1e9)
-        disk.read(0, 512, 0.0)
-        disk.spin_down(1.0)
-        assert not disk.spinning
-        result = disk.read(0, 512, 2.0)[1]
-        assert result.wait == pytest.approx(disk.spec.spin_up_s)
 
     def test_fujitsu_spec_loads(self):
         disk = MagneticDisk(45 * MB, spec=DISK_FUJITSU_M2633)

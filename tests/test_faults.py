@@ -10,7 +10,6 @@ import pytest
 
 from repro.cli import main
 from repro.devices import FlashMemory
-from repro.devices.battery import BatteryBank
 from repro.devices.errors import PowerCutError, ProgramFailedError
 from repro.faults.ecc import ECC_BYTES, ecc_check, ecc_encode
 from repro.faults.injector import FaultInjector, FaultPlan
@@ -227,19 +226,6 @@ class TestManagerDegradation:
             assert manager.read_block(key) == blob
         assert manager.sync() == 0
 
-    def test_battery_headroom_degrades_to_read_only(self):
-        clock, flash, manager = self._small_manager()
-        manager.write_block("a", b"a" * 500)
-        battery = BatteryBank(2.0, 0.0)
-        manager.set_battery(battery, min_joules=5.0)
-        manager.write_block("b", b"b" * 500)
-        assert manager.read_only
-        assert manager.read_only_reason == "battery headroom exhausted"
-        # The refused flush stayed safe in battery-backed DRAM.
-        assert manager.read_block("b") == b"b" * 500
-        with pytest.raises(StorageReadOnlyError):
-            manager.write_block("c", b"c" * 500)
-
     def test_out_of_space_error_carries_context(self):
         clock = SimClock()
         flash = FlashMemory(64 * KB, banks=1)
@@ -270,7 +256,7 @@ class TestPowerLossInFlight:
         assert manager.stats.counter("bytes_lost_in_flight").value == 2000
         assert not manager._in_flight
         # The flash copy of the earlier write survived.
-        assert manager.in_flash("warm")
+        assert manager.store.contains("warm")
 
     def test_power_loss_without_in_flight_counts_buffer_only(self):
         clock = SimClock()

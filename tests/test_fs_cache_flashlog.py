@@ -9,7 +9,7 @@ from repro.fs import (
     EraseInPlaceFlashBlockDevice,
     LogStructuredFTL,
 )
-from repro.sim import Engine, SimClock, sched
+from repro.sim import Engine, SimClock
 from repro.storage import FlashStore
 
 MB = 1024 * 1024
@@ -255,42 +255,17 @@ def _block_devices():
 
 
 class TestBlockDeviceChecksAndTallies:
-    """``read_block``/``write_block`` range-check inline and tally the
-    scheduler's current client; a rejected I/O raises and tallies nothing."""
+    """``read_block``/``write_block`` range-check inline: a bad LBA or a
+    wrong-size write raises with the same message on every device."""
 
     @pytest.mark.parametrize("name", sorted(_block_devices()))
     def test_bad_lba_and_bad_size_raise_before_tallying(self, name):
         device = _block_devices()[name]()
         n = device.nblocks
-        saved = sched._current_client
-        sched._current_client = 3
-        try:
-            for lba in (-1, n, n + 5):
-                with pytest.raises(ValueError, match=rf"LBA {lba} outside \[0, {n}\)"):
-                    device.read_block(lba)
-                with pytest.raises(ValueError, match="LBA"):
-                    device.write_block(lba, b"\x00" * BLOCK)
-            with pytest.raises(ValueError, match="exactly"):
-                device.write_block(0, b"\x00" * (BLOCK - 1))
-            assert device.client_ops == {}
-        finally:
-            sched._current_client = saved
-
-    @pytest.mark.parametrize("name", sorted(_block_devices()))
-    def test_client_tallies(self, name):
-        device = _block_devices()[name]()
-        last = device.nblocks - 1
-        saved = sched._current_client
-        try:
-            for client, write, lba in (
-                (None, True, 0), (1, True, last), (1, False, last), (2, False, 0),
-                (None, False, 0), (1, False, 0), (2, True, 1),
-            ):
-                sched._current_client = client
-                if write:
-                    device.write_block(lba, bytes([lba % 256]) * BLOCK)
-                else:
-                    device.read_block(lba)
-        finally:
-            sched._current_client = saved
-        assert device.client_ops == {1: [2, 1], 2: [1, 1]}
+        for lba in (-1, n, n + 5):
+            with pytest.raises(ValueError, match=rf"LBA {lba} outside \[0, {n}\)"):
+                device.read_block(lba)
+            with pytest.raises(ValueError, match="LBA"):
+                device.write_block(lba, b"\x00" * BLOCK)
+        with pytest.raises(ValueError, match="exactly"):
+            device.write_block(0, b"\x00" * (BLOCK - 1))

@@ -77,7 +77,7 @@ class TestDeterminism:
         def one():
             machine = build(Organization.SOLID_STATE, seed=3)
             _report, metrics = machine.run_workload("exec_heavy", duration_s=40.0)
-            return metrics.snapshot()
+            return metrics
 
         assert one() == one()
 
@@ -85,7 +85,7 @@ class TestDeterminism:
         def one():
             machine = build(Organization.DISK, seed=3)
             report, metrics = machine.run_workload("office", duration_s=30.0)
-            return (report.records, metrics.snapshot())
+            return (report.records, metrics)
 
         assert one() == one()
 

@@ -19,12 +19,16 @@ def phys():
     return space
 
 
+def _bases(phys):
+    return {region["name"]: region["base"] for region in phys.describe()}
+
+
 class TestRegions:
     def test_first_region_at_dram_base(self, phys):
-        assert phys.region_named("dram").base == DRAM_BASE
+        assert _bases(phys)["dram"] == DRAM_BASE
 
     def test_flash_at_requested_base(self, phys):
-        assert phys.region_named("flash").base == FLASH_BASE
+        assert _bases(phys)["flash"] == FLASH_BASE
 
     def test_auto_base_does_not_overlap(self):
         space = PhysicalAddressSpace(SimClock())
@@ -46,8 +50,7 @@ class TestRegions:
             phys.region_of(1 * MB - 2, nbytes=8)  # runs off the DRAM region
 
     def test_unknown_region_name(self, phys):
-        with pytest.raises(KeyError):
-            phys.region_named("nvram")
+        assert "nvram" not in _bases(phys)
 
 
 class TestUniformAccess:
@@ -66,9 +69,12 @@ class TestUniformAccess:
 
     def test_flash_read_slower_than_dram(self, phys):
         phys.write(DRAM_BASE, b"\x00" * 4096)
-        _, dram_latency = phys.read_latency_probe(DRAM_BASE, 4096)
-        _, flash_latency = phys.read_latency_probe(FLASH_BASE, 4096)
-        assert flash_latency > dram_latency
+        start = phys.clock.now
+        phys.read(DRAM_BASE, 4096)
+        dram_latency = phys.clock.now - start
+        start = phys.clock.now
+        phys.read(FLASH_BASE, 4096)
+        assert phys.clock.now - start > dram_latency
 
     def test_read_only_region_rejects_writes(self):
         space = PhysicalAddressSpace(SimClock())
@@ -77,8 +83,8 @@ class TestUniformAccess:
             space.write(0, b"x")
 
     def test_is_flash(self, phys):
-        assert phys.is_flash(FLASH_BASE)
-        assert not phys.is_flash(DRAM_BASE)
+        assert isinstance(phys.region_of(FLASH_BASE).device, FlashMemory)
+        assert not isinstance(phys.region_of(DRAM_BASE).device, FlashMemory)
 
     def test_describe(self, phys):
         desc = phys.describe()

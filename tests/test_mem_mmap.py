@@ -92,7 +92,7 @@ class TestCopyOnWrite:
         machine.vm.write(space, mapping.vaddr, b"LAST")
         machine.mmap.unmap(mapping)
         assert machine.fs.read("/data.bin", 0, 4) == b"LAST"
-        assert machine.mmap.live_mappings() == 0
+        assert mapping.closed and machine.mmap._mappings == []
 
 
 class TestRelocationUpkeep:

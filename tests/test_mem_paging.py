@@ -83,7 +83,7 @@ class TestFrameAllocator:
         assert alloc.total_frames == 4
         alloc.allocate()
         assert alloc.used_frames == 1
-        assert alloc.free_frames == 3
+        assert len(alloc._free) == 3
 
     def test_contains(self):
         alloc = PageFrameAllocator(1 << 20, 4 * PAGE_SIZE)

@@ -32,7 +32,7 @@ class TestRawDiskSwap:
         page = bytes(range(256)) * 16
         handle = swap.page_out(page)
         assert swap.page_in(handle) == page
-        assert swap.pages_held == 0
+        assert len(swap._held) == 0
 
     def test_handle_single_use(self):
         swap = self.make()
@@ -80,7 +80,7 @@ class TestFlashSwap:
         swap = self.make()
         page = b"\xAB" * PAGE_SIZE
         handle = swap.page_out(page)
-        assert swap.pages_held == 1
+        assert len(swap._held) == 1
         assert swap.page_in(handle) == page
         # Page-in deletes the block: the log can reclaim it.
         assert not swap.store.contains(("swap", handle))
@@ -89,7 +89,7 @@ class TestFlashSwap:
         swap = self.make()
         handle = swap.page_out(bytes(PAGE_SIZE))
         swap.discard(handle)
-        assert swap.pages_held == 0
+        assert len(swap._held) == 0
 
     def test_invalid_handle(self):
         swap = self.make()

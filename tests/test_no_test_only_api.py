@@ -1,0 +1,166 @@
+"""Every function, method and class in ``src/repro`` has a real caller.
+
+A definition counts as used when its name appears anywhere in the
+program proper -- ``src/``, ``examples/``, ``replaybench/`` or
+``benchmarks/`` (their own ``test_*.py`` and ``conftest.py`` excluded) --
+as a name, an attribute, or an identifier string (``getattr`` tables
+such as replaybench's layer list).  Imports and ``__all__`` entries are
+not uses, and neither is a use inside a definition of the same name, so
+a recursive helper, or a family of ``reset`` methods whose only callers
+are each other, still counts as uncalled.  Dunder methods are called by
+the language and are exempt.
+
+The match is by name only, so it can miss dead code that shares a name
+with live code; it never flags code that has a caller.
+"""
+
+from __future__ import annotations
+
+import ast
+import os
+
+REPO = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
+PROGRAM_DIRS = ("src", "examples", "replaybench", "benchmarks")
+
+_STAGED = "no caller outside tests; deletion is staged with its tests (ROADMAP item 9)"
+
+#: ``module:qualname`` -> why it stays although nothing in the program
+#: calls it.  An entry that gains a caller, or whose definition goes,
+#: must leave this table.
+ALLOWED = {
+    "repro.trace.model:validate_trace": (
+        "ROADMAP item 7 extends it into the strict-replay namespace check"
+    ),
+    "repro.trace.fileio:save_trace": _STAGED,
+    "repro.trace.fileio:load_trace": _STAGED,
+    "repro.sim.clock:SimClock.reset": _STAGED,
+    "repro.sim.stats:Counter.reset": _STAGED,
+    "repro.sim.stats:Histogram.reset": _STAGED,
+    "repro.sim.stats:TimeWeightedValue.reset": _STAGED,
+    "repro.sim.stats:StatRegistry.reset": _STAGED,
+    "repro.sim.engine:Engine.cancel_all": _STAGED,
+    "repro.sim.rand:RandomStream.uniform": _STAGED,
+    "repro.sim.rand:RandomStream.fork": _STAGED,
+    "repro.mem.vm:VirtualMemory.unmap": _STAGED,
+    "repro.mem.mmap:MmapManager.unmap": _STAGED,
+    "repro.storage.manager:StorageManager.sync_key": _STAGED,
+    "repro.storage.migration:HotColdTracker.hottest": _STAGED,
+    "repro.storage.migration:HotColdTracker.prune": _STAGED,
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _python_files(root):
+    for folder, dirs, files in os.walk(root):
+        dirs[:] = sorted(d for d in dirs if d not in ("__pycache__", "out"))
+        for name in sorted(files):
+            if name.endswith(".py") and not name.startswith("test_") and name != "conftest.py":
+                yield os.path.join(folder, name)
+
+
+def _is_all(node):
+    return isinstance(node, ast.Assign) and any(
+        isinstance(target, ast.Name) and target.id == "__all__" for target in node.targets
+    )
+
+
+def _collect_uses(node, used, enclosing=None):
+    """Add every name ``node`` uses to ``used``, skipping imports,
+    ``__all__`` and uses inside a function of the same name."""
+    if isinstance(node, (ast.Import, ast.ImportFrom)) or _is_all(node):
+        return
+    if isinstance(node, ast.Name):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+        name = node.value if node.value.isidentifier() else None
+    else:
+        name = None
+    if name is not None and name != enclosing:
+        used.add(name)
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        # Decorators, defaults and annotations belong to the outer scope.
+        for child in ast.iter_child_nodes(node):
+            if child not in node.body:
+                _collect_uses(child, used, enclosing)
+        for child in node.body:
+            _collect_uses(child, used, node.name)
+        return
+    for child in ast.iter_child_nodes(node):
+        _collect_uses(child, used, enclosing)
+
+
+def _definitions(tree, module, prefix=""):
+    """``module:qualname`` and bare name of every module- and class-level
+    definition."""
+    for node in tree.body:
+        if isinstance(node, _DEFS):
+            yield f"{module}:{prefix}{node.name}", node.name
+            if isinstance(node, ast.ClassDef):
+                yield from _definitions(node, module, f"{prefix}{node.name}.")
+
+
+def uncalled(repo):
+    """Qualified names of the definitions under ``repo/src`` that nothing
+    in the program directories uses."""
+    used = set()
+    defined = []
+    for directory in PROGRAM_DIRS:
+        for path in _python_files(os.path.join(repo, directory)):
+            with open(path, encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), filename=path)
+            _collect_uses(tree, used)
+            if directory == "src":
+                rel = os.path.relpath(path, os.path.join(repo, "src"))
+                module = rel[: -len(".py")].replace(os.sep, ".")
+                module = module[: -len(".__init__")] if module.endswith(".__init__") else module
+                defined.extend(_definitions(tree, module))
+    return sorted(
+        qualname
+        for qualname, name in defined
+        if name not in used and not (name.startswith("__") and name.endswith("__"))
+    )
+
+
+def test_every_definition_has_a_caller_outside_tests():
+    offenders = [q for q in uncalled(REPO) if q not in ALLOWED]
+    assert offenders == [], (
+        "defined in src/ but used only by tests (or not at all); delete it, "
+        "or give it an ALLOWED entry with its reason"
+    )
+
+
+def test_allowed_entries_are_still_uncalled():
+    assert sorted(set(ALLOWED) - set(uncalled(REPO))) == []
+
+
+def _write(root, rel, source):
+    path = os.path.join(root, rel)
+    os.makedirs(os.path.dirname(path), exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(source)
+
+
+def test_scan_flags_an_uncalled_method(tmp_path):
+    root = str(tmp_path)
+    _write(root, "src/pkg/__init__.py", "from pkg.mod import Box, helper\n__all__ = ['Box', 'helper']\n")
+    _write(root, "src/pkg/mod.py", (
+        "class Box:\n"
+        "    def __init__(self):\n"
+        "        self.n = 0\n"
+        "    def used(self):\n"
+        "        return self.n\n"
+        "    def by_name(self):\n"
+        "        return 1\n"
+        "    def reset(self):\n"
+        "        self.inner.reset()\n"
+        "    def planted(self):\n"
+        "        return self.planted()\n"
+        "def helper():\n"
+        "    return Box().used()\n"
+    ))
+    _write(root, "examples/demo.py", "from pkg import helper\nhelper()\ngetattr(object, 'by_name')\n")
+    _write(root, "examples/test_demo.py", "from pkg.mod import Box\nBox().reset()\n")
+    assert uncalled(root) == ["pkg.mod:Box.planted", "pkg.mod:Box.reset"]

@@ -24,12 +24,12 @@ from repro.devices.dram import DRAM
 from repro.devices.flash import FlashMemory
 from repro.obs import (
     MetricsHub,
+    TraceReader,
     Tracer,
     flatten_numeric,
     run_manifest,
     runtime,
     validate_event,
-    validate_jsonl,
     write_manifest,
     write_trace,
 )
@@ -41,6 +41,15 @@ from repro.storage.manager import StorageManager
 from repro.storage.writebuffer import FlushItem, FlushReason, WriteBuffer
 
 MB = 1024 * 1024
+
+
+def validate_jsonl(path):
+    """Read a JSONL trace through the validating reader:
+    ``(valid_event_count, errors)``."""
+    reader = TraceReader(path)
+    for _event in reader:
+        pass
+    return reader.valid, reader.errors
 
 
 # ----------------------------------------------------------------------

@@ -24,7 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.devices import FlashMemory, WriteBeforeEraseError
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
-from repro.storage.migration import HotColdTracker, Temperature
+from repro.storage.migration import HotColdTracker
 
 KB = 1024
 
@@ -95,15 +95,13 @@ def test_record_write_flag_is_the_classification_at_now(case, later):
         reference.record_write(key, now)
         assert hot is tracker.is_hot(key, now)
         assert hot is reference.is_hot(key, now)
-        assert tracker.score(key, now) == reference.score(key, now)
+        heat = tracker._heat[key]
+        assert [heat.rate, heat.last_update] == reference._heat[key]
     # Later re-classification (the flush-time path), for every key,
     # tracked or not.
     end = writes[-1][1] + later
     for key in "abcd":
         assert tracker.is_hot(key, end) is reference.is_hot(key, end)
-        assert tracker.is_hot(key, end) is (
-            tracker.classify(key, end) is Temperature.HOT
-        )
 
 
 # ----------------------------------------------------------------------

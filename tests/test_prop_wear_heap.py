@@ -4,8 +4,8 @@
 pick exactly the sector the old ``min`` scan picked, for every wear
 policy, under arbitrary interleavings of open/seal/erase/retire -- the
 operations that move sectors on and off the free list and change erase
-counts.  :func:`repro.storage.wear.choose_erased_sector_scan` is the
-reference implementation kept for exactly this purpose.
+counts.  :func:`choose_erased_sector_scan` below is that scan, the
+reference implementation.
 """
 
 from __future__ import annotations
@@ -15,13 +15,19 @@ from hypothesis import strategies as st
 
 from repro.devices.flash import FlashMemory
 from repro.storage.allocator import SectorAllocator, SectorState
-from repro.storage.wear import (
-    WearPolicy,
-    choose_erased_sector,
-    choose_erased_sector_scan,
-)
+from repro.storage.wear import WearPolicy, choose_erased_sector
 
 MB = 1024 * 1024
+
+
+def choose_erased_sector_scan(allocator, banks, policy):
+    """Reference O(n) implementation of :func:`choose_erased_sector`."""
+    candidates = [s for bank in banks for s in allocator.free_by_bank[bank]]
+    if not candidates:
+        return None
+    if policy is WearPolicy.NONE:
+        return min(candidates)
+    return min(candidates, key=lambda s: (allocator.flash.sector_erase_count(s), s))
 
 
 def _fresh():

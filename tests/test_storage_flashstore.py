@@ -213,7 +213,7 @@ class TestBankPartitioning:
         flash = FlashMemory(128 * KB, spec=FLASH_PAPER_NOMINAL, banks=4)
         partition = BankPartition.unpartitioned(flash)
         assert not partition.partitioned
-        assert partition.pool_for(hot=True) == partition.pool_for(hot=False)
+        assert partition.write_pool == partition.read_mostly_pool
 
 
 class TestInPlaceMode:

@@ -5,7 +5,7 @@ import pytest
 from repro.devices import DRAM, FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.sim import Engine, SimClock
-from repro.storage import HotColdTracker, StorageManager, Temperature
+from repro.storage import HotColdTracker, StorageManager
 
 KB = 1024
 
@@ -22,20 +22,20 @@ class TestDataPath:
     def test_write_read_through_buffer(self, manager):
         manager.write_block("k", b"buffered")
         assert manager.read_block("k") == b"buffered"
-        assert not manager.in_flash("k")  # still only in DRAM
+        assert not manager.store.contains("k")  # still only in DRAM
 
     def test_sync_makes_stable(self, manager):
         manager.write_block("k", b"now stable")
         manager.sync()
-        assert manager.in_flash("k")
+        assert manager.store.contains("k")
         assert manager.read_block("k") == b"now stable"
 
     def test_sync_key(self, manager):
         manager.write_block("a", b"1")
         manager.write_block("b", b"2")
         assert manager.sync_key("a")
-        assert manager.in_flash("a")
-        assert not manager.in_flash("b")
+        assert manager.store.contains("a")
+        assert not manager.store.contains("b")
         assert not manager.sync_key("a")  # already clean
 
     def test_delete_before_flush_avoids_flash_write(self, manager):
@@ -72,9 +72,9 @@ class TestTimerFlush(object):
         manager.attach_flush_timer(engine, interval_s=5.0)
         manager.write_block("k", b"will age out")
         engine.run_until(4.0)
-        assert not manager.in_flash("k")
+        assert not manager.store.contains("k")
         engine.run_until(20.0)
-        assert manager.in_flash("k")
+        assert manager.store.contains("k")
 
 
 class TestPowerLoss:
@@ -95,19 +95,19 @@ class TestPowerLoss:
         manager.write_block("k", b"x" * KB)
         manager.shutdown_flush()
         assert manager.power_loss() == 0
-        assert manager.in_flash("k")
+        assert manager.store.contains("k")
 
 
 class TestHotColdTracker:
     def test_new_key_is_cold(self):
         t = HotColdTracker()
-        assert t.classify("k", now=0.0) is Temperature.COLD
+        assert not t.is_hot("k", now=0.0)
 
     def test_repeated_writes_make_hot(self):
         t = HotColdTracker(half_life_s=60.0, hot_threshold=1.5)
         for i in range(4):
             t.record_write("k", now=float(i))
-        assert t.classify("k", now=4.0) is Temperature.HOT
+        assert t.is_hot("k", now=4.0)
 
     def test_heat_decays(self):
         t = HotColdTracker(half_life_s=10.0, hot_threshold=1.5)
@@ -120,7 +120,7 @@ class TestHotColdTracker:
         t = HotColdTracker()
         t.record_write("k", 0.0)
         t.forget("k")
-        assert t.score("k", 0.0) == 0.0
+        assert t.tracked_keys() == 0
 
     def test_hottest_ordering(self):
         t = HotColdTracker()

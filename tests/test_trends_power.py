@@ -20,8 +20,8 @@ class TestTrendLine:
 
     def test_series(self):
         line = TrendLine("x", 1993, 1.0, 0.25)
-        series = line.series(1993, 1995)
-        assert [y for y, _ in series] == [1993, 1994, 1995]
+        series = [line.value(y) for y in range(1993, 1996)]
+        assert series == pytest.approx([1.0, 1.25, 1.5625])
 
     def test_crossover_math(self):
         slow = TrendLine("slow", 1993, 10.0, 0.25)
