@@ -24,6 +24,7 @@ from repro.devices.catalog import (
 from repro.devices.disk import MagneticDisk
 from repro.devices.dram import DRAM
 from repro.devices.flash import FlashMemory
+from repro.sim.clock import SimClock
 
 IO_SIZE = 4096
 
@@ -31,8 +32,8 @@ IO_SIZE = 4096
 def _timed_rw(device, offset: int = 0):
     """(read_latency, write_latency) for one 4 KB access on a warm device."""
     if isinstance(device, FlashMemory):
-        write = device.program(offset, b"\x00" * IO_SIZE, 0.0).latency
-        read = device.read(offset, IO_SIZE, 100.0)[1].latency
+        write = device.program(offset, b"\x00" * IO_SIZE, SimClock(0.0))[0]
+        read = device.read(offset, IO_SIZE, SimClock(100.0))[1]
         return read, write
     write = device.write(offset, b"\x00" * IO_SIZE, 0.0).latency
     read = device.read(offset, IO_SIZE, 1.0)[1].latency
@@ -49,12 +50,12 @@ def run(quick: bool = False) -> ExperimentResult:
 
     intel = FlashMemory(1 * MB, spec=FLASH_INTEL_SERIES2, banks=1)
     r, w = _timed_rw(intel)
-    erase = intel.erase_sector(1, 200.0).latency
+    erase = intel.erase_sector(1, SimClock(200.0))[0]
     rows.append(_row(FLASH_INTEL_SERIES2, r, w, erase))
 
     sundisk = FlashMemory(1 * MB, spec=FLASH_SUNDISK_SDI, banks=1)
     r, w = _timed_rw(sundisk)
-    erase = sundisk.erase_sector(16, 200.0).latency
+    erase = sundisk.erase_sector(16, SimClock(200.0))[0]
     rows.append(_row(FLASH_SUNDISK_SDI, r, w, erase))
 
     kittyhawk = MagneticDisk(20 * MB, spec=DISK_HP_KITTYHAWK)

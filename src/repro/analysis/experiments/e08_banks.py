@@ -25,6 +25,7 @@ from typing import List, Tuple
 from repro.analysis.experiments.base import ExperimentResult
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.devices.flash import FlashMemory
+from repro.sim.clock import SimClock
 from repro.sim.rand import substream
 from repro.sim.stats import Histogram
 
@@ -71,15 +72,15 @@ def _run_case(
         if kind == "write":
             sector = write_sectors[wi % len(write_sectors)]
             wi += 1
-            flash.erase_sector(sector, when)
+            flash.erase_sector(sector, SimClock(when))
             start, _ = flash.sector_range(sector)
-            flash.program(start, b"\x5a" * 512, when + 1e-9)
+            flash.program(start, b"\x5a" * 512, SimClock(when + 1e-9))
         else:
             sector = read_sectors[rng.randint(0, len(read_sectors) - 1)]
             start, _ = flash.sector_range(sector)
-            _, result = flash.read(start, READ_BYTES, when)
-            latency.record(result.latency)
-            if result.wait > 1e-12:
+            _, took, wait = flash.read(start, READ_BYTES, SimClock(when))
+            latency.record(took)
+            if wait > 1e-12:
                 stalled += 1
     return {
         "reads": latency.count,

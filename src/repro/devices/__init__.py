@@ -14,8 +14,11 @@ This package models the 1993-era hardware the paper reasons about:
   Fujitsu disks).
 
 All devices store real bytes, so file-system correctness tests can verify
-data integrity end-to-end, and all operations return a
-:class:`~repro.devices.base.AccessResult` carrying latency and energy.
+data integrity end-to-end, and every operation charges a latency and an
+energy: disk and DRAM reads and writes return a
+:class:`~repro.devices.base.AccessResult`, while DRAM charges and every
+flash access advance the caller's clock themselves (see
+:mod:`repro.devices.base`).
 """
 
 from repro.devices.base import AccessResult, DeviceStats, StorageDevice

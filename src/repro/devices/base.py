@@ -3,18 +3,23 @@
 Every device in the reproduction follows the same contract:
 
 - it stores **real bytes** (so higher layers can be verified end-to-end);
-- every operation returns an :class:`AccessResult` with the service
-  latency in seconds and the energy consumed in joules;
+- every operation charges a service latency in seconds and an energy in
+  joules;
 - it accumulates a :class:`DeviceStats` record that experiment harnesses
   read instead of instrumenting call sites.
 
-Devices are *time-aware but passive*: callers pass the current simulated
-time in, and devices report how long the operation took (including any
-wait behind a busy flash bank or a disk spin-up).  The caller decides
-whether to advance a shared clock by that latency.  The one exception is
-the most frequent access, a DRAM charge: ``DRAM.charge_read``/
-``charge_write`` take the caller's clock, advance it themselves and
-return nothing.
+Devices are *time-aware but passive*: an access happens at the caller's
+current simulated time, and its latency includes any wait behind a busy
+flash bank or a disk spin-up.  Two forms carry that time:
+
+- The disk and DRAM's data-moving ``read``/``write`` take ``now`` and
+  return an :class:`AccessResult`; the caller advances its clock by the
+  result's latency.
+- The most frequent accesses take the caller's :class:`~repro.sim.clock.SimClock`
+  and advance it themselves: DRAM's ``charge_read``/``charge_write``
+  (which return nothing) and every flash access, ``FlashMemory.read``/
+  ``program``/``erase_sector``/``charge_*`` (which return the latency
+  and its stalled part, ``wait``, after a read's bytes).
 
 Every access is a direct synchronous call (``read``/``write``/
 ``charge_*``) from the file systems and storage layers.  Contention
@@ -81,12 +86,6 @@ class DeviceStats:
     def record_write(self, nbytes: int, result: AccessResult) -> None:
         self.writes += 1
         self.bytes_written += nbytes
-        self.busy_time += result.latency - result.wait
-        self.wait_time += result.wait
-        self.energy_joules += result.energy
-
-    def record_erase(self, result: AccessResult) -> None:
-        self.erases += 1
         self.busy_time += result.latency - result.wait
         self.wait_time += result.wait
         self.energy_joules += result.energy
@@ -161,11 +160,15 @@ class StorageDevice(ABC):
 
     @abstractmethod
     def read(self, offset: int, nbytes: int, now: float) -> "tuple[bytes, AccessResult]":
-        """Read ``nbytes`` at ``offset``; returns (data, result)."""
+        """Read ``nbytes`` at ``offset``; returns (data, result).
+
+        Flash takes a clock instead of ``now`` (see the module docstring).
+        """
 
     @abstractmethod
     def write(self, offset: int, data: bytes, now: float) -> AccessResult:
-        """Write ``data`` at ``offset``."""
+        """Write ``data`` at ``offset``; returns the result (flash: see
+        the module docstring)."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, capacity={self.capacity_bytes})"

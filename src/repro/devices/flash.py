@@ -27,9 +27,10 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
-from repro.devices.base import AccessResult, StorageDevice
+from repro.devices.base import StorageDevice
 from repro.devices.catalog import MB, FLASH_PAPER_NOMINAL, DeviceSpec
 from repro.devices.errors import WornOutError, WriteBeforeEraseError
+from repro.sim.clock import SimClock
 
 ERASED_BYTE = 0xFF
 
@@ -94,12 +95,24 @@ class FlashMemory(StorageDevice):
                 f"capacity {capacity_bytes} not divisible by "
                 f"banks({banks}) x erase sector({sector})"
             )
+        costs = (
+            spec.read_overhead_s, spec.read_per_byte_s, spec.active_read_power_w,
+            spec.write_overhead_s, spec.write_per_byte_s, spec.active_write_power_w,
+            spec.erase_latency_s or 0.0,
+        )
+        # Non-negative costs make every latency, wait and energy
+        # non-negative, and every wait at most its latency.
+        if min(costs) < 0.0:
+            raise ValueError(f"spec {spec.name!r} has a negative cost or power")
         super().__init__(
             name,
             capacity_bytes,
             idle_power_watts=spec.idle_power_w_per_mb * (capacity_bytes / MB),
         )
         self.spec = spec
+        (self._read_overhead, self._read_per_byte, self._read_power,
+         self._write_overhead, self._write_per_byte, self._write_power,
+         self._erase_latency) = costs
         self.sector_bytes = sector
         self.num_sectors = capacity_bytes // sector
         self.num_banks = banks
@@ -113,6 +126,7 @@ class FlashMemory(StorageDevice):
         self._bank_bytes = self.sectors_per_bank * sector
         self._sectors = [_SectorState() for _ in range(self.num_sectors)]
         self._data = bytearray([ERASED_BYTE]) * capacity_bytes
+        self._erased_sector = bytes([ERASED_BYTE]) * sector
         # Optional fault-injection hook (see repro.faults.injector); when
         # attached it may corrupt reads, fail programs/erases, or cut
         # power mid-operation.
@@ -179,13 +193,14 @@ class FlashMemory(StorageDevice):
         Each bank's chunk first stalls until that bank is idle, then
         takes the read or program service time; a program also occupies
         the bank until it completes.  Returns ``(latency, wait)``, where
-        ``wait`` is the stalled portion of ``latency``.
+        ``wait`` is the stalled portion of ``latency``.  :meth:`read` and
+        :meth:`program` inline the one-bank case with the same float
+        expressions.
         """
-        spec = self.spec
         if write:
-            overhead, per_byte = spec.write_overhead_s, spec.write_per_byte_s
+            overhead, per_byte = self._write_overhead, self._write_per_byte
         else:
-            overhead, per_byte = spec.read_overhead_s, spec.read_per_byte_s
+            overhead, per_byte = self._read_overhead, self._read_per_byte
         busy = self.bank_busy_until
         bank_bytes = self._bank_bytes
         latency = 0.0
@@ -208,57 +223,89 @@ class FlashMemory(StorageDevice):
             remaining -= chunk
         return latency, wait
 
-    def _account(
-        self, op: str, offset: int, nbytes: int, now: float, write: bool
-    ) -> AccessResult:
-        """Walk the banks for one read or program, then record and trace it."""
-        latency, wait = self._walk_banks(offset, nbytes, now, write)
-        spec = self.spec
-        power = spec.active_write_power_w if write else spec.active_read_power_w
-        result = AccessResult(
-            latency=latency, energy=power * (latency - wait), wait=wait
-        )
-        if write:
-            self.stats.record_write(nbytes, result)
-        else:
-            self.stats.record_read(nbytes, result)
-        if self.tracer is not None:
-            # Bank detail feeds the per-bank wear / write-amplification
-            # series in repro.obs.analyze.
-            detail = {"bank": offset // self._bank_bytes} if op == "program" else {}
-            if wait > 0.0:
-                detail["wait"] = wait
-            self.tracer.emit(self.name, op, now, nbytes, latency, detail=detail or None)
-        return result
-
     # ------------------------------------------------------------------
-    # Operations.
+    # Operations.  Each one is a single frame: it checks, lets the fault
+    # injector act, walks the banks, updates ``stats``, traces at the
+    # pre-advance ``clock.now`` and then advances the caller's clock by
+    # its latency itself.  It returns that latency and its stalled part
+    # ``wait`` (a read returns its bytes first).
     # ------------------------------------------------------------------
 
-    def read(self, offset: int, nbytes: int, now: float) -> Tuple[bytes, AccessResult]:
-        self.check_range(offset, nbytes)
+    def read(self, offset: int, nbytes: int, clock: SimClock) -> Tuple[bytes, float, float]:
+        """Read ``nbytes`` at ``offset``; returns ``(data, latency, wait)``."""
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
+            self.check_range(offset, nbytes)
+        now = clock.now
         if self.injector is not None:
             # May flip stored bits (read disturb) or cut power mid-read.
             self.injector.on_read(self, offset, nbytes, now=now)
-        # A read spanning banks is serviced bank-by-bank in order.
-        result = self._account("read", offset, nbytes, now, write=False)
-        return bytes(self._data[offset : offset + nbytes]), result
+        bank_bytes = self._bank_bytes
+        bank = offset // bank_bytes
+        if 0 < nbytes and offset + nbytes <= (bank + 1) * bank_bytes:
+            wait = self.bank_busy_until[bank] - now
+            if wait < 0.0:
+                wait = 0.0
+            latency = wait + (self._read_overhead + self._read_per_byte * nbytes)
+        else:
+            # A read spanning banks is serviced bank-by-bank in order.
+            latency, wait = self._walk_banks(offset, nbytes, now, False)
+        busy = latency - wait
+        stats = self.stats
+        stats.reads += 1
+        stats.bytes_read += nbytes
+        stats.busy_time += busy
+        stats.wait_time += wait
+        stats.energy_joules += self._read_power * busy
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.name, "read", now, nbytes, latency,
+                detail={"wait": wait} if wait > 0.0 else None,
+            )
+        data = bytes(self._data[offset : offset + nbytes])
+        clock.advance(latency)
+        return data, latency, wait
 
-    def write(self, offset: int, data: bytes, now: float) -> AccessResult:
+    def write(self, offset: int, data: bytes, clock: SimClock) -> Tuple[float, float]:
         """Program ``data`` into erased bytes (alias: :meth:`program`)."""
-        return self.program(offset, data, now)
+        return self.program(offset, data, clock)
 
-    def charge_read(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
+    def _charge(
+        self, op: str, nbytes: int, clock: SimClock, offset: int, write: bool
+    ) -> Tuple[float, float]:
+        """Walk, account, trace and advance for an access that moves no data."""
+        self.check_range(offset, nbytes)
+        now = clock.now
+        latency, wait = self._walk_banks(offset, nbytes, now, write)
+        busy = latency - wait
+        stats = self.stats
+        if write:
+            stats.writes += 1
+            stats.bytes_written += nbytes
+            stats.energy_joules += self._write_power * busy
+        else:
+            stats.reads += 1
+            stats.bytes_read += nbytes
+            stats.energy_joules += self._read_power * busy
+        stats.busy_time += busy
+        stats.wait_time += wait
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.name, op, now, nbytes, latency,
+                detail={"wait": wait} if wait > 0.0 else None,
+            )
+        clock.advance(latency)
+        return latency, wait
+
+    def charge_read(self, nbytes: int, clock: SimClock, offset: int = 0) -> Tuple[float, float]:
         """Timing/energy of a read with no data copy (accounting only).
 
         Identical bank-stall arithmetic to :meth:`read`, minus the byte
         materialization and fault injection (no data moves, so nothing
         can be corrupted or torn).
         """
-        self.check_range(offset, nbytes)
-        return self._account("charge_read", offset, nbytes, now, write=False)
+        return self._charge("charge_read", nbytes, clock, offset, False)
 
-    def charge_write(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
+    def charge_write(self, nbytes: int, clock: SimClock, offset: int = 0) -> Tuple[float, float]:
         """Timing/energy of a program with no data landed (accounting only).
 
         Occupies the bank exactly as :meth:`program` would -- the timing
@@ -266,36 +313,89 @@ class FlashMemory(StorageDevice):
         injection, and the medium update, so the charged range's stored
         bytes and programmed intervals are untouched.
         """
-        self.check_range(offset, nbytes)
-        return self._account("charge_write", offset, nbytes, now, write=True)
+        return self._charge("charge_write", nbytes, clock, offset, True)
 
-    def program(self, offset: int, data: bytes, now: float) -> AccessResult:
+    def program(self, offset: int, data: bytes, clock: SimClock) -> Tuple[float, float]:
+        """Program ``data`` at ``offset``; returns ``(latency, wait)``."""
         nbytes = len(data)
-        self.check_range(offset, nbytes)
+        if offset < 0 or offset + nbytes > self.capacity_bytes:
+            self.check_range(offset, nbytes)
         sector, start = divmod(offset, self.sector_bytes)
-        if 0 < nbytes <= self.sector_bytes - start:
-            # Within one sector, as every log append is: no split walk.
-            spans = ((sector, start, start + nbytes),)
+        end = start + nbytes
+        sectors = self._sectors
+        if 0 < nbytes and end <= self.sector_bytes:
+            # Within one sector (so one bank), as every log append is.
+            # ``i`` counts the intervals starting before ``end``; the
+            # last of them ends furthest right.
+            programmed = sectors[sector].programmed
+            i = bisect_left(programmed, (end,))
+            if i and programmed[i - 1][1] > start:
+                raise WriteBeforeEraseError(self.name, offset, nbytes)
+            spans = None
         else:
             spans = tuple(self._split_by_sector(offset, nbytes))
-        sectors = self._sectors
-        for sector, start, end in spans:
-            if not sectors[sector].is_erased(start, end):
-                raise WriteBeforeEraseError(self.name, offset, nbytes)
+            for span_sector, lo, hi in spans:
+                if not sectors[span_sector].is_erased(lo, hi):
+                    raise WriteBeforeEraseError(self.name, offset, nbytes)
+        now = clock.now
         if self.injector is not None:
             # May raise ProgramFailedError (transient/permanent) or cut
             # power mid-program, leaving a torn prefix in the medium.
             self.injector.on_program(self, offset, data, now=now)
-        result = self._account("program", offset, nbytes, now, write=True)
+        if spans is None:
+            bank = sector // self.sectors_per_bank
+            busy_until = self.bank_busy_until
+            wait = busy_until[bank] - now
+            if wait < 0.0:
+                wait = 0.0
+            service = self._write_overhead + self._write_per_byte * nbytes
+            latency = wait + service
+            done = now + wait + service
+            if done > busy_until[bank]:
+                busy_until[bank] = done
+        else:
+            bank = offset // self._bank_bytes
+            latency, wait = self._walk_banks(offset, nbytes, now, True)
+        busy = latency - wait
+        stats = self.stats
+        stats.writes += 1
+        stats.bytes_written += nbytes
+        stats.busy_time += busy
+        stats.wait_time += wait
+        stats.energy_joules += self._write_power * busy
+        if self.tracer is not None:
+            # Bank detail feeds the per-bank wear / write-amplification
+            # series in repro.obs.analyze.
+            detail = {"bank": bank}
+            if wait > 0.0:
+                detail["wait"] = wait
+            self.tracer.emit(self.name, "program", now, nbytes, latency, detail=detail)
         self._data[offset : offset + nbytes] = data
-        for sector, start, end in spans:
-            sectors[sector].mark_programmed(start, end)
-        return result
+        if spans is None:
+            # [start, end) is erased, so it can only touch (not overlap)
+            # the interval ending at ``start`` and the one starting at
+            # ``end``: coalesce with those.
+            lo, hi, first, last = start, end, i, i
+            if i and programmed[i - 1][1] == start:
+                first -= 1
+                lo = programmed[first][0]
+            if i < len(programmed) and programmed[i][0] == end:
+                last += 1
+                hi = programmed[i][1]
+            programmed[first:last] = [(lo, hi)]
+        else:
+            for span_sector, lo, hi in spans:
+                sectors[span_sector].mark_programmed(lo, hi)
+        clock.advance(latency)
+        return latency, wait
 
-    def erase_sector(self, sector: int, now: float) -> AccessResult:
-        """Erase one sector, charging wear against its endurance budget."""
+    def erase_sector(self, sector: int, clock: SimClock) -> Tuple[float, float]:
+        """Erase one sector, charging wear against its endurance budget.
+
+        Returns ``(latency, wait)``."""
         if not 0 <= sector < self.num_sectors:
             raise ValueError(f"sector {sector} outside device")
+        now = clock.now
         if self.injector is not None:
             # May raise EraseFailedError or cut power mid-erase (leaving
             # the sector scrambled).  Failed attempts charge no wear.
@@ -312,33 +412,35 @@ class FlashMemory(StorageDevice):
             if self.strict_endurance:
                 raise WornOutError(self.name, sector, state.erase_count, self.endurance)
 
-        bank = self.bank_of_sector(sector)
-        busy = self.bank_busy_until
-        stall = max(0.0, busy[bank] - now)
-        service = self.spec.erase_latency_s or 0.0
-        end = now + stall + service
-        if end > busy[bank]:
-            busy[bank] = end
+        bank = sector // self.sectors_per_bank
+        busy_until = self.bank_busy_until
+        wait = busy_until[bank] - now
+        if wait < 0.0:
+            wait = 0.0
+        service = self._erase_latency
+        done = now + wait + service
+        if done > busy_until[bank]:
+            busy_until[bank] = done
 
-        start, end = self.sector_range(sector)
-        self._data[start:end] = bytes([ERASED_BYTE]) * self.sector_bytes
+        start = sector * self.sector_bytes
+        self._data[start : start + self.sector_bytes] = self._erased_sector
         state.programmed = []
 
-        result = AccessResult(
-            latency=stall + service,
-            energy=self.spec.active_write_power_w * service,
-            wait=stall,
-        )
-        self.stats.record_erase(result)
+        latency = wait + service
+        stats = self.stats
+        stats.erases += 1
+        stats.busy_time += latency - wait
+        stats.wait_time += wait
+        stats.energy_joules += self._write_power * service
         if self.tracer is not None:
             detail = {"sector": sector, "bank": bank}
-            if stall > 0.0:
-                detail["wait"] = stall
+            if wait > 0.0:
+                detail["wait"] = wait
             self.tracer.emit(
-                self.name, "erase", now, self.sector_bytes, result.latency,
-                detail=detail,
+                self.name, "erase", now, self.sector_bytes, latency, detail=detail,
             )
-        return result
+        clock.advance(latency)
+        return latency, wait
 
     # ------------------------------------------------------------------
     # Wear reporting (experiment E9).

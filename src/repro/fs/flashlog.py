@@ -44,9 +44,7 @@ class EraseInPlaceFlashBlockDevice(BlockDevice):
     def read_block(self, lba: int) -> bytes:
         if not 0 <= lba < self.nblocks:
             self.check_lba(lba)
-        data, result = self.flash.read(lba * self.block_size, self.block_size, self.clock.now)
-        self.clock.advance(result.latency)
-        return data
+        return self.flash.read(lba * self.block_size, self.block_size, self.clock)[0]
 
     def write_block(self, lba: int, data: bytes) -> None:
         if not 0 <= lba < self.nblocks:
@@ -64,29 +62,25 @@ class EraseInPlaceFlashBlockDevice(BlockDevice):
             for sector in range(first_sector, last_sector + 1):
                 base = sector * sector_bytes
                 if self.flash.sector_programmed_bytes(sector):
-                    old, result = self.flash.read(base, sector_bytes, self.clock.now)
-                    self.clock.advance(result.latency)
+                    old = self.flash.read(base, sector_bytes, self.clock)[0]
                 else:
                     old = b"\xff" * sector_bytes
                 merged = bytearray(old)
                 lo = max(base, offset)
                 hi = min(base + sector_bytes, offset + self.block_size)
                 merged[lo - base : hi - base] = data[lo - offset : hi - offset]
-                result = self.flash.erase_sector(sector, self.clock.now)
-                self.clock.advance(result.latency)
-                result = self.flash.program(base, bytes(merged), self.clock.now)
-                self.clock.advance(result.latency)
+                self.flash.erase_sector(sector, self.clock)
+                self.flash.program(base, bytes(merged), self.clock)
         else:
             # Block spans whole sectors: erase them, program the block.
             for sector in range(first_sector, last_sector + 1):
-                result = self.flash.erase_sector(sector, self.clock.now)
-                self.clock.advance(result.latency)
-            result = self.flash.program(offset, data, self.clock.now)
-            self.clock.advance(result.latency)
+                self.flash.erase_sector(sector, self.clock)
+            self.flash.program(offset, data, self.clock)
 
 
 class LogStructuredFTL(BlockDevice):
-    """Remapping FTL over the log-structured flash store."""
+    """Remapping FTL over the log-structured flash store; logical block
+    ``lba`` is stored under the key ``("lba", lba)``."""
 
     def __init__(
         self,
@@ -106,26 +100,25 @@ class LogStructuredFTL(BlockDevice):
         self.store = store
         self.clock = store.clock
 
-    def _key(self, lba: int):
-        return ("lba", lba)
-
     def read_block(self, lba: int) -> bytes:
         if not 0 <= lba < self.nblocks:
             self.check_lba(lba)
-        key = self._key(lba)
-        if not self.store.contains(key):
-            return bytes(self.block_size)  # never-written block
-        return self.store.read_block(key)
+        try:
+            # One index lookup: the store's own raises KeyError for a
+            # block never written.
+            return self.store.read_block(("lba", lba))
+        except KeyError:
+            return bytes(self.block_size)
 
     def write_block(self, lba: int, data: bytes) -> None:
         if not 0 <= lba < self.nblocks:
             self.check_lba(lba)
         if len(data) != self.block_size:
             raise ValueError(f"block write must be exactly {self.block_size} bytes")
-        self.store.write_block(self._key(lba), data)
+        self.store.write_block(("lba", lba), data)
 
     def trim(self, lba: int) -> None:
         """Discard a block (lets the cleaner reclaim it sooner)."""
-        key = self._key(lba)
+        key = ("lba", lba)
         if self.store.contains(key):
             self.store.delete_block(key)

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.devices.base import StorageDevice
+from repro.devices.flash import FlashMemory
 from repro.sim.clock import SimClock
 
 #: Canonical region bases in the 64-bit space.  Generous gaps keep the
@@ -96,8 +97,10 @@ class PhysicalAddressSpace:
     def read(self, addr: int, nbytes: int) -> bytes:
         """Load ``nbytes`` from anywhere in the single-level store."""
         region = self.region_of(addr, nbytes)
-        data, result = region.device.read(region.to_device_offset(addr), nbytes,
-                                          self.clock.now)
+        device, offset = region.device, region.to_device_offset(addr)
+        if isinstance(device, FlashMemory):
+            return device.read(offset, nbytes, self.clock)[0]
+        data, result = device.read(offset, nbytes, self.clock.now)
         self.clock.advance(result.latency)
         return data
 
@@ -106,8 +109,11 @@ class PhysicalAddressSpace:
         region = self.region_of(addr, len(data))
         if not region.writable:
             raise PermissionError(f"region {region.name!r} is read-only")
-        result = region.device.write(region.to_device_offset(addr), data,
-                                     self.clock.now)
+        device, offset = region.device, region.to_device_offset(addr)
+        if isinstance(device, FlashMemory):
+            device.write(offset, data, self.clock)
+            return
+        result = device.write(offset, data, self.clock.now)
         self.clock.advance(result.latency)
 
     def describe(self) -> List[dict]:

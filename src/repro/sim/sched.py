@@ -23,8 +23,9 @@ in global timestamp order and the shared clock serializes them: a step
 that wanted to run at ``t`` but finds the clock already at ``t' > t``
 has been **dispatch-delayed** by the other clients' traffic -- that delay
 is the kernel-level queueing E14 measures, on top of the device-level
-stalls (busy flash bank, disk spin-up) devices report in
-:attr:`~repro.devices.base.AccessResult.wait`.
+stalls (busy flash bank, disk spin-up) devices report as a ``wait``
+(:attr:`~repro.devices.base.AccessResult.wait`, or the one a flash
+access returns).
 
 Determinism rules (pinned by tests):
 

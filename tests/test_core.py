@@ -7,6 +7,7 @@ import pytest
 from repro.core import MobileComputer, Organization, SystemConfig, lifetime_projection
 from repro.devices import FlashMemory
 from repro.devices.catalog import DeviceSpec, FLASH_PAPER_NOMINAL
+from repro.sim.clock import SimClock
 
 KB = 1024
 MB = 1024 * 1024
@@ -54,7 +55,7 @@ class TestLifetimeProjection:
         )
         flash = FlashMemory(256 * KB, spec=spec)
         for _ in range(10):
-            flash.erase_sector(0, 0.0)
+            flash.erase_sector(0, SimClock())
         projection = lifetime_projection(flash, observed_seconds=100.0)
         # 10 erases / 100 s on the hot sector -> 100 cycles last 1000 s.
         assert projection.projected_seconds == pytest.approx(1000.0)
@@ -66,7 +67,7 @@ class TestLifetimeProjection:
         )
         flash = FlashMemory(64 * KB, spec=spec)  # 16 sectors
         for s in range(flash.num_sectors):
-            flash.erase_sector(s, 0.0)
+            flash.erase_sector(s, SimClock())
         projection = lifetime_projection(flash, 100.0)
         assert projection.leveling_efficiency == pytest.approx(1.0)
 

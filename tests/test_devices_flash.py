@@ -6,6 +6,7 @@ import pytest
 
 from repro.devices import FlashMemory, WriteBeforeEraseError, WornOutError
 from repro.devices.catalog import DeviceSpec, FLASH_PAPER_NOMINAL, FLASH_SUNDISK_SDI
+from repro.sim.clock import SimClock
 
 KB = 1024
 
@@ -51,105 +52,108 @@ class TestEraseBeforeWrite:
     def test_fresh_device_is_erased(self):
         f = small_flash()
         assert f.is_erased(0, f.capacity_bytes)
-        data, _ = f.read(0, 16, 0.0)
+        data, _, _ = f.read(0, 16, SimClock(0.0))
         assert data == b"\xff" * 16
 
     def test_program_then_read_back(self):
         f = small_flash()
-        f.program(100, b"hello flash", 0.0)
-        data, _ = f.read(100, 11, 1.0)
+        f.program(100, b"hello flash", SimClock(0.0))
+        data, _, _ = f.read(100, 11, SimClock(1.0))
         assert data == b"hello flash"
 
     def test_rewrite_without_erase_rejected(self):
         f = small_flash()
-        f.program(0, b"aaaa", 0.0)
+        f.program(0, b"aaaa", SimClock(0.0))
         with pytest.raises(WriteBeforeEraseError):
-            f.program(2, b"bb", 1.0)
+            f.program(2, b"bb", SimClock(1.0))
 
     def test_adjacent_programs_allowed(self):
         f = small_flash()
-        f.program(0, b"aaaa", 0.0)
-        f.program(4, b"bbbb", 1.0)  # directly adjacent, not overlapping
-        data, _ = f.read(0, 8, 2.0)
+        f.program(0, b"aaaa", SimClock(0.0))
+        f.program(4, b"bbbb", SimClock(1.0))  # directly adjacent, not overlapping
+        data, _, _ = f.read(0, 8, SimClock(2.0))
         assert data == b"aaaabbbb"
 
     def test_erase_resets_sector(self):
         f = small_flash()
-        f.program(0, b"x" * 100, 0.0)
-        f.erase_sector(0, 1.0)
+        f.program(0, b"x" * 100, SimClock(0.0))
+        f.erase_sector(0, SimClock(1.0))
         assert f.is_erased(0, 4 * KB)
-        data, _ = f.read(0, 4, 2.0)
+        data, _, _ = f.read(0, 4, SimClock(2.0))
         assert data == b"\xff\xff\xff\xff"
-        f.program(0, b"again", 3.0)  # reprogrammable after erase
+        f.program(0, b"again", SimClock(3.0))  # reprogrammable after erase
 
     def test_program_spanning_sectors(self):
         f = small_flash()
         blob = bytes(range(256)) * 40  # 10240 bytes, crosses 2 boundaries
-        f.program(0, blob, 0.0)
-        data, _ = f.read(0, len(blob), 1.0)
+        f.program(0, blob, SimClock(0.0))
+        data, _, _ = f.read(0, len(blob), SimClock(1.0))
         assert data == blob
 
     def test_erase_only_touches_its_sector(self):
         f = small_flash()
-        f.program(0, b"first", 0.0)
-        f.program(4 * KB, b"second", 1.0)
-        f.erase_sector(0, 2.0)
-        data, _ = f.read(4 * KB, 6, 3.0)
+        f.program(0, b"first", SimClock(0.0))
+        f.program(4 * KB, b"second", SimClock(1.0))
+        f.erase_sector(0, SimClock(2.0))
+        data, _, _ = f.read(4 * KB, 6, SimClock(3.0))
         assert data == b"second"
 
 
 class TestTiming:
     def test_write_much_slower_than_read(self):
         f = small_flash()
-        w = f.program(0, b"z" * 1024, 0.0)
-        r = f.read(0, 1024, 10.0)[1]
+        write, _ = f.program(0, b"z" * 1024, SimClock(0.0))
+        read = f.read(0, 1024, SimClock(10.0))[1]
         # Paper: write times two orders of magnitude above read times.
-        assert w.latency > 50 * r.latency
+        assert write > 50 * read
 
     def test_read_latency_scales_with_size(self):
         f = small_flash()
-        r1 = f.read(0, 100, 0.0)[1]
-        r2 = f.read(0, 10000, 0.0)[1]
-        assert r2.latency > r1.latency
+        r1 = f.read(0, 100, SimClock(0.0))[1]
+        r2 = f.read(0, 10000, SimClock(0.0))[1]
+        assert r2 > r1
 
     def test_erase_charges_spec_latency(self):
         f = small_flash()
-        result = f.erase_sector(0, 0.0)
-        assert result.latency == pytest.approx(FLASH_4K.erase_latency_s)
+        clock = SimClock()
+        latency, wait = f.erase_sector(0, clock)
+        assert latency == pytest.approx(FLASH_4K.erase_latency_s)
+        assert wait == 0.0
+        assert clock.now == latency
 
 
 class TestBankBlocking:
     def test_read_stalls_behind_erase_same_bank(self):
         f = small_flash(banks=2)
-        f.erase_sector(0, 0.0)  # occupies bank 0
-        _, result = f.read(0, 64, 0.0)
-        assert result.wait > 0.0
+        f.erase_sector(0, SimClock(0.0))  # occupies bank 0
+        _, _, wait = f.read(0, 64, SimClock(0.0))
+        assert wait > 0.0
 
     def test_read_other_bank_not_stalled(self):
         f = small_flash(banks=2)
-        f.erase_sector(0, 0.0)  # bank 0 busy
+        f.erase_sector(0, SimClock(0.0))  # bank 0 busy
         offset_bank1 = 8 * (4 * KB)  # first sector of bank 1
-        _, result = f.read(offset_bank1, 64, 0.0)
-        assert result.wait == 0.0
+        _, _, wait = f.read(offset_bank1, 64, SimClock(0.0))
+        assert wait == 0.0
 
     def test_bank_frees_after_erase_completes(self):
         f = small_flash(banks=2)
-        erase = f.erase_sector(0, 0.0)
-        _, result = f.read(0, 64, erase.latency + 0.001)
-        assert result.wait == 0.0
+        erase, _ = f.erase_sector(0, SimClock(0.0))
+        _, _, wait = f.read(0, 64, SimClock(erase + 0.001))
+        assert wait == 0.0
 
     def test_single_bank_blocks_everything(self):
         f = small_flash(banks=1)
-        f.erase_sector(15, 0.0)
-        _, result = f.read(0, 64, 0.0)
-        assert result.wait > 0.0
+        f.erase_sector(15, SimClock(0.0))
+        _, _, wait = f.read(0, 64, SimClock(0.0))
+        assert wait > 0.0
 
 
 class TestWear:
     def test_erase_counts_accumulate(self):
         f = small_flash()
         for _ in range(5):
-            f.erase_sector(3, 0.0)
+            f.erase_sector(3, SimClock(0.0))
         assert f.sector_erase_count(3) == 5
         assert f.total_erases == 5
 
@@ -159,9 +163,9 @@ class TestWear:
         )
         f = FlashMemory(64 * KB, spec=spec)
         for _ in range(3):
-            f.erase_sector(0, 0.0)
+            f.erase_sector(0, SimClock(0.0))
         assert f.first_wearout is None
-        f.erase_sector(0, 7.5)
+        f.erase_sector(0, SimClock(7.5))
         assert f.first_wearout == (7.5, 4)
         assert f.worn_sector_count == 1
 
@@ -170,16 +174,16 @@ class TestWear:
             **{**FLASH_4K.__dict__, "endurance_cycles": 2, "name": "strict"}
         )
         f = FlashMemory(64 * KB, spec=spec, strict_endurance=True)
-        f.erase_sector(0, 0.0)
-        f.erase_sector(0, 0.0)
+        f.erase_sector(0, SimClock(0.0))
+        f.erase_sector(0, SimClock(0.0))
         with pytest.raises(WornOutError):
-            f.erase_sector(0, 0.0)
+            f.erase_sector(0, SimClock(0.0))
 
     def test_wear_summary(self):
         f = small_flash()
-        f.erase_sector(0, 0.0)
-        f.erase_sector(0, 0.0)
-        f.erase_sector(1, 0.0)
+        f.erase_sector(0, SimClock(0.0))
+        f.erase_sector(0, SimClock(0.0))
+        f.erase_sector(1, SimClock(0.0))
         summary = f.wear_summary()
         assert summary["total_erases"] == 3
         assert summary["max_erases"] == 2

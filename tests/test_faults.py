@@ -71,10 +71,10 @@ class TestInjectorDeterminism:
         for i in range(200):
             try:
                 if i % 3 == 0:
-                    flash.read(0, 512, clock.now)
+                    flash.read(0, 512, clock)
                 else:
                     sector = (i % 4) + 2
-                    flash.erase_sector(sector, clock.now)
+                    flash.erase_sector(sector, clock)
             except Exception as exc:  # noqa: BLE001 -- recording the fault stream
                 events.append((i, type(exc).__name__))
         return events, injector.snapshot()
@@ -93,15 +93,15 @@ class TestInjectorDeterminism:
         flash = FlashMemory(128 * KB, banks=1)
         injector = FaultInjector(FaultPlan(power_cut_at_op=3, torn_ops=False)).attach(flash)
         clock = SimClock()
-        flash.read(0, 64, clock.now)
-        flash.read(0, 64, clock.now)
+        flash.read(0, 64, clock)
+        flash.read(0, 64, clock)
         with pytest.raises(PowerCutError) as exc:
-            flash.read(0, 64, clock.now)
+            flash.read(0, 64, clock)
         assert exc.value.op_index == 3
         assert injector.cut_fired
         # Disarmed injector is transparent.
         injector.disarm()
-        flash.read(0, 64, clock.now)
+        flash.read(0, 64, clock)
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):

@@ -6,7 +6,10 @@ check and stats update, a charge advances the caller's clock itself, and
 tests pin that nothing observable changed: the same exceptions, the same
 ``DeviceStats`` bits, the same clock checks, no writer of ``now``
 outside the clock itself, and no caller that still advances a clock by
-a DRAM charge's result.
+a DRAM charge's result.  Every flash access advances the caller's clock
+itself as well (``tests/test_prop_flash_banks.py`` pins its numbers), so
+no caller may hand one a bare ``now`` or advance a clock by what one
+returned.
 """
 
 from __future__ import annotations
@@ -212,4 +215,106 @@ class TestDRAMChargeForm:
                 with open(path, encoding="utf-8") as fh:
                     tree = ast.parse(fh.read(), filename=path)
                 offenders += [f"{rel}:{line}" for line in _advances_by_a_charge(tree)]
+        assert offenders == []
+
+
+#: Entry points only the flash device has, whatever the receiver is called.
+_FLASH_ONLY = ("program", "erase_sector")
+#: Entry points every device has: a flash access when the receiver names flash.
+_FLASH_SHARED = ("read", "write", "charge_read", "charge_write")
+
+
+def _dotted(node: ast.AST) -> str:
+    if isinstance(node, ast.Attribute):
+        return f"{_dotted(node.value)}.{node.attr}"
+    if isinstance(node, ast.Name):
+        return node.id
+    return ""
+
+
+def _is_flash_access(node: ast.AST) -> bool:
+    if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
+        return False
+    attr = node.func.attr
+    if attr in _FLASH_ONLY:
+        return True
+    return attr in _FLASH_SHARED and "flash" in _dotted(node.func.value).lower()
+
+
+def _scope_nodes(scope: ast.AST):
+    """The nodes of one module or function body, nested scopes excluded."""
+    stack = list(ast.iter_child_nodes(scope))
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            stack.extend(ast.iter_child_nodes(node))
+
+
+def _flash_clock_misuse(tree: ast.AST):
+    """Lines that pass a flash access a bare ``<...>.now``, or that advance
+    a clock by what a flash access returned (directly, or through a name
+    bound from it in the same function)."""
+    lines = []
+    scopes = [tree] + [
+        n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    for scope in scopes:
+        bound = set()
+        for node in _scope_nodes(scope):
+            if isinstance(node, ast.Assign) and any(
+                _is_flash_access(sub) for sub in ast.walk(node.value)
+            ):
+                for target in node.targets:
+                    bound |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
+        for node in _scope_nodes(scope):
+            if _is_flash_access(node) and any(
+                isinstance(arg, ast.Attribute) and arg.attr == "now"
+                for arg in list(node.args) + [k.value for k in node.keywords]
+            ):
+                lines.append(node.lineno)
+            if (
+                isinstance(node, ast.Call)
+                and isinstance(node.func, ast.Attribute)
+                and node.func.attr == "advance"
+            ):
+                for sub in (s for arg in node.args for s in ast.walk(arg)):
+                    if _is_flash_access(sub) or (isinstance(sub, ast.Name) and sub.id in bound):
+                        lines.append(node.lineno)
+                        break
+    return sorted(set(lines))
+
+
+class TestFlashAccessForm:
+    """A flash access advances the clock itself: the one way to access
+    flash is ``flash.program(offset, data, clock)``."""
+
+    def test_guard_flags_the_two_step_forms(self):
+        tree = ast.parse(
+            "clock.advance(flash.program(0, data, clock.now).latency)\n"
+            "def f(self):\n"
+            "    result = self.flash.erase_sector(3, self.clock.now)\n"
+            "    self.clock.advance(result.latency)\n"
+            "def g(flash, clock):\n"
+            "    latency, wait = flash.program(0, data, clock)\n"
+            "    clock.advance(latency)\n"
+            "def h(self):\n"
+            "    data, latency, wait = self.flash.read(0, 4, self.clock)\n"
+            "    self.flash.program(0, data, self.clock)\n"
+            "    data, result = self.disk.read(0, 4, self.clock.now)\n"
+            "    self.clock.advance(result.latency)\n"
+        )
+        assert _flash_clock_misuse(tree) == [1, 3, 4, 7]
+
+    def test_no_module_times_a_flash_access_itself(self):
+        offenders = []
+        for root, _dirs, files in os.walk(SRC):
+            for name in files:
+                if not name.endswith(".py"):
+                    continue
+                path = os.path.join(root, name)
+                rel = os.path.relpath(path, SRC).replace(os.sep, "/")
+                with open(path, encoding="utf-8") as fh:
+                    tree = ast.parse(fh.read(), filename=path)
+                offenders += [f"{rel}:{line}" for line in _flash_clock_misuse(tree)]
         assert offenders == []

@@ -182,7 +182,7 @@ class TestCopyOnWrite:
         region = phys.add_region("dram", dram)
         flash = FlashMemory(MB, banks=1)
         flash_region = phys.add_region("flash", flash)
-        flash.program(0, b"F" * PAGE_SIZE, 0.0)
+        flash.program(0, b"F" * PAGE_SIZE, SimClock())
         allocator = PageFrameAllocator(region.base, region.size)
         vm = VirtualMemory(phys, allocator)
         space = vm.create_space("p")
@@ -198,4 +198,4 @@ class TestCopyOnWrite:
         assert vm.stats.counter("cow_faults").value == 1
         assert vm.read(space, vaddr, 8) == b"EDITFFFF"
         # Flash copy is untouched.
-        assert flash.read(0, 4, 0.0)[0] == b"FFFF"
+        assert flash.read(0, 4, SimClock())[0] == b"FFFF"

@@ -185,7 +185,7 @@ class TestMetricsHub:
         reg.gauge("occ").set(3.0, 1.0)
         hub.register(reg)
         flash = FlashMemory(1 * MB)
-        flash.program(0, b"abc", 0.0)
+        flash.program(0, b"abc", SimClock())
         hub.register_device(flash)
         return hub, reg, flash
 

@@ -14,6 +14,7 @@ import dataclasses
 
 from repro.devices import FlashMemory, WriteBeforeEraseError
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
+from repro.sim.clock import SimClock
 
 KB = 1024
 
@@ -81,19 +82,19 @@ def test_flash_matches_reference_model(ops):
             except WriteBeforeEraseError:
                 ref_ok = False
             if ref_ok:
-                flash.program(arg, payload, t)
+                flash.program(arg, payload, SimClock(t))
             else:
                 try:
-                    flash.program(arg, payload, t)
+                    flash.program(arg, payload, SimClock(t))
                     raise AssertionError("model allowed write-before-erase")
                 except WriteBeforeEraseError:
                     pass
         elif kind == "erase":
             ref.erase(arg)
-            flash.erase_sector(arg, t)
+            flash.erase_sector(arg, SimClock(t))
         else:
             expected = ref.read(arg, len(payload))
-            got, _ = flash.read(arg, len(payload), t)
+            got, _, _ = flash.read(arg, len(payload), SimClock(t))
             assert got == expected
 
 
@@ -104,7 +105,7 @@ def test_flash_matches_reference_model(ops):
 def test_erase_counts_conserved(sectors):
     flash = FlashMemory(CAPACITY, spec=FLASH_4K, banks=4)
     for i, sector in enumerate(sectors):
-        flash.erase_sector(sector, float(i))
+        flash.erase_sector(sector, SimClock(float(i)))
     per_sector = sum(flash.sector_erase_count(s) for s in range(flash.num_sectors))
     assert per_sector == flash.total_erases == len(sectors)
     summary = flash.wear_summary()
@@ -117,10 +118,10 @@ def test_bank_busy_never_blocks_other_banks(banks_pow, sector):
     banks = 2 ** (banks_pow - 1)
     flash = FlashMemory(CAPACITY, spec=FLASH_4K, banks=banks)
     sector = sector % flash.num_sectors
-    flash.erase_sector(sector, 0.0)
+    flash.erase_sector(sector, SimClock())
     busy_bank = flash.bank_of_sector(sector)
     for other in range(flash.num_sectors):
         if flash.bank_of_sector(other) != busy_bank:
             start, _ = flash.sector_range(other)
-            _, result = flash.read(start, 64, 0.0)
-            assert result.wait == 0.0
+            _, _, wait = flash.read(start, 64, SimClock())
+            assert wait == 0.0

@@ -24,6 +24,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.devices import FlashMemory, WriteBeforeEraseError
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
+from repro.sim.clock import SimClock
 from repro.storage.migration import HotColdTracker
 
 KB = 1024
@@ -179,7 +180,7 @@ def test_interval_bookkeeping_matches_the_original(ops):
     for kind, sector, a, b in ops:
         now += 1.0
         if kind == "erase":
-            flash.erase_sector(sector, now)
+            flash.erase_sector(sector, SimClock(now))
             references[sector].programmed = []
             heads[sector], tails[sector] = 0, SECTOR
             continue
@@ -199,11 +200,11 @@ def test_interval_bookkeeping_matches_the_original(ops):
             flash.fault_apply_torn_program(start, data, 0)
         elif all(references[s].is_erased(lo, hi) for s, lo, hi in pieces):
             assert all(states[s].is_erased(lo, hi) for s, lo, hi in pieces)
-            flash.program(start, data, now)
+            flash.program(start, data, SimClock(now))
         else:
             assert not all(states[s].is_erased(lo, hi) for s, lo, hi in pieces)
             try:
-                flash.program(start, data, now)
+                flash.program(start, data, SimClock(now))
             except WriteBeforeEraseError:
                 pieces = []
             else:

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.devices.flash import FlashMemory
+from repro.sim.clock import SimClock
 from repro.storage.allocator import SectorAllocator, SectorState
 from repro.storage.wear import WearPolicy, choose_erased_sector
 
@@ -73,7 +74,7 @@ def test_heap_matches_scan_under_random_operations(ops, policy):
             if opened:
                 sector = opened[pick % len(opened)]
                 allocator.seal(sector, now)
-                flash.erase_sector(sector, now)
+                flash.erase_sector(sector, SimClock(now))
                 allocator.mark_erased(sector)
         elif kind == "wear":
             # Age a *non-free* sector: erase counts can only move while a
@@ -83,7 +84,7 @@ def test_heap_matches_scan_under_random_operations(ops, policy):
             if opened:
                 sector = opened[pick % len(opened)]
                 for _ in range(1 + pick % 3):
-                    flash.erase_sector(sector, now)
+                    flash.erase_sector(sector, SimClock(now))
         elif kind == "retire":
             free = sorted(allocator._free_set)
             if free:
@@ -125,7 +126,7 @@ def test_stale_wear_entries_are_discarded(cycles):
         now += 1.0
         allocator.take_erased(victim)
         allocator.seal(victim, now)
-        flash.erase_sector(victim, now)
+        flash.erase_sector(victim, SimClock(now))
         allocator.mark_erased(victim)
     # victim now has the highest erase count; DYNAMIC must avoid it.
     assert flash.sector_erase_count(victim) == cycles

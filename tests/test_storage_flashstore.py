@@ -1,6 +1,10 @@
 """Unit tests for the log-structured flash store: logging, GC, wear, banks."""
 
+import json
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
@@ -14,7 +18,8 @@ from repro.storage import (
     StoreMode,
     WearPolicy,
 )
-from repro.storage.flashstore import decode_key, encode_key
+from repro.fs.memfs import CHECKPOINT_ROOT_KEY
+from repro.storage.flashstore import _MAX_KEY_BYTES, decode_key, encode_key
 
 KB = 1024
 
@@ -41,6 +46,38 @@ class TestKeyEncoding:
     def test_key_too_large_to_log(self):
         with pytest.raises(ValueError, match="too large to log"):
             encode_key(("data", "x" * 64, 0))
+
+
+_COMPACT = json.JSONEncoder(separators=(",", ":"))
+_NUMBERS = st.integers(min_value=-(2**70), max_value=2**70)
+#: Every key shape the stores log, then arbitrary str/int tuples (any
+#: unicode), then keys only the general encoder handles.
+_KEYS = st.one_of(
+    st.tuples(st.just("lba"), st.integers(0, 2**40)),
+    st.tuples(st.sampled_from(["data", "meta"]), st.integers(0, 2**40), st.integers(0, 2**40)),
+    st.tuples(st.just("swap"), _NUMBERS),
+    st.just(CHECKPOINT_ROOT_KEY),
+    st.lists(st.one_of(st.text(max_size=12), _NUMBERS), max_size=5).map(tuple),
+    st.text(max_size=12),
+    _NUMBERS,
+    st.tuples(st.text(max_size=4), st.one_of(
+        st.booleans(), st.none(), st.floats(allow_nan=False),
+        st.tuples(st.integers(), st.text(max_size=3)),
+    )),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_KEYS)
+def test_encode_key_bytes_equal_the_compact_json_encoder(key):
+    """Same bytes as ``json.JSONEncoder(separators=(",", ":")).encode``, and
+    the same ``ValueError`` when they would not fit a summary slot."""
+    expected = _COMPACT.encode(key).encode("utf-8")
+    if len(expected) > _MAX_KEY_BYTES:
+        with pytest.raises(ValueError, match="too large to log"):
+            encode_key(key)
+    else:
+        assert encode_key(key) == expected
 
 
 class TestBasicOps:

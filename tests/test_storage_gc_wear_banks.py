@@ -6,6 +6,7 @@ import dataclasses
 
 from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
+from repro.sim.clock import SimClock
 from repro.storage import BankPartition, SectorAllocator, WearPolicy
 from repro.storage.gc import CleaningPolicy, choose_victim
 from repro.storage.wear import choose_erased_sector, static_rotation_victim
@@ -77,8 +78,8 @@ class TestWearHelpers:
     def test_dynamic_picks_least_worn(self, alloc):
         flash = alloc.flash
         for _ in range(5):
-            flash.erase_sector(0, 0.0)
-        flash.erase_sector(1, 0.0)
+            flash.erase_sector(0, SimClock())
+        flash.erase_sector(1, SimClock())
         chosen = choose_erased_sector(alloc, [0], WearPolicy.DYNAMIC)
         assert chosen not in (0, 1)  # both have wear; others are fresh
 
@@ -91,13 +92,13 @@ class TestWearHelpers:
         seal_with(alloc, 0, live=2 * KB, dead=0, when=0.0)
         assert static_rotation_victim(alloc, None, gap_threshold=4) is None
         for _ in range(10):
-            alloc.flash.erase_sector(5, 0.0)
+            alloc.flash.erase_sector(5, SimClock())
         victim = static_rotation_victim(alloc, None, gap_threshold=4)
         assert victim == 0  # least-worn sealed sector
 
     def test_static_rotation_skips_worn_victims(self, alloc):
         for _ in range(10):
-            alloc.flash.erase_sector(0, 0.0)
+            alloc.flash.erase_sector(0, SimClock())
         seal_with(alloc, 0, live=2 * KB, dead=0, when=0.0)
         # Only sealed sector is itself heavily worn: no rotation.
         assert static_rotation_victim(alloc, None, gap_threshold=4) is None
