@@ -31,12 +31,9 @@ IO_SIZE = 4096
 
 def _timed_rw(device, offset: int = 0):
     """(read_latency, write_latency) for one 4 KB access on a warm device."""
-    if isinstance(device, FlashMemory):
-        write = device.program(offset, b"\x00" * IO_SIZE, SimClock(0.0))[0]
-        read = device.read(offset, IO_SIZE, SimClock(100.0))[1]
-        return read, write
-    write = device.write(offset, b"\x00" * IO_SIZE, 0.0).latency
-    read = device.read(offset, IO_SIZE, 1.0)[1].latency
+    read_at = 100.0 if isinstance(device, FlashMemory) else 1.0
+    write = device.write(offset, b"\x00" * IO_SIZE, SimClock(0.0))[0]
+    read = device.read(offset, IO_SIZE, SimClock(read_at))[1]
     return read, write
 
 
@@ -59,12 +56,12 @@ def run(quick: bool = False) -> ExperimentResult:
     rows.append(_row(FLASH_SUNDISK_SDI, r, w, erase))
 
     kittyhawk = MagneticDisk(20 * MB, spec=DISK_HP_KITTYHAWK)
-    kittyhawk.read(0, 512, 0.0)  # spin it up / position the head
+    kittyhawk.read(0, 512, SimClock())  # spin it up / position the head
     r, w = _timed_rw(kittyhawk, offset=10 * MB)
     rows.append(_row(DISK_HP_KITTYHAWK, r, w, erase=None))
 
     fujitsu = MagneticDisk(45 * MB, spec=DISK_FUJITSU_M2633)
-    fujitsu.read(0, 512, 0.0)
+    fujitsu.read(0, 512, SimClock())
     r, w = _timed_rw(fujitsu, offset=20 * MB)
     rows.append(_row(DISK_FUJITSU_M2633, r, w, erase=None))
 

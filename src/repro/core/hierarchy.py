@@ -516,15 +516,3 @@ class MobileComputer:
             m.mean_launch_latency = self.stats.histogram("launch_latency").mean
             m.launch_dram_pages = int(self.stats.histogram("launch_dram_pages").mean)
         return m
-
-    def snapshot(self) -> dict:
-        out = {
-            "organization": self.config.organization.value,
-            "clock": self.clock.now,
-            "battery": self.battery.snapshot(),
-        }
-        if self.manager is not None:
-            out["storage_manager"] = self.manager.snapshot()
-        if self.cache is not None:
-            out["buffer_cache"] = self.cache.snapshot()
-        return out

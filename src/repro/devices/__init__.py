@@ -15,13 +15,11 @@ This package models the 1993-era hardware the paper reasons about:
 
 All devices store real bytes, so file-system correctness tests can verify
 data integrity end-to-end, and every operation charges a latency and an
-energy: disk and DRAM reads and writes return a
-:class:`~repro.devices.base.AccessResult`, while DRAM charges and every
-flash access advance the caller's clock themselves (see
+energy: each access takes the caller's clock and advances it itself (see
 :mod:`repro.devices.base`).
 """
 
-from repro.devices.base import AccessResult, DeviceStats, StorageDevice
+from repro.devices.base import DeviceStats, StorageDevice
 from repro.devices.battery import Battery, BatteryBank, BatteryState
 from repro.devices.catalog import (
     DeviceSpec,
@@ -43,13 +41,11 @@ from repro.devices.errors import (
     PowerCutError,
     PowerLossError,
     ProgramFailedError,
-    WornOutError,
     WriteBeforeEraseError,
 )
 from repro.devices.flash import FlashMemory
 
 __all__ = [
-    "AccessResult",
     "DeviceStats",
     "StorageDevice",
     "DRAM",
@@ -70,7 +66,6 @@ __all__ = [
     "DISK_FUJITSU_M2633",
     "DeviceError",
     "OutOfRangeError",
-    "WornOutError",
     "WriteBeforeEraseError",
     "PowerLossError",
     "ProgramFailedError",

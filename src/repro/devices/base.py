@@ -8,18 +8,15 @@ Every device in the reproduction follows the same contract:
 - it accumulates a :class:`DeviceStats` record that experiment harnesses
   read instead of instrumenting call sites.
 
-Devices are *time-aware but passive*: an access happens at the caller's
-current simulated time, and its latency includes any wait behind a busy
-flash bank or a disk spin-up.  Two forms carry that time:
-
-- The disk and DRAM's data-moving ``read``/``write`` take ``now`` and
-  return an :class:`AccessResult`; the caller advances its clock by the
-  result's latency.
-- The most frequent accesses take the caller's :class:`~repro.sim.clock.SimClock`
-  and advance it themselves: DRAM's ``charge_read``/``charge_write``
-  (which return nothing) and every flash access, ``FlashMemory.read``/
-  ``program``/``erase_sector``/``charge_*`` (which return the latency
-  and its stalled part, ``wait``, after a read's bytes).
+Devices are *time-aware but passive*: every access -- DRAM, flash or
+disk, data-moving or accounting-only -- takes the caller's
+:class:`~repro.sim.clock.SimClock` and, in that one call, checks its
+request, updates :class:`DeviceStats`, traces at the pre-advance
+``clock.now`` and then advances the clock by its latency, which includes
+any wait behind a busy flash bank or a disk spin-up.  A read returns
+``(data, latency, wait)``; a write, program, erase or disk charge returns
+``(latency, wait)``, where ``wait`` is the stalled part of ``latency``;
+DRAM's ``charge_read``/``charge_write`` return nothing.
 
 Every access is a direct synchronous call (``read``/``write``/
 ``charge_*``) from the file systems and storage layers.  Contention
@@ -34,33 +31,11 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
+from typing import Tuple
 
 from repro.devices.errors import OutOfRangeError
 from repro.obs import runtime as obs_runtime
-
-
-@dataclass(frozen=True)
-class AccessResult:
-    """Outcome of a single device operation.
-
-    Attributes:
-        latency: total service time in seconds, *including* any wait the
-            request spent queued behind the device (busy bank, spin-up).
-        energy: joules consumed performing the operation.
-        wait: the queueing portion of ``latency`` (zero when the device
-            was idle).  Experiment E8 uses this to show reads stalling
-            behind flash erases.
-    """
-
-    latency: float
-    energy: float
-    wait: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.latency < 0.0 or self.energy < 0.0 or self.wait < 0.0:
-            raise ValueError("AccessResult fields must be non-negative")
-        if self.wait > self.latency + 1e-15:
-            raise ValueError("wait cannot exceed total latency")
+from repro.sim.clock import SimClock
 
 
 @dataclass
@@ -75,20 +50,6 @@ class DeviceStats:
     busy_time: float = 0.0
     wait_time: float = 0.0
     energy_joules: float = 0.0
-
-    def record_read(self, nbytes: int, result: AccessResult) -> None:
-        self.reads += 1
-        self.bytes_read += nbytes
-        self.busy_time += result.latency - result.wait
-        self.wait_time += result.wait
-        self.energy_joules += result.energy
-
-    def record_write(self, nbytes: int, result: AccessResult) -> None:
-        self.writes += 1
-        self.bytes_written += nbytes
-        self.busy_time += result.latency - result.wait
-        self.wait_time += result.wait
-        self.energy_joules += result.energy
 
     def snapshot(self) -> dict:
         return {
@@ -159,16 +120,14 @@ class StorageDevice(ABC):
         return self.stats.energy_joules + self._idle.idle_energy
 
     @abstractmethod
-    def read(self, offset: int, nbytes: int, now: float) -> "tuple[bytes, AccessResult]":
-        """Read ``nbytes`` at ``offset``; returns (data, result).
-
-        Flash takes a clock instead of ``now`` (see the module docstring).
-        """
+    def read(self, offset: int, nbytes: int, clock: SimClock) -> Tuple[bytes, float, float]:
+        """Read ``nbytes`` at ``offset``, advancing ``clock``; returns
+        ``(data, latency, wait)``."""
 
     @abstractmethod
-    def write(self, offset: int, data: bytes, now: float) -> AccessResult:
-        """Write ``data`` at ``offset``; returns the result (flash: see
-        the module docstring)."""
+    def write(self, offset: int, data: bytes, clock: SimClock) -> Tuple[float, float]:
+        """Write ``data`` at ``offset``, advancing ``clock``; returns
+        ``(latency, wait)``."""
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r}, capacity={self.capacity_bytes})"

@@ -20,10 +20,11 @@ access pattern.
 from __future__ import annotations
 
 import math
-from typing import Tuple
+from typing import Dict, Tuple
 
-from repro.devices.base import AccessResult, StorageDevice
+from repro.devices.base import StorageDevice
 from repro.devices.catalog import DISK_HP_KITTYHAWK, DeviceSpec
+from repro.sim.clock import SimClock
 
 
 class MagneticDisk(StorageDevice):
@@ -42,8 +43,28 @@ class MagneticDisk(StorageDevice):
             raise ValueError(f"spec {spec.name!r} is not a disk spec")
         if cylinders < 2:
             raise ValueError("disk needs at least 2 cylinders")
+        costs = (
+            spec.read_overhead_s, spec.write_overhead_s,
+            spec.active_read_power_w, spec.active_write_power_w,
+            spec.spin_up_power_w, spec.spin_up_s or 0.0,
+            spec.track_to_track_seek_s or 0.0,
+            spec.max_seek_s or (spec.avg_seek_s or 0.0) * 2,
+            60.0 / float(spec.rpm or 3600),
+        )
+        # Non-negative costs make every latency, wait and energy
+        # non-negative, and every wait at most its latency.
+        if min(costs) < 0.0:
+            raise ValueError(f"spec {spec.name!r} has a negative cost, power or time")
+        rate = spec.transfer_bytes_per_s
+        if rate is None or rate <= 0.0:
+            raise ValueError(f"spec {spec.name!r} needs a positive transfer rate")
         super().__init__(name, capacity_bytes, idle_power_watts=0.0)
         self.spec = spec
+        (self._read_overhead, self._write_overhead,
+         self._read_power, self._write_power,
+         self._spin_up_power, self._spin_up_s,
+         self._t2t_seek, self._max_seek, self._rotation_s) = costs
+        self._transfer_rate = rate
         self.cylinders = cylinders
         self.bytes_per_cylinder = max(1, capacity_bytes // cylinders)
         self.spin_down_timeout_s = spin_down_timeout_s
@@ -54,7 +75,10 @@ class MagneticDisk(StorageDevice):
         self.total_seek_time = 0.0
         self._last_op_end = 0.0
         self._idle_accounted_to = 0.0
-        self._rotation_s = 60.0 / float(spec.rpm or 3600)
+        # Disks can be large; the backing store is allocated lazily per
+        # 64 KB chunk so a 120 MB baseline drive doesn't cost 120 MB of
+        # host RAM up front.
+        self._chunks: Dict[int, bytearray] = {}
 
     # ------------------------------------------------------------------
     # Mechanics.
@@ -68,8 +92,8 @@ class MagneticDisk(StorageDevice):
         distance = abs(to_cyl - from_cyl)
         if distance == 0:
             return 0.0
-        t2t = self.spec.track_to_track_seek_s or 0.0
-        max_seek = self.spec.max_seek_s or (self.spec.avg_seek_s or 0.0) * 2
+        t2t = self._t2t_seek
+        max_seek = self._max_seek
         frac = math.sqrt(distance / (self.cylinders - 1))
         return t2t + (max_seek - t2t) * frac
 
@@ -77,8 +101,7 @@ class MagneticDisk(StorageDevice):
         return self._rotation_s / 2.0
 
     def _transfer_time(self, nbytes: int) -> float:
-        rate = self.spec.transfer_bytes_per_s or 1.0
-        return nbytes / rate
+        return nbytes / self._transfer_rate
 
     # ------------------------------------------------------------------
     # Idle power / spin state.
@@ -110,8 +133,8 @@ class MagneticDisk(StorageDevice):
         if self._is_spun_down(now):
             self.spinning = True
             self.spin_ups += 1
-            delay = self.spec.spin_up_s or 0.0
-            energy = delay * self.spec.spin_up_power_w
+            delay = self._spin_up_s
+            energy = delay * self._spin_up_power
         return delay, energy
 
     # ------------------------------------------------------------------
@@ -119,14 +142,17 @@ class MagneticDisk(StorageDevice):
     # ------------------------------------------------------------------
 
     def _account(
-        self, op: str, offset: int, nbytes: int, now: float, write: bool
-    ) -> AccessResult:
-        """Check, time, record and trace one access; the single path.
+        self, op: str, offset: int, nbytes: int, clock: SimClock, write: bool
+    ) -> Tuple[float, float]:
+        """Check, time, record, trace at the pre-advance ``clock.now`` and
+        advance ``clock``: the single path.  Returns ``(latency, wait)``,
+        where ``wait`` is the spin-up delay.
 
         Accounting-only charges get full mechanical accounting too: they
         still move the head and keep the spindle spinning.
         """
         self.check_range(offset, nbytes)
+        now = clock.now
         spin_delay, spin_energy = self._begin_op(now)
         target = self.cylinder_of(offset)
         seek = self.seek_time(self.head_cylinder, target)
@@ -134,54 +160,52 @@ class MagneticDisk(StorageDevice):
             self.seeks += 1
             self.total_seek_time += seek
         self.head_cylinder = target
-        overhead = self.spec.write_overhead_s if write else self.spec.read_overhead_s
+        overhead = self._write_overhead if write else self._read_overhead
         service = overhead + seek + self._rotational_latency() + self._transfer_time(nbytes)
-        power = self.spec.active_write_power_w if write else self.spec.active_read_power_w
+        power = self._write_power if write else self._read_power
         self._last_op_end = now + spin_delay + service
         # Time covered by the operation is active, not idle.
         self._idle_accounted_to = max(self._idle_accounted_to, self._last_op_end)
-        result = AccessResult(
-            latency=spin_delay + service,
-            energy=spin_energy + power * service,
-            wait=spin_delay,
-        )
+        latency = spin_delay + service
+        stats = self.stats
         if write:
-            self.stats.record_write(nbytes, result)
+            stats.writes += 1
+            stats.bytes_written += nbytes
         else:
-            self.stats.record_read(nbytes, result)
+            stats.reads += 1
+            stats.bytes_read += nbytes
+        stats.busy_time += latency - spin_delay
+        stats.wait_time += spin_delay
+        stats.energy_joules += spin_energy + power * service
         if self.tracer is not None:
-            detail = {"wait": result.wait} if result.wait > 0.0 else None
-            self.tracer.emit(self.name, op, now, nbytes, result.latency, detail=detail)
-        return result
+            detail = {"wait": spin_delay} if spin_delay > 0.0 else None
+            self.tracer.emit(self.name, op, now, nbytes, latency, detail=detail)
+        clock.advance(latency)
+        return latency, spin_delay
 
-    def read(self, offset: int, nbytes: int, now: float) -> Tuple[bytes, AccessResult]:
-        result = self._account("read", offset, nbytes, now, write=False)
-        return bytes(self._data_view(offset, nbytes)), result
+    def read(self, offset: int, nbytes: int, clock: SimClock) -> Tuple[bytes, float, float]:
+        """Read ``nbytes`` at ``offset``; returns ``(data, latency, wait)``."""
+        latency, wait = self._account("read", offset, nbytes, clock, write=False)
+        return self._data_view(offset, nbytes), latency, wait
 
-    def charge_read(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
+    def charge_read(self, nbytes: int, clock: SimClock, offset: int = 0) -> Tuple[float, float]:
         """Timing/energy of a read without materializing data."""
-        return self._account("charge_read", offset, nbytes, now, write=False)
+        return self._account("charge_read", offset, nbytes, clock, write=False)
 
-    def charge_write(self, nbytes: int, now: float, offset: int = 0) -> AccessResult:
+    def charge_write(self, nbytes: int, clock: SimClock, offset: int = 0) -> Tuple[float, float]:
         """Timing/energy of a write; the stored bytes are untouched."""
-        return self._account("charge_write", offset, nbytes, now, write=True)
+        return self._account("charge_write", offset, nbytes, clock, write=True)
 
-    def write(self, offset: int, data: bytes, now: float) -> AccessResult:
-        result = self._account("write", offset, len(data), now, write=True)
+    def write(self, offset: int, data: bytes, clock: SimClock) -> Tuple[float, float]:
+        """Write ``data`` at ``offset``; returns ``(latency, wait)``."""
+        result = self._account("write", offset, len(data), clock, write=True)
         self._store(offset, data)
         return result
 
-    # Disks can be large; allocate backing store lazily per 64 KB chunk so
-    # a 120 MB baseline drive doesn't cost 120 MB of host RAM up front.
     _CHUNK = 64 * 1024
 
-    def _ensure_chunks(self) -> dict:
-        if not hasattr(self, "_chunks"):
-            self._chunks: dict = {}
-        return self._chunks
-
     def _data_view(self, offset: int, nbytes: int) -> bytes:
-        chunks = self._ensure_chunks()
+        chunks = self._chunks
         out = bytearray(nbytes)
         pos = 0
         while pos < nbytes:
@@ -195,7 +219,7 @@ class MagneticDisk(StorageDevice):
         return bytes(out)
 
     def _store(self, offset: int, data: bytes) -> None:
-        chunks = self._ensure_chunks()
+        chunks = self._chunks
         pos = 0
         nbytes = len(data)
         while pos < nbytes:

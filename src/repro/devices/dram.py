@@ -10,14 +10,16 @@ because the paper's central stability argument (Section 3.1) is about
 
 Every buffer-cache hit, memfs metadata step and write-buffer copy is one
 accounting-only :meth:`DRAM.charge_read`/:meth:`DRAM.charge_write`: one
-call that checks, accounts, traces and advances the caller's clock.
+call that checks, accounts, traces and advances the caller's clock.  The
+data-moving :meth:`DRAM.read`/:meth:`DRAM.read_view`/:meth:`DRAM.write`
+do the same and return the latency (and a wait of 0.0).
 """
 
 from __future__ import annotations
 
 from typing import Tuple
 
-from repro.devices.base import AccessResult, StorageDevice
+from repro.devices.base import StorageDevice
 from repro.devices.catalog import MB, DRAM_NEC_LOW_POWER, DeviceSpec
 from repro.devices.errors import PowerLossError
 from repro.sim.clock import SimClock
@@ -90,9 +92,9 @@ class DRAM(StorageDevice):
             self.tracer.emit(self.name, "charge_write", clock.now, nbytes, latency)
         clock.advance(latency)
 
-    def _access(self, write: bool, nbytes: int, offset: int, now: float, op: str) -> AccessResult:
-        """Check, account and trace one data-moving access, as the charges
-        do; the caller advances its clock by the result's latency."""
+    def _access(self, write: bool, nbytes: int, offset: int, clock: SimClock, op: str) -> float:
+        """Check, account, trace and advance ``clock`` for one data-moving
+        access, as the charges do; returns its latency."""
         if not self.powered:
             raise PowerLossError(self.name, "DRAM is unpowered")
         if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
@@ -111,14 +113,18 @@ class DRAM(StorageDevice):
         stats.busy_time += latency
         stats.energy_joules += energy
         if self.tracer is not None:
-            self.tracer.emit(self.name, op, now, nbytes, latency)
-        return AccessResult(latency=latency, energy=energy)
+            self.tracer.emit(self.name, op, clock.now, nbytes, latency)
+        clock.advance(latency)
+        return latency
 
-    def read(self, offset: int, nbytes: int, now: float) -> Tuple[bytes, AccessResult]:
-        result = self._access(False, nbytes, offset, now, "read")
-        return bytes(self._data[offset : offset + nbytes]), result
+    def read(self, offset: int, nbytes: int, clock: SimClock) -> Tuple[bytes, float, float]:
+        """Read ``nbytes`` at ``offset``; returns ``(data, latency, 0.0)``."""
+        latency = self._access(False, nbytes, offset, clock, "read")
+        return bytes(self._data[offset : offset + nbytes]), latency, 0.0
 
-    def read_view(self, offset: int, nbytes: int, now: float) -> Tuple[memoryview, AccessResult]:
+    def read_view(
+        self, offset: int, nbytes: int, clock: SimClock
+    ) -> Tuple[memoryview, float, float]:
         """Timed read returning a zero-copy view of the array.
 
         Same latency/energy/stats as :meth:`read`; the caller gets a
@@ -127,13 +133,14 @@ class DRAM(StorageDevice):
         so the intermediate allocation is pure overhead).  The view is
         only valid until the next write to the range.
         """
-        result = self._access(False, nbytes, offset, now, "read")
-        return memoryview(self._data)[offset : offset + nbytes], result
+        latency = self._access(False, nbytes, offset, clock, "read")
+        return memoryview(self._data)[offset : offset + nbytes], latency, 0.0
 
-    def write(self, offset: int, data: bytes, now: float) -> AccessResult:
-        result = self._access(True, len(data), offset, now, "write")
+    def write(self, offset: int, data: bytes, clock: SimClock) -> Tuple[float, float]:
+        """Write ``data`` at ``offset``; returns ``(latency, 0.0)``."""
+        latency = self._access(True, len(data), offset, clock, "write")
         self._data[offset : offset + len(data)] = data
-        return result
+        return latency, 0.0
 
     def power_loss(self) -> None:
         """All refresh power is gone: contents are destroyed.

@@ -41,19 +41,6 @@ class WriteBeforeEraseError(DeviceError):
         self.nbytes = nbytes
 
 
-class WornOutError(DeviceError):
-    """A flash sector exceeded its guaranteed erase-cycle endurance."""
-
-    def __init__(self, device: str, sector: int, erase_count: int, endurance: int) -> None:
-        super().__init__(
-            f"{device}: sector {sector} worn out ({erase_count} erases, "
-            f"endurance {endurance})"
-        )
-        self.sector = sector
-        self.erase_count = erase_count
-        self.endurance = endurance
-
-
 class PowerLossError(DeviceError):
     """An operation was attempted while the device had no power."""
 

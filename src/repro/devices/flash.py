@@ -29,7 +29,7 @@ from typing import List, Optional, Tuple
 
 from repro.devices.base import StorageDevice
 from repro.devices.catalog import MB, FLASH_PAPER_NOMINAL, DeviceSpec
-from repro.devices.errors import WornOutError, WriteBeforeEraseError
+from repro.devices.errors import WriteBeforeEraseError
 from repro.sim.clock import SimClock
 
 ERASED_BYTE = 0xFF
@@ -83,7 +83,6 @@ class FlashMemory(StorageDevice):
         spec: DeviceSpec = FLASH_PAPER_NOMINAL,
         banks: int = 1,
         name: str = "flash",
-        strict_endurance: bool = False,
     ) -> None:
         if spec.kind != "flash":
             raise ValueError(f"spec {spec.name!r} is not a flash spec")
@@ -118,7 +117,6 @@ class FlashMemory(StorageDevice):
         self.num_banks = banks
         self.sectors_per_bank = self.num_sectors // banks
         self.endurance = spec.endurance_cycles or 0
-        self.strict_endurance = strict_endurance
         # Busy horizon of each bank: the absolute sim time until which a
         # program or erase occupies it.  A request arriving earlier
         # stalls for the difference (Section 3.3's bank blocking).
@@ -409,8 +407,6 @@ class FlashMemory(StorageDevice):
                 self.worn_sector_count += 1
                 if self.first_wearout is None:
                     self.first_wearout = (now, self.total_erases)
-            if self.strict_endurance:
-                raise WornOutError(self.name, sector, state.erase_count, self.endurance)
 
         bank = sector // self.sectors_per_bank
         busy_until = self.bank_busy_until

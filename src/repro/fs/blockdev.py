@@ -61,14 +61,11 @@ class DiskBlockDevice(BlockDevice):
     def read_block(self, lba: int) -> bytes:
         if not 0 <= lba < self.nblocks:
             self.check_lba(lba)
-        data, result = self.disk.read(lba * self.block_size, self.block_size, self.clock.now)
-        self.clock.advance(result.latency)
-        return data
+        return self.disk.read(lba * self.block_size, self.block_size, self.clock)[0]
 
     def write_block(self, lba: int, data: bytes) -> None:
         if not 0 <= lba < self.nblocks:
             self.check_lba(lba)
         if len(data) != self.block_size:
             raise ValueError(f"block write must be exactly {self.block_size} bytes")
-        result = self.disk.write(lba * self.block_size, data, self.clock.now)
-        self.clock.advance(result.latency)
+        self.disk.write(lba * self.block_size, data, self.clock)

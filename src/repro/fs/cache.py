@@ -187,12 +187,3 @@ class BufferCache:
         misses = self._misses.value
         total = hits + misses
         return hits / total if total else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "capacity_blocks": self.capacity_blocks,
-            "resident_blocks": len(self._blocks),
-            "dirty_blocks": self.dirty_blocks,
-            "hit_ratio": self.hit_ratio(),
-            "stats": self.stats.snapshot(self.clock.now),
-        }

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.devices.base import StorageDevice
-from repro.devices.flash import FlashMemory
 from repro.sim.clock import SimClock
 
 #: Canonical region bases in the 64-bit space.  Generous gaps keep the
@@ -51,9 +50,9 @@ class Region:
 class PhysicalAddressSpace:
     """Routes flat physical addresses to device operations.
 
-    All operations advance the shared clock by the device latency, so
-    "a load from flash" is naturally slower than "a load from DRAM"
-    without callers knowing which is which.
+    Every operation hands its region's device the shared clock, which the
+    device advances by its latency, so "a load from flash" is naturally
+    slower than "a load from DRAM" without callers knowing which is which.
     """
 
     def __init__(self, clock: SimClock) -> None:
@@ -97,24 +96,14 @@ class PhysicalAddressSpace:
     def read(self, addr: int, nbytes: int) -> bytes:
         """Load ``nbytes`` from anywhere in the single-level store."""
         region = self.region_of(addr, nbytes)
-        device, offset = region.device, region.to_device_offset(addr)
-        if isinstance(device, FlashMemory):
-            return device.read(offset, nbytes, self.clock)[0]
-        data, result = device.read(offset, nbytes, self.clock.now)
-        self.clock.advance(result.latency)
-        return data
+        return region.device.read(region.to_device_offset(addr), nbytes, self.clock)[0]
 
     def write(self, addr: int, data: bytes) -> None:
         """Store bytes.  Flash regions require the range to be erased."""
         region = self.region_of(addr, len(data))
         if not region.writable:
             raise PermissionError(f"region {region.name!r} is read-only")
-        device, offset = region.device, region.to_device_offset(addr)
-        if isinstance(device, FlashMemory):
-            device.write(offset, data, self.clock)
-            return
-        result = device.write(offset, data, self.clock.now)
-        self.clock.advance(result.latency)
+        region.device.write(region.to_device_offset(addr), data, self.clock)
 
     def describe(self) -> List[dict]:
         return [

@@ -77,20 +77,18 @@ class RawDiskSwap(SwapBackend):
             raise SwapExhaustedError("disk swap partition full")
         slot = self._free.pop()
         offset = self.partition_offset + slot * PAGE_SIZE
-        result = self.disk.write(offset, data, self.clock.now)
-        self.clock.advance(result.latency)
+        latency, _ = self.disk.write(offset, data, self.clock)
         self.stats.counter("pages_out").add(1)
-        self.stats.histogram("page_out_latency").record(result.latency)
+        self.stats.histogram("page_out_latency").record(latency)
         self._held[slot] = True
         return slot
 
     def page_in(self, handle: object) -> bytes:
         slot = self._require_held(handle)
         offset = self.partition_offset + slot * PAGE_SIZE
-        data, result = self.disk.read(offset, PAGE_SIZE, self.clock.now)
-        self.clock.advance(result.latency)
+        data, latency, _ = self.disk.read(offset, PAGE_SIZE, self.clock)
         self.stats.counter("pages_in").add(1)
-        self.stats.histogram("page_in_latency").record(result.latency)
+        self.stats.histogram("page_in_latency").record(latency)
         self._release(slot)
         return data
 

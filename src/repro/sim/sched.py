@@ -23,9 +23,8 @@ in global timestamp order and the shared clock serializes them: a step
 that wanted to run at ``t`` but finds the clock already at ``t' > t``
 has been **dispatch-delayed** by the other clients' traffic -- that delay
 is the kernel-level queueing E14 measures, on top of the device-level
-stalls (busy flash bank, disk spin-up) devices report as a ``wait``
-(:attr:`~repro.devices.base.AccessResult.wait`, or the one a flash
-access returns).
+stalls (busy flash bank, disk spin-up) devices report as the ``wait``
+a device access returns beside its latency.
 
 Determinism rules (pinned by tests):
 

@@ -263,14 +263,3 @@ class StorageManager:
             return 0.0
         flash_user_bytes = self.store.stats.counter("user_bytes_written").value
         return 1.0 - (flash_user_bytes / user)
-
-    def snapshot(self) -> dict:
-        return {
-            "read_only": self.read_only,
-            "read_only_reason": self.read_only_reason,
-            "buffer": self.buffer.snapshot(),
-            "store": self.store.snapshot(),
-            "write_traffic_reduction": self.write_traffic_reduction(),
-            "tracked_keys": self.tracker.tracked_keys(),
-            "stats": self.stats.snapshot(self.clock.now),
-        }

@@ -84,6 +84,3 @@ class HotColdTracker:
         for key in stale:
             del self._heat[key]
         return len(stale)
-
-    def tracked_keys(self) -> int:
-        return len(self._heat)

@@ -340,12 +340,3 @@ class WriteBuffer:
         flushed = self.stats.counter("flushed_bytes").value
         flushed -= self.stats.counter("restored_bytes").value
         return 1.0 - (flushed / bytes_in)
-
-    def snapshot(self) -> dict:
-        return {
-            "capacity_bytes": self.capacity_bytes,
-            "buffered_bytes": self._bytes,
-            "entries": len(self._entries),
-            "absorption_ratio": self.absorption_ratio(),
-            "stats": self.stats.snapshot(self.clock.now),
-        }

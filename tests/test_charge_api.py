@@ -5,10 +5,9 @@ device accesses with ``charge_read``/``charge_write``.  That substitution
 is only legitimate if, for every device, a charge costs the *same*
 latency and energy and makes the *same* stats deltas as the data-moving
 operation it stands in for -- while leaving stored bytes untouched.
-Disk charges return an ``AccessResult``; a DRAM charge advances the
-caller's clock by its latency and returns nothing; every flash access,
-charge or not, advances the caller's clock and returns ``(latency,
-wait)`` (after a read's bytes).
+Every access takes the caller's clock and advances it by its latency.
+A DRAM charge returns nothing; every other access, charge or not,
+returns ``(latency, wait)`` (after a read's bytes).
 """
 
 from __future__ import annotations
@@ -17,7 +16,7 @@ import dataclasses
 
 import pytest
 
-from repro.devices.catalog import DRAM_NEC_LOW_POWER, FLASH_PAPER_NOMINAL
+from repro.devices.catalog import DISK_HP_KITTYHAWK, DRAM_NEC_LOW_POWER, FLASH_PAPER_NOMINAL
 from repro.devices.disk import MagneticDisk
 from repro.devices.dram import DRAM
 from repro.devices.errors import OutOfRangeError, PowerLossError
@@ -27,52 +26,47 @@ from repro.sim.clock import SimClock
 MB = 1024 * 1024
 
 
-def _results_equal(a, b):
-    return a.latency == b.latency and a.energy == b.energy and a.wait == b.wait
-
-
 class TestDramCharges:
     def test_charge_read_matches_read(self):
         real, ghost = DRAM(1 * MB), DRAM(1 * MB)
-        _, r = real.read(4096, 8192, now=0.0)
-        clock = SimClock()
+        real_clock, clock = SimClock(), SimClock()
+        _, latency, wait = real.read(4096, 8192, real_clock)
         assert ghost.charge_read(8192, clock, offset=4096) is None
-        assert clock.now == r.latency
-        assert ghost.stats.energy_joules == r.energy
-        assert r.wait == 0.0
+        assert clock.now == real_clock.now == latency
+        assert wait == 0.0
         assert real.stats.snapshot() == ghost.stats.snapshot()
 
     def test_charge_write_matches_write(self):
         real, ghost = DRAM(1 * MB), DRAM(1 * MB)
-        r = real.write(0, b"\xaa" * 4096, now=0.0)
-        clock = SimClock()
+        real_clock, clock = SimClock(), SimClock()
+        latency, wait = real.write(0, b"\xaa" * 4096, real_clock)
         assert ghost.charge_write(4096, clock) is None
-        assert clock.now == r.latency
-        assert ghost.stats.energy_joules == r.energy
-        assert r.wait == 0.0
+        assert clock.now == real_clock.now == latency
+        assert wait == 0.0
         assert real.stats.snapshot() == ghost.stats.snapshot()
 
     def test_charge_leaves_contents_untouched(self):
         dram = DRAM(64 * 1024)
-        dram.write(0, b"\x55" * 128, now=0.0)
+        dram.write(0, b"\x55" * 128, SimClock())
         dram.charge_write(128, SimClock(), offset=0)
-        data, _ = dram.read(0, 128, now=0.0)
+        data, _, _ = dram.read(0, 128, SimClock())
         assert data == b"\x55" * 128
 
     def test_read_view_is_zero_copy_and_timed(self):
         dram = DRAM(64 * 1024)
-        dram.write(256, b"\x11" * 64, now=0.0)
-        view, r = dram.read_view(256, 64, now=0.0)
+        dram.write(256, b"\x11" * 64, SimClock())
+        clock = SimClock()
+        view, latency, wait = dram.read_view(256, 64, clock)
         assert isinstance(view, memoryview)
         assert bytes(view) == b"\x11" * 64
         # Zero-copy: the view aliases the live array, so a later write
         # through the device shows up in the existing view.
-        dram.write(256, b"\x22" * 64, now=0.0)
+        dram.write(256, b"\x22" * 64, SimClock())
         assert bytes(view) == b"\x22" * 64
-        # Timing and stats identical to a copying read.
-        other = DRAM(64 * 1024)
-        _, r2 = other.read(256, 64, now=0.0)
-        assert _results_equal(r, r2)
+        # Timing identical to a copying read.
+        other, other_clock = DRAM(64 * 1024), SimClock()
+        assert other.read(256, 64, other_clock)[1:] == (latency, wait)
+        assert other_clock.now == clock.now == latency
 
     @pytest.mark.parametrize("field", [
         "read_overhead_s", "read_per_byte_s", "active_read_power_w",
@@ -137,18 +131,47 @@ class TestFlashCharges:
 
 
 class TestDiskCharges:
+    @pytest.mark.parametrize("field", [
+        "read_overhead_s", "write_overhead_s",
+        "active_read_power_w", "active_write_power_w", "spin_up_power_w",
+        "spin_up_s", "track_to_track_seek_s", "max_seek_s", "avg_seek_s", "rpm",
+    ])
+    def test_negative_spec_cost_is_rejected_at_construction(self, field):
+        # max_seek_s falls back to twice avg_seek_s only when it is unset.
+        base = DISK_HP_KITTYHAWK
+        if field == "avg_seek_s":
+            base = dataclasses.replace(base, max_seek_s=None)
+        with pytest.raises(ValueError):
+            MagneticDisk(8 * MB, spec=dataclasses.replace(base, **{field: -1e-12}))
+        # Zero is a valid cost.
+        disk = MagneticDisk(8 * MB, spec=dataclasses.replace(base, **{field: 0}))
+        clock = SimClock()
+        disk.write(4 * MB, b"\x01" * 64, clock)
+        disk.read(0, 64, clock)
+        disk.charge_read(64, SimClock(100.0))
+        assert disk.stats.busy_time >= 0.0 and disk.stats.energy_joules >= 0.0
+
+    @pytest.mark.parametrize("rate", [0, 0.0, -1.0, None])
+    def test_non_positive_transfer_rate_is_rejected_at_construction(self, rate):
+        with pytest.raises(ValueError):
+            MagneticDisk(
+                8 * MB, spec=dataclasses.replace(DISK_HP_KITTYHAWK, transfer_bytes_per_s=rate)
+            )
+
     def test_charge_read_matches_read(self):
         real, ghost = MagneticDisk(8 * MB), MagneticDisk(8 * MB)
-        _, r = real.read(1 * MB, 4096, now=0.0)
-        c = ghost.charge_read(4096, now=0.0, offset=1 * MB)
-        assert _results_equal(r, c)
+        real_clock, ghost_clock = SimClock(), SimClock()
+        _, latency, wait = real.read(1 * MB, 4096, real_clock)
+        assert ghost.charge_read(4096, ghost_clock, offset=1 * MB) == (latency, wait)
+        assert real_clock.now == ghost_clock.now == latency
         assert real.stats.snapshot() == ghost.stats.snapshot()
 
     def test_charge_write_matches_write(self):
         real, ghost = MagneticDisk(8 * MB), MagneticDisk(8 * MB)
-        r = real.write(2 * MB, b"\x77" * 4096, now=0.0)
-        c = ghost.charge_write(4096, now=0.0, offset=2 * MB)
-        assert _results_equal(r, c)
+        real_clock, ghost_clock = SimClock(), SimClock()
+        result = real.write(2 * MB, b"\x77" * 4096, real_clock)
+        assert ghost.charge_write(4096, ghost_clock, offset=2 * MB) == result
+        assert real_clock.now == ghost_clock.now == result[0]
         assert real.stats.snapshot() == ghost.stats.snapshot()
 
     def test_charge_moves_the_head(self):
@@ -156,11 +179,10 @@ class TestDiskCharges:
         # identical disks issued the same offsets must agree on the
         # latency of the *next* access whether the first was real or not.
         real, ghost = MagneticDisk(8 * MB), MagneticDisk(8 * MB)
-        real.read(4 * MB, 4096, now=0.0)
-        ghost.charge_read(4096, now=0.0, offset=4 * MB)
-        _, r = real.read(0, 4096, now=1.0)
-        c = ghost.charge_read(4096, now=1.0, offset=0)
-        assert _results_equal(r, c)
+        real.read(4 * MB, 4096, SimClock())
+        ghost.charge_read(4096, SimClock(), offset=4 * MB)
+        _, latency, wait = real.read(0, 4096, SimClock(1.0))
+        assert ghost.charge_read(4096, SimClock(1.0), offset=0) == (latency, wait)
 
 
 class TestDramSharedResults:
@@ -172,20 +194,20 @@ class TestDramSharedResults:
     def test_shared_result_equals_data_moving_ops(self):
         for nbytes in self.SIZES:
             for moving, charge in (
-                (lambda d: d.read(0, nbytes, now=0.0)[1], DRAM.charge_read),
-                (lambda d: d.write(0, b"\x5a" * nbytes, now=0.0), DRAM.charge_write),
+                (lambda d, c: d.read(0, nbytes, c)[1:], DRAM.charge_read),
+                (lambda d, c: d.write(0, b"\x5a" * nbytes, c), DRAM.charge_write),
             ):
-                real, ghost, clock = DRAM(1 * MB), DRAM(1 * MB), SimClock()
-                result = moving(real)
+                real, ghost = DRAM(1 * MB), DRAM(1 * MB)
+                real_clock, clock = SimClock(), SimClock()
+                latency, wait = moving(real, real_clock)
                 charge(ghost, nbytes, clock)
-                assert clock.now == result.latency
-                assert ghost.stats.energy_joules == result.energy
-                assert result.wait == 0.0
+                assert clock.now == real_clock.now == latency
+                assert wait == 0.0
                 assert ghost.stats.snapshot() == real.stats.snapshot()
                 # A repeated charge of the same size costs the same.
                 again = SimClock()
                 charge(ghost, nbytes, again)
-                assert again.now == result.latency
+                assert again.now == latency
 
     def test_unpowered_dram_still_raises_on_charge(self):
         dram = DRAM(64 * 1024)
@@ -199,7 +221,7 @@ class TestDramSharedResults:
         with pytest.raises(PowerLossError):
             dram.charge_write(4096, clock)
         with pytest.raises(PowerLossError):
-            dram.read(0, 4096, now=1.0)
+            dram.read(0, 4096, clock)
         assert dram.stats.snapshot() == before
         assert clock.now == now
         dram.power_restore()

@@ -175,9 +175,3 @@ class TestMobileComputer:
         machine.orderly_shutdown()
         machine.inject_battery_failure()
         assert machine.stats.counter("bytes_lost_to_power_failure").value == 0
-
-    def test_snapshot(self):
-        machine = MobileComputer(SystemConfig(dram_bytes=4 * MB, flash_bytes=8 * MB))
-        snap = machine.snapshot()
-        assert snap["organization"] == "solid_state"
-        assert "storage_manager" in snap

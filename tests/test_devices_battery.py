@@ -3,6 +3,7 @@
 import pytest
 
 from repro.devices import Battery, BatteryBank, BatteryState, DRAM
+from repro.sim import SimClock
 
 
 class TestBattery:
@@ -57,7 +58,7 @@ class TestBatteryBank:
         bank = BatteryBank(1.0, 0.0)
         dram = DRAM(1024)
         bank.on_power_loss(dram.power_loss)
-        dram.write(0, b"data", 0.0)
+        dram.write(0, b"data", SimClock())
         bank.draw(5.0)
         assert not dram.powered
         assert dram.content_losses == 1

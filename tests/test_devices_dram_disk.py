@@ -4,6 +4,7 @@ import pytest
 
 from repro.devices import DRAM, MagneticDisk, OutOfRangeError, PowerLossError
 from repro.devices.catalog import DISK_FUJITSU_M2633, DISK_HP_KITTYHAWK
+from repro.sim import SimClock
 
 MB = 1024 * 1024
 
@@ -11,52 +12,52 @@ MB = 1024 * 1024
 class TestDRAM:
     def test_read_back(self):
         d = DRAM(MB)
-        d.write(1000, b"persist me", 0.0)
-        data, _ = d.read(1000, 10, 1.0)
+        d.write(1000, b"persist me", SimClock())
+        data, _, _ = d.read(1000, 10, SimClock(1.0))
         assert data == b"persist me"
 
     def test_symmetric_latency(self):
         d = DRAM(MB)
-        w = d.write(0, b"x" * 4096, 0.0)
-        r = d.read(0, 4096, 1.0)[1]
-        assert w.latency == pytest.approx(r.latency)
+        w = d.write(0, b"x" * 4096, SimClock())[0]
+        r = d.read(0, 4096, SimClock(1.0))[1]
+        assert w == pytest.approx(r)
 
     def test_out_of_range(self):
         d = DRAM(MB)
         with pytest.raises(OutOfRangeError):
-            d.read(MB - 2, 4, 0.0)
+            d.read(MB - 2, 4, SimClock())
 
     def test_power_loss_destroys_contents(self):
         d = DRAM(MB)
-        d.write(0, b"gone", 0.0)
+        d.write(0, b"gone", SimClock())
         d.power_loss()
         with pytest.raises(PowerLossError):
-            d.read(0, 4, 1.0)
+            d.read(0, 4, SimClock(1.0))
         d.power_restore()
-        data, _ = d.read(0, 4, 2.0)
+        data, _, _ = d.read(0, 4, SimClock(2.0))
         assert data == b"\x00\x00\x00\x00"
         assert d.content_losses == 1
 
     def test_power_loss_zeroes_whole_array_in_place(self):
         d = DRAM(MB)
-        d.write(0, b"\xa5" * 4096, 0.0)
-        d.write(MB - 4096, b"\x5a" * 4096, 0.0)
+        d.write(0, b"\xa5" * 4096, SimClock())
+        d.write(MB - 4096, b"\x5a" * 4096, SimClock())
         # A view handed out before the loss aliases the live array, so
         # it must observe the zeroing rather than stale bytes.
-        view, _ = d.read_view(MB - 4096, 4096, 1.0)
+        view, _, _ = d.read_view(MB - 4096, 4096, SimClock(1.0))
         d.power_loss()
         assert d.content_losses == 1
         assert bytes(view) == bytes(4096)
         d.power_restore()
-        whole, _ = d.read_view(0, MB, 2.0)
+        whole, _, _ = d.read_view(0, MB, SimClock(2.0))
         assert bytes(whole) == bytes(MB)
         d.power_loss()
         assert d.content_losses == 2
 
     def test_stats_accumulate(self):
         d = DRAM(MB)
-        d.write(0, b"ab", 0.0)
-        d.read(0, 2, 1.0)
+        d.write(0, b"ab", SimClock())
+        d.read(0, 2, SimClock(1.0))
         assert d.stats.writes == 1
         assert d.stats.reads == 1
         assert d.stats.bytes_written == 2
@@ -70,13 +71,13 @@ class TestDRAM:
 class TestDiskMechanics:
     def test_read_back(self):
         disk = MagneticDisk(20 * MB)
-        disk.write(12345, b"spinning rust", 0.0)
-        data, _ = disk.read(12345, 13, 1.0)
+        disk.write(12345, b"spinning rust", SimClock())
+        data, _, _ = disk.read(12345, 13, SimClock(1.0))
         assert data == b"spinning rust"
 
     def test_unwritten_reads_zero(self):
         disk = MagneticDisk(20 * MB)
-        data, _ = disk.read(5 * MB, 8, 0.0)
+        data, _, _ = disk.read(5 * MB, 8, SimClock())
         assert data == b"\x00" * 8
 
     def test_seek_time_grows_with_distance(self):
@@ -91,43 +92,43 @@ class TestDiskMechanics:
 
     def test_random_io_dominated_by_positioning(self):
         disk = MagneticDisk(20 * MB)
-        t = 0.0
-        r = disk.read(0, 512, t)[1]
-        t += r.latency + 0.01
-        far = disk.read(19 * MB, 512, t)[1]
+        clock = SimClock()
+        disk.read(0, 512, clock)
+        clock.advance(0.01)
+        far = disk.read(19 * MB, 512, clock)[1]
         # Transfer of 512 B takes ~0.5 ms; positioning is 10x that.
-        assert far.latency > 0.010
+        assert far > 0.010
 
     def test_sequential_faster_than_random(self):
         disk = MagneticDisk(20 * MB)
-        t = 0.0
-        disk.read(0, 512, t)
-        seq = disk.read(512, 512, 0.1)[1]
+        disk.read(0, 512, SimClock())
+        seq = disk.read(512, 512, SimClock(0.1))[1]
         disk2 = MagneticDisk(20 * MB)
-        disk2.read(0, 512, 0.0)
-        rand = disk2.read(18 * MB, 512, 0.1)[1]
-        assert seq.latency < rand.latency
+        disk2.read(0, 512, SimClock())
+        rand = disk2.read(18 * MB, 512, SimClock(0.1))[1]
+        assert seq < rand
 
 
 class TestDiskPower:
     def test_spin_up_after_idle_timeout(self):
         disk = MagneticDisk(20 * MB, spin_down_timeout_s=2.0)
-        disk.read(0, 512, 0.0)
-        result = disk.read(0, 512, 100.0)[1]  # long idle gap -> spun down
-        assert result.wait == pytest.approx(disk.spec.spin_up_s)
+        disk.read(0, 512, SimClock())
+        wait = disk.read(0, 512, SimClock(100.0))[2]  # long idle gap -> spun down
+        assert wait == pytest.approx(disk.spec.spin_up_s)
         assert disk.spin_ups >= 1
 
     def test_no_spin_up_when_busy(self):
         disk = MagneticDisk(20 * MB, spin_down_timeout_s=5.0)
-        r1 = disk.read(0, 512, 0.0)[1]
-        result = disk.read(1024, 512, r1.latency + 0.5)[1]
-        assert result.wait == 0.0
+        clock = SimClock()
+        disk.read(0, 512, clock)
+        clock.advance(0.5)
+        assert disk.read(1024, 512, clock)[2] == 0.0
 
     def test_idle_energy_split_spinning_then_standby(self):
         disk = MagneticDisk(20 * MB, spin_down_timeout_s=2.0)
-        disk.read(0, 512, 0.0)
+        disk.read(0, 512, SimClock())
         before = disk.idle_energy_joules
-        disk.read(0, 512, 1000.0)
+        disk.read(0, 512, SimClock(1000.0))
         accrued = disk.idle_energy_joules - before
         # Mostly standby power over ~1000 s, far below spinning power.
         spinning_only = 1000.0 * disk.spec.idle_power_w

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from repro.devices import FlashMemory, WriteBeforeEraseError, WornOutError
+from repro.devices import FlashMemory, WriteBeforeEraseError
 from repro.devices.catalog import DeviceSpec, FLASH_PAPER_NOMINAL, FLASH_SUNDISK_SDI
 from repro.sim.clock import SimClock
 
@@ -168,16 +168,6 @@ class TestWear:
         f.erase_sector(0, SimClock(7.5))
         assert f.first_wearout == (7.5, 4)
         assert f.worn_sector_count == 1
-
-    def test_strict_endurance_raises(self):
-        spec = DeviceSpec(
-            **{**FLASH_4K.__dict__, "endurance_cycles": 2, "name": "strict"}
-        )
-        f = FlashMemory(64 * KB, spec=spec, strict_endurance=True)
-        f.erase_sector(0, SimClock(0.0))
-        f.erase_sector(0, SimClock(0.0))
-        with pytest.raises(WornOutError):
-            f.erase_sector(0, SimClock(0.0))
 
     def test_wear_summary(self):
         f = small_flash()

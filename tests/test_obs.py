@@ -488,7 +488,6 @@ class TestMachineObservability:
     def test_snapshots_jsonable(self):
         machine, _tracer = _traced_run()
         json.dumps(machine.hub.snapshot(machine.clock.now))
-        json.dumps(machine.manager.buffer.snapshot())
         json.dumps(machine.store.snapshot())
         json.dumps(machine.flash.stats.snapshot())
         json.dumps(machine.dram.stats.snapshot())

@@ -1,14 +1,16 @@
-"""Property test: DRAM charges against the two-step charge they replaced.
+"""Property test: DRAM accesses against the two-step accesses they replaced.
 
-``DRAM.charge_read``/``charge_write`` take the caller's clock and do a
+Every DRAM access -- ``charge_read``/``charge_write`` and the data-moving
+``read``/``read_view``/``write`` -- takes the caller's clock and does a
 whole touch in one call: power check, range check, stats, trace record
-and clock advance.  They used to return a (partly shared) ``AccessResult``
-that every caller passed back to ``clock.advance``.  The oracle below is
-that earlier ``DRAM`` copied verbatim, driven the way its callers drove
-it.  Random sequences of charges, data-moving accesses, out-of-range
+and clock advance.  Each used to return a (partly shared)
+``AccessResult`` that every caller passed back to ``clock.advance``.  The
+oracle below is that earlier ``DRAM`` copied verbatim, driven the way its
+callers drove it.  Random sequences of charges, data-moving accesses, out-of-range
 requests and power loss/restore go through both, with and without a
 tracer, and after every step both must agree bit for bit on the raised
-error, the ``DeviceStats``, the clock and the trace records.
+error, the latency and wait returned, the ``DeviceStats``, the clock and
+the trace records.
 """
 
 from __future__ import annotations
@@ -17,12 +19,13 @@ from typing import Dict, Tuple
 
 from hypothesis import given, settings, strategies as st
 
-from repro.devices.base import AccessResult, StorageDevice
+from repro.devices.base import StorageDevice
 from repro.devices.catalog import MB, DRAM_NEC_LOW_POWER, DeviceSpec
 from repro.devices.dram import DRAM
 from repro.devices.errors import DeviceError, PowerLossError
 from repro.obs import Tracer, runtime
 from repro.sim.clock import SimClock
+from tests._access_result import AccessResult
 
 KB = 1024
 CAPACITY = 64 * KB
@@ -122,12 +125,14 @@ def _hex(value):
     return value.hex() if isinstance(value, float) else value
 
 
-def _result(result: AccessResult):
-    return (result.latency.hex(), result.energy.hex(), result.wait.hex())
+def _timing(latency: float, wait: float):
+    return (latency.hex(), wait.hex())
 
 
 def _apply(dram, clock: SimClock, op, one_call: bool):
-    """Run ``op``; return what it gave back or the error it raised."""
+    """Run ``op``; return what it gave back or the error it raised.  With
+    ``one_call`` the device advances ``clock``; otherwise the caller
+    advances it by the returned result's latency."""
     kind, nbytes, offset = op
     try:
         if kind in ("charge_read", "charge_write"):
@@ -136,15 +141,24 @@ def _apply(dram, clock: SimClock, op, one_call: bool):
                 return ("ok", charge(nbytes, clock, offset))
             clock.advance(charge(nbytes, clock.now, offset).latency)
             return ("ok", None)
-        if kind == "read":
-            data, result = dram.read(offset, nbytes, clock.now)
-            return ("ok", data, _result(result))
-        if kind == "read_view":
-            view, result = dram.read_view(offset, nbytes, clock.now)
-            return ("ok", bytes(view), _result(result))
+        if kind in ("read", "read_view"):
+            read = getattr(dram, kind)
+            if one_call:
+                data, latency, wait = read(offset, nbytes, clock)
+            else:
+                data, result = read(offset, nbytes, clock.now)
+                clock.advance(result.latency)
+                latency, wait = result.latency, result.wait
+            return ("ok", bytes(data), _timing(latency, wait))
         if kind == "write":
             data = bytes([nbytes % 251]) * nbytes if nbytes >= 0 else b""
-            return ("ok", _result(dram.write(offset, data, clock.now)))
+            if one_call:
+                latency, wait = dram.write(offset, data, clock)
+            else:
+                result = dram.write(offset, data, clock.now)
+                clock.advance(result.latency)
+                latency, wait = result.latency, result.wait
+            return ("ok", _timing(latency, wait))
         if kind == "power_loss":
             return ("ok", dram.power_loss())
         if kind == "power_restore":

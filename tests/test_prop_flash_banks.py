@@ -4,8 +4,9 @@ Two generations of reference are kept verbatim here:
 
 - :class:`AccountFlash` is the device before its accesses became single
   frames: ``read``/``program``/``charge_*`` shared ``_walk_banks`` and
-  ``_account``, which built an :class:`AccessResult` (validated in its
-  ``__post_init__``) and recorded it through ``DeviceStats.record_*``;
+  ``_account``, which built an ``AccessResult`` (validated in its
+  ``__post_init__``) and recorded it through ``DeviceStats.record_*``
+  (both deleted; copies live in ``tests/_access_result.py``);
   ``erase_sector`` built one too; the caller advanced its clock by the
   result's latency.
 - :class:`OldFlash` is older still: each of ``read``/``charge_read``/
@@ -18,8 +19,8 @@ inline), the ``DeviceStats`` update, the trace record and the clock
 advance in one frame and returns ``(latency, wait)``.  For any
 interleaving of reads, charges, programs and erases -- straddling bank
 and sector boundaries, with banks kept busy, out of range, into
-programmed bytes, with an injector that raises before data lands, with
-strict endurance -- the new device must agree with the references bit
+programmed bytes, with an injector that raises before data lands, past
+the endurance guarantee -- the new device must agree with the references bit
 for bit: latency, wait, the clock it advanced, raised errors,
 ``DeviceStats`` floats, per-bank busy horizons, stored bytes, programmed
 intervals, wear and trace records.
@@ -34,15 +35,15 @@ from typing import Optional, Tuple
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.devices.base import AccessResult, DeviceStats
+from repro.devices.base import DeviceStats
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.devices.errors import (
-    DeviceError, EraseFailedError, PowerCutError, ProgramFailedError, WornOutError,
-    WriteBeforeEraseError,
+    DeviceError, EraseFailedError, PowerCutError, ProgramFailedError, WriteBeforeEraseError,
 )
 from repro.devices.flash import ERASED_BYTE, FlashMemory
 from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
+from tests._access_result import AccessResult, record_read, record_write
 
 KB = 1024
 
@@ -107,9 +108,9 @@ class AccountFlash(FlashMemory):
             latency=latency, energy=power * (latency - wait), wait=wait
         )
         if write:
-            self.stats.record_write(nbytes, result)
+            record_write(self.stats, nbytes, result)
         else:
-            self.stats.record_read(nbytes, result)
+            record_read(self.stats, nbytes, result)
         if self.tracer is not None:
             detail = {"bank": offset // self._bank_bytes} if op == "program" else {}
             if wait > 0.0:
@@ -166,8 +167,6 @@ class AccountFlash(FlashMemory):
                 self.worn_sector_count += 1
                 if self.first_wearout is None:
                     self.first_wearout = (now, self.total_erases)
-            if self.strict_endurance:
-                raise WornOutError(self.name, sector, state.erase_count, self.endurance)
 
         bank = self.bank_of_sector(sector)
         busy = self.bank_busy_until
@@ -273,7 +272,7 @@ class OldFlash(FlashMemory):
             energy=self.spec.active_read_power_w * (latency - wait),
             wait=wait,
         )
-        self.stats.record_read(nbytes, result)
+        record_read(self.stats, nbytes, result)
         if self.tracer is not None:
             detail = {"wait": wait} if wait > 0.0 else None
             self.tracer.emit(self.name, "read", now, nbytes, result.latency,
@@ -302,7 +301,7 @@ class OldFlash(FlashMemory):
             energy=self.spec.active_read_power_w * (latency - wait),
             wait=wait,
         )
-        self.stats.record_read(nbytes, result)
+        record_read(self.stats, nbytes, result)
         if self.tracer is not None:
             detail = {"wait": wait} if wait > 0.0 else None
             self.tracer.emit(self.name, "charge_read", now, nbytes, result.latency,
@@ -333,7 +332,7 @@ class OldFlash(FlashMemory):
             energy=self.spec.active_write_power_w * (latency - wait),
             wait=wait,
         )
-        self.stats.record_write(nbytes, result)
+        record_write(self.stats, nbytes, result)
         if self.tracer is not None:
             detail = {"wait": wait} if wait > 0.0 else None
             self.tracer.emit(self.name, "charge_write", now, nbytes, result.latency,
@@ -376,7 +375,7 @@ class OldFlash(FlashMemory):
             energy=self.spec.active_write_power_w * (latency - wait),
             wait=wait,
         )
-        self.stats.record_write(nbytes, result)
+        record_write(self.stats, nbytes, result)
         if self.tracer is not None:
             detail = {"bank": self.bank_of_offset(offset)}
             if wait > 0.0:
@@ -565,9 +564,9 @@ def _workloads(draw, hostile: bool = False):
     return banks, capacity, ops
 
 
-def _devices(banks: int, capacity: int, strict: bool = False):
+def _devices(banks: int, capacity: int):
     devices = [
-        cls(capacity, spec=SPEC, banks=banks, name="flash", strict_endurance=strict)
+        cls(capacity, spec=SPEC, banks=banks, name="flash")
         for cls in (FlashMemory, AccountFlash, OldFlash)
     ]
     for device in devices:
@@ -593,14 +592,14 @@ def test_bank_walk_matches_old_loops(workload):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_workloads(hostile=True), st.booleans())
-def test_one_frame_accesses_match_the_account_path(workload, strict):
+@given(_workloads(hostile=True))
+def test_one_frame_accesses_match_the_account_path(workload):
     """Errors of every kind -- out of range, write-before-erase, a failure
-    injected before data lands, a worn-out sector under strict endurance
-    -- raise the same exception, charge nothing and leave the clock where
-    it was, exactly as the ``_account`` path did."""
+    injected before data lands -- raise the same exception, charge
+    nothing and leave the clock where it was, exactly as the ``_account``
+    path did."""
     banks, capacity, ops = workload
-    new, account, _old = _devices(banks, capacity, strict)
+    new, account, _old = _devices(banks, capacity)
     for device in (new, account):
         device.injector = _Raiser()
     now = 0.0

@@ -120,7 +120,7 @@ class TestHotColdTracker:
         t = HotColdTracker()
         t.record_write("k", 0.0)
         t.forget("k")
-        assert t.tracked_keys() == 0
+        assert len(t._heat) == 0
 
     def test_hottest_ordering(self):
         t = HotColdTracker()
@@ -135,7 +135,7 @@ class TestHotColdTracker:
         t.record_write("old", 0.0)
         t.record_write("new", 99.0)
         assert t.prune(now=100.0) == 1
-        assert t.tracked_keys() == 1
+        assert len(t._heat) == 1
 
     def test_invalid_half_life(self):
         with pytest.raises(ValueError):

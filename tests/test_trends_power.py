@@ -4,7 +4,7 @@ import pytest
 
 from repro.devices import DRAM, BatteryBank, MagneticDisk
 from repro.power import PowerModel
-from repro.sim import Engine
+from repro.sim import Engine, SimClock
 from repro.trends import TrendLine, crossover_year, default_trends_1993
 from repro.trends.model import SmallConfigCostModel
 
@@ -72,7 +72,7 @@ class TestPowerModel:
         dram = DRAM(4 * MB)
         battery = BatteryBank(1000.0, 0.0)
         model = PowerModel([dram], battery=battery)
-        dram.write(0, b"x" * 4096, 0.0)
+        dram.write(0, b"x" * 4096, SimClock())
         drawn = model.settle(10.0)
         assert drawn > 0
         assert battery.remaining_joules() == pytest.approx(1000.0 - drawn)
@@ -90,8 +90,8 @@ class TestPowerModel:
     def test_idle_disk_cheaper_than_spinning(self):
         disk_idle = MagneticDisk(8 * MB, spin_down_timeout_s=1.0)
         disk_spin = MagneticDisk(8 * MB, spin_down_timeout_s=1e9)
-        disk_idle.read(0, 512, 0.0)
-        disk_spin.read(0, 512, 0.0)
+        disk_idle.read(0, 512, SimClock())
+        disk_spin.read(0, 512, SimClock())
         m1 = PowerModel([disk_idle])
         m2 = PowerModel([disk_spin])
         assert m1.settle(600.0) < m2.settle(600.0)
@@ -108,7 +108,7 @@ class TestPowerModel:
     def test_breakdown_splits_active_idle(self):
         dram = DRAM(4 * MB)
         model = PowerModel([dram])
-        dram.write(0, b"x" * 4096, 0.0)
+        dram.write(0, b"x" * 4096, SimClock())
         breakdown = model.breakdown(100.0)
         assert breakdown.active["dram"] > 0
         assert breakdown.idle["dram"] > 0
