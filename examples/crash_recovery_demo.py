@@ -37,7 +37,7 @@ def act_one_solid_state() -> None:
 
     machine.inject_battery_failure()  # the laptop hits the floor
     lost = machine.stats.counter("bytes_lost_to_power_failure").value
-    print(f"power lost with {machine.fs.snapshot()['files']} files known, "
+    print(f"power lost with {machine.fs.file_count()} files known, "
           f"{human_bytes(dirty)} dirty in DRAM -> {human_bytes(lost)} destroyed")
 
     report = machine.reboot_after_power_loss()

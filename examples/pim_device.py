@@ -40,7 +40,7 @@ def main() -> None:
                 ("records replayed", report.records),
                 ("bytes written by apps", human_bytes(report.bytes_written)),
                 ("write-traffic reduction", f"{metrics.write_traffic_reduction:.0%}"),
-                ("battery remaining", f"{machine.battery.snapshot()['primary_fraction']:.2%}"),
+                ("battery remaining", f"{machine.battery.primary.fraction_remaining():.2%}"),
             ],
             title="five minutes of PIM use",
         )
@@ -65,8 +65,8 @@ def main() -> None:
         f"abrupt failure: {human_bytes(dirty)} were dirty in DRAM, "
         f"{human_bytes(lost)} lost; all flash-resident records survive"
     )
-    summary = machine.manager.store.snapshot()["occupancy"]
-    print(f"flash still holds {human_bytes(summary['live_bytes'])} of live data")
+    live = machine.manager.store.allocator.occupancy()["live_bytes"]
+    print(f"flash still holds {human_bytes(live)} of live data")
 
 
 if __name__ == "__main__":

@@ -89,8 +89,6 @@ class BatteryBank:
         self.backup = Battery(f"{name}.backup", backup_joules)
         self._power_loss_callbacks: List[Callable[[], None]] = []
         self._dead_announced = False
-        self.total_drawn_joules = 0.0
-        self.primary_swaps = 0
         # Simulated time at which power was fully lost, if ever.
         self.death_time: Optional[float] = None
 
@@ -118,7 +116,6 @@ class BatteryBank:
         """
         if joules < 0:
             raise ValueError("cannot draw negative energy")
-        self.total_drawn_joules += joules
         unmet = self.primary.drain(joules)
         if unmet > 0:
             unmet = self.backup.drain(unmet)
@@ -160,7 +157,6 @@ class BatteryBank:
     def swap_primary(self, new_capacity_joules: float) -> None:
         """Replace the primary pack (the backup carries DRAM meanwhile)."""
         self.primary = Battery(f"{self.name}.primary", new_capacity_joules)
-        self.primary_swaps += 1
         self._dead_announced = self.state is BatteryState.DEAD
 
     def _announce_death(self, now: float) -> None:
@@ -170,13 +166,3 @@ class BatteryBank:
         self.death_time = now
         for callback in self._power_loss_callbacks:
             callback()
-
-    def snapshot(self) -> dict:
-        return {
-            "state": self.state.value,
-            "primary_fraction": self.primary.fraction_remaining(),
-            "backup_fraction": self.backup.fraction_remaining(),
-            "total_drawn_joules": self.total_drawn_joules,
-            "primary_swaps": self.primary_swaps,
-            "death_time": self.death_time,
-        }

@@ -160,13 +160,6 @@ class FlashMemory(StorageDevice):
     def sector_programmed_bytes(self, sector: int) -> int:
         return self._sectors[sector].programmed_bytes()
 
-    def is_erased(self, offset: int, nbytes: int) -> bool:
-        self.check_range(offset, nbytes)
-        for sector, start, end in self._split_by_sector(offset, nbytes):
-            if not self._sectors[sector].is_erased(start, end):
-                return False
-        return True
-
     def _split_by_sector(self, offset: int, nbytes: int):
         """Yield (sector, sector-relative start, sector-relative end)."""
         pos = offset

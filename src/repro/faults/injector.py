@@ -231,14 +231,3 @@ class FaultInjector:
                 "erase_fail", now, outcome="transient", detail={"sector": sector},
             )
             raise EraseFailedError(flash.name, sector, transient=True)
-
-    # ------------------------------------------------------------------
-    # Reporting.
-    # ------------------------------------------------------------------
-
-    def snapshot(self) -> dict:
-        return {
-            "ops": self.op_count,
-            "bad_sectors": sorted(self.bad_sectors),
-            **self.counters,
-        }

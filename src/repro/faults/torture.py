@@ -118,10 +118,6 @@ class TortureReport:
     blocks_recovered: int = 0
     corrupt_summaries: int = 0
 
-    @property
-    def ok(self) -> bool:
-        return not self.violations
-
     def merge_run(self, injector: FaultInjector, live: FlashStore, recovered: FlashStore) -> None:
         """Fold one run's numbers in: fault/resilience counters come from
         the *live* (pre-crash) store where the faults actually hit, scan

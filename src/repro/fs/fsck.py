@@ -61,19 +61,6 @@ class FsckReport:
             + len(self.out_of_range_pointers)
         )
 
-    def snapshot(self) -> dict:
-        return {
-            "clean": self.clean,
-            "reachable_inodes": self.reachable_inodes,
-            "orphaned_inodes": list(self.orphaned_inodes),
-            "dangling_dirents": list(self.dangling_dirents),
-            "leaked_blocks": list(self.leaked_blocks),
-            "missing_used_bits": list(self.missing_used_bits),
-            "cross_linked_blocks": list(self.cross_linked_blocks),
-            "out_of_range_pointers": list(self.out_of_range_pointers),
-            "repaired": self.repaired,
-        }
-
 
 def fsck(fs: ConventionalFileSystem, repair: bool = False) -> FsckReport:
     """Check (and optionally repair) the on-device image through the cache."""

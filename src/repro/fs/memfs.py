@@ -517,13 +517,6 @@ class MemoryFileSystem(FileSystem):
     def file_count(self) -> int:
         return sum(1 for n in self._inodes.values() if not n.is_dir)
 
-    def snapshot(self) -> dict:
-        return {
-            "files": self.file_count(),
-            "inodes": len(self._inodes),
-            "stats": self.stats.snapshot(self.clock.now),
-        }
-
 
 class MemFile:
     """An open file handle; implements the mmap backing protocol."""

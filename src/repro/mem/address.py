@@ -104,15 +104,3 @@ class PhysicalAddressSpace:
         if not region.writable:
             raise PermissionError(f"region {region.name!r} is read-only")
         region.device.write(region.to_device_offset(addr), data, self.clock)
-
-    def describe(self) -> List[dict]:
-        return [
-            {
-                "name": r.name,
-                "base": r.base,
-                "size": r.size,
-                "device": r.device.name,
-                "writable": r.writable,
-            }
-            for r in self._regions
-        ]

@@ -55,7 +55,6 @@ class CopyOnWriteMapping:
     direct_pages: int = 0  # pages mapped straight at flash
     # key -> vpn, for relocation retargeting.
     key_to_vpn: Dict[object, int] = field(default_factory=dict)
-    closed: bool = False
 
     def page_entry(self, index: int) -> Optional[PageTableEntry]:
         return self.space.page_table.lookup(self.vaddr // PAGE_SIZE + index)
@@ -120,15 +119,6 @@ class MmapManager:
         self._mappings.append(mapping)
         return mapping
 
-    def unmap(self, mapping: CopyOnWriteMapping, sync: bool = True) -> None:
-        if mapping.closed:
-            return
-        if sync and mapping.writable:
-            self.msync(mapping)
-        self.vm.unmap(mapping.space, mapping.vaddr, mapping.npages)
-        mapping.closed = True
-        self._mappings.remove(mapping)
-
     # ------------------------------------------------------------------
     # Synchronization.
     # ------------------------------------------------------------------
@@ -140,8 +130,6 @@ class MmapManager:
         storage manager's DRAM buffer -- flash traffic still only happens
         when the buffer flushes.
         """
-        if mapping.closed:
-            raise ValueError("msync on closed mapping")
         written = 0
         for i in range(mapping.npages):
             entry = mapping.page_entry(i)

@@ -59,12 +59,6 @@ class PageTable:
             raise ValueError(f"vpn {entry.vpn} already mapped")
         self._entries[entry.vpn] = entry
 
-    def remove(self, vpn: int) -> PageTableEntry:
-        entry = self._entries.pop(vpn, None)
-        if entry is None:
-            raise KeyError(f"vpn {vpn} not mapped")
-        return entry
-
     def entries(self) -> List[PageTableEntry]:
         return list(self._entries.values())
 

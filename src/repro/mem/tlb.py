@@ -65,11 +65,5 @@ class TLB:
     def flush(self) -> None:
         self._map.clear()
 
-    def hit_ratio(self) -> float:
-        hits = self.stats.counter("hits").value
-        misses = self.stats.counter("misses").value
-        total = hits + misses
-        return hits / total if total else 0.0
-
     def __len__(self) -> int:
         return len(self._map)

@@ -187,13 +187,6 @@ class VirtualMemory:
             )
         return vaddr
 
-    def unmap(self, space: AddressSpace, vaddr: int, npages: int) -> None:
-        self._check_alignment(vaddr)
-        base_vpn = vaddr // PAGE_SIZE
-        for i in range(npages):
-            entry = space.page_table.remove(base_vpn + i)
-            self._release_entry(space, entry)
-
     @staticmethod
     def _check_alignment(addr: int) -> None:
         if addr % PAGE_SIZE:

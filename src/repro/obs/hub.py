@@ -53,9 +53,6 @@ class MetricsHub:
         """Register a device exposing ``.stats`` (a DeviceStats) by name."""
         self._devices[name or getattr(device, "name", type(device).__name__)] = device
 
-    def components(self) -> List[str]:
-        return sorted(self._registries)
-
     def devices(self) -> List[str]:
         return sorted(self._devices)
 

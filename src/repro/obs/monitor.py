@@ -315,13 +315,6 @@ class MonitorSet:
         self._emitted_at_attach = 0
         self._events_observed = 0
 
-    def observe(self, record: tuple) -> None:
-        """Feed one event by hand, routed as an attached tracer would."""
-        self._events_observed += 1
-        for monitor in self.monitors:
-            if record[1] in monitor.components:
-                monitor.observe(record)
-
     def attach(self, tracer: Tracer) -> None:
         self._tracer = tracer
         self._emitted_at_attach = tracer.emitted
@@ -337,8 +330,8 @@ class MonitorSet:
 
     @property
     def events_observed(self) -> int:
-        """Events in the whole stream while attached (plus any fed by
-        hand), whether or not a monitor read them."""
+        """Events in the whole stream while attached, whether or not a
+        monitor read them."""
         if self._tracer is None:
             return self._events_observed
         return self._events_observed + self._tracer.emitted - self._emitted_at_attach

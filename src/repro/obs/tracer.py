@@ -55,7 +55,7 @@ after the emit: every emit site builds a fresh dict literal.
 from __future__ import annotations
 
 import json
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Ordered field names of one trace record (the JSONL object keys).
 EVENT_FIELDS = ("t", "component", "op", "bytes", "latency_s", "outcome", "detail")
@@ -127,23 +127,11 @@ class Tracer:
     def __len__(self) -> int:
         return len(self._events)
 
-    def clear(self) -> None:
-        self._events.clear()
-        self.dropped = 0
-
     @property
     def records(self) -> List[_EventTuple]:
         """The buffered records, oldest first (the ring's own list:
         read it, do not mutate it)."""
         return self._events
-
-    def events(self) -> Iterator[dict]:
-        """Yield events as plain dicts (JSON-able; detail omitted if None)."""
-        for record in self._events:
-            out = dict(zip(EVENT_FIELDS, record))
-            if out["detail"] is None:
-                del out["detail"]
-            yield out
 
 
 # ----------------------------------------------------------------------

@@ -19,9 +19,9 @@ class SimClock:
     """
 
     #: ``now`` is the current virtual time in seconds: a plain slot, read
-    #: directly on every hot path.  Only :meth:`advance`,
-    #: :meth:`advance_to` and :meth:`reset` assign it, each behind its
-    #: check (``tests/test_flat_accounting.py`` pins that no other module
+    #: directly on every hot path.  Only :meth:`advance` and
+    #: :meth:`advance_to` assign it, each behind its check
+    #: (``tests/test_flat_accounting.py`` pins that no other module
     #: writes it).
     __slots__ = ("now",)
 
@@ -51,12 +51,6 @@ class SimClock:
         if when > self.now:
             self.now = when
         return self.now
-
-    def reset(self, start: float = 0.0) -> None:
-        """Rewind the clock to ``start`` (used between experiment runs)."""
-        if start < 0.0:
-            raise ValueError("clock cannot be reset before time zero")
-        self.now = float(start)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"SimClock(now={self.now:.9f})"

@@ -8,10 +8,9 @@ background garbage collection, injected battery failures -- and those are
 modelled as events on this engine.
 
 The engine owns a :class:`~repro.sim.clock.SimClock` and a heap-ordered
-queue of :class:`Event` records.  Callers either run the queue to
-exhaustion (:meth:`Engine.run`) or pump all events due up to a timestamp
-(:meth:`Engine.run_until`), which is what trace replay does between
-records.
+queue of :class:`Event` records.  Callers pump all events due up to a
+timestamp (:meth:`Engine.run_until`), which is what trace replay does
+between records.
 """
 
 from __future__ import annotations
@@ -61,6 +60,9 @@ class Engine:
         self._queue: List[Event] = []
         self._seq = itertools.count()
         self._events_run = 0
+        # Queued, not-yet-cancelled events: a live counter (schedule +1,
+        # run/cancel -1), not a queue scan; the engine's trace records
+        # carry it as their "pending" detail.
         self._pending = 0
         # Optional repro.obs.Tracer (the one active at construction);
         # when set, every executed event is emitted as an "engine" trace
@@ -71,15 +73,6 @@ class Engine:
     def events_run(self) -> int:
         """Total number of events executed so far (for tests/diagnostics)."""
         return self._events_run
-
-    @property
-    def pending(self) -> int:
-        """Number of queued, not-yet-cancelled events.
-
-        Maintained as a live counter (schedule +1, run/cancel -1), not
-        an O(n) queue scan -- callers poll this on hot paths.
-        """
-        return self._pending
 
     def schedule_at(self, when: float, action: Callable[[], None], name: str = "") -> Event:
         """Schedule ``action`` to run at absolute time ``when``."""
@@ -189,36 +182,3 @@ class Engine:
                 )
         self.clock.advance_to(when)
         return ran
-
-    def run(self, max_events: int = 1_000_000) -> int:
-        """Drain the queue completely (bounded by ``max_events``)."""
-        ran = 0
-        while self._queue:
-            if ran >= max_events:
-                raise RuntimeError(f"engine exceeded {max_events} events; runaway timer?")
-            event = heapq.heappop(self._queue)
-            cancelled = event.cancelled
-            self._retire(event)
-            if cancelled:
-                continue
-            self.clock.advance_to(event.when)
-            event.action()
-            self._events_run += 1
-            ran += 1
-            if self.tracer is not None:
-                # "pending" is the live queue depth after this dispatch;
-                # the queue-depth monitor bounds it online.
-                detail = {"pending": self._pending}
-                if event.name:
-                    detail["name"] = event.name
-                self.tracer.emit(
-                    "engine", "event", event.when, outcome="ok", detail=detail,
-                )
-        return ran
-
-    def cancel_all(self) -> None:
-        """Cancel every pending event (used when tearing a machine down)."""
-        for event in self._queue:
-            event.cancel()
-            event._departed = True
-        self._queue.clear()

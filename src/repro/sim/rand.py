@@ -41,11 +41,6 @@ class RandomStream:
         self._rng = random.Random(seed)
         self.seed = seed
 
-    def uniform(self, low: float, high: float) -> float:
-        if high < low:
-            raise ValueError("uniform() requires low <= high")
-        return self._rng.uniform(low, high)
-
     def random(self) -> float:
         return self._rng.random()
 
@@ -131,7 +126,3 @@ class RandomStream:
             cls._zipf_cache.clear()
         cls._zipf_cache[key] = cdf
         return cdf
-
-    def fork(self, name: str) -> "RandomStream":
-        """Derive a named child stream (independent of further draws here)."""
-        return substream(self.seed, name)

@@ -42,9 +42,6 @@ class Counter:
             raise ValueError(f"counter {self.name!r} cannot decrease (got {amount})")
         self.value += amount
 
-    def reset(self) -> None:
-        self.value = 0.0
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"Counter({self.name}={self.value})"
 
@@ -174,15 +171,6 @@ class Histogram:
             "p99": self.percentile(99.0),
         }
 
-    def reset(self) -> None:
-        self.count = 0
-        self.zeros = 0
-        self.total = 0.0
-        self._sumsq = 0.0
-        self._min = None
-        self._max = None
-        self.bins.clear()
-
 
 class TimeWeightedValue:
     """Integrates a piecewise-constant value over simulated time.
@@ -214,9 +202,6 @@ class TimeWeightedValue:
         if self._value > self.peak:
             self.peak = self._value
 
-    def add(self, delta: Number, now: float) -> None:
-        self.set(self._value + float(delta), now)
-
     def average(self, now: Optional[float] = None) -> float:
         end = self._last_time if now is None else max(now, self._last_time)
         elapsed = end - self._start
@@ -224,19 +209,6 @@ class TimeWeightedValue:
             return self._value
         area = self._area + self._value * (end - self._last_time)
         return area / elapsed
-
-    def reset(self, now: Optional[float] = None) -> None:
-        """Restart integration *in place*, keeping the current value.
-
-        The gauge object survives (callers hold direct references to
-        it), its current level carries over as the new initial value,
-        and the peak restarts from that level.
-        """
-        start = self._last_time if now is None else max(now, self._last_time)
-        self._area = 0.0
-        self._start = start
-        self._last_time = start
-        self.peak = self._value
 
 
 class StatRegistry:
@@ -278,21 +250,6 @@ class StatRegistry:
             },
         }
 
-    def reset(self, now: Optional[float] = None) -> None:
-        """Reset every metric *in place*.
-
-        Gauges are reset, not discarded: clearing the dict (as a prior
-        version did) destroyed gauge identity -- components holding a
-        reference kept updating an orphan object while ``gauge(name)``
-        handed out a fresh one, silently forking the metric.
-        """
-        for counter in self.counters.values():
-            counter.reset()
-        for histogram in self.histograms.values():
-            histogram.reset()
-        for gauge in self.gauges.values():
-            gauge.reset(now)
-
 
 class StatHandle:
     """A component's direct reference to one of its ``self.stats`` metrics.
@@ -303,9 +260,7 @@ class StatHandle:
     stores the metric in the instance ``__dict__``, which shadows this
     (non-data) descriptor from then on, so every later read is a plain
     attribute hit.  Binding on first use rather than at construction
-    keeps a snapshot's keys exactly the metrics that have been touched;
-    :meth:`StatRegistry.reset` resets metrics in place, so the bound
-    reference stays valid.
+    keeps a snapshot's keys exactly the metrics that have been touched.
     """
 
     __slots__ = ("lookup", "name", "attr")

@@ -49,10 +49,3 @@ class BankPartition:
 
     def all_banks(self) -> List[int]:
         return list(range(self.flash.num_banks))
-
-    def describe(self) -> dict:
-        return {
-            "partitioned": self.partitioned,
-            "write_pool": list(self.write_pool),
-            "read_mostly_pool": list(self.read_mostly_pool),
-        }

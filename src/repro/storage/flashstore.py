@@ -245,6 +245,10 @@ class FlashStore:
         self.in_place_slot_bytes = in_place_slot_bytes
         self._slots_per_sector = flash.sector_bytes // in_place_slot_bytes
         self._slot_of: Dict[Hashable, Tuple[int, int]] = {}
+        # Sector -> [(slot, key)] in assignment order.  A key keeps its
+        # slot for good, so an overwrite finds its neighbours here
+        # without scanning every key in the store.
+        self._sector_slots: Dict[int, List[Tuple[int, Hashable]]] = {}
         self._in_place_lengths: Dict[Hashable, int] = {}
         self._next_slot: Tuple[int, int] = (0, 0)
         # Callbacks (key, old_loc, new_loc) fired when cleaning moves a
@@ -665,7 +669,6 @@ class FlashStore:
                 self._open[p] = None
         dest_used = self._relocate_live_blocks(victim, pool)
         self.allocator.retire(victim, remapped_to=dest_used)
-        self.cleaning_stats.sectors_retired += 1
         self.stats.counter("sectors_retired").add(1)
         if self.tracer is not None:
             self.tracer.emit(
@@ -685,9 +688,7 @@ class FlashStore:
         except EraseFailedError:
             # The erase failed for good: the sector keeps its stale bits
             # but leaves service permanently.
-            self.cleaning_stats.erase_failures += 1
             self.allocator.retire(victim, remapped_to=None)
-            self.cleaning_stats.sectors_retired += 1
             self.stats.counter("sectors_retired").add(1)
             if self.tracer is not None:
                 self.tracer.emit(
@@ -698,7 +699,6 @@ class FlashStore:
             return
         self.allocator.mark_erased(victim)
         self.cleaning_stats.sectors_cleaned += 1
-        self.cleaning_stats.dead_bytes_reclaimed += reclaimed
         if self.tracer is not None:
             self.tracer.emit(
                 "flashstore", "gc_clean", self.clock.now, reclaimed,
@@ -762,6 +762,7 @@ class FlashStore:
             placement = self._assign_slot(key)
             self._slot_of[key] = placement
             sector, slot = placement
+            self._sector_slots.setdefault(sector, []).append((slot, key))
             base = sector * self.flash.sector_bytes + slot * self.in_place_slot_bytes
             self._do_program(base, data)
             self._in_place_lengths[key] = len(data)
@@ -774,8 +775,8 @@ class FlashStore:
         sector, slot = placement
         sector_base = sector * self.flash.sector_bytes
         survivors: List[Tuple[int, bytes]] = []
-        for other_key, (other_sector, other_slot) in self._slot_of.items():
-            if other_sector != sector or other_key == key:
+        for other_slot, other_key in self._sector_slots[sector]:
+            if other_key == key:
                 continue
             if other_key not in self._in_place_lengths:
                 continue  # deleted neighbour: nothing live to preserve
@@ -917,17 +918,3 @@ class FlashStore:
         user = self.stats.counter("user_bytes_written").value
         gc = self.stats.counter("gc_bytes_copied").value
         return (user + gc) / user if user else 0.0
-
-    def snapshot(self) -> dict:
-        return {
-            "mode": self.mode.value,
-            "cleaning": self.cleaning.value,
-            "wear": self.wear.value,
-            "ecc": self.ecc,
-            "retired_sectors": self.allocator.retired_sectors(),
-            "occupancy": self.allocator.occupancy(),
-            "cleaning_stats": self.cleaning_stats.snapshot(),
-            "write_amplification": self.write_amplification(),
-            "wear_summary": self.flash.wear_summary(),
-            "partition": self.partition.describe(),
-        }

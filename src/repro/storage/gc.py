@@ -102,17 +102,4 @@ class CleaningStats:
     def __init__(self) -> None:
         self.sectors_cleaned = 0
         self.live_bytes_copied = 0
-        self.dead_bytes_reclaimed = 0
         self.forced_cleanings = 0  # cleanings triggered by allocation pressure
-        self.erase_failures = 0  # device-level erase failures seen by the cleaner
-        self.sectors_retired = 0  # sectors retired after permanent failures
-
-    def snapshot(self) -> dict:
-        return {
-            "sectors_cleaned": self.sectors_cleaned,
-            "live_bytes_copied": self.live_bytes_copied,
-            "dead_bytes_reclaimed": self.dead_bytes_reclaimed,
-            "forced_cleanings": self.forced_cleanings,
-            "erase_failures": self.erase_failures,
-            "sectors_retired": self.sectors_retired,
-        }

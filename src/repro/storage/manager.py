@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Hashable, List, Optional
 
 from repro.devices.dram import DRAM
-from repro.devices.flash import FlashMemory
 from repro.obs import runtime as obs_runtime
 from repro.sim import sched
 from repro.sim.clock import SimClock
@@ -28,7 +27,7 @@ from repro.sim.engine import Engine
 from repro.sim.stats import StatHandle, StatRegistry
 from repro.storage.allocator import OutOfFlashSpace
 from repro.storage.compression import BlockCompressor
-from repro.storage.flashstore import FlashStore, StoreMode
+from repro.storage.flashstore import FlashStore
 from repro.storage.migration import HotColdTracker
 from repro.storage.writebuffer import FlushItem, FlushReason, WriteBuffer
 
@@ -79,26 +78,6 @@ class StorageManager:
         self._in_flight: List[FlushItem] = []
         self.read_only = False
         self.read_only_reason: Optional[str] = None
-
-    # ------------------------------------------------------------------
-    # Construction helpers.
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def build(
-        cls,
-        clock: SimClock,
-        flash: FlashMemory,
-        dram: Optional[DRAM] = None,
-        buffer_bytes: int = 1 << 20,
-        store_mode: StoreMode = StoreMode.LOGGING,
-        compressor: Optional[BlockCompressor] = None,
-        **store_kwargs,
-    ) -> "StorageManager":
-        """Convenience constructor with the paper's default policies."""
-        store = FlashStore(flash, clock, mode=store_mode, **store_kwargs)
-        buffer = WriteBuffer(buffer_bytes, clock, dram=dram)
-        return cls(clock, store, buffer, dram=dram, compressor=compressor)
 
     def attach_flush_timer(self, engine: Engine, interval_s: float = 5.0) -> None:
         """Run age-based flushing periodically on the event engine."""
@@ -155,9 +134,6 @@ class StorageManager:
             blob = self.compressor.decode(blob)
         return blob
 
-    def contains(self, key: Hashable) -> bool:
-        return self.buffer.is_dirty(key) or self.store.contains(key)
-
     def delete_block(self, key: Hashable) -> None:
         saved = self.buffer.drop(key)
         if saved:
@@ -173,13 +149,6 @@ class StorageManager:
         items = self.buffer.flush_all(FlushReason.SYNC)
         self._persist_items(items)
         return len(items)
-
-    def sync_key(self, key: Hashable) -> bool:
-        item = self.buffer.flush_key(key, FlushReason.SYNC)
-        if item is None:
-            return False
-        self._persist_items([item])
-        return True
 
     def _restore_items(self, items: List[FlushItem]) -> None:
         for item in items:

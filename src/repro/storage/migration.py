@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Hashable, List, Tuple
+from typing import Dict, Hashable
 
 
 @dataclass
@@ -72,15 +72,3 @@ class HotColdTracker:
         dt = max(0.0, now - heat.last_update)
         rate = heat.rate * math.exp(-self._ln2 * dt / self.half_life_s)
         return rate >= self.hot_threshold
-
-    def hottest(self, now: float, limit: int = 10) -> List[Tuple[Hashable, float]]:
-        scored = [(key, self._decayed(h, now)) for key, h in self._heat.items()]
-        scored.sort(key=lambda item: item[1], reverse=True)
-        return scored[:limit]
-
-    def prune(self, now: float, floor: float = 0.01) -> int:
-        """Drop keys whose score decayed below ``floor``; returns count."""
-        stale = [k for k, h in self._heat.items() if self._decayed(h, now) < floor]
-        for key in stale:
-            del self._heat[key]
-        return len(stale)

@@ -14,7 +14,6 @@ system and reports latency/throughput.
 from repro.trace.model import OpType, TraceRecord
 from repro.trace.replay import ReplayReport, TraceReplayer
 from repro.trace.synth import SyntheticTraceGenerator, WorkloadProfile
-from repro.trace.fileio import load_trace, save_trace
 from repro.trace.workloads import (
     WORKLOADS,
     compile_profile,
@@ -41,6 +40,4 @@ __all__ = [
     "database_profile",
     "compile_profile",
     "sequential_media_profile",
-    "save_trace",
-    "load_trace",
 ]

@@ -11,6 +11,8 @@ from repro.fs.memfs import CHECKPOINT_ROOT_KEY, MemoryFileSystem
 from repro.sim import SimClock
 from repro.storage import StorageManager
 
+from tests._storage import build_manager
+
 KB = 1024
 MB = 1024 * 1024
 
@@ -19,7 +21,7 @@ MB = 1024 * 1024
 def fs():
     clock = SimClock()
     flash = FlashMemory(16 * MB, banks=2)
-    manager = StorageManager.build(clock, flash, buffer_bytes=256 * KB)
+    manager = build_manager(clock, flash, buffer_bytes=256 * KB)
     return MemoryFileSystem(manager)
 
 

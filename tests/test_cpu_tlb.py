@@ -11,6 +11,11 @@ from repro.sim import SimClock
 MB = 1024 * 1024
 
 
+def _hit_ratio(tlb):
+    hits = tlb.stats.counter("hits").value
+    return hits / (hits + tlb.stats.counter("misses").value)
+
+
 class TestCPU:
     def test_busy_accumulates_energy(self):
         cpu = CPU(CPUSpec(active_power_w=2.0, idle_power_w=0.0))
@@ -90,7 +95,7 @@ class TestTLB:
         tlb.insert(1, 1, 0)
         tlb.lookup(1, 1)
         tlb.lookup(1, 1)
-        assert tlb.hit_ratio() == pytest.approx(2 / 3)
+        assert _hit_ratio(tlb) == pytest.approx(2 / 3)
 
 
 class TestVMWithTLB:
@@ -111,7 +116,7 @@ class TestVMWithTLB:
         vaddr = vm.map_anonymous(space, 2)
         for _ in range(10):
             vm.write(space, vaddr, b"x")
-        assert tlb.hit_ratio() > 0.8
+        assert _hit_ratio(tlb) > 0.8
 
     def test_walks_charge_cpu(self):
         vm, _tlb, cpu = self.make_vm()
@@ -121,12 +126,12 @@ class TestVMWithTLB:
             vm.write(space, vaddr + i * PAGE_SIZE, b"x")
         assert cpu.busy_seconds > 0  # faults + walks
 
-    def test_unmap_invalidates_translation(self):
+    def test_destroy_space_invalidates_translation(self):
         vm, tlb, _cpu = self.make_vm()
         space = vm.create_space("p")
         vaddr = vm.map_anonymous(space, 1)
         vm.write(space, vaddr, b"x")
-        vm.unmap(space, vaddr, 1)
+        vm.destroy_space(space)
         assert tlb.lookup(space.asid, vaddr // PAGE_SIZE)[0] is None
 
     def test_working_set_larger_than_tlb_thrashes(self):
@@ -136,7 +141,7 @@ class TestVMWithTLB:
         for _round in range(3):
             for i in range(16):
                 vm.read(space, vaddr + i * PAGE_SIZE, 8)
-        assert tlb.hit_ratio() < 0.2  # sequential sweep over 4-entry TLB
+        assert _hit_ratio(tlb) < 0.2  # sequential sweep over 4-entry TLB
 
 
 class TestMachineEnergyIncludesCPU:

@@ -83,7 +83,7 @@ class TestBatteryBank:
         assert bank.state is BatteryState.ON_BACKUP
         bank.swap_primary(200.0)
         assert bank.state is BatteryState.ON_PRIMARY
-        assert bank.primary_swaps == 1
+        assert bank.primary.remaining_joules == 200.0
 
     def test_abrupt_primary_failure(self):
         bank = BatteryBank(100.0, 50.0)
@@ -98,10 +98,3 @@ class TestBatteryBank:
         bank.fail_all(now=9.0)
         assert bank.state is BatteryState.DEAD
         assert died and bank.death_time == 9.0
-
-    def test_snapshot(self):
-        bank = BatteryBank(100.0, 50.0)
-        bank.draw(10.0)
-        snap = bank.snapshot()
-        assert snap["state"] == "on_primary"
-        assert snap["total_drawn_joules"] == pytest.approx(10.0)

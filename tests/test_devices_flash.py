@@ -51,7 +51,7 @@ class TestGeometry:
 class TestEraseBeforeWrite:
     def test_fresh_device_is_erased(self):
         f = small_flash()
-        assert f.is_erased(0, f.capacity_bytes)
+        assert all(f.sector_programmed_bytes(s) == 0 for s in range(f.num_sectors))
         data, _, _ = f.read(0, 16, SimClock(0.0))
         assert data == b"\xff" * 16
 
@@ -78,7 +78,7 @@ class TestEraseBeforeWrite:
         f = small_flash()
         f.program(0, b"x" * 100, SimClock(0.0))
         f.erase_sector(0, SimClock(1.0))
-        assert f.is_erased(0, 4 * KB)
+        assert f.sector_programmed_bytes(0) == 0
         data, _, _ = f.read(0, 4, SimClock(2.0))
         assert data == b"\xff\xff\xff\xff"
         f.program(0, b"again", SimClock(3.0))  # reprogrammable after erase

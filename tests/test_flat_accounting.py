@@ -123,10 +123,6 @@ class TestClock:
         clock = SimClock(1.5)
         assert clock.advance(0.25) == clock.now == 1.75
         assert clock.advance_to(1.0) == 1.75
-        clock.reset()
-        assert clock.now == 0.0
-        with pytest.raises(ValueError):
-            clock.reset(-1.0)
 
     def test_no_module_but_the_clock_assigns_now(self):
         writers = []
@@ -165,7 +161,7 @@ class TestClock:
                     targets = node.targets if isinstance(node, ast.Assign) else [node.target]
                     if any(isinstance(t, ast.Attribute) and t.attr == "now" for t in targets):
                         writers.add(func.name)
-        assert writers == {"__init__", "advance", "advance_to", "reset"}
+        assert writers == {"__init__", "advance", "advance_to"}
 
 
 #: Entry points only a device has, whatever the receiver is called.

@@ -13,7 +13,8 @@ from repro.fs.api import (
     NotEmptyFSError,
 )
 from repro.sim import SimClock
-from repro.storage import StorageManager
+
+from tests._storage import build_manager
 
 KB = 1024
 MB = 1024 * 1024
@@ -24,7 +25,7 @@ def fs():
     clock = SimClock()
     flash = FlashMemory(8 * MB, banks=2)
     dram = DRAM(4 * MB)
-    manager = StorageManager.build(clock, flash, dram=dram, buffer_bytes=256 * KB)
+    manager = build_manager(clock, flash, dram=dram, buffer_bytes=256 * KB)
     return MemoryFileSystem(manager, dram=dram)
 
 
@@ -223,9 +224,3 @@ class TestStorageIntegration:
         handle = fs.open("/f")
         fs.rename("/f", "/g")
         assert handle.read_block(0)[:11] == b"handle data"
-
-    def test_snapshot_shape(self, fs):
-        fs.create("/f")
-        snap = fs.snapshot()
-        assert snap["files"] == 1
-        assert "stats" in snap

@@ -20,7 +20,7 @@ def phys():
 
 
 def _bases(phys):
-    return {region["name"]: region["base"] for region in phys.describe()}
+    return {region.name: region.base for region in phys._regions}
 
 
 class TestRegions:
@@ -85,7 +85,3 @@ class TestUniformAccess:
     def test_is_flash(self, phys):
         assert isinstance(phys.region_of(FLASH_BASE).device, FlashMemory)
         assert not isinstance(phys.region_of(DRAM_BASE).device, FlashMemory)
-
-    def test_describe(self, phys):
-        desc = phys.describe()
-        assert {d["name"] for d in desc} == {"dram", "flash"}

@@ -87,13 +87,6 @@ class TestCopyOnWrite:
         # The write-back went to the DRAM write buffer; flash untouched.
         assert machine.flash.stats.bytes_written == flash_before
 
-    def test_unmap_syncs_dirty_pages(self, machine):
-        _d, _h, space, mapping = make_mapped_file(machine)
-        machine.vm.write(space, mapping.vaddr, b"LAST")
-        machine.mmap.unmap(mapping)
-        assert machine.fs.read("/data.bin", 0, 4) == b"LAST"
-        assert mapping.closed and machine.mmap._mappings == []
-
 
 class TestRelocationUpkeep:
     def test_gc_relocation_retargets_mapping(self, machine):
@@ -130,9 +123,3 @@ class TestValidation:
         space = machine.vm.create_space("p")
         with pytest.raises(ValueError):
             machine.mmap.map_file(space, handle, 0)
-
-    def test_msync_on_closed_mapping_rejected(self, machine):
-        _d, _h, _space, mapping = make_mapped_file(machine)
-        machine.mmap.unmap(mapping)
-        with pytest.raises(ValueError):
-            machine.mmap.msync(mapping)

@@ -25,14 +25,6 @@ class TestPageTable:
         with pytest.raises(ValueError):
             pt.insert(PageTableEntry(vpn=5, perms=Permissions.READ))
 
-    def test_remove(self):
-        pt = PageTable()
-        pt.insert(PageTableEntry(vpn=5, perms=Permissions.RW))
-        assert pt.remove(5).vpn == 5
-        with pytest.raises(KeyError):
-            pt.remove(5)
-
-
 class TestPermissions:
     def test_flag_composition(self):
         assert Permissions.RW & Permissions.WRITE

@@ -163,16 +163,6 @@ class TestSpaceLifecycle:
         vm.destroy_space(space)
         assert len(vm.swap._held) == 0
 
-    def test_unmap_range(self):
-        vm = make_vm()
-        space = vm.create_space("p")
-        vaddr = vm.map_anonymous(space, 4)
-        vm.write(space, vaddr, b"x")
-        vm.unmap(space, vaddr, 4)
-        with pytest.raises(PageFaultError):
-            vm.read(space, vaddr, 1)
-        assert vm.frames.used_frames == 0
-
 
 class TestCopyOnWrite:
     def test_cow_from_flash_mapping(self):

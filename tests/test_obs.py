@@ -7,8 +7,7 @@ The regression tests here each pin a specific latent bug:
   failing to persist could evade the battery-loss bound forever);
 - ``Engine.schedule_every`` pushing its root event past the
   ``schedule_at`` validation (a stale first_delay could land before now);
-- ``StatRegistry.reset`` destroying gauge identity, and
-  ``Histogram.stdev`` drifting from the exact sample stdev.
+- ``Histogram.stdev`` drifting from the exact sample stdev.
 """
 
 import json
@@ -63,13 +62,10 @@ class TestTracer:
         tr.emit("flash", "read", 1.5, 4096, 0.001)
         tr.emit("vm", "page_fault", 2.0, 4096, 0.0001, outcome="cow",
                 detail={"why": "fork"})
-        events = list(tr.events())
-        assert len(events) == 2
-        assert events[0] == {
-            "t": 1.5, "component": "flash", "op": "read",
-            "bytes": 4096, "latency_s": 0.001, "outcome": "ok",
-        }
-        assert events[1]["detail"] == {"why": "fork"}
+        assert tr.records == [
+            (1.5, "flash", "read", 4096, 0.001, "ok", None),
+            (2.0, "vm", "page_fault", 4096, 0.0001, "cow", {"why": "fork"}),
+        ]
 
     def test_ring_drops_oldest_half_and_counts(self):
         tr = Tracer(capacity=8)
@@ -81,7 +77,7 @@ class TestTracer:
         assert tr.dropped == 8
         assert len(tr) == 5
         # Oldest events went first; the newest survive.
-        assert list(tr.events())[-1]["t"] == 12.0
+        assert tr.records[-1][0] == 12.0
 
     def test_jsonl_schema_valid(self, tmp_path):
         tr = Tracer()
@@ -108,12 +104,6 @@ class TestTracer:
         # Distinct components get distinct tids (separate viewer tracks).
         assert doc["traceEvents"][1]["tid"] != ev["tid"]
         assert doc["otherData"]["dropped_events"] == 0
-
-    def test_clear(self):
-        tr = Tracer()
-        tr.emit("a", "x", 0.0)
-        tr.clear()
-        assert len(tr) == 0 and tr.emitted == 0
 
     def test_tiny_capacity_rejected(self):
         with pytest.raises(ValueError):
@@ -211,7 +201,7 @@ class TestMetricsHub:
         fresh.counter("ops").add(1)
         hub.register(fresh)
         assert hub.counter_value("comp", "ops") == 1
-        assert hub.components().count("comp") == 1
+        assert hub._registries["comp"] is fresh
 
     def test_top_counters(self):
         hub, _reg, _flash = self._hub()
@@ -312,11 +302,11 @@ class TestScheduleEveryValidation:
 
     def test_root_counts_as_pending(self):
         engine = Engine()
-        before = engine.pending
+        before = engine._pending
         event = engine.schedule_every(1.0, lambda: None, first_delay=0.0)
-        assert engine.pending == before + 1
+        assert engine._pending == before + 1
         event.cancel()
-        assert engine.pending == before
+        assert engine._pending == before
 
     def test_series_still_fires_and_cancels(self):
         engine = Engine()
@@ -338,50 +328,8 @@ class TestScheduleEveryValidation:
 
 
 # ----------------------------------------------------------------------
-# Bugfix regression: reset keeps gauge identity; stdev is exact.
+# Bugfix regression: stdev is exact.
 # ----------------------------------------------------------------------
-
-
-class TestRegistryReset:
-    def test_gauge_identity_survives_reset(self):
-        reg = StatRegistry("c")
-        gauge = reg.gauge("occ")
-        gauge.set(5.0, 1.0)
-        reg.reset(now=2.0)
-        # Old bug: reset() cleared the gauges dict, so components holding
-        # this reference updated an orphan while gauge("occ") handed out
-        # a fresh object -- silently forking the metric.
-        assert reg.gauge("occ") is gauge
-        gauge.set(9.0, 3.0)
-        assert reg.snapshot(3.0)["gauges"]["occ"]["current"] == 9.0
-
-    def test_gauge_reset_restarts_integration_keeps_level(self):
-        reg = StatRegistry("c")
-        gauge = reg.gauge("occ")
-        gauge.set(10.0, 0.0)
-        gauge.set(20.0, 4.0)
-        reg.reset(now=4.0)
-        assert gauge.current == 20.0
-        assert gauge.peak == 20.0  # peak restarts from the current level
-        assert gauge.average(now=8.0) == pytest.approx(20.0)
-
-    @given(st.lists(st.floats(min_value=0.0, max_value=1000.0), max_size=30),
-           st.lists(st.integers(min_value=0, max_value=50), max_size=30))
-    def test_reset_round_trips(self, values, counts):
-        reg = StatRegistry("c")
-        fresh = StatRegistry("c")
-        for v in values:
-            reg.histogram("h").record(v)
-        for n in counts:
-            reg.counter("k").add(n)
-        reg.reset()
-        for v in values:
-            reg.histogram("h").record(v)
-            fresh.histogram("h").record(v)
-        for n in counts:
-            reg.counter("k").add(n)
-            fresh.counter("k").add(n)
-        assert reg.snapshot() == fresh.snapshot()
 
 
 class TestHistogramStdev:
@@ -488,7 +436,6 @@ class TestMachineObservability:
     def test_snapshots_jsonable(self):
         machine, _tracer = _traced_run()
         json.dumps(machine.hub.snapshot(machine.clock.now))
-        json.dumps(machine.store.snapshot())
         json.dumps(machine.flash.stats.snapshot())
         json.dumps(machine.dram.stats.snapshot())
 
@@ -512,7 +459,7 @@ class TestMachineObservability:
         count, errors = validate_jsonl(path)
         assert errors == []
         assert count == written > 0
-        components = {event["component"] for event in tracer.events()}
+        components = {record[1] for record in tracer.records}
         assert "writebuffer" in components
         assert "flash-data" in components
 
@@ -543,7 +490,7 @@ class TestMachineObservability:
     def test_disk_org_registers_disk(self):
         machine = MobileComputer(SystemConfig(organization=Organization.DISK))
         assert "disk" in machine.hub.devices()
-        assert "buffercache" in machine.hub.components()
+        assert "buffercache" in machine.hub._registries
 
 
 # ----------------------------------------------------------------------

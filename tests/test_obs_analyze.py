@@ -23,7 +23,7 @@ from repro.obs.analyze import (
     render_summary,
     trace_hub_metrics,
 )
-from repro.obs.tracer import Tracer, write_trace
+from repro.obs.tracer import EVENT_FIELDS, Tracer, write_trace
 from repro.sim.stats import Histogram
 
 
@@ -360,8 +360,8 @@ class TestDiffs:
             )
             machine.run_workload("office", duration_s=30.0)
         analysis = TraceAnalysis()
-        for event in tracer.events():
-            analysis.feed(event)
+        for record in tracer.records:
+            analysis.feed(dict(zip(EVENT_FIELDS, record)))
         derived = trace_hub_metrics(analysis.summary())
         hub = machine.hub
         assert derived["flash_bytes_written"] == pytest.approx(

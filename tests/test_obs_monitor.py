@@ -187,7 +187,9 @@ class TestMonitorSet:
 
     def test_summary_and_render(self):
         mset = MonitorSet(build_monitors(["engine-queue-depth"]))
-        mset.observe((1.0, "engine", "event", 0, 0.0, "ok", {"pending": 3}))
+        tracer = Tracer()
+        mset.attach(tracer)
+        tracer.emit("engine", "event", 1.0, detail={"pending": 3})
         summary = mset.summary()
         assert summary["violation_count"] == 0
         assert summary["monitors"]["engine-queue-depth"]["events_seen"] == 1

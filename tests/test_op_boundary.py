@@ -18,7 +18,8 @@ from repro.fs import BufferCache, ConventionalFileSystem, DiskBlockDevice, mkfs
 from repro.fs import MemoryFileSystem
 from repro.fs.api import FileNotFoundFSError
 from repro.sim import SimClock
-from repro.storage import StorageManager
+
+from tests._storage import build_manager
 
 KB = 1024
 MB = 1024 * 1024
@@ -27,7 +28,7 @@ MB = 1024 * 1024
 def _memfs():
     clock = SimClock()
     dram = DRAM(4 * MB)
-    manager = StorageManager.build(
+    manager = build_manager(
         clock, FlashMemory(8 * MB, banks=2), dram=dram, buffer_bytes=256 * KB
     )
     return MemoryFileSystem(manager, dram=dram)

@@ -239,4 +239,4 @@ def test_one_call_disk_matches_the_account_path(workload, traced):
             assert _state(new) == before
         assert new._chunks == old._chunks, op
     if traced:
-        assert list(new.tracer.events()) == list(old.tracer.events())
+        assert new.tracer.records == old.tracer.records

@@ -305,7 +305,7 @@ class _Stack:
                     dead = fs._read_inode(ino)
                     dead.mode = MODE_FREE
                     fs._write_inode(dead)
-                return fsck(fs, repair=True).snapshot()
+                return fsck(fs, repair=True)
             if kind == "crash":
                 sync_first, remount = a, b
                 if sync_first:

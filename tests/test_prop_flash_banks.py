@@ -587,8 +587,8 @@ def test_bank_walk_matches_old_loops(workload):
         assert new.bank_busy_until == account.bank_busy_until == old.busy_horizons()
         assert _stats_bits(new) == _stats_bits(account) == _stats_bits(old), op
     assert _medium(new) == _medium(account) == _medium(old)
-    assert list(new.tracer.events()) == list(account.tracer.events())
-    assert list(new.tracer.events()) == list(old.tracer.events())
+    assert new.tracer.records == account.tracer.records
+    assert new.tracer.records == old.tracer.records
 
 
 @settings(max_examples=150, deadline=None)
@@ -613,4 +613,4 @@ def test_one_frame_accesses_match_the_account_path(workload):
         assert new.bank_busy_until == account.bank_busy_until
         assert _stats_bits(new) == _stats_bits(account), op
         assert _medium(new) == _medium(account), op
-    assert list(new.tracer.events()) == list(account.tracer.events())
+    assert new.tracer.records == account.tracer.records

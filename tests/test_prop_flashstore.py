@@ -85,6 +85,12 @@ def test_in_place_store_behaves_like_dict(ops):
             clock.advance(10.0)
     for key, payload in model.items():
         assert store.read_block(key) == payload
+    # An overwrite's neighbours come from its sector's slot list: the
+    # keys, in order, that a scan of every key's slot would find.
+    scanned = {}
+    for key, (sector, slot) in store._slot_of.items():
+        scanned.setdefault(sector, []).append((slot, key))
+    assert store._sector_slots == scanned
 
 
 @given(st.integers(0, 2**32), st.integers(2, 6))

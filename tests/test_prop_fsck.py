@@ -67,6 +67,6 @@ def test_fsck_repair_converges(ops):
 
     fsck(fs, repair=True)
     final = fsck(fs)
-    assert final.clean, final.snapshot()
+    assert final.clean, final
     # The consistent file survived repair byte-for-byte.
     assert fs.read("/d/keep", 0, 6 * KB) == protected

@@ -11,7 +11,8 @@ from repro.devices import DRAM, FlashMemory
 from repro.fs import MemoryFileSystem
 from repro.fs.api import FileNotFoundFSError
 from repro.sim import SimClock
-from repro.storage import StorageManager
+
+from tests._storage import build_manager
 
 KB = 1024
 MB = 1024 * 1024
@@ -83,7 +84,7 @@ def test_memfs_matches_model(ops, buffer_bytes):
     clock = SimClock()
     flash = FlashMemory(8 * MB, banks=2)
     dram = DRAM(2 * MB)
-    manager = StorageManager.build(clock, flash, dram=dram, buffer_bytes=buffer_bytes)
+    manager = build_manager(clock, flash, dram=dram, buffer_bytes=buffer_bytes)
     fs = MemoryFileSystem(manager, dram=dram)
     model = ModelFS()
 

@@ -15,6 +15,8 @@ from repro.fs.memfs import CHECKPOINT_ROOT_KEY, MemoryFileSystem
 from repro.sim import SimClock
 from repro.storage import FlashStore, StorageManager
 
+from tests._storage import build_manager
+
 KB = 1024
 MB = 1024 * 1024
 
@@ -237,7 +239,7 @@ def test_checkpointed_state_always_recovers(writes):
     """Property: whatever was written before the checkpoint survives."""
     clock = SimClock()
     flash = FlashMemory(4 * MB, banks=2)
-    manager = StorageManager.build(clock, flash, buffer_bytes=64 * KB)
+    manager = build_manager(clock, flash, buffer_bytes=64 * KB)
     fs = MemoryFileSystem(manager)
     model = {}
     for file_id, fill, size in writes:

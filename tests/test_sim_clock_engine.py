@@ -36,11 +36,6 @@ class TestSimClock:
         clock.advance_to(5.0)
         assert clock.now == 10.0
 
-    def test_reset(self):
-        clock = SimClock(10.0)
-        clock.reset()
-        assert clock.now == 0.0
-
 
 class TestEngine:
     def test_schedule_and_run(self):
@@ -48,7 +43,7 @@ class TestEngine:
         fired = []
         engine.schedule(1.0, lambda: fired.append(engine.clock.now))
         engine.schedule(2.0, lambda: fired.append(engine.clock.now))
-        engine.run()
+        engine.run_until(2.0)
         assert fired == [1.0, 2.0]
         assert engine.clock.now == 2.0
 
@@ -61,14 +56,14 @@ class TestEngine:
         assert ran == 1
         assert fired == ["a"]
         assert engine.clock.now == 2.0
-        assert engine.pending == 1
+        assert engine._pending == 1
 
     def test_same_time_events_fifo(self):
         engine = Engine()
         fired = []
         for label in ("first", "second", "third"):
             engine.schedule(1.0, lambda lbl=label: fired.append(lbl))
-        engine.run()
+        engine.run_until(1.0)
         assert fired == ["first", "second", "third"]
 
     def test_cancel(self):
@@ -76,7 +71,7 @@ class TestEngine:
         fired = []
         event = engine.schedule(1.0, lambda: fired.append("x"))
         event.cancel()
-        engine.run()
+        engine.run_until(1.0)
         assert fired == []
 
     def test_schedule_in_past_rejected(self):
@@ -117,23 +112,5 @@ class TestEngine:
                 engine.schedule(1.0, chain)
 
         engine.schedule(1.0, chain)
-        engine.run()
+        engine.run_until(3.0)
         assert fired == [1.0, 2.0, 3.0]
-
-    def test_runaway_guard(self):
-        engine = Engine()
-
-        def forever():
-            engine.schedule(0.1, forever)
-
-        engine.schedule(0.1, forever)
-        with pytest.raises(RuntimeError):
-            engine.run(max_events=100)
-
-    def test_cancel_all(self):
-        engine = Engine()
-        engine.schedule(1.0, lambda: None)
-        engine.schedule(2.0, lambda: None)
-        engine.cancel_all()
-        assert engine.pending == 0
-        assert engine.run() == 0

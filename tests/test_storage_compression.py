@@ -5,7 +5,9 @@ import pytest
 from repro.core import MobileComputer, Organization, SystemConfig
 from repro.devices import FlashMemory
 from repro.sim import SimClock
-from repro.storage import BlockCompressor, CompressionSpec, StorageManager
+from repro.storage import BlockCompressor, CompressionSpec
+
+from tests._storage import build_manager
 
 KB = 1024
 MB = 1024 * 1024
@@ -64,7 +66,7 @@ class TestCompressedManager:
         clock = SimClock()
         flash = FlashMemory(4 * MB, banks=2)
         compressor = BlockCompressor(clock)
-        manager = StorageManager.build(
+        manager = build_manager(
             clock, flash, buffer_bytes=32 * KB, compressor=compressor
         )
         return manager, flash

@@ -125,9 +125,3 @@ class TestBankPartition:
     def test_all_banks(self):
         partition = BankPartition(self.make_flash(), write_banks=2)
         assert partition.all_banks() == [0, 1, 2, 3]
-
-    def test_describe(self):
-        partition = BankPartition(self.make_flash(), write_banks=3)
-        desc = partition.describe()
-        assert desc["write_pool"] == [0, 1, 2]
-        assert desc["read_mostly_pool"] == [3]

@@ -5,7 +5,6 @@ import pytest
 from repro.devices import DRAM, FlashMemory
 from repro.fs import MemoryFileSystem
 from repro.sim import Engine
-from repro.storage import StorageManager
 from repro.trace import (
     OpType,
     SyntheticTraceGenerator,
@@ -17,6 +16,8 @@ from repro.trace import (
 )
 from repro.trace.model import validate_trace
 from repro.trace.replay import payload_for
+
+from tests._storage import build_manager
 
 MB = 1024 * 1024
 
@@ -112,7 +113,7 @@ class TestReplay:
         engine = Engine()
         flash = FlashMemory(16 * MB, banks=2)
         dram = DRAM(4 * MB)
-        manager = StorageManager.build(engine.clock, flash, dram=dram, buffer_bytes=MB)
+        manager = build_manager(engine.clock, flash, dram=dram, buffer_bytes=MB)
         return MemoryFileSystem(manager, dram=dram), engine
 
     def test_replay_counts_everything(self):

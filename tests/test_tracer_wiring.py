@@ -82,7 +82,7 @@ def test_reboot_rebuilds_inside_the_machines_own_scope(own):
     with runtime.tracing(foreign):
         machine.reboot_after_power_loss()
     machine.run_workload("office", duration_s=10.0)
-    assert list(foreign.events()) == []
+    assert foreign.records == []
     assert machine.tracer is own
     for component in (machine.store, machine.manager.buffer, machine.vm, machine.engine):
         assert component.tracer is own
@@ -96,9 +96,9 @@ def test_e7_trace_carries_its_paging():
     assert tracer.dropped == 0
     swap_ins = sum(row[result.headers.index("swap_ins")] for row in result.rows)
     traced = [
-        event for event in tracer.events()
-        if event["component"] == "vm" and event["op"] == "page_fault"
-        and event["outcome"] == "swap_in"
+        (component, op, outcome)
+        for _t, component, op, _bytes, _latency, outcome, _detail in tracer.records
+        if (component, op, outcome) == ("vm", "page_fault", "swap_in")
     ]
     assert swap_ins > 0
     assert len(traced) == swap_ins
