@@ -19,7 +19,6 @@ import pytest
 from repro.devices.catalog import DISK_HP_KITTYHAWK, DRAM_NEC_LOW_POWER, FLASH_PAPER_NOMINAL
 from repro.devices.disk import MagneticDisk
 from repro.devices.dram import DRAM
-from repro.devices.errors import OutOfRangeError, PowerLossError
 from repro.devices.flash import FlashMemory
 from repro.sim.clock import SimClock
 
@@ -183,96 +182,3 @@ class TestDiskCharges:
         ghost.charge_read(4096, SimClock(), offset=4 * MB)
         _, latency, wait = real.read(0, 4096, SimClock(1.0))
         assert ghost.charge_read(4096, SimClock(1.0), offset=0) == (latency, wait)
-
-
-class TestDramSharedResults:
-    """Every DRAM charge, of any size, costs what the spec says and equals
-    the data-moving operation; its checks run before anything is charged."""
-
-    SIZES = (0, 1, 64, 128, 4096, 8192, 65536)
-
-    def test_shared_result_equals_data_moving_ops(self):
-        for nbytes in self.SIZES:
-            for moving, charge in (
-                (lambda d, c: d.read(0, nbytes, c)[1:], DRAM.charge_read),
-                (lambda d, c: d.write(0, b"\x5a" * nbytes, c), DRAM.charge_write),
-            ):
-                real, ghost = DRAM(1 * MB), DRAM(1 * MB)
-                real_clock, clock = SimClock(), SimClock()
-                latency, wait = moving(real, real_clock)
-                charge(ghost, nbytes, clock)
-                assert clock.now == real_clock.now == latency
-                assert wait == 0.0
-                assert ghost.stats.snapshot() == real.stats.snapshot()
-                # A repeated charge of the same size costs the same.
-                again = SimClock()
-                charge(ghost, nbytes, again)
-                assert again.now == latency
-
-    def test_unpowered_dram_still_raises_on_charge(self):
-        dram = DRAM(64 * 1024)
-        clock = SimClock()
-        dram.charge_read(4096, clock)
-        dram.charge_write(4096, clock)
-        dram.power_loss()
-        before, now = dram.stats.snapshot(), clock.now
-        with pytest.raises(PowerLossError):
-            dram.charge_read(4096, clock)
-        with pytest.raises(PowerLossError):
-            dram.charge_write(4096, clock)
-        with pytest.raises(PowerLossError):
-            dram.read(0, 4096, clock)
-        assert dram.stats.snapshot() == before
-        assert clock.now == now
-        dram.power_restore()
-        dram.charge_read(4096, clock)
-        assert clock.now > now
-
-    def test_out_of_range_still_raises_on_charge(self):
-        dram = DRAM(64 * 1024)
-        clock = SimClock()
-        dram.charge_read(4096, clock)
-        dram.charge_write(4096, clock)
-        before, now = dram.stats.snapshot(), clock.now
-        with pytest.raises(OutOfRangeError):
-            dram.charge_read(4096, clock, offset=64 * 1024 - 100)
-        with pytest.raises(OutOfRangeError):
-            dram.charge_write(4096, clock, offset=-1)
-        with pytest.raises(OutOfRangeError):
-            dram.charge_read(128 * 1024, clock)
-        assert dram.stats.snapshot() == before
-        assert clock.now == now
-
-    def test_stats_totals_equal_per_call_sums(self):
-        dram = DRAM(1 * MB)
-        spec = dram.spec
-        clock = SimClock()
-        reads = writes = bytes_read = bytes_written = 0
-        busy = energy = 0.0
-        # More distinct sizes than the device ever cached results for.
-        sizes = self.SIZES + tuple(range(100, 100 + 3 * 64))
-        for i in range(2 * len(sizes)):
-            nbytes = sizes[i % len(sizes)]
-            before = clock.now
-            if i % 3:
-                dram.charge_read(nbytes, clock, offset=i)
-                latency = spec.read_overhead_s + spec.read_per_byte_s * nbytes
-                power = spec.active_read_power_w
-                reads += 1
-                bytes_read += nbytes
-            else:
-                dram.charge_write(nbytes, clock, offset=i)
-                latency = spec.write_overhead_s + spec.write_per_byte_s * nbytes
-                power = spec.active_write_power_w
-                writes += 1
-                bytes_written += nbytes
-            # The clock advanced by exactly this charge's latency.
-            assert clock.now == before + latency
-            busy += latency
-            energy += power * latency
-        stats = dram.stats
-        assert (stats.reads, stats.writes) == (reads, writes)
-        assert (stats.bytes_read, stats.bytes_written) == (bytes_read, bytes_written)
-        assert stats.busy_time == busy
-        assert stats.energy_joules == energy
-        assert stats.wait_time == 0.0

@@ -14,11 +14,12 @@ from repro.devices.errors import PowerCutError, ProgramFailedError
 from repro.faults.ecc import ECC_BYTES, ecc_check, ecc_encode
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.faults.torture import TortureConfig, run_torture
+from repro.obs import Tracer, runtime
 from repro.sim import SimClock
 from repro.sim.engine import Engine
 from repro.storage import FlashStore, StorageReadOnlyError
 from repro.storage.allocator import OutOfFlashSpace, SectorState
-from repro.storage.flashstore import pack_summary, unpack_summary
+from repro.storage.flashstore import CorruptBlockError, pack_summary, unpack_summary
 
 from tests._storage import build_manager
 
@@ -177,6 +178,22 @@ class TestScrubOnRead:
         assert store.location_of("k") != loc
         assert store.read_block("k") == payload
         assert store.stats.counter("ecc_corrected").value == 1
+
+    def test_two_flips_in_one_codeword_raise_uncorrectable(self):
+        tracer = Tracer()
+        with runtime.tracing(tracer):
+            flash, clock, store = make_store(ecc=True)
+        assert store.self_describing
+        store.write_block("k", bytes(range(256)) * 8)
+        base = store.location_of("k").absolute(store.allocator.sector_bytes)
+        flash.fault_flip_bit(base + 37, 2)
+        flash.fault_flip_bit(base + 1000, 5)
+        with pytest.raises(CorruptBlockError):
+            store.read_block("k")
+        assert store.stats.counter("ecc_uncorrectable").value == 1
+        assert store.stats.counter("scrub_rewrites").value == 0
+        ecc = [record for record in tracer.records if record[2] == "ecc"]
+        assert [(record[1], record[5]) for record in ecc] == [("flashstore", "uncorrectable")]
 
     def test_ecc_survives_recovery(self):
         flash, clock, store = make_store(ecc=True)

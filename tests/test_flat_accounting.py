@@ -1,15 +1,13 @@
-"""The flattened accounting path behaves exactly like the layered one.
+"""DRAM's checks, the clock, and the one device access form.
 
-DRAM's charges and ``DRAM._access`` inline their power check, range
-check and stats update, and ``SimClock.now`` is a plain attribute rather
-than a property.  These tests pin that nothing observable changed: the
-same exceptions, the same ``DeviceStats`` bits, the same clock checks and
-no writer of ``now`` outside the clock itself.  Every DRAM, flash and
-disk access takes the caller's clock and advances it itself
-(``tests/test_prop_dram_charge.py``, ``tests/test_prop_flash_banks.py``
-and ``tests/test_prop_disk_access.py`` pin their numbers), so no caller
-may hand a device a bare ``now`` or advance a clock by what an access
-returned.
+DRAM's entry points check power before range, and a failed check
+charges nothing and leaves the clock alone.  ``SimClock.now`` is a plain
+attribute that only the clock's own checked methods write.  Every DRAM,
+flash and disk access takes the caller's clock and advances it itself
+(the property tests check each device's numbers against its model in
+``tests/_reference.py``), so no caller may hand a device a bare ``now``
+or advance a clock by what an access returned: one AST guard,
+``_clock_misuse``, scans ``src/`` for both.
 """
 
 from __future__ import annotations
@@ -24,7 +22,6 @@ from repro.devices import DRAM
 from repro.devices.base import DeviceStats
 from repro.devices.errors import OutOfRangeError, PowerLossError
 from repro.sim import SimClock
-from tests._access_result import AccessResult, record_read, record_write
 
 KB = 1024
 
@@ -43,24 +40,6 @@ def _accesses(dram: DRAM, clock: SimClock):
 
 
 ENTRIES = ["charge_read", "charge_write", "read", "read_view", "write"]
-
-
-def _timed(dram: DRAM, kind: str, nbytes: int, offset: int) -> AccessResult:
-    """One access as an AccessResult: the latency a fresh clock advanced
-    by, and the energy the spec's power gives for it."""
-    clock = SimClock()
-    if kind == "charge_read":
-        assert dram.charge_read(nbytes, clock, offset) is None
-    elif kind == "charge_write":
-        assert dram.charge_write(nbytes, clock, offset) is None
-    elif kind == "write":
-        assert dram.write(offset, bytes(nbytes), clock) == (clock.now, 0.0)
-    else:
-        assert getattr(dram, kind)(offset, nbytes, clock)[1:] == (clock.now, 0.0)
-    write = kind in ("charge_write", "write")
-    spec = dram.spec
-    power = spec.active_write_power_w if write else spec.active_read_power_w
-    return AccessResult(latency=clock.now, energy=power * clock.now)
 
 
 class TestDRAMChecks:
@@ -91,27 +70,6 @@ class TestDRAMChecks:
             dram.charge_write(16, SimClock(), 64 * KB)
 
 
-class TestDRAMStats:
-    def test_stats_bit_equal_to_record_calls(self):
-        dram = DRAM(1024 * KB)
-        reference = DeviceStats()
-        # Many distinct sizes, each charged and moved several times.
-        sizes = [(i * 37) % 4096 + 1 for i in range(3 * 64)]
-        for i, nbytes in enumerate(sizes + sizes[::-1]):
-            offset = (i * 4099) % (1024 * KB - nbytes)
-            kind = ENTRIES[i % 5]
-            record = record_write if kind in ("charge_write", "write") else record_read
-            record(reference, nbytes, _timed(dram, kind, nbytes, offset))
-        got, want = dram.stats.snapshot(), reference.snapshot()
-        assert got.keys() == want.keys()
-        for key in want:
-            assert type(got[key]) is type(want[key]), key
-            if isinstance(want[key], float):
-                assert got[key].hex() == want[key].hex(), key
-            else:
-                assert got[key] == want[key], key
-
-
 class TestClock:
     def test_negative_advance_raises(self):
         clock = SimClock()
@@ -126,27 +84,20 @@ class TestClock:
 
     def test_no_module_but_the_clock_assigns_now(self):
         writers = []
-        for root, _dirs, files in os.walk(SRC):
-            for name in files:
-                if not name.endswith(".py"):
+        for rel, tree in _source_trees():
+            if rel == "sim/clock.py":
+                continue
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                    targets = [node.target]
+                else:
                     continue
-                path = os.path.join(root, name)
-                rel = os.path.relpath(path, SRC).replace(os.sep, "/")
-                if rel == "sim/clock.py":
-                    continue
-                with open(path, encoding="utf-8") as fh:
-                    tree = ast.parse(fh.read(), filename=path)
-                for node in ast.walk(tree):
-                    if isinstance(node, ast.Assign):
-                        targets = node.targets
-                    elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
-                        targets = [node.target]
-                    else:
-                        continue
-                    for target in targets:
-                        for sub in ast.walk(target):
-                            if isinstance(sub, ast.Attribute) and sub.attr == "now":
-                                writers.append(f"{rel}:{node.lineno}")
+                for target in targets:
+                    for sub in ast.walk(target):
+                        if isinstance(sub, ast.Attribute) and sub.attr == "now":
+                            writers.append(f"{rel}:{node.lineno}")
         assert writers == []
 
     def test_clock_assigns_now_only_in_its_checked_methods(self):
@@ -170,10 +121,6 @@ _DEVICE_ONLY = ("program", "erase_sector", "read_view", "charge_read", "charge_w
 #: access when the receiver names a device.
 _DEVICE_SHARED = ("read", "write", "charge_read", "charge_write")
 _DEVICE_NAMES = ("dram", "flash", "disk", "device")
-#: The DRAM and flash halves of the guard: the entry points only that
-#: device has, and the receiver names that make a shared entry point its.
-_DRAM = (("read_view",), ("dram",))
-_FLASH = (("program", "erase_sector"), ("flash",))
 
 
 def _dotted(node: ast.AST) -> str:
@@ -184,14 +131,14 @@ def _dotted(node: ast.AST) -> str:
     return ""
 
 
-def _is_access(node: ast.AST, only=_DEVICE_ONLY, names=_DEVICE_NAMES) -> bool:
+def _is_access(node: ast.AST) -> bool:
     if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)):
         return False
     attr = node.func.attr
-    if attr in only:
+    if attr in _DEVICE_ONLY:
         return True
     receiver = _dotted(node.func.value).lower()
-    return attr in _DEVICE_SHARED and any(name in receiver for name in names)
+    return attr in _DEVICE_SHARED and any(name in receiver for name in _DEVICE_NAMES)
 
 
 def _scope_nodes(scope: ast.AST):
@@ -204,15 +151,10 @@ def _scope_nodes(scope: ast.AST):
             stack.extend(ast.iter_child_nodes(node))
 
 
-def _clock_misuse(tree: ast.AST, only=_DEVICE_ONLY, names=_DEVICE_NAMES):
+def _clock_misuse(tree: ast.AST):
     """Lines that pass a device access a bare ``<...>.now``, or that
     advance a clock by what a device access returned (directly, or
-    through a name bound from it in the same function).  ``only`` and
-    ``names`` narrow the accesses to one device's (``_DRAM``, ``_FLASH``)."""
-
-    def is_access(node):
-        return _is_access(node, only, names)
-
+    through a name bound from it in the same function)."""
     lines = []
     scopes = [tree] + [
         n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))
@@ -220,11 +162,11 @@ def _clock_misuse(tree: ast.AST, only=_DEVICE_ONLY, names=_DEVICE_NAMES):
     for scope in scopes:
         bound = set()
         for node in _scope_nodes(scope):
-            if isinstance(node, ast.Assign) and any(is_access(sub) for sub in ast.walk(node.value)):
+            if isinstance(node, ast.Assign) and any(_is_access(sub) for sub in ast.walk(node.value)):
                 for target in node.targets:
                     bound |= {n.id for n in ast.walk(target) if isinstance(n, ast.Name)}
         for node in _scope_nodes(scope):
-            if is_access(node) and any(
+            if _is_access(node) and any(
                 isinstance(arg, ast.Attribute) and arg.attr == "now"
                 for arg in list(node.args) + [k.value for k in node.keywords]
             ):
@@ -235,7 +177,7 @@ def _clock_misuse(tree: ast.AST, only=_DEVICE_ONLY, names=_DEVICE_NAMES):
                 and node.func.attr == "advance"
             ):
                 for sub in (s for arg in node.args for s in ast.walk(arg)):
-                    if is_access(sub) or (isinstance(sub, ast.Name) and sub.id in bound):
+                    if _is_access(sub) or (isinstance(sub, ast.Name) and sub.id in bound):
                         lines.append(node.lineno)
                         break
     return sorted(set(lines))
@@ -256,54 +198,8 @@ def _source_trees():
     return tuple(trees)
 
 
-def _offenders(only=_DEVICE_ONLY, names=_DEVICE_NAMES):
-    return [
-        f"{rel}:{line}" for rel, tree in _source_trees() for line in _clock_misuse(tree, only, names)
-    ]
-
-
-class TestDRAMChargeForm:
-    """A DRAM access advances the clock itself: the one way to charge DRAM
-    is ``dram.charge_read(nbytes, clock)``."""
-
-    def test_guard_flags_the_two_step_form(self):
-        tree = ast.parse(
-            "clock.advance(dram.charge_read(64, clock.now).latency)\n"
-            "self.clock.advance(self.dram.charge_write(n, self.clock.now, 8).latency)\n"
-            "dram.charge_read(64, clock)\n"
-            "self.clock.advance(self.dram.read_view(0, 4, now=self.clock.now)[1].latency)\n"
-            "data, result = self.dram.read(0, 4, self.clock.now)\n"
-            "flash.program(0, data, clock.now)\n"
-        )
-        assert _clock_misuse(tree, *_DRAM) == [1, 2, 4, 5]
-
-    def test_no_module_advances_a_clock_by_a_charge_result(self):
-        assert _offenders(*_DRAM) == []
-
-
-class TestFlashAccessForm:
-    """A flash access advances the clock itself: the one way to access
-    flash is ``flash.program(offset, data, clock)``."""
-
-    def test_guard_flags_the_two_step_forms(self):
-        tree = ast.parse(
-            "clock.advance(flash.program(0, data, clock.now).latency)\n"
-            "def f(self):\n"
-            "    result = self.flash.erase_sector(3, self.clock.now)\n"
-            "    self.clock.advance(result.latency)\n"
-            "def g(flash, clock):\n"
-            "    latency, wait = flash.program(0, data, clock)\n"
-            "    clock.advance(latency)\n"
-            "def h(self):\n"
-            "    data, latency, wait = self.flash.read(0, 4, self.clock)\n"
-            "    self.flash.program(0, data, self.clock)\n"
-            "    data, result = self.disk.read(0, 4, self.clock.now)\n"
-            "    self.clock.advance(result.latency)\n"
-        )
-        assert _clock_misuse(tree, *_FLASH) == [1, 3, 4, 7]
-
-    def test_no_module_times_a_flash_access_itself(self):
-        assert _offenders(*_FLASH) == []
+def _offenders():
+    return [f"{rel}:{line}" for rel, tree in _source_trees() for line in _clock_misuse(tree)]
 
 
 class TestDeviceAccessForm:
@@ -336,8 +232,10 @@ class TestDeviceAccessForm:
             "self.stats.histogram('lat').record(latency)\n"
             "clock.advance(self.cache.read(lba).latency)\n"
             "fs.write(path, 0, data, now=self.clock.now)\n"
+            "data, result = self.dram.read(0, 4, self.clock.now)\n"
+            "flash.program(0, data, clock.now)\n"
         )
-        assert _clock_misuse(tree) == [1, 3, 4, 7, 11, 12, 14, 15, 16, 17, 18]
+        assert _clock_misuse(tree) == [1, 3, 4, 7, 11, 12, 14, 15, 16, 17, 18, 25, 26]
 
     def test_no_module_times_a_device_access_itself(self):
         assert _offenders() == []

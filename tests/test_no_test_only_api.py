@@ -17,6 +17,10 @@ class calls its own.  One such method stays on purpose:
 ``ReplayReport.snapshot`` has no caller in the program, but
 ``tests/test_equivalence.py`` hashes its output into the stored report
 digests, so deleting it would move them.
+
+The tests keep one model of each device, in ``tests/_reference.py``: a
+class anywhere else under ``tests/`` that subclasses a device is a copy
+of one, and fails :func:`test_no_device_copy_outside_the_reference_module`.
 """
 
 from __future__ import annotations
@@ -39,11 +43,12 @@ ALLOWED = {
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 
-def _python_files(root):
+def _python_files(root, program_only=True):
     for folder, dirs, files in os.walk(root):
         dirs[:] = sorted(d for d in dirs if d not in ("__pycache__", "out"))
         for name in sorted(files):
-            if name.endswith(".py") and not name.startswith("test_") and name != "conftest.py":
+            test = name.startswith("test_") or name == "conftest.py"
+            if name.endswith(".py") and not (program_only and test):
                 yield os.path.join(folder, name)
 
 
@@ -152,3 +157,37 @@ def test_scan_flags_an_uncalled_method(tmp_path):
     _write(root, "examples/demo.py", "from pkg import helper\nhelper()\ngetattr(object, 'by_name')\n")
     _write(root, "examples/test_demo.py", "from pkg.mod import Box\nBox().reset()\n")
     assert uncalled(root) == ["pkg.mod:Box.planted", "pkg.mod:Box.reset"]
+
+
+#: What a device model subclasses; only ``tests/_reference.py`` may.
+DEVICE_BASES = ("DRAM", "FlashMemory", "MagneticDisk", "StorageDevice")
+
+
+def device_copies(tests_dir):
+    """``file:Class`` for each class under ``tests_dir``, outside
+    ``_reference.py``, that subclasses one of :data:`DEVICE_BASES`."""
+    found = []
+    for path in _python_files(tests_dir, program_only=False):
+        rel = os.path.relpath(path, tests_dir)
+        if rel == "_reference.py":
+            continue
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read(), filename=path)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and any(
+                getattr(base, "id", getattr(base, "attr", None)) in DEVICE_BASES
+                for base in node.bases
+            ):
+                found.append(f"{rel}:{node.name}")
+    return found
+
+
+def test_no_device_copy_outside_the_reference_module():
+    assert device_copies(os.path.join(REPO, "tests")) == []
+
+
+def test_scan_flags_a_device_copy(tmp_path):
+    root = str(tmp_path)
+    _write(root, "_reference.py", "class DRAMModel(StorageDevice):\n    pass\n")
+    _write(root, "test_x.py", "class Old(devices.FlashMemory):\n    pass\nclass Log(Base):\n    pass\n")
+    assert device_copies(root) == ["test_x.py:Old"]

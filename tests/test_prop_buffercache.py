@@ -6,9 +6,8 @@ bump counters directly.  None of that may move a number, so the cache
 is driven side by side with a verbatim copy of the version before those
 changes, on a cache of a few blocks (misses, clean and dirty evictions
 and flushes all happen), with and without a client context and with
-and without DRAM.  The copy reaches DRAM through a shim that gives it
-the charge API it was written against (a charge returns a result whose
-latency the caller advances the clock by).  After every step both must
+and without DRAM; its DRAM charges take the clock, as every device
+access now does.  After every step both must
 agree on the returned bytes or raised error, the LRU order, the dirty
 map, the order of device reads and writes, every cache counter
 (per-client ones included), DRAM and disk ``DeviceStats``, and the
@@ -80,10 +79,9 @@ class _ReferenceCache:
         if self.dram is None:
             return
         if write:
-            result = self.dram.charge_write(nbytes, self.clock.now)
+            self.dram.charge_write(nbytes, self.clock)
         else:
-            result = self.dram.charge_read(nbytes, self.clock.now)
-        self.clock.advance(result.latency)
+            self.dram.charge_read(nbytes, self.clock)
 
     # ------------------------------------------------------------------
     # Core cache operations.
@@ -108,8 +106,7 @@ class _ReferenceCache:
                 self.stats.counter(f"client{client}_hits").add(1)
             dram = self.dram
             if dram is not None:
-                clock = self.clock
-                clock.advance(dram.charge_read(self.device.block_size, clock.now).latency)
+                dram.charge_read(self.device.block_size, self.clock)
             return block
         self._misses.add(1)
         if client is not None:
@@ -214,35 +211,6 @@ class _ReferenceCache:
         }
 
 
-class _ChargeAt:
-    """A clock stand-in at ``now`` that keeps the delta it is advanced by."""
-
-    def __init__(self, now: float) -> None:
-        self.now = now
-        self.latency = None
-
-    def advance(self, delta: float) -> None:
-        self.latency = delta
-
-
-class _TwoStepDRAM:
-    """DRAM as the reference cache charged it: ``charge_*(nbytes, now)``
-    returns a result whose ``latency`` the caller advances its clock by."""
-
-    def __init__(self, dram: DRAM) -> None:
-        self.dram = dram
-
-    def charge_read(self, nbytes: int, now: float, offset: int = 0) -> _ChargeAt:
-        charge = _ChargeAt(now)
-        self.dram.charge_read(nbytes, charge, offset)
-        return charge
-
-    def charge_write(self, nbytes: int, now: float, offset: int = 0) -> _ChargeAt:
-        charge = _ChargeAt(now)
-        self.dram.charge_write(nbytes, charge, offset)
-        return charge
-
-
 class _LoggingDevice(DiskBlockDevice):
     """A disk block device that logs every block read and write."""
 
@@ -265,10 +233,7 @@ class _Stack:
         self.disk = MagneticDisk(MB)
         self.device = _LoggingDevice(self.disk, self.clock)
         self.dram = DRAM(MB) if with_dram else None
-        dram = self.dram
-        if dram is not None and cache_cls is _ReferenceCache:
-            dram = _TwoStepDRAM(dram)
-        self.cache = cache_cls(self.device, self.clock, capacity, dram=dram)
+        self.cache = cache_cls(self.device, self.clock, capacity, dram=self.dram)
 
     def apply(self, op):
         kind, lba, arg, client = op

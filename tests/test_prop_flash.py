@@ -2,19 +2,24 @@
 
 Invariants:
 
-- data programmed into erased bytes always reads back exactly;
-- programming non-erased bytes always raises, never corrupts silently;
+- ``FlashMemory`` on 4 KB sectors in 2 banks agrees bit for bit with
+  :class:`tests._reference.FlashModel` on any program / erase / read
+  sequence (see :func:`tests._reference.compare`): data programmed into
+  erased bytes reads back exactly, programming non-erased bytes raises
+  and changes nothing, and the erased state reads 0xFF;
 - erase counts are conserved (sum of per-sector counts == total);
-- the erased state reads 0xFF everywhere no live data was programmed.
+- a busy bank never stalls a read of another bank.
 """
 
 from hypothesis import given, settings, strategies as st
 
 import dataclasses
 
-from repro.devices import FlashMemory, WriteBeforeEraseError
+from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
+from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
+from tests._reference import FlashModel, compare, payload
 
 KB = 1024
 
@@ -25,77 +30,28 @@ CAPACITY = 64 * KB  # 16 sectors of 4 KB
 SECTORS = CAPACITY // (4 * KB)
 
 
-def ranges(draw_len=st.integers(1, 1500)):
-    return st.tuples(st.integers(0, CAPACITY - 1500), draw_len)
-
-
 @st.composite
 def op_sequences(draw):
     ops = []
     for _ in range(draw(st.integers(1, 40))):
-        kind = draw(st.sampled_from(["program", "erase", "read"]))
-        if kind == "erase":
-            ops.append(("erase", draw(st.integers(0, SECTORS - 1)), b""))
+        kind = draw(st.sampled_from(["program", "erase_sector", "read"]))
+        if kind == "erase_sector":
+            ops.append((kind, draw(st.integers(0, SECTORS - 1)), 0))
         else:
-            offset, length = draw(ranges())
-            payload = bytes([draw(st.integers(0, 254))]) * length
-            ops.append((kind, offset, payload))
+            ops.append((kind, draw(st.integers(0, CAPACITY - 1500)), draw(st.integers(1, 1500))))
     return ops
-
-
-class ReferenceFlash:
-    """A trivially correct model: bytearray + per-byte programmed flags."""
-
-    def __init__(self):
-        self.data = bytearray(b"\xff" * CAPACITY)
-        self.programmed = bytearray(CAPACITY)
-
-    def program(self, offset, payload):
-        if any(self.programmed[offset : offset + len(payload)]):
-            raise WriteBeforeEraseError("ref", offset, len(payload))
-        self.data[offset : offset + len(payload)] = payload
-        for i in range(offset, offset + len(payload)):
-            self.programmed[i] = 1
-
-    def erase(self, sector):
-        start = sector * 4 * KB
-        end = start + 4 * KB
-        self.data[start:end] = b"\xff" * (4 * KB)
-        self.programmed[start:end] = bytes(4 * KB)
-
-    def read(self, offset, length):
-        return bytes(self.data[offset : offset + length])
 
 
 @given(op_sequences())
 @settings(max_examples=60, deadline=None)
 def test_flash_matches_reference_model(ops):
     flash = FlashMemory(CAPACITY, spec=FLASH_4K, banks=2)
-    ref = ReferenceFlash()
-    t = 0.0
-    for kind, arg, payload in ops:
-        t += 1.0
-        if kind == "program":
-            try:
-                ref.program(arg, payload)
-                ref_ok = True
-            except WriteBeforeEraseError:
-                ref_ok = False
-            if ref_ok:
-                flash.program(arg, payload, SimClock(t))
-            else:
-                try:
-                    flash.program(arg, payload, SimClock(t))
-                    raise AssertionError("model allowed write-before-erase")
-                except WriteBeforeEraseError:
-                    pass
-        elif kind == "erase":
-            ref.erase(arg)
-            flash.erase_sector(arg, SimClock(t))
-        else:
-            expected = ref.read(arg, len(payload))
-            got, _, _ = flash.read(arg, len(payload), SimClock(t))
-            assert got == expected
+    ref = FlashModel(CAPACITY, spec=FLASH_4K, banks=2)
+    flash.tracer, ref.tracer = Tracer(), Tracer()
+    for i, op in enumerate(ops):
+        t = float(i + 1)
+        data = payload(op[1], op[2]) if op[0] == "program" else b""
+        compare(flash, ref, op, (SimClock(t), SimClock(t)), data)
 
 
 @given(

@@ -7,25 +7,26 @@
   copied verbatim below, for any write sequence: repeated timestamps,
   and gaps of several half-lives.
 - ``FlashMemory``'s per-sector programmed-interval bookkeeping finds the
-  intervals that matter by bisection.  It must match the original
-  scan-and-re-sort bookkeeping, copied verbatim below, on any program /
-  torn-program / erase sequence: in-order appends, tail writes growing
-  down, gaps, programs across the sector boundary, and overlaps that
-  must raise :class:`WriteBeforeEraseError`.
+  intervals that matter by bisection.  Its intervals must be the maximal
+  runs of :class:`tests._reference.FlashModel`'s per-byte programmed
+  flags, and the whole device must agree with that reference bit for
+  bit, on any program / torn-program / erase sequence: in-order
+  appends, tail writes growing down, gaps, programs across the sector
+  boundary, and overlaps that must raise ``WriteBeforeEraseError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import math
-from typing import List, Tuple
-
 from hypothesis import given, settings, strategies as st
 
-from repro.devices import FlashMemory, WriteBeforeEraseError
+from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
+from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
 from repro.storage.migration import HotColdTracker
+from tests._reference import FlashModel, compare, payload
 
 KB = 1024
 
@@ -115,36 +116,6 @@ FLASH_4K = dataclasses.replace(
 )
 
 
-class _ReferenceSector:
-    """The original interval bookkeeping of ``_SectorState``, verbatim."""
-
-    def __init__(self) -> None:
-        self.programmed: List[Tuple[int, int]] = []
-
-    def is_erased(self, start: int, end: int) -> bool:
-        return all(end <= lo or start >= hi for lo, hi in self.programmed)
-
-    def mark_programmed(self, start: int, end: int) -> None:
-        intervals = self.programmed + [(start, end)]
-        intervals.sort()
-        merged: List[Tuple[int, int]] = []
-        for lo, hi in intervals:
-            if merged and lo <= merged[-1][1]:
-                merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-            else:
-                merged.append((lo, hi))
-        self.programmed = merged
-
-
-def _split(offset: int, end: int):
-    """(sector, sector-relative start, end) pieces of ``[offset, end)``."""
-    while offset < end:
-        sector, start = divmod(offset, SECTOR)
-        stop = min(end, (sector + 1) * SECTOR)
-        yield sector, start, stop - sector * SECTOR
-        offset = stop
-
-
 #: Abstract ops on a two-sector device, placed against a sector's head
 #: and tail pointers when run: "append" programs at the head (plus a
 #: small gap), "tail" programs the slot below the tail, "at" programs
@@ -171,17 +142,15 @@ device_ops = st.lists(
 
 @given(device_ops)
 @settings(max_examples=300, deadline=None)
-def test_interval_bookkeeping_matches_the_original(ops):
+def test_interval_bookkeeping_matches_the_reference(ops):
     flash = FlashMemory(2 * SECTOR, spec=FLASH_4K, banks=1)
-    states = flash._sectors
-    references = [_ReferenceSector(), _ReferenceSector()]
+    reference = FlashModel(2 * SECTOR, spec=FLASH_4K, banks=1)
+    flash.tracer, reference.tracer = Tracer(), Tracer()
     heads, tails = [0, 0], [SECTOR, SECTOR]
-    now = 0.0
-    for kind, sector, a, b in ops:
-        now += 1.0
+    for step, (kind, sector, a, b) in enumerate(ops, 1):
+        clocks = SimClock(float(step)), SimClock(float(step))
         if kind == "erase":
-            flash.erase_sector(sector, SimClock(now))
-            references[sector].programmed = []
+            compare(flash, reference, ("erase_sector", sector, 0), clocks)
             heads[sector], tails[sector] = 0, SECTOR
             continue
         if kind == "append":
@@ -194,30 +163,14 @@ def test_interval_bookkeeping_matches_the_original(ops):
                 continue
         else:
             start, end = a, min(2 * SECTOR, a + b)
-        pieces = list(_split(start, end))
-        data = bytes([0x5A]) * (end - start)
-        if kind == "torn":
-            flash.fault_apply_torn_program(start, data, 0)
-        elif all(references[s].is_erased(lo, hi) for s, lo, hi in pieces):
-            assert all(states[s].is_erased(lo, hi) for s, lo, hi in pieces)
-            flash.program(start, data, SimClock(now))
-        else:
-            assert not all(states[s].is_erased(lo, hi) for s, lo, hi in pieces)
-            try:
-                flash.program(start, data, SimClock(now))
-            except WriteBeforeEraseError:
-                pieces = []
-            else:
-                raise AssertionError(f"programmed over [{start}, {end})")
-        for s, lo, hi in pieces:
-            references[s].mark_programmed(lo, hi)
+        op = ("torn_program" if kind == "torn" else "program", start, end - start)
+        compare(flash, reference, op, clocks, payload(start, end - start))
         if kind == "append":
             heads[sector] = end - sector * SECTOR
         elif kind == "tail":
             tails[sector] = start - sector * SECTOR
-        for state, reference in zip(states, references):
-            assert state.programmed == reference.programmed
-    for state, reference in zip(states, references):
+    for sector, state in enumerate(flash._sectors):
+        base = sector * SECTOR
         for lo in range(0, SECTOR, 256):
             for hi in (lo, lo + 1, lo + 256):
-                assert state.is_erased(lo, hi) == reference.is_erased(lo, hi)
+                assert state.is_erased(lo, hi) == reference.is_erased(base + lo, base + hi)
