@@ -21,7 +21,7 @@ Subpackages:
 - :mod:`repro.devices`  -- DRAM, flash, disk, battery models (1993 catalog)
 - :mod:`repro.mem`      -- single-level store, VM, XIP, mmap/COW
 - :mod:`repro.fs`       -- memory-resident FS, conventional FS, FTLs
-- :mod:`repro.storage`  -- write buffer, flash log, GC, wear, banks
+- :mod:`repro.storage`  -- write buffer, flash log, GC, wear leveling
 - :mod:`repro.trace`    -- synthetic workloads and replay
 - :mod:`repro.power`    -- energy accounting
 - :mod:`repro.trends`   -- 1993 technology-trend extrapolation

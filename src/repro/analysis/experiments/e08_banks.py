@@ -35,7 +35,7 @@ READ_BYTES = 4096
 
 def _run_case(
     banks: int,
-    write_banks: int,
+    churn_banks: int,
     duration_s: float,
     write_rate: float,
     read_rate: float,
@@ -43,10 +43,10 @@ def _run_case(
 ) -> dict:
     """One configuration; returns read-latency statistics."""
     flash = FlashMemory(8 * MB, spec=FLASH_PAPER_NOMINAL, banks=banks)
-    rng = substream(seed, f"e8:{banks}:{write_banks}")
+    rng = substream(seed, f"e8:{banks}:{churn_banks}")
 
-    write_sectors = list(range(write_banks * flash.sectors_per_bank))
-    read_sector_base = write_banks * flash.sectors_per_bank
+    write_sectors = list(range(churn_banks * flash.sectors_per_bank))
+    read_sector_base = churn_banks * flash.sectors_per_bank
     if read_sector_base >= flash.num_sectors:
         # Unpartitioned: reads hit the same sectors the churn uses.
         read_sectors = list(range(flash.num_sectors))
@@ -104,8 +104,8 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     ]
     rows = []
     by_case = {}
-    for label, banks, write_banks in cases:
-        out = _run_case(banks, write_banks, duration, write_rate, read_rate, seed)
+    for label, banks, churn_banks in cases:
+        out = _run_case(banks, churn_banks, duration, write_rate, read_rate, seed)
         rows.append(
             [
                 label,

@@ -40,11 +40,11 @@ def _churn(store: FlashStore, writes: int, seed: int, cold_blocks: int, hot_bloc
     """Pin cold data, then hammer a small hot set."""
     rng = substream(seed, "e9")
     for i in range(cold_blocks):
-        store.write_block(("cold", i), bytes([i & 0xFF]) * BLOCK, hot=False)
+        store.write_block(("cold", i), bytes([i & 0xFF]) * BLOCK)
         store.clock.advance(0.05)
     for i in range(writes):
         key = ("hot", rng.zipf_index(hot_blocks, 1.2))
-        store.write_block(key, bytes([i & 0xFF]) * BLOCK, hot=True)
+        store.write_block(key, bytes([i & 0xFF]) * BLOCK)
         store.clock.advance(0.1)  # ~10 hot writes per second
 
 

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.devices.catalog import (
     DISK_HP_KITTYHAWK,
@@ -33,7 +32,7 @@ class Organization(enum.Enum):
     """The storage organizations experiment E12 compares."""
 
     #: The paper's proposal: memory-resident FS, DRAM write buffer,
-    #: log-structured flash with cleaning/wear-leveling/banks.
+    #: log-structured flash with cleaning and wear leveling.
     SOLID_STATE = "solid_state"
     #: Conventional: block FS + buffer cache on a magnetic disk.
     DISK = "disk"
@@ -59,7 +58,6 @@ class SystemConfig:
     program_flash_bytes: int = 2 * MB  # XIP program area (own chip)
 
     # Flash policies.
-    write_banks: Optional[int] = None  # None => unpartitioned
     wear_policy: WearPolicy = WearPolicy.DYNAMIC
 
     # Storage manager.
@@ -94,8 +92,6 @@ class SystemConfig:
                 f"DRAM too small: {self.dram_bytes} bytes cannot hold "
                 f"{reserved} bytes of buffer/cache/reserve"
             )
-        if self.write_banks is not None and not 1 <= self.write_banks <= FLASH_BANKS:
-            raise ValueError(f"write_banks outside [1, {FLASH_BANKS}]")
 
     def _dram_consumers(self) -> int:
         if self.organization in (Organization.SOLID_STATE, Organization.NAIVE_FLASH):

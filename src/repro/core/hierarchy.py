@@ -59,7 +59,6 @@ from repro.power.energy import PowerModel
 from repro.sim.engine import Engine
 from repro.sim.rand import substream
 from repro.sim.stats import StatRegistry
-from repro.storage.banks import BankPartition
 from repro.storage.compression import BlockCompressor
 from repro.storage.flashstore import FlashStore, StoreMode
 from repro.storage.manager import StorageManager
@@ -214,17 +213,11 @@ class MobileComputer:
         config = self.config
         assert self.flash is not None
         solid = config.organization is Organization.SOLID_STATE
-        partition = (
-            BankPartition(self.flash, config.write_banks)
-            if (solid and config.write_banks is not None)
-            else BankPartition.unpartitioned(self.flash)
-        )
         self.store = (FlashStore.recover if recover else FlashStore)(
             self.flash,
             self.clock,
             mode=StoreMode.LOGGING if solid else StoreMode.IN_PLACE,
             wear=config.wear_policy,
-            partition=partition,
         )
         buffer = WriteBuffer(
             config.write_buffer_bytes if solid else 0,
@@ -237,10 +230,7 @@ class MobileComputer:
             if (solid and config.compress_flash)
             else None
         )
-        self.manager = StorageManager(
-            self.clock, self.store, buffer, dram=self.dram,
-            compressor=compressor,
-        )
+        self.manager = StorageManager(self.clock, self.store, buffer, compressor=compressor)
         if solid:
             self.manager.attach_flush_timer(self.engine, config.flush_interval_s)
         report = None

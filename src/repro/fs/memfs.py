@@ -398,9 +398,9 @@ class MemoryFileSystem(FileSystem):
                 for i in range(0, len(blob), CHECKPOINT_CHUNK_BYTES)
             ] or [b"{}"]
             for i, chunk in enumerate(chunks):
-                self.manager.store.write_block(("meta", gen, i), chunk, hot=False)
+                self.manager.store.write_block(("meta", gen, i), chunk)
             root = json.dumps({"generation": gen, "chunks": len(chunks)}).encode()
-            self.manager.store.write_block(CHECKPOINT_ROOT_KEY, root, hot=False)
+            self.manager.store.write_block(CHECKPOINT_ROOT_KEY, root)
             # The previous generation's chunks are now garbage.
             for i in range(self._prev_checkpoint_chunks):
                 old = ("meta", gen - 1, i)

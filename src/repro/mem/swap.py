@@ -119,8 +119,7 @@ class FlashSwap(SwapBackend):
             raise ValueError("swap operates on whole pages")
         handle = self._next
         self._next += 1
-        # Swapped pages are write-once-read-once churn: hot placement.
-        self.store.write_block(("swap", handle), data, hot=True)
+        self.store.write_block(("swap", handle), data)
         self._held[handle] = True
         self.stats.counter("pages_out").add(1)
         return handle

@@ -9,9 +9,10 @@ bundled software is shipped in removable memory cards and executed in
 place."
 
 :class:`ProgramStore` keeps program images in a dedicated *direct-mapped*
-flash area (the read-mostly bank in a partitioned device): images are
-written once at install time and never moved, so their physical
-addresses are stable enough to map into address spaces.
+flash area on its own chip, apart from the data flash the storage
+manager churns: images are written once at install time and never
+moved, so their physical addresses are stable enough to map into
+address spaces.
 
 :func:`launch_xip` maps code pages straight from flash (cost: page-table
 setup only).  :func:`launch_load` is the conventional path: copy every

@@ -9,26 +9,23 @@ system / VM and the raw devices:
   static) that "evenly balance the write load throughout flash memory".
 - :mod:`repro.storage.gc` -- garbage-collection policies "like those used
   in log-structured file systems" (greedy and LFS cost-benefit).
-- :mod:`repro.storage.banks` -- partitioning flash into read-mostly and
-  write banks so reads stay fast during slow erase/write cycles.
 - :mod:`repro.storage.flashstore` -- the log-structured block store that
-  ties allocation, cleaning, wear and banks together and hides
-  erase-before-write behind out-of-place updates.
+  ties allocation, cleaning and wear together over one pool of all the
+  device's banks and hides erase-before-write behind out-of-place
+  updates.
 - :mod:`repro.storage.writebuffer` -- the battery-backed DRAM write
-  buffer that absorbs overwrites and short-lived data (claim E3).
-- :mod:`repro.storage.migration` -- hot/cold tracking that keeps
-  frequently written data in DRAM and read-mostly data in flash.
+  buffer that absorbs overwrites and short-lived data (claim E3); it
+  evicts the least-recently-written block first, so frequently written
+  data stays in DRAM.
 - :mod:`repro.storage.manager` -- the :class:`StorageManager` facade the
   file system talks to.
 """
 
 from repro.storage.allocator import Location, OutOfFlashSpace, SectorAllocator, SectorState
-from repro.storage.banks import BankPartition
 from repro.storage.compression import BlockCompressor, CompressionSpec
 from repro.storage.flashstore import CorruptBlockError, FlashStore, StoreMode
 from repro.storage.gc import CleaningPolicy
 from repro.storage.manager import StorageManager, StorageReadOnlyError
-from repro.storage.migration import HotColdTracker
 from repro.storage.wear import WearPolicy
 from repro.storage.writebuffer import FlushReason, WriteBuffer
 
@@ -37,7 +34,6 @@ __all__ = [
     "SectorAllocator",
     "SectorState",
     "OutOfFlashSpace",
-    "BankPartition",
     "BlockCompressor",
     "CompressionSpec",
     "FlashStore",
@@ -48,6 +44,5 @@ __all__ = [
     "WearPolicy",
     "WriteBuffer",
     "FlushReason",
-    "HotColdTracker",
     "StorageManager",
 ]

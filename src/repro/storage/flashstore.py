@@ -9,9 +9,11 @@ a simple keyed-block API -- ``write_block`` / ``read_block`` /
 - runs the **cleaner** (:mod:`repro.storage.gc`) when erased sectors run
   low, relocating live blocks and erasing victims;
 - applies a **wear policy** (:mod:`repro.storage.wear`) when opening
-  sectors, including static rotation of cold data;
-- respects a **bank partition** (:mod:`repro.storage.banks`) so hot data
-  churns in the write pool while read-mostly data sits in quiet banks.
+  sectors, including static rotation of cold data.
+
+All of the device's banks form one pool with one open sector; the
+paper's read-mostly bank partition is measured on the raw device by
+experiment E8.
 
 ``StoreMode.IN_PLACE`` is the deliberately naive baseline the paper
 implies one must *not* build: every logical block lives at a fixed flash
@@ -40,8 +42,7 @@ from repro.obs import runtime as obs_runtime
 from repro.sim import sched
 from repro.sim.clock import SimClock
 from repro.sim.stats import StatHandle, StatRegistry
-from repro.storage.allocator import Location, OutOfFlashSpace, SectorAllocator, SectorState
-from repro.storage.banks import BankPartition
+from repro.storage.allocator import Location, OutOfFlashSpace, SectorAllocator
 from repro.storage.gc import CleaningPolicy, CleaningStats, choose_victim
 from repro.storage.wear import WearPolicy, choose_erased_sector, static_rotation_victim
 
@@ -58,6 +59,10 @@ class StoreMode(enum.Enum):
     LOGGING = "logging"
     IN_PLACE = "in_place"
 
+
+#: Linear backoff step between retries of a transiently failed program
+#: or erase: the n-th retry waits n times this long.
+PROGRAM_RETRY_BACKOFF_S = 1e-4
 
 #: Payloads of exactly this size are kept aligned so their flash pages
 #: can be mapped directly into address spaces (see repro.mem.mmap).
@@ -180,41 +185,40 @@ class FlashStore:
         mode: StoreMode = StoreMode.LOGGING,
         cleaning: CleaningPolicy = CleaningPolicy.COST_BENEFIT,
         wear: WearPolicy = WearPolicy.DYNAMIC,
-        partition: Optional[BankPartition] = None,
         free_target_sectors: int = 4,
         wear_gap_threshold: int = 16,
         in_place_slot_bytes: int = 4096,
-        self_describing: bool = True,
         ecc: bool = False,
         program_retry_limit: int = 4,
-        program_retry_backoff_s: float = 1e-4,
     ) -> None:
-        """``self_describing`` (logging mode) writes an LFS-style summary
-        entry per block at the sector tail, making the log recoverable
-        after total power loss (see :meth:`recover`); it costs
-        ``SUMMARY_BYTES`` of flash per block.
+        """Logging mode is self-describing: it writes an LFS-style
+        summary entry per block at the sector tail, making the log
+        recoverable after total power loss (see :meth:`recover`); it
+        costs ``SUMMARY_BYTES`` of flash per block.
 
-        ``ecc`` (logging + self-describing mode) additionally embeds a
-        single-error-correcting codeword per block in its summary entry
-        (NAND OOB style): reads verify, correct one flipped bit, and
+        ``ecc`` (logging mode) additionally embeds a single-error-
+        correcting codeword per block in its summary entry (NAND OOB
+        style): reads verify, correct one flipped bit, and
         scrub the block back to flash; worse corruption raises
         :class:`CorruptBlockError` instead of returning garbage.
 
         Transient program/erase failures are retried up to
-        ``program_retry_limit`` times with linear backoff; exhausted or
+        ``program_retry_limit`` times with linear backoff
+        (:data:`PROGRAM_RETRY_BACKOFF_S`); exhausted or
         permanent failures retire the sector (bad-block remapping)."""
         self.flash = flash
         self.clock = clock
         self.mode = mode
         self.cleaning = cleaning
         self.wear = wear
-        self.partition = partition or BankPartition.unpartitioned(flash)
+        # Every bank: the one pool each allocator, wear and GC call
+        # chooses sectors from.
+        self._banks: List[int] = list(range(flash.num_banks))
         self.free_target_sectors = max(2, free_target_sectors)
         self.wear_gap_threshold = wear_gap_threshold
-        self.self_describing = self_describing and mode is StoreMode.LOGGING
+        self.self_describing = mode is StoreMode.LOGGING
         self.ecc = ecc and self.self_describing
         self.program_retry_limit = max(0, program_retry_limit)
-        self.program_retry_backoff_s = program_retry_backoff_s
         # Largest block one erase sector holds (beside its summary slot).
         self._max_payload = flash.sector_bytes - (SUMMARY_BYTES if self.self_describing else 0)
         # key -> ECC codeword for the current version of each block.
@@ -237,8 +241,8 @@ class FlashStore:
         # outcomes emit trace records when set.
         self.tracer = obs_runtime.get_tracer()
         self._index: Dict[Hashable, Location] = {}
-        # Pool name -> currently open sector (logging mode).
-        self._open: Dict[str, Optional[int]] = {"write": None, "read_mostly": None}
+        # The sector appends currently go to (logging mode).
+        self._open: Optional[int] = None
         # In-place mode: key -> (sector, slot).
         if in_place_slot_bytes > flash.sector_bytes:
             raise ValueError("in-place slot larger than erase sector")
@@ -258,11 +262,6 @@ class FlashStore:
     # ------------------------------------------------------------------
     # Helpers.
     # ------------------------------------------------------------------
-
-    def _pool_banks(self, pool: str) -> List[int]:
-        if pool == "write" or not self.partition.partitioned:
-            return self.partition.write_pool
-        return self.partition.read_mostly_pool
 
     def _do_read(self, offset: int, nbytes: int) -> bytes:
         data, latency, wait = self.flash.read(offset, nbytes, self.clock)
@@ -294,7 +293,7 @@ class FlashStore:
                 raise err
             attempt += 1
             self.stats.counter("program_retries").add(1)
-            self.clock.advance(self.program_retry_backoff_s * attempt)
+            self.clock.advance(PROGRAM_RETRY_BACKOFF_S * attempt)
             try:
                 self.flash.program(offset, data, self.clock)
                 return
@@ -312,7 +311,7 @@ class FlashStore:
                     raise
                 attempt += 1
                 self.stats.counter("erase_retries").add(1)
-                self.clock.advance(self.program_retry_backoff_s * attempt)
+                self.clock.advance(PROGRAM_RETRY_BACKOFF_S * attempt)
         self.stats.counter("erases").add(1)
 
     # ------------------------------------------------------------------
@@ -335,7 +334,7 @@ class FlashStore:
             return list(self._in_place_lengths)
         return list(self._index)
 
-    def write_block(self, key: Hashable, data: bytes, hot: bool = True) -> None:
+    def write_block(self, key: Hashable, data: bytes) -> None:
         """Store ``data`` under ``key``, replacing any previous version."""
         nbytes = len(data)
         if not nbytes:
@@ -351,7 +350,7 @@ class FlashStore:
         if in_place:
             self._write_in_place(key, data)
         else:
-            self._write_logging(key, data, hot)
+            self._write_logging(key, data)
         if self.tracer is not None:
             # Logical store write with its destination bank: the
             # denominator of per-bank write amplification (the matching
@@ -410,7 +409,7 @@ class FlashStore:
             )
         if scrub:
             self.stats.counter("scrub_rewrites").add(1)
-            self._write_logging(key, fixed, hot=False)
+            self._write_logging(key, fixed)
         return fixed
 
     def delete_block(self, key: Hashable) -> None:
@@ -477,14 +476,13 @@ class FlashStore:
             self._ecc[key] = code
         return loc
 
-    def _write_logging(self, key: Hashable, data: bytes, hot: bool) -> None:
-        pool = "read_mostly" if not hot and self.partition.partitioned else "write"
+    def _write_logging(self, key: Hashable, data: bytes) -> None:
         length = len(data)
         align = PAGE_ALIGN if length % PAGE_ALIGN == 0 else 1  # _align_for, inline
         while True:
-            sector = self._open[pool]
+            sector = self._open
             if sector is None or not self.allocator.fits(sector, length, align):
-                sector = self._ensure_open_sector(pool, length)
+                sector = self._ensure_open_sector(length)
             # Look the old location up *after* ensuring space: cleaning may
             # have relocated this very key while making room.
             old = self._index.get(key)
@@ -497,24 +495,24 @@ class FlashStore:
                 # loop terminates because each retirement permanently
                 # removes a sector (OutOfFlashSpace fires when none are
                 # left).
-                self._evacuate_and_retire(sector, pool)
+                self._evacuate_and_retire(sector)
         self._index[key] = loc
         if old is not None:
             self.allocator.invalidate(old)
         if self.wear is WearPolicy.STATIC:
-            self._maybe_static_rotate(pool)
+            self._maybe_static_rotate()
 
-    def _ensure_open_sector(self, pool: str, length: int) -> int:
-        """Open a fresh sector for ``pool`` once its open sector (if any)
-        has no room for ``length`` bytes: seal that one, reclaim space if
-        it runs low, and take an erased sector."""
-        open_sector = self._open[pool]
+    def _ensure_open_sector(self, length: int) -> int:
+        """Open a fresh sector once the open sector (if any) has no room
+        for ``length`` bytes: seal that one, reclaim space if it runs
+        low, and take an erased sector."""
+        open_sector = self._open
         if open_sector is not None:
             self.allocator.seal(open_sector, self.clock.now)
-            self._open[pool] = None
-        self._reclaim_if_low(pool)
-        sector = self._take_erased(pool, length)
-        self._open[pool] = sector
+            self._open = None
+        self._reclaim_if_low()
+        sector = self._take_erased(length)
+        self._open = sector
         return sector
 
     def _space_error(self, detail: str, requested: Optional[int] = None) -> OutOfFlashSpace:
@@ -538,10 +536,8 @@ class FlashStore:
         """
         return 2 if self.flash.num_sectors >= 16 else 1
 
-    def _take_erased(self, pool: str, length: Optional[int] = None) -> int:
-        banks = self._pool_banks(pool)
-        free_everywhere = self.allocator.free_sector_count()
-        if free_everywhere <= self.gc_reserve_sectors:
+    def _take_erased(self, length: Optional[int] = None) -> int:
+        if self.allocator.free_sector_count() <= self.gc_reserve_sectors:
             # Try to claw space back before touching the reserve.
             self.cleaning_stats.forced_cleanings += 1
             cleaned = 0
@@ -549,48 +545,42 @@ class FlashStore:
                 self.allocator.free_sector_count() <= self.gc_reserve_sectors
                 and cleaned < 8
             ):
-                if not self._clean_one(pool):
+                if not self._clean_one():
                     break
                 cleaned += 1
             if self.allocator.free_sector_count() <= self.gc_reserve_sectors:
                 raise self._space_error(
-                    f"pool {pool!r}: device effectively full "
-                    f"(reserve={self.gc_reserve_sectors} sectors held for cleaning)",
+                    f"device effectively full (reserve={self.gc_reserve_sectors} "
+                    "sectors held for cleaning)",
                     requested=length,
                 )
-        sector = choose_erased_sector(self.allocator, banks, self.wear)
+        sector = choose_erased_sector(self.allocator, self._banks, self.wear)
         if sector is None:
             # Forced cleaning: recover space synchronously on the write path.
             self.cleaning_stats.forced_cleanings += 1
-            if not self._clean_one(pool):
+            if not self._clean_one():
                 raise self._space_error(
-                    f"pool {pool!r}: no erased sectors and nothing to clean",
-                    requested=length,
+                    "no erased sectors and nothing to clean", requested=length
                 )
-            sector = choose_erased_sector(self.allocator, banks, self.wear)
+            sector = choose_erased_sector(self.allocator, self._banks, self.wear)
             if sector is None:
-                raise self._space_error(
-                    f"pool {pool!r}: cleaning recovered no sector", requested=length
-                )
+                raise self._space_error("cleaning recovered no sector", requested=length)
         self.allocator.take_erased(sector)
         return sector
 
-    def _reclaim_if_low(self, pool: str) -> None:
-        # An unpartitioned pool is the whole device, whose count is kept.
-        banks = self._pool_banks(pool) if self.partition.partitioned else None
+    def _reclaim_if_low(self) -> None:
         cleaned = 0
         while (
-            self.allocator.free_sector_count(banks) < self.free_target_sectors
+            self.allocator.free_sector_count() < self.free_target_sectors
             and cleaned < 2 * self.free_target_sectors
         ):
-            if not self._clean_one(pool):
+            if not self._clean_one():
                 break
             cleaned += 1
 
-    def _clean_one(self, pool: str) -> bool:
-        """Clean one victim sector in ``pool``; True if one was cleaned."""
-        banks = self._pool_banks(pool)
-        exclude = {s for s in self._open.values() if s is not None}
+    def _clean_one(self) -> bool:
+        """Clean one victim sector; True if one was cleaned."""
+        exclude = None if self._open is None else {self._open}
         # Emergency mode: when only the reserve is left, forward progress
         # matters more than policy -- greedy (most dead bytes) maximizes
         # the space each precious erase recovers.  Above the reserve the
@@ -599,19 +589,13 @@ class FlashStore:
         policy = self.cleaning
         if self.allocator.free_sector_count() <= self.gc_reserve_sectors:
             policy = CleaningPolicy.GREEDY
-        victim = choose_victim(self.allocator, policy, self.clock.now, banks, exclude)
-        if victim is None and banks != self.partition.all_banks():
-            # Nothing cleanable in this pool: look device-wide before
-            # giving up (the other pool's garbage is still garbage).
-            victim = choose_victim(
-                self.allocator, policy, self.clock.now, None, exclude
-            )
+        victim = choose_victim(self.allocator, policy, self.clock.now, self._banks, exclude)
         if victim is None:
             return False
-        self._relocate_and_erase(victim, pool)
+        self._relocate_and_erase(victim)
         return True
 
-    def _relocate_live_blocks(self, victim: int, pool: str) -> Optional[int]:
+    def _relocate_live_blocks(self, victim: int) -> Optional[int]:
         """Move every live block out of ``victim``; returns the last
         destination sector used (None if the victim held nothing live).
 
@@ -629,7 +613,7 @@ class FlashStore:
             data = self._do_read(absolute, length)
             if self.ecc:
                 data = self._verify_block(key, data, scrub=False)
-            new_loc = self._place_relocated(pool, key, data, forbidden=victim)
+            new_loc = self._place_relocated(key, data, forbidden=victim)
             old_loc = Location(victim, offset, length)
             self.allocator.invalidate(old_loc)
             self._index[key] = new_loc
@@ -649,25 +633,22 @@ class FlashStore:
             )
         return dest_used
 
-    def _place_relocated(
-        self, pool: str, key: Hashable, data: bytes, forbidden: int
-    ) -> Location:
+    def _place_relocated(self, key: Hashable, data: bytes, forbidden: int) -> Location:
         """Append a relocated block somewhere outside ``forbidden``,
         retiring any destination whose medium refuses the program."""
         while True:
-            dest = self._ensure_open_sector_for_gc(pool, len(data), forbidden)
+            dest = self._ensure_open_sector_for_gc(len(data), forbidden)
             try:
                 return self._append_and_program(dest, key, data, self._align_for(len(data)))
             except ProgramFailedError:
-                self._evacuate_and_retire(dest, pool)
+                self._evacuate_and_retire(dest)
 
-    def _evacuate_and_retire(self, victim: int, pool: str) -> None:
+    def _evacuate_and_retire(self, victim: int) -> None:
         """A permanent program failure hit ``victim``: move its live
         blocks elsewhere, then retire it into the bad-block remap table."""
-        for p, open_sector in self._open.items():
-            if open_sector == victim:
-                self._open[p] = None
-        dest_used = self._relocate_live_blocks(victim, pool)
+        if self._open == victim:
+            self._open = None
+        dest_used = self._relocate_live_blocks(victim)
         self.allocator.retire(victim, remapped_to=dest_used)
         self.stats.counter("sectors_retired").add(1)
         if self.tracer is not None:
@@ -676,13 +657,13 @@ class FlashStore:
                 detail={"sector": victim},
             )
 
-    def _relocate_and_erase(self, victim: int, pool: str) -> None:
+    def _relocate_and_erase(self, victim: int) -> None:
         info = self.allocator.info(victim)
         reclaimed = info.dead_bytes
         # The GC pause this clean imposes: sim time from the first
         # relocation read through the erase (emitted as event latency).
         t0 = self.clock.now
-        self._relocate_live_blocks(victim, pool)
+        self._relocate_live_blocks(victim)
         try:
             self._do_erase(victim)
         except EraseFailedError:
@@ -706,46 +687,36 @@ class FlashStore:
                 outcome="cleaned", detail={"sector": victim},
             )
 
-    def _ensure_open_sector_for_gc(self, pool: str, length: int, forbidden: int) -> int:
+    def _ensure_open_sector_for_gc(self, length: int, forbidden: int) -> int:
         """Open-sector logic for the cleaner itself.
 
         Must not recurse into cleaning (we are mid-clean) and must not
         pick the victim being cleaned.
         """
-        open_sector = self._open[pool]
+        open_sector = self._open
         if open_sector is not None and open_sector != forbidden:
             if self.allocator.fits(open_sector, length, self._align_for(length)):
                 return open_sector
             self.allocator.seal(open_sector, self.clock.now)
-            self._open[pool] = None
-        banks = self._pool_banks(pool)
-        least_worn = self.wear is not WearPolicy.NONE
-        forbidden_set = frozenset((forbidden,))
-        sector = self.allocator.peek_erased(banks, least_worn, exclude=forbidden_set)
-        if sector is None:
-            # Fall back to any erased sector on the device: relocating
-            # across the partition beats failing the cleaner.
-            sector = self.allocator.peek_erased(
-                self.partition.all_banks(), least_worn, exclude=forbidden_set
-            )
+            self._open = None
+        sector = self.allocator.peek_erased(
+            self._banks, self.wear is not WearPolicy.NONE, exclude=frozenset((forbidden,))
+        )
         if sector is None:
             raise self._space_error(
                 "cleaner found no erased sector for live data", requested=length
             )
         self.allocator.take_erased(sector)
-        self._open[pool] = sector
+        self._open = sector
         return sector
 
-    def _maybe_static_rotate(self, pool: str) -> None:
+    def _maybe_static_rotate(self) -> None:
         """Under the STATIC wear policy, rotate cold data off the least
         worn sector once the wear gap grows too wide."""
-        banks = self._pool_banks(pool)
-        victim = static_rotation_victim(self.allocator, banks, self.wear_gap_threshold)
-        if victim is not None and victim not in {
-            s for s in self._open.values() if s is not None
-        }:
+        victim = static_rotation_victim(self.allocator, self._banks, self.wear_gap_threshold)
+        if victim is not None and victim != self._open:
             self.stats.counter("static_rotations").add(1)
-            self._relocate_and_erase(victim, pool)
+            self._relocate_and_erase(victim)
 
     # ------------------------------------------------------------------
     # In-place (naive) mode.
@@ -825,7 +796,6 @@ class FlashStore:
         may resurrect; layers with authoritative metadata (the
         memory-resident FS checkpoint) prune them afterwards.
         """
-        store_kwargs.setdefault("self_describing", True)
         store = cls(flash, clock, **store_kwargs)
         if not store.self_describing:
             raise ValueError("recovery requires a self-describing store")

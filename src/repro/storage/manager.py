@@ -1,9 +1,8 @@
 """The physical storage manager facade (paper Section 3.3).
 
 `StorageManager` is what the file system actually talks to.  It wires
-together the DRAM write buffer, the hot/cold tracker, and the
-log-structured flash store, implementing the data path the paper
-describes:
+together the DRAM write buffer and the log-structured flash store,
+implementing the data path the paper describes:
 
     write  -> battery-backed DRAM buffer -> (age/watermark) -> flash log
     read   -> buffer hit, else direct flash read (uniform access)
@@ -19,7 +18,6 @@ from __future__ import annotations
 
 from typing import Hashable, List, Optional
 
-from repro.devices.dram import DRAM
 from repro.obs import runtime as obs_runtime
 from repro.sim import sched
 from repro.sim.clock import SimClock
@@ -28,7 +26,6 @@ from repro.sim.stats import StatHandle, StatRegistry
 from repro.storage.allocator import OutOfFlashSpace
 from repro.storage.compression import BlockCompressor
 from repro.storage.flashstore import FlashStore
-from repro.storage.migration import HotColdTracker
 from repro.storage.writebuffer import FlushItem, FlushReason, WriteBuffer
 
 
@@ -47,7 +44,7 @@ class StorageReadOnlyError(Exception):
 
 
 class StorageManager:
-    """Migration + buffering layer between the FS and the flash store."""
+    """Buffering layer between the FS and the flash store."""
 
     _user_bytes_written = StatHandle(StatRegistry.counter, "user_bytes_written")
 
@@ -56,8 +53,6 @@ class StorageManager:
         clock: SimClock,
         flash_store: FlashStore,
         write_buffer: WriteBuffer,
-        tracker: Optional[HotColdTracker] = None,
-        dram: Optional[DRAM] = None,
         compressor: Optional[BlockCompressor] = None,
     ) -> None:
         """``compressor`` (optional) compresses blocks on the
@@ -65,8 +60,6 @@ class StorageManager:
         self.clock = clock
         self.store = flash_store
         self.buffer = write_buffer
-        self.tracker = tracker or HotColdTracker()
-        self.dram = dram
         self.compressor = compressor
         self.stats = StatRegistry("storage-manager")
         # Optional repro.obs.Tracer (the one active at construction);
@@ -116,13 +109,11 @@ class StorageManager:
     def write_block(self, key: Hashable, data: bytes) -> None:
         if self.read_only:
             raise StorageReadOnlyError(self.read_only_reason or "degraded")
-        # The tracker classifies the key as of this write.
-        hot = self.tracker.record_write(key, self.clock.now)
         self._user_bytes_written.value += len(data)
         client = sched._current_client
         if client is not None:
             self.stats.counter(f"client{client}_bytes_written").add(len(data))
-        items = self.buffer.put(key, data, hot=hot)
+        items = self.buffer.put(key, data)
         self._persist_items(items)
 
     def read_block(self, key: Hashable) -> bytes:
@@ -140,7 +131,6 @@ class StorageManager:
             self.stats.counter("bytes_died_in_buffer").add(saved)
         if self.store.contains(key):
             self.store.delete_block(key)
-        self.tracker.forget(key)
 
     def sync(self) -> int:
         """Flush everything dirty to flash; returns blocks written."""
@@ -154,9 +144,7 @@ class StorageManager:
         for item in items:
             # first_write rides along so the re-buffered block keeps its
             # original age clock (see WriteBuffer.restore).
-            self.buffer.restore(
-                item.key, item.data, item.hot, first_write=item.first_write
-            )
+            self.buffer.restore(item.key, item.data, first_write=item.first_write)
 
     def _persist_items(self, items: List[FlushItem]) -> None:
         if not items:
@@ -171,14 +159,11 @@ class StorageManager:
         self._in_flight = self._in_flight + list(items)
         while self._in_flight:
             item = self._in_flight[0]
-            # Re-classify at flush time: data that cooled off while
-            # buffered belongs in the read-mostly banks.
-            hot = self.tracker.is_hot(item.key, self.clock.now)
             data = item.data
             if self.compressor is not None:
                 data = self.compressor.encode(data)
             try:
-                self.store.write_block(item.key, data, hot=hot)
+                self.store.write_block(item.key, data)
             except OutOfFlashSpace:
                 # Cleaning cannot recover enough erased space: re-buffer
                 # everything unpersisted and degrade to read-only rather

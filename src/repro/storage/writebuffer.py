@@ -62,7 +62,6 @@ class FlushItem:
     data: bytes
     reason: FlushReason
     age_s: float
-    hot: bool
     first_write: float = 0.0
 
 
@@ -72,7 +71,6 @@ class _Entry:
     first_write: float
     last_write: float
     writes: int
-    hot: bool
 
 
 class WriteBuffer:
@@ -127,7 +125,7 @@ class WriteBuffer:
     # own map, so no ghost buffer is allocated to model them.
     # ------------------------------------------------------------------
 
-    def put(self, key: Hashable, data: bytes, hot: bool = True) -> List[FlushItem]:
+    def put(self, key: Hashable, data: bytes) -> List[FlushItem]:
         """Buffer a block write; returns entries evicted to make room.
 
         With a zero-capacity buffer (the "no buffer" baseline) the block
@@ -153,7 +151,7 @@ class WriteBuffer:
                     "writebuffer", "put", now, len(data), outcome="writethrough",
                     detail={"client": client} if client is not None else None,
                 )
-            return [FlushItem(key, data, FlushReason.WATERMARK, 0.0, hot, now)]
+            return [FlushItem(key, data, FlushReason.WATERMARK, 0.0, now)]
 
         existing = self._entries.pop(key, None)
         if existing is not None:
@@ -165,10 +163,9 @@ class WriteBuffer:
                 first_write=existing.first_write,
                 last_write=now,
                 writes=existing.writes + 1,
-                hot=hot or existing.hot,
             )
         else:
-            entry = _Entry(data=data, first_write=now, last_write=now, writes=1, hot=hot)
+            entry = _Entry(data=data, first_write=now, last_write=now, writes=1)
         self._entries[key] = entry  # most-recently-written at the end
         self._bytes += len(data)
         self._track_occupancy()
@@ -193,7 +190,6 @@ class WriteBuffer:
         self,
         key: Hashable,
         data: bytes,
-        hot: bool = True,
         first_write: Optional[float] = None,
     ) -> None:
         """Put a flush item *back* after a failed persist (graceful
@@ -211,9 +207,7 @@ class WriteBuffer:
             return  # overwritten while the flush was in flight
         now = self.clock.now
         origin = now if first_write is None else min(first_write, now)
-        self._entries[key] = _Entry(
-            data=data, first_write=origin, last_write=now, writes=1, hot=hot
-        )
+        self._entries[key] = _Entry(data=data, first_write=origin, last_write=now, writes=1)
         self._bytes += len(data)
         if self.tracer is not None:
             self.tracer.emit("writebuffer", "restore", now, len(data))
@@ -273,7 +267,6 @@ class WriteBuffer:
             data=entry.data,
             reason=reason,
             age_s=self.clock.now - entry.first_write,
-            hot=entry.hot,
             first_write=entry.first_write,
         )
 

@@ -13,4 +13,4 @@ def build_manager(clock, flash, dram=None, buffer_bytes=1 << 20, compressor=None
     """``store_kwargs`` go to the :class:`FlashStore`."""
     store = FlashStore(flash, clock, **store_kwargs)
     buffer = WriteBuffer(buffer_bytes, clock, dram=dram)
-    return StorageManager(clock, store, buffer, dram=dram, compressor=compressor)
+    return StorageManager(clock, store, buffer, compressor=compressor)

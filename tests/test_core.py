@@ -27,11 +27,6 @@ class TestSystemConfig:
         with pytest.raises(ValueError):
             config.validate()
 
-    def test_write_banks_bounds(self):
-        config = SystemConfig(write_banks=5)
-        with pytest.raises(ValueError):
-            config.validate()
-
     def test_storage_budget(self):
         solid = SystemConfig(organization=Organization.SOLID_STATE)
         disk = SystemConfig(organization=Organization.DISK)

@@ -3,7 +3,8 @@
 Covers the ECC codec, the deterministic injector, transient-failure
 retry, bad-block retirement, scrub-on-read, the storage manager's
 graceful degradation to read-only mode, in-flight data accounting at
-power loss, and the torture harness's CLI smoke run.
+power loss, and the torture harness: its CLI smoke run and how it
+reports a block that recovery cannot correct.
 """
 
 import pytest
@@ -13,6 +14,7 @@ from repro.devices import FlashMemory
 from repro.devices.errors import PowerCutError, ProgramFailedError
 from repro.faults.ecc import ECC_BYTES, ecc_check, ecc_encode
 from repro.faults.injector import FaultInjector, FaultPlan
+from repro.faults import torture
 from repro.faults.torture import TortureConfig, run_torture
 from repro.obs import Tracer, runtime
 from repro.sim import SimClock
@@ -338,3 +340,34 @@ class TestTortureSmoke:
     def test_cli_rejects_bad_stride(self, capsys):
         assert main(["torture", "--every", "0"]) == 2
         assert "cut_every" in capsys.readouterr().err
+
+    def test_uncorrectable_block_after_recovery_is_a_violation(self, monkeypatch):
+        stores = []
+
+        class TwoFlipsAfterRecovery(FlashStore):
+            """Keeps every store built; the first recovery then flips two
+            bits in one codeword of the lowest key the live store holds."""
+
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                stores.append(self)
+
+            @classmethod
+            def recover(cls, flash, clock, **kwargs):
+                recovered = super().recover(flash, clock, **kwargs)
+                if len(stores) == 2:
+                    key = min(stores[0].keys())
+                    loc = recovered.location_of(key)
+                    base = loc.absolute(recovered.allocator.sector_bytes)
+                    flash.fault_flip_bit(base + 37, 2)
+                    flash.fault_flip_bit(base + loc.length - 1, 5)
+                return recovered
+
+        monkeypatch.setattr(torture, "FlashStore", TwoFlipsAfterRecovery)
+        violations, cut, *_ = torture._flashstore_run(TortureConfig(ops=60, keys=6), None)
+        assert not cut
+        key = min(stores[0].keys())[1]
+        # Every block the live store holds was acknowledged (no cut, no
+        # delete left it behind), so the read raises inside the check.
+        assert f"[no-cut] acknowledged block {key} uncorrectable after recovery" in violations
+        assert f"[no-cut] rescan hit uncorrectable block {key}" in violations

@@ -94,8 +94,7 @@ class TestRelocationUpkeep:
         key = handle.block_key(0)
         old_loc = machine.store.location_of(key)
         # Force a relocation of this exact block by cleaning its sector.
-        pool = "write"
-        machine.store._relocate_and_erase(old_loc.sector, pool)
+        machine.store._relocate_and_erase(old_loc.sector)
         new_loc = machine.store.location_of(key)
         assert (new_loc.sector, new_loc.offset) != (old_loc.sector, old_loc.offset)
         # The mapping must still read correct data at the new location.
@@ -111,7 +110,7 @@ class TestRelocationUpkeep:
         machine.vm.write(space, mapping.vaddr, b"MINE")  # promote page 0
         key = handle.block_key(0)
         old_loc = machine.store.location_of(key)
-        machine.store._relocate_and_erase(old_loc.sector, "write")
+        machine.store._relocate_and_erase(old_loc.sector)
         # Private DRAM copy is untouched by the flash move.
         assert machine.vm.read(space, mapping.vaddr, 4) == b"MINE"
 

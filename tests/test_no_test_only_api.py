@@ -18,6 +18,10 @@ class calls its own.  One such method stays on purpose:
 ``tests/test_equivalence.py`` hashes its output into the stored report
 digests, so deleting it would move them.
 
+Every field of ``SystemConfig`` is a knob some program call turns: a
+field that no ``SystemConfig(...)`` call in the program directories
+passes as a keyword fails :func:`test_every_config_field_is_set_by_a_program_call`.
+
 The tests keep one model of each device, in ``tests/_reference.py``: a
 class anywhere else under ``tests/`` that subclasses a device is a copy
 of one, and fails :func:`test_no_device_copy_outside_the_reference_module`.
@@ -95,21 +99,26 @@ def _definitions(tree, module, prefix=""):
                 yield from _definitions(node, module, f"{prefix}{node.name}.")
 
 
+def _program_trees(repo):
+    """``(directory, path, tree)`` for each program file under ``repo``."""
+    for directory in PROGRAM_DIRS:
+        for path in _python_files(os.path.join(repo, directory)):
+            with open(path, encoding="utf-8") as fh:
+                yield directory, path, ast.parse(fh.read(), filename=path)
+
+
 def uncalled(repo):
     """Qualified names of the definitions under ``repo/src`` that nothing
     in the program directories uses."""
     used = set()
     defined = []
-    for directory in PROGRAM_DIRS:
-        for path in _python_files(os.path.join(repo, directory)):
-            with open(path, encoding="utf-8") as fh:
-                tree = ast.parse(fh.read(), filename=path)
-            _collect_uses(tree, used)
-            if directory == "src":
-                rel = os.path.relpath(path, os.path.join(repo, "src"))
-                module = rel[: -len(".py")].replace(os.sep, ".")
-                module = module[: -len(".__init__")] if module.endswith(".__init__") else module
-                defined.extend(_definitions(tree, module))
+    for directory, path, tree in _program_trees(repo):
+        _collect_uses(tree, used)
+        if directory == "src":
+            rel = os.path.relpath(path, os.path.join(repo, "src"))
+            module = rel[: -len(".py")].replace(os.sep, ".")
+            module = module[: -len(".__init__")] if module.endswith(".__init__") else module
+            defined.extend(_definitions(tree, module))
     return sorted(
         qualname
         for qualname, name in defined
@@ -157,6 +166,49 @@ def test_scan_flags_an_uncalled_method(tmp_path):
     _write(root, "examples/demo.py", "from pkg import helper\nhelper()\ngetattr(object, 'by_name')\n")
     _write(root, "examples/test_demo.py", "from pkg.mod import Box\nBox().reset()\n")
     assert uncalled(root) == ["pkg.mod:Box.planted", "pkg.mod:Box.reset"]
+
+
+def unset_config_fields(repo):
+    """Fields of the ``SystemConfig`` class under ``repo/src`` that no
+    ``SystemConfig(...)`` call in the program directories sets."""
+    fields = set()
+    keywords = set()
+    for directory, _path, tree in _program_trees(repo):
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "SystemConfig":
+                if directory == "src":
+                    fields.update(
+                        stmt.target.id
+                        for stmt in node.body
+                        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+                    )
+            elif isinstance(node, ast.Call):
+                func = node.func
+                if getattr(func, "id", getattr(func, "attr", None)) == "SystemConfig":
+                    keywords.update(k.arg for k in node.keywords)
+    return sorted(fields - keywords)
+
+
+def test_every_config_field_is_set_by_a_program_call():
+    assert unset_config_fields(REPO) == [], (
+        "no program call sets these SystemConfig fields; delete the knob"
+    )
+
+
+def test_scan_flags_an_unset_config_field(tmp_path):
+    root = str(tmp_path)
+    _write(root, "src/pkg/config.py", (
+        "@dataclass(frozen=True)\n"
+        "class SystemConfig:\n"
+        "    seed: int = 0\n"
+        "    size: int = 1\n"
+        "    planted: int = 2\n"
+        "    def validate(self):\n"
+        "        return SystemConfig(size=self.size)\n"
+    ))
+    _write(root, "examples/demo.py", "from pkg import config\nconfig.SystemConfig(seed=1)\n")
+    _write(root, "examples/test_demo.py", "from pkg.config import SystemConfig\nSystemConfig(planted=3)\n")
+    assert unset_config_fields(root) == ["planted"]
 
 
 #: What a device model subclasses; only ``tests/_reference.py`` may.

@@ -249,7 +249,7 @@ class TestRestoreAgeClock:
         clock.advance(20.0)
         item = buf.flush_all(FlushReason.SYNC)[0]
         # Persist failed; the block comes home with its original clock.
-        buf.restore(item.key, item.data, item.hot, first_write=item.first_write)
+        buf.restore(item.key, item.data, first_write=item.first_write)
         clock.advance(10.0)  # dirty for 30s total since the first write
         aged = buf.flush_aged()
         # Old bug: restore() stamped first_write=now (t=20), so at t=30
@@ -278,8 +278,7 @@ class TestRestoreAgeClock:
         store = FlashStore(flash, clock)
         buf = WriteBuffer(4096, clock, age_limit_s=30.0)
         manager = StorageManager(clock, store, buf)
-        item = FlushItem("k", b"y" * 16, FlushReason.SYNC, 12.0, True,
-                         first_write=3.0)
+        item = FlushItem("k", b"y" * 16, FlushReason.SYNC, 12.0, first_write=3.0)
         clock.advance(15.0)
         manager._restore_items([item])
         assert buf._entries["k"].first_write == 3.0
@@ -386,8 +385,7 @@ class TestAbsorptionConservation:
                 unrestored.extend(buf.flush_all())
             elif op == "restore" and unrestored:
                 item = unrestored.pop()
-                buf.restore(item.key, item.data, item.hot,
-                            first_write=item.first_write)
+                buf.restore(item.key, item.data, first_write=item.first_write)
             elif op == "power":
                 buf.power_loss()
         c = buf.stats.counter

@@ -1,115 +1,26 @@
-"""Property tests for two host-side shortcuts that must not move a number.
+"""Property test for a host-side shortcut that must not move a number.
 
-- ``HotColdTracker.record_write`` returns the key's classification at the
-  write's own timestamp, which ``StorageManager.write_block`` uses instead
-  of asking ``is_hot`` again; ``is_hot`` computes the decayed score in
-  one frame.  Both must agree with the original score/classify chain,
-  copied verbatim below, for any write sequence: repeated timestamps,
-  and gaps of several half-lives.
-- ``FlashMemory``'s per-sector programmed-interval bookkeeping finds the
-  intervals that matter by bisection.  Its intervals must be the maximal
-  runs of :class:`tests._reference.FlashModel`'s per-byte programmed
-  flags, and the whole device must agree with that reference bit for
-  bit, on any program / torn-program / erase sequence: in-order
-  appends, tail writes growing down, gaps, programs across the sector
-  boundary, and overlaps that must raise ``WriteBeforeEraseError``.
+``FlashMemory``'s per-sector programmed-interval bookkeeping finds the
+intervals that matter by bisection.  Its intervals must be the maximal
+runs of :class:`tests._reference.FlashModel`'s per-byte programmed
+flags, and the whole device must agree with that reference bit for bit,
+on any program / torn-program / erase sequence: in-order appends, tail
+writes growing down, gaps, programs across the sector boundary, and
+overlaps that must raise ``WriteBeforeEraseError``.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import math
 from hypothesis import given, settings, strategies as st
 
 from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.obs.tracer import Tracer
 from repro.sim.clock import SimClock
-from repro.storage.migration import HotColdTracker
 from tests._reference import FlashModel, compare, payload
 
 KB = 1024
-
-
-# ----------------------------------------------------------------------
-# Hot/cold classification.
-# ----------------------------------------------------------------------
-
-
-class _ReferenceTracker:
-    """The tracker's original record/score/classify chain, verbatim."""
-
-    def __init__(self, half_life_s: float, hot_threshold: float) -> None:
-        self.half_life_s = half_life_s
-        self.hot_threshold = hot_threshold
-        self._heat = {}
-        self._ln2 = math.log(2.0)
-
-    def _decayed(self, heat, now):
-        dt = max(0.0, now - heat[1])
-        return heat[0] * math.exp(-self._ln2 * dt / self.half_life_s)
-
-    def record_write(self, key, now):
-        heat = self._heat.get(key)
-        if heat is None:
-            self._heat[key] = [1.0, now]
-            return
-        heat[0] = self._decayed(heat, now) + 1.0
-        heat[1] = now
-
-    def score(self, key, now):
-        heat = self._heat.get(key)
-        if heat is None:
-            return 0.0
-        return self._decayed(heat, now)
-
-    def is_hot(self, key, now):
-        return self.score(key, now) >= self.hot_threshold
-
-
-@st.composite
-def write_sequences(draw):
-    half_life = draw(st.sampled_from([1.0, 10.0, 60.0]))
-    # Gaps: none (repeated timestamps), fractions of a half-life, and
-    # several half-lives; times never decrease, as on the write path.
-    gap = st.one_of(
-        st.just(0.0),
-        st.floats(0.0, half_life, allow_nan=False),
-        st.floats(2.0 * half_life, 8.0 * half_life, allow_nan=False),
-    )
-    writes = []
-    now = 0.0
-    for _ in range(draw(st.integers(1, 40))):
-        now += draw(gap)
-        writes.append((draw(st.sampled_from("abc")), now))
-    threshold = draw(st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.0]))
-    return half_life, threshold, writes
-
-
-@given(write_sequences(), st.floats(0.0, 500.0, allow_nan=False))
-@settings(max_examples=200, deadline=None)
-def test_record_write_flag_is_the_classification_at_now(case, later):
-    half_life, threshold, writes = case
-    tracker = HotColdTracker(half_life_s=half_life, hot_threshold=threshold)
-    reference = _ReferenceTracker(half_life, threshold)
-    for key, now in writes:
-        hot = tracker.record_write(key, now)
-        reference.record_write(key, now)
-        assert hot is tracker.is_hot(key, now)
-        assert hot is reference.is_hot(key, now)
-        heat = tracker._heat[key]
-        assert [heat.rate, heat.last_update] == reference._heat[key]
-    # Later re-classification (the flush-time path), for every key,
-    # tracked or not.
-    end = writes[-1][1] + later
-    for key in "abcd":
-        assert tracker.is_hot(key, end) is reference.is_hot(key, end)
-
-
-# ----------------------------------------------------------------------
-# Flash programmed-interval bookkeeping.
-# ----------------------------------------------------------------------
-
 SECTOR = 4 * KB
 FLASH_4K = dataclasses.replace(
     FLASH_PAPER_NOMINAL, name="test 4K-sector flash", erase_sector_bytes=SECTOR

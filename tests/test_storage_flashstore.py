@@ -1,4 +1,4 @@
-"""Unit tests for the log-structured flash store: logging, GC, wear, banks."""
+"""Unit tests for the log-structured flash store: logging, GC, wear."""
 
 import json
 
@@ -10,7 +10,6 @@ from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.sim import SimClock
 from repro.storage import (
-    BankPartition,
     CleaningPolicy,
     FlashStore,
     OutOfFlashSpace,
@@ -177,7 +176,7 @@ class TestCleaning:
     @pytest.mark.xfail(
         strict=True,
         reason="known defect: _ensure_open_sector reclaims space after dropping "
-        "the pool's open sector; the cleaner opens a destination there, and "
+        "the open sector; the cleaner opens a destination there, and "
         "_take_erased then replaces it without sealing it, so that sector "
         "stays OPEN with live data the cleaner can never reclaim",
     )
@@ -190,7 +189,7 @@ class TestCleaning:
             open_sectors = {
                 s.index for s in store.allocator.sectors if s.state is SectorState.OPEN
             }
-            tracked = {s for s in store._open.values() if s is not None}
+            tracked = {store._open}
             assert open_sectors <= tracked, f"write {i}: untracked open sectors"
 
 
@@ -219,38 +218,11 @@ class TestWearPolicies:
         sector = store.flash.sector_bytes
         cold_payload = b"c" * (sector - 2 * 64)
         for i in range(8):
-            store.write_block(("cold", i), cold_payload, hot=False)
+            store.write_block(("cold", i), cold_payload)
         self._churn(store, rounds=800)
         assert store.stats.counter("static_rotations").value > 0
         for i in range(8):
             assert store.read_block(("cold", i)) == cold_payload
-
-
-class TestBankPartitioning:
-    def test_hot_and_cold_go_to_different_banks(self):
-        clock = SimClock()
-        flash = FlashMemory(128 * KB, spec=FLASH_PAPER_NOMINAL, banks=4)
-        partition = BankPartition(flash, write_banks=2)
-        store = FlashStore(flash, clock, partition=partition)
-        store.write_block("hot", b"h" * KB, hot=True)
-        store.write_block("cold", b"c" * KB, hot=False)
-        hot_bank = flash.bank_of_sector(store._index["hot"].sector)
-        cold_bank = flash.bank_of_sector(store._index["cold"].sector)
-        assert hot_bank in partition.write_pool
-        assert cold_bank in partition.read_mostly_pool
-
-    def test_invalid_partition_rejected(self):
-        flash = FlashMemory(128 * KB, spec=FLASH_PAPER_NOMINAL, banks=4)
-        with pytest.raises(ValueError):
-            BankPartition(flash, write_banks=0)
-        with pytest.raises(ValueError):
-            BankPartition(flash, write_banks=5)
-
-    def test_unpartitioned_single_pool(self):
-        flash = FlashMemory(128 * KB, spec=FLASH_PAPER_NOMINAL, banks=4)
-        partition = BankPartition.unpartitioned(flash)
-        assert not partition.partitioned
-        assert partition.write_pool == partition.read_mostly_pool
 
 
 class TestInPlaceMode:

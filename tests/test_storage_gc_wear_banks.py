@@ -1,4 +1,4 @@
-"""Unit tests for the cleaning policies, wear helpers, and bank partition."""
+"""Unit tests for the cleaning policies and wear helpers."""
 
 import pytest
 
@@ -7,7 +7,7 @@ import dataclasses
 from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.sim.clock import SimClock
-from repro.storage import BankPartition, SectorAllocator, WearPolicy
+from repro.storage import SectorAllocator, WearPolicy
 from repro.storage.gc import CleaningPolicy, choose_victim
 from repro.storage.wear import choose_erased_sector, static_rotation_victim
 
@@ -107,21 +107,3 @@ class TestWearHelpers:
         with pytest.raises(ValueError):
             static_rotation_victim(alloc, None, gap_threshold=0)
 
-
-class TestBankPartition:
-    def make_flash(self, banks=4):
-        return FlashMemory(128 * KB, spec=FLASH_4K, banks=banks)
-
-    def test_pools_disjoint(self):
-        partition = BankPartition(self.make_flash(), write_banks=1)
-        assert set(partition.write_pool).isdisjoint(partition.read_mostly_pool)
-        assert partition.partitioned
-
-    def test_unpartitioned_shares_banks(self):
-        partition = BankPartition.unpartitioned(self.make_flash())
-        assert partition.write_pool == partition.read_mostly_pool
-        assert not partition.partitioned
-
-    def test_all_banks(self):
-        partition = BankPartition(self.make_flash(), write_banks=2)
-        assert partition.all_banks() == [0, 1, 2, 3]

@@ -1,11 +1,10 @@
-"""Unit tests for the StorageManager facade and hot/cold tracker."""
+"""Unit tests for the StorageManager facade."""
 
 import pytest
 
 from repro.devices import DRAM, FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.sim import Engine, SimClock
-from repro.storage import HotColdTracker
 
 from tests._storage import build_manager
 
@@ -95,32 +94,3 @@ class TestPowerLoss:
         manager.shutdown_flush()
         assert manager.power_loss() == 0
         assert manager.store.contains("k")
-
-
-class TestHotColdTracker:
-    def test_new_key_is_cold(self):
-        t = HotColdTracker()
-        assert not t.is_hot("k", now=0.0)
-
-    def test_repeated_writes_make_hot(self):
-        t = HotColdTracker(half_life_s=60.0, hot_threshold=1.5)
-        for i in range(4):
-            t.record_write("k", now=float(i))
-        assert t.is_hot("k", now=4.0)
-
-    def test_heat_decays(self):
-        t = HotColdTracker(half_life_s=10.0, hot_threshold=1.5)
-        for i in range(4):
-            t.record_write("k", now=float(i))
-        assert t.is_hot("k", now=4.0)
-        assert not t.is_hot("k", now=200.0)
-
-    def test_forget(self):
-        t = HotColdTracker()
-        t.record_write("k", 0.0)
-        t.forget("k")
-        assert len(t._heat) == 0
-
-    def test_invalid_half_life(self):
-        with pytest.raises(ValueError):
-            HotColdTracker(half_life_s=0.0)

@@ -29,7 +29,7 @@ class TestHighUtilizationChurn:
         # Fill ~85% with live data...
         nblocks = int(usable * 0.85) // (4 * KB)
         for i in range(nblocks):
-            store.write_block(("cold", i), bytes([i & 0xFF]) * (4 * KB - 80), hot=False)
+            store.write_block(("cold", i), bytes([i & 0xFF]) * (4 * KB - 80))
         # ...then churn a handful of hot blocks hard.  Every write forces
         # cleaning at high utilization; none may fail or lose data.
         for i in range(400):
