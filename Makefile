@@ -58,8 +58,8 @@ e14-smoke:
 examples-smoke:
 	for f in examples/*.py; do $(PY) $$f > /dev/null || exit 1; done
 
-# Re-record the work gate's per-module call counts into
-# benchmarks/work_counts.json (commit the file with the change that
+# Re-record the work gate's per-module call counts (and line counts for
+# its LINE_RUNS) into benchmarks/work_counts.json (commit the file with the change that
 # moved them; tests/test_work_gate.py requires an exact match).
 work-record:
 	$(PY) -m repro.analysis.workgate

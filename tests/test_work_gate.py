@@ -1,9 +1,10 @@
-"""The deterministic work gate: exact per-module Python call counts.
+"""The deterministic work gate: exact per-module Python call counts,
+plus line counts for the runs in ``workgate.LINE_RUNS``.
 
 Re-measures every fixed replay of :mod:`repro.analysis.workgate` and
 requires the counts committed in ``benchmarks/work_counts.json`` back
-exactly.  More calls is extra host work; fewer means the file is stale.
-Re-record an intended change with ``make work-record``.
+exactly.  More calls or lines is extra host work; fewer means the file
+is stale.  Re-record an intended change with ``make work-record``.
 """
 
 from __future__ import annotations
@@ -79,6 +80,15 @@ def test_every_run_replays_records_and_counts_repro_calls(measured):
         assert all(count > 0 for count in measured["calls"][run].values())
 
 
+def test_line_runs_count_lines_in_every_called_module(measured):
+    assert set(measured["lines"]) == set(workgate.LINE_RUNS)
+    for run, lines in measured["lines"].items():
+        # Every profiled call runs at least one line, and nothing else does.
+        assert set(lines) == set(measured["calls"][run])
+        for module, count in lines.items():
+            assert count >= measured["calls"][run][module] > 0
+
+
 def test_extra_cache_read_per_diskfs_write_fails(measured, injected):
     baseline = _runs(measured, BLOCK_FS_RUNS)
     more = workgate.compare(baseline, injected)
@@ -109,10 +119,12 @@ def test_compare_flags_only_changed_counts(measured):
     changed["calls"]["office/disk"]["repro.fs.cache"] += 1
     changed["calls"]["office/naive_flash"]["repro.devices.dram"] -= 1
     changed["records"]["database/flash_disk"] += 1
+    changed["lines"]["office/naive_flash"]["repro.storage.flashstore"] += 1
     assert _flagged(workgate.compare(measured, changed)) == {
         "calls office/disk repro.fs.cache",
         "calls office/naive_flash repro.devices.dram",
         "records database/flash_disk",
+        "lines office/naive_flash repro.storage.flashstore",
     }
 
 
