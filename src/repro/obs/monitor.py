@@ -23,15 +23,18 @@ Monitors key their per-machine state off the ``machine build`` /
 spanning many sequentially-built machines (an experiment sweep) checks
 each machine independently.
 
-Each monitor declares the trace components its ``check`` reads
-(:attr:`Monitor.components`), and :class:`MonitorSet` subscribes its
-``observe`` to the tracer for exactly those components.  Monitors see
-the raw event *tuples* (``EVENT_FIELDS`` order) straight from
-``Tracer.emit`` -- before any ring drop, so their view is complete even
-when the buffered trace is truncated.  Every emit of a traced run costs
-one dict lookup on its component; an event some monitors read costs
-one ``observe`` plus one ``check`` call per such monitor, and an event
-none reads (every device record) costs nothing more.
+Each monitor declares the ``(component, op)`` pairs it reads
+(:attr:`Monitor.reads`), and :class:`MonitorSet` subscribes its one
+handler, :meth:`Monitor.observe`, to the tracer for exactly those
+pairs.  Monitors see the raw event *tuples* (``EVENT_FIELDS`` order)
+straight from ``Tracer.emit`` -- before any ring drop, so their view is
+complete even when the buffered trace is truncated.  The cost model:
+an event a monitor reads costs one ``observe`` frame per such monitor;
+an event of a component some monitor reads, with an op none reads, costs
+a count and a lookup in the tracer and no call; every other event
+(every device record) costs nothing more.  ``events_seen`` -- the
+events of the monitor's components while it was attached, read or not
+-- comes from the tracer's per-component counts, not from the handler.
 """
 
 from __future__ import annotations
@@ -64,38 +67,51 @@ class Violation:
 
 
 class Monitor:
-    """Base class: dispatches events, collects bounded violations."""
+    """Base class: one event handler, bounded violations."""
 
     #: Registry name (:func:`build_monitors` key); subclasses override.
     name = "monitor"
-    #: The trace components ``check`` reads; the tracer routes only
-    #: their events here.  Subclasses override.
-    components: Tuple[str, ...] = ()
+    #: The ``(component, op)`` pairs ``observe`` reads; the tracer
+    #: routes only their events here.  Subclasses override.
+    reads: Tuple[Tuple[str, str], ...] = ()
     #: Stop recording (but keep counting) beyond this many violations.
     max_violations = 100
 
     def __init__(self) -> None:
-        #: Events routed to this monitor (those of its ``components``).
-        self.events_seen = 0
         self.violation_count = 0
         self.violations: List[Violation] = []
+        self._tracer: Optional[Tracer] = None
+        # events_seen at the last attach, and the tracer's count then.
+        self._seen = 0
+        self._count_at_attach = 0
 
-    # Tracer observer entry point: record is an EVENT_FIELDS tuple.
+    @property
+    def components(self) -> Tuple[str, ...]:
+        """The components of :attr:`reads`, in order."""
+        return tuple(dict.fromkeys(component for component, _op in self.reads))
+
+    @property
+    def events_seen(self) -> int:
+        """Events of :attr:`components` emitted while attached."""
+        if self._tracer is None:
+            return self._seen
+        return self._seen + self._tracer.events_from(self.components) - self._count_at_attach
+
+    def attach(self, tracer: Tracer) -> None:
+        self._tracer = tracer
+        self._count_at_attach = tracer.events_from(self.components)
+        tracer.subscribe(self.observe, self.reads)
+
+    def detach(self) -> None:
+        if self._tracer is not None:
+            self._seen = self.events_seen
+            self._tracer.unsubscribe(self.observe)
+            self._tracer = None
+
     def observe(self, record: tuple) -> None:
-        self.events_seen += 1
-        t, component, op, nbytes, latency_s, outcome, detail = record
-        self.check(t, component, op, nbytes, latency_s, outcome, detail)
-
-    def check(
-        self,
-        t: float,
-        component: str,
-        op: str,
-        nbytes: int,
-        latency_s: float,
-        outcome: str,
-        detail: Optional[dict],
-    ) -> None:
+        """Check one event: ``record`` is an ``EVENT_FIELDS`` tuple.
+        Ignores events outside :attr:`reads`, so feeding it a whole
+        stream checks the same as routing it."""
         raise NotImplementedError
 
     def finish(self) -> None:
@@ -107,8 +123,8 @@ class Monitor:
             self.violations.append(Violation(self.name, t, message, dict(detail)))
 
 
-def _is_machine_reset(component: str, op: str) -> bool:
-    return component == "machine" and op in ("build", "reboot")
+#: The machine marker events that reset per-machine monitor state.
+_MACHINE_RESETS = (("machine", "build"), ("machine", "reboot"))
 
 
 class BufferConservationMonitor(Monitor):
@@ -121,17 +137,19 @@ class BufferConservationMonitor(Monitor):
     """
 
     name = "buffer-conservation"
-    components = ("machine", "writebuffer")
+    reads = _MACHINE_RESETS + tuple(
+        ("writebuffer", op) for op in ("put", "restore", "flush", "drop", "power_loss")
+    )
 
     def __init__(self) -> None:
         super().__init__()
         self.buffered = 0
 
-    def check(self, t, component, op, nbytes, latency_s, outcome, detail) -> None:
-        if _is_machine_reset(component, op):
-            self.buffered = 0
-            return
+    def observe(self, record: tuple) -> None:
+        t, component, op, nbytes, latency_s, outcome, detail = record
         if component != "writebuffer":
+            if (component, op) in _MACHINE_RESETS:
+                self.buffered = 0
             return
         if op == "put":
             if outcome == "writethrough":
@@ -179,14 +197,15 @@ class BufferAgeBoundMonitor(Monitor):
     """
 
     name = "buffer-age-bound"
-    components = ("writebuffer",)
+    reads = (("writebuffer", "flush"),)
 
     def __init__(self, slack_s: float = 600.0) -> None:
         super().__init__()
         self.slack_s = slack_s
 
-    def check(self, t, component, op, nbytes, latency_s, outcome, detail) -> None:
-        if component != "writebuffer" or op != "flush" or not detail:
+    def observe(self, record: tuple) -> None:
+        t, component, op, nbytes, latency_s, outcome, detail = record
+        if op != "flush" or component != "writebuffer" or not detail:
             return
         age = detail.get("age_s")
         limit = detail.get("limit_s")
@@ -214,15 +233,16 @@ class QueueDepthBoundMonitor(Monitor):
     """Engine pending-event depth must stay under a sanity bound."""
 
     name = "engine-queue-depth"
-    components = ("engine",)
+    reads = (("engine", "event"),)
 
     def __init__(self, bound: int = 100_000) -> None:
         super().__init__()
         self.bound = bound
         self.max_pending = 0
 
-    def check(self, t, component, op, nbytes, latency_s, outcome, detail) -> None:
-        if component != "engine" or op != "event" or not detail:
+    def observe(self, record: tuple) -> None:
+        t, component, op, nbytes, latency_s, outcome, detail = record
+        if op != "event" or component != "engine" or not detail:
             return
         pending = detail.get("pending")
         if pending is None:
@@ -248,14 +268,24 @@ class ReadOnlyTransitionMonitor(Monitor):
     """
 
     name = "read-only-transition"
-    components = ("machine", "storage-manager", "writebuffer")
+    reads = _MACHINE_RESETS + (("storage-manager", "read_only"), ("writebuffer", "put"))
 
     def __init__(self) -> None:
         super().__init__()
         self.read_only_since: Optional[float] = None
 
-    def check(self, t, component, op, nbytes, latency_s, outcome, detail) -> None:
-        if _is_machine_reset(component, op):
+    def observe(self, record: tuple) -> None:
+        t, component, op, nbytes, latency_s, outcome, detail = record
+        if component == "writebuffer":
+            if op == "put" and self.read_only_since is not None:
+                self.violate(
+                    t,
+                    "write buffered after read-only degradation at "
+                    f"t={self.read_only_since:.6f}",
+                    read_only_since=self.read_only_since,
+                )
+            return
+        if (component, op) in _MACHINE_RESETS:
             self.read_only_since = None
             return
         if component == "storage-manager" and op == "read_only":
@@ -267,18 +297,6 @@ class ReadOnlyTransitionMonitor(Monitor):
                     transition=transition,
                 )
             self.read_only_since = t
-            return
-        if (
-            self.read_only_since is not None
-            and component == "writebuffer"
-            and op == "put"
-        ):
-            self.violate(
-                t,
-                "write buffered after read-only degradation at "
-                f"t={self.read_only_since:.6f}",
-                read_only_since=self.read_only_since,
-            )
 
 
 #: Name -> class registry.  The CLI's ``--monitors`` attaches all of
@@ -306,8 +324,8 @@ def build_monitors(names: Optional[List[str]] = None) -> List[Monitor]:
 
 
 class MonitorSet:
-    """Subscribe a set of monitors to one tracer, each for its own
-    components, and report on them together."""
+    """Subscribe a set of monitors to one tracer, each for the pairs it
+    reads, and report on them together."""
 
     def __init__(self, monitors: List[Monitor]) -> None:
         self.monitors = monitors
@@ -319,13 +337,13 @@ class MonitorSet:
         self._tracer = tracer
         self._emitted_at_attach = tracer.emitted
         for monitor in self.monitors:
-            tracer.subscribe(monitor.observe, monitor.components)
+            monitor.attach(tracer)
 
     def detach(self) -> None:
         if self._tracer is not None:
             self._events_observed = self.events_observed
             for monitor in self.monitors:
-                self._tracer.unsubscribe(monitor.observe)
+                monitor.detach()
             self._tracer = None
 
     @property

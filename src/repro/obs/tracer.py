@@ -18,6 +18,13 @@ Design constraints:
   fills, the oldest half is dropped in one slice (cheaper than a deque
   pop per append) and counted in ``dropped`` so truncation is never
   silent.
+- **Nothing for the garbage collector.**  The ring is one flat list of
+  fields, :data:`EVENT_FIELDS` in order, seven slots per event: an emit
+  extends it with a tuple that is freed again at once, so a long traced
+  run leaves no GC-tracked object per event behind (a kept tuple per
+  event set off a collection every few hundred events, and every one
+  of them grew the older generations that the rarer collections walk).
+  :attr:`Tracer.records` builds the tuples only when it is read.
 
 Sink: :func:`write_trace` takes every job's buffered records
 (:attr:`Tracer.records`, the :data:`EVENT_FIELDS` tuples), merges them
@@ -29,12 +36,15 @@ view per component).
 
 Live consumers (the online invariant monitors in
 :mod:`repro.obs.monitor`) :meth:`~Tracer.subscribe` a callable for the
-components they read and see each of those components' events as it is
+``(component, op)`` pairs they read and see each such event as it is
 emitted -- including events the ring later drops, so a monitor's view
-is never truncated.  The tracer routes by component: an emit costs one
-dict lookup plus one call per observer subscribed to that component,
-and events no observer reads (most device records) cost only the
-lookup.
+is never truncated.  The cost model: every emit extends the ring and
+makes one dict lookup on its component, which is all a device record
+(most of a trace; no monitor reads one) costs.  An event of a
+subscribed component also bumps that component's count
+(:meth:`~Tracer.events_from`) and looks up its op; only an event some
+observer reads builds a record tuple and calls each of its observers,
+one frame apiece.
 
 **Canonical order.**  Every traced CLI run is a list of jobs, each with
 its own tracer -- a serial run is one job -- and a job's records come
@@ -59,6 +69,8 @@ from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 #: Ordered field names of one trace record (the JSONL object keys).
 EVENT_FIELDS = ("t", "component", "op", "bytes", "latency_s", "outcome", "detail")
+#: Ring slots per record.
+_WIDTH = len(EVENT_FIELDS)
 
 _EventTuple = Tuple[float, str, str, int, float, str, Optional[dict]]
 _Observer = Callable[[_EventTuple], None]
@@ -71,11 +83,17 @@ class Tracer:
         if capacity < 2:
             raise ValueError("tracer capacity must be at least 2")
         self.capacity = capacity
-        self._events: List[_EventTuple] = []
+        # The ring: each record's fields in EVENT_FIELDS order, flat.
+        self._events: list = []
+        self._limit = capacity * _WIDTH
         #: Events discarded because the ring buffer filled.
         self.dropped = 0
-        #: component -> the observers subscribed to it, in subscription order.
-        self._routes: Dict[str, Tuple[_Observer, ...]] = {}
+        #: component -> op -> the observers subscribed to that pair, in
+        #: subscription order.  A component is here while any pair of
+        #: it has an observer.
+        self._routes: Dict[str, Dict[str, Tuple[_Observer, ...]]] = {}
+        #: component -> events emitted from it while it was in _routes.
+        self._counts: Dict[str, int] = {}
 
     def emit(
         self,
@@ -87,51 +105,66 @@ class Tracer:
         outcome: str = "ok",
         detail: Optional[dict] = None,
     ) -> None:
-        """Record one event.  Hot path: appends a tuple, then calls only
-        the observers subscribed to ``component``."""
+        """Record one event.  Hot path: extends the flat ring, then
+        counts the event and calls the observers of ``(component, op)``
+        only if ``component`` has a subscriber."""
         events = self._events
-        if len(events) >= self.capacity:
+        if len(events) >= self._limit:
             drop = self.capacity // 2
-            del events[:drop]
+            del events[: drop * _WIDTH]
             self.dropped += drop
-        record = (t, component, op, nbytes, latency_s, outcome, detail)
-        events.append(record)
-        observers = self._routes.get(component)
-        if observers is not None:
-            for observer in observers:
-                observer(record)
+        events += (t, component, op, nbytes, latency_s, outcome, detail)
+        routes = self._routes.get(component)
+        if routes is not None:
+            self._counts[component] += 1
+            observers = routes.get(op)
+            if observers is not None:
+                record = (t, component, op, nbytes, latency_s, outcome, detail)
+                for observer in observers:
+                    observer(record)
 
     @property
     def emitted(self) -> int:
         """Total events ever emitted (including ones the ring dropped)."""
-        return self.dropped + len(self._events)
+        return self.dropped + len(self._events) // _WIDTH
 
-    def subscribe(self, observer: _Observer, components: Iterable[str]) -> None:
-        """Call ``observer(record)`` on every future emit from one of
-        ``components`` (before any ring drop, so live consumers see the
-        full stream of what they read)."""
-        for component in components:
-            observers = self._routes.get(component, ())
+    def subscribe(self, observer: _Observer, pairs: Iterable[Tuple[str, str]]) -> None:
+        """Call ``observer(record)`` on every future emit of one of the
+        ``(component, op)`` ``pairs`` (before any ring drop, so live
+        consumers see the full stream of what they read), and count
+        every event of their components from now on."""
+        for component, op in pairs:
+            routes = self._routes.setdefault(component, {})
+            self._counts.setdefault(component, 0)
+            observers = routes.get(op, ())
             if observer not in observers:
-                self._routes[component] = observers + (observer,)
+                routes[op] = observers + (observer,)
 
     def unsubscribe(self, observer: _Observer) -> None:
-        """Stop calling ``observer`` for every component."""
-        for component, observers in list(self._routes.items()):
-            kept = tuple(o for o in observers if o != observer)
-            if kept:
-                self._routes[component] = kept
-            else:
+        """Stop calling ``observer`` for every pair."""
+        for component, routes in list(self._routes.items()):
+            for op, observers in list(routes.items()):
+                kept = tuple(o for o in observers if o != observer)
+                if kept:
+                    routes[op] = kept
+                else:
+                    del routes[op]
+            if not routes:
                 del self._routes[component]
 
+    def events_from(self, components: Iterable[str]) -> int:
+        """Events emitted from ``components`` while each had a
+        subscriber (whether or not any observer read them)."""
+        return sum(self._counts.get(component, 0) for component in components)
+
     def __len__(self) -> int:
-        return len(self._events)
+        return len(self._events) // _WIDTH
 
     @property
     def records(self) -> List[_EventTuple]:
-        """The buffered records, oldest first (the ring's own list:
-        read it, do not mutate it)."""
-        return self._events
+        """The buffered records, oldest first, as :data:`EVENT_FIELDS`
+        tuples (a new list, built on each read)."""
+        return list(zip(*[iter(self._events)] * _WIDTH))
 
 
 # ----------------------------------------------------------------------

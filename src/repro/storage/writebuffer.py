@@ -69,8 +69,6 @@ class FlushItem:
 class _Entry:
     data: bytes
     first_write: float
-    last_write: float
-    writes: int
 
 
 class WriteBuffer:
@@ -158,14 +156,9 @@ class WriteBuffer:
             # Overwrite absorbed: the earlier version never reaches flash.
             self._bytes -= len(existing.data)
             self._overwritten_bytes.value += len(existing.data)
-            entry = _Entry(
-                data=data,
-                first_write=existing.first_write,
-                last_write=now,
-                writes=existing.writes + 1,
-            )
+            entry = _Entry(data=data, first_write=existing.first_write)
         else:
-            entry = _Entry(data=data, first_write=now, last_write=now, writes=1)
+            entry = _Entry(data=data, first_write=now)
         self._entries[key] = entry  # most-recently-written at the end
         self._bytes += len(data)
         self._track_occupancy()
@@ -207,7 +200,7 @@ class WriteBuffer:
             return  # overwritten while the flush was in flight
         now = self.clock.now
         origin = now if first_write is None else min(first_write, now)
-        self._entries[key] = _Entry(data=data, first_write=origin, last_write=now, writes=1)
+        self._entries[key] = _Entry(data=data, first_write=origin)
         self._bytes += len(data)
         if self.tracer is not None:
             self.tracer.emit("writebuffer", "restore", now, len(data))

@@ -206,7 +206,7 @@ class TestObservedRuns:
         class AlwaysViolates(monitor.Monitor):
             name = "always-violates"
 
-            def check(self, *_record):
+            def observe(self, record):
                 pass
 
             def finish(self):

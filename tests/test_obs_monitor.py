@@ -407,16 +407,21 @@ class TestRouting:
     def test_events_reach_only_subscribed_components(self):
         tracer = Tracer()
         seen_a, seen_b = [], []
-        tracer.subscribe(seen_a.append, ("engine", "machine"))
-        tracer.subscribe(seen_b.append, ("engine",))
-        tracer.subscribe(seen_b.append, ("engine",))  # no double delivery
+        tracer.subscribe(seen_a.append, (("engine", "x"), ("machine", "x")))
+        tracer.subscribe(seen_b.append, (("engine", "x"),))
+        tracer.subscribe(seen_b.append, (("engine", "x"),))  # no double delivery
         for component in ("engine", "dram", "machine"):
             tracer.emit(component, "x", 1.0)
+            tracer.emit(component, "y", 1.0)  # an op nobody reads
         assert [r[1] for r in seen_a] == ["engine", "machine"]
         assert [r[1] for r in seen_b] == ["engine"]
+        assert all(r[2] == "x" for r in seen_a + seen_b)
+        # Every event of a subscribed component is counted, read or not.
+        assert tracer.events_from(("engine", "machine", "dram")) == 4
         tracer.unsubscribe(seen_a.append)
         tracer.emit("machine", "x", 2.0)
         assert len(seen_a) == 2
+        assert tracer.events_from(("machine",)) == 2  # unsubscribed: no more
         tracer.unsubscribe(seen_b.append)
         assert tracer._routes == {}
 
