@@ -3,8 +3,8 @@
 This package implements the layer the paper sketches between the file
 system / VM and the raw devices:
 
-- :mod:`repro.storage.allocator` -- flash sector accounting and free
-  lists ("a list of free flash memory sectors").
+- :mod:`repro.storage.allocator` -- flash sector accounting and one
+  device-wide free set ("a list of free flash memory sectors").
 - :mod:`repro.storage.wear` -- wear-leveling policies (none / dynamic /
   static) that "evenly balance the write load throughout flash memory".
 - :mod:`repro.storage.gc` -- garbage-collection policies "like those used

@@ -1,4 +1,4 @@
-"""Flash sector accounting and free lists.
+"""Flash sector accounting, the free set and the victim index.
 
 The allocator owns the *state machine* of every erase sector:
 
@@ -8,13 +8,15 @@ Blocks are appended into the open sector of a pool (bump-pointer
 allocation); overwriting a logical block marks its old location *dead*.
 Sealed sectors with dead bytes are garbage-collection victims, kept in
 an incrementally maintained victim index (:meth:`SectorAllocator.best_victim`);
-erasing a sector returns it to a per-bank free list.  The allocator is pure
-bookkeeping -- it never touches the flash device -- which makes its
-invariants easy to test exhaustively:
+erasing a sector returns it to the free set.  Both serve the whole
+device as one pool.  The allocator is pure bookkeeping -- it never
+touches the flash device -- which makes its invariants easy to test
+exhaustively:
 
 - a byte is live in at most one location,
 - ``live + dead + unwritten == sector size`` for every sector,
-- erased sectors hold no blocks.
+- erased sectors hold no blocks, and the free set holds exactly the
+  erased sectors.
 """
 
 from __future__ import annotations
@@ -22,9 +24,7 @@ from __future__ import annotations
 import enum
 import heapq
 from dataclasses import dataclass, field
-from typing import (
-    Callable, Collection, Dict, FrozenSet, Hashable, List, NamedTuple, Optional, Set, Tuple,
-)
+from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Set, Tuple
 
 from repro.devices.flash import FlashMemory
 
@@ -103,7 +103,7 @@ VictimEntry = Tuple[float, int, int]
 
 
 class _VictimBucket:
-    """Heap of the victim entries of one ``(bank, live_bytes)`` bucket.
+    """Heap of the victim entries of one ``live_bytes`` bucket.
 
     ``valid`` counts the entries that are still current; the rest are
     stale and discarded when they surface or when the heap is compacted.
@@ -117,7 +117,7 @@ class _VictimBucket:
 
 
 class SectorAllocator:
-    """Tracks sector states, free lists, and live/dead byte accounting.
+    """Tracks sector states, the free set, and live/dead byte accounting.
 
     When ``summary_entry_bytes`` is non-zero, every appended block also
     reserves one summary slot at the *tail* of its sector (the
@@ -133,24 +133,16 @@ class SectorAllocator:
         self.sectors: List[SectorInfo] = [
             SectorInfo(index=i, bank=flash.bank_of_sector(i)) for i in range(flash.num_sectors)
         ]
-        # Per-bank stacks of erased sectors (initially every sector,
-        # assuming a factory-fresh device; manager re-derives after
-        # recovery).  Ordered ascending so "none" wear policy behaves
-        # like a naive first-fit allocator.
-        self.free_by_bank: Dict[int, List[int]] = {b: [] for b in range(flash.num_banks)}
-        # O(log n) allocation structures mirroring free_by_bank: a set
-        # for membership tests plus two lazily-invalidated per-bank heaps
-        # -- (erase_count, sector) for least-worn-first picks and plain
-        # sector indices for the naive first-fit policy.  Heap entries
-        # whose sector has left the free list (or rejoined with a newer
+        # The erased sectors (initially every sector, assuming a
+        # factory-fresh device; recovery adopts the occupied ones).  The
+        # set is the truth; two lazily-invalidated heaps over it give
+        # O(log n) picks -- (erase_count, sector) for least-worn-first
+        # and plain sector indices for the naive first-fit policy.  Heap
+        # entries whose sector has left the set (or rejoined with a newer
         # erase count) are discarded when they surface at the top.
         self._free_set: Set[int] = set()
-        self._wear_heap: Dict[int, List[Tuple[int, int]]] = {
-            b: [] for b in range(flash.num_banks)
-        }
-        self._index_heap: Dict[int, List[int]] = {b: [] for b in range(flash.num_banks)}
-        # Length of all the free lists together, kept as they change.
-        self._free_count = 0
+        self._wear_heap: List[Tuple[int, int]] = []
+        self._index_heap: List[int] = []
         for info in self.sectors:
             self._push_free(info.index)
         self.total_live_bytes = 0
@@ -160,15 +152,13 @@ class SectorAllocator:
         # mapping is diagnostic; the index always holds current truth.
         self.remap: Dict[int, Optional[int]] = {}
         # Cleaning-victim index: every SEALED sector with dead bytes has
-        # one current entry in the heap of its (bank, live_bytes) bucket.
+        # one current entry in the heap of its live_bytes bucket.
         # An entry is current iff it *is* (identity) _victim_entry[sector],
         # so entries go stale lazily, like the free heaps'.  invalidate()
         # only marks a sealed sector dirty; dirty sectors are re-bucketed
         # before the next query, so overwrites between two cleanings cost
         # one heap push per sector.
-        self._victims: Dict[int, Dict[int, _VictimBucket]] = {
-            b: {} for b in range(flash.num_banks)
-        }
+        self._victims: Dict[int, _VictimBucket] = {}
         self._victim_entry: List[Optional[VictimEntry]] = [None] * flash.num_sectors
         self._victim_dirty: Set[int] = set()
 
@@ -179,109 +169,51 @@ class SectorAllocator:
     def info(self, sector: int) -> SectorInfo:
         return self.sectors[sector]
 
-    def free_sector_count(self, banks: Optional[List[int]] = None) -> int:
-        """Erased sectors in ``banks`` (the whole device when None)."""
-        if banks is None:
-            return self._free_count
-        free_by_bank = self.free_by_bank
-        count = 0
-        for bank in banks:
-            count += len(free_by_bank[bank])
-        return count
+    def free_sector_count(self) -> int:
+        """Erased sectors on the device."""
+        return len(self._free_set)
 
     # ------------------------------------------------------------------
     # O(log n) erased-sector selection.
     # ------------------------------------------------------------------
 
     def _push_free(self, sector: int) -> None:
-        """Put ``sector`` on its bank's free list."""
-        bank = self.sectors[sector].bank
-        self.free_by_bank[bank].append(sector)
-        self._free_count += 1
+        """Put ``sector`` in the free set and on both heaps."""
         self._free_set.add(sector)
-        heapq.heappush(
-            self._wear_heap[bank], (self.flash.sector_erase_count(sector), sector)
-        )
-        heapq.heappush(self._index_heap[bank], sector)
+        heapq.heappush(self._wear_heap, (self.flash.sector_erase_count(sector), sector))
+        heapq.heappush(self._index_heap, sector)
 
-    def _drop_free(self, sector: int) -> None:
-        """Take ``sector`` off its bank's free list."""
-        self.free_by_bank[self.sectors[sector].bank].remove(sector)
-        self._free_count -= 1
-        # Heap entries are invalidated lazily; membership is the truth.
-        self._free_set.discard(sector)
-
-    def _peek_bank(
-        self, bank: int, least_worn: bool, exclude: FrozenSet[int]
-    ) -> Optional[Tuple[int, int]]:
-        """Best valid ``(erase_count, sector)`` free in ``bank``, or None.
-
-        Pops stale heap entries (sector no longer free, or free again
-        with a newer erase count) for good; valid-but-excluded entries
-        are popped, remembered, and pushed back afterwards.
-        """
-        free = self._free_set
-        erase_count = self.flash.sector_erase_count
-        skipped = []
-        found: Optional[Tuple[int, int]] = None
-        if least_worn:
-            heap = self._wear_heap[bank]
-            while heap:
-                count, sector = heap[0]
-                if sector not in free or count != erase_count(sector):
-                    # Not free, or a stale wear entry from a prior life.
-                    heapq.heappop(heap)
-                elif sector in exclude:
-                    skipped.append(heapq.heappop(heap))
-                else:
-                    found = (count, sector)
-                    break
-        else:
-            heap = self._index_heap[bank]
-            while heap:
-                sector = heap[0]
-                if sector not in free:
-                    heapq.heappop(heap)
-                elif sector in exclude:
-                    skipped.append(heapq.heappop(heap))
-                else:
-                    found = (erase_count(sector), sector)
-                    break
-        for item in skipped:
-            heapq.heappush(heap, item)
-        return found
-
-    def peek_erased(
-        self,
-        banks: List[int],
-        least_worn: bool = True,
-        exclude: FrozenSet[int] = frozenset(),
-    ) -> Optional[int]:
-        """Best erased sector in ``banks`` without taking it.
+    def peek_erased(self, least_worn: bool = True) -> Optional[int]:
+        """Best erased sector without taking it, or None.
 
         ``least_worn`` picks by ``(erase_count, index)`` (the DYNAMIC /
         STATIC wear policies); otherwise by lowest index (the naive
-        first-fit NONE policy).  ``exclude`` skips sectors that must not
-        be chosen (e.g. the victim mid-clean).  Equivalent to a ``min``
-        scan over the banks' free lists but O(log n) amortized.
+        first-fit NONE policy).  Equivalent to a ``min`` scan over the
+        free set but O(log n) amortized: stale heap entries (sector no
+        longer free, or free again with a newer erase count) are popped
+        for good.
         """
-        best: Optional[Tuple[int, int]] = None
-        for bank in banks:
-            candidate = self._peek_bank(bank, least_worn, exclude)
-            if candidate is None:
-                continue
-            key = candidate if least_worn else (candidate[1], candidate[1])
-            if best is None or key < best:
-                best = key
-        return None if best is None else best[1]
+        free = self._free_set
+        if least_worn:
+            wear_heap = self._wear_heap
+            erase_count = self.flash.sector_erase_count
+            while wear_heap:
+                count, sector = wear_heap[0]
+                if sector in free and count == erase_count(sector):
+                    return sector
+                heapq.heappop(wear_heap)
+            return None
+        index_heap = self._index_heap
+        while index_heap:
+            sector = index_heap[0]
+            if sector in free:
+                return sector
+            heapq.heappop(index_heap)
+        return None
 
-    def sealed_victims(self, banks: Optional[List[int]] = None) -> List[SectorInfo]:
-        """Sealed sectors (GC candidates), optionally limited to banks."""
-        return [
-            s
-            for s in self.sectors
-            if s.state is SectorState.SEALED and (banks is None or s.bank in banks)
-        ]
+    def sealed_victims(self) -> List[SectorInfo]:
+        """Sealed sectors (GC candidates), in index order."""
+        return [s for s in self.sectors if s.state is SectorState.SEALED]
 
     def capacity_bytes(self) -> int:
         return self.sector_bytes * len(self.sectors)
@@ -293,10 +225,9 @@ class SectorAllocator:
     def _index_victim(self, info: SectorInfo) -> None:
         if info.state is not SectorState.SEALED or info.dead_bytes <= 0:
             return
-        buckets = self._victims[info.bank]
-        bucket = buckets.get(info.live_bytes)
+        bucket = self._victims.get(info.live_bytes)
         if bucket is None:
-            bucket = buckets[info.live_bytes] = _VictimBucket()
+            bucket = self._victims[info.live_bytes] = _VictimBucket()
         entry = (info.seal_time, info.index, info.live_bytes)
         heapq.heappush(bucket.heap, entry)
         bucket.valid += 1
@@ -311,12 +242,11 @@ class SectorAllocator:
         if entry is None:
             return
         self._victim_entry[sector] = None
-        buckets = self._victims[self.sectors[sector].bank]
         live = entry[2]
-        bucket = buckets[live]
+        bucket = self._victims[live]
         bucket.valid -= 1
         if bucket.valid == 0:
-            del buckets[live]
+            del self._victims[live]
         elif len(bucket.heap) > 2 * bucket.valid:
             current = self._victim_entry
             bucket.heap = [e for e in bucket.heap if current[e[1]] is e]
@@ -334,34 +264,33 @@ class SectorAllocator:
         bucket: _VictimBucket,
         score: Callable[[SectorInfo, int, float], float],
         now: float,
-        exclude: Optional[Collection[int]],
-    ) -> Optional[Tuple[float, int]]:
-        """``(score, sector)`` of the bucket's best candidate, lowest
-        sector among equal scores.
+    ) -> int:
+        """Lowest sector among the bucket's best-scoring candidates.
 
         Scores never rise with ``seal_time`` inside a bucket, so the
         sectors tying for the best score are a prefix of the heap order:
         pop while the score holds, then push the popped entries back.
-        Stale entries are dropped for good.
+        Stale entries are dropped for good.  The bucket must hold a
+        current entry.
         """
         heap = bucket.heap
         current = self._victim_entry
         popped: List[VictimEntry] = []
-        best: Optional[Tuple[float, int]] = None
+        best = -1
+        best_score = 0.0
         while heap:
             entry = heap[0]
             sector = entry[1]
             if current[sector] is not entry:
                 heapq.heappop(heap)
                 continue
-            if not exclude or sector not in exclude:
-                value = score(self.sectors[sector], self.sector_bytes, now)
-                if best is None:
-                    best = (value, sector)
-                elif value != best[0]:
-                    break
-                elif sector < best[1]:
-                    best = (value, sector)
+            value = score(self.sectors[sector], self.sector_bytes, now)
+            if best < 0:
+                best, best_score = sector, value
+            elif value != best_score:
+                break
+            elif sector < best:
+                best = sector
             popped.append(heapq.heappop(heap))
         for entry in popped:
             heapq.heappush(heap, entry)
@@ -371,15 +300,12 @@ class SectorAllocator:
         self,
         score: Callable[[SectorInfo, int, float], float],
         now: float,
-        banks: Optional[Collection[int]] = None,
-        exclude: Optional[Collection[int]] = None,
     ) -> Optional[int]:
         """The sealed sector with dead bytes that maximizes ``score``.
 
         Picks exactly what a scan of :meth:`sealed_victims` in index
         order would: the highest ``score(info, sector_bytes, now)``, the
-        lowest index among equal scores, only sectors in ``banks`` (all
-        when None) and not in ``exclude``.  ``score`` must depend on a
+        lowest index among equal scores.  ``score`` must depend on a
         sector only through ``live_bytes`` and ``seal_time``, and must
         never increase as ``seal_time`` grows with ``live_bytes`` fixed
         (LFS cost-benefit does), so each bucket's best is at the front
@@ -396,38 +322,27 @@ class SectorAllocator:
         # hide an equal score at a lower sector: those few are resolved
         # exactly by _bucket_best at the end.
         leaders: List[_VictimBucket] = []
-        for bank, buckets in self._victims.items():
-            if banks is not None and bank not in banks:
-                continue
-            for bucket in buckets.values():
-                heap = bucket.heap
+        for bucket in self._victims.values():
+            heap = bucket.heap
+            entry = heap[0]
+            while current[entry[1]] is not entry:
+                heapq.heappop(heap)  # stale: dropped for good
                 entry = heap[0]
-                while current[entry[1]] is not entry:
-                    heapq.heappop(heap)  # stale: dropped for good
-                    entry = heap[0]
-                sector = entry[1]
-                if exclude and sector in exclude:
-                    found = self._bucket_best(bucket, score, now, exclude)
-                    if found is None:
-                        continue
-                    value, sector = found
-                    resolved = True
-                else:
-                    value = score(sectors[sector], sector_bytes, now)
-                    resolved = len(heap) == 1
-                if best is None or value > best_score:
+            sector = entry[1]
+            value = score(sectors[sector], sector_bytes, now)
+            if best is None or value > best_score:
+                best = sector
+                best_score = value
+                leaders = [bucket] if len(heap) > 1 else []
+            elif value == best_score:
+                if sector < best:
                     best = sector
-                    best_score = value
-                    leaders = [] if resolved else [bucket]
-                elif value == best_score:
-                    if sector < best:
-                        best = sector
-                    if not resolved:
-                        leaders.append(bucket)
+                if len(heap) > 1:
+                    leaders.append(bucket)
         for bucket in leaders:
-            found = self._bucket_best(bucket, score, now, exclude)
-            if found is not None and found[1] < best:
-                best = found[1]
+            sector = self._bucket_best(bucket, score, now)
+            if sector < best:
+                best = sector
         return best
 
     # ------------------------------------------------------------------
@@ -439,7 +354,7 @@ class SectorAllocator:
         info = self.sectors[sector]
         if info.state is not SectorState.ERASED:
             raise ValueError(f"sector {sector} is {info.state}, not erased")
-        self._drop_free(sector)
+        self._free_set.remove(sector)  # heap entries go stale lazily
         info.state = SectorState.OPEN
         info.write_ptr = 0
         info.live_bytes = 0
@@ -552,7 +467,7 @@ class SectorAllocator:
         info = self.sectors[sector]
         if info.state is not SectorState.ERASED:
             raise ValueError(f"adopt of sector {sector} in state {info.state}")
-        self._drop_free(sector)
+        self._free_set.remove(sector)
         info.state = SectorState.SEALED
         info.seal_time = now
         info.write_ptr = self.sector_bytes
@@ -583,7 +498,7 @@ class SectorAllocator:
                 f"retiring sector {sector} with {info.live_bytes} live bytes"
             )
         if info.state is SectorState.ERASED:
-            self._drop_free(sector)
+            self._free_set.remove(sector)
         self._unindex_victim(sector)
         self.total_dead_bytes -= info.dead_bytes
         info.state = SectorState.BAD
@@ -601,7 +516,7 @@ class SectorAllocator:
         return self.sector_bytes * (len(self.sectors) - len(self.remap))
 
     def mark_erased(self, sector: int) -> None:
-        """Record that the device erased ``sector``; back to the free list."""
+        """Record that the device erased ``sector``; back to the free set."""
         info = self.sectors[sector]
         if info.state is SectorState.ERASED:
             raise ValueError(f"sector {sector} already erased")
@@ -623,6 +538,7 @@ class SectorAllocator:
     # ------------------------------------------------------------------
 
     def check_invariants(self) -> None:
+        free = self._free_set
         live = dead = 0
         for info in self.sectors:
             block_bytes = sum(length for _, length in info.blocks.values())
@@ -632,13 +548,13 @@ class SectorAllocator:
             if info.state is SectorState.ERASED:
                 if info.blocks or info.dead_bytes or info.write_ptr:
                     raise AssertionError(f"erased sector {info.index} not clean")
-                if info.index not in self.free_by_bank[info.bank]:
-                    raise AssertionError(f"erased sector {info.index} missing from free list")
+                if info.index not in free:
+                    raise AssertionError(f"erased sector {info.index} missing from free set")
+            elif info.index in free:
+                raise AssertionError(f"{info.state.value} sector {info.index} in the free set")
             if info.state is SectorState.BAD:
                 if info.blocks or info.live_bytes or info.dead_bytes:
                     raise AssertionError(f"bad sector {info.index} holds data")
-                if info.index in self.free_by_bank[info.bank]:
-                    raise AssertionError(f"bad sector {info.index} on the free list")
                 if info.index not in self.remap:
                     raise AssertionError(f"bad sector {info.index} missing from remap")
             if info.live_bytes + info.dead_bytes > self.sector_bytes:
@@ -647,27 +563,16 @@ class SectorAllocator:
             dead += info.dead_bytes
         if live != self.total_live_bytes or dead != self.total_dead_bytes:
             raise AssertionError("global live/dead totals out of sync")
-        flat_free = {s for v in self.free_by_bank.values() for s in v}
-        if flat_free != self._free_set:
-            raise AssertionError("free set out of sync with free lists")
-        if self._free_count != sum(len(v) for v in self.free_by_bank.values()):
-            raise AssertionError("free count out of sync with free lists")
-        for bank, heap in self._wear_heap.items():
-            live_entries = {
-                s
-                for c, s in heap
-                if s in self._free_set and c == self.flash.sector_erase_count(s)
-            }
-            if not set(self.free_by_bank[bank]) <= live_entries:
-                raise AssertionError(f"bank {bank}: free sector missing from wear heap")
-        for bank, heap in self._index_heap.items():
-            if not set(self.free_by_bank[bank]) <= set(heap):
-                raise AssertionError(f"bank {bank}: free sector missing from index heap")
+        erase_count = self.flash.sector_erase_count
+        if not free <= {s for c, s in self._wear_heap if c == erase_count(s)}:
+            raise AssertionError("free sector missing from the wear heap")
+        if not free <= set(self._index_heap):
+            raise AssertionError("free sector missing from the index heap")
         self._check_victim_index()
 
     def _check_victim_index(self) -> None:
         """Each SEALED sector with dead bytes has exactly one current
-        entry, in its ``(bank, live_bytes)`` bucket with its seal time;
+        entry, in its ``live_bytes`` bucket with its seal time;
         no other sector has one; every heap holds at most twice its
         current entries."""
         self._drain_victim_dirty()
@@ -680,22 +585,19 @@ class SectorAllocator:
         if indexed != candidates:
             raise AssertionError("victim index entries != sealed sectors with dead bytes")
         seen: Set[int] = set()
-        for bank, by_live in self._victims.items():
-            for live, bucket in by_live.items():
-                current = [e for e in bucket.heap if self._victim_entry[e[1]] is e]
-                if not current or len(current) != bucket.valid:
-                    raise AssertionError(f"bucket ({bank}, {live}): valid count out of sync")
-                if len(bucket.heap) > 2 * bucket.valid:
-                    raise AssertionError(f"bucket ({bank}, {live}): stale entries not compacted")
-                for seal_time, sector, entry_live in current:
-                    if sector in seen:
-                        raise AssertionError(f"sector {sector}: two current victim entries")
-                    seen.add(sector)
-                    info = self.sectors[sector]
-                    if (info.bank, info.live_bytes, info.seal_time, entry_live) != (
-                        bank, live, seal_time, live
-                    ):
-                        raise AssertionError(f"sector {sector}: victim entry in the wrong bucket")
+        for live, bucket in self._victims.items():
+            current = [e for e in bucket.heap if self._victim_entry[e[1]] is e]
+            if not current or len(current) != bucket.valid:
+                raise AssertionError(f"bucket {live}: valid count out of sync")
+            if len(bucket.heap) > 2 * bucket.valid:
+                raise AssertionError(f"bucket {live}: stale entries not compacted")
+            for seal_time, sector, entry_live in current:
+                if sector in seen:
+                    raise AssertionError(f"sector {sector}: two current victim entries")
+                seen.add(sector)
+                info = self.sectors[sector]
+                if (info.live_bytes, info.seal_time, entry_live) != (live, seal_time, live):
+                    raise AssertionError(f"sector {sector}: victim entry in the wrong bucket")
         if seen != candidates:
             raise AssertionError("victim entries missing from bucket heaps")
 

@@ -64,6 +64,13 @@ class StoreMode(enum.Enum):
 #: or erase: the n-th retry waits n times this long.
 PROGRAM_RETRY_BACKOFF_S = 1e-4
 
+#: Retries of a transiently failed program or erase before the sector
+#: is treated as failing (retired, its data placed elsewhere).
+PROGRAM_RETRY_LIMIT = 4
+
+#: In-place mode: every logical block owns one fixed slot of this size.
+IN_PLACE_SLOT_BYTES = 4096
+
 #: Payloads of exactly this size are kept aligned so their flash pages
 #: can be mapped directly into address spaces (see repro.mem.mmap).
 PAGE_ALIGN = 4096
@@ -187,9 +194,7 @@ class FlashStore:
         wear: WearPolicy = WearPolicy.DYNAMIC,
         free_target_sectors: int = 4,
         wear_gap_threshold: int = 16,
-        in_place_slot_bytes: int = 4096,
         ecc: bool = False,
-        program_retry_limit: int = 4,
     ) -> None:
         """Logging mode is self-describing: it writes an LFS-style
         summary entry per block at the sector tail, making the log
@@ -203,7 +208,7 @@ class FlashStore:
         :class:`CorruptBlockError` instead of returning garbage.
 
         Transient program/erase failures are retried up to
-        ``program_retry_limit`` times with linear backoff
+        :data:`PROGRAM_RETRY_LIMIT` times with linear backoff
         (:data:`PROGRAM_RETRY_BACKOFF_S`); exhausted or
         permanent failures retire the sector (bad-block remapping)."""
         self.flash = flash
@@ -211,14 +216,10 @@ class FlashStore:
         self.mode = mode
         self.cleaning = cleaning
         self.wear = wear
-        # Every bank: the one pool each allocator, wear and GC call
-        # chooses sectors from.
-        self._banks: List[int] = list(range(flash.num_banks))
         self.free_target_sectors = max(2, free_target_sectors)
         self.wear_gap_threshold = wear_gap_threshold
         self.self_describing = mode is StoreMode.LOGGING
         self.ecc = ecc and self.self_describing
-        self.program_retry_limit = max(0, program_retry_limit)
         # Largest block one erase sector holds (beside its summary slot).
         self._max_payload = flash.sector_bytes - (SUMMARY_BYTES if self.self_describing else 0)
         # key -> ECC codeword for the current version of each block.
@@ -244,10 +245,9 @@ class FlashStore:
         # The sector appends currently go to (logging mode).
         self._open: Optional[int] = None
         # In-place mode: key -> (sector, slot).
-        if in_place_slot_bytes > flash.sector_bytes:
+        if IN_PLACE_SLOT_BYTES > flash.sector_bytes:
             raise ValueError("in-place slot larger than erase sector")
-        self.in_place_slot_bytes = in_place_slot_bytes
-        self._slots_per_sector = flash.sector_bytes // in_place_slot_bytes
+        self._slots_per_sector = flash.sector_bytes // IN_PLACE_SLOT_BYTES
         self._slot_of: Dict[Hashable, Tuple[int, int]] = {}
         # Sector -> [(slot, key)] in assignment order.  A key keeps its
         # slot for good, so an overwrite finds its neighbours here
@@ -289,7 +289,7 @@ class FlashStore:
         budget is spent (then the last error propagates)."""
         attempt = 0
         while True:
-            if not err.transient or attempt >= self.program_retry_limit:
+            if not err.transient or attempt >= PROGRAM_RETRY_LIMIT:
                 raise err
             attempt += 1
             self.stats.counter("program_retries").add(1)
@@ -307,7 +307,7 @@ class FlashStore:
                 self.flash.erase_sector(sector, self.clock)
                 break
             except EraseFailedError as err:
-                if not err.transient or attempt >= self.program_retry_limit:
+                if not err.transient or attempt >= PROGRAM_RETRY_LIMIT:
                     raise
                 attempt += 1
                 self.stats.counter("erase_retries").add(1)
@@ -374,7 +374,7 @@ class FlashStore:
             if key not in self._in_place_lengths:
                 raise KeyError(key)
             sector, slot = self._slot_of[key]
-            base = sector * self.flash.sector_bytes + slot * self.in_place_slot_bytes
+            base = sector * self.flash.sector_bytes + slot * IN_PLACE_SLOT_BYTES
             length = self._in_place_lengths[key]
             return self._do_read(base, length)
         loc = self._index[key]
@@ -554,7 +554,7 @@ class FlashStore:
                     "sectors held for cleaning)",
                     requested=length,
                 )
-        sector = choose_erased_sector(self.allocator, self._banks, self.wear)
+        sector = choose_erased_sector(self.allocator, self.wear)
         if sector is None:
             # Forced cleaning: recover space synchronously on the write path.
             self.cleaning_stats.forced_cleanings += 1
@@ -562,7 +562,7 @@ class FlashStore:
                 raise self._space_error(
                     "no erased sectors and nothing to clean", requested=length
                 )
-            sector = choose_erased_sector(self.allocator, self._banks, self.wear)
+            sector = choose_erased_sector(self.allocator, self.wear)
             if sector is None:
                 raise self._space_error("cleaning recovered no sector", requested=length)
         self.allocator.take_erased(sector)
@@ -580,7 +580,6 @@ class FlashStore:
 
     def _clean_one(self) -> bool:
         """Clean one victim sector; True if one was cleaned."""
-        exclude = None if self._open is None else {self._open}
         # Emergency mode: when only the reserve is left, forward progress
         # matters more than policy -- greedy (most dead bytes) maximizes
         # the space each precious erase recovers.  Above the reserve the
@@ -589,7 +588,7 @@ class FlashStore:
         policy = self.cleaning
         if self.allocator.free_sector_count() <= self.gc_reserve_sectors:
             policy = CleaningPolicy.GREEDY
-        victim = choose_victim(self.allocator, policy, self.clock.now, self._banks, exclude)
+        victim = choose_victim(self.allocator, policy, self.clock.now)
         if victim is None:
             return False
         self._relocate_and_erase(victim)
@@ -691,7 +690,9 @@ class FlashStore:
         """Open-sector logic for the cleaner itself.
 
         Must not recurse into cleaning (we are mid-clean) and must not
-        pick the victim being cleaned.
+        pick the victim being cleaned.  A fresh sector comes from the
+        free set, which never holds ``forbidden`` (a victim is SEALED or
+        OPEN, never ERASED).
         """
         open_sector = self._open
         if open_sector is not None and open_sector != forbidden:
@@ -699,9 +700,7 @@ class FlashStore:
                 return open_sector
             self.allocator.seal(open_sector, self.clock.now)
             self._open = None
-        sector = self.allocator.peek_erased(
-            self._banks, self.wear is not WearPolicy.NONE, exclude=frozenset((forbidden,))
-        )
+        sector = self.allocator.peek_erased(self.wear is not WearPolicy.NONE)
         if sector is None:
             raise self._space_error(
                 "cleaner found no erased sector for live data", requested=length
@@ -713,8 +712,8 @@ class FlashStore:
     def _maybe_static_rotate(self) -> None:
         """Under the STATIC wear policy, rotate cold data off the least
         worn sector once the wear gap grows too wide."""
-        victim = static_rotation_victim(self.allocator, self._banks, self.wear_gap_threshold)
-        if victim is not None and victim != self._open:
+        victim = static_rotation_victim(self.allocator, self.wear_gap_threshold)
+        if victim is not None:
             self.stats.counter("static_rotations").add(1)
             self._relocate_and_erase(victim)
 
@@ -723,10 +722,10 @@ class FlashStore:
     # ------------------------------------------------------------------
 
     def _write_in_place(self, key: Hashable, data: bytes) -> None:
-        if len(data) > self.in_place_slot_bytes:
+        if len(data) > IN_PLACE_SLOT_BYTES:
             raise ValueError(
                 f"in-place block of {len(data)} bytes exceeds slot "
-                f"({self.in_place_slot_bytes})"
+                f"({IN_PLACE_SLOT_BYTES})"
             )
         placement = self._slot_of.get(key)
         if placement is None:
@@ -734,7 +733,7 @@ class FlashStore:
             self._slot_of[key] = placement
             sector, slot = placement
             self._sector_slots.setdefault(sector, []).append((slot, key))
-            base = sector * self.flash.sector_bytes + slot * self.in_place_slot_bytes
+            base = sector * self.flash.sector_bytes + slot * IN_PLACE_SLOT_BYTES
             self._do_program(base, data)
             self._in_place_lengths[key] = len(data)
             return
@@ -751,14 +750,14 @@ class FlashStore:
                 continue
             if other_key not in self._in_place_lengths:
                 continue  # deleted neighbour: nothing live to preserve
-            off = other_slot * self.in_place_slot_bytes
+            off = other_slot * IN_PLACE_SLOT_BYTES
             survivors.append(
                 (off, self._do_read(sector_base + off, self._in_place_lengths[other_key]))
             )
         self._do_erase(sector)
         for off, blob in survivors:
             self._do_program(sector_base + off, blob)
-        self._do_program(sector_base + slot * self.in_place_slot_bytes, data)
+        self._do_program(sector_base + slot * IN_PLACE_SLOT_BYTES, data)
         self._in_place_lengths[key] = len(data)
         self.stats.counter("in_place_rewrites").add(1)
 
@@ -766,7 +765,7 @@ class FlashStore:
         sector, slot = self._next_slot
         if sector >= self.flash.num_sectors:
             raise OutOfFlashSpace(
-                "in-place store is full", requested_bytes=self.in_place_slot_bytes
+                "in-place store is full", requested_bytes=IN_PLACE_SLOT_BYTES
             )
         nxt = (sector, slot + 1)
         if nxt[1] >= self._slots_per_sector:
@@ -805,7 +804,7 @@ class FlashStore:
         winners: Dict[Hashable, Tuple[int, Location, Optional[bytes]]] = {}
         for sector in range(flash.num_sectors):
             if flash.sector_programmed_bytes(sector) == 0:
-                continue  # genuinely erased: stays on the free list
+                continue  # genuinely erased: stays in the free set
             entries, slots_scanned = store._scan_sector_summaries(sector)
             per_sector[sector] = (entries, slots_scanned)
             for seq, offset, length, key, ecc in entries:

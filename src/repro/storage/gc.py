@@ -21,7 +21,7 @@ selectors plus a generational variant inspired by Ungar's scavenger:
 from __future__ import annotations
 
 import enum
-from typing import List, Optional
+from typing import Optional
 
 from repro.storage.allocator import SectorAllocator, SectorInfo
 
@@ -67,8 +67,6 @@ def choose_victim(
     allocator: SectorAllocator,
     policy: CleaningPolicy,
     now: float,
-    banks: Optional[List[int]] = None,
-    exclude: Optional[set] = None,
 ) -> Optional[int]:
     """Pick the sealed sector to clean next, or None if nothing qualifies.
 
@@ -80,13 +78,11 @@ def choose_victim(
     instead of scoring every sealed sector; the pick is the same.
     """
     if policy is CleaningPolicy.COST_BENEFIT:
-        return allocator.best_victim(_cost_benefit_score, now, banks, exclude)
+        return allocator.best_victim(_cost_benefit_score, now)
     scorer = _SCORERS[policy]
     best: Optional[int] = None
     best_score = 0.0
-    for info in allocator.sealed_victims(banks):
-        if exclude and info.index in exclude:
-            continue
+    for info in allocator.sealed_victims():
         if info.dead_bytes <= 0:
             continue
         score = scorer(info, allocator.sector_bytes, now)

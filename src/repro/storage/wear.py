@@ -13,6 +13,9 @@ three levels of effort:
   out of low-wear sectors, so even sectors pinned under never-rewritten
   data join the rotation.  This is the policy modern flash translation
   layers (JFFS2, F2FS) converged on.
+
+Every pick is device-wide: the store keeps all banks as one pool, so
+the candidates are the allocator's one free set and its sealed sectors.
 """
 
 from __future__ import annotations
@@ -29,19 +32,15 @@ class WearPolicy(enum.Enum):
     STATIC = "static"
 
 
-def choose_erased_sector(
-    allocator: SectorAllocator,
-    banks: List[int],
-    policy: WearPolicy,
-) -> Optional[int]:
+def choose_erased_sector(allocator: SectorAllocator, policy: WearPolicy) -> Optional[int]:
     """Pick the erased sector to open next, or None if none are free.
 
     DYNAMIC and STATIC both allocate least-worn-first; STATIC's extra
     behaviour lives in static_rotation_victim().  Selection runs on the
-    allocator's per-bank heaps (O(log n)); it picks exactly the sector a
-    ``min`` scan over the banks' free lists would.
+    allocator's heaps over its one free set (O(log n)); it picks exactly
+    the sector a ``min`` scan over the erased sectors would.
     """
-    return allocator.peek_erased(banks, least_worn=policy is not WearPolicy.NONE)
+    return allocator.peek_erased(least_worn=policy is not WearPolicy.NONE)
 
 
 def _serviceable_counts(allocator: SectorAllocator) -> List[int]:
@@ -54,11 +53,7 @@ def _serviceable_counts(allocator: SectorAllocator) -> List[int]:
     ]
 
 
-def static_rotation_victim(
-    allocator: SectorAllocator,
-    banks: Optional[List[int]],
-    gap_threshold: int,
-) -> Optional[int]:
+def static_rotation_victim(allocator: SectorAllocator, gap_threshold: int) -> Optional[int]:
     """Sector whose cold data should be rotated out, if wear is skewed.
 
     Returns the *least-worn sealed* sector once the wear gap exceeds the
@@ -68,7 +63,7 @@ def static_rotation_victim(
     """
     if gap_threshold <= 0:
         raise ValueError("gap threshold must be positive")
-    sealed = allocator.sealed_victims(banks if banks else None)
+    sealed = allocator.sealed_victims()
     if not sealed:
         return None
     counts = _serviceable_counts(allocator)

@@ -21,7 +21,9 @@ from repro.sim import SimClock
 from repro.sim.engine import Engine
 from repro.storage import FlashStore, StorageReadOnlyError
 from repro.storage.allocator import OutOfFlashSpace, SectorState
-from repro.storage.flashstore import CorruptBlockError, pack_summary, unpack_summary
+from repro.storage.flashstore import (
+    PROGRAM_RETRY_LIMIT, CorruptBlockError, pack_summary, unpack_summary,
+)
 
 from tests._storage import build_manager
 
@@ -127,7 +129,7 @@ class TestRetryAndRetirement:
             assert store.read_block(key) == blob
 
     def test_retry_limit_exhaustion_raises(self):
-        flash, clock, store = make_store(program_retry_limit=2)
+        flash, clock, store = make_store()
         FaultInjector(FaultPlan(seed=0, program_fail_rate=1.0)).attach(flash)
         # Every attempt fails transiently; after the bounded retries the
         # store treats the sector as failing and retires it, and with
@@ -135,6 +137,9 @@ class TestRetryAndRetirement:
         with pytest.raises((ProgramFailedError, OutOfFlashSpace)):
             for i in range(50):
                 store.write_block(("k", i), b"x" * 1000)
+        # Each failed program was retried exactly PROGRAM_RETRY_LIMIT times.
+        retries = store.stats.counter("program_retries").value
+        assert retries > 0 and retries % PROGRAM_RETRY_LIMIT == 0
 
     def test_permanent_failure_retires_sector_and_preserves_data(self):
         flash, clock, store = make_store()

@@ -1,19 +1,20 @@
 """Property tests: the incremental cleaning-victim index == the O(n) scan.
 
 ``choose_victim(COST_BENEFIT)`` reads ``SectorAllocator.best_victim``, a
-per-``(bank, live_bytes)`` heap index kept up to date by the allocator's
-own transitions.  It must pick exactly the sector the full scan below
-picked -- the highest score, the lowest index among equal scores -- for
-every interleaving of open/append/seal/invalidate/adopt/retire/erase,
-every bank subset and every exclude set.  :func:`choose_victim_scan` is
-the scan ``choose_victim`` ran for every policy before the index, kept
-verbatim as the reference.
+per-``live_bytes`` heap index over the whole device, kept up to date by
+the allocator's own transitions.  It must pick exactly the sector the
+full scan below picked -- the highest score, the lowest index among
+equal scores -- for every interleaving of
+open/append/seal/invalidate/adopt/retire/erase.  The device has four
+banks, and sectors of every bank share the buckets.
+:func:`choose_victim_scan` is the scan ``choose_victim`` ran for every
+policy before the index, kept as the reference.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Optional
+from typing import Optional
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -35,15 +36,11 @@ def choose_victim_scan(
     allocator: SectorAllocator,
     policy: CleaningPolicy,
     now: float,
-    banks: Optional[List[int]] = None,
-    exclude: Optional[set] = None,
 ) -> Optional[int]:
     scorer = _SCORERS[policy]
     best: Optional[int] = None
     best_score = 0.0
-    for info in allocator.sealed_victims(banks):
-        if exclude and info.index in exclude:
-            continue
+    for info in allocator.sealed_victims():
         if info.dead_bytes <= 0:
             continue
         score = scorer(info, allocator.sector_bytes, now)
@@ -69,7 +66,6 @@ SEAL_TIMES = [
 # 1e6 and 1e9 the ages of adjacent seal times round to equal values.
 NOWS = [0.5, 1000.0, _up(1000.0), 1e6, 1e9]
 SIZES = [1024, 2000, 4096]
-BANK_CHOICES = [None, [0], [1, 3], [0, 1, 2, 3], [2, 2]]
 NUM_BANKS = 4
 
 
@@ -90,26 +86,11 @@ def _live_blocks(allocator):
     ]
 
 
-def _exclude_for(allocator, kind: int, pick: int):
-    sealed = _sectors(allocator, SectorState.SEALED)
-    opened = _sectors(allocator, SectorState.OPEN)
-    if kind == 0:
-        return None
-    if kind == 1:
-        return set()
-    if kind == 2 and sealed:
-        return {sealed[pick % len(sealed)]}
-    if kind == 3 and sealed:
-        return {sealed[pick % len(sealed)], sealed[(pick + 1) % len(sealed)]}
-    # The cleaner's own shape: the open sectors, as a frozenset.
-    return frozenset(opened)
-
-
-def _assert_agree(allocator, now, banks, exclude):
+def _assert_agree(allocator, now):
     for policy in CleaningPolicy:
-        assert choose_victim(allocator, policy, now, banks, exclude) == choose_victim_scan(
-            allocator, policy, now, banks, exclude
-        ), (policy, now, banks, exclude)
+        assert choose_victim(allocator, policy, now) == choose_victim_scan(
+            allocator, policy, now
+        ), (policy, now)
 
 
 OPS = st.lists(
@@ -121,8 +102,6 @@ OPS = st.lists(
         st.integers(min_value=0, max_value=63),  # which sector / block
         st.integers(min_value=0, max_value=63),  # size / seal time / count
         st.integers(min_value=0, max_value=len(NOWS) - 1),
-        st.integers(min_value=0, max_value=len(BANK_CHOICES) - 1),
-        st.integers(min_value=0, max_value=4),  # exclude shape
     ),
     min_size=20,
     max_size=80,
@@ -134,7 +113,7 @@ OPS = st.lists(
 def test_index_matches_scan_under_random_operations(ops, summary):
     allocator = _fresh(summary)
     next_key = 0
-    for kind, pick, arg, now_i, banks_i, excl in ops:
+    for kind, pick, arg, now_i in ops:
         if kind == "open":
             free = sorted(allocator._free_set)
             if free:
@@ -188,9 +167,7 @@ def test_index_matches_scan_under_random_operations(ops, summary):
             ]
             if empty:
                 allocator.mark_erased(empty[pick % len(empty)])
-        now = NOWS[now_i]
-        _assert_agree(allocator, now, BANK_CHOICES[banks_i], _exclude_for(allocator, excl, pick))
-        _assert_agree(allocator, now, None, None)
+        _assert_agree(allocator, NOWS[now_i])
         allocator.check_invariants()
 
 
@@ -217,22 +194,22 @@ def test_tie_across_seal_times_picks_lowest_index():
 
 
 def test_tie_across_banks_picks_lowest_index():
+    """Sectors of two banks with equal live bytes share one bucket; the
+    lower index wins their tie whatever order they were sealed in."""
     allocator = _fresh(0)
     assert allocator.info(3).bank != allocator.info(11).bank
     _sealed_with(allocator, 11, 2, 10.0)
     _sealed_with(allocator, 3, 2, 10.0)
+    assert len(allocator._victims) == 1
     assert choose_victim(allocator, CleaningPolicy.COST_BENEFIT, 50.0) == 3
-    assert choose_victim(
-        allocator, CleaningPolicy.COST_BENEFIT, 50.0, exclude={3}
-    ) == 11
 
 
 def _heap_entries(allocator) -> int:
-    return sum(len(b.heap) for by_live in allocator._victims.values() for b in by_live.values())
+    return sum(len(b.heap) for b in allocator._victims.values())
 
 
 def _bucket_count(allocator) -> int:
-    return sum(len(by_live) for by_live in allocator._victims.values())
+    return len(allocator._victims)
 
 
 def test_invalidations_without_cleaning_keep_the_index_small():
@@ -270,9 +247,9 @@ def test_flash_log_replay_picks_match_the_scan(monkeypatch):
     (8 MB, so cost-benefit cleaning copies live data) equals the scan's."""
     calls = {policy: 0 for policy in CleaningPolicy}
 
-    def checked(allocator, policy, now, banks=None, exclude=None):
-        got = choose_victim(allocator, policy, now, banks, exclude)
-        assert got == choose_victim_scan(allocator, policy, now, banks, exclude)
+    def checked(allocator, policy, now):
+        got = choose_victim(allocator, policy, now)
+        assert got == choose_victim_scan(allocator, policy, now)
         calls[policy] += 1
         return got
 

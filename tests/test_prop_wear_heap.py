@@ -1,11 +1,12 @@
 """Property tests: heap-based erased-sector selection == the O(n) scan.
 
-``SectorAllocator.peek_erased`` (lazily-invalidated per-bank heaps) must
-pick exactly the sector the old ``min`` scan picked, for every wear
-policy, under arbitrary interleavings of open/seal/erase/retire -- the
-operations that move sectors on and off the free list and change erase
-counts.  :func:`choose_erased_sector_scan` below is that scan, the
-reference implementation.
+``SectorAllocator.peek_erased`` (lazily-invalidated heaps over the one
+free set) must pick exactly the sector a ``min`` scan over the erased
+sectors picks, for every wear policy, under arbitrary interleavings of
+open/seal/erase/retire -- the operations that move sectors in and out
+of the free set and change erase counts.
+:func:`choose_erased_sector_scan` below is that scan, the reference
+implementation; it reads sector states, not the free set it checks.
 """
 
 from __future__ import annotations
@@ -21,9 +22,9 @@ from repro.storage.wear import WearPolicy, choose_erased_sector
 MB = 1024 * 1024
 
 
-def choose_erased_sector_scan(allocator, banks, policy):
+def choose_erased_sector_scan(allocator, policy):
     """Reference O(n) implementation of :func:`choose_erased_sector`."""
-    candidates = [s for bank in banks for s in allocator.free_by_bank[bank]]
+    candidates = [s.index for s in allocator.sectors if s.state is SectorState.ERASED]
     if not candidates:
         return None
     if policy is WearPolicy.NONE:
@@ -36,13 +37,10 @@ def _fresh():
     return flash, SectorAllocator(flash)
 
 
-def _assert_agree(allocator, flash, policy):
-    """Heap pick == scan pick for every bank subset shape we use."""
-    all_banks = list(range(flash.num_banks))
-    for banks in (all_banks, all_banks[:2], all_banks[2:], [0]):
-        assert choose_erased_sector(allocator, banks, policy) == (
-            choose_erased_sector_scan(allocator, banks, policy)
-        ), (banks, policy)
+def _assert_agree(allocator, policy):
+    assert choose_erased_sector(allocator, policy) == (
+        choose_erased_sector_scan(allocator, policy)
+    ), policy
 
 
 # Operations: (kind, sector_choice) where sector_choice indexes into the
@@ -90,7 +88,7 @@ def test_heap_matches_scan_under_random_operations(ops, policy):
             if free:
                 allocator.retire(free[pick % len(free)])
         allocator.check_invariants()
-        _assert_agree(allocator, flash, policy)
+        _assert_agree(allocator, policy)
 
 
 @settings(max_examples=40, deadline=None)
@@ -100,15 +98,15 @@ def test_heap_matches_scan_under_random_operations(ops, policy):
 )
 def test_heap_matches_scan_after_bad_block_retirement(retire_picks, policy):
     """Retired sectors never surface from the heaps, matching the scan."""
-    flash, allocator = _fresh()
+    _flash, allocator = _fresh()
     for pick in retire_picks:
         free = sorted(allocator._free_set)
         if not free:
             break
         allocator.retire(free[pick % len(free)])
         allocator.check_invariants()
-        _assert_agree(allocator, flash, policy)
-        chosen = choose_erased_sector(allocator, list(range(flash.num_banks)), policy)
+        _assert_agree(allocator, policy)
+        chosen = choose_erased_sector(allocator, policy)
         if chosen is not None:
             assert allocator.sectors[chosen].state is SectorState.ERASED
 
@@ -119,7 +117,6 @@ def test_stale_wear_entries_are_discarded(cycles):
     """A sector that leaves and rejoins the free list with higher wear
     must not be picked on the strength of its stale (old-count) entry."""
     flash, allocator = _fresh()
-    banks = list(range(flash.num_banks))
     now = 0.0
     victim = 0
     for _ in range(cycles):
@@ -130,16 +127,6 @@ def test_stale_wear_entries_are_discarded(cycles):
         allocator.mark_erased(victim)
     # victim now has the highest erase count; DYNAMIC must avoid it.
     assert flash.sector_erase_count(victim) == cycles
-    chosen = choose_erased_sector(allocator, banks, WearPolicy.DYNAMIC)
+    chosen = choose_erased_sector(allocator, WearPolicy.DYNAMIC)
     assert chosen != victim
-    assert chosen == choose_erased_sector_scan(allocator, banks, WearPolicy.DYNAMIC)
-
-
-def test_exclude_skips_but_preserves_entries():
-    flash, allocator = _fresh()
-    banks = list(range(flash.num_banks))
-    first = allocator.peek_erased(banks, least_worn=True)
-    second = allocator.peek_erased(banks, least_worn=True, exclude=frozenset((first,)))
-    assert second != first
-    # The excluded entry must survive for the next unrestricted query.
-    assert allocator.peek_erased(banks, least_worn=True) == first
+    assert chosen == choose_erased_sector_scan(allocator, WearPolicy.DYNAMIC)

@@ -98,19 +98,6 @@ class TestLifecycle:
 
 
 class TestQueries:
-    def test_free_count_by_bank(self, alloc):
-        alloc.take_erased(0)  # bank 0
-        assert alloc.free_sector_count([0]) == 7
-        assert alloc.free_sector_count([1]) == 8
-
-    def test_sealed_victims_filtered_by_bank(self, alloc):
-        alloc.take_erased(0)
-        alloc.seal(0, now=1.0)
-        alloc.take_erased(8)  # bank 1
-        alloc.seal(8, now=1.0)
-        assert [s.index for s in alloc.sealed_victims([0])] == [0]
-        assert [s.index for s in alloc.sealed_victims()] == [0, 8]
-
     def test_occupancy(self, alloc):
         alloc.take_erased(0)
         alloc.append(0, "k", 1024)

@@ -240,8 +240,8 @@ class TestInPlaceMode:
         assert store.read_block("a") == b"v2"
 
     def test_neighbors_survive_sector_rewrite(self):
-        store = make_store(mode=StoreMode.IN_PLACE, in_place_slot_bytes=1024)
-        # 4 slots per 4 KB sector: a,b,c,d share sector 0.
+        store = make_store(mode=StoreMode.IN_PLACE)
+        # 4 KB slots, 4 per 16 KB sector: a,b,c,d share sector 0.
         for key in "abcd":
             store.write_block(key, key.encode() * 512)
         store.write_block("b", b"B" * 512)

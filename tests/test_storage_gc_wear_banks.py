@@ -55,15 +55,6 @@ class TestChooseVictim:
         alloc.seal(0, 0.0)
         assert choose_victim(alloc, CleaningPolicy.GREEDY, now=1.0) is None
 
-    def test_exclusion(self, alloc):
-        seal_with(alloc, 0, live=0, dead=4 * KB, when=0.0)
-        assert choose_victim(alloc, CleaningPolicy.GREEDY, now=1.0, exclude={0}) is None
-
-    def test_bank_filter(self, alloc):
-        seal_with(alloc, 0, live=0, dead=4 * KB, when=0.0)  # bank 0
-        assert choose_victim(alloc, CleaningPolicy.GREEDY, now=1.0, banks=[1]) is None
-        assert choose_victim(alloc, CleaningPolicy.GREEDY, now=1.0, banks=[0]) == 0
-
     def test_generational_prefers_young_mostly_dead(self, alloc):
         # Young and mostly dead beats old and half-live.
         seal_with(alloc, 0, live=2 * KB, dead=2 * KB, when=0.0)
@@ -73,27 +64,27 @@ class TestChooseVictim:
 
 class TestWearHelpers:
     def test_none_policy_first_fit(self, alloc):
-        assert choose_erased_sector(alloc, [0, 1], WearPolicy.NONE) == 0
+        assert choose_erased_sector(alloc, WearPolicy.NONE) == 0
 
     def test_dynamic_picks_least_worn(self, alloc):
         flash = alloc.flash
         for _ in range(5):
             flash.erase_sector(0, SimClock())
         flash.erase_sector(1, SimClock())
-        chosen = choose_erased_sector(alloc, [0], WearPolicy.DYNAMIC)
+        chosen = choose_erased_sector(alloc, WearPolicy.DYNAMIC)
         assert chosen not in (0, 1)  # both have wear; others are fresh
 
     def test_no_free_sectors_returns_none(self, alloc):
         for s in range(16):
             alloc.take_erased(s)
-        assert choose_erased_sector(alloc, [0, 1], WearPolicy.DYNAMIC) is None
+        assert choose_erased_sector(alloc, WearPolicy.DYNAMIC) is None
 
     def test_static_rotation_needs_gap(self, alloc):
         seal_with(alloc, 0, live=2 * KB, dead=0, when=0.0)
-        assert static_rotation_victim(alloc, None, gap_threshold=4) is None
+        assert static_rotation_victim(alloc, gap_threshold=4) is None
         for _ in range(10):
             alloc.flash.erase_sector(5, SimClock())
-        victim = static_rotation_victim(alloc, None, gap_threshold=4)
+        victim = static_rotation_victim(alloc, gap_threshold=4)
         assert victim == 0  # least-worn sealed sector
 
     def test_static_rotation_skips_worn_victims(self, alloc):
@@ -101,9 +92,9 @@ class TestWearHelpers:
             alloc.flash.erase_sector(0, SimClock())
         seal_with(alloc, 0, live=2 * KB, dead=0, when=0.0)
         # Only sealed sector is itself heavily worn: no rotation.
-        assert static_rotation_victim(alloc, None, gap_threshold=4) is None
+        assert static_rotation_victim(alloc, gap_threshold=4) is None
 
     def test_invalid_threshold(self, alloc):
         with pytest.raises(ValueError):
-            static_rotation_victim(alloc, None, gap_threshold=0)
+            static_rotation_victim(alloc, gap_threshold=0)
 
