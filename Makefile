@@ -52,9 +52,9 @@ e14-smoke:
 	$(PY) -m repro experiments E14 -j 2 \
 		--trace benchmarks/out/e14_smoke.jsonl --monitors > /dev/null
 
-# Run every examples/*.py script (~8 s in all; they write no files).  The
-# examples are the only callers of a few public APIs, so a change that
-# breaks one must fail here.
+# Run every examples/*.py script (10-12 s in all on a 2-core Xeon,
+# Python 3.11; they write no files).  The examples are the only callers
+# of a few public APIs, so a change that breaks one must fail here.
 examples-smoke:
 	for f in examples/*.py; do $(PY) $$f > /dev/null || exit 1; done
 

@@ -201,10 +201,7 @@ def _cmd_run(args) -> int:
              f"{report.dispatch_delay_total_s:.2f} s")
         )
         for cid, stats in sorted(report.per_client.items()):
-            rows.append(
-                (f"client {cid}",
-                 f"{stats['records']} ops, {stats['errors']} errors")
-            )
+            rows.append((f"client {cid}", f"{stats['records']} ops"))
     print(
         format_kv(
             rows,

@@ -16,7 +16,6 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import List, Tuple
 
-from repro.sim import sched
 
 
 class FSError(Exception):
@@ -159,9 +158,8 @@ class FileSystem(ABC):
 
         On a normal exit (an early ``return`` included) the op counts
         one ``<op>_ops`` in ``self.stats`` and records its elapsed
-        ``self.clock`` time in ``<op>_latency``; under the multi-client
-        scheduler it is also attributed to ``client<N>_<op>_ops`` and
-        ``client<N>_<op>_latency``.  An op that raises records nothing.
+        ``self.clock`` time in ``<op>_latency``.  An op that raises
+        records nothing.
         """
         return _OpTimers(self)
 
@@ -199,12 +197,6 @@ class _OpTimer:
             self.latency = fs.stats.histogram(f"{self.op}_latency")
         ops.value += 1
         self.latency.record(elapsed)
-        client = sched._current_client
-        if client is not None:
-            # Per-client attribution exists only under the multi-client
-            # scheduler, so single-client snapshots are unchanged.
-            fs.stats.counter(f"client{client}_{self.op}_ops").add(1)
-            fs.stats.histogram(f"client{client}_{self.op}_latency").record(elapsed)
 
 
 class _OpTimers(dict):

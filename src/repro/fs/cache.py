@@ -18,7 +18,6 @@ from repro.devices.dram import DRAM
 from repro.fs.blockdev import BlockDevice
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
-from repro.sim import sched
 from repro.sim.stats import StatRegistry
 
 
@@ -64,22 +63,16 @@ class BufferCache:
         long as the block is neither rewritten nor evicted, so a parse of
         it may be memoized on object identity.
         """
-        # The hit path is the hottest in the block-FS stack: it reads the
-        # scheduler's client context (``sched._current_client``, the value
-        # ``current_client()`` returns) and bumps the hit counter directly.
-        client = sched._current_client
+        # The hit path is the hottest in the block-FS stack: it bumps the
+        # hit counter directly.
         block = self._blocks.get(lba)
         if block is not None:
             self._blocks.move_to_end(lba)
             self._hits.value += 1
-            if client is not None:
-                self.stats.counter(f"client{client}_hits").add(1)
             if self.dram is not None:
                 self.dram.charge_read(self._block_size, self.clock)
             return block
         self._misses.value += 1
-        if client is not None:
-            self.stats.counter(f"client{client}_misses").add(1)
         data = self.device.read_block(lba)  # timed device read
         if type(data) is not bytes:
             data = bytes(data)
@@ -107,9 +100,6 @@ class BufferCache:
         if not 0 <= lba < self._nblocks:
             self.device.check_lba(lba)
         self._writes.value += 1
-        client = sched._current_client
-        if client is not None:
-            self.stats.counter(f"client{client}_writes").add(1)
         if type(data) is not bytes:
             data = bytes(data)
         dram = self.dram

@@ -35,7 +35,6 @@ from repro.mem.paging import (
 from repro.mem.swap import SwapBackend
 from repro.mem.tlb import TLB
 from repro.obs import runtime as obs_runtime
-from repro.sim.sched import current_client
 from repro.sim.stats import StatRegistry
 
 
@@ -307,11 +306,9 @@ class VirtualMemory:
             self.stats.counter("zero_fill_faults").add(1)
             kind = "zero_fill"
         if self.tracer is not None:
-            client = current_client()
             self.tracer.emit(
                 "vm", "page_fault", start, PAGE_SIZE,
                 self.clock.now - start, outcome=kind,
-                detail={"client": client} if client is not None else None,
             )
         entry.phys_addr = frame
         entry.present = True
@@ -332,11 +329,9 @@ class VirtualMemory:
         self._resident[(space.asid, entry.vpn)] = entry
         self.stats.counter("cow_faults").add(1)
         if self.tracer is not None:
-            client = current_client()
             self.tracer.emit(
                 "vm", "page_fault", start, PAGE_SIZE,
                 self.clock.now - start, outcome="cow",
-                detail={"client": client} if client is not None else None,
             )
 
     def _allocate_frame(self) -> int:

@@ -20,7 +20,7 @@ All simulated time is in **seconds**, all sizes in **bytes**, all energy in
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine, Event
 from repro.sim.rand import RandomStream, substream
-from repro.sim.sched import Process, Scheduler, current_client
+from repro.sim.sched import Process, Scheduler
 from repro.sim.stats import (
     Counter,
     Histogram,
@@ -34,7 +34,6 @@ __all__ = [
     "Event",
     "Process",
     "Scheduler",
-    "current_client",
     "RandomStream",
     "substream",
     "Counter",

@@ -37,12 +37,6 @@ Determinism rules (pinned by tests):
    at the current clock; the clock never moves backwards.
 4. The scheduler never preempts: each step runs to its next ``yield``
    atomically.  All interleaving happens at yield points only.
-
-Client attribution: while a process with a non-None ``client`` id runs,
-:func:`current_client` returns that id, and file systems label their
-per-operation counters with it.  Single-client runs spawn with
-``client=None`` so the context stays unset and their metrics/trace
-output is byte-identical to the synchronous path.
 """
 
 from __future__ import annotations
@@ -52,28 +46,12 @@ from typing import Generator, List, Optional, Tuple
 
 from repro.sim.engine import Engine
 
-# ----------------------------------------------------------------------
-# Client context.
-# ----------------------------------------------------------------------
-
-_current_client: Optional[int] = None
-
-
-def current_client() -> Optional[int]:
-    """Id of the client whose process step is currently running.
-
-    None outside the scheduler or while a kernel-internal / unnamed
-    (single-client) process runs.
-    """
-    return _current_client
-
 
 class Process:
     """One cooperative process: a generator yielding resume times."""
 
     __slots__ = (
         "name",
-        "client",
         "seq",
         "gen",
         "steps",
@@ -87,11 +65,9 @@ class Process:
         self,
         gen: Generator[float, None, None],
         name: str,
-        client: Optional[int],
         seq: int,
     ) -> None:
         self.name = name
-        self.client = client
         self.seq = seq
         self.gen = gen
         self.steps = 0
@@ -105,7 +81,6 @@ class Process:
     def snapshot(self) -> dict:
         return {
             "name": self.name,
-            "client": self.client,
             "steps": self.steps,
             "dispatch_delay_total_s": self.dispatch_delay_total,
             "dispatch_delay_max_s": self.dispatch_delay_max,
@@ -124,19 +99,15 @@ class Scheduler:
         self.steps_run = 0
 
     def spawn(
-        self,
-        gen: Generator[float, None, None],
-        name: str = "proc",
-        client: Optional[int] = None,
+        self, gen: Generator[float, None, None], name: str = "proc"
     ) -> Process:
         """Register a process and prime it to its first yield.
 
         Priming runs the generator's prologue (before its first
-        ``yield``) immediately, in spawn order, with no client context --
-        process bodies should not touch the machine before first
-        yielding.
+        ``yield``) immediately, in spawn order -- process bodies should
+        not touch the machine before first yielding.
         """
-        proc = Process(gen, name=name, client=client, seq=self._spawn_seq)
+        proc = Process(gen, name=name, seq=self._spawn_seq)
         self._spawn_seq += 1
         self.processes.append(proc)
         try:
@@ -154,7 +125,6 @@ class Scheduler:
         failed; remaining processes are left un-run (the machine state
         is suspect once any client has crashed mid-operation).
         """
-        global _current_client
         engine = self.engine
         while self._ready:
             when, _, proc = heapq.heappop(self._ready)
@@ -168,8 +138,6 @@ class Scheduler:
                     proc.dispatch_delay_max = delay
             proc.steps += 1
             self.steps_run += 1
-            if proc.client is not None:
-                _current_client = proc.client
             try:
                 nxt = next(proc.gen)
             except StopIteration:
@@ -179,9 +147,6 @@ class Scheduler:
                 proc.done = True
                 proc.error = exc
                 raise
-            finally:
-                if proc.client is not None:
-                    _current_client = None
             heapq.heappush(self._ready, (float(nxt), proc.seq, proc))
 
     def snapshot(self) -> dict:

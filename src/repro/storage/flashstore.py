@@ -39,7 +39,6 @@ from repro.devices.errors import EraseFailedError, ProgramFailedError
 from repro.devices.flash import FlashMemory
 from repro.faults.ecc import ECC_BYTES, ecc_check, ecc_encode
 from repro.obs import runtime as obs_runtime
-from repro.sim import sched
 from repro.sim.clock import SimClock
 from repro.sim.stats import StatHandle, StatRegistry
 from repro.storage.allocator import Location, OutOfFlashSpace, SectorAllocator
@@ -361,9 +360,6 @@ class FlashStore:
                 "sector": sector,
                 "bank": self.allocator.sectors[sector].bank,
             }
-            client = sched._current_client
-            if client is not None:
-                detail["client"] = client
             self.tracer.emit(
                 "flashstore", "write", t0, nbytes, self.clock.now - t0,
                 outcome="in_place" if in_place else "logged", detail=detail,
@@ -612,7 +608,7 @@ class FlashStore:
             data = self._do_read(absolute, length)
             if self.ecc:
                 data = self._verify_block(key, data, scrub=False)
-            new_loc = self._place_relocated(key, data, forbidden=victim)
+            new_loc = self._place_relocated(key, data)
             old_loc = Location(victim, offset, length)
             self.allocator.invalidate(old_loc)
             self._index[key] = new_loc
@@ -632,11 +628,11 @@ class FlashStore:
             )
         return dest_used
 
-    def _place_relocated(self, key: Hashable, data: bytes, forbidden: int) -> Location:
-        """Append a relocated block somewhere outside ``forbidden``,
-        retiring any destination whose medium refuses the program."""
+    def _place_relocated(self, key: Hashable, data: bytes) -> Location:
+        """Append a relocated block to the open sector, retiring any
+        destination whose medium refuses the program."""
         while True:
-            dest = self._ensure_open_sector_for_gc(len(data), forbidden)
+            dest = self._ensure_open_sector_for_gc(len(data))
             try:
                 return self._append_and_program(dest, key, data, self._align_for(len(data)))
             except ProgramFailedError:
@@ -686,16 +682,16 @@ class FlashStore:
                 outcome="cleaned", detail={"sector": victim},
             )
 
-    def _ensure_open_sector_for_gc(self, length: int, forbidden: int) -> int:
+    def _ensure_open_sector_for_gc(self, length: int) -> int:
         """Open-sector logic for the cleaner itself.
 
-        Must not recurse into cleaning (we are mid-clean) and must not
-        pick the victim being cleaned.  A fresh sector comes from the
-        free set, which never holds ``forbidden`` (a victim is SEALED or
-        OPEN, never ERASED).
+        Must not recurse into cleaning (we are mid-clean).  It never
+        picks the victim being emptied: a cleaning or rotation victim is
+        SEALED, a failing sector has left ``_open`` before its
+        evacuation, and the free set holds only ERASED sectors.
         """
         open_sector = self._open
-        if open_sector is not None and open_sector != forbidden:
+        if open_sector is not None:
             if self.allocator.fits(open_sector, length, self._align_for(length)):
                 return open_sector
             self.allocator.seal(open_sector, self.clock.now)

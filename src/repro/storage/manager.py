@@ -19,7 +19,6 @@ from __future__ import annotations
 from typing import Hashable, List, Optional
 
 from repro.obs import runtime as obs_runtime
-from repro.sim import sched
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
 from repro.sim.stats import StatHandle, StatRegistry
@@ -110,9 +109,6 @@ class StorageManager:
         if self.read_only:
             raise StorageReadOnlyError(self.read_only_reason or "degraded")
         self._user_bytes_written.value += len(data)
-        client = sched._current_client
-        if client is not None:
-            self.stats.counter(f"client{client}_bytes_written").add(len(data))
         items = self.buffer.put(key, data)
         self._persist_items(items)
 

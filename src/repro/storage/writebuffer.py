@@ -35,7 +35,6 @@ from typing import Hashable, List, Optional
 
 from repro.devices.dram import DRAM
 from repro.obs import runtime as obs_runtime
-from repro.sim import sched
 from repro.sim.clock import SimClock
 from repro.sim.stats import StatHandle, StatRegistry
 
@@ -144,10 +143,8 @@ class WriteBuffer:
             self._flushed_bytes.value += len(data)
             self.stats.counter(f"flushed_{FlushReason.WATERMARK.value}").add(1)
             if self.tracer is not None:
-                client = sched._current_client
                 self.tracer.emit(
-                    "writebuffer", "put", now, len(data), outcome="writethrough",
-                    detail={"client": client} if client is not None else None,
+                    "writebuffer", "put", now, len(data), outcome="writethrough"
                 )
             return [FlushItem(key, data, FlushReason.WATERMARK, 0.0, now)]
 
@@ -165,14 +162,10 @@ class WriteBuffer:
         if self.tracer is not None:
             # "prev" (bytes of the overwritten version) lets a live
             # conservation monitor track buffered bytes exactly.
-            detail = {"prev": len(existing.data)} if existing is not None else {}
-            client = sched._current_client
-            if client is not None:
-                detail["client"] = client
             self.tracer.emit(
                 "writebuffer", "put", now, len(data),
                 outcome="overwrite" if existing is not None else "buffered",
-                detail=detail or None,
+                detail={"prev": len(existing.data)} if existing is not None else None,
             )
 
         if self._bytes <= self.capacity_bytes:

@@ -187,13 +187,12 @@ class TraceReplayer:
     ) -> ReplayReport:
         """Replay one or more client streams through the scheduler.
 
-        With one stream the process spawns with ``client=None``: no
-        client context is set, so metrics and trace bytes carry no
-        per-client attribution (the golden digests in
-        ``tests/test_equivalence`` pin this path).
+        With one stream the records replay at the root, unprefixed (the
+        golden digests in ``tests/test_equivalence`` pin this path).
 
         With several streams the report additionally carries
-        ``per_client`` op counts/latency and the scheduler's
+        ``per_client`` records, bytes, op counts and latency -- the only
+        place work is attributed to a client -- and the scheduler's
         dispatch-delay accounting.
         """
         if not streams:
@@ -210,7 +209,6 @@ class TraceReplayer:
             if multi:
                 client_stats[idx] = {
                     "records": 0,
-                    "errors": 0,
                     "bytes_written": 0,
                     "bytes_read": 0,
                     "_hists": defaultdict(Histogram),
@@ -221,7 +219,6 @@ class TraceReplayer:
                     client, client_stats.get(idx),
                 ),
                 name=f"client{idx}",
-                client=client,
             )
         sched.run()
         report.trace_duration_s = last_time[0]

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import MobileComputer, Organization, SystemConfig
 from repro.mem.paging import PAGE_SIZE
+from repro.storage.allocator import SectorState
 
 MB = 1024 * 1024
 
@@ -29,6 +30,20 @@ def make_mapped_file(machine, pages=4, sync=True, name="/data.bin"):
     space = machine.vm.create_space("mapper")
     mapping = machine.mmap.map_file(space, handle, handle.nblocks)
     return data, handle, space, mapping
+
+
+def seal_sector_of(machine, key):
+    """Write filler through the file system until the log seals the sector
+    holding ``key`` (the cleaner only empties sealed sectors); return it."""
+    store = machine.store
+    sector = store.location_of(key).sector
+    filler = bytes(store.allocator.sector_bytes)
+    n = 0
+    while store.allocator.info(sector).state is not SectorState.SEALED:
+        machine.fs.write_file(f"/filler{n}", filler)
+        machine.fs.sync()
+        n += 1
+    return sector
 
 
 class TestZeroCopyMapping:
@@ -94,7 +109,7 @@ class TestRelocationUpkeep:
         key = handle.block_key(0)
         old_loc = machine.store.location_of(key)
         # Force a relocation of this exact block by cleaning its sector.
-        machine.store._relocate_and_erase(old_loc.sector)
+        machine.store._relocate_and_erase(seal_sector_of(machine, key))
         new_loc = machine.store.location_of(key)
         assert (new_loc.sector, new_loc.offset) != (old_loc.sector, old_loc.offset)
         # The mapping must still read correct data at the new location.
@@ -109,8 +124,7 @@ class TestRelocationUpkeep:
         _d, handle, space, mapping = make_mapped_file(machine, pages=2)
         machine.vm.write(space, mapping.vaddr, b"MINE")  # promote page 0
         key = handle.block_key(0)
-        old_loc = machine.store.location_of(key)
-        machine.store._relocate_and_erase(old_loc.sector)
+        machine.store._relocate_and_erase(seal_sector_of(machine, key))
         # Private DRAM copy is untouched by the flash move.
         assert machine.vm.read(space, mapping.vaddr, 4) == b"MINE"
 

@@ -3,8 +3,8 @@
 Every timed op counts one ``<op>_ops`` and records one ``<op>_latency``
 sample when it completes, including through an early ``return``; an op
 that raises inside the boundary records nothing, so its counter and
-histogram do not even appear in the snapshot.  Under the multi-client
-scheduler each op is also attributed to ``client<N>_<op>_ops``.
+histogram do not even appear in the snapshot.  No layer attributes
+work to a client: that lives only in ``ReplayReport.per_client``.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from repro.devices import DRAM, FlashMemory, MagneticDisk
 from repro.fs import BufferCache, ConventionalFileSystem, DiskBlockDevice, mkfs
 from repro.fs import MemoryFileSystem
 from repro.fs.api import FileNotFoundFSError
+from repro.obs import runtime
+from repro.obs.tracer import EVENT_FIELDS, Tracer
 from repro.sim import SimClock
 
 from tests._storage import build_manager
@@ -107,18 +109,30 @@ def test_single_client_ops_carry_no_client_counters(fs):
     assert not [name for name in fs.stats.counters if name.startswith("client")]
 
 
+def _keys(tree):
+    """Every dict key anywhere in a nested snapshot."""
+    if isinstance(tree, dict):
+        for key, value in tree.items():
+            yield key
+            yield from _keys(value)
+    elif isinstance(tree, (list, tuple)):
+        for value in tree:
+            yield from _keys(value)
+
+
 @pytest.mark.parametrize(
     "org", [Organization.SOLID_STATE, Organization.DISK], ids=lambda o: o.value
 )
-def test_two_client_replay_attributes_every_op(org):
-    machine = MobileComputer(SystemConfig(organization=org, seed=3))
-    machine.run_workload("office", seed=3, duration_s=6.0, clients=2)
-    counters = machine.fs.stats.counters
-    histograms = machine.fs.stats.histograms
-    for op in ("create", "write", "read"):
-        per_client = [counters.get(f"client{c}_{op}_ops") for c in (0, 1)]
-        assert all(counter is not None for counter in per_client), op
-        assert sum(c.value for c in per_client) == counters[f"{op}_ops"].value
-        assert sum(histograms[f"client{c}_{op}_latency"].count for c in (0, 1)) == (
-            histograms[f"{op}_latency"].count
+def test_two_client_replay_leaves_no_client_attribution(org):
+    with runtime.tracing(Tracer()) as tracer:
+        machine = MobileComputer(SystemConfig(organization=org, seed=3))
+        report, _metrics = machine.run_workload(
+            "office", seed=3, duration_s=6.0, clients=2
         )
+    assert sorted(report.per_client) == [0, 1]
+    snapshot = machine.hub.snapshot(machine.clock.now)
+    assert not [key for key in _keys(snapshot) if "client" in str(key)]
+    detail = EVENT_FIELDS.index("detail")
+    details = [record[detail] for record in tracer.records if record[detail]]
+    assert details  # the trace does carry details, just none per client
+    assert not [d for d in details if "client" in d]

@@ -1,17 +1,15 @@
 """Property test: the buffer cache against its earlier, plainer self.
 
 ``BufferCache.write`` and the miss path of ``read`` install and evict
-inline, read the client context from ``sched._current_client`` and
-bump counters directly.  None of that may move a number, so the cache
-is driven side by side with a verbatim copy of the version before those
-changes, on a cache of a few blocks (misses, clean and dirty evictions
-and flushes all happen), with and without a client context and with
-and without DRAM; its DRAM charges take the clock, as every device
-access now does.  After every step both must
-agree on the returned bytes or raised error, the LRU order, the dirty
-map, the order of device reads and writes, every cache counter
-(per-client ones included), DRAM and disk ``DeviceStats``, and the
-simulated clock, bit for bit.
+inline and bump counters directly.  None of that may move a number, so
+the cache is driven side by side with a verbatim copy of the version
+before those changes, on a cache of a few blocks (misses, clean and
+dirty evictions and flushes all happen), with and without DRAM; its
+DRAM charges take the clock, as every device access now does.  After
+every step both must agree on the returned bytes or raised error, the
+LRU order, the dirty map, the order of device reads and writes, every
+cache counter, DRAM and disk ``DeviceStats``, and the simulated clock,
+bit for bit.
 """
 
 from __future__ import annotations
@@ -24,10 +22,8 @@ from hypothesis import given, settings, strategies as st
 from repro.devices import DRAM, MagneticDisk
 from repro.fs import BufferCache, DiskBlockDevice
 from repro.fs.blockdev import BlockDevice
-from repro.sim import sched
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
-from repro.sim.sched import current_client
 from repro.sim.stats import StatRegistry
 
 MB = 1024 * 1024
@@ -94,23 +90,17 @@ class _ReferenceCache:
         long as the block is neither rewritten nor evicted, so a parse of
         it may be memoized on object identity.
         """
-        # The hit path is the hottest in the block-FS stack: it reads the
-        # scheduler's client context and bumps the hit counter directly
-        # (the same values ``current_client()`` and ``Counter.add`` give).
-        client = sched._current_client
+        # The hit path is the hottest in the block-FS stack: it bumps the
+        # hit counter directly (the same value ``Counter.add`` gives).
         block = self._blocks.get(lba)
         if block is not None:
             self._blocks.move_to_end(lba)
             self._hits.value += 1
-            if client is not None:
-                self.stats.counter(f"client{client}_hits").add(1)
             dram = self.dram
             if dram is not None:
                 dram.charge_read(self.device.block_size, self.clock)
             return block
         self._misses.add(1)
-        if client is not None:
-            self.stats.counter(f"client{client}_misses").add(1)
         data = self.device.read_block(lba)  # timed device read
         if type(data) is not bytes:
             data = bytes(data)
@@ -128,9 +118,6 @@ class _ReferenceCache:
             raise ValueError("cache writes whole blocks")
         self.device.check_lba(lba)
         self._writes.add(1)
-        client = current_client()
-        if client is not None:
-            self.stats.counter(f"client{client}_writes").add(1)
         if type(data) is not bytes:
             data = bytes(data)
         self._charge_dram(len(data), write=True)
@@ -236,10 +223,8 @@ class _Stack:
         self.cache = cache_cls(self.device, self.clock, capacity, dram=self.dram)
 
     def apply(self, op):
-        kind, lba, arg, client = op
+        kind, lba, arg = op
         cache = self.cache
-        saved = sched._current_client
-        sched._current_client = client
         try:
             if kind == "read":
                 return cache.read(lba)
@@ -261,8 +246,6 @@ class _Stack:
                 return cache.crash()
         except ValueError as exc:
             return (type(exc).__name__, str(exc))
-        finally:
-            sched._current_client = saved
         raise AssertionError(kind)
 
     def observed(self):
@@ -287,7 +270,7 @@ def cache_ops(draw):
             "write_short", "flush", "discard", "crash",
         ]))
         lba = draw(st.integers(0, NBLOCKS + 1))
-        ops.append((kind, lba, draw(st.integers(0, 255)), draw(st.sampled_from([None, 1, 2]))))
+        ops.append((kind, lba, draw(st.integers(0, 255))))
     return ops
 
 

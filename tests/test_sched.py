@@ -6,7 +6,7 @@ import pytest
 
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
-from repro.sim.sched import Process, Scheduler, current_client
+from repro.sim.sched import Process, Scheduler
 
 
 def _engine():
@@ -139,32 +139,3 @@ class TestSchedulerBasics:
             sched.run()
         assert proc.error is not None
 
-
-class TestClientContext:
-    def test_no_client_context_for_none(self):
-        sched = Scheduler(_engine())
-        observed = []
-
-        def proc():
-            yield 1.0
-            observed.append(current_client())
-
-        sched.spawn(proc(), name="anon", client=None)
-        sched.run()
-        assert observed == [None]
-
-    def test_client_context_set_during_step_only(self):
-        sched = Scheduler(_engine())
-        observed = []
-
-        def proc(expected):
-            yield 1.0
-            observed.append((expected, current_client()))
-            yield 2.0
-            observed.append((expected, current_client()))
-
-        sched.spawn(proc(0), name="c0", client=0)
-        sched.spawn(proc(1), name="c1", client=1)
-        sched.run()
-        assert observed == [(0, 0), (1, 1), (0, 0), (1, 1)]
-        assert current_client() is None  # restored after the run
