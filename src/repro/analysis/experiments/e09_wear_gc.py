@@ -21,6 +21,7 @@ write amplification, and the projected device lifetime.
 from __future__ import annotations
 
 import math
+from typing import Optional, Union
 
 from repro.analysis.experiments.base import ExperimentResult
 from repro.core.lifetime import lifetime_projection
@@ -28,7 +29,7 @@ from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.devices.flash import FlashMemory
 from repro.sim.clock import SimClock
 from repro.sim.rand import substream
-from repro.storage.flashstore import FlashStore, StoreMode
+from repro.storage.flashstore import FlashStore, InPlaceFlashStore
 from repro.storage.gc import CleaningPolicy
 from repro.storage.wear import WearPolicy
 
@@ -36,7 +37,13 @@ MB = 1024 * 1024
 BLOCK = 4096
 
 
-def _churn(store: FlashStore, writes: int, seed: int, cold_blocks: int, hot_blocks: int) -> None:
+def _churn(
+    store: Union[FlashStore, InPlaceFlashStore],
+    writes: int,
+    seed: int,
+    cold_blocks: int,
+    hot_blocks: int,
+) -> None:
     """Pin cold data, then hammer a small hot set."""
     rng = substream(seed, "e9")
     for i in range(cold_blocks):
@@ -49,22 +56,17 @@ def _churn(store: FlashStore, writes: int, seed: int, cold_blocks: int, hot_bloc
 
 
 def _run_case(
-    mode: StoreMode,
-    wear: WearPolicy,
-    cleaning: CleaningPolicy,
+    wear: Optional[WearPolicy],
+    cleaning: Optional[CleaningPolicy],
     writes: int,
     seed: int,
 ) -> dict:
     clock = SimClock()
     flash = FlashMemory(4 * MB, spec=FLASH_PAPER_NOMINAL, banks=2)
-    store = FlashStore(
-        flash,
-        clock,
-        mode=mode,
-        wear=wear,
-        cleaning=cleaning,
-        wear_gap_threshold=8,
-    )
+    if wear is None:  # the naive row takes no policy
+        store = InPlaceFlashStore(flash, clock)
+    else:
+        store = FlashStore(flash, clock, wear=wear, cleaning=cleaning, wear_gap_threshold=8)
     # ~55% of the device pinned cold; 12 hot blocks take the churn.
     cold_blocks = int(flash.num_sectors * 0.55)
     _churn(store, writes, seed, cold_blocks=cold_blocks, hot_blocks=12)
@@ -83,17 +85,17 @@ def _run_case(
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     writes = 1200 if quick else 4000
     cases = [
-        ("in-place (naive)", StoreMode.IN_PLACE, WearPolicy.NONE, CleaningPolicy.GREEDY),
-        ("log, no leveling", StoreMode.LOGGING, WearPolicy.NONE, CleaningPolicy.GREEDY),
-        ("log, dynamic", StoreMode.LOGGING, WearPolicy.DYNAMIC, CleaningPolicy.GREEDY),
-        ("log, dynamic+costben", StoreMode.LOGGING, WearPolicy.DYNAMIC, CleaningPolicy.COST_BENEFIT),
-        ("log, dynamic+generational", StoreMode.LOGGING, WearPolicy.DYNAMIC, CleaningPolicy.GENERATIONAL),
-        ("log, static+costben", StoreMode.LOGGING, WearPolicy.STATIC, CleaningPolicy.COST_BENEFIT),
+        ("in-place (naive)", None, None),
+        ("log, no leveling", WearPolicy.NONE, CleaningPolicy.GREEDY),
+        ("log, dynamic", WearPolicy.DYNAMIC, CleaningPolicy.GREEDY),
+        ("log, dynamic+costben", WearPolicy.DYNAMIC, CleaningPolicy.COST_BENEFIT),
+        ("log, dynamic+generational", WearPolicy.DYNAMIC, CleaningPolicy.GENERATIONAL),
+        ("log, static+costben", WearPolicy.STATIC, CleaningPolicy.COST_BENEFIT),
     ]
     rows = []
     by_case = {}
-    for label, mode, wear, cleaning in cases:
-        out = _run_case(mode, wear, cleaning, writes, seed)
+    for label, wear, cleaning in cases:
+        out = _run_case(wear, cleaning, writes, seed)
         lifetime = out["lifetime_days"]
         rows.append(
             [

@@ -61,19 +61,12 @@ def run_one(org: Organization, clients: int, duration: float, seed: int) -> dict
     write = report.op_latency.get("write", {})
     return {
         "records": report.records,
-        "errors": report.errors,
         "throughput_ops": report.records / elapsed,
-        "slowdown": report.slowdown,
         "mean_read_ms": read.get("mean", 0.0) * 1e3,
         "p99_read_ms": read.get("p99", 0.0) * 1e3,
         "mean_write_ms": write.get("mean", 0.0) * 1e3,
         "p99_write_ms": write.get("p99", 0.0) * 1e3,
         "dispatch_delay_s": report.dispatch_delay_total_s,
-        "per_client_records": (
-            {c: d["records"] for c, d in report.per_client.items()}
-            if report.per_client
-            else {0: report.records}
-        ),
     }
 
 

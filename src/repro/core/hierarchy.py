@@ -25,7 +25,7 @@ FLASH_EIP       conventional + cache   flash, erase-in-place
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.config import CACHE_BYTES, FLASH_BANKS, Organization, SystemConfig
 from repro.core.lifetime import lifetime_projection
@@ -60,7 +60,7 @@ from repro.sim.engine import Engine
 from repro.sim.rand import substream
 from repro.sim.stats import StatRegistry
 from repro.storage.compression import BlockCompressor
-from repro.storage.flashstore import FlashStore, StoreMode
+from repro.storage.flashstore import FlashStore, InPlaceFlashStore
 from repro.storage.manager import StorageManager
 from repro.storage.writebuffer import WriteBuffer
 from repro.trace.model import TraceRecord
@@ -98,7 +98,7 @@ class MobileComputer:
         org = config.organization
         self.flash: Optional[FlashMemory] = None
         self.disk: Optional[MagneticDisk] = None
-        self.store: Optional[FlashStore] = None
+        self.store: Optional[Union[FlashStore, InPlaceFlashStore]] = None
         self.manager: Optional[StorageManager] = None
         self.cache: Optional[BufferCache] = None
         self.mmap: Optional[MmapManager] = None
@@ -213,12 +213,12 @@ class MobileComputer:
         config = self.config
         assert self.flash is not None
         solid = config.organization is Organization.SOLID_STATE
-        self.store = (FlashStore.recover if recover else FlashStore)(
-            self.flash,
-            self.clock,
-            mode=StoreMode.LOGGING if solid else StoreMode.IN_PLACE,
-            wear=config.wear_policy,
-        )
+        if solid:
+            self.store = (FlashStore.recover if recover else FlashStore)(
+                self.flash, self.clock, wear=config.wear_policy
+            )
+        else:
+            self.store = InPlaceFlashStore(self.flash, self.clock)
         buffer = WriteBuffer(
             config.write_buffer_bytes if solid else 0,
             self.clock,

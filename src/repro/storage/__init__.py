@@ -12,7 +12,8 @@ system / VM and the raw devices:
 - :mod:`repro.storage.flashstore` -- the log-structured block store that
   ties allocation, cleaning and wear together over one pool of all the
   device's banks and hides erase-before-write behind out-of-place
-  updates.
+  updates, and the naive in-place store (fixed slots, an erase per
+  overwrite) it is measured against.
 - :mod:`repro.storage.writebuffer` -- the battery-backed DRAM write
   buffer that absorbs overwrites and short-lived data (claim E3); it
   evicts the least-recently-written block first, so frequently written
@@ -23,7 +24,7 @@ system / VM and the raw devices:
 
 from repro.storage.allocator import Location, OutOfFlashSpace, SectorAllocator, SectorState
 from repro.storage.compression import BlockCompressor, CompressionSpec
-from repro.storage.flashstore import CorruptBlockError, FlashStore, StoreMode
+from repro.storage.flashstore import CorruptBlockError, FlashStore, InPlaceFlashStore
 from repro.storage.gc import CleaningPolicy
 from repro.storage.manager import StorageManager, StorageReadOnlyError
 from repro.storage.wear import WearPolicy
@@ -37,7 +38,7 @@ __all__ = [
     "BlockCompressor",
     "CompressionSpec",
     "FlashStore",
-    "StoreMode",
+    "InPlaceFlashStore",
     "CorruptBlockError",
     "StorageReadOnlyError",
     "CleaningPolicy",

@@ -1,11 +1,11 @@
-"""Log-structured flash block store.
+"""Flash block stores: the paper's log and the naive in-place baseline.
 
-This is where the paper's flash drawbacks get hidden.  The store offers
-a simple keyed-block API -- ``write_block`` / ``read_block`` /
+This is where the paper's flash drawbacks get hidden.  :class:`FlashStore`
+offers a simple keyed-block API -- ``write_block`` / ``read_block`` /
 ``delete_block`` -- and internally:
 
-- performs **out-of-place updates** (``StoreMode.LOGGING``) so callers
-  never wait for an erase on the write path until space runs out;
+- performs **out-of-place updates** so callers never wait for an erase
+  on the write path until space runs out;
 - runs the **cleaner** (:mod:`repro.storage.gc`) when erased sectors run
   low, relocating live blocks and erasing victims;
 - applies a **wear policy** (:mod:`repro.storage.wear`) when opening
@@ -15,20 +15,19 @@ All of the device's banks form one pool with one open sector; the
 paper's read-mostly bank partition is measured on the raw device by
 experiment E8.
 
-``StoreMode.IN_PLACE`` is the deliberately naive baseline the paper
-implies one must *not* build: every logical block lives at a fixed flash
-location and each overwrite is a read-modify-erase-program of the whole
-sector.  Experiments E9/E12 use it to show what logging + wear leveling
-buys.
+:class:`InPlaceFlashStore`, with the same API, is the deliberately naive
+baseline the paper implies one must *not* build: every logical block
+lives at a fixed flash location and each overwrite is a
+read-modify-erase-program of the whole sector.  Experiments E9/E12 use
+it to show what logging + wear leveling buys.
 
-The store advances a shared :class:`~repro.sim.clock.SimClock` by every
-device operation it performs, so cleaning costs land on the writes that
+Both stores advance a shared :class:`~repro.sim.clock.SimClock` by every
+device operation they perform, so cleaning costs land on the writes that
 triggered them -- the latency spikes are part of the phenomenon.
 """
 
 from __future__ import annotations
 
-import enum
 import json
 import struct
 import zlib
@@ -54,11 +53,6 @@ class CorruptBlockError(Exception):
         self.key = key
 
 
-class StoreMode(enum.Enum):
-    LOGGING = "logging"
-    IN_PLACE = "in_place"
-
-
 #: Linear backoff step between retries of a transiently failed program
 #: or erase: the n-th retry waits n times this long.
 PROGRAM_RETRY_BACKOFF_S = 1e-4
@@ -67,7 +61,7 @@ PROGRAM_RETRY_BACKOFF_S = 1e-4
 #: is treated as failing (retired, its data placed elsewhere).
 PROGRAM_RETRY_LIMIT = 4
 
-#: In-place mode: every logical block owns one fixed slot of this size.
+#: In-place store: every logical block owns one fixed slot of this size.
 IN_PLACE_SLOT_BYTES = 4096
 
 #: Payloads of exactly this size are kept aligned so their flash pages
@@ -178,89 +172,21 @@ def unpack_summary(
     return kind, seq, offset, length, key, ecc
 
 
-class FlashStore:
-    """Keyed block store over a :class:`FlashMemory` device."""
+class _SectorStore:
+    """What both stores share: the device, the clock, the
+    ``"flashstore"`` stats and tracer, and timed, retried device access."""
 
     _user_bytes_written = StatHandle(StatRegistry.counter, "user_bytes_written")
     _read_latency = StatHandle(StatRegistry.histogram, "read_latency")
 
-    def __init__(
-        self,
-        flash: FlashMemory,
-        clock: SimClock,
-        mode: StoreMode = StoreMode.LOGGING,
-        cleaning: CleaningPolicy = CleaningPolicy.COST_BENEFIT,
-        wear: WearPolicy = WearPolicy.DYNAMIC,
-        free_target_sectors: int = 4,
-        wear_gap_threshold: int = 16,
-        ecc: bool = False,
-    ) -> None:
-        """Logging mode is self-describing: it writes an LFS-style
-        summary entry per block at the sector tail, making the log
-        recoverable after total power loss (see :meth:`recover`); it
-        costs ``SUMMARY_BYTES`` of flash per block.
-
-        ``ecc`` (logging mode) additionally embeds a single-error-
-        correcting codeword per block in its summary entry (NAND OOB
-        style): reads verify, correct one flipped bit, and
-        scrub the block back to flash; worse corruption raises
-        :class:`CorruptBlockError` instead of returning garbage.
-
-        Transient program/erase failures are retried up to
-        :data:`PROGRAM_RETRY_LIMIT` times with linear backoff
-        (:data:`PROGRAM_RETRY_BACKOFF_S`); exhausted or
-        permanent failures retire the sector (bad-block remapping)."""
+    def __init__(self, flash: FlashMemory, clock: SimClock) -> None:
         self.flash = flash
         self.clock = clock
-        self.mode = mode
-        self.cleaning = cleaning
-        self.wear = wear
-        self.free_target_sectors = max(2, free_target_sectors)
-        self.wear_gap_threshold = wear_gap_threshold
-        self.self_describing = mode is StoreMode.LOGGING
-        self.ecc = ecc and self.self_describing
-        # Largest block one erase sector holds (beside its summary slot).
-        self._max_payload = flash.sector_bytes - (SUMMARY_BYTES if self.self_describing else 0)
-        # key -> ECC codeword for the current version of each block.
-        # Cached in DRAM (free to read); recovery rebuilds it from the
-        # summary entries, which are the durable copy.
-        self._ecc: Dict[Hashable, bytes] = {}
-        if self.self_describing and flash.sector_bytes < PAGE_ALIGN + 2 * SUMMARY_BYTES:
-            raise ValueError(
-                "self-describing log needs erase sectors larger than "
-                f"{PAGE_ALIGN + 2 * SUMMARY_BYTES} bytes (got {flash.sector_bytes})"
-            )
-        self.allocator = SectorAllocator(
-            flash, SUMMARY_BYTES if self.self_describing else 0
-        )
-        self._seq = 0
-        self.cleaning_stats = CleaningStats()
         self.stats = StatRegistry("flashstore")
         # Optional repro.obs.Tracer (the one active at construction);
         # writes, GC activity (copies, cleans, retirements) and ECC
         # outcomes emit trace records when set.
         self.tracer = obs_runtime.get_tracer()
-        self._index: Dict[Hashable, Location] = {}
-        # The sector appends currently go to (logging mode).
-        self._open: Optional[int] = None
-        # In-place mode: key -> (sector, slot).
-        if IN_PLACE_SLOT_BYTES > flash.sector_bytes:
-            raise ValueError("in-place slot larger than erase sector")
-        self._slots_per_sector = flash.sector_bytes // IN_PLACE_SLOT_BYTES
-        self._slot_of: Dict[Hashable, Tuple[int, int]] = {}
-        # Sector -> [(slot, key)] in assignment order.  A key keeps its
-        # slot for good, so an overwrite finds its neighbours here
-        # without scanning every key in the store.
-        self._sector_slots: Dict[int, List[Tuple[int, Hashable]]] = {}
-        self._in_place_lengths: Dict[Hashable, int] = {}
-        self._next_slot: Tuple[int, int] = (0, 0)
-        # Callbacks (key, old_loc, new_loc) fired when cleaning moves a
-        # block; mmap uses this to retarget page tables (paper 3.1).
-        self.relocation_listeners: List = []
-
-    # ------------------------------------------------------------------
-    # Helpers.
-    # ------------------------------------------------------------------
 
     def _do_read(self, offset: int, nbytes: int) -> bytes:
         data, latency, wait = self.flash.read(offset, nbytes, self.clock)
@@ -313,24 +239,80 @@ class FlashStore:
                 self.clock.advance(PROGRAM_RETRY_BACKOFF_S * attempt)
         self.stats.counter("erases").add(1)
 
+    def write_amplification(self) -> float:
+        """(user + cleaner) bytes programmed per user byte."""
+        user = self.stats.counter("user_bytes_written").value
+        gc = self.stats.counter("gc_bytes_copied").value
+        return (user + gc) / user if user else 0.0
+
+
+class FlashStore(_SectorStore):
+    """Log-structured keyed block store over a :class:`FlashMemory` device."""
+
+    def __init__(
+        self,
+        flash: FlashMemory,
+        clock: SimClock,
+        cleaning: CleaningPolicy = CleaningPolicy.COST_BENEFIT,
+        wear: WearPolicy = WearPolicy.DYNAMIC,
+        free_target_sectors: int = 4,
+        wear_gap_threshold: int = 16,
+        ecc: bool = False,
+    ) -> None:
+        """The log is self-describing: it writes an LFS-style summary
+        entry per block at the sector tail, making the log recoverable
+        after total power loss (see :meth:`recover`); it costs
+        ``SUMMARY_BYTES`` of flash per block.
+
+        ``ecc`` additionally embeds a single-error-correcting codeword
+        per block in its summary entry (NAND OOB style): reads verify,
+        correct one flipped bit, and scrub the block back to flash;
+        worse corruption raises :class:`CorruptBlockError` instead of
+        returning garbage.
+
+        Transient program/erase failures are retried up to
+        :data:`PROGRAM_RETRY_LIMIT` times with linear backoff
+        (:data:`PROGRAM_RETRY_BACKOFF_S`); exhausted or
+        permanent failures retire the sector (bad-block remapping)."""
+        super().__init__(flash, clock)
+        self.cleaning = cleaning
+        self.wear = wear
+        self.free_target_sectors = max(2, free_target_sectors)
+        self.wear_gap_threshold = wear_gap_threshold
+        self.ecc = ecc
+        # Largest block one erase sector holds (beside its summary slot).
+        self._max_payload = flash.sector_bytes - SUMMARY_BYTES
+        # key -> ECC codeword for the current version of each block.
+        # Cached in DRAM (free to read); recovery rebuilds it from the
+        # summary entries, which are the durable copy.
+        self._ecc: Dict[Hashable, bytes] = {}
+        if flash.sector_bytes < PAGE_ALIGN + 2 * SUMMARY_BYTES:
+            raise ValueError(
+                "self-describing log needs erase sectors larger than "
+                f"{PAGE_ALIGN + 2 * SUMMARY_BYTES} bytes (got {flash.sector_bytes})"
+            )
+        self.allocator = SectorAllocator(flash, SUMMARY_BYTES)
+        self._seq = 0
+        self.cleaning_stats = CleaningStats()
+        self._index: Dict[Hashable, Location] = {}
+        # The sector appends currently go to.
+        self._open: Optional[int] = None
+        # Callbacks (key, old_loc, new_loc) fired when cleaning moves a
+        # block; mmap uses this to retarget page tables (paper 3.1).
+        self.relocation_listeners: List = []
+
     # ------------------------------------------------------------------
     # Public API.
     # ------------------------------------------------------------------
 
     def contains(self, key: Hashable) -> bool:
-        if self.mode is StoreMode.IN_PLACE:
-            return key in self._in_place_lengths
         return key in self._index
 
     def location_of(self, key: Hashable) -> Location:
-        """Current physical placement of a block (logging mode only)."""
-        if self.mode is StoreMode.IN_PLACE:
-            raise NotImplementedError("in-place store has fixed slots")
+        """Current physical placement of a block."""
         return self._index[key]
 
     def keys(self) -> List[Hashable]:
-        if self.mode is StoreMode.IN_PLACE:
-            return list(self._in_place_lengths)
         return list(self._index)
 
     def write_block(self, key: Hashable, data: bytes) -> None:
@@ -345,16 +327,12 @@ class FlashStore:
             )
         self._user_bytes_written.value += nbytes
         t0 = self.clock.now
-        in_place = self.mode is StoreMode.IN_PLACE
-        if in_place:
-            self._write_in_place(key, data)
-        else:
-            self._write_logging(key, data)
+        self._write_logging(key, data)
         if self.tracer is not None:
             # Logical store write with its destination bank: the
             # denominator of per-bank write amplification (the matching
             # physical bytes come from the device's "program" events).
-            sector = self._slot_of[key][0] if in_place else self._index[key].sector
+            sector = self._index[key].sector
             detail = {
                 "device": self.flash.name,
                 "sector": sector,
@@ -362,17 +340,10 @@ class FlashStore:
             }
             self.tracer.emit(
                 "flashstore", "write", t0, nbytes, self.clock.now - t0,
-                outcome="in_place" if in_place else "logged", detail=detail,
+                outcome="logged", detail=detail,
             )
 
     def read_block(self, key: Hashable) -> bytes:
-        if self.mode is StoreMode.IN_PLACE:
-            if key not in self._in_place_lengths:
-                raise KeyError(key)
-            sector, slot = self._slot_of[key]
-            base = sector * self.flash.sector_bytes + slot * IN_PLACE_SLOT_BYTES
-            length = self._in_place_lengths[key]
-            return self._do_read(base, length)
         loc = self._index[key]
         data = self._do_read(loc.sector * self.allocator.sector_bytes + loc.offset, loc.length)
         if self.ecc:
@@ -409,20 +380,12 @@ class FlashStore:
         return fixed
 
     def delete_block(self, key: Hashable) -> None:
-        if self.mode is StoreMode.IN_PLACE:
-            # The naive store's logical-to-physical binding is permanent:
-            # the slot stays reserved for this key (a rewrite reuses it
-            # with the usual erase), only the liveness marker goes away.
-            if key not in self._in_place_lengths:
-                raise KeyError(key)
-            del self._in_place_lengths[key]
-            return
         loc = self._index.pop(key)
         self._ecc.pop(key, None)
         self.allocator.invalidate(loc)
 
     # ------------------------------------------------------------------
-    # Logging mode.
+    # Appending to the log.
     # ------------------------------------------------------------------
 
     @staticmethod
@@ -454,17 +417,16 @@ class FlashStore:
                 flash.program(offset, data, clock)
             except ProgramFailedError as err:
                 self._retry_program(offset, data, err)
-            if self.self_describing:
-                # The tail slot append() just reserved, the sector's last.
-                offset = base + alloc.sector_bytes - (
-                    alloc.sectors[sector].summary_entries * SUMMARY_BYTES
-                )
-                entry = pack_summary(_KIND_DATA, self._seq, loc.offset, length, key, code)
-                self._seq += 1
-                try:
-                    flash.program(offset, entry, clock)
-                except ProgramFailedError as err:
-                    self._retry_program(offset, entry, err)
+            # The tail slot append() just reserved, the sector's last.
+            offset = base + alloc.sector_bytes - (
+                alloc.sectors[sector].summary_entries * SUMMARY_BYTES
+            )
+            entry = pack_summary(_KIND_DATA, self._seq, loc.offset, length, key, code)
+            self._seq += 1
+            try:
+                flash.program(offset, entry, clock)
+            except ProgramFailedError as err:
+                self._retry_program(offset, entry, err)
         except ProgramFailedError:
             alloc.invalidate(loc)
             raise
@@ -714,62 +676,6 @@ class FlashStore:
             self._relocate_and_erase(victim)
 
     # ------------------------------------------------------------------
-    # In-place (naive) mode.
-    # ------------------------------------------------------------------
-
-    def _write_in_place(self, key: Hashable, data: bytes) -> None:
-        if len(data) > IN_PLACE_SLOT_BYTES:
-            raise ValueError(
-                f"in-place block of {len(data)} bytes exceeds slot "
-                f"({IN_PLACE_SLOT_BYTES})"
-            )
-        placement = self._slot_of.get(key)
-        if placement is None:
-            placement = self._assign_slot(key)
-            self._slot_of[key] = placement
-            sector, slot = placement
-            self._sector_slots.setdefault(sector, []).append((slot, key))
-            base = sector * self.flash.sector_bytes + slot * IN_PLACE_SLOT_BYTES
-            self._do_program(base, data)
-            self._in_place_lengths[key] = len(data)
-            return
-        if key not in self._in_place_lengths:
-            # Re-creating a deleted key: its slot still holds stale bits,
-            # so this is an overwrite of the whole sector like any other.
-            self._in_place_lengths[key] = 0
-        # Overwrite: read-modify-erase-program the whole sector.
-        sector, slot = placement
-        sector_base = sector * self.flash.sector_bytes
-        survivors: List[Tuple[int, bytes]] = []
-        for other_slot, other_key in self._sector_slots[sector]:
-            if other_key == key:
-                continue
-            if other_key not in self._in_place_lengths:
-                continue  # deleted neighbour: nothing live to preserve
-            off = other_slot * IN_PLACE_SLOT_BYTES
-            survivors.append(
-                (off, self._do_read(sector_base + off, self._in_place_lengths[other_key]))
-            )
-        self._do_erase(sector)
-        for off, blob in survivors:
-            self._do_program(sector_base + off, blob)
-        self._do_program(sector_base + slot * IN_PLACE_SLOT_BYTES, data)
-        self._in_place_lengths[key] = len(data)
-        self.stats.counter("in_place_rewrites").add(1)
-
-    def _assign_slot(self, key: Hashable) -> Tuple[int, int]:
-        sector, slot = self._next_slot
-        if sector >= self.flash.num_sectors:
-            raise OutOfFlashSpace(
-                "in-place store is full", requested_bytes=IN_PLACE_SLOT_BYTES
-            )
-        nxt = (sector, slot + 1)
-        if nxt[1] >= self._slots_per_sector:
-            nxt = (sector + 1, 0)
-        self._next_slot = nxt
-        return (sector, slot)
-
-    # ------------------------------------------------------------------
     # Crash recovery (the "flash is the durable repository" guarantee).
     # ------------------------------------------------------------------
 
@@ -792,8 +698,6 @@ class FlashStore:
         memory-resident FS checkpoint) prune them afterwards.
         """
         store = cls(flash, clock, **store_kwargs)
-        if not store.self_describing:
-            raise ValueError("recovery requires a self-describing store")
 
         # Pass 1: collect every summary entry on the device.
         per_sector: Dict[int, Tuple[List[Tuple[int, int, int, Hashable]], int]] = {}
@@ -874,12 +778,104 @@ class FlashStore:
             entry_index += 1
         return out, entry_index
 
-    # ------------------------------------------------------------------
-    # Reporting.
-    # ------------------------------------------------------------------
 
-    def write_amplification(self) -> float:
-        """(user + cleaner) bytes programmed per user byte."""
-        user = self.stats.counter("user_bytes_written").value
-        gc = self.stats.counter("gc_bytes_copied").value
-        return (user + gc) / user if user else 0.0
+class InPlaceFlashStore(_SectorStore):
+    """The naive baseline: each key owns, for good, the next free
+    fixed slot at its first write, and every overwrite erases the slot's
+    whole sector.  No cleaner, wear leveling, ECC or recovery metadata."""
+
+    def __init__(self, flash: FlashMemory, clock: SimClock) -> None:
+        super().__init__(flash, clock)
+        if IN_PLACE_SLOT_BYTES > flash.sector_bytes:
+            raise ValueError("in-place slot larger than erase sector")
+        self._slots_per_sector = flash.sector_bytes // IN_PLACE_SLOT_BYTES
+        # key -> (sector, slot).
+        self._slot_of: Dict[Hashable, Tuple[int, int]] = {}
+        # Sector -> [(slot, key)] in assignment order.  A key keeps its
+        # slot for good, so an overwrite finds its neighbours here
+        # without scanning every key in the store.
+        self._sector_slots: Dict[int, List[Tuple[int, Hashable]]] = {}
+        # key -> length of its live block; a deleted key keeps its slot.
+        self._lengths: Dict[Hashable, int] = {}
+        self._next_slot: Tuple[int, int] = (0, 0)
+
+    def contains(self, key: Hashable) -> bool:
+        return key in self._lengths
+
+    def keys(self) -> List[Hashable]:
+        return list(self._lengths)
+
+    def write_block(self, key: Hashable, data: bytes) -> None:
+        """Store ``data`` in ``key``'s slot, erasing its sector if written before."""
+        nbytes = len(data)
+        if not nbytes:
+            raise ValueError("cannot store an empty block")
+        if nbytes > IN_PLACE_SLOT_BYTES:
+            raise ValueError(
+                f"in-place block of {nbytes} bytes exceeds slot "
+                f"({IN_PLACE_SLOT_BYTES})"
+            )
+        self._user_bytes_written.value += nbytes
+        t0 = self.clock.now
+        placement = self._slot_of.get(key)
+        if placement is None:
+            placement = self._assign_slot(key)
+            self._slot_of[key] = placement
+            sector, slot = placement
+            self._sector_slots.setdefault(sector, []).append((slot, key))
+            self._do_program(sector * self.flash.sector_bytes + slot * IN_PLACE_SLOT_BYTES, data)
+        else:
+            # Overwrite: read-modify-erase-program the whole sector.  A
+            # deleted key re-created here takes this path too: its slot
+            # still holds stale bits.
+            sector, slot = placement
+            sector_base = sector * self.flash.sector_bytes
+            survivors: List[Tuple[int, bytes]] = []
+            for other_slot, other_key in self._sector_slots[sector]:
+                if other_key == key or other_key not in self._lengths:
+                    continue  # the key itself, or a deleted neighbour: nothing to keep
+                off = other_slot * IN_PLACE_SLOT_BYTES
+                survivors.append((off, self._do_read(sector_base + off, self._lengths[other_key])))
+            self._do_erase(sector)
+            for off, blob in survivors:
+                self._do_program(sector_base + off, blob)
+            self._do_program(sector_base + slot * IN_PLACE_SLOT_BYTES, data)
+            self.stats.counter("in_place_rewrites").add(1)
+        self._lengths[key] = nbytes
+        if self.tracer is not None:
+            self.tracer.emit(
+                "flashstore", "write", t0, nbytes, self.clock.now - t0,
+                outcome="in_place",
+                detail={
+                    "device": self.flash.name,
+                    "sector": sector,
+                    "bank": self.flash.bank_of_sector(sector),
+                },
+            )
+
+    def read_block(self, key: Hashable) -> bytes:
+        if key not in self._lengths:
+            raise KeyError(key)
+        sector, slot = self._slot_of[key]
+        base = sector * self.flash.sector_bytes + slot * IN_PLACE_SLOT_BYTES
+        return self._do_read(base, self._lengths[key])
+
+    def delete_block(self, key: Hashable) -> None:
+        # The logical-to-physical binding is permanent: the slot stays
+        # reserved for this key (a rewrite reuses it with the usual
+        # erase), only the liveness marker goes away.
+        if key not in self._lengths:
+            raise KeyError(key)
+        del self._lengths[key]
+
+    def _assign_slot(self, key: Hashable) -> Tuple[int, int]:
+        sector, slot = self._next_slot
+        if sector >= self.flash.num_sectors:
+            raise OutOfFlashSpace(
+                "in-place store is full", requested_bytes=IN_PLACE_SLOT_BYTES
+            )
+        nxt = (sector, slot + 1)
+        if nxt[1] >= self._slots_per_sector:
+            nxt = (sector + 1, 0)
+        self._next_slot = nxt
+        return (sector, slot)

@@ -16,7 +16,7 @@ each flush policy.
 
 from __future__ import annotations
 
-from typing import Hashable, List, Optional
+from typing import Hashable, List, Optional, Union
 
 from repro.obs import runtime as obs_runtime
 from repro.sim.clock import SimClock
@@ -24,7 +24,7 @@ from repro.sim.engine import Engine
 from repro.sim.stats import StatHandle, StatRegistry
 from repro.storage.allocator import OutOfFlashSpace
 from repro.storage.compression import BlockCompressor
-from repro.storage.flashstore import FlashStore
+from repro.storage.flashstore import FlashStore, InPlaceFlashStore
 from repro.storage.writebuffer import FlushItem, FlushReason, WriteBuffer
 
 
@@ -50,7 +50,7 @@ class StorageManager:
     def __init__(
         self,
         clock: SimClock,
-        flash_store: FlashStore,
+        flash_store: Union[FlashStore, InPlaceFlashStore],
         write_buffer: WriteBuffer,
         compressor: Optional[BlockCompressor] = None,
     ) -> None:

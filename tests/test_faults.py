@@ -190,7 +190,6 @@ class TestScrubOnRead:
         tracer = Tracer()
         with runtime.tracing(tracer):
             flash, clock, store = make_store(ecc=True)
-        assert store.self_describing
         store.write_block("k", bytes(range(256)) * 8)
         base = store.location_of("k").absolute(store.allocator.sector_bytes)
         flash.fault_flip_bit(base + 37, 2)

@@ -173,7 +173,7 @@ def test_scan_flags_an_uncalled_method(tmp_path):
 
 
 #: Classes whose knobs some program call must turn.
-KNOB_CLASSES = ("SystemConfig", "FlashStore", "WriteBuffer")
+KNOB_CLASSES = ("SystemConfig", "FlashStore", "InPlaceFlashStore", "WriteBuffer")
 
 #: ``Class.knob`` -> why it stays although no program call sets it.  An
 #: entry that gains a caller, or whose knob goes, must leave this table.

@@ -102,13 +102,6 @@ def test_latency_is_the_ops_elapsed_sim_time(fs):
     assert histogram.total == fs.clock.now - start
 
 
-def test_single_client_ops_carry_no_client_counters(fs):
-    fs.create("/f")
-    fs.write("/f", 0, b"abc")
-    fs.read("/f", 0, 3)
-    assert not [name for name in fs.stats.counters if name.startswith("client")]
-
-
 def _keys(tree):
     """Every dict key anywhere in a nested snapshot."""
     if isinstance(tree, dict):

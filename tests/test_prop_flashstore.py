@@ -16,7 +16,9 @@ from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.faults.injector import FaultInjector, FaultPlan
 from repro.sim import SimClock
-from repro.storage import CleaningPolicy, FlashStore, OutOfFlashSpace, StoreMode, WearPolicy
+from repro.storage import (
+    CleaningPolicy, FlashStore, InPlaceFlashStore, OutOfFlashSpace, WearPolicy,
+)
 from repro.storage.allocator import SectorState
 
 KB = 1024
@@ -126,7 +128,7 @@ def test_open_sector_is_open_and_victims_are_sealed(seed, wear, cleaning, fail_r
 def test_in_place_store_behaves_like_dict(ops):
     clock = SimClock()
     flash = FlashMemory(96 * KB, spec=FLASH_PAPER_NOMINAL, banks=1)
-    store = FlashStore(flash, clock, mode=StoreMode.IN_PLACE)
+    store = InPlaceFlashStore(flash, clock)
     model = {}
     for kind, key, payload in ops:
         if kind == "write":

@@ -6,15 +6,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import Organization, SystemConfig
+from repro.core.hierarchy import MobileComputer
 from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
+from repro.obs import Tracer, runtime
 from repro.sim import SimClock
 from repro.storage import (
     CleaningPolicy,
     FlashStore,
+    InPlaceFlashStore,
     OutOfFlashSpace,
     SectorState,
-    StoreMode,
     WearPolicy,
 )
 from repro.fs.memfs import CHECKPOINT_ROOT_KEY
@@ -27,6 +30,11 @@ def make_store(capacity=64 * KB, banks=1, **kwargs) -> FlashStore:
     clock = SimClock()
     flash = FlashMemory(capacity, spec=FLASH_PAPER_NOMINAL, banks=banks)
     return FlashStore(flash, clock, **kwargs)
+
+
+def make_in_place(capacity=64 * KB, banks=1) -> InPlaceFlashStore:
+    flash = FlashMemory(capacity, spec=FLASH_PAPER_NOMINAL, banks=banks)
+    return InPlaceFlashStore(flash, SimClock())
 
 
 class TestKeyEncoding:
@@ -227,12 +235,12 @@ class TestWearPolicies:
 
 class TestInPlaceMode:
     def test_roundtrip(self):
-        store = make_store(mode=StoreMode.IN_PLACE)
+        store = make_in_place()
         store.write_block("a", b"direct")
         assert store.read_block("a") == b"direct"
 
     def test_overwrite_erases_in_place(self):
-        store = make_store(mode=StoreMode.IN_PLACE)
+        store = make_in_place()
         store.write_block("a", b"v1")
         erases_before = store.flash.total_erases
         store.write_block("a", b"v2")
@@ -240,7 +248,7 @@ class TestInPlaceMode:
         assert store.read_block("a") == b"v2"
 
     def test_neighbors_survive_sector_rewrite(self):
-        store = make_store(mode=StoreMode.IN_PLACE)
+        store = make_in_place()
         # 4 KB slots, 4 per 16 KB sector: a,b,c,d share sector 0.
         for key in "abcd":
             store.write_block(key, key.encode() * 512)
@@ -250,7 +258,7 @@ class TestInPlaceMode:
         assert store.read_block("d") == b"d" * 512
 
     def test_hot_spot_wears_one_sector(self):
-        store = make_store(mode=StoreMode.IN_PLACE)
+        store = make_in_place()
         for i in range(50):
             store.write_block("hot", bytes([i]) * 100)
         summary = store.flash.wear_summary()
@@ -258,8 +266,37 @@ class TestInPlaceMode:
         assert summary["min_erases"] == 0
 
     def test_capacity_exhaustion(self):
-        store = make_store(capacity=32 * KB, mode=StoreMode.IN_PLACE)
+        store = make_in_place(capacity=32 * KB)
         for i in range(8):  # 8 sectors x 1 slot of 4 KB
             store.write_block(i, b"x" * 4096)
         with pytest.raises(OutOfFlashSpace):
             store.write_block("overflow", b"x")
+
+    def test_write_events_name_the_bank_past_bank_zero(self):
+        tracer = Tracer()
+        with runtime.tracing(tracer):
+            store = make_in_place(capacity=128 * KB, banks=2)
+        flash = store.flash
+        # 8 sectors of 4 slots, 4 sectors per bank: 24 first writes reach
+        # bank 1, then overwrites erase sectors in both banks.
+        keys = list(range(24))
+        for key in keys + [1, 20, 23]:
+            store.write_block(key, bytes([key]) * 100)
+        writes = [
+            (outcome, detail)
+            for _t, component, op, _n, _lat, outcome, detail in tracer.records
+            if (component, op) == ("flashstore", "write")
+        ]
+        assert len(writes) == 27
+        assert store.stats.counter("in_place_rewrites").value == 3
+        for outcome, detail in writes:
+            assert outcome == "in_place"
+            assert detail["bank"] == flash.bank_of_sector(detail["sector"])
+        assert {detail["bank"] for _outcome, detail in writes} == {0, 1}
+        assert writes[-1][1] == {"device": flash.name, "sector": 5, "bank": 1}
+
+
+def test_naive_flash_machine_builds_no_allocator():
+    machine = MobileComputer(SystemConfig(organization=Organization.NAIVE_FLASH))
+    assert isinstance(machine.store, InPlaceFlashStore)
+    assert not hasattr(machine.store, "allocator")
