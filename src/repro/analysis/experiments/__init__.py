@@ -1,9 +1,10 @@
 """Experiment drivers E1-E14, X1 and X2.
 
-Each module exposes ``run(quick: bool = False, **kwargs) ->
-ExperimentResult``.  ``ALL_EXPERIMENTS`` maps experiment ids to drivers;
-the CLI (``python -m repro experiments``) and the golden harness
-(``benchmarks/bench_experiments.py``) both look drivers up here.
+Each module exposes ``run(quick: bool = False) -> ExperimentResult``,
+most of them with a ``seed: int = 0`` as well.  ``ALL_EXPERIMENTS``
+maps experiment ids to drivers; the CLI (``python -m repro
+experiments``) and the golden harness (``benchmarks/bench_experiments.py``)
+both look drivers up here.
 """
 
 from repro.analysis.experiments import (

@@ -26,7 +26,7 @@ def run(quick: bool = False) -> ExperimentResult:
 
     rows = []
     for cost_row, density_row in zip(
-        trends.cost_table(1993, 2000), trends.density_table(1993, 2000)
+        trends.cost_table(), trends.density_table()
     ):
         year = cost_row["year"]
         rows.append(
@@ -59,7 +59,7 @@ def run(quick: bool = False) -> ExperimentResult:
     )
     density_x = trends.dram_disk_density_crossover()
     cost_x = trends.dram_disk_cost_crossover()
-    parity = small.parity_year(40.0)
+    parity = small.parity_year()
     result.notes.append(
         f"DRAM density passes disk density in {density_x:.1f} (paper: 'shortly')"
     )

@@ -15,8 +15,6 @@ less; pim: tiny hot set, so a small buffer is enough).
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.analysis.experiments.base import ExperimentResult
 from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
@@ -24,7 +22,7 @@ from repro.core.hierarchy import MobileComputer
 KB = 1024
 MB = 1024 * 1024
 
-DEFAULT_SIZES = [0, 128 * KB, 256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB]
+SIZES = [0, 128 * KB, 256 * KB, 512 * KB, 1 * MB, 2 * MB, 4 * MB]
 
 
 def run_one(
@@ -53,19 +51,13 @@ def run_one(
     }
 
 
-def run(
-    quick: bool = False,
-    sizes: Optional[List[int]] = None,
-    workloads: Optional[List[str]] = None,
-    seed: int = 0,
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     duration = 120.0 if quick else 600.0
-    sizes = DEFAULT_SIZES if sizes is None else sizes
     workloads = ["office"] if quick else ["office", "pim", "database"]
     rows = []
     reduction_at_1mb = {}
     for workload in workloads:
-        for size in sizes:
+        for size in SIZES:
             out = run_one(workload, size, duration, seed=seed)
             rows.append(
                 [

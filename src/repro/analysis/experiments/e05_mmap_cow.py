@@ -25,6 +25,11 @@ from repro.mem.paging import PAGE_SIZE
 
 MB = 1024 * 1024
 
+#: Pages in the mapped file (half as many in quick mode), and pages the
+#: copy-on-write pass stores to.
+FILE_PAGES = 64
+TOUCHED_PAGES = 8
+
 
 def _machine(seed: int = 0) -> MobileComputer:
     return MobileComputer(
@@ -37,9 +42,8 @@ def _machine(seed: int = 0) -> MobileComputer:
     )
 
 
-def run(quick: bool = False, file_pages: int = 64, touched_pages: int = 8) -> ExperimentResult:
-    if quick:
-        file_pages = min(file_pages, 32)
+def run(quick: bool = False) -> ExperimentResult:
+    file_pages = FILE_PAGES // 2 if quick else FILE_PAGES
     rows = []
 
     # --- Path A: mmap the flash-resident file. -------------------------
@@ -51,7 +55,7 @@ def run(quick: bool = False, file_pages: int = 64, touched_pages: int = 8) -> Ex
     space = machine.vm.create_space("reader")
     frames_before = machine.frames.used_frames
     t0 = machine.clock.now
-    mapping = machine.mmap.map_file(space, handle, handle.nblocks, writable=True)
+    mapping = machine.mmap.map_file(space, handle, handle.nblocks)
     map_latency = machine.clock.now - t0
     t0 = machine.clock.now
     readback = machine.vm.read(space, mapping.vaddr, file_pages * PAGE_SIZE)
@@ -65,8 +69,8 @@ def run(quick: bool = False, file_pages: int = 64, touched_pages: int = 8) -> Ex
     # --- Path A': sparse writes through the mapping (COW). -------------
     flash_writes_before = machine.flash.stats.bytes_written
     t0 = machine.clock.now
-    for i in range(touched_pages):
-        page = (i * file_pages) // touched_pages
+    for i in range(TOUCHED_PAGES):
+        page = (i * file_pages) // TOUCHED_PAGES
         machine.vm.write(space, mapping.vaddr + page * PAGE_SIZE, b"EDIT")
     cow_latency = machine.clock.now - t0
     cow_frames = machine.frames.used_frames - frames_before
@@ -74,7 +78,7 @@ def run(quick: bool = False, file_pages: int = 64, touched_pages: int = 8) -> Ex
     cow_faults = machine.vm.stats.counter("cow_faults").value
     rows.append(
         [
-            f"cow writes ({touched_pages} of {file_pages} pages)",
+            f"cow writes ({TOUCHED_PAGES} of {file_pages} pages)",
             cow_latency * 1e3,
             0.0,
             cow_frames,

@@ -22,7 +22,7 @@ from repro.devices.disk import MagneticDisk
 from repro.mem.address import PhysicalAddressSpace
 from repro.mem.paging import PAGE_SIZE, PageFrameAllocator
 from repro.mem.vm import VirtualMemory
-from repro.mem.xip import ProgramImage, ProgramStore, launch_load, launch_xip
+from repro.mem.xip import ProgramImage, launch_load, launch_xip
 
 KB = 1024
 MB = 1024 * 1024
@@ -30,14 +30,13 @@ MB = 1024 * 1024
 SIZES = [16 * KB, 64 * KB, 256 * KB, 1 * MB]
 
 
-def _solid_machine(seed: int = 0) -> MobileComputer:
+def _solid_machine() -> MobileComputer:
     return MobileComputer(
         SystemConfig(
             organization=Organization.SOLID_STATE,
             dram_bytes=8 * MB,
             flash_bytes=16 * MB,
             program_flash_bytes=4 * MB,
-            seed=seed,
         )
     )
 

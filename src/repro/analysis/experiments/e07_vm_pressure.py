@@ -35,9 +35,10 @@ from repro.storage.flashstore import FlashStore
 MB = 1024 * 1024
 
 FRACTIONS = [1.5, 1.25, 1.0, 0.75, 0.5]
+WORKING_SET_PAGES = 192
 
 
-def _run_case(swap_kind: str, frames: int, working_set_pages: int, rounds: int, seed: int) -> dict:
+def _run_case(swap_kind: str, frames: int, rounds: int, seed: int) -> dict:
     clock = SimClock()
     phys = PhysicalAddressSpace(clock)
     dram = DRAM(frames * PAGE_SIZE)
@@ -52,19 +53,19 @@ def _run_case(swap_kind: str, frames: int, working_set_pages: int, rounds: int, 
     allocator = PageFrameAllocator(dram_region.base, dram_region.size)
     vm = VirtualMemory(phys, allocator, swap=swap)
     space = vm.create_space("worker")
-    vaddr = vm.map_anonymous(space, working_set_pages)
+    vaddr = vm.map_anonymous(space, WORKING_SET_PAGES)
 
     rng = substream(seed, f"e7:{swap_kind}:{frames}")
     start = clock.now
     touches = 0
     for _round in range(rounds):
         # A sequential sweep (the hostile pattern for second-chance)...
-        for page in range(working_set_pages):
+        for page in range(WORKING_SET_PAGES):
             vm.write(space, vaddr + page * PAGE_SIZE + 16, b"work")
             touches += 1
         # ...then a burst of random touches (some temporal locality).
-        for _ in range(working_set_pages // 2):
-            page = rng.randint(0, working_set_pages - 1)
+        for _ in range(WORKING_SET_PAGES // 2):
+            page = rng.randint(0, WORKING_SET_PAGES - 1)
             vm.read(space, vaddr + page * PAGE_SIZE, 64)
             touches += 1
     elapsed = clock.now - start
@@ -77,13 +78,13 @@ def _run_case(swap_kind: str, frames: int, working_set_pages: int, rounds: int, 
     }
 
 
-def run(quick: bool = False, working_set_pages: int = 192, seed: int = 0) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     rounds = 2 if quick else 4
     rows: List[list] = []
     for swap_kind in ("flash", "disk"):
         for fraction in FRACTIONS:
-            frames = max(8, int(working_set_pages * fraction))
-            out = _run_case(swap_kind, frames, working_set_pages, rounds, seed)
+            frames = max(8, int(WORKING_SET_PAGES * fraction))
+            out = _run_case(swap_kind, frames, rounds, seed)
             rows.append(
                 [
                     swap_kind,
@@ -97,7 +98,7 @@ def run(quick: bool = False, working_set_pages: int = 192, seed: int = 0) -> Exp
             )
     result = ExperimentResult(
         experiment_id="E7",
-        title=f"Paging pressure: {working_set_pages}-page working set vs DRAM size",
+        title=f"Paging pressure: {WORKING_SET_PAGES}-page working set vs DRAM size",
         headers=[
             "swap",
             "dram/ws",

@@ -27,8 +27,6 @@ spin-up.
 
 from __future__ import annotations
 
-from typing import List, Optional
-
 from repro.analysis.experiments.base import ExperimentResult
 from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
@@ -70,12 +68,9 @@ def run_one(org: Organization, clients: int, duration: float, seed: int) -> dict
     }
 
 
-def run(
-    quick: bool = False, seed: int = 0, client_counts: Optional[List[int]] = None
-) -> ExperimentResult:
+def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     duration = 20.0 if quick else 60.0
-    if client_counts is None:
-        client_counts = [1, 2] if quick else [1, 2, 4]
+    client_counts = [1, 2] if quick else [1, 2, 4]
     rows = []
     by_key = {}
     for org in ORG_ORDER:

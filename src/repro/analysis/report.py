@@ -22,11 +22,8 @@ def _fmt(cell: Cell) -> str:
     if isinstance(cell, float):
         if cell == 0:
             return "0"
-        magnitude = abs(cell)
-        if magnitude >= 1000:
+        if abs(cell) >= 1000:
             return f"{cell:,.0f}"
-        if magnitude >= 1:
-            return f"{cell:.3g}"
         return f"{cell:.3g}"
     return str(cell)
 

@@ -115,7 +115,7 @@ def _cmd_trends(_args) -> int:
             row["flash_dollars_per_mb"],
             row["disk_dollars_per_mb"],
         ]
-        for row in trends.cost_table(1993, 2000)
+        for row in trends.cost_table()
     ]
     print(format_table(["year", "DRAM $/MB", "flash $/MB", "disk $/MB"], rows,
                        title="cost trends (40%/yr semiconductor, 25%/yr disk)"))
@@ -126,7 +126,7 @@ def _cmd_trends(_args) -> int:
             [
                 ("DRAM/disk density crossover", f"{trends.dram_disk_density_crossover():.1f}"),
                 ("DRAM/disk $/MB crossover", f"{trends.dram_disk_cost_crossover():.1f}"),
-                ("40MB flash/disk parity (mfr assumptions)", f"{small.parity_year(40):.1f}"),
+                ("40MB flash/disk parity (mfr assumptions)", f"{small.parity_year():.1f}"),
             ],
             title="crossovers",
         )
@@ -186,7 +186,7 @@ def _metric_rows(metrics) -> list:
 
 def _cmd_run(args) -> int:
     machine = _machine_for(args)
-    clients = getattr(args, "clients", 1)
+    clients = args.clients
     report, metrics = machine.run_workload(
         args.workload, duration_s=args.duration, clients=clients
     )
@@ -219,7 +219,7 @@ def _cmd_compare(args) -> int:
         machine = _machine_for(args)
         _report, metrics = machine.run_workload(
             args.workload, duration_s=args.duration,
-            clients=getattr(args, "clients", 1),
+            clients=args.clients,
         )
         rows.append(
             [
@@ -425,7 +425,7 @@ def _cmd_metrics(args) -> int:
     machine = _machine_for(args)
     machine.run_workload(
         args.workload, duration_s=args.duration,
-        clients=getattr(args, "clients", 1),
+        clients=args.clients,
     )
     now = machine.clock.now
     if args.json:

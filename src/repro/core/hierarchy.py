@@ -175,7 +175,7 @@ class MobileComputer:
             self.mmap = MmapManager(self.vm, self.flash_region, self.store)
 
         # --- Power model. -------------------------------------------------
-        self.power = PowerModel(devices, battery=self.battery)
+        self.power = PowerModel(devices, self.battery)
         self.power.attach_timer(self.engine)
         self._rng = substream(config.seed, "machine")
 
@@ -226,7 +226,7 @@ class MobileComputer:
             age_limit_s=config.buffer_age_limit_s,
         )
         compressor = (
-            BlockCompressor(self.clock, cpu=self.cpu)
+            BlockCompressor(self.clock, self.cpu)
             if (solid and config.compress_flash)
             else None
         )
@@ -350,7 +350,7 @@ class MobileComputer:
         self.power.settle(self.clock.now)
         self.battery.fail_all(self.clock.now)
 
-    def reboot_after_power_loss(self, fresh_primary_joules: Optional[float] = None):
+    def reboot_after_power_loss(self):
         """Fresh batteries go in; rebuild the system from stable storage.
 
         For the solid-state organization this runs the full recovery
@@ -365,10 +365,7 @@ class MobileComputer:
         """
         config = self.config
         self.battery = BatteryBank(
-            fresh_primary_joules
-            if fresh_primary_joules is not None
-            else config.primary_battery_joules,
-            config.backup_battery_joules,
+            config.primary_battery_joules, config.backup_battery_joules
         )
         self.battery.on_power_loss(self._on_power_loss)
         self.power.battery = self.battery
@@ -418,12 +415,12 @@ class MobileComputer:
     def run_workload(
         self,
         workload: str,
-        seed: Optional[int] = None,
         duration_s: float = 300.0,
         sync_at_end: bool = True,
         clients: int = 1,
     ) -> Tuple[ReplayReport, RunMetrics]:
-        """Generate, replay, and measure a named workload.
+        """Generate (from the config's seed), replay, and measure a named
+        workload.
 
         ``clients`` > 1 runs that many concurrent client streams (each a
         seed-derived variant of the workload) through the kernel
@@ -433,9 +430,8 @@ class MobileComputer:
         """
         if clients < 1:
             raise ValueError("clients must be >= 1")
-        seed = self.config.seed if seed is None else seed
-        factory = WORKLOADS[workload]
-        profile = factory(duration_s=duration_s)  # type: ignore[operator]
+        seed = self.config.seed
+        profile = WORKLOADS[workload]()  # type: ignore[operator]
         if profile.programs:
             self.register_programs(profile.programs)
         if clients == 1:
@@ -456,7 +452,7 @@ class MobileComputer:
 
     def run_streams(self, streams, sync_at_end: bool = True) -> ReplayReport:
         """Replay one or more client streams via the kernel request path."""
-        replayer = TraceReplayer(self.fs, self.engine, exec_handler=self._exec_handler)
+        replayer = TraceReplayer(self.fs, self.engine, self._exec_handler)
         report = replayer.replay_scheduled(streams)
         if sync_at_end:
             self.fs.sync()

@@ -31,7 +31,7 @@ from repro.devices.catalog import (
     FLASH_SUNDISK_SDI,
     catalog_specs,
 )
-from repro.devices.cpu import CPU, CPUSpec
+from repro.devices.cpu import CPU
 from repro.devices.disk import MagneticDisk
 from repro.devices.dram import DRAM
 from repro.devices.errors import (
@@ -52,7 +52,6 @@ __all__ = [
     "FlashMemory",
     "MagneticDisk",
     "CPU",
-    "CPUSpec",
     "Battery",
     "BatteryBank",
     "BatteryState",

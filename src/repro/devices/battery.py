@@ -78,15 +78,11 @@ class BatteryBank:
     paper's data-loss scenario).
     """
 
-    def __init__(
-        self,
-        primary_joules: float,
-        backup_joules: float,
-        name: str = "battery-bank",
-    ) -> None:
-        self.name = name
-        self.primary = Battery(f"{name}.primary", primary_joules)
-        self.backup = Battery(f"{name}.backup", backup_joules)
+    name = "battery-bank"
+
+    def __init__(self, primary_joules: float, backup_joules: float) -> None:
+        self.primary = Battery(f"{self.name}.primary", primary_joules)
+        self.backup = Battery(f"{self.name}.backup", backup_joules)
         self._power_loss_callbacks: List[Callable[[], None]] = []
         self._dead_announced = False
         # Simulated time at which power was fully lost, if ever.

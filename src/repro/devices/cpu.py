@@ -14,33 +14,18 @@ enough for the :class:`~repro.power.energy.PowerModel` to meter it
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from repro.devices.base import DeviceStats
 
 
-@dataclass(frozen=True)
-class CPUSpec:
-    """Power figures for a 1993 low-power laptop processor."""
-
-    name: str = "Intel 386SL-class CPU"
-    active_power_w: float = 2.0
-    idle_power_w: float = 0.05  # aggressive sleep states, 1993-style
-
-    def validate(self) -> None:
-        if self.active_power_w < self.idle_power_w:
-            raise ValueError("active power below idle power")
-        if self.idle_power_w < 0:
-            raise ValueError("idle power cannot be negative")
-
-
 class CPU:
-    """Busy-time and energy integrator."""
+    """Busy-time and energy integrator for a 1993 low-power laptop
+    processor."""
 
-    def __init__(self, spec: CPUSpec = CPUSpec(), name: str = "cpu") -> None:
-        spec.validate()
-        self.spec = spec
-        self.name = name
+    name = "cpu"
+    active_power_w = 2.0
+    idle_power_w = 0.05  # aggressive sleep states, 1993-style
+
+    def __init__(self) -> None:
         self.stats = DeviceStats()
         self._idle_energy = 0.0
         self._idle_accounted_to = 0.0
@@ -53,14 +38,14 @@ class CPU:
         self.busy_seconds += seconds
         self.stats.busy_time += seconds
         self.stats.energy_joules += (
-            self.spec.active_power_w - self.spec.idle_power_w
+            self.active_power_w - self.idle_power_w
         ) * seconds
 
     def accrue_idle(self, now: float) -> None:
         """Baseline idle draw over wall-clock time (PowerModel hook)."""
         if now <= self._idle_accounted_to:
             return
-        self._idle_energy += (now - self._idle_accounted_to) * self.spec.idle_power_w
+        self._idle_energy += (now - self._idle_accounted_to) * self.idle_power_w
         self._idle_accounted_to = now
 
     @property

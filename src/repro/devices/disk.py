@@ -30,19 +30,14 @@ from repro.sim.clock import SimClock
 class MagneticDisk(StorageDevice):
     """Seek + rotate + transfer disk with idle spin-down."""
 
-    def __init__(
-        self,
-        capacity_bytes: int,
-        spec: DeviceSpec = DISK_HP_KITTYHAWK,
-        name: str = "disk",
-        cylinders: int = 600,
-        spin_down_timeout_s: float = 5.0,
-        start_spinning: bool = True,
-    ) -> None:
+    #: Seek distances spread over this many cylinders.
+    cylinders = 600
+    #: Idle seconds after the last access before the spindle stops.
+    spin_down_timeout_s = 5.0
+
+    def __init__(self, capacity_bytes: int, spec: DeviceSpec = DISK_HP_KITTYHAWK) -> None:
         if spec.kind != "disk":
             raise ValueError(f"spec {spec.name!r} is not a disk spec")
-        if cylinders < 2:
-            raise ValueError("disk needs at least 2 cylinders")
         costs = (
             spec.read_overhead_s, spec.write_overhead_s,
             spec.active_read_power_w, spec.active_write_power_w,
@@ -58,17 +53,15 @@ class MagneticDisk(StorageDevice):
         rate = spec.transfer_bytes_per_s
         if rate is None or rate <= 0.0:
             raise ValueError(f"spec {spec.name!r} needs a positive transfer rate")
-        super().__init__(name, capacity_bytes, idle_power_watts=0.0)
+        super().__init__("disk", capacity_bytes, idle_power_watts=0.0)
         self.spec = spec
         (self._read_overhead, self._write_overhead,
          self._read_power, self._write_power,
          self._spin_up_power, self._spin_up_s,
          self._t2t_seek, self._max_seek, self._rotation_s) = costs
         self._transfer_rate = rate
-        self.cylinders = cylinders
-        self.bytes_per_cylinder = max(1, capacity_bytes // cylinders)
-        self.spin_down_timeout_s = spin_down_timeout_s
-        self.spinning = start_spinning
+        self.bytes_per_cylinder = max(1, capacity_bytes // self.cylinders)
+        self.spinning = True
         self.head_cylinder = 0
         self.spin_ups = 0
         self.seeks = 0

@@ -29,13 +29,7 @@ class DRAM(StorageDevice):
     """A byte-addressable DRAM array.  It never queues: an access's whole
     latency is busy time, and ``stats.wait_time`` stays 0.0."""
 
-    def __init__(
-        self,
-        capacity_bytes: int,
-        spec: DeviceSpec = DRAM_NEC_LOW_POWER,
-        name: str = "dram",
-        battery_backed: bool = True,
-    ) -> None:
+    def __init__(self, capacity_bytes: int, spec: DeviceSpec = DRAM_NEC_LOW_POWER) -> None:
         if spec.kind != "dram":
             raise ValueError(f"spec {spec.name!r} is not a DRAM spec")
         costs = (
@@ -46,14 +40,13 @@ class DRAM(StorageDevice):
         if any(cost < 0.0 for cost in costs):
             raise ValueError(f"spec {spec.name!r} has a negative cost or power")
         super().__init__(
-            name,
+            "dram",
             capacity_bytes,
             idle_power_watts=spec.idle_power_w_per_mb * (capacity_bytes / MB),
         )
         self.spec = spec
         (self._read_overhead, self._read_per_byte, self._read_power,
          self._write_overhead, self._write_per_byte, self._write_power) = costs
-        self.battery_backed = battery_backed
         self.powered = True
         self._data = bytearray(capacity_bytes)
         # Number of times contents have been lost to power failure.
@@ -63,7 +56,7 @@ class DRAM(StorageDevice):
         """Account a read of ``nbytes`` that moves no data: check power,
         then range; update stats; trace at ``clock.now``; advance ``clock``."""
         if not self.powered:
-            raise PowerLossError(self.name, "DRAM is unpowered")
+            raise PowerLossError(self.name)
         if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
             self.check_range(offset, nbytes)
         latency = self._read_overhead + self._read_per_byte * nbytes
@@ -79,7 +72,7 @@ class DRAM(StorageDevice):
     def charge_write(self, nbytes: int, clock: SimClock, offset: int = 0) -> None:
         """As :meth:`charge_read`, for a write; the contents are untouched."""
         if not self.powered:
-            raise PowerLossError(self.name, "DRAM is unpowered")
+            raise PowerLossError(self.name)
         if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
             self.check_range(offset, nbytes)
         latency = self._write_overhead + self._write_per_byte * nbytes
@@ -96,7 +89,7 @@ class DRAM(StorageDevice):
         """Check, account, trace and advance ``clock`` for one data-moving
         access, as the charges do; returns its latency."""
         if not self.powered:
-            raise PowerLossError(self.name, "DRAM is unpowered")
+            raise PowerLossError(self.name)
         if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
             self.check_range(offset, nbytes)
         stats = self.stats

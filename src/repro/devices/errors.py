@@ -42,13 +42,10 @@ class WriteBeforeEraseError(DeviceError):
 
 
 class PowerLossError(DeviceError):
-    """An operation was attempted while the device had no power."""
+    """A DRAM access was attempted while the DRAM had no power."""
 
-    def __init__(self, device: str, detail: str = "") -> None:
-        message = f"{device}: no power"
-        if detail:
-            message = f"{message} ({detail})"
-        super().__init__(message)
+    def __init__(self, device: str) -> None:
+        super().__init__(f"{device}: no power (DRAM is unpowered)")
 
 
 class ProgramFailedError(DeviceError):

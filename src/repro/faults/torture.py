@@ -66,8 +66,6 @@ class TortureConfig:
     #: Distinct logical keys the workload touches.
     keys: int = 24
     seed: int = 0
-    #: First device-operation index eligible for a power cut.
-    cut_start: int = 10
     #: Cut at every ``cut_every``-th device operation in the sweep.
     cut_every: int = 7
     #: Cap on the number of cut points (None = the whole run).
@@ -80,7 +78,7 @@ class TortureConfig:
     torn: bool = True
 
     def validate(self) -> None:
-        for name in ("ops", "keys", "cut_start", "cut_every", "flash_kb", "banks"):
+        for name in ("ops", "keys", "cut_every", "flash_kb", "banks"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.max_cuts is not None and self.max_cuts < 0:
@@ -341,7 +339,7 @@ def _fsck_run(
     cut = False
 
     store = FlashStore(flash, clock, ecc=cfg.ecc)
-    ftl = LogStructuredFTL(store, block_size=4096)
+    ftl = LogStructuredFTL(store)
     cache = BufferCache(ftl, clock, capacity_blocks=8)
     rng = substream(cfg.seed, "torture-fsck")
     try:
@@ -367,7 +365,7 @@ def _fsck_run(
 
     injector.disarm()
     store2 = FlashStore.recover(flash, SimClock(), ecc=cfg.ecc)
-    ftl2 = LogStructuredFTL(store2, block_size=4096)
+    ftl2 = LogStructuredFTL(store2)
     cache2 = BufferCache(ftl2, SimClock(), capacity_blocks=8)
     try:
         fs2 = ConventionalFileSystem(cache2)  # re-reads the superblock
@@ -405,6 +403,11 @@ def _fsck_run(
 
 _RUNNERS = {"flashstore": _flashstore_run, "fsck": _fsck_run}
 
+#: First device-operation index eligible for a power cut, per mode.  The
+#: fsck mode never cuts inside mkfs: a half-written superblock is a dead
+#: volume by construction, exactly like interrupting real mkfs.
+FIRST_CUT = {"flashstore": 10, "fsck": 40}
+
 
 def run_torture(cfg: TortureConfig) -> TortureReport:
     """Run the power-cut sweep: a fault-free baseline to measure the
@@ -421,10 +424,7 @@ def run_torture(cfg: TortureConfig) -> TortureReport:
     report.violations.extend(violations)
     report.merge_run(injector, live, recovered)
 
-    # fsck mode: never cut inside mkfs -- a half-written superblock is a
-    # dead volume by construction, exactly like interrupting real mkfs.
-    first = cfg.cut_start if cfg.mode == "flashstore" else max(cfg.cut_start, 40)
-    cut_points = list(range(first, report.baseline_ops + 1, cfg.cut_every))
+    cut_points = list(range(FIRST_CUT[cfg.mode], report.baseline_ops + 1, cfg.cut_every))
     if cfg.max_cuts is not None:
         cut_points = cut_points[: cfg.max_cuts]
 
@@ -438,9 +438,10 @@ def run_torture(cfg: TortureConfig) -> TortureReport:
     return report
 
 
-def run_bit_flip_campaign(cfg: TortureConfig, flip_rate: float = 0.3, rounds: int = 4) -> TortureReport:
-    """Read-disturb campaign: aggressive per-read flip probability, no
-    power cuts, several seeds.  ECC must correct and scrub every flip."""
+def run_bit_flip_campaign(cfg: TortureConfig, rounds: int = 4) -> TortureReport:
+    """Read-disturb campaign: aggressive per-read flip probability (0.3),
+    no power cuts, several seeds.  ECC must correct and scrub every
+    flip."""
     report = TortureReport(mode=f"{cfg.mode}+bitflips")
     runner = _RUNNERS[cfg.mode]
     for round_index in range(rounds):
@@ -452,7 +453,7 @@ def run_bit_flip_campaign(cfg: TortureConfig, flip_rate: float = 0.3, rounds: in
             keys=cfg.keys,
             seed=cfg.seed + round_index,
             ecc=True,
-            bit_flip_per_read=flip_rate,
+            bit_flip_per_read=0.3,
             torn=cfg.torn,
         )
         violations, _, injector, live, recovered = runner(round_cfg, None)
@@ -462,14 +463,11 @@ def run_bit_flip_campaign(cfg: TortureConfig, flip_rate: float = 0.3, rounds: in
     return report
 
 
-def run_program_failure_campaign(
-    cfg: TortureConfig,
-    fail_rate: float = 0.02,
-    permanent_fraction: float = 0.25,
-    rounds: int = 4,
-) -> TortureReport:
-    """Program/erase failure campaign: transient failures must be retried
-    through, permanent ones must retire the sector without losing data."""
+def run_program_failure_campaign(cfg: TortureConfig, rounds: int = 4) -> TortureReport:
+    """Program/erase failure campaign (2% of programs and 1% of erases
+    fail, a quarter of them permanently): transient failures must be
+    retried through, permanent ones must retire the sector without
+    losing data."""
     report = TortureReport(mode=f"{cfg.mode}+pgmfail")
     runner = _RUNNERS[cfg.mode]
     for round_index in range(rounds):
@@ -481,9 +479,9 @@ def run_program_failure_campaign(
             keys=cfg.keys,
             seed=cfg.seed + round_index,
             ecc=cfg.ecc,
-            program_fail_rate=fail_rate,
-            erase_fail_rate=fail_rate / 2,
-            permanent_fraction=permanent_fraction,
+            program_fail_rate=0.02,
+            erase_fail_rate=0.01,
+            permanent_fraction=0.25,
             torn=cfg.torn,
         )
         violations, _, injector, live, recovered = runner(round_cfg, None)

@@ -14,14 +14,19 @@ from repro.devices.disk import MagneticDisk
 from repro.sim.clock import SimClock
 
 
+#: The one block size every device exports: the conventional FS's block.
+BLOCK_SIZE = 4096
+
+
 class BlockDevice(ABC):
     """Fixed-size-block storage with timed access."""
 
-    def __init__(self, name: str, block_size: int, nblocks: int) -> None:
-        if block_size <= 0 or nblocks <= 0:
+    block_size = BLOCK_SIZE
+
+    def __init__(self, name: str, nblocks: int) -> None:
+        if nblocks <= 0:
             raise ValueError("block device needs positive geometry")
         self.name = name
-        self.block_size = block_size
         self.nblocks = nblocks
 
     def check_lba(self, lba: int) -> None:
@@ -40,21 +45,15 @@ class BlockDevice(ABC):
 class DiskBlockDevice(BlockDevice):
     """A magnetic disk presented as an array of blocks."""
 
-    def __init__(
-        self,
-        disk: MagneticDisk,
-        clock: SimClock,
-        block_size: int = 4096,
-        nblocks: int = 0,
-    ) -> None:
+    def __init__(self, disk: MagneticDisk, clock: SimClock, nblocks: int = 0) -> None:
         """``nblocks`` limits the exported size (0 = whole disk), so a
         swap partition can live past the file-system area."""
-        max_blocks = disk.capacity_bytes // block_size
+        max_blocks = disk.capacity_bytes // BLOCK_SIZE
         if nblocks <= 0:
             nblocks = max_blocks
         if nblocks > max_blocks:
             raise ValueError("exported blocks exceed disk capacity")
-        super().__init__(f"blk-{disk.name}", block_size, nblocks)
+        super().__init__(f"blk-{disk.name}", nblocks)
         self.disk = disk
         self.clock = clock
 

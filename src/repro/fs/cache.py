@@ -145,11 +145,11 @@ class BufferCache:
         self.stats.counter("sync_writebacks").add(written)
         return written
 
-    def attach_sync_timer(self, engine: Engine, interval_s: float = 30.0) -> None:
-        """The classic periodic update daemon."""
+    def attach_sync_timer(self, engine: Engine) -> None:
+        """The classic periodic update daemon, every 30 s."""
         if self._sync_timer is not None:
             self._sync_timer.cancel()
-        self._sync_timer = engine.schedule_every(interval_s, self.flush, name="bcache-sync")
+        self._sync_timer = engine.schedule_every(30.0, self.flush, name="bcache-sync")
 
     def discard(self, lba: int) -> None:
         """Forget a block without writing it back (its owner freed it)."""

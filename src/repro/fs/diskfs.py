@@ -55,10 +55,10 @@ from repro.fs.api import (
     parent_and_name,
     split_path,
 )
+from repro.fs.blockdev import BLOCK_SIZE
 from repro.fs.cache import BufferCache
 from repro.sim.stats import StatHandle, StatRegistry
 
-BLOCK_SIZE = 4096
 MAGIC = b"SSMC1993"
 INODE_SIZE = 128
 INODES_PER_BLOCK = BLOCK_SIZE // INODE_SIZE
@@ -221,10 +221,7 @@ def _first_clear_bit(block: bytes, lo: int, hi: int) -> int:
 
 def mkfs(cache: BufferCache, ninodes: int = 512) -> Layout:
     """Format the device: superblock, empty inode table, bitmap, root dir."""
-    device = cache.device
-    if device.block_size != BLOCK_SIZE:
-        raise ValueError(f"diskfs requires {BLOCK_SIZE}-byte blocks")
-    nblocks = device.nblocks
+    nblocks = cache.device.nblocks
     inode_blocks = (ninodes + INODES_PER_BLOCK - 1) // INODES_PER_BLOCK
     inode_start = 1
     bitmap_start = inode_start + inode_blocks

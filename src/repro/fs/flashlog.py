@@ -18,10 +18,8 @@ Two ways to run the conventional block-based file system over flash:
 
 from __future__ import annotations
 
-from typing import Optional
-
 from repro.devices.flash import FlashMemory
-from repro.fs.blockdev import BlockDevice
+from repro.fs.blockdev import BLOCK_SIZE, BlockDevice
 from repro.sim.clock import SimClock
 from repro.storage.flashstore import FlashStore
 
@@ -29,14 +27,12 @@ from repro.storage.flashstore import FlashStore
 class EraseInPlaceFlashBlockDevice(BlockDevice):
     """Fixed logical-to-physical mapping; erase on every overwrite."""
 
-    def __init__(self, flash: FlashMemory, clock: SimClock, block_size: int = 4096) -> None:
-        super().__init__(
-            f"eip-{flash.name}", block_size, flash.capacity_bytes // block_size
-        )
-        if block_size % flash.sector_bytes and flash.sector_bytes % block_size:
+    def __init__(self, flash: FlashMemory, clock: SimClock) -> None:
+        super().__init__(f"eip-{flash.name}", flash.capacity_bytes // BLOCK_SIZE)
+        if BLOCK_SIZE % flash.sector_bytes and flash.sector_bytes % BLOCK_SIZE:
             raise ValueError(
                 "block size and erase sector must divide one another "
-                f"(block={block_size}, sector={flash.sector_bytes})"
+                f"(block={BLOCK_SIZE}, sector={flash.sector_bytes})"
             )
         self.flash = flash
         self.clock = clock
@@ -82,20 +78,15 @@ class LogStructuredFTL(BlockDevice):
     """Remapping FTL over the log-structured flash store; logical block
     ``lba`` is stored under the key ``("lba", lba)``."""
 
-    def __init__(
-        self,
-        store: FlashStore,
-        block_size: int = 4096,
-        exported_fraction: float = 0.875,
-    ) -> None:
-        """``exported_fraction`` under-reports capacity so the log always
-        has cleaning headroom (real FTLs over-provision the same way)."""
-        if not 0.1 <= exported_fraction <= 1.0:
-            raise ValueError("exported fraction outside [0.1, 1.0]")
+    #: Share of the flash exported as blocks: the rest is cleaning
+    #: headroom (real FTLs over-provision the same way).
+    exported_fraction = 0.875
+
+    def __init__(self, store: FlashStore) -> None:
         flash = store.flash
-        usable = int(flash.capacity_bytes * exported_fraction)
-        super().__init__(f"ftl-{flash.name}", block_size, usable // block_size)
-        if block_size > flash.sector_bytes:
+        usable = int(flash.capacity_bytes * self.exported_fraction)
+        super().__init__(f"ftl-{flash.name}", usable // BLOCK_SIZE)
+        if BLOCK_SIZE > flash.sector_bytes:
             raise ValueError("FTL block size cannot exceed the erase sector")
         self.store = store
         self.clock = store.clock

@@ -102,7 +102,7 @@ class MemoryFileSystem(FileSystem):
     _bytes_written = StatHandle(StatRegistry.counter, "bytes_written")
     _bytes_read = StatHandle(StatRegistry.counter, "bytes_read")
 
-    def __init__(self, manager: StorageManager, dram: Optional[DRAM] = None) -> None:
+    def __init__(self, manager: StorageManager, dram: DRAM) -> None:
         self.manager = manager
         self.clock = manager.clock
         self.dram = dram
@@ -122,14 +122,12 @@ class MemoryFileSystem(FileSystem):
         dram = self.dram
         clock = self.clock
         node = self._root
-        if dram is not None:
-            dram.charge_read(META_TOUCH_BYTES, clock)
+        dram.charge_read(META_TOUCH_BYTES, clock)
         for part in parts:
             if not node.is_dir:
                 raise NotADirectoryFSError("/" + "/".join(parts))
             child = node.children.get(part)
-            if dram is not None:
-                dram.charge_read(META_TOUCH_BYTES, clock)
+            dram.charge_read(META_TOUCH_BYTES, clock)
             if child is None:
                 raise FileNotFoundFSError("/" + "/".join(parts))
             node = self._inodes[child]
@@ -155,8 +153,7 @@ class MemoryFileSystem(FileSystem):
             self._next_ino += 1
             self._inodes[inode.ino] = inode
             parent.children[name] = inode.ino
-            if self.dram is not None:
-                self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
+            self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
 
     def mkdir(self, path: str) -> None:
         with self._timed["mkdir"]:
@@ -167,8 +164,7 @@ class MemoryFileSystem(FileSystem):
             self._next_ino += 1
             self._inodes[inode.ino] = inode
             parent.children[name] = inode.ino
-            if self.dram is not None:
-                self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
+            self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
 
     def rmdir(self, path: str) -> None:
         with self._timed["rmdir"]:
@@ -183,8 +179,7 @@ class MemoryFileSystem(FileSystem):
                 raise NotEmptyFSError(path)
             del parent.children[name]
             del self._inodes[ino]
-            if self.dram is not None:
-                self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
+            self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
 
     def delete(self, path: str) -> None:
         with self._timed["delete"]:
@@ -199,8 +194,7 @@ class MemoryFileSystem(FileSystem):
                 self.manager.delete_block(("data", ino, index))
             del parent.children[name]
             del self._inodes[ino]
-            if self.dram is not None:
-                self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
+            self.dram.charge_read(META_TOUCH_BYTES * 2, self.clock)
 
     def rename(self, old: str, new: str) -> None:
         with self._timed["rename"]:
@@ -223,17 +217,15 @@ class MemoryFileSystem(FileSystem):
             del old_parent.children[old_name]
             new_parent.children[new_name] = moving_ino
             self._inodes[moving_ino].mtime = self.clock.now
-            if self.dram is not None:
-                self.dram.charge_read(META_TOUCH_BYTES * 3, self.clock)
+            self.dram.charge_read(META_TOUCH_BYTES * 3, self.clock)
 
     def listdir(self, path: str) -> List[str]:
         with self._timed["listdir"]:
             node = self._lookup(split_path(path))
             if not node.is_dir:
                 raise NotADirectoryFSError(path)
-            if self.dram is not None:
-                nbytes = META_TOUCH_BYTES * max(1, len(node.children) // 8)
-                self.dram.charge_read(nbytes, self.clock)
+            nbytes = META_TOUCH_BYTES * max(1, len(node.children) // 8)
+            self.dram.charge_read(nbytes, self.clock)
             return sorted(node.children)
 
     def stat(self, path: str) -> FileStat:
@@ -303,8 +295,7 @@ class MemoryFileSystem(FileSystem):
                 remaining = remaining[take:]
             node.size = max(node.size, offset + len(data))
             node.mtime = self.clock.now
-            if self.dram is not None:
-                self.dram.charge_read(META_TOUCH_BYTES, self.clock)
+            self.dram.charge_read(META_TOUCH_BYTES, self.clock)
             self._bytes_written.value += len(data)
             return len(data)
 
@@ -348,8 +339,7 @@ class MemoryFileSystem(FileSystem):
                     )
             node.size = size
             node.mtime = self.clock.now
-            if self.dram is not None:
-                self.dram.charge_read(META_TOUCH_BYTES, self.clock)
+            self.dram.charge_read(META_TOUCH_BYTES, self.clock)
 
     def sync(self) -> None:
         with self._timed["sync"]:
@@ -413,7 +403,7 @@ class MemoryFileSystem(FileSystem):
 
     @classmethod
     def recover(
-        cls, manager: StorageManager, dram: Optional[DRAM] = None
+        cls, manager: StorageManager, dram: DRAM
     ) -> Tuple["MemoryFileSystem", RecoveryReport]:
         """Rebuild a file system from a recovered flash store.
 

@@ -34,7 +34,6 @@ class Region:
     base: int
     size: int
     device: StorageDevice
-    writable: bool = True
 
     @property
     def end(self) -> int:
@@ -60,16 +59,11 @@ class PhysicalAddressSpace:
         self._regions: List[Region] = []
 
     def add_region(
-        self,
-        name: str,
-        device: StorageDevice,
-        base: Optional[int] = None,
-        writable: bool = True,
+        self, name: str, device: StorageDevice, base: Optional[int] = None
     ) -> Region:
         if base is None:
             base = self._next_free_base()
-        region = Region(name=name, base=base, size=device.capacity_bytes,
-                        device=device, writable=writable)
+        region = Region(name=name, base=base, size=device.capacity_bytes, device=device)
         for existing in self._regions:
             if region.base < existing.end and existing.base < region.end:
                 raise ValueError(f"region {name!r} overlaps {existing.name!r}")
@@ -101,6 +95,4 @@ class PhysicalAddressSpace:
     def write(self, addr: int, data: bytes) -> None:
         """Store bytes.  Flash regions require the range to be erased."""
         region = self.region_of(addr, len(data))
-        if not region.writable:
-            raise PermissionError(f"region {region.name!r} is read-only")
         region.device.write(region.to_device_offset(addr), data, self.clock)

@@ -34,7 +34,7 @@ handles implement this protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
 from repro.mem.address import Region
 from repro.mem.paging import PAGE_SIZE, PageTableEntry, Permissions
@@ -51,7 +51,6 @@ class CopyOnWriteMapping:
     vaddr: int
     npages: int
     backing: object
-    writable: bool
     direct_pages: int = 0  # pages mapped straight at flash
     # key -> vpn, for relocation retargeting.
     key_to_vpn: Dict[object, int] = field(default_factory=dict)
@@ -75,20 +74,14 @@ class MmapManager:
     # ------------------------------------------------------------------
 
     def map_file(
-        self,
-        space: AddressSpace,
-        backing: object,
-        nblocks: int,
-        writable: bool = True,
+        self, space: AddressSpace, backing: object, nblocks: int
     ) -> CopyOnWriteMapping:
-        """Map ``nblocks`` file blocks starting at block 0."""
+        """Map ``nblocks`` file blocks starting at block 0, writable and
+        copy-on-write."""
         if nblocks <= 0:
             raise ValueError("mapping needs at least one block")
         vaddr = space.reserve_range(nblocks)
-        mapping = CopyOnWriteMapping(
-            space=space, vaddr=vaddr, npages=nblocks, backing=backing, writable=writable
-        )
-        perms = Permissions.RW if writable else Permissions.READ
+        mapping = CopyOnWriteMapping(space=space, vaddr=vaddr, npages=nblocks, backing=backing)
         base_vpn = vaddr // PAGE_SIZE
         for i in range(nblocks):
             loc = backing.flash_location(i)
@@ -97,10 +90,10 @@ class MmapManager:
                 phys = self.flash_region.base + loc.absolute(self.store.allocator.sector_bytes)
                 entry = PageTableEntry(
                     vpn=base_vpn + i,
-                    perms=perms,
+                    perms=Permissions.RW,
                     present=True,
                     phys_addr=phys,
-                    cow=writable,
+                    cow=True,
                     backing=backing,
                     backing_index=i,
                 )
@@ -110,7 +103,7 @@ class MmapManager:
                 # Buffered / partial block: fault it in on first touch.
                 entry = PageTableEntry(
                     vpn=base_vpn + i,
-                    perms=perms,
+                    perms=Permissions.RW,
                     present=False,
                     backing=backing,
                     backing_index=i,

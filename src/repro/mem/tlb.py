@@ -17,20 +17,15 @@ from typing import Optional, Tuple
 
 from repro.sim.stats import StatRegistry
 
-#: Cost of a page-table walk on a miss (two DRAM-speed levels).
-DEFAULT_WALK_S = 400e-9
-
 
 class TLB:
     """Fully associative, LRU, tagged by (asid, vpn)."""
 
-    def __init__(self, entries: int = 32, walk_s: float = DEFAULT_WALK_S) -> None:
-        if entries < 1:
-            raise ValueError("TLB needs at least one entry")
-        if walk_s < 0:
-            raise ValueError("walk cost cannot be negative")
-        self.entries = entries
-        self.walk_s = walk_s
+    entries = 32
+    #: Cost of a page-table walk on a miss (two DRAM-speed levels).
+    walk_s = 400e-9
+
+    def __init__(self) -> None:
         self.stats = StatRegistry("tlb")
         self._map: "OrderedDict[Tuple[int, int], int]" = OrderedDict()
 

@@ -70,12 +70,14 @@ class AddressSpace:
 class VirtualMemory:
     """Fault handling, replacement, and timed memory access."""
 
+    #: Kernel compute charged per page fault.
+    fault_overhead_s = 50e-6
+
     def __init__(
         self,
         phys: PhysicalAddressSpace,
         frames: PageFrameAllocator,
         swap: Optional[SwapBackend] = None,
-        fault_overhead_s: float = 50e-6,
         tlb: Optional[TLB] = None,
         cpu=None,
     ) -> None:
@@ -87,7 +89,6 @@ class VirtualMemory:
         self.clock = phys.clock
         self.frames = frames
         self.swap = swap
-        self.fault_overhead_s = fault_overhead_s
         self.tlb = tlb
         self.cpu = cpu
         self.stats = StatRegistry("vm")
@@ -133,16 +134,10 @@ class VirtualMemory:
     # ------------------------------------------------------------------
 
     def map_anonymous(
-        self,
-        space: AddressSpace,
-        npages: int,
-        perms: Permissions = Permissions.RW,
-        vaddr: Optional[int] = None,
+        self, space: AddressSpace, npages: int, perms: Permissions = Permissions.RW
     ) -> int:
         """Map demand-zero pages; frames materialize on first touch."""
-        if vaddr is None:
-            vaddr = space.reserve_range(npages)
-        self._check_alignment(vaddr)
+        vaddr = space.reserve_range(npages)
         base_vpn = vaddr // PAGE_SIZE
         for i in range(npages):
             space.page_table.insert(
@@ -151,26 +146,13 @@ class VirtualMemory:
         return vaddr
 
     def map_physical(
-        self,
-        space: AddressSpace,
-        phys_addr: int,
-        npages: int,
-        perms: Permissions,
-        cow: bool = False,
-        backing: Optional[object] = None,
-        backing_base_index: int = 0,
-        vaddr: Optional[int] = None,
+        self, space: AddressSpace, phys_addr: int, npages: int, perms: Permissions
     ) -> int:
-        """Map existing physical pages (flash file data, XIP code).
-
-        With ``cow=True`` a store promotes the page into a fresh DRAM
-        frame before modifying it -- the paper's mechanism for deferring
-        flash erase/write costs until an application actually writes.
-        """
-        if vaddr is None:
-            vaddr = space.reserve_range(npages)
-        self._check_alignment(vaddr)
-        self._check_alignment(phys_addr)
+        """Map existing physical pages in place (XIP code): no frame, no
+        copy."""
+        if phys_addr % PAGE_SIZE:
+            raise ValueError(f"address {phys_addr:#x} is not page aligned")
+        vaddr = space.reserve_range(npages)
         base_vpn = vaddr // PAGE_SIZE
         for i in range(npages):
             space.page_table.insert(
@@ -179,17 +161,9 @@ class VirtualMemory:
                     perms=perms,
                     present=True,
                     phys_addr=phys_addr + i * PAGE_SIZE,
-                    cow=cow,
-                    backing=backing,
-                    backing_index=backing_base_index + i,
                 )
             )
         return vaddr
-
-    @staticmethod
-    def _check_alignment(addr: int) -> None:
-        if addr % PAGE_SIZE:
-            raise ValueError(f"address {addr:#x} is not page aligned")
 
     # ------------------------------------------------------------------
     # Access.

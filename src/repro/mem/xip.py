@@ -32,6 +32,9 @@ from repro.mem.vm import AddressSpace, VirtualMemory
 #: Kernel cost to install one PTE (build mapping, no data movement).
 PTE_SETUP_S = 2e-6
 
+#: Anonymous data/stack pages every launched program maps.
+DATA_PAGES = 4
+
 
 @dataclass(frozen=True)
 class ProgramImage:
@@ -92,12 +95,7 @@ class ProgramStore:
         return dict(self._images)
 
 
-def launch_xip(
-    vm: VirtualMemory,
-    space: AddressSpace,
-    image: ProgramImage,
-    data_pages: int = 4,
-) -> LaunchResult:
+def launch_xip(vm: VirtualMemory, space: AddressSpace, image: ProgramImage) -> LaunchResult:
     """Launch by mapping code pages directly from flash.
 
     No code bytes move; the only work is page-table setup plus the
@@ -114,7 +112,7 @@ def launch_xip(
         image.npages,
         perms=Permissions.RX,
     )
-    data_vaddr = vm.map_anonymous(space, data_pages, perms=Permissions.RW)
+    data_vaddr = vm.map_anonymous(space, DATA_PAGES, perms=Permissions.RW)
     return LaunchResult(
         code_vaddr=code_vaddr,
         data_vaddr=data_vaddr,
@@ -128,7 +126,6 @@ def launch_load(
     vm: VirtualMemory,
     space: AddressSpace,
     image: ProgramImage,
-    data_pages: int = 4,
     source: Optional[PhysicalAddressSpace] = None,
 ) -> LaunchResult:
     """Conventional launch: copy the code segment into DRAM, then map it.
@@ -162,7 +159,7 @@ def launch_load(
                 phys_addr=frame,
             )
         )
-    data_vaddr = vm.map_anonymous(space, data_pages, perms=Permissions.RW)
+    data_vaddr = vm.map_anonymous(space, DATA_PAGES, perms=Permissions.RW)
     return LaunchResult(
         code_vaddr=code_vaddr,
         data_vaddr=data_vaddr,

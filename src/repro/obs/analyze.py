@@ -52,12 +52,11 @@ class Timeline:
     pairwise (sum-preserving decimation), so memory stays O(cap) while
     totals stay exact."""
 
-    __slots__ = ("cap", "points")
+    __slots__ = ("points",)
 
-    def __init__(self, cap: int = 512) -> None:
-        if cap < 2:
-            raise ValueError("timeline cap must be at least 2")
-        self.cap = cap
+    cap = 512
+
+    def __init__(self) -> None:
         self.points: List[List[float]] = []
 
     def add(self, t: float, value: float) -> None:

@@ -36,8 +36,9 @@ def flatten_numeric(obj: object, prefix: str = "") -> Dict[str, float]:
 class MetricsHub:
     """Registry of registries: the machine-wide metrics surface."""
 
-    def __init__(self, name: str = "machine") -> None:
-        self.name = name
+    name = "machine"
+
+    def __init__(self) -> None:
         self._registries: Dict[str, StatRegistry] = {}
         self._devices: Dict[str, object] = {}
 
@@ -45,13 +46,14 @@ class MetricsHub:
     # Registration (at machine-build time).
     # ------------------------------------------------------------------
 
-    def register(self, registry: StatRegistry, name: Optional[str] = None) -> None:
+    def register(self, registry: StatRegistry) -> None:
         """Register a component's StatRegistry (latest wins per name)."""
-        self._registries[name or registry.name] = registry
+        self._registries[registry.name] = registry
 
-    def register_device(self, device: object, name: Optional[str] = None) -> None:
-        """Register a device exposing ``.stats`` (a DeviceStats) by name."""
-        self._devices[name or getattr(device, "name", type(device).__name__)] = device
+    def register_device(self, device: object) -> None:
+        """Register a device exposing ``.name`` and ``.stats`` (a
+        DeviceStats)."""
+        self._devices[device.name] = device
 
     def devices(self) -> List[str]:
         return sorted(self._devices)

@@ -18,12 +18,12 @@ from dataclasses import asdict, is_dataclass
 from typing import Optional
 
 
-def git_revision(cwd: Optional[str] = None) -> Optional[str]:
-    """Current git commit hash, or None outside a repo / without git."""
+def git_revision() -> Optional[str]:
+    """The working directory's git commit hash, or None outside a repo /
+    without git."""
     try:
         out = subprocess.run(
             ["git", "rev-parse", "HEAD"],
-            cwd=cwd or os.getcwd(),
             capture_output=True,
             text=True,
             timeout=5,

@@ -198,10 +198,7 @@ class BufferAgeBoundMonitor(Monitor):
 
     name = "buffer-age-bound"
     reads = (("writebuffer", "flush"),)
-
-    def __init__(self, slack_s: float = 600.0) -> None:
-        super().__init__()
-        self.slack_s = slack_s
+    slack_s = 600.0
 
     def observe(self, record: tuple) -> None:
         t, component, op, nbytes, latency_s, outcome, detail = record
@@ -234,10 +231,10 @@ class QueueDepthBoundMonitor(Monitor):
 
     name = "engine-queue-depth"
     reads = (("engine", "event"),)
+    bound = 100_000
 
-    def __init__(self, bound: int = 100_000) -> None:
+    def __init__(self) -> None:
         super().__init__()
-        self.bound = bound
         self.max_pending = 0
 
     def observe(self, record: tuple) -> None:
@@ -300,7 +297,7 @@ class ReadOnlyTransitionMonitor(Monitor):
 
 
 #: Name -> class registry.  The CLI's ``--monitors`` attaches all of
-#: them; :func:`build_monitors` picks a subset by name for library use.
+#: them, through :func:`build_monitors`.
 MONITORS: Dict[str, Type[Monitor]] = {
     cls.name: cls
     for cls in (
@@ -312,15 +309,9 @@ MONITORS: Dict[str, Type[Monitor]] = {
 }
 
 
-def build_monitors(names: Optional[List[str]] = None) -> List[Monitor]:
-    """Instantiate monitors by registry name (all of them by default)."""
-    if names is None:
-        names = list(MONITORS)
-    unknown = [n for n in names if n not in MONITORS]
-    if unknown:
-        known = ", ".join(sorted(MONITORS))
-        raise ValueError(f"unknown monitor(s) {unknown}; known: {known}")
-    return [MONITORS[n]() for n in names]
+def build_monitors() -> List[Monitor]:
+    """One instance of every registered monitor, in registry order."""
+    return [cls() for cls in MONITORS.values()]
 
 
 class MonitorSet:

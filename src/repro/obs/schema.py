@@ -74,9 +74,10 @@ class TraceReader:
     line (the count keeps going).
     """
 
-    def __init__(self, path: str, max_errors: int = 20) -> None:
+    max_errors = 20
+
+    def __init__(self, path: str) -> None:
         self.path = path
-        self.max_errors = max_errors
         self.valid = 0
         self.errors: List[str] = []
 

@@ -12,7 +12,7 @@ observation point without per-operation overhead.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.devices.base import StorageDevice
 from repro.devices.battery import BatteryBank
@@ -34,20 +34,10 @@ class EnergyBreakdown:
 class PowerModel:
     """Meters a set of devices and drains a battery bank."""
 
-    def __init__(
-        self,
-        devices: List[StorageDevice],
-        battery: Optional[BatteryBank] = None,
-        base_load_watts: float = 0.0,
-    ) -> None:
-        """``base_load_watts`` models the rest of the machine (CPU, LCD)
-        as a constant draw, so storage choices shift battery life from a
-        realistic baseline rather than from zero."""
+    def __init__(self, devices: List[StorageDevice], battery: BatteryBank) -> None:
         self.devices = list(devices)
         self.battery = battery
-        self.base_load_watts = base_load_watts
         self._settled_energy: Dict[str, float] = {d.name: 0.0 for d in self.devices}
-        self._last_settle_time = 0.0
 
     def settle(self, now: float) -> float:
         """Charge all energy consumed up to ``now``; returns joules drawn."""
@@ -59,17 +49,15 @@ class PowerModel:
             if delta > 0:
                 drawn += delta
                 self._settled_energy[device.name] = total
-        if now > self._last_settle_time:
-            drawn += self.base_load_watts * (now - self._last_settle_time)
-            self._last_settle_time = now
-        if self.battery is not None and drawn > 0:
+        if drawn > 0:
             self.battery.draw(drawn, now)
         return drawn
 
-    def attach_timer(self, engine: Engine, interval_s: float = 1.0):
-        """Settle periodically so battery state tracks simulated time."""
+    def attach_timer(self, engine: Engine):
+        """Settle every simulated second so battery state tracks
+        simulated time."""
         return engine.schedule_every(
-            interval_s, lambda: self.settle(engine.clock.now), name="power-settle"
+            1.0, lambda: self.settle(engine.clock.now), name="power-settle"
         )
 
     def breakdown(self, now: float) -> EnergyBreakdown:

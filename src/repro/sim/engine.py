@@ -55,8 +55,8 @@ class Event:
 class Engine:
     """Heap-ordered discrete-event loop over a shared :class:`SimClock`."""
 
-    def __init__(self, clock: Optional[SimClock] = None) -> None:
-        self.clock = clock if clock is not None else SimClock()
+    def __init__(self) -> None:
+        self.clock = SimClock()
         self._queue: List[Event] = []
         self._seq = itertools.count()
         self._events_run = 0
@@ -96,9 +96,9 @@ class Engine:
         interval: float,
         action: Callable[[], None],
         name: str = "",
-        first_delay: Optional[float] = None,
     ) -> Event:
-        """Schedule ``action`` to repeat every ``interval`` seconds.
+        """Schedule ``action`` to repeat every ``interval`` seconds, the
+        first time ``interval`` from now.
 
         Returns the *first* event; cancelling it stops the whole series
         (each firing checks the original event's cancelled flag before
@@ -106,20 +106,9 @@ class Engine:
         """
         if interval <= 0.0:
             raise ValueError("repeat interval must be positive")
-        if first_delay is not None and first_delay < 0.0:
-            raise ValueError(
-                f"cannot schedule series {name!r} with negative first delay "
-                f"{first_delay}"
-            )
         # Route through schedule_at so the root event gets the same
-        # past-time validation and pending accounting as every other
-        # event (a prior version pushed it onto the heap directly,
-        # letting a stale first_delay schedule it before clock.now).
-        root = self.schedule_at(
-            self.clock.now + (interval if first_delay is None else first_delay),
-            lambda: None,
-            name=name,
-        )
+        # pending accounting as every other event.
+        root = self.schedule_at(self.clock.now + interval, lambda: None, name=name)
 
         def fire() -> None:
             if root.cancelled:

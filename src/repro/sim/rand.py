@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import math
 import random
-from typing import List, Optional, Sequence, TypeVar
+from typing import List, Sequence, TypeVar
 
 T = TypeVar("T")
 
@@ -83,7 +83,7 @@ class RandomStream:
             raise ValueError(f"probability {probability} outside [0, 1]")
         return self._rng.random() < probability
 
-    def zipf_index(self, n: int, skew: float, _cache: Optional[List[float]] = None) -> int:
+    def zipf_index(self, n: int, skew: float) -> int:
         """Draw an index in ``[0, n)`` from a Zipf(skew) popularity law.
 
         Index 0 is the most popular item.  Used for hot/cold file sets: a

@@ -181,13 +181,12 @@ class TimeWeightedValue:
     instant doesn't read as "full on average".
     """
 
-    def __init__(self, name: str, start_time: float = 0.0, initial: float = 0.0) -> None:
+    def __init__(self, name: str) -> None:
         self.name = name
-        self._last_time = start_time
-        self._value = float(initial)
+        self._last_time = 0.0
+        self._value = 0.0
         self._area = 0.0
-        self._start = start_time
-        self.peak = float(initial)
+        self.peak = 0.0
 
     @property
     def current(self) -> float:
@@ -204,11 +203,10 @@ class TimeWeightedValue:
 
     def average(self, now: Optional[float] = None) -> float:
         end = self._last_time if now is None else max(now, self._last_time)
-        elapsed = end - self._start
-        if elapsed <= 0.0:
+        if end <= 0.0:
             return self._value
         area = self._area + self._value * (end - self._last_time)
-        return area / elapsed
+        return area / end
 
 
 class StatRegistry:
@@ -232,10 +230,10 @@ class StatRegistry:
             histogram = self.histograms[name] = Histogram()
         return histogram
 
-    def gauge(self, name: str, start_time: float = 0.0, initial: float = 0.0) -> TimeWeightedValue:
+    def gauge(self, name: str) -> TimeWeightedValue:
         gauge = self.gauges.get(name)
         if gauge is None:
-            gauge = self.gauges[name] = TimeWeightedValue(name, start_time, initial)
+            gauge = self.gauges[name] = TimeWeightedValue(name)
         return gauge
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, object]:

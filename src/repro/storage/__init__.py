@@ -23,7 +23,7 @@ system / VM and the raw devices:
 """
 
 from repro.storage.allocator import Location, OutOfFlashSpace, SectorAllocator, SectorState
-from repro.storage.compression import BlockCompressor, CompressionSpec
+from repro.storage.compression import BlockCompressor
 from repro.storage.flashstore import CorruptBlockError, FlashStore, InPlaceFlashStore
 from repro.storage.gc import CleaningPolicy
 from repro.storage.manager import StorageManager, StorageReadOnlyError
@@ -36,7 +36,6 @@ __all__ = [
     "SectorState",
     "OutOfFlashSpace",
     "BlockCompressor",
-    "CompressionSpec",
     "FlashStore",
     "InPlaceFlashStore",
     "CorruptBlockError",

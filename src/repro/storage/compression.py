@@ -24,9 +24,8 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass
-from typing import Tuple
 
+from repro.devices.cpu import CPU
 from repro.sim.clock import SimClock
 from repro.sim.stats import StatRegistry
 
@@ -36,49 +35,30 @@ _TAG_RAW = b"RW"
 HEADER_BYTES = _HEADER.size
 
 
-@dataclass(frozen=True)
-class CompressionSpec:
-    """CPU-cost model for a 1993 mobile processor."""
-
-    compress_bytes_per_s: float = 3.0e6
-    decompress_bytes_per_s: float = 8.0e6
-    level: int = 6
-
-    def validate(self) -> None:
-        if self.compress_bytes_per_s <= 0 or self.decompress_bytes_per_s <= 0:
-            raise ValueError("throughputs must be positive")
-        if not 1 <= self.level <= 9:
-            raise ValueError("zlib level must be in [1, 9]")
-
-
 class BlockCompressor:
-    """Compresses blocks on the buffer->flash path, timed."""
+    """Compresses blocks on the buffer->flash path, timed at a 1993
+    mobile processor's throughput and charged to its CPU (so the
+    compression compute reaches the battery model)."""
 
-    def __init__(
-        self,
-        clock: SimClock,
-        spec: CompressionSpec = CompressionSpec(),
-        cpu=None,
-    ) -> None:
-        """``cpu`` (a :class:`repro.devices.cpu.CPU`) is charged for the
-        compression compute so its energy reaches the battery model."""
-        spec.validate()
+    compress_bytes_per_s = 3.0e6
+    decompress_bytes_per_s = 8.0e6
+    level = 6
+
+    def __init__(self, clock: SimClock, cpu: CPU) -> None:
         self.clock = clock
-        self.spec = spec
         self.cpu = cpu
         self.stats = StatRegistry("compressor")
 
     def _charge(self, seconds: float) -> None:
         self.clock.advance(seconds)
-        if self.cpu is not None:
-            self.cpu.busy(seconds)
+        self.cpu.busy(seconds)
 
     def encode(self, data: bytes) -> bytes:
         """Compress (or wrap raw) one block; charges CPU time."""
         if not data:
             raise ValueError("cannot encode an empty block")
-        self._charge(len(data) / self.spec.compress_bytes_per_s)
-        packed = zlib.compress(data, self.spec.level)
+        self._charge(len(data) / self.compress_bytes_per_s)
+        packed = zlib.compress(data, self.level)
         self.stats.counter("bytes_in").add(len(data))
         if len(packed) + HEADER_BYTES < len(data):
             out = _HEADER.pack(_TAG_COMPRESSED, len(data)) + packed
@@ -105,7 +85,7 @@ class BlockCompressor:
         data = zlib.decompress(body)
         if len(data) != original_len:
             raise ValueError("decompressed length mismatch")
-        self._charge(len(data) / self.spec.decompress_bytes_per_s)
+        self._charge(len(data) / self.decompress_bytes_per_s)
         self.stats.counter("bytes_decoded").add(len(data))
         return data
 

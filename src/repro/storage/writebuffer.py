@@ -59,9 +59,7 @@ class FlushItem:
 
     key: Hashable
     data: bytes
-    reason: FlushReason
-    age_s: float
-    first_write: float = 0.0
+    first_write: float
 
 
 @dataclass
@@ -85,7 +83,7 @@ class WriteBuffer:
         self,
         capacity_bytes: int,
         clock: SimClock,
-        dram: Optional[DRAM] = None,
+        dram: DRAM,
         age_limit_s: float = 30.0,
         low_watermark: float = 0.75,
     ) -> None:
@@ -134,8 +132,7 @@ class WriteBuffer:
         now = clock.now
         self._bytes_in.value += len(data)
         self._puts.value += 1
-        if self.dram is not None:
-            self.dram.charge_write(len(data), clock)
+        self.dram.charge_write(len(data), clock)
 
         if self.capacity_bytes <= 0:
             # Write-through: account it as an immediate flush so the
@@ -146,7 +143,7 @@ class WriteBuffer:
                 self.tracer.emit(
                     "writebuffer", "put", now, len(data), outcome="writethrough"
                 )
-            return [FlushItem(key, data, FlushReason.WATERMARK, 0.0, now)]
+            return [FlushItem(key, data, now)]
 
         existing = self._entries.pop(key, None)
         if existing is not None:
@@ -209,8 +206,7 @@ class WriteBuffer:
         if entry is None:
             return None
         self._read_hits.value += 1
-        if self.dram is not None:
-            self.dram.charge_read(len(entry.data), self.clock)
+        self.dram.charge_read(len(entry.data), self.clock)
         return entry.data
 
     def drop(self, key: Hashable) -> int:
@@ -236,8 +232,7 @@ class WriteBuffer:
         self._bytes -= len(entry.data)
         self._flushed_bytes.value += len(entry.data)
         self.stats.counter(f"flushed_{reason.value}").add(1)
-        if self.dram is not None:
-            self.dram.charge_read(len(entry.data), self.clock)
+        self.dram.charge_read(len(entry.data), self.clock)
         self._track_occupancy()
         if self.tracer is not None:
             self.tracer.emit(
@@ -248,13 +243,7 @@ class WriteBuffer:
                     "limit_s": self.age_limit_s,
                 },
             )
-        return FlushItem(
-            key=key,
-            data=entry.data,
-            reason=reason,
-            age_s=self.clock.now - entry.first_write,
-            first_write=entry.first_write,
-        )
+        return FlushItem(key=key, data=entry.data, first_write=entry.first_write)
 
     def _evict_to_watermark(self) -> List[FlushItem]:
         target = int(self.capacity_bytes * self.low_watermark)
@@ -279,10 +268,10 @@ class WriteBuffer:
         keys = list(self._entries)
         return [self._remove_for_flush(key, reason) for key in keys]
 
-    def flush_key(self, key: Hashable, reason: FlushReason = FlushReason.SYNC) -> Optional[FlushItem]:
+    def flush_key(self, key: Hashable) -> Optional[FlushItem]:
         if key not in self._entries:
             return None
-        return self._remove_for_flush(key, reason)
+        return self._remove_for_flush(key, FlushReason.SYNC)
 
     # ------------------------------------------------------------------
     # Power failure (experiment E11).

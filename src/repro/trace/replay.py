@@ -176,7 +176,7 @@ class TraceReplayer:
         self,
         fs: FileSystem,
         engine: Engine,
-        exec_handler: Optional[Callable[[TraceRecord], None]] = None,
+        exec_handler: Callable[[TraceRecord], None],
     ) -> None:
         self.fs = fs
         self.engine = engine
@@ -296,7 +296,7 @@ class TraceReplayer:
         clients -- is well defined: ``mkdir`` and ``create`` are
         idempotent behind an ``exists`` probe, and the first write to a
         missing file creates it.  EXEC is a program launch, not a file
-        operation: it goes to ``exec_handler`` when one is set.
+        operation: it goes to ``exec_handler``.
         """
         op = record.op
         fs = self.fs
@@ -323,8 +323,7 @@ class TraceReplayer:
             fs.truncate(path, record.nbytes)
             return "truncate"
         if op is _EXEC:
-            if self.exec_handler is not None:
-                self.exec_handler(record)
+            self.exec_handler(record)
             return "exec"
         if op is _SYNC:
             fs.sync()

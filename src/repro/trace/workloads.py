@@ -20,6 +20,7 @@ stress a different part of the storage organization:
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List
 
 from repro.trace.model import TraceRecord
@@ -28,10 +29,9 @@ from repro.trace.synth import SyntheticTraceGenerator, WorkloadProfile
 KB = 1024
 
 
-def office_profile(duration_s: float = 600.0) -> WorkloadProfile:
+def office_profile() -> WorkloadProfile:
     return WorkloadProfile(
         name="office",
-        duration_s=duration_s,
         ops_per_second=12.0,
         n_dirs=8,
         initial_files=60,
@@ -49,10 +49,9 @@ def office_profile(duration_s: float = 600.0) -> WorkloadProfile:
     )
 
 
-def pim_profile(duration_s: float = 600.0) -> WorkloadProfile:
+def pim_profile() -> WorkloadProfile:
     return WorkloadProfile(
         name="pim",
-        duration_s=duration_s,
         ops_per_second=2.0,
         n_dirs=3,
         initial_files=12,
@@ -73,10 +72,9 @@ def pim_profile(duration_s: float = 600.0) -> WorkloadProfile:
     )
 
 
-def exec_heavy_profile(duration_s: float = 600.0) -> WorkloadProfile:
+def exec_heavy_profile() -> WorkloadProfile:
     return WorkloadProfile(
         name="exec_heavy",
-        duration_s=duration_s,
         ops_per_second=6.0,
         n_dirs=4,
         initial_files=30,
@@ -99,10 +97,9 @@ def exec_heavy_profile(duration_s: float = 600.0) -> WorkloadProfile:
     )
 
 
-def database_profile(duration_s: float = 600.0) -> WorkloadProfile:
+def database_profile() -> WorkloadProfile:
     return WorkloadProfile(
         name="database",
-        duration_s=duration_s,
         ops_per_second=15.0,
         n_dirs=2,
         initial_files=20,
@@ -123,7 +120,7 @@ def database_profile(duration_s: float = 600.0) -> WorkloadProfile:
     )
 
 
-def compile_profile(duration_s: float = 600.0) -> WorkloadProfile:
+def compile_profile() -> WorkloadProfile:
     """An edit-compile-link loop: the canonical Sprite/BSD trace shape.
 
     Compiles are the extreme case for the write buffer: bursts of
@@ -133,7 +130,6 @@ def compile_profile(duration_s: float = 600.0) -> WorkloadProfile:
     """
     return WorkloadProfile(
         name="compile",
-        duration_s=duration_s,
         ops_per_second=20.0,
         n_dirs=4,
         initial_files=35,  # sources + headers
@@ -155,10 +151,9 @@ def compile_profile(duration_s: float = 600.0) -> WorkloadProfile:
     )
 
 
-def sequential_media_profile(duration_s: float = 600.0) -> WorkloadProfile:
+def sequential_media_profile() -> WorkloadProfile:
     return WorkloadProfile(
         name="sequential_media",
-        duration_s=duration_s,
         ops_per_second=4.0,
         n_dirs=2,
         initial_files=6,
@@ -201,5 +196,5 @@ def generate_workload(
         raise KeyError(
             f"unknown workload {name!r}; choose from {sorted(WORKLOADS)}"
         ) from None
-    profile = factory(duration_s=duration_s)
+    profile = replace(factory(), duration_s=duration_s)
     return SyntheticTraceGenerator(profile, seed=seed).generate()

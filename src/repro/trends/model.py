@@ -61,6 +61,13 @@ def crossover_year(a: TrendLine, b: TrendLine) -> float:
     return year
 
 
+#: The years the cost and density tables cover.
+TABLE_YEARS = range(1993, 2001)
+
+#: The small store whose flash/disk cost parity E2 asks about.
+PARITY_CAPACITY_MB = 40.0
+
+
 @dataclass(frozen=True)
 class TrendSet:
     """The 1993 trend lines the paper extrapolates."""
@@ -71,9 +78,9 @@ class TrendSet:
     dram_mb_per_cubic_inch: TrendLine
     disk_mb_per_cubic_inch: TrendLine
 
-    def cost_table(self, start_year: int = 1993, end_year: int = 2000) -> List[Dict]:
+    def cost_table(self) -> List[Dict]:
         rows = []
-        for year in range(start_year, end_year + 1):
+        for year in TABLE_YEARS:
             rows.append(
                 {
                     "year": year,
@@ -84,9 +91,9 @@ class TrendSet:
             )
         return rows
 
-    def density_table(self, start_year: int = 1993, end_year: int = 2000) -> List[Dict]:
+    def density_table(self) -> List[Dict]:
         rows = []
-        for year in range(start_year, end_year + 1):
+        for year in TABLE_YEARS:
             rows.append(
                 {
                     "year": year,
@@ -168,8 +175,10 @@ class SmallConfigCostModel:
         )
         return fixed + media * capacity_mb
 
-    def parity_year(self, capacity_mb: float = 40.0) -> float:
-        """First year (bisection, fractional) flash undercuts the disk."""
+    def parity_year(self) -> float:
+        """First year (bisection, fractional) flash undercuts the disk for
+        a :data:`PARITY_CAPACITY_MB` store."""
+        capacity_mb = PARITY_CAPACITY_MB
         lo, hi = 1993.0, 2015.0
         if self.flash_cost(capacity_mb, lo) <= self.disk_cost(capacity_mb, lo):
             return lo

@@ -75,7 +75,7 @@ class DRAMModel(StorageDevice):
 
     def _access(self, write: bool, nbytes: int, offset: int, clock: SimClock, op: str) -> float:
         if not self.powered:
-            raise PowerLossError(self.name, "DRAM is unpowered")
+            raise PowerLossError(self.name)
         self.check_range(offset, nbytes)
         spec = self.spec
         if write:

@@ -36,7 +36,7 @@ class MemBlocks(BlockDevice):
     """Untimed dict-backed blocks: unwritten blocks read as zeros."""
 
     def __init__(self, nblocks: int) -> None:
-        super().__init__("mem", BLOCK_SIZE, nblocks)
+        super().__init__("mem", nblocks)
         self.blocks = {}
 
     def read_block(self, lba):

@@ -22,7 +22,7 @@ def fs():
     clock = SimClock()
     flash = FlashMemory(16 * MB, banks=2)
     manager = build_manager(clock, flash, buffer_bytes=256 * KB)
-    return MemoryFileSystem(manager)
+    return MemoryFileSystem(manager, manager.buffer.dram)
 
 
 def _blocks_in_flash(fs, path):
@@ -80,9 +80,9 @@ class TestCheckpointMechanics:
 
         recovered_store = FlashStore.recover(fs.manager.store.flash, fs.clock)
         manager2 = StorageManager(
-            fs.clock, recovered_store, fs.manager.buffer.__class__(256 * KB, fs.clock)
+            fs.clock, recovered_store, fs.manager.buffer.__class__(256 * KB, fs.clock, fs.dram)
         )
-        fs2, report = MemoryFileSystem.recover(manager2)
+        fs2, report = MemoryFileSystem.recover(manager2, fs.dram)
         assert report.files == 300
         assert fs2.read_file("/file-with-a-long-name-0123") == bytes([123]) * 64
 

@@ -111,21 +111,21 @@ class TestDiskMechanics:
 
 class TestDiskPower:
     def test_spin_up_after_idle_timeout(self):
-        disk = MagneticDisk(20 * MB, spin_down_timeout_s=2.0)
+        disk = MagneticDisk(20 * MB)
         disk.read(0, 512, SimClock())
         wait = disk.read(0, 512, SimClock(100.0))[2]  # long idle gap -> spun down
         assert wait == pytest.approx(disk.spec.spin_up_s)
         assert disk.spin_ups >= 1
 
     def test_no_spin_up_when_busy(self):
-        disk = MagneticDisk(20 * MB, spin_down_timeout_s=5.0)
+        disk = MagneticDisk(20 * MB)
         clock = SimClock()
         disk.read(0, 512, clock)
         clock.advance(0.5)
         assert disk.read(1024, 512, clock)[2] == 0.0
 
     def test_idle_energy_split_spinning_then_standby(self):
-        disk = MagneticDisk(20 * MB, spin_down_timeout_s=2.0)
+        disk = MagneticDisk(20 * MB)
         disk.read(0, 512, SimClock())
         before = disk.idle_energy_joules
         disk.read(0, 512, SimClock(1000.0))

@@ -81,7 +81,7 @@ def _sched_run(org: Organization, clients: int = 1):
     with runtime.tracing(Tracer()) as tracer:
         machine = _machine(org)
         report, _metrics = machine.run_workload(
-            "office", seed=SEED, duration_s=DURATION, clients=clients
+            "office", duration_s=DURATION, clients=clients
         )
     with tempfile.TemporaryDirectory() as tmp:
         # The CLI's trace path: one job's records through the one writer.
@@ -159,7 +159,7 @@ def test_property_per_client_op_counts_conserved(nclients, seed, duration):
         SystemConfig(organization=Organization.SOLID_STATE, seed=seed)
     )
     report, _metrics = machine.run_workload(
-        "office", seed=seed, duration_s=duration, clients=nclients
+        "office", duration_s=duration, clients=nclients
     )
     merged = {}
     for idx in range(nclients):

@@ -63,7 +63,7 @@ class TestBufferCache:
         disk = MagneticDisk(8 * MB)
         device = DiskBlockDevice(disk, engine.clock)
         cache = BufferCache(device, engine.clock, 8)
-        cache.attach_sync_timer(engine, interval_s=30.0)
+        cache.attach_sync_timer(engine)
         cache.write(0, b"\x0a" * BLOCK)
         engine.run_until(29.0)
         assert cache.dirty_blocks == 1

@@ -150,10 +150,10 @@ class TestExperimentDriversSmoke:
     def test_e5_zero_copy(self):
         from repro.analysis.experiments import e05_mmap_cow
 
-        result = e05_mmap_cow.run(quick=True, file_pages=16, touched_pages=4)
+        result = e05_mmap_cow.run(quick=True)
         dram_pages = [row["dram_pages"] for row in result.row_dicts()]
-        # Rows: mmap read, cow writes (4 of 16 pages), eager copy-in.
-        assert dram_pages == [0, 4, 16]
+        # Rows: mmap read, cow writes (8 of 32 pages), eager copy-in.
+        assert dram_pages == [0, 8, 32]
 
     def test_e8_partitioning_eliminates_stalls(self):
         from repro.analysis.experiments import e08_banks

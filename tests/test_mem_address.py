@@ -76,12 +76,6 @@ class TestUniformAccess:
         phys.read(FLASH_BASE, 4096)
         assert phys.clock.now - start > dram_latency
 
-    def test_read_only_region_rejects_writes(self):
-        space = PhysicalAddressSpace(SimClock())
-        space.add_region("rom", DRAM(1 * MB), writable=False)
-        with pytest.raises(PermissionError):
-            space.write(0, b"x")
-
     def test_is_flash(self, phys):
         assert isinstance(phys.region_of(FLASH_BASE).device, FlashMemory)
         assert not isinstance(phys.region_of(DRAM_BASE).device, FlashMemory)

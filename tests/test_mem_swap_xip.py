@@ -174,7 +174,7 @@ class TestLaunch:
         vm, store = make_machine()
         image = store.install("app", b"x" * 4096)
         space = vm.create_space("p")
-        result = launch_xip(vm, space, image, data_pages=2)
+        result = launch_xip(vm, space, image)
         vm.write(space, result.data_vaddr, b"heap data")
         assert vm.read(space, result.data_vaddr, 9) == b"heap data"
         assert vm.frames.used_frames == 1  # one touched data page

@@ -95,7 +95,7 @@ class TestDemandPaging:
         vm = make_vm()
         space = vm.create_space("p")
         with pytest.raises(ValueError):
-            vm.map_anonymous(space, 1, vaddr=123)
+            vm.map_physical(space, 123, 1, Permissions.READ)
 
 
 class TestReplacement:
@@ -176,9 +176,9 @@ class TestCopyOnWrite:
         allocator = PageFrameAllocator(region.base, region.size)
         vm = VirtualMemory(phys, allocator)
         space = vm.create_space("p")
-        vaddr = vm.map_physical(
-            space, flash_region.base, 1, perms=Permissions.RW, cow=True
-        )
+        # A writable flash page mapped copy-on-write, as mmap maps one.
+        vaddr = vm.map_physical(space, flash_region.base, 1, perms=Permissions.RW)
+        space.page_table.lookup(vaddr // PAGE_SIZE).cow = True
         # Reads come straight from flash, no frame used.
         assert vm.read(space, vaddr, 4) == b"FFFF"
         assert vm.frames.used_frames == 0

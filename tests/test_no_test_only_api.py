@@ -18,13 +18,21 @@ class calls its own.  One such method stays on purpose:
 ``tests/test_equivalence.py`` hashes its output into the stored report
 digests, so deleting it would move them.
 
-Every field of ``SystemConfig``, and every defaulted keyword parameter
-of ``FlashStore.__init__`` and ``WriteBuffer.__init__``, is a knob some
-program call turns: one that no call of its class in the program
-directories passes as a keyword (``FlashStore.recover`` forwards its
-keywords, so it counts) fails
-:func:`test_every_config_field_is_set_by_a_program_call`, unless
-:data:`ALLOWED_KNOBS` says why it stays.
+Every defaulted parameter in ``src/`` takes two values or more in the
+program: :func:`test_every_config_field_is_set_by_a_program_call` fails
+on one that no program call passes, or that every call, and the default
+wherever a call leaves it out, gives the same literal, unless
+:data:`ALLOWED_KNOBS` says why it stays.  The scan covers every
+function, method and constructor whose name ``src/`` defines once, and
+the fields of the run-configuration dataclasses in
+:data:`CONFIG_CLASSES`.  It matches calls by name, so a name defined
+more than once (``run``, ``read``, ``write``) is skipped; a positional
+argument counts as passing its parameter, and a call through
+``FlashStore.recover``, which forwards its ``**kwargs``, counts for
+``FlashStore``.
+
+All scans here share one parse of each file, and each scan of the
+repository runs once, per session.
 
 The tests keep one model of each device, in ``tests/_reference.py``: a
 class anywhere else under ``tests/`` that subclasses a device is a copy
@@ -34,7 +42,10 @@ of one, and fails :func:`test_no_device_copy_outside_the_reference_module`.
 from __future__ import annotations
 
 import ast
+import functools
 import os
+from collections import defaultdict
+from typing import Dict, List, NamedTuple
 
 REPO = os.path.normpath(os.path.join(os.path.dirname(__file__), os.pardir))
 PROGRAM_DIRS = ("src", "examples", "replaybench", "benchmarks")
@@ -103,14 +114,24 @@ def _definitions(tree, module, prefix=""):
                 yield from _definitions(node, module, f"{prefix}{node.name}.")
 
 
+@functools.lru_cache(maxsize=None)
+def _parse(path):
+    with open(path, encoding="utf-8") as fh:
+        return ast.parse(fh.read(), filename=path)
+
+
+@functools.lru_cache(maxsize=None)
 def _program_trees(repo):
-    """``(directory, path, tree)`` for each program file under ``repo``."""
-    for directory in PROGRAM_DIRS:
-        for path in _python_files(os.path.join(repo, directory)):
-            with open(path, encoding="utf-8") as fh:
-                yield directory, path, ast.parse(fh.read(), filename=path)
+    """``(directory, path, tree)`` for each program file under ``repo``,
+    parsed once per session for every scan here."""
+    return tuple(
+        (directory, path, _parse(path))
+        for directory in PROGRAM_DIRS
+        for path in _python_files(os.path.join(repo, directory))
+    )
 
 
+@functools.lru_cache(maxsize=None)
 def uncalled(repo):
     """Qualified names of the definitions under ``repo/src`` that nothing
     in the program directories uses."""
@@ -123,11 +144,11 @@ def uncalled(repo):
             module = rel[: -len(".py")].replace(os.sep, ".")
             module = module[: -len(".__init__")] if module.endswith(".__init__") else module
             defined.extend(_definitions(tree, module))
-    return sorted(
+    return tuple(sorted(
         qualname
         for qualname, name in defined
         if name not in used and not (name.startswith("__") and name.endswith("__"))
-    )
+    ))
 
 
 def test_every_definition_has_a_caller_outside_tests():
@@ -169,14 +190,16 @@ def test_scan_flags_an_uncalled_method(tmp_path):
     ))
     _write(root, "examples/demo.py", "from pkg import helper\nhelper()\ngetattr(object, 'by_name')\n")
     _write(root, "examples/test_demo.py", "from pkg.mod import Box\nBox().reset()\n")
-    assert uncalled(root) == ["pkg.mod:Box.planted", "pkg.mod:Box.reset"]
+    assert uncalled(root) == ("pkg.mod:Box.planted", "pkg.mod:Box.reset")
 
 
-#: Classes whose knobs some program call must turn.
-KNOB_CLASSES = ("SystemConfig", "FlashStore", "InPlaceFlashStore", "WriteBuffer")
+#: Dataclasses whose fields are the knobs of a run.  Other dataclasses
+#: are records: their defaulted fields hold state a run fills in.
+CONFIG_CLASSES = ("SystemConfig", "TortureConfig")
 
-#: ``Class.knob`` -> why it stays although no program call sets it.  An
-#: entry that gains a caller, or whose knob goes, must leave this table.
+#: ``name.param`` -> why it stays although it takes one value in the
+#: program.  An entry that gains a second value, or whose parameter
+#: goes, must leave this table.
 ALLOWED_KNOBS = {
     "FlashStore.free_target_sectors": (
         "tests size tiny stores with it (a cleaning target of 1 to 3 sectors)"
@@ -184,57 +207,146 @@ ALLOWED_KNOBS = {
     "WriteBuffer.low_watermark": (
         "tests size tiny buffers with it; ROADMAP item 13 redesigns the watermark"
     ),
+    "main.argv": "tests drive the command line through it",
 }
 
+#: Stands for any value that is not a literal, so a parameter passed one
+#: never counts as single-valued.
+_VARIES = object()
 
-def _knobs(cls):
-    """A class's knobs: the defaulted parameters of its own ``__init__``,
-    or, when it has none (a dataclass), its annotated fields."""
-    for stmt in cls.body:
-        if isinstance(stmt, ast.FunctionDef) and stmt.name == "__init__":
-            args = stmt.args
-            positional = args.posonlyargs + args.args
-            defaulted = positional[len(positional) - len(args.defaults):]
-            kwonly = [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-            return {a.arg for a in defaulted + kwonly}
-    return {
-        stmt.target.id
-        for stmt in cls.body
-        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
-    }
+_SCALARS = (bool, int, float, complex, str, bytes, type(None))
 
 
-def _called_classes(func):
-    """The knob classes a call's callee expression names, so
-    ``FlashStore(...)``, ``FlashStore.recover(...)`` and
-    ``(FlashStore.recover if r else FlashStore)(...)`` all count."""
-    return {
-        getattr(node, "id", getattr(node, "attr", None)) for node in ast.walk(func)
-    } & set(KNOB_CLASSES)
+class _Signature(NamedTuple):
+    #: Parameters a positional argument fills, in order (no self/cls).
+    positional: List[str]
+    #: Defaulted parameter -> its default expression.
+    defaults: Dict[str, ast.expr]
 
 
+def _signature(func, method):
+    args = func.args
+    params = args.posonlyargs + args.args
+    positional = [a.arg for a in params]
+    if method and not any(getattr(d, "id", None) == "staticmethod" for d in func.decorator_list):
+        positional = positional[1:]
+    defaults = {a.arg: d for a, d in zip(params[len(params) - len(args.defaults):], args.defaults)}
+    defaults.update((a.arg, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None)
+    return _Signature(positional, defaults)
+
+
+def _fields(cls):
+    """A dataclass's signature: its annotated fields, in order."""
+    fields = [
+        s for s in cls.body if isinstance(s, ast.AnnAssign) and isinstance(s.target, ast.Name)
+    ]
+    return _Signature(
+        [f.target.id for f in fields],
+        {f.target.id: f.value for f in fields if f.value is not None},
+    )
+
+
+def _callables(node, method=False):
+    """``(name, signature)`` for every function, method and class defined
+    under ``node``.  A class's signature is its own ``__init__``'s, or
+    for a :data:`CONFIG_CLASSES` dataclass its fields'; any other class
+    yields None.  Dunder methods are called by the language and yield
+    nothing."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if not (child.name.startswith("__") and child.name.endswith("__")):
+                yield child.name, _signature(child, method)
+            yield from _callables(child)
+        elif isinstance(child, ast.ClassDef):
+            init = [s for s in child.body if isinstance(s, ast.FunctionDef) and s.name == "__init__"]
+            if init:
+                yield child.name, _signature(init[0], method=True)
+            elif child.name in CONFIG_CLASSES:
+                yield child.name, _fields(child)
+            else:
+                yield child.name, None
+            yield from _callables(child, method=True)
+        else:
+            yield from _callables(child, method)
+
+
+def _literal(node):
+    """The value of a literal expression; :data:`_VARIES` for any other."""
+    try:
+        value = ast.literal_eval(node)
+    except (ValueError, TypeError, SyntaxError):
+        return _VARIES
+    return value if isinstance(value, _SCALARS) else repr(value)
+
+
+def _passed(call, signature):
+    """Parameter -> the literal (or :data:`_VARIES`) ``call`` passes it.
+    A ``*args`` argument passes every positional parameter from its
+    place on; a ``**kwargs`` argument passes nothing."""
+    passed = {}
+    for index, arg in enumerate(call.args):
+        if isinstance(arg, ast.Starred):
+            passed.update((p, _VARIES) for p in signature.positional[index:])
+            break
+        if index < len(signature.positional):
+            passed[signature.positional[index]] = _literal(arg)
+    passed.update((k.arg, _literal(k.value)) for k in call.keywords if k.arg is not None)
+    return passed
+
+
+@functools.lru_cache(maxsize=None)
 def unset_knobs(repo):
-    """``Class.knob`` for each knob of a :data:`KNOB_CLASSES` class under
-    ``repo/src`` that no call of that class in the program directories
-    passes as a keyword."""
-    knobs = set()
-    keywords = set()
+    """``name.param`` for each defaulted parameter, under ``repo/src``,
+    that takes at most one value in the program directories.
+
+    A parameter takes at most one value when no program call passes it,
+    or when every call, and the default wherever a call leaves it out,
+    gives the same literal.  A call counts for every callable whose name
+    its callee expression contains, as a keyword or by position, so
+    ``FlashStore(...)``, ``FlashStore.recover(...)`` (which forwards its
+    ``**kwargs``) and ``(FlashStore.recover if r else FlashStore)(...)``
+    all count for ``FlashStore``.  Only names defined once in ``src/``
+    are scanned: a call to ``run``, ``read`` or ``write`` cannot be told
+    apart by name, so those are skipped.
+    """
+    defined = defaultdict(list)
     for directory, _path, tree in _program_trees(repo):
+        if directory == "src":
+            for name, signature in _callables(tree):
+                defined[name].append(signature)
+    unique = {
+        name: signatures[0]
+        for name, signatures in defined.items()
+        if len(signatures) == 1 and signatures[0] is not None
+    }
+    values = defaultdict(set)
+    passed = set()
+    for _directory, _path, tree in _program_trees(repo):
         for node in ast.walk(tree):
-            if isinstance(node, ast.ClassDef) and node.name in KNOB_CLASSES:
-                if directory == "src":
-                    knobs.update(f"{node.name}.{knob}" for knob in _knobs(node))
-            elif isinstance(node, ast.Call):
-                for name in _called_classes(node.func):
-                    keywords.update(f"{name}.{k.arg}" for k in node.keywords)
-    return sorted(knobs - keywords)
+            if not isinstance(node, ast.Call):
+                continue
+            callee = {getattr(n, "id", getattr(n, "attr", None)) for n in ast.walk(node.func)}
+            for name in callee & unique.keys():
+                signature = unique[name]
+                got = _passed(node, signature)
+                for param, default in signature.defaults.items():
+                    knob = f"{name}.{param}"
+                    if param in got:
+                        passed.add(knob)
+                    values[knob].add(got[param] if param in got else _literal(default))
+    return tuple(sorted(
+        knob
+        for name, signature in unique.items()
+        for knob in (f"{name}.{param}" for param in signature.defaults)
+        if knob not in passed or (len(values[knob]) == 1 and _VARIES not in values[knob])
+    ))
 
 
 def test_every_config_field_is_set_by_a_program_call():
     offenders = [k for k in unset_knobs(REPO) if k not in ALLOWED_KNOBS]
     assert offenders == [], (
-        "no program call sets these knobs; delete them, or give one an "
-        "ALLOWED_KNOBS entry with its reason"
+        "these parameters take one value in the program; make each a "
+        "constant, or give it an ALLOWED_KNOBS entry with its reason"
     )
 
 
@@ -252,10 +364,18 @@ def test_scan_flags_an_unset_config_field(tmp_path):
         "    planted: int = 2\n"
         "    def validate(self):\n"
         "        return SystemConfig(size=self.size)\n"
+        "@dataclass\n"
+        "class Stats:\n"
+        "    hits: int = 0\n"
     ))
-    _write(root, "examples/demo.py", "from pkg import config\nconfig.SystemConfig(seed=1)\n")
+    _write(root, "examples/demo.py", (
+        "from pkg import config\n"
+        "config.SystemConfig(seed=1)\n"
+        "config.SystemConfig(seed=2)\n"
+        "config.Stats()\n"
+    ))
     _write(root, "examples/test_demo.py", "from pkg.config import SystemConfig\nSystemConfig(planted=3)\n")
-    assert unset_knobs(root) == ["SystemConfig.planted"]
+    assert unset_knobs(root) == ("SystemConfig.planted",)
 
 
 def test_scan_flags_an_unset_constructor_keyword(tmp_path):
@@ -275,11 +395,47 @@ def test_scan_flags_an_unset_constructor_keyword(tmp_path):
     _write(root, "examples/demo.py", (
         "from pkg import store\n"
         "store.FlashStore(1, 2, mode=1)\n"
+        "store.FlashStore(1, 2)\n"
         "(store.FlashStore.recover if True else store.FlashStore)(1, 2, ecc=True)\n"
         "store.WriteBuffer(capacity=8)\n"
     ))
     _write(root, "examples/test_demo.py", "from pkg.store import FlashStore\nFlashStore(1, 2, planted=3)\n")
-    assert unset_knobs(root) == ["FlashStore.planted", "WriteBuffer.limit"]
+    assert unset_knobs(root) == ("FlashStore.planted", "WriteBuffer.limit")
+
+
+def test_scan_covers_functions_and_methods(tmp_path):
+    root = str(tmp_path)
+    _write(root, "src/pkg/mod.py", (
+        "def fetch(path, retries=3, timeout=1.0, mode='r'):\n"
+        "    return path\n"
+        "def run(quick=False):\n"
+        "    return quick\n"
+        "class Box:\n"
+        "    def put(self, key, size=0, *, tag=None):\n"
+        "        return key\n"
+        "    @staticmethod\n"
+        "    def pack(data, level=6):\n"
+        "        return data\n"
+        "class Other:\n"
+        "    def run(self, quick=True):\n"
+        "        return quick\n"
+    ))
+    _write(root, "examples/demo.py", (
+        "from pkg import mod\n"
+        "mod.fetch('a', 5, 2.0)\n"
+        "mod.fetch('b', mode='r')\n"
+        "box = mod.Box()\n"
+        "box.put('k', 4)\n"
+        "box.put('k', 8)\n"
+        "mod.Box.pack(b'x', 9)\n"
+        "mod.Box.pack(b'y', 9)\n"
+    ))
+    _write(root, "examples/test_demo.py", "from pkg import mod\nmod.fetch('c', mode='w')\n")
+    # retries, timeout and size take two values, by position; mode only
+    # ever gets its default's literal; tag is never passed; a static
+    # method's first parameter is a real one, so level is always 9; and
+    # ``run``, defined twice, is skipped.
+    assert unset_knobs(root) == ("fetch.mode", "pack.level", "put.tag")
 
 
 #: What a device model subclasses; only ``tests/_reference.py`` may.
@@ -294,9 +450,7 @@ def device_copies(tests_dir):
         rel = os.path.relpath(path, tests_dir)
         if rel == "_reference.py":
             continue
-        with open(path, encoding="utf-8") as fh:
-            tree = ast.parse(fh.read(), filename=path)
-        for node in ast.walk(tree):
+        for node in ast.walk(_parse(path)):
             if isinstance(node, ast.ClassDef) and any(
                 getattr(base, "id", getattr(base, "attr", None)) in DEVICE_BASES
                 for base in node.bases

@@ -6,7 +6,7 @@ The regression tests here each pin a specific latent bug:
 - ``WriteBuffer.restore`` restarting the age clock (a block that kept
   failing to persist could evade the battery-loss bound forever);
 - ``Engine.schedule_every`` pushing its root event past the
-  ``schedule_at`` validation (a stale first_delay could land before now);
+  ``schedule_at`` pending accounting;
 - ``Histogram.stdev`` drifting from the exact sample stdev.
 """
 
@@ -232,19 +232,26 @@ class TestManifest:
 # ----------------------------------------------------------------------
 
 
+def _flush_ages(tracer):
+    """The ``age_s`` of every ``writebuffer`` ``flush`` event, in order."""
+    return [r[6]["age_s"] for r in tracer.records if r[1:3] == ("writebuffer", "flush")]
+
+
 class TestRestoreAgeClock:
     def test_flush_item_carries_first_write(self):
         clock = SimClock()
-        buf = WriteBuffer(4096, clock, age_limit_s=30.0)
+        with runtime.tracing(Tracer()) as tracer:
+            buf = WriteBuffer(4096, clock, DRAM(MB), age_limit_s=30.0)
         buf.put("k", b"x" * 64)
         clock.advance(20.0)
         item = buf.flush_all(FlushReason.SYNC)[0]
         assert item.first_write == 0.0
-        assert item.age_s == pytest.approx(20.0)
+        assert _flush_ages(tracer) == [pytest.approx(20.0)]
 
     def test_restored_entry_keeps_original_age(self):
         clock = SimClock()
-        buf = WriteBuffer(4096, clock, age_limit_s=30.0)
+        with runtime.tracing(Tracer()) as tracer:
+            buf = WriteBuffer(4096, clock, DRAM(MB), age_limit_s=30.0)
         buf.put("k", b"x" * 64)  # first written at t=0
         clock.advance(20.0)
         item = buf.flush_all(FlushReason.SYNC)[0]
@@ -256,18 +263,18 @@ class TestRestoreAgeClock:
         # the entry read as 10s old and evaded the 30s battery-loss
         # bound; it must flush here.
         assert [i.key for i in aged] == ["k"]
-        assert aged[0].age_s == pytest.approx(30.0)
+        assert _flush_ages(tracer)[-1] == pytest.approx(30.0)
 
     def test_restore_without_origin_uses_now(self):
         clock = SimClock()
-        buf = WriteBuffer(4096, clock, age_limit_s=30.0)
+        buf = WriteBuffer(4096, clock, DRAM(MB), age_limit_s=30.0)
         clock.advance(5.0)
         buf.restore("k", b"x" * 8)
         assert buf._entries["k"].first_write == 5.0
 
     def test_future_origin_clamped_to_now(self):
         clock = SimClock()
-        buf = WriteBuffer(4096, clock, age_limit_s=30.0)
+        buf = WriteBuffer(4096, clock, DRAM(MB), age_limit_s=30.0)
         clock.advance(5.0)
         buf.restore("k", b"x" * 8, first_write=99.0)
         assert buf._entries["k"].first_write == 5.0
@@ -276,33 +283,31 @@ class TestRestoreAgeClock:
         clock = SimClock()
         flash = FlashMemory(1 * MB)
         store = FlashStore(flash, clock)
-        buf = WriteBuffer(4096, clock, age_limit_s=30.0)
+        buf = WriteBuffer(4096, clock, DRAM(MB), age_limit_s=30.0)
         manager = StorageManager(clock, store, buf)
-        item = FlushItem("k", b"y" * 16, FlushReason.SYNC, 12.0, first_write=3.0)
+        item = FlushItem("k", b"y" * 16, first_write=3.0)
         clock.advance(15.0)
         manager._restore_items([item])
         assert buf._entries["k"].first_write == 3.0
 
 
 # ----------------------------------------------------------------------
-# Bugfix regression: schedule_every validates and routes through
-# schedule_at.
+# Bugfix regression: schedule_every routes through schedule_at.
 # ----------------------------------------------------------------------
 
 
 class TestScheduleEveryValidation:
     def test_negative_first_delay_rejected(self):
         engine = Engine()
-        # Old bug: the root event was pushed straight onto the heap,
-        # skipping validation -- a negative first_delay scheduled it in
-        # the past without complaint.
+        # The first firing is one interval out, so a negative interval
+        # would schedule it in the past.
         with pytest.raises(ValueError):
-            engine.schedule_every(1.0, lambda: None, first_delay=-0.5)
+            engine.schedule_every(-0.5, lambda: None)
 
     def test_root_counts_as_pending(self):
         engine = Engine()
         before = engine._pending
-        event = engine.schedule_every(1.0, lambda: None, first_delay=0.0)
+        event = engine.schedule_every(1.0, lambda: None)
         assert engine._pending == before + 1
         event.cancel()
         assert engine._pending == before
@@ -310,20 +315,12 @@ class TestScheduleEveryValidation:
     def test_series_still_fires_and_cancels(self):
         engine = Engine()
         fired = []
-        event = engine.schedule_every(1.0, lambda: fired.append(engine.clock.now),
-                                      first_delay=0.5)
-        engine.run_until(3.0)
-        assert fired == [0.5, 1.5, 2.5]
+        event = engine.schedule_every(1.0, lambda: fired.append(engine.clock.now))
+        engine.run_until(3.5)
+        assert fired == [1.0, 2.0, 3.0]
         event.cancel()
         engine.run_until(6.0)
         assert len(fired) == 3
-
-    def test_zero_first_delay_fires_immediately(self):
-        engine = Engine()
-        fired = []
-        engine.schedule_every(1.0, lambda: fired.append(1), first_delay=0.0)
-        engine.run_until(0.0)
-        assert fired == [1]
 
 
 # ----------------------------------------------------------------------
@@ -372,7 +369,7 @@ class TestAbsorptionConservation:
     ))
     def test_bytes_in_fully_accounted(self, ops):
         clock = SimClock()
-        buf = WriteBuffer(1024, clock, age_limit_s=30.0)
+        buf = WriteBuffer(1024, clock, DRAM(MB), age_limit_s=30.0)
         unrestored = []
         for op, k, size in ops:
             clock.advance(1.0)

@@ -114,15 +114,15 @@ class TestLatencyHistogram:
 
 class TestTimeline:
     def test_decimation_preserves_sum(self):
-        tl = Timeline(cap=8)
-        for i in range(100):
+        tl = Timeline()
+        for i in range(2000):
             tl.add(float(i), 1.0)
-        assert len(tl.points) <= 8
-        assert sum(v for _t, v in tl.points) == pytest.approx(100.0)
+        assert len(tl.points) <= Timeline.cap
+        assert sum(v for _t, v in tl.points) == pytest.approx(2000.0)
 
     def test_cap_validation(self):
-        with pytest.raises(ValueError):
-            Timeline(cap=1)
+        # Pairwise merging needs room for at least one pair.
+        assert Timeline.cap >= 2
 
 
 # ----------------------------------------------------------------------
@@ -389,7 +389,7 @@ def test_hub_and_analyze_report_the_same_read_latency(org, tmp_path):
     report the same count, extremes and percentiles exactly."""
     with runtime.tracing(Tracer()) as tracer:
         machine = MobileComputer(SystemConfig(organization=org, seed=42))
-        machine.run_workload("office", seed=42, duration_s=60.0)
+        machine.run_workload("office", duration_s=60.0)
     assert tracer.dropped == 0
     path = str(tmp_path / "trace.jsonl")
     write_trace(path, [tracer.records])

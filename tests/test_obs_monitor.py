@@ -18,6 +18,13 @@ from repro.obs.monitor import (
 )
 
 
+def _with(monitor, **attrs):
+    """``monitor`` with some class constants overridden on the instance."""
+    for name, value in attrs.items():
+        setattr(monitor, name, value)
+    return monitor
+
+
 def _feed(monitor, events):
     """Push (t, component, op, bytes, latency, outcome, detail) tuples."""
     for event in events:
@@ -90,7 +97,7 @@ class TestBufferAgeBound:
         assert "below limit" in m.violations[0].message
 
     def test_overstayed_entry_violates(self):
-        m = _feed(BufferAgeBoundMonitor(slack_s=5.0), [
+        m = _feed(_with(BufferAgeBoundMonitor(), slack_s=5.0), [
             (1.0, "writebuffer", "flush", 10, 0.0, "sync",
              {"age_s": 40.0, "limit_s": 30.0}),
         ])
@@ -98,7 +105,7 @@ class TestBufferAgeBound:
         assert "stayed dirty" in m.violations[0].message
 
     def test_healthy_flushes(self):
-        m = _feed(BufferAgeBoundMonitor(slack_s=5.0), [
+        m = _feed(_with(BufferAgeBoundMonitor(), slack_s=5.0), [
             (1.0, "writebuffer", "flush", 10, 0.0, "age",
              {"age_s": 31.0, "limit_s": 30.0}),
             (2.0, "writebuffer", "flush", 10, 0.0, "sync",
@@ -110,7 +117,7 @@ class TestBufferAgeBound:
 
 class TestQueueDepthBound:
     def test_tracks_high_water_and_violates_over_bound(self):
-        m = _feed(QueueDepthBoundMonitor(bound=10), [
+        m = _feed(_with(QueueDepthBoundMonitor(), bound=10), [
             (1.0, "engine", "event", 0, 0.0, "ok", {"pending": 4}),
             (2.0, "engine", "event", 0, 0.0, "ok", {"pending": 11}),
             (3.0, "engine", "event", 0, 0.0, "ok", {"pending": 2}),
@@ -157,16 +164,11 @@ class TestReadOnlyTransition:
 class TestMonitorSet:
     def test_build_monitors_registry(self):
         monitors = build_monitors()
-        assert sorted(m.name for m in monitors) == sorted(MONITORS)
-        assert [m.name for m in build_monitors(["engine-queue-depth"])] == [
-            "engine-queue-depth"
-        ]
-        with pytest.raises(ValueError, match="unknown monitor"):
-            build_monitors(["nope"])
+        assert [m.name for m in monitors] == list(MONITORS)
 
     def test_subscription_sees_every_emit_despite_ring_drops(self):
         tracer = Tracer(capacity=4)
-        mset = MonitorSet(build_monitors(["engine-queue-depth"]))
+        mset = MonitorSet([QueueDepthBoundMonitor()])
         mset.attach(tracer)
         for i in range(100):
             tracer.emit("engine", "event", float(i), detail={"pending": 1})
@@ -177,7 +179,7 @@ class TestMonitorSet:
         assert mset.monitors[0].events_seen == 100  # detached: no more
 
     def test_violation_cap_keeps_counting(self):
-        m = QueueDepthBoundMonitor(bound=0)
+        m = _with(QueueDepthBoundMonitor(), bound=0)
         m.max_violations = 5
         for i in range(20):
             m.observe((float(i), "engine", "event", 0, 0.0, "ok",
@@ -186,7 +188,7 @@ class TestMonitorSet:
         assert len(m.violations) == 5
 
     def test_summary_and_render(self):
-        mset = MonitorSet(build_monitors(["engine-queue-depth"]))
+        mset = MonitorSet([QueueDepthBoundMonitor()])
         tracer = Tracer()
         mset.attach(tracer)
         tracer.emit("engine", "event", 1.0, detail={"pending": 3})
@@ -199,7 +201,7 @@ class TestMonitorSet:
         assert mset.summary()["violations"][0]["message"] == "boom"
 
     def test_violations_sorted_by_time(self):
-        a, b = build_monitors(["engine-queue-depth", "buffer-conservation"])
+        a, b = QueueDepthBoundMonitor(), BufferConservationMonitor()
         mset = MonitorSet([a, b])
         a.violate(5.0, "late")
         b.violate(1.0, "early")
@@ -237,7 +239,7 @@ class TestIntegration:
         """Tamper with a live stream mid-run: the conservation monitor
         must notice a fabricated flush the buffer never saw."""
         tracer = Tracer()
-        mset = MonitorSet(build_monitors(["buffer-conservation"]))
+        mset = MonitorSet([BufferConservationMonitor()])
         mset.attach(tracer)
         with runtime.tracing(tracer):
             machine = MobileComputer(SystemConfig(
@@ -434,7 +436,7 @@ class TestRouting:
     def test_render_counts_the_whole_stream(self):
         tracer = Tracer()
         tracer.emit("dram", "charge_read", 0.0)  # before attach: not counted
-        mset = MonitorSet(build_monitors(["engine-queue-depth"]))
+        mset = MonitorSet([QueueDepthBoundMonitor()])
         mset.attach(tracer)
         tracer.emit("engine", "event", 1.0, detail={"pending": 1})
         for i in range(9):

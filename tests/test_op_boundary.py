@@ -120,7 +120,7 @@ def test_two_client_replay_leaves_no_client_attribution(org):
     with runtime.tracing(Tracer()) as tracer:
         machine = MobileComputer(SystemConfig(organization=org, seed=3))
         report, _metrics = machine.run_workload(
-            "office", seed=3, duration_s=6.0, clients=2
+            "office", duration_s=6.0, clients=2
         )
     assert sorted(report.per_client) == [0, 1]
     snapshot = machine.hub.snapshot(machine.clock.now)

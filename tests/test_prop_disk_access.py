@@ -26,7 +26,6 @@ from tests._reference import DiskModel, compare, payload
 KB = 1024
 MB = 1024 * KB
 CAPACITY = 2 * MB
-CYLINDERS = 40
 
 
 @st.composite
@@ -74,12 +73,10 @@ def _workloads(draw):
 @example((DISK_FUJITSU_M2633, 0.5, False, 0.52, [(("read", 0, 0), 0.0)]), False)
 def test_disk_matches_the_reference(workload, traced):
     spec, timeout, spinning, start, ops = workload
-    live, reference = (
-        cls(CAPACITY, spec=spec, cylinders=CYLINDERS, spin_down_timeout_s=timeout,
-            start_spinning=spinning)
-        for cls in (MagneticDisk, DiskModel)
-    )
+    live, reference = (cls(CAPACITY, spec=spec) for cls in (MagneticDisk, DiskModel))
     for disk in (live, reference):
+        disk.spin_down_timeout_s = timeout
+        disk.spinning = spinning
         disk.tracer = Tracer() if traced else None
     now = start
     for op, dt in ops:

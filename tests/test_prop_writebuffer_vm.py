@@ -40,7 +40,7 @@ def buffer_ops(draw):
 @settings(max_examples=60, deadline=None)
 def test_writebuffer_conservation_and_freshness(ops, capacity):
     clock = SimClock()
-    buf = WriteBuffer(capacity, clock, age_limit_s=5.0)
+    buf = WriteBuffer(capacity, clock, DRAM(1 << 20), age_limit_s=5.0)
     latest = {}
     flushed_versions = []
 

@@ -240,7 +240,7 @@ def test_checkpointed_state_always_recovers(writes):
     clock = SimClock()
     flash = FlashMemory(4 * MB, banks=2)
     manager = build_manager(clock, flash, buffer_bytes=64 * KB)
-    fs = MemoryFileSystem(manager)
+    fs = MemoryFileSystem(manager, manager.buffer.dram)
     model = {}
     for file_id, fill, size in writes:
         path = f"/f{file_id}"
@@ -250,9 +250,9 @@ def test_checkpointed_state_always_recovers(writes):
     fs.checkpoint()
     # Total power loss: only the device survives.
     recovered_store = FlashStore.recover(flash, clock)
-    buffer = manager.buffer.__class__(64 * KB, clock)
+    buffer = manager.buffer.__class__(64 * KB, clock, fs.dram)
     new_manager = StorageManager(clock, recovered_store, buffer)
-    fs2, report = MemoryFileSystem.recover(new_manager)
+    fs2, report = MemoryFileSystem.recover(new_manager, fs.dram)
     assert report.checkpoint_found
     for path, data in model.items():
         assert fs2.read_file(path) == data

@@ -200,8 +200,7 @@ class OracleReplayer(TraceReplayer):
     ) -> None:
         op = record.op
         if op is OpType.EXEC:
-            if self.exec_handler is not None:
-                self.exec_handler(record)
+            self.exec_handler(record)
             return
         fs_op = self._FS_OPS.get(op)
         if fs_op is None:  # pragma: no cover - exhaustive
@@ -240,21 +239,21 @@ PREAMBLE = [
 ]
 
 
-def _both(with_handler: bool = False):
+def _both():
     """An (engine, fs, replayer, exec log) per side: new, then oracle."""
     sides = []
     for fs_cls, replayer_cls in ((RecordingFS, TraceReplayer), (OracleFS, OracleReplayer)):
         engine = Engine()
         fs = fs_cls(engine)
         launched: List[str] = []
-        handler = (lambda r, log=launched: log.append(r.program)) if with_handler else None
-        sides.append((fs, replayer_cls(fs, engine, exec_handler=handler), launched))
+        replayer = replayer_cls(fs, engine, lambda r, log=launched: log.append(r.program))
+        sides.append((fs, replayer, launched))
     return sides
 
 
-def _dispatch_each(records, with_handler: bool = False):
+def _dispatch_each(records):
     """Dispatch records one by one on both sides; assert equal effects."""
-    (fs, new, new_launched), (ofs, old, old_launched) = _both(with_handler)
+    (fs, new, new_launched), (ofs, old, old_launched) = _both()
     new_report, old_report = ReplayReport(), ReplayReport()
     for record in records:
         assert new._dispatch(record, new_report) == old._dispatch(record, old_report)
@@ -267,9 +266,9 @@ def _dispatch_each(records, with_handler: bool = False):
     return fs, new_report, new_launched
 
 
-def _replay_both(streams, with_handler: bool = False):
+def _replay_both(streams):
     """Replay the streams through the scheduler on both sides."""
-    (fs, new, new_launched), (ofs, old, old_launched) = _both(with_handler)
+    (fs, new, new_launched), (ofs, old, old_launched) = _both()
     new_report = new.replay_scheduled(streams)
     old_report = old.replay_scheduled(streams)
     assert fs.calls == ofs.calls
@@ -300,12 +299,11 @@ class TestDispatchMatchesRequestPath:
     def test_every_op(self, op):
         _dispatch_each(PREAMBLE + [ONE_OF_EACH[op]])
 
-    @pytest.mark.parametrize("with_handler", [False, True])
-    def test_exec(self, with_handler):
+    def test_exec(self):
         record = ONE_OF_EACH[OpType.EXEC]
-        fs, _, launched = _dispatch_each([record, record], with_handler)
+        fs, _, launched = _dispatch_each([record, record])
         assert fs.calls == []
-        assert launched == (["ed", "ed"] if with_handler else [])
+        assert launched == ["ed", "ed"]
 
     @pytest.mark.parametrize("op", [OpType.MKDIR, OpType.CREATE], ids=["mkdir", "create"])
     def test_idempotent_on_existing_and_missing_paths(self, op):
@@ -348,12 +346,12 @@ class TestReplayMatchesRequestPath:
             dataclasses.replace(record, time=0.5 * i)
             for i, record in enumerate(PREAMBLE + list(ONE_OF_EACH.values()))
         ]
-        _replay_both([stream], with_handler=True)
+        _replay_both([stream])
 
     @pytest.mark.parametrize("workload", ["office", "exec_heavy", "database"])
     def test_generated_trace(self, workload):
         trace = generate_workload(workload, seed=4, duration_s=60.0)
-        _, report, _ = _replay_both([trace], with_handler=True)
+        _, report, _ = _replay_both([trace])
         assert report.records == len(trace)
 
     def test_two_clients_with_prefixes(self):

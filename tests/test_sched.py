@@ -4,13 +4,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
 from repro.sim.sched import Process, Scheduler
 
 
 def _engine():
-    return Engine(SimClock())
+    return Engine()
 
 
 class TestSchedulerBasics:

@@ -95,13 +95,6 @@ class TestEngine:
         engine.run_until(6.0)
         assert fired == [1.0, 2.0, 3.0]
 
-    def test_repeating_timer_first_delay(self):
-        engine = Engine()
-        fired = []
-        engine.schedule_every(2.0, lambda: fired.append(engine.clock.now), first_delay=0.5)
-        engine.run_until(3.0)
-        assert fired == [0.5, 2.5]
-
     def test_event_scheduled_during_run(self):
         engine = Engine()
         fired = []

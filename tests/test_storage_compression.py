@@ -3,9 +3,9 @@
 import pytest
 
 from repro.core import MobileComputer, Organization, SystemConfig
-from repro.devices import FlashMemory
+from repro.devices import CPU, FlashMemory
 from repro.sim import SimClock
-from repro.storage import BlockCompressor, CompressionSpec
+from repro.storage import BlockCompressor
 
 from tests._storage import build_manager
 
@@ -15,7 +15,7 @@ MB = 1024 * 1024
 
 @pytest.fixture
 def compressor():
-    return BlockCompressor(SimClock())
+    return BlockCompressor(SimClock(), CPU())
 
 
 class TestBlockCompressor:
@@ -46,26 +46,27 @@ class TestBlockCompressor:
 
     def test_cpu_time_charged(self):
         clock = SimClock()
-        c = BlockCompressor(clock, CompressionSpec(compress_bytes_per_s=1e6))
-        c.encode(b"z" * 100_000)
-        assert clock.now == pytest.approx(0.1, rel=0.01)
+        cpu = CPU()
+        BlockCompressor(clock, cpu).encode(b"z" * 100_000)
+        assert clock.now == pytest.approx(100_000 / BlockCompressor.compress_bytes_per_s)
+        assert cpu.busy_seconds == clock.now
 
     def test_space_ratio(self, compressor):
         compressor.encode(b"a" * 10_000)
         assert compressor.space_ratio() < 0.1
 
     def test_invalid_spec(self):
-        with pytest.raises(ValueError):
-            CompressionSpec(compress_bytes_per_s=0).validate()
-        with pytest.raises(ValueError):
-            CompressionSpec(level=0).validate()
+        # Positive throughputs, and a level zlib accepts.
+        assert BlockCompressor.compress_bytes_per_s > 0
+        assert BlockCompressor.decompress_bytes_per_s > 0
+        assert 1 <= BlockCompressor.level <= 9
 
 
 class TestCompressedManager:
     def make(self):
         clock = SimClock()
         flash = FlashMemory(4 * MB, banks=2)
-        compressor = BlockCompressor(clock)
+        compressor = BlockCompressor(clock, CPU())
         manager = build_manager(
             clock, flash, buffer_bytes=32 * KB, compressor=compressor
         )

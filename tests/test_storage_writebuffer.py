@@ -2,6 +2,8 @@
 
 import pytest
 
+from repro.devices import DRAM
+from repro.obs import Tracer, runtime
 from repro.sim import SimClock
 from repro.storage import FlushReason, WriteBuffer
 
@@ -14,7 +16,7 @@ def clock():
 
 
 def make_buffer(clock, capacity=8 * KB, **kwargs):
-    return WriteBuffer(capacity, clock, **kwargs)
+    return WriteBuffer(capacity, clock, DRAM(1 << 20), **kwargs)
 
 
 class TestBuffering:
@@ -45,7 +47,7 @@ class TestBuffering:
         items = buf.put("a", b"data")
         assert len(items) == 1
         assert items[0].key == "a"
-        assert items[0].reason is FlushReason.WATERMARK
+        assert buf.stats.counter("flushed_watermark").value == 1
         assert buf.get("a") is None
 
     def test_drop_records_died_bytes(self, clock):
@@ -93,14 +95,17 @@ class TestWatermarkEviction:
 
 class TestAgeFlush:
     def test_flush_aged_only_old_entries(self, clock):
-        buf = make_buffer(clock, age_limit_s=10.0)
+        with runtime.tracing(Tracer()) as tracer:
+            buf = make_buffer(clock, age_limit_s=10.0)
         buf.put("old", b"o" * 100)
         clock.advance(11.0)
         buf.put("young", b"y" * 100)
         items = buf.flush_aged()
         assert [i.key for i in items] == ["old"]
-        assert items[0].reason is FlushReason.AGE
-        assert items[0].age_s == pytest.approx(11.0)
+        assert buf.stats.counter("flushed_age").value == 1
+        [flush] = [r for r in tracer.records if r[2] == "flush"]
+        assert flush[5] == FlushReason.AGE.value
+        assert flush[6]["age_s"] == pytest.approx(11.0)
 
     def test_age_measured_from_first_write(self, clock):
         buf = make_buffer(clock, age_limit_s=10.0)
@@ -145,6 +150,6 @@ class TestAccounting:
 
     def test_invalid_construction(self, clock):
         with pytest.raises(ValueError):
-            WriteBuffer(-1, clock)
+            WriteBuffer(-1, clock, DRAM(1 << 20))
         with pytest.raises(ValueError):
-            WriteBuffer(10, clock, low_watermark=0.0)
+            WriteBuffer(10, clock, DRAM(1 << 20), low_watermark=0.0)

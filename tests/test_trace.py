@@ -1,5 +1,7 @@
 """Unit tests for trace generation and replay."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.devices import DRAM, FlashMemory
@@ -18,6 +20,14 @@ from repro.trace.model import validate_trace
 from repro.trace.replay import payload_for
 
 from tests._storage import build_manager
+
+
+def _ignore(record):
+    """An EXEC handler that launches nothing."""
+
+
+def _office_60s():
+    return replace(office_profile(), duration_s=60.0)
 
 MB = 1024 * 1024
 
@@ -46,13 +56,13 @@ class TestTraceRecord:
 
 class TestGenerator:
     def test_deterministic_for_seed(self):
-        a = SyntheticTraceGenerator(office_profile(60.0), seed=3).generate()
-        b = SyntheticTraceGenerator(office_profile(60.0), seed=3).generate()
+        a = SyntheticTraceGenerator(_office_60s(), seed=3).generate()
+        b = SyntheticTraceGenerator(_office_60s(), seed=3).generate()
         assert a == b
 
     def test_different_seeds_differ(self):
-        a = SyntheticTraceGenerator(office_profile(60.0), seed=3).generate()
-        b = SyntheticTraceGenerator(office_profile(60.0), seed=4).generate()
+        a = SyntheticTraceGenerator(_office_60s(), seed=3).generate()
+        b = SyntheticTraceGenerator(_office_60s(), seed=4).generate()
         assert a != b
 
     def test_time_ordered(self):
@@ -119,7 +129,7 @@ class TestReplay:
     def test_replay_counts_everything(self):
         fs, engine = self.make_fs()
         trace = generate_workload("office", seed=9, duration_s=60.0)
-        report = TraceReplayer(fs, engine).replay_scheduled([trace])
+        report = TraceReplayer(fs, engine, _ignore).replay_scheduled([trace])
         assert report.records == len(trace)
         assert report.errors == 0
         assert report.bytes_written > 0
@@ -134,7 +144,7 @@ class TestReplay:
         fs.manager.attach_flush_timer(engine, interval_s=5.0)
         fs.manager.buffer.age_limit_s = 10.0
         trace = generate_workload("office", seed=9, duration_s=90.0)
-        TraceReplayer(fs, engine).replay_scheduled([trace])
+        TraceReplayer(fs, engine, _ignore).replay_scheduled([trace])
         aged = fs.manager.buffer.stats.counter("flushed_age").value
         assert aged > 0, "age-based flushes should have fired via the engine"
 
@@ -142,14 +152,12 @@ class TestReplay:
         fs, engine = self.make_fs()
         launched = []
         trace = generate_workload("exec_heavy", seed=3, duration_s=60.0)
-        replayer = TraceReplayer(
-            fs, engine, exec_handler=lambda r: launched.append(r.program)
-        )
+        replayer = TraceReplayer(fs, engine, lambda r: launched.append(r.program))
         replayer.replay_scheduled([trace])
         assert launched
 
     def test_slowdown_metric(self):
         fs, engine = self.make_fs()
         trace = generate_workload("pim", seed=2, duration_s=60.0)
-        report = TraceReplayer(fs, engine).replay_scheduled([trace])
+        report = TraceReplayer(fs, engine, _ignore).replay_scheduled([trace])
         assert report.slowdown >= 1.0  # clock can't finish before the trace

@@ -43,7 +43,7 @@ def _vm():
 def _manager():
     clock = SimClock()
     return StorageManager(
-        clock, FlashStore(FlashMemory(MB), clock), WriteBuffer(4096, clock)
+        clock, FlashStore(FlashMemory(MB), clock), WriteBuffer(4096, clock, DRAM(MB))
     )
 
 
@@ -52,7 +52,7 @@ BUILDERS = {
     "Engine": Engine,
     "StorageDevice": lambda: FlashMemory(MB),
     "FlashStore": lambda: FlashStore(FlashMemory(MB), SimClock()),
-    "WriteBuffer": lambda: WriteBuffer(4096, SimClock()),
+    "WriteBuffer": lambda: WriteBuffer(4096, SimClock(), DRAM(MB)),
     "StorageManager": _manager,
     "VirtualMemory": _vm,
     "FaultInjector": lambda: FaultInjector(FaultPlan()),

@@ -53,25 +53,31 @@ class TestPaperTrends:
 
     def test_40mb_parity_matches_paper_1996(self):
         model = SmallConfigCostModel()
-        assert 1995.5 < model.parity_year(40.0) < 1997.5
+        assert 1995.5 < model.parity_year() < 1997.5
 
     def test_parity_earlier_for_smaller_configs(self):
         model = SmallConfigCostModel()
-        assert model.parity_year(20.0) < model.parity_year(100.0)
+        year = model.parity_year()  # a 40 MB store's
+        assert model.flash_cost(20.0, year) < model.disk_cost(20.0, year)
+        assert model.flash_cost(100.0, year) > model.disk_cost(100.0, year)
 
     def test_cost_tables_monotone_decreasing(self):
         trends = default_trends_1993()
-        table = trends.cost_table(1993, 1998)
+        table = trends.cost_table()
         for a, b in zip(table, table[1:]):
             assert b["dram_dollars_per_mb"] < a["dram_dollars_per_mb"]
             assert b["disk_dollars_per_mb"] < a["disk_dollars_per_mb"]
+
+
+def _bank():
+    return BatteryBank(1_000_000.0, 0.0)
 
 
 class TestPowerModel:
     def test_settle_charges_battery(self):
         dram = DRAM(4 * MB)
         battery = BatteryBank(1000.0, 0.0)
-        model = PowerModel([dram], battery=battery)
+        model = PowerModel([dram], battery)
         dram.write(0, b"x" * 4096, SimClock())
         drawn = model.settle(10.0)
         assert drawn > 0
@@ -79,35 +85,32 @@ class TestPowerModel:
 
     def test_settle_idempotent(self):
         dram = DRAM(4 * MB)
-        model = PowerModel([dram])
+        model = PowerModel([dram], _bank())
         model.settle(5.0)
         assert model.settle(5.0) == 0.0
 
-    def test_base_load(self):
-        model = PowerModel([], base_load_watts=2.0)
-        assert model.settle(10.0) == pytest.approx(20.0)
-
     def test_idle_disk_cheaper_than_spinning(self):
-        disk_idle = MagneticDisk(8 * MB, spin_down_timeout_s=1.0)
-        disk_spin = MagneticDisk(8 * MB, spin_down_timeout_s=1e9)
+        disk_idle = MagneticDisk(8 * MB)
+        disk_spin = MagneticDisk(8 * MB)
+        disk_spin.spin_down_timeout_s = 1e9
         disk_idle.read(0, 512, SimClock())
         disk_spin.read(0, 512, SimClock())
-        m1 = PowerModel([disk_idle])
-        m2 = PowerModel([disk_spin])
+        m1 = PowerModel([disk_idle], _bank())
+        m2 = PowerModel([disk_spin], _bank())
         assert m1.settle(600.0) < m2.settle(600.0)
 
     def test_timer_settles_periodically(self):
         engine = Engine()
         dram = DRAM(4 * MB)
         battery = BatteryBank(1_000_000.0, 0.0)
-        model = PowerModel([dram], battery=battery)
-        model.attach_timer(engine, interval_s=1.0)
+        model = PowerModel([dram], battery)
+        model.attach_timer(engine)
         engine.run_until(10.0)
         assert battery.remaining_joules() < 1_000_000.0
 
     def test_breakdown_splits_active_idle(self):
         dram = DRAM(4 * MB)
-        model = PowerModel([dram])
+        model = PowerModel([dram], _bank())
         dram.write(0, b"x" * 4096, SimClock())
         breakdown = model.breakdown(100.0)
         assert breakdown.active["dram"] > 0
