@@ -42,7 +42,7 @@ from repro.devices.dram import DRAM
 from repro.devices.flash import FlashMemory
 from repro.devices.disk import MagneticDisk
 from repro.fs.blockdev import DiskBlockDevice
-from repro.fs.cache import BufferCache
+from repro.fs.cache import SYNC_INTERVAL_S, BufferCache
 from repro.fs.diskfs import ConventionalFileSystem, mkfs
 from repro.fs.flashlog import EraseInPlaceFlashBlockDevice, LogStructuredFTL
 from repro.fs.memfs import MemoryFileSystem
@@ -55,7 +55,7 @@ from repro.mem.vm import VirtualMemory
 from repro.mem.xip import LaunchResult, ProgramStore, launch_load, launch_xip
 from repro.obs import MetricsHub
 from repro.obs import runtime as obs_runtime
-from repro.power.energy import PowerModel
+from repro.power.energy import SETTLE_INTERVAL_S, PowerModel
 from repro.sim.engine import Engine
 from repro.sim.rand import substream
 from repro.sim.stats import StatRegistry
@@ -118,12 +118,20 @@ class MobileComputer:
 
         if org in (Organization.SOLID_STATE, Organization.NAIVE_FLASH):
             swap, _ = self._build_memory_fs(recover=False)
-            if org is Organization.SOLID_STATE and config.checkpoint_interval_s > 0:
+            if org is Organization.SOLID_STATE:
+                # Late-bound: a reboot replaces the manager, and the one
+                # timer then flushes the new one.
                 self.engine.schedule_every(
-                    config.checkpoint_interval_s,
-                    self._periodic_checkpoint,
-                    name="fs-checkpoint",
+                    config.flush_interval_s,
+                    lambda: self.manager.flush_aged(),
+                    name="writebuffer-age-flush",
                 )
+                if config.checkpoint_interval_s > 0:
+                    self.engine.schedule_every(
+                        config.checkpoint_interval_s,
+                        self._periodic_checkpoint,
+                        name="fs-checkpoint",
+                    )
         else:
             if org is Organization.DISK:
                 self.disk = MagneticDisk(config.disk_bytes, spec=DISK_HP_KITTYHAWK)
@@ -149,7 +157,9 @@ class MobileComputer:
                 capacity_blocks=max(8, CACHE_BYTES // 4096),
                 dram=self.dram,
             )
-            self.cache.attach_sync_timer(self.engine)
+            self.engine.schedule_every(
+                SYNC_INTERVAL_S, self.cache.flush, name="bcache-sync"
+            )
             self.fs = ConventionalFileSystem(self.cache, mkfs(self.cache))
 
         # --- Virtual memory. ---------------------------------------------
@@ -176,7 +186,11 @@ class MobileComputer:
 
         # --- Power model. -------------------------------------------------
         self.power = PowerModel(devices, self.battery)
-        self.power.attach_timer(self.engine)
+        self.engine.schedule_every(
+            SETTLE_INTERVAL_S,
+            lambda: self.power.settle(self.clock.now),
+            name="power-settle",
+        )
         self._rng = substream(config.seed, "machine")
 
         # --- Observability. ----------------------------------------------
@@ -203,8 +217,8 @@ class MobileComputer:
     def _build_memory_fs(self, recover: bool):
         """Assemble the memory-resident file system over ``self.flash``.
 
-        Builds the store, write buffer, optional compressor, storage
-        manager and flush timer, then the file system itself.  With
+        Builds the store, write buffer, optional compressor and storage
+        manager, then the file system itself.  With
         ``recover`` the store is rebuilt by scanning the flash log and
         the file system from its last checkpoint; otherwise both start
         empty.  Returns ``(swap, recovery report or None)``; only the
@@ -231,8 +245,6 @@ class MobileComputer:
             else None
         )
         self.manager = StorageManager(self.clock, self.store, buffer, compressor=compressor)
-        if solid:
-            self.manager.attach_flush_timer(self.engine, config.flush_interval_s)
         report = None
         if recover:
             self.fs, report = MemoryFileSystem.recover(self.manager, dram=self.dram)

@@ -49,6 +49,10 @@ from repro.storage.flashstore import CorruptBlockError, FlashStore
 
 KB = 1024
 
+#: The flash device every torture run builds.
+FLASH_BYTES = 256 * KB
+FLASH_BANKS = 2
+
 #: Block sizes the synthetic workload draws from: a sub-page record, an
 #: odd mid-size block, and one exactly page-aligned payload.
 _SIZES = (300, 1200, 4096)
@@ -56,11 +60,13 @@ _SIZES = (300, 1200, 4096)
 
 @dataclass(frozen=True)
 class TortureConfig:
-    """One torture campaign's knobs (all deterministic under ``seed``)."""
+    """One torture campaign's knobs (all deterministic under ``seed``).
+
+    Every power cut tears the in-flight operation (a partial program or
+    scrambled erase, :class:`FaultPlan`'s default).
+    """
 
     mode: str = "flashstore"  # "flashstore" | "fsck"
-    flash_kb: int = 256
-    banks: int = 2
     #: Workload operations (writes/deletes/reads) per run.
     ops: int = 400
     #: Distinct logical keys the workload touches.
@@ -75,10 +81,9 @@ class TortureConfig:
     program_fail_rate: float = 0.0
     erase_fail_rate: float = 0.0
     permanent_fraction: float = 0.0
-    torn: bool = True
 
     def validate(self) -> None:
-        for name in ("ops", "keys", "cut_every", "flash_kb", "banks"):
+        for name in ("ops", "keys", "cut_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.max_cuts is not None and self.max_cuts < 0:
@@ -92,7 +97,6 @@ class TortureConfig:
             erase_fail_rate=self.erase_fail_rate,
             permanent_fraction=self.permanent_fraction,
             power_cut_at_op=cut_at,
-            torn_ops=self.torn,
         )
 
 
@@ -195,7 +199,7 @@ def _workload_ops(cfg: TortureConfig) -> List[Tuple[str, int, bytes]]:
 
 def _build_flash(cfg: TortureConfig, cut_at: Optional[int]) -> Tuple[FlashMemory, FaultInjector]:
     flash = FlashMemory(
-        cfg.flash_kb * KB, spec=FLASH_PAPER_NOMINAL, banks=cfg.banks, name="torture-flash"
+        FLASH_BYTES, spec=FLASH_PAPER_NOMINAL, banks=FLASH_BANKS, name="torture-flash"
     )
     injector = FaultInjector(cfg.plan(cut_at)).attach(flash)
     return flash, injector
@@ -447,14 +451,11 @@ def run_bit_flip_campaign(cfg: TortureConfig, rounds: int = 4) -> TortureReport:
     for round_index in range(rounds):
         round_cfg = TortureConfig(
             mode=cfg.mode,
-            flash_kb=cfg.flash_kb,
-            banks=cfg.banks,
             ops=cfg.ops,
             keys=cfg.keys,
             seed=cfg.seed + round_index,
             ecc=True,
             bit_flip_per_read=0.3,
-            torn=cfg.torn,
         )
         violations, _, injector, live, recovered = runner(round_cfg, None)
         report.runs += 1
@@ -473,8 +474,6 @@ def run_program_failure_campaign(cfg: TortureConfig, rounds: int = 4) -> Torture
     for round_index in range(rounds):
         round_cfg = TortureConfig(
             mode=cfg.mode,
-            flash_kb=cfg.flash_kb,
-            banks=cfg.banks,
             ops=cfg.ops,
             keys=cfg.keys,
             seed=cfg.seed + round_index,
@@ -482,7 +481,6 @@ def run_program_failure_campaign(cfg: TortureConfig, rounds: int = 4) -> Torture
             program_fail_rate=0.02,
             erase_fail_rate=0.01,
             permanent_fraction=0.25,
-            torn=cfg.torn,
         )
         violations, _, injector, live, recovered = runner(round_cfg, None)
         report.runs += 1

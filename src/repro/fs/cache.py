@@ -17,8 +17,11 @@ from typing import Dict, Optional
 from repro.devices.dram import DRAM
 from repro.fs.blockdev import BlockDevice
 from repro.sim.clock import SimClock
-from repro.sim.engine import Engine
 from repro.sim.stats import StatRegistry
+
+#: The classic update daemon's period: the machine flushes the cache
+#: every 30 s.
+SYNC_INTERVAL_S = 30.0
 
 
 class BufferCache:
@@ -50,7 +53,6 @@ class BufferCache:
         # stored object out, and eviction and flush hand it to the device.
         self._blocks: "OrderedDict[int, bytes]" = OrderedDict()
         self._dirty: Dict[int, bool] = {}
-        self._sync_timer = None
 
     # ------------------------------------------------------------------
     # Core cache operations.
@@ -144,12 +146,6 @@ class BufferCache:
                 written += 1
         self.stats.counter("sync_writebacks").add(written)
         return written
-
-    def attach_sync_timer(self, engine: Engine) -> None:
-        """The classic periodic update daemon, every 30 s."""
-        if self._sync_timer is not None:
-            self._sync_timer.cancel()
-        self._sync_timer = engine.schedule_every(30.0, self.flush, name="bcache-sync")
 
     def discard(self, lba: int) -> None:
         """Forget a block without writing it back (its owner freed it)."""

@@ -133,15 +133,14 @@ class VirtualMemory:
     # Mapping.
     # ------------------------------------------------------------------
 
-    def map_anonymous(
-        self, space: AddressSpace, npages: int, perms: Permissions = Permissions.RW
-    ) -> int:
-        """Map demand-zero pages; frames materialize on first touch."""
+    def map_anonymous(self, space: AddressSpace, npages: int) -> int:
+        """Map demand-zero read-write pages; frames materialize on first
+        touch."""
         vaddr = space.reserve_range(npages)
         base_vpn = vaddr // PAGE_SIZE
         for i in range(npages):
             space.page_table.insert(
-                PageTableEntry(vpn=base_vpn + i, perms=perms, present=False)
+                PageTableEntry(vpn=base_vpn + i, perms=Permissions.RW, present=False)
             )
         return vaddr
 

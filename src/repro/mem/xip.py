@@ -112,7 +112,7 @@ def launch_xip(vm: VirtualMemory, space: AddressSpace, image: ProgramImage) -> L
         image.npages,
         perms=Permissions.RX,
     )
-    data_vaddr = vm.map_anonymous(space, DATA_PAGES, perms=Permissions.RW)
+    data_vaddr = vm.map_anonymous(space, DATA_PAGES)
     return LaunchResult(
         code_vaddr=code_vaddr,
         data_vaddr=data_vaddr,
@@ -159,7 +159,7 @@ def launch_load(
                 phys_addr=frame,
             )
         )
-    data_vaddr = vm.map_anonymous(space, DATA_PAGES, perms=Permissions.RW)
+    data_vaddr = vm.map_anonymous(space, DATA_PAGES)
     return LaunchResult(
         code_vaddr=code_vaddr,
         data_vaddr=data_vaddr,

@@ -16,7 +16,10 @@ from typing import Dict, List
 
 from repro.devices.base import StorageDevice
 from repro.devices.battery import BatteryBank
-from repro.sim.engine import Engine
+
+#: The machine settles every simulated second, so battery state tracks
+#: simulated time.
+SETTLE_INTERVAL_S = 1.0
 
 
 @dataclass
@@ -52,13 +55,6 @@ class PowerModel:
         if drawn > 0:
             self.battery.draw(drawn, now)
         return drawn
-
-    def attach_timer(self, engine: Engine):
-        """Settle every simulated second so battery state tracks
-        simulated time."""
-        return engine.schedule_every(
-            1.0, lambda: self.settle(engine.clock.now), name="power-settle"
-        )
 
     def breakdown(self, now: float) -> EnergyBreakdown:
         out = EnergyBreakdown()

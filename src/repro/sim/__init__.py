@@ -4,8 +4,8 @@ This package provides the small, dependency-free kernel every other
 subsystem builds on:
 
 - :mod:`repro.sim.clock` -- a virtual clock measured in seconds.
-- :mod:`repro.sim.engine` -- a discrete-event engine (heap-ordered callbacks)
-  for timers such as periodic write-buffer flushes and battery discharge.
+- :mod:`repro.sim.engine` -- heap-ordered periodic timers such as the
+  write buffer's age-bounded flush and battery settlement.
 - :mod:`repro.sim.stats` -- counters, latency histograms and time-weighted
   averages used for all experiment metrics.
 - :mod:`repro.sim.rand` -- deterministic random streams so every experiment
@@ -18,7 +18,7 @@ All simulated time is in **seconds**, all sizes in **bytes**, all energy in
 """
 
 from repro.sim.clock import SimClock
-from repro.sim.engine import Engine, Event
+from repro.sim.engine import Engine
 from repro.sim.rand import RandomStream, substream
 from repro.sim.sched import Process, Scheduler
 from repro.sim.stats import (
@@ -31,7 +31,6 @@ from repro.sim.stats import (
 __all__ = [
     "SimClock",
     "Engine",
-    "Event",
     "Process",
     "Scheduler",
     "RandomStream",

@@ -28,6 +28,11 @@ from typing import Callable, Dict, Hashable, List, NamedTuple, Optional, Set, Tu
 
 from repro.devices.flash import FlashMemory
 
+#: Bytes of one summary slot: every appended block reserves one at the
+#: tail of its sector (the self-describing log entry
+#: :mod:`repro.storage.flashstore` writes for crash recovery).
+SUMMARY_BYTES = 64
+
 
 class OutOfFlashSpace(Exception):
     """Live data exceeds what cleaning can recover.
@@ -119,17 +124,16 @@ class _VictimBucket:
 class SectorAllocator:
     """Tracks sector states, the free set, and live/dead byte accounting.
 
-    When ``summary_entry_bytes`` is non-zero, every appended block also
-    reserves one summary slot at the *tail* of its sector (the
-    self-describing log format :mod:`repro.storage.flashstore` uses for
-    crash recovery); the slot is charged to the block's live bytes and
-    becomes dead together with it.
+    Every appended block also reserves one :data:`SUMMARY_BYTES` slot at
+    the *tail* of its sector (the self-describing log format
+    :mod:`repro.storage.flashstore` uses for crash recovery); the slot
+    is charged to the block's live bytes and becomes dead together with
+    it.
     """
 
-    def __init__(self, flash: FlashMemory, summary_entry_bytes: int = 0) -> None:
+    def __init__(self, flash: FlashMemory) -> None:
         self.flash = flash
         self.sector_bytes = flash.sector_bytes
-        self.summary_entry_bytes = summary_entry_bytes
         self.sectors: List[SectorInfo] = [
             SectorInfo(index=i, bank=flash.bank_of_sector(i)) for i in range(flash.num_sectors)
         ]
@@ -366,23 +370,19 @@ class SectorAllocator:
         """Whether a block (plus its summary slot) fits the open sector."""
         info = self.sectors[sector]
         pad = (-info.write_ptr) % align
-        reserved = info.summary_entries + (1 if self.summary_entry_bytes else 0)
-        tail = reserved * self.summary_entry_bytes
+        tail = (info.summary_entries + 1) * SUMMARY_BYTES
         return info.write_ptr + pad + length <= self.sector_bytes - tail
 
     def summary_slot_offset(self, sector: int, entry: int) -> int:
         """Sector-relative offset of summary slot ``entry`` (0 = last bytes)."""
-        if not self.summary_entry_bytes:
-            raise ValueError("allocator has no summary area")
-        return self.sector_bytes - (entry + 1) * self.summary_entry_bytes
+        return self.sector_bytes - (entry + 1) * SUMMARY_BYTES
 
     def append(self, sector: int, key: Hashable, length: int, align: int = 1) -> Location:
         """Bump-pointer allocate ``length`` bytes in an open sector.
 
         ``align`` pads the payload to the given alignment (page-aligned
-        blocks stay directly mappable); padding is dead space.  With a
-        summary area configured, one tail slot is reserved per block and
-        charged to its live bytes.
+        blocks stay directly mappable); padding is dead space.  One tail
+        summary slot is reserved per block and charged to its live bytes.
         """
         info = self.sectors[sector]
         if info.state is not SectorState.OPEN:
@@ -391,11 +391,10 @@ class SectorAllocator:
             raise ValueError("block length must be positive")
         if align < 1:
             raise ValueError("alignment must be >= 1")
-        summary = self.summary_entry_bytes
         # What fits() checks, inline.
         pad = (-info.write_ptr) % align
-        reserved = info.summary_entries + (1 if summary else 0)
-        if info.write_ptr + pad + length > self.sector_bytes - reserved * summary:
+        reserved = info.summary_entries + 1
+        if info.write_ptr + pad + length > self.sector_bytes - reserved * SUMMARY_BYTES:
             raise ValueError(
                 f"sector {sector} overflow: ptr={info.write_ptr} len={length} "
                 f"align={align} cap={self.sector_bytes} "
@@ -408,10 +407,9 @@ class SectorAllocator:
         offset = info.write_ptr
         info.blocks[offset] = (key, length)
         info.write_ptr = offset + length
-        charged = length + summary
+        charged = length + SUMMARY_BYTES
         info.live_bytes += charged
-        if summary:
-            info.summary_entries += 1
+        info.summary_entries += 1
         self.total_live_bytes += charged
         return Location(sector, offset, length)
 
@@ -424,7 +422,7 @@ class SectorAllocator:
         # Space between the write pointer and the summary area is
         # unreachable until erase; count it dead so cleaning policies
         # see the true reclaimable total.
-        summary_area = info.summary_entries * self.summary_entry_bytes
+        summary_area = info.summary_entries * SUMMARY_BYTES
         slack = self.sector_bytes - info.write_ptr - summary_area
         if slack:
             info.dead_bytes += slack
@@ -441,7 +439,7 @@ class SectorAllocator:
         key, length = entry
         if length != loc.length:
             raise ValueError(f"length mismatch at {loc}: recorded {length}")
-        charged = length + self.summary_entry_bytes
+        charged = length + SUMMARY_BYTES
         info.live_bytes -= charged
         info.dead_bytes += charged
         self.total_live_bytes -= charged
@@ -474,7 +472,7 @@ class SectorAllocator:
         info.summary_entries = summary_entries
         info.blocks = {offset: (key, length) for offset, key, length in live_blocks}
         live = sum(length for _, _, length in live_blocks)
-        live += len(live_blocks) * self.summary_entry_bytes
+        live += len(live_blocks) * SUMMARY_BYTES
         if live > self.sector_bytes:
             raise ValueError(f"sector {sector}: recovered live bytes exceed capacity")
         info.live_bytes = live
@@ -542,7 +540,7 @@ class SectorAllocator:
         live = dead = 0
         for info in self.sectors:
             block_bytes = sum(length for _, length in info.blocks.values())
-            expected_live = block_bytes + len(info.blocks) * self.summary_entry_bytes
+            expected_live = block_bytes + len(info.blocks) * SUMMARY_BYTES
             if expected_live != info.live_bytes:
                 raise AssertionError(f"sector {info.index}: block map != live_bytes")
             if info.state is SectorState.ERASED:

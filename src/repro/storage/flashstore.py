@@ -40,7 +40,12 @@ from repro.faults.ecc import ECC_BYTES, ecc_check, ecc_encode
 from repro.obs import runtime as obs_runtime
 from repro.sim.clock import SimClock
 from repro.sim.stats import StatHandle, StatRegistry
-from repro.storage.allocator import Location, OutOfFlashSpace, SectorAllocator
+from repro.storage.allocator import (
+    SUMMARY_BYTES,
+    Location,
+    OutOfFlashSpace,
+    SectorAllocator,
+)
 from repro.storage.gc import CleaningPolicy, CleaningStats, choose_victim
 from repro.storage.wear import WearPolicy, choose_erased_sector, static_rotation_victim
 
@@ -68,14 +73,14 @@ IN_PLACE_SLOT_BYTES = 4096
 #: can be mapped directly into address spaces (see repro.mem.mmap).
 PAGE_ALIGN = 4096
 
-#: Self-describing log summary entry, written at the tail of each sector
-#: for every appended block (LFS segment-summary style).  Crash recovery
-#: rebuilds the whole index by scanning these.  Layout of one 64-byte
-#: slot:  [21-byte head][key][13-byte ECC codeword if flagged][0xFF pad]
-#: [4-byte CRC32 of bytes 0..59].  The trailing CRC rejects torn or
-#: bit-flipped entries outright, so a corrupt newest entry can never
-#: shadow an older intact copy of the same block.
-SUMMARY_BYTES = 64
+# Self-describing log summary entry, written at the tail of each sector
+# for every appended block (LFS segment-summary style), one
+# SUMMARY_BYTES slot each.  Crash recovery rebuilds the whole index by
+# scanning these.  Layout of one 64-byte slot:  [21-byte head][key]
+# [13-byte ECC codeword if flagged][0xFF pad][4-byte CRC32 of bytes
+# 0..59].  The trailing CRC rejects torn or bit-flipped entries
+# outright, so a corrupt newest entry can never shadow an older intact
+# copy of the same block.
 _SUMMARY_MAGIC = 0x5EC7
 # magic, kind, seq, offset, length, keylen, flags
 _SUMMARY = struct.Struct("<HBQIIBB")
@@ -291,7 +296,7 @@ class FlashStore(_SectorStore):
                 "self-describing log needs erase sectors larger than "
                 f"{PAGE_ALIGN + 2 * SUMMARY_BYTES} bytes (got {flash.sector_bytes})"
             )
-        self.allocator = SectorAllocator(flash, SUMMARY_BYTES)
+        self.allocator = SectorAllocator(flash)
         self._seq = 0
         self.cleaning_stats = CleaningStats()
         self._index: Dict[Hashable, Location] = {}
@@ -801,9 +806,6 @@ class InPlaceFlashStore(_SectorStore):
 
     def contains(self, key: Hashable) -> bool:
         return key in self._lengths
-
-    def keys(self) -> List[Hashable]:
-        return list(self._lengths)
 
     def write_block(self, key: Hashable, data: bytes) -> None:
         """Store ``data`` in ``key``'s slot, erasing its sector if written before."""

@@ -20,7 +20,6 @@ from typing import Hashable, List, Optional, Union
 
 from repro.obs import runtime as obs_runtime
 from repro.sim.clock import SimClock
-from repro.sim.engine import Engine
 from repro.sim.stats import StatHandle, StatRegistry
 from repro.storage.allocator import OutOfFlashSpace
 from repro.storage.compression import BlockCompressor
@@ -64,22 +63,15 @@ class StorageManager:
         # Optional repro.obs.Tracer (the one active at construction);
         # read-only degradation transitions emit a trace record.
         self.tracer = obs_runtime.get_tracer()
-        self._flush_timer = None
         # Items popped from the buffer but not yet persisted: volatile
         # state a power failure loses alongside the buffer itself.
         self._in_flight: List[FlushItem] = []
         self.read_only = False
         self.read_only_reason: Optional[str] = None
 
-    def attach_flush_timer(self, engine: Engine, interval_s: float = 5.0) -> None:
-        """Run age-based flushing periodically on the event engine."""
-        if self._flush_timer is not None:
-            self._flush_timer.cancel()
-        self._flush_timer = engine.schedule_every(
-            interval_s, self._timer_flush, name="writebuffer-age-flush"
-        )
-
-    def _timer_flush(self) -> None:
+    def flush_aged(self) -> None:
+        """Persist every buffered block past the buffer's age limit (the
+        machine's periodic flush timer)."""
         self._persist_items(self.buffer.flush_aged())
 
     # ------------------------------------------------------------------

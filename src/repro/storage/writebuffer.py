@@ -169,12 +169,7 @@ class WriteBuffer:
             return []
         return self._evict_to_watermark()
 
-    def restore(
-        self,
-        key: Hashable,
-        data: bytes,
-        first_write: Optional[float] = None,
-    ) -> None:
+    def restore(self, key: Hashable, data: bytes, first_write: float) -> None:
         """Put a flush item *back* after a failed persist (graceful
         degradation): the data re-enters the buffer without recounting
         ``bytes_in`` and without evicting anything — it is the same
@@ -184,13 +179,13 @@ class WriteBuffer:
         ``first_write`` (from :attr:`FlushItem.first_write`) preserves
         the entry's original age clock: the block has been dirty since
         its first write, and the ``age_limit_s`` bound on battery-loss
-        exposure must keep counting from there.
+        exposure must keep counting from there (a future origin is
+        clamped to now).
         """
         if key in self._entries:
             return  # overwritten while the flush was in flight
         now = self.clock.now
-        origin = now if first_write is None else min(first_write, now)
-        self._entries[key] = _Entry(data=data, first_write=origin)
+        self._entries[key] = _Entry(data=data, first_write=min(first_write, now))
         self._bytes += len(data)
         if self.tracer is not None:
             self.tracer.emit("writebuffer", "restore", now, len(data))

@@ -1,72 +1,33 @@
-"""The engine's pending-event count is a live counter, not a queue scan.
+"""The engine's traced ``pending`` detail is its queue depth after a firing.
 
-These tests pin the counter's bookkeeping across every path an event can
-take out of the queue: running, cancellation before running, cancellation
-*after* running (must not double-decrement), and periodic reschedules.
+Every timer keeps exactly one firing queued, so the detail reads the
+number of live timers on every firing, and the queue-depth monitor
+bounds it online.
 """
 
 from __future__ import annotations
 
+from repro.obs import Tracer, runtime
 from repro.sim.engine import Engine
 
 
+def _pending(tracer):
+    return [r[6]["pending"] for r in tracer.records if r[1:3] == ("engine", "event")]
+
+
 def test_schedule_and_run_balance():
-    engine = Engine()
+    with runtime.tracing(Tracer()) as tracer:
+        engine = Engine()
     for i in range(5):
-        engine.schedule_at(float(i), lambda: None)
-    assert engine._pending == 5
-    engine.run_until(4.0)
-    assert engine._pending == 0
-
-
-def test_cancel_decrements_once():
-    engine = Engine()
-    event = engine.schedule_at(1.0, lambda: None)
-    assert engine._pending == 1
-    event.cancel()
-    assert engine._pending == 0
-    event.cancel()  # idempotent
-    assert engine._pending == 0
-    engine.run_until(1.0)
-    assert engine._pending == 0
-
-
-def test_cancel_after_run_does_not_double_decrement():
-    engine = Engine()
-    event = engine.schedule_at(1.0, lambda: None)
-    other = engine.schedule_at(2.0, lambda: None)
-    engine.run_until(1.5)
-    assert engine._pending == 1  # only `other` remains
-    event.cancel()  # already departed; must be a no-op for the counter
-    assert engine._pending == 1
-    other.cancel()
-    assert engine._pending == 0
+        engine.schedule_every(float(i + 1), lambda: None, name=f"t{i}")
+    assert engine.run_until(5.0) == 5 + 2 + 1 + 1 + 1
+    assert set(_pending(tracer)) == {5}
 
 
 def test_schedule_every_keeps_one_pending():
-    engine = Engine()
-    fired = []
-    root = engine.schedule_every(1.0, lambda: fired.append(engine.clock.now))
-    for horizon in (1.0, 2.0, 3.0):
-        engine.run_until(horizon)
-        assert engine._pending == 1  # the next firing is always queued
-    root.cancel()
-    # The next firing is already queued; it runs as a no-op (the series
-    # checks the root's cancelled flag) and only then leaves the count.
-    assert engine._pending == 1
-    engine.run_until(10.0)
-    assert engine._pending == 0
-    assert fired == [1.0, 2.0, 3.0]
-
-
-def test_pending_matches_queue_truth_under_mixed_ops():
-    engine = Engine()
-    live = [engine.schedule_at(float(i), lambda: None) for i in range(10)]
-    for event in live[::2]:
-        event.cancel()
-    assert engine._pending == 5
-    ran = engine.run_until(4.0)  # times 1.0 and 3.0 survive the cancels
-    assert ran == 2
-    assert engine._pending == 3
-    engine.run_until(9.0)
-    assert engine._pending == 0
+    with runtime.tracing(Tracer()) as tracer:
+        engine = Engine()
+    engine.schedule_every(1.0, lambda: None, name="tick")
+    for step in range(1, 4):
+        engine.run_until(float(step))
+    assert _pending(tracer) == [1, 1, 1]

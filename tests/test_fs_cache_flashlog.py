@@ -9,6 +9,7 @@ from repro.fs import (
     EraseInPlaceFlashBlockDevice,
     LogStructuredFTL,
 )
+from repro.fs.cache import SYNC_INTERVAL_S
 from repro.sim import Engine, SimClock
 from repro.storage import FlashStore
 
@@ -63,7 +64,7 @@ class TestBufferCache:
         disk = MagneticDisk(8 * MB)
         device = DiskBlockDevice(disk, engine.clock)
         cache = BufferCache(device, engine.clock, 8)
-        cache.attach_sync_timer(engine)
+        engine.schedule_every(SYNC_INTERVAL_S, cache.flush, name="bcache-sync")
         cache.write(0, b"\x0a" * BLOCK)
         engine.run_until(29.0)
         assert cache.dirty_blocks == 1

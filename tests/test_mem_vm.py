@@ -41,14 +41,16 @@ class TestProtection:
     def test_write_to_readonly_rejected(self):
         vm = make_vm()
         space = vm.create_space("p")
-        vaddr = vm.map_anonymous(space, 1, perms=Permissions.READ)
+        # Anonymous memory is always RW; a read-only page is one mapped
+        # in place, as XIP maps program code.
+        vaddr = vm.map_physical(space, 0, 1, Permissions.READ)
         with pytest.raises(ProtectionError):
             vm.write(space, vaddr, b"nope")
 
     def test_execute_needs_execute_permission(self):
         vm = make_vm()
         space = vm.create_space("p")
-        vaddr = vm.map_anonymous(space, 1, perms=Permissions.RW)
+        vaddr = vm.map_anonymous(space, 1)
         with pytest.raises(ProtectionError):
             vm.execute(space, vaddr, 16)
 

@@ -21,7 +21,8 @@ digests, so deleting it would move them.
 Every defaulted parameter in ``src/`` takes two values or more in the
 program: :func:`test_every_config_field_is_set_by_a_program_call` fails
 on one that no program call passes, or that every call, and the default
-wherever a call leaves it out, gives the same literal, unless
+wherever a call leaves it out, gives the same literal or the same named
+constant (an UPPER_CASE name or attribute), unless
 :data:`ALLOWED_KNOBS` says why it stays.  The scan covers every
 function, method and constructor whose name ``src/`` defines once, and
 the fields of the run-configuration dataclasses in
@@ -208,6 +209,10 @@ ALLOWED_KNOBS = {
         "tests size tiny buffers with it; ROADMAP item 13 redesigns the watermark"
     ),
     "main.argv": "tests drive the command line through it",
+    "DRAM.spec": (
+        "tests/test_charge_api.py builds DRAMs from altered specs to check "
+        "that construction rejects a negative cost"
+    ),
 }
 
 #: Stands for any value that is not a literal, so a parameter passed one
@@ -271,7 +276,13 @@ def _callables(node, method=False):
 
 
 def _literal(node):
-    """The value of a literal expression; :data:`_VARIES` for any other."""
+    """The value of a literal expression, or of a named constant (an
+    UPPER_CASE name or attribute such as ``SUMMARY_BYTES`` or
+    ``Permissions.RW``, keyed by its source text); :data:`_VARIES` for
+    any other."""
+    name = getattr(node, "id", getattr(node, "attr", None))
+    if isinstance(node, (ast.Name, ast.Attribute)) and name.isupper():
+        return ("constant", ast.unparse(node))
     try:
         value = ast.literal_eval(node)
     except (ValueError, TypeError, SyntaxError):
@@ -436,6 +447,33 @@ def test_scan_covers_functions_and_methods(tmp_path):
     # method's first parameter is a real one, so level is always 9; and
     # ``run``, defined twice, is skipped.
     assert unset_knobs(root) == ("fetch.mode", "pack.level", "put.tag")
+
+
+def test_scan_counts_a_named_constant_as_one_value(tmp_path):
+    root = str(tmp_path)
+    _write(root, "src/pkg/mod.py", (
+        "def alloc(flash, slot=0):\n"
+        "    return slot\n"
+        "def mapping(space, perms=Permissions.RW):\n"
+        "    return perms\n"
+        "def device(size, spec=SPEC_A):\n"
+        "    return spec\n"
+        "def tune(level=1):\n"
+        "    return level\n"
+    ))
+    _write(root, "examples/demo.py", (
+        "from pkg import mod\n"
+        "mod.alloc(1, SLOT_BYTES)\n"
+        "mod.alloc(2, SLOT_BYTES)\n"
+        "mod.mapping(1, perms=Permissions.RW)\n"
+        "mod.mapping(2)\n"
+        "mod.device(1, spec=SPEC_B)\n"
+        "mod.device(2)\n"
+        "mod.tune(level)\n"
+    ))
+    # SLOT_BYTES and Permissions.RW are one value each wherever they
+    # appear; two constants are two values, and a lowercase name varies.
+    assert unset_knobs(root) == ("alloc.slot", "mapping.perms")
 
 
 #: What a device model subclasses; only ``tests/_reference.py`` may.

@@ -5,8 +5,7 @@ The regression tests here each pin a specific latent bug:
 
 - ``WriteBuffer.restore`` restarting the age clock (a block that kept
   failing to persist could evade the battery-loss bound forever);
-- ``Engine.schedule_every`` pushing its root event past the
-  ``schedule_at`` pending accounting;
+- ``Engine.schedule_every`` accepting a first firing in the past;
 - ``Histogram.stdev`` drifting from the exact sample stdev.
 """
 
@@ -265,13 +264,6 @@ class TestRestoreAgeClock:
         assert [i.key for i in aged] == ["k"]
         assert _flush_ages(tracer)[-1] == pytest.approx(30.0)
 
-    def test_restore_without_origin_uses_now(self):
-        clock = SimClock()
-        buf = WriteBuffer(4096, clock, DRAM(MB), age_limit_s=30.0)
-        clock.advance(5.0)
-        buf.restore("k", b"x" * 8)
-        assert buf._entries["k"].first_write == 5.0
-
     def test_future_origin_clamped_to_now(self):
         clock = SimClock()
         buf = WriteBuffer(4096, clock, DRAM(MB), age_limit_s=30.0)
@@ -292,7 +284,7 @@ class TestRestoreAgeClock:
 
 
 # ----------------------------------------------------------------------
-# Bugfix regression: schedule_every routes through schedule_at.
+# schedule_every rejects a first firing in the past.
 # ----------------------------------------------------------------------
 
 
@@ -302,25 +294,7 @@ class TestScheduleEveryValidation:
         # The first firing is one interval out, so a negative interval
         # would schedule it in the past.
         with pytest.raises(ValueError):
-            engine.schedule_every(-0.5, lambda: None)
-
-    def test_root_counts_as_pending(self):
-        engine = Engine()
-        before = engine._pending
-        event = engine.schedule_every(1.0, lambda: None)
-        assert engine._pending == before + 1
-        event.cancel()
-        assert engine._pending == before
-
-    def test_series_still_fires_and_cancels(self):
-        engine = Engine()
-        fired = []
-        event = engine.schedule_every(1.0, lambda: fired.append(engine.clock.now))
-        engine.run_until(3.5)
-        assert fired == [1.0, 2.0, 3.0]
-        event.cancel()
-        engine.run_until(6.0)
-        assert len(fired) == 3
+            engine.schedule_every(-0.5, lambda: None, name="t")
 
 
 # ----------------------------------------------------------------------

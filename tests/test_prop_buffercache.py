@@ -23,7 +23,6 @@ from repro.devices import DRAM, MagneticDisk
 from repro.fs import BufferCache, DiskBlockDevice
 from repro.fs.blockdev import BlockDevice
 from repro.sim.clock import SimClock
-from repro.sim.engine import Engine
 from repro.sim.stats import StatRegistry
 
 MB = 1024 * 1024
@@ -58,7 +57,6 @@ class _ReferenceCache:
         # stored object out, and eviction and flush hand it to the device.
         self._blocks: "OrderedDict[int, bytes]" = OrderedDict()
         self._dirty: Dict[int, bool] = {}
-        self._sync_timer = None
 
     # ------------------------------------------------------------------
     # DRAM charging for cache hits/installs.
@@ -154,12 +152,6 @@ class _ReferenceCache:
                 written += 1
         self.stats.counter("sync_writebacks").add(written)
         return written
-
-    def attach_sync_timer(self, engine: Engine) -> None:
-        """The classic periodic update daemon, every 30 s."""
-        if self._sync_timer is not None:
-            self._sync_timer.cancel()
-        self._sync_timer = engine.schedule_every(30.0, self.flush, name="bcache-sync")
 
     def discard(self, lba: int) -> None:
         """Forget a block without writing it back (its owner freed it)."""

@@ -19,7 +19,7 @@ from repro.sim import SimClock
 from repro.storage import (
     CleaningPolicy, FlashStore, InPlaceFlashStore, OutOfFlashSpace, WearPolicy,
 )
-from repro.storage.allocator import SectorState
+from repro.storage.allocator import SUMMARY_BYTES, SectorState
 
 KB = 1024
 
@@ -68,7 +68,7 @@ def test_store_behaves_like_dict(ops, wear, cleaning):
         assert store.contains(key) == (key in model)
     store.allocator.check_invariants()
     live = store.allocator.total_live_bytes
-    summary_overhead = len(model) * store.allocator.summary_entry_bytes
+    summary_overhead = len(model) * SUMMARY_BYTES
     assert live == sum(len(v) for v in model.values()) + summary_overhead
 
 

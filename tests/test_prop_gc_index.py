@@ -24,7 +24,7 @@ from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.devices.flash import FlashMemory
-from repro.storage.allocator import Location, SectorAllocator, SectorState
+from repro.storage.allocator import SUMMARY_BYTES, Location, SectorAllocator, SectorState
 from repro.storage.gc import _SCORERS, CleaningPolicy, choose_victim
 from repro.trace.workloads import generate_workload
 
@@ -69,9 +69,9 @@ SIZES = [1024, 2000, 4096]
 NUM_BANKS = 4
 
 
-def _fresh(summary_entry_bytes: int):
+def _fresh():
     flash = FlashMemory(32 * 16 * KB, spec=FLASH_PAPER_NOMINAL, banks=NUM_BANKS)
-    return SectorAllocator(flash, summary_entry_bytes)
+    return SectorAllocator(flash)
 
 
 def _sectors(allocator, state):
@@ -109,9 +109,9 @@ OPS = st.lists(
 
 
 @settings(max_examples=80, deadline=None)
-@given(ops=OPS, summary=st.sampled_from([0, 64]))
-def test_index_matches_scan_under_random_operations(ops, summary):
-    allocator = _fresh(summary)
+@given(ops=OPS)
+def test_index_matches_scan_under_random_operations(ops):
+    allocator = _fresh()
     next_key = 0
     for kind, pick, arg, now_i in ops:
         if kind == "open":
@@ -172,9 +172,11 @@ def test_index_matches_scan_under_random_operations(ops, summary):
 
 
 def _sealed_with(allocator, sector, live_blocks, seal_time):
+    """Seal ``sector`` holding ``live_blocks`` blocks of 1 KB each,
+    summary slot included."""
     allocator.take_erased(sector)
     for i in range(live_blocks):
-        allocator.append(sector, ("s", sector, i), 1024)
+        allocator.append(sector, ("s", sector, i), 1024 - SUMMARY_BYTES)
     allocator.seal(sector, seal_time)
 
 
@@ -182,7 +184,7 @@ def test_tie_across_seal_times_picks_lowest_index():
     """Sector 5 is older than sector 2, but at now=1e9 their ages round
     to the same float: the scores tie, so the lower index must win even
     though it sits behind the older sector in heap order."""
-    allocator = _fresh(0)
+    allocator = _fresh()
     _sealed_with(allocator, 5, 3, 1000.0)
     _sealed_with(allocator, 2, 3, _up(1000.0))
     for now in (1e9, 2000.0):
@@ -196,7 +198,7 @@ def test_tie_across_seal_times_picks_lowest_index():
 def test_tie_across_banks_picks_lowest_index():
     """Sectors of two banks with equal live bytes share one bucket; the
     lower index wins their tie whatever order they were sealed in."""
-    allocator = _fresh(0)
+    allocator = _fresh()
     assert allocator.info(3).bank != allocator.info(11).bank
     _sealed_with(allocator, 11, 2, 10.0)
     _sealed_with(allocator, 3, 2, 10.0)
@@ -215,7 +217,7 @@ def _bucket_count(allocator) -> int:
 def test_invalidations_without_cleaning_keep_the_index_small():
     """Thousands of overwrites between cleanings push nothing until the
     next query, and queries keep every heap within its compaction bound."""
-    allocator = _fresh(64)
+    allocator = _fresh()
     for sector in range(len(allocator.sectors)):
         allocator.take_erased(sector)
         while allocator.fits(sector, 100):

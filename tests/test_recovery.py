@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core import MobileComputer, Organization, SystemConfig
 from repro.devices import FlashMemory
 from repro.fs.memfs import CHECKPOINT_ROOT_KEY, MemoryFileSystem
+from repro.obs import Tracer, runtime
 from repro.sim import SimClock
 from repro.storage import FlashStore, StorageManager
 
@@ -211,6 +212,27 @@ class TestCheckpointRecovery:
         machine.reboot_after_power_loss()
         assert machine.fs.read_file("/a") == b"1" * KB
         assert machine.fs.read_file("/b") == b"2" * KB
+
+    def test_reboot_keeps_one_timer_per_name(self):
+        # A reboot replaces the storage manager; the machine's one flush
+        # timer must flush the new manager, and no second timer may
+        # appear (a leaked timer shows up as extra queue depth).
+        with runtime.tracing(Tracer()) as tracer:
+            machine = make_machine()
+        machine.run_workload("office", duration_s=30.0, sync_at_end=False)
+        for _ in range(2):
+            machine.inject_battery_failure()
+            machine.reboot_after_power_loss()
+        rebooted_at = machine.clock.now
+        machine.fs.write_file("/late", b"L" * KB)
+        machine.engine.run_until(rebooted_at + 60.0)
+        after = [
+            r[6] for r in tracer.records
+            if r[1:3] == ("engine", "event") and r[0] > rebooted_at
+        ]
+        assert {d["name"] for d in after} == {"writebuffer-age-flush", "power-settle"}
+        assert {d["pending"] for d in after} == {2}
+        assert machine.manager.buffer.stats.counter("flushed_age").value > 0
 
     def test_conventional_org_remounts(self):
         machine = MobileComputer(

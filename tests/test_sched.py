@@ -75,7 +75,7 @@ class TestSchedulerBasics:
     def test_engine_timers_fire_before_each_step(self):
         engine = _engine()
         fired = []
-        engine.schedule_at(1.5, lambda: fired.append(engine.clock.now), name="timer")
+        engine.schedule_every(1.5, lambda: fired.append(engine.clock.now), name="timer")
         sched = Scheduler(engine)
 
         def proc():

@@ -41,8 +41,7 @@ class TestEngine:
     def test_schedule_and_run(self):
         engine = Engine()
         fired = []
-        engine.schedule(1.0, lambda: fired.append(engine.clock.now))
-        engine.schedule(2.0, lambda: fired.append(engine.clock.now))
+        engine.schedule_every(1.0, lambda: fired.append(engine.clock.now), name="t")
         engine.run_until(2.0)
         assert fired == [1.0, 2.0]
         assert engine.clock.now == 2.0
@@ -50,60 +49,62 @@ class TestEngine:
     def test_run_until_only_due_events(self):
         engine = Engine()
         fired = []
-        engine.schedule(1.0, lambda: fired.append("a"))
-        engine.schedule(5.0, lambda: fired.append("b"))
+        engine.schedule_every(1.0, lambda: fired.append("a"), name="a")
+        engine.schedule_every(5.0, lambda: fired.append("b"), name="b")
         ran = engine.run_until(2.0)
-        assert ran == 1
-        assert fired == ["a"]
+        assert ran == 2
+        assert fired == ["a", "a"]
         assert engine.clock.now == 2.0
-        assert engine._pending == 1
+        assert engine.events_run == 2
 
     def test_same_time_events_fifo(self):
         engine = Engine()
         fired = []
         for label in ("first", "second", "third"):
-            engine.schedule(1.0, lambda lbl=label: fired.append(lbl))
-        engine.run_until(1.0)
-        assert fired == ["first", "second", "third"]
-
-    def test_cancel(self):
-        engine = Engine()
-        fired = []
-        event = engine.schedule(1.0, lambda: fired.append("x"))
-        event.cancel()
-        engine.run_until(1.0)
-        assert fired == []
-
-    def test_schedule_in_past_rejected(self):
-        engine = Engine()
-        engine.clock.advance(5.0)
-        with pytest.raises(ValueError):
-            engine.schedule_at(1.0, lambda: None)
+            engine.schedule_every(1.0, lambda lbl=label: fired.append(lbl), name=label)
+        engine.run_until(2.0)
+        assert fired == ["first", "second", "third"] * 2
 
     def test_negative_delay_rejected(self):
+        # The first firing is one interval out: a zero or negative
+        # interval would fire now or in the past, forever.
         engine = Engine()
-        with pytest.raises(ValueError):
-            engine.schedule(-1.0, lambda: None)
+        for interval in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                engine.schedule_every(interval, lambda: None, name="t")
 
     def test_repeating_timer(self):
         engine = Engine()
         fired = []
-        timer = engine.schedule_every(1.0, lambda: fired.append(engine.clock.now))
+        engine.schedule_every(1.0, lambda: fired.append(engine.clock.now), name="t")
         engine.run_until(3.5)
         assert fired == [1.0, 2.0, 3.0]
-        timer.cancel()
         engine.run_until(6.0)
-        assert fired == [1.0, 2.0, 3.0]
+        assert fired == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]
+
+    def test_reschedules_from_the_end_of_its_action(self):
+        # An action that takes simulated time pushes the series back.
+        engine = Engine()
+        fired = []
+
+        def slow():
+            fired.append(engine.clock.now)
+            engine.clock.advance(0.5)
+
+        engine.schedule_every(1.0, slow, name="slow")
+        engine.run_until(4.0)
+        assert fired == [1.0, 2.5, 4.0]
 
     def test_event_scheduled_during_run(self):
         engine = Engine()
         fired = []
 
-        def chain():
-            fired.append(engine.clock.now)
-            if len(fired) < 3:
-                engine.schedule(1.0, chain)
+        def spawn():
+            if not fired:
+                engine.schedule_every(
+                    0.5, lambda: fired.append(engine.clock.now), name="child"
+                )
 
-        engine.schedule(1.0, chain)
-        engine.run_until(3.0)
-        assert fired == [1.0, 2.0, 3.0]
+        engine.schedule_every(1.0, spawn, name="parent")
+        engine.run_until(2.0)
+        assert fired == [1.5, 2.0]

@@ -7,6 +7,7 @@ import dataclasses
 from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.storage import Location, SectorAllocator, SectorState
+from repro.storage.allocator import SUMMARY_BYTES
 
 KB = 1024
 
@@ -42,7 +43,8 @@ class TestLifecycle:
         b = alloc.append(0, "k2", 200)
         assert a == Location(0, 0, 100)
         assert b == Location(0, 100, 200)
-        assert alloc.total_live_bytes == 300
+        # Each block is charged its summary slot too.
+        assert alloc.total_live_bytes == 300 + 2 * SUMMARY_BYTES
 
     def test_append_overflow_rejected(self, alloc):
         alloc.take_erased(0)
@@ -61,8 +63,8 @@ class TestLifecycle:
         alloc.append(0, "k", 1000)
         alloc.seal(0, now=1.0)
         info = alloc.info(0)
-        assert info.dead_bytes == 4 * KB - 1000
-        assert info.live_bytes == 1000
+        assert info.dead_bytes == 4 * KB - 1000 - SUMMARY_BYTES
+        assert info.live_bytes == 1000 + SUMMARY_BYTES
 
     def test_invalidate_moves_live_to_dead(self, alloc):
         alloc.take_erased(0)
@@ -70,7 +72,7 @@ class TestLifecycle:
         assert alloc.invalidate(loc) == "k"
         info = alloc.info(0)
         assert info.live_bytes == 0
-        assert info.dead_bytes == 500
+        assert info.dead_bytes == 500 + SUMMARY_BYTES
 
     def test_double_invalidate_rejected(self, alloc):
         alloc.take_erased(0)
@@ -102,8 +104,8 @@ class TestQueries:
         alloc.take_erased(0)
         alloc.append(0, "k", 1024)
         occ = alloc.occupancy()
-        assert occ["live_bytes"] == 1024
-        assert occ["utilization"] == pytest.approx(1024 / (64 * KB))
+        assert occ["live_bytes"] == 1024 + SUMMARY_BYTES
+        assert occ["utilization"] == pytest.approx((1024 + SUMMARY_BYTES) / (64 * KB))
 
     def test_invariants_hold_through_random_ops(self, alloc):
         locs = {}

@@ -8,6 +8,7 @@ from repro.devices import FlashMemory
 from repro.devices.catalog import FLASH_PAPER_NOMINAL
 from repro.sim.clock import SimClock
 from repro.storage import SectorAllocator, WearPolicy
+from repro.storage.allocator import SUMMARY_BYTES
 from repro.storage.gc import CleaningPolicy, choose_victim
 from repro.storage.wear import choose_erased_sector, static_rotation_victim
 
@@ -25,11 +26,13 @@ def alloc():
 
 
 def seal_with(alloc, sector, live, dead, when):
+    """Seal ``sector`` with one live and one dead block charged ``live``
+    and ``dead`` bytes (payload plus summary slot)."""
     info = alloc.take_erased(sector)
     if live:
-        alloc.append(sector, f"live{sector}", live)
+        alloc.append(sector, f"live{sector}", live - SUMMARY_BYTES)
     if dead:
-        loc = alloc.append(sector, f"dead{sector}", dead)
+        loc = alloc.append(sector, f"dead{sector}", dead - SUMMARY_BYTES)
         alloc.seal(sector, when)
         alloc.invalidate(loc)
         return info
@@ -51,7 +54,7 @@ class TestChooseVictim:
 
     def test_fully_live_sectors_skipped(self, alloc):
         alloc.take_erased(0)
-        alloc.append(0, "k", 4 * KB)
+        alloc.append(0, "k", 4 * KB - SUMMARY_BYTES)
         alloc.seal(0, 0.0)
         assert choose_victim(alloc, CleaningPolicy.GREEDY, now=1.0) is None
 

@@ -67,7 +67,7 @@ class TestTimerFlush(object):
         flash = FlashMemory(256 * KB, spec=FLASH_PAPER_NOMINAL)
         manager = build_manager(engine.clock, flash, buffer_bytes=64 * KB)
         manager.buffer.age_limit_s = 10.0
-        manager.attach_flush_timer(engine, interval_s=5.0)
+        engine.schedule_every(5.0, manager.flush_aged, name="writebuffer-age-flush")
         manager.write_block("k", b"will age out")
         engine.run_until(4.0)
         assert not manager.store.contains("k")

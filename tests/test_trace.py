@@ -141,7 +141,7 @@ class TestReplay:
 
     def test_engine_timers_fire_during_replay(self):
         fs, engine = self.make_fs()
-        fs.manager.attach_flush_timer(engine, interval_s=5.0)
+        engine.schedule_every(5.0, fs.manager.flush_aged, name="writebuffer-age-flush")
         fs.manager.buffer.age_limit_s = 10.0
         trace = generate_workload("office", seed=9, duration_s=90.0)
         TraceReplayer(fs, engine, _ignore).replay_scheduled([trace])

@@ -4,6 +4,7 @@ import pytest
 
 from repro.devices import DRAM, BatteryBank, MagneticDisk
 from repro.power import PowerModel
+from repro.power.energy import SETTLE_INTERVAL_S
 from repro.sim import Engine, SimClock
 from repro.trends import TrendLine, crossover_year, default_trends_1993
 from repro.trends.model import SmallConfigCostModel
@@ -104,7 +105,9 @@ class TestPowerModel:
         dram = DRAM(4 * MB)
         battery = BatteryBank(1_000_000.0, 0.0)
         model = PowerModel([dram], battery)
-        model.attach_timer(engine)
+        engine.schedule_every(
+            SETTLE_INTERVAL_S, lambda: model.settle(engine.clock.now), name="power-settle"
+        )
         engine.run_until(10.0)
         assert battery.remaining_joules() < 1_000_000.0
 
