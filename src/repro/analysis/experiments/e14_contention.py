@@ -10,16 +10,18 @@ device to the whole machine):
   and tail latency degrade as the offered load multiplies?
 
 Each organization replays N independent seed-derived variants of the
-office workload as N concurrent scheduler clients against one shared
-machine.  One client is the calibrated baseline (numerically identical
-to the synchronous seed path); adding clients multiplies the offered
-load without changing any single stream, so the slowdown is pure
+office workload as N concurrent clients against one shared machine,
+their streams merged by record time in the one replay loop.  One
+client is the calibrated baseline (numerically identical to the
+synchronous seed path); adding clients multiplies the offered load
+without changing any single stream, so the slowdown is pure
 contention: queueing in the devices, dilution of the shared write
-buffer and caches, and dispatch delay in the scheduler itself.
+buffer and caches, and dispatch delay (a record run after its time
+because other clients held the clock).
 
 Reported per (organization, clients): aggregate throughput (ops per
 simulated second of machine time), mean and p99 read/write latency, and
-total scheduler dispatch delay.  The solid-state organizations should
+total dispatch delay.  The solid-state organizations should
 degrade most gracefully -- uniform fast access means an op stalled
 behind another client's op stalls for microseconds, not for a disk
 spin-up.

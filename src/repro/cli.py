@@ -157,6 +157,17 @@ def _cmd_workloads(_args) -> int:
     return 0
 
 
+def _client_count(text: str) -> int:
+    """argparse type of ``--clients``: an integer of at least 1."""
+    try:
+        clients = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if clients < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {clients}")
+    return clients
+
+
 def _machine_for(args) -> MobileComputer:
     config = SystemConfig(
         organization=Organization(args.organization),
@@ -675,7 +686,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--disk-mb", type=float, default=40.0)
         p.add_argument("--buffer-kb", type=float, default=1024.0)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--clients", type=int, default=1,
+        p.add_argument("--clients", type=_client_count, default=1,
                        help="concurrent client streams (default 1)")
 
     def add_obs_args(p):

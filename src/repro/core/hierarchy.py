@@ -435,10 +435,10 @@ class MobileComputer:
         workload.
 
         ``clients`` > 1 runs that many concurrent client streams (each a
-        seed-derived variant of the workload) through the kernel
-        scheduler; a single client takes the same path with one stream
-        (its numbers are pinned by the stored digests in the equivalence
-        tests).
+        seed-derived variant of the workload), merged by record time in
+        the one replay loop; a single client takes the same path with
+        one stream (its numbers are pinned by the stored digests in the
+        equivalence tests).
         """
         if clients < 1:
             raise ValueError("clients must be >= 1")
@@ -465,7 +465,7 @@ class MobileComputer:
     def run_streams(self, streams, sync_at_end: bool = True) -> ReplayReport:
         """Replay one or more client streams via the kernel request path."""
         replayer = TraceReplayer(self.fs, self.engine, self._exec_handler)
-        report = replayer.replay_scheduled(streams)
+        report = replayer.replay(streams)
         if sync_at_end:
             self.fs.sync()
         self.power.settle(self.clock.now)

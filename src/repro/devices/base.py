@@ -20,8 +20,9 @@ DRAM's ``charge_read``/``charge_write`` return nothing.
 
 Every access is a direct synchronous call (``read``/``write``/
 ``charge_*``) from the file systems and storage layers.  Contention
-between clients is arbitrated above the devices, by the cooperative
-scheduler's shared clock (:mod:`repro.sim.sched`); inside a device only
+between clients is arbitrated above the devices, by the replay loop's
+shared clock (:meth:`repro.trace.replay.TraceReplayer.replay`); inside
+a device only
 flash keeps a busy horizon, one float per bank
 (``FlashMemory.bank_busy_until``), because the paper's bank-partitioning
 argument (Section 3.3) is about exactly that stall.

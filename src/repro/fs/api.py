@@ -170,8 +170,8 @@ class _OpTimer:
     Its counter and histogram are looked up on the first op that
     completes, so a snapshot never shows a metric no op has recorded.
     One start slot suffices because a file system's ops never nest: no
-    op calls another timed op, and the scheduler runs each op to
-    completion before it resumes another client.
+    op calls another timed op, and the replay loop runs each op to
+    completion before it dispatches another client's record.
     """
 
     __slots__ = ("fs", "op", "start", "ops", "latency")

@@ -10,8 +10,6 @@ subsystem builds on:
   averages used for all experiment metrics.
 - :mod:`repro.sim.rand` -- deterministic random streams so every experiment
   is exactly reproducible from a seed.
-- :mod:`repro.sim.sched` -- a cooperative generator-based process scheduler
-  (the kernel request path's multi-client substrate).
 
 All simulated time is in **seconds**, all sizes in **bytes**, all energy in
 **joules**.  Nothing in this package knows about storage devices.
@@ -20,7 +18,6 @@ All simulated time is in **seconds**, all sizes in **bytes**, all energy in
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
 from repro.sim.rand import RandomStream, substream
-from repro.sim.sched import Process, Scheduler
 from repro.sim.stats import (
     Counter,
     Histogram,
@@ -31,8 +28,6 @@ from repro.sim.stats import (
 __all__ = [
     "SimClock",
     "Engine",
-    "Process",
-    "Scheduler",
     "RandomStream",
     "substream",
     "Counter",

@@ -1,10 +1,10 @@
 """Trace replay against any file system.
 
-The replayer is the measurement harness most experiments share: it runs
-one or more client streams through the cooperative scheduler, which
-fast-forwards the event engine to each record's timestamp (so periodic
-flush/sync timers fire exactly as they would in a live system), issues
-the operation, and collects per-operation latency.
+The replayer is the measurement harness most experiments share: one
+loop merges one or more client streams by record time, fast-forwards
+the event engine to each record's timestamp (so periodic flush/sync
+timers fire exactly as they would in a live system), issues the
+operation, and collects per-operation latency.
 
 Each record goes straight into the file-system call(s) it stands for:
 there is no request object between the trace and the FS, and the op
@@ -22,12 +22,12 @@ import dataclasses
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
+from heapq import heapify, heappop, heapreplace
 from random import Random
-from typing import Callable, Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, Sequence
 
 from repro.fs.api import FileSystem
 from repro.sim.engine import Engine
-from repro.sim.sched import Scheduler
 from repro.sim.stats import Histogram
 from repro.trace.model import OpType, TraceRecord
 
@@ -121,10 +121,9 @@ class ReplayReport:
     trace_duration_s: float = 0.0
     op_counts: Dict[str, int] = field(default_factory=dict)
     op_latency: Dict[str, dict] = field(default_factory=dict)
-    # Multi-client replay only: empty / None for a single stream, so a
+    # Multi-client replay only: empty for a single stream, so a
     # single-client snapshot carries no per-client attribution.
     per_client: Dict[int, dict] = field(default_factory=dict)
-    scheduler: Optional[dict] = None
 
     @property
     def slowdown(self) -> float:
@@ -139,10 +138,8 @@ class ReplayReport:
 
     @property
     def dispatch_delay_total_s(self) -> float:
-        """Scheduler dispatch delay summed over all clients (0.0 for one)."""
-        if self.scheduler is None:
-            return 0.0
-        return sum(p["dispatch_delay_total_s"] for p in self.scheduler["processes"])
+        """Dispatch delay summed over the clients in order (0.0 for one)."""
+        return sum((c["dispatch_delay_s"] for c in self.per_client.values()), 0.0)
 
     def snapshot(self) -> dict:
         out = {
@@ -157,19 +154,16 @@ class ReplayReport:
         }
         if self.per_client:
             out["per_client"] = {c: dict(d) for c, d in self.per_client.items()}
-        if self.scheduler is not None:
-            out["scheduler"] = self.scheduler
         return out
 
 
 class TraceReplayer:
     """Drives a :class:`FileSystem` and its event engine with client streams.
 
-    Each stream becomes a cooperative process (see
-    :mod:`repro.sim.sched`); steps across clients interleave in global
-    timestamp order against the shared clock and engine.  Replay is
-    strict: an :class:`~repro.fs.api.FSError` from the file system
-    propagates to the caller.
+    One loop (:meth:`replay`) merges the streams in global timestamp
+    order against the shared clock and engine.  Replay is strict: an
+    :class:`~repro.fs.api.FSError` from the file system propagates to the
+    caller.
     """
 
     def __init__(
@@ -182,110 +176,106 @@ class TraceReplayer:
         self.engine = engine
         self.exec_handler = exec_handler
 
-    def replay_scheduled(
-        self, streams: Sequence[Iterable[TraceRecord]]
-    ) -> ReplayReport:
-        """Replay one or more client streams through the scheduler.
+    def replay(self, streams: Sequence[Iterable[TraceRecord]]) -> ReplayReport:
+        """Replay one or more client streams, merged by record time.
+
+        A heap holds each stream's next record as ``(float(time), stream
+        index, record, iterator)``.  Each turn takes the earliest entry,
+        pumps the engine with ``run_until(max(time, now))``, dispatches
+        the record synchronously, and only then pulls that stream's next
+        record.  So:
+
+        1. Records run in ``(time, stream index)`` order: ties go to the
+           lower index, never to dict or hash order.
+        2. Periodic timers fire before any record they precede; one that
+           came due during a long op fires before the next record, even
+           one whose time is earlier.
+        3. A record whose time has passed runs at the current clock (the
+           clock never moves back); the gap is its client's dispatch
+           delay, the queueing behind other clients' ops.
+        4. Streams are pulled lazily, at most one record ahead.
 
         With one stream the records replay at the root, unprefixed (the
         golden digests in ``tests/test_equivalence`` pin this path).
 
-        With several streams the report additionally carries
-        ``per_client`` records, bytes, op counts and latency -- the only
-        place work is attributed to a client -- and the scheduler's
-        dispatch-delay accounting.
+        With several, client ``i`` replays into its private subtree
+        ``/c<i>``: the streams are independently generated, so without
+        namespace isolation one client's DELETE would invalidate
+        another's READ.  Contention stays in the shared devices, caches
+        and buffers, while per-client op counts are conserved under any
+        interleaving (a hypothesis property pins this).  The report then
+        carries ``per_client`` records, bytes, dispatch delay, op counts
+        and latency -- the only place work is attributed to a client.
         """
         if not streams:
-            raise ValueError("scheduled replay needs at least one stream")
+            raise ValueError("replay needs at least one stream")
+        engine = self.engine
+        clock = engine.clock
+        dispatch = self._dispatch
         report = ReplayReport()
         histograms: Dict[str, Histogram] = defaultdict(Histogram)
         multi = len(streams) > 1
-        # Mutable cell for the max record timestamp across all clients.
-        last_time = [0.0]
-        sched = Scheduler(self.engine)
-        client_stats: Dict[int, dict] = {}
+        # Per-client attribution: multi-client replay only.
+        nclients = len(streams) if multi else 0
+        clients = [
+            dict(records=0, bytes_written=0, bytes_read=0, dispatch_delay_s=0.0)
+            for _ in range(nclients)
+        ]
+        client_hists = [defaultdict(Histogram) for _ in range(nclients)]
+        last_time = 0.0
+        heap = []
         for idx, records in enumerate(streams):
-            client = idx if multi else None
+            it = iter(records)
+            record = next(it, None)
+            if record is not None:
+                heap.append((float(record.time), idx, record, it))
+        heapify(heap)
+        while heap:
+            when, idx, record, it = heap[0]
+            if when > last_time:
+                last_time = when
+            engine.run_until(max(when, clock.now))
             if multi:
-                client_stats[idx] = {
-                    "records": 0,
-                    "bytes_written": 0,
-                    "bytes_read": 0,
-                    "_hists": defaultdict(Histogram),
-                }
-            sched.spawn(
-                self._client_process(
-                    records, report, histograms, last_time,
-                    client, client_stats.get(idx),
-                ),
-                name=f"client{idx}",
-            )
-        sched.run()
-        report.trace_duration_s = last_time[0]
-        report.elapsed_sim_s = self.engine.clock.now
-        for op, hist in histograms.items():
-            report.op_counts[op] = hist.count
-            report.op_latency[op] = hist.summary()
-        if multi:
-            for idx, stats in client_stats.items():
-                hists = stats.pop("_hists")
-                stats["op_counts"] = {op: h.count for op, h in hists.items()}
-                stats["op_latency"] = {op: h.summary() for op, h in hists.items()}
-                report.per_client[idx] = stats
-            report.scheduler = sched.snapshot()
-        return report
-
-    def _client_process(
-        self,
-        records: Iterable[TraceRecord],
-        report: ReplayReport,
-        histograms: Dict[str, Histogram],
-        last_time: List[float],
-        client: Optional[int],
-        stats: Optional[dict],
-    ):
-        """Generator body of one client: yield each record's time, then
-        dispatch it synchronously when the scheduler resumes us.
-
-        Concurrent clients replay into private subtrees (``/c<N>/...``):
-        the streams are independently generated, so without namespace
-        isolation one client's DELETE would invalidate another's READ.
-        Contention stays where it belongs -- in the shared devices,
-        caches, and buffers -- while per-client op counts are conserved
-        under any interleaving (the hypothesis property pins this).
-        """
-        clock = self.engine.clock
-        dispatch = self._dispatch
-        prefix = f"/c{client}" if client is not None else None
-        rooted = prefix is None
-        for record in records:
-            if record.time > last_time[0]:
-                last_time[0] = record.time
-            if prefix is not None:
+                stats = clients[idx]
+                delay = clock.now - when
+                if delay > 0.0:
+                    stats["dispatch_delay_s"] += delay
+                prefix = f"/c{idx}"
                 record = dataclasses.replace(
                     record,
                     path=prefix + record.path if record.path else record.path,
                     new_path=(prefix + record.new_path) if record.new_path else None,
                 )
-            yield record.time
-            if not rooted:
-                # First resumed step: carve out this client's subtree
-                # (direct call, deliberately uncounted in op stats).
-                if not self.fs.exists(prefix):
+                # First dispatch: carve out this client's subtree (direct
+                # call, deliberately uncounted in op stats).
+                if not stats["records"] and not self.fs.exists(prefix):
                     self.fs.mkdir(prefix)
-                rooted = True
-            start = clock.now
-            if stats is not None:
                 written, read = report.bytes_written, report.bytes_read
+            start = clock.now
             op = dispatch(record, report)
             elapsed = clock.now - start
             report.records += 1
             histograms[op].record(elapsed)
-            if stats is not None:
+            if multi:
                 stats["records"] += 1
                 stats["bytes_written"] += report.bytes_written - written
                 stats["bytes_read"] += report.bytes_read - read
-                stats["_hists"][op].record(elapsed)
+                client_hists[idx][op].record(elapsed)
+            record = next(it, None)
+            if record is None:
+                heappop(heap)
+            else:
+                heapreplace(heap, (float(record.time), idx, record, it))
+        report.trace_duration_s = last_time
+        report.elapsed_sim_s = clock.now
+        for op, hist in histograms.items():
+            report.op_counts[op] = hist.count
+            report.op_latency[op] = hist.summary()
+        for idx, (stats, hists) in enumerate(zip(clients, client_hists)):
+            stats["op_counts"] = {op: h.count for op, h in hists.items()}
+            stats["op_latency"] = {op: h.summary() for op, h in hists.items()}
+            report.per_client[idx] = stats
+        return report
 
     def _dispatch(self, record: TraceRecord, report: ReplayReport) -> str:
         """Issue one record's file-system call(s); return its op name.

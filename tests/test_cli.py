@@ -29,6 +29,16 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["run", "--workload", "doom"])
 
+    @pytest.mark.parametrize("command", ["run", "compare", "metrics"])
+    @pytest.mark.parametrize("clients", ["0", "-1", "two"])
+    def test_bad_client_count_rejected(self, command, clients, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--clients", clients])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --clients:" in err
+        assert "Traceback" not in err
+
 
 class TestCommands:
     def test_devices(self, capsys):

@@ -1,11 +1,11 @@
 """Golden digests of the single-client replay path.
 
-The scheduler path (``run_workload``/``replay_scheduled``) was once a
-refactor of a synchronous replay loop, and the two were pinned equal
-per organization.  The synchronous loop is gone; its numbers live on as
-stored sha256 digests of the MetricsHub snapshot, the canonical trace
-bytes and ``ReplayReport.snapshot()`` for all five organizations, so any
-change to a simulated number, a trace byte or a report field fails here.
+The replay path (``run_workload`` into ``TraceReplayer.replay``) was
+once pinned equal, per organization, to an older synchronous replay
+loop.  That loop is gone; its numbers live on as stored sha256 digests
+of the MetricsHub snapshot, the canonical trace bytes and
+``ReplayReport.snapshot()`` for all five organizations, so any change
+to a simulated number, a trace byte or a report field fails here.
 The digests are independent of ``PYTHONHASHSEED``.  A hypothesis
 property then pins the multi-client invariant: per-client op counts are
 conserved under any interleaving.
@@ -76,8 +76,8 @@ def _dumps(obj) -> bytes:
     return json.dumps(obj, sort_keys=True, default=str).encode()
 
 
-def _sched_run(org: Organization, clients: int = 1):
-    """Traced scheduler-driven replay; returns (hub JSON, trace bytes, report)."""
+def _traced_run(org: Organization, clients: int = 1):
+    """Traced replay; returns (hub JSON, trace bytes, report)."""
     with runtime.tracing(Tracer()) as tracer:
         machine = _machine(org)
         report, _metrics = machine.run_workload(
@@ -95,7 +95,7 @@ def _sched_run(org: Organization, clients: int = 1):
 @functools.lru_cache(maxsize=None)
 def _single_client_run(org: Organization):
     """One single-client run per organization, shared by the tests below."""
-    return _sched_run(org)
+    return _traced_run(org)
 
 
 @pytest.mark.parametrize("org", list(Organization), ids=lambda o: o.value)
@@ -104,9 +104,11 @@ def test_single_client_golden_equivalence(org):
     hub, trace, report = _single_client_run(org)
     assert _sha256(hub) == GOLDEN[org.value]["hub"]
     assert _sha256(trace) == GOLDEN[org.value]["trace"]
-    # Single-client reports carry no per-client or scheduler attribution.
+    # Single-client reports carry no per-client attribution.
     assert report.per_client == {}
-    assert report.scheduler is None
+    snapshot = report.snapshot()
+    assert "per_client" not in snapshot
+    assert "scheduler" not in snapshot
 
 
 def test_single_client_report_latency_identical():
@@ -118,7 +120,7 @@ def test_single_client_report_latency_identical():
 
 
 def test_multi_client_totals_and_attribution():
-    _, _, report = _sched_run(Organization.SOLID_STATE, clients=3)
+    _, _, report = _traced_run(Organization.SOLID_STATE, clients=3)
     assert set(report.per_client) == {0, 1, 2}
     assert sum(d["records"] for d in report.per_client.values()) == report.records
     # Every client's stream is the full workload for its derived seed.
@@ -132,10 +134,8 @@ def test_multi_client_totals_and_attribution():
             )
         )
         assert stats["records"] == expected
-    assert report.scheduler is not None
-    assert report.scheduler["steps_run"] == report.records
     assert report.dispatch_delay_total_s == sum(
-        p["dispatch_delay_total_s"] for p in report.scheduler["processes"]
+        d["dispatch_delay_s"] for d in report.per_client.values()
     )
     _hub, _trace, single = _single_client_run(Organization.SOLID_STATE)
     assert single.dispatch_delay_total_s == 0.0

@@ -267,10 +267,10 @@ def _dispatch_each(records):
 
 
 def _replay_both(streams):
-    """Replay the streams through the scheduler on both sides."""
+    """Replay the streams through the replay loop on both sides."""
     (fs, new, new_launched), (ofs, old, old_launched) = _both()
-    new_report = new.replay_scheduled(streams)
-    old_report = old.replay_scheduled(streams)
+    new_report = new.replay(streams)
+    old_report = old.replay(streams)
     assert fs.calls == ofs.calls
     assert new_report.snapshot() == old_report.snapshot()
     assert new_launched == old_launched
