@@ -37,7 +37,7 @@ from repro.devices.catalog import MB
 from repro.obs import Tracer, runtime
 from repro.obs.analyze import hub_metrics
 from repro.obs.monitor import MonitorSet, build_monitors
-from repro.sim.rand import RandomStream
+from repro.sim.rand import zipf_cdf
 
 SEED = 1
 COUNTS_FILE = os.path.join("benchmarks", "work_counts.json")
@@ -119,7 +119,7 @@ def measure(runs: Sequence[str] = tuple(run[0] for run in RUNS)) -> dict:
     for name, org, workload, duration_s, flash_bytes, traced in RUNS:
         if name not in runs:
             continue
-        RandomStream._zipf_cache.clear()
+        zipf_cdf.cache_clear()
         config = SystemConfig(organization=org, flash_bytes=flash_bytes, seed=SEED)
         tracer = Tracer() if traced else None
         monitors = MonitorSet(build_monitors())

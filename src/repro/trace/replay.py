@@ -18,7 +18,6 @@ can be verified against an independent model if desired.
 
 from __future__ import annotations
 
-import dataclasses
 import zlib
 from collections import defaultdict
 from dataclasses import dataclass, field
@@ -241,8 +240,7 @@ class TraceReplayer:
                 if delay > 0.0:
                     stats["dispatch_delay_s"] += delay
                 prefix = f"/c{idx}"
-                record = dataclasses.replace(
-                    record,
+                record = record._replace(
                     path=prefix + record.path if record.path else record.path,
                     new_path=(prefix + record.new_path) if record.new_path else None,
                 )

@@ -14,7 +14,6 @@ rename, and a two-client replay with its ``/c<N>`` prefixes.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -343,7 +342,7 @@ class TestDispatchMatchesRequestPath:
 class TestReplayMatchesRequestPath:
     def test_handwritten_stream(self):
         stream = [
-            dataclasses.replace(record, time=0.5 * i)
+            record._replace(time=0.5 * i)
             for i, record in enumerate(PREAMBLE + list(ONE_OF_EACH.values()))
         ]
         _replay_both([stream])
