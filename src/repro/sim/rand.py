@@ -15,9 +15,7 @@ import functools
 import hashlib
 import random
 from bisect import bisect_left
-from typing import List, Sequence, TypeVar
-
-T = TypeVar("T")
+from typing import List
 
 
 def substream(seed: int, name: str) -> "RandomStream":
@@ -52,11 +50,6 @@ class RandomStream:
         if high < low:
             raise ValueError("randint() requires low <= high")
         return self.rng.randint(low, high)
-
-    def choice(self, items: Sequence[T]) -> T:
-        if not items:
-            raise ValueError("choice() on empty sequence")
-        return self.rng.choice(items)
 
     def expovariate(self, rate: float) -> float:
         """Exponential inter-arrival time with the given rate (1/s)."""

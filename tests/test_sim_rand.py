@@ -54,10 +54,6 @@ class TestDistributions:
         values = {s.randint(0, 3) for _ in range(200)}
         assert values == {0, 1, 2, 3}
 
-    def test_choice_empty_rejected(self):
-        with pytest.raises(ValueError):
-            RandomStream(1).choice([])
-
     def test_expovariate_mean(self):
         s = RandomStream(3)
         n = 5000
