@@ -30,7 +30,7 @@ def run_one(
     buffer_bytes: int,
     duration_s: float,
     seed: int = 0,
-) -> dict:
+) -> list:
     config = SystemConfig(
         organization=Organization.SOLID_STATE,
         dram_bytes=max(8 * MB, buffer_bytes + 4 * MB),
@@ -38,40 +38,20 @@ def run_one(
         write_buffer_bytes=buffer_bytes,
         seed=seed,
     )
-    machine = MobileComputer(config)
-    report, metrics = machine.run_workload(workload, duration_s=duration_s)
-    return {
-        "workload": workload,
-        "buffer_bytes": buffer_bytes,
-        "reduction": metrics.write_traffic_reduction,
-        "flash_bytes": metrics.flash_bytes_programmed,
-        "app_bytes": report.bytes_written,
-        "mean_write_latency": metrics.mean_write_latency,
-        "energy_joules": metrics.energy_joules,
-    }
+    _report, m = MobileComputer(config).run_workload(workload, duration_s=duration_s)
+    return [
+        workload,
+        buffer_bytes // KB,
+        m.write_traffic_reduction,
+        m.flash_bytes_programmed / MB,
+        m.app_bytes_written / MB,
+        m.mean_write_latency * 1e3,
+    ]
 
 
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     duration = 120.0 if quick else 600.0
     workloads = ["office"] if quick else ["office", "pim", "database"]
-    rows = []
-    reduction_at_1mb = {}
-    for workload in workloads:
-        for size in SIZES:
-            out = run_one(workload, size, duration, seed=seed)
-            rows.append(
-                [
-                    workload,
-                    size // KB,
-                    out["reduction"],
-                    out["flash_bytes"] / MB,
-                    out["app_bytes"] / MB,
-                    out["mean_write_latency"] * 1e3,
-                ]
-            )
-            if size == 1 * MB:
-                reduction_at_1mb[workload] = out["reduction"]
-
     result = ExperimentResult(
         experiment_id="E3",
         title="Write-traffic reduction vs DRAM write-buffer size",
@@ -83,11 +63,12 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "app_MB",
             "write_ms",
         ],
-        rows=rows,
+        rows=[run_one(w, size, duration, seed=seed) for w in workloads for size in SIZES],
     )
-    for workload, reduction in reduction_at_1mb.items():
-        result.notes.append(
-            f"{workload}: 1 MB buffer absorbs {reduction:.0%} of write traffic "
-            "(paper claim for workstation traces: 40-50%)"
-        )
+    for row in result.row_dicts():
+        if row["buffer_KB"] == 1 * MB // KB:
+            result.notes.append(
+                f"{row['workload']}: 1 MB buffer absorbs {row['reduction']:.0%} of write "
+                "traffic (paper claim for workstation traces: 40-50%)"
+            )
     return result

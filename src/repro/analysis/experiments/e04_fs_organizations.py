@@ -18,6 +18,7 @@ from __future__ import annotations
 from repro.analysis.experiments.base import ExperimentResult
 from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
+from repro.obs.hub import flatten_numeric
 
 MB = 1024 * 1024
 
@@ -29,7 +30,7 @@ ORGS = [
 ]
 
 
-def run_one(org: Organization, duration_s: float, seed: int = 0) -> dict:
+def run_one(org: Organization, duration_s: float, seed: int = 0) -> list:
     config = SystemConfig(
         organization=org,
         dram_bytes=6 * MB,
@@ -38,46 +39,22 @@ def run_one(org: Organization, duration_s: float, seed: int = 0) -> dict:
         seed=seed,
     )
     machine = MobileComputer(config)
-    report, metrics = machine.run_workload("office", duration_s=duration_s)
-    indirect_reads = 0.0
-    cache_misses = 0.0
-    seeks = 0
-    if machine.cache is not None:
-        fs_stats = machine.fs.stats
-        indirect_reads = fs_stats.counter("indirect_block_reads").value
-        cache_misses = machine.cache.stats.counter("misses").value
-    if machine.disk is not None:
-        seeks = machine.disk.seeks
-    return {
-        "org": org.value,
-        "report": report,
-        "metrics": metrics,
-        "indirect_reads": indirect_reads,
-        "cache_misses": cache_misses,
-        "seeks": seeks,
-    }
+    _report, m = machine.run_workload("office", duration_s=duration_s)
+    hub = flatten_numeric(machine.hub.snapshot(machine.clock.now))
+    return [
+        org.value,
+        m.mean_read_latency * 1e3,
+        m.p95_read_latency * 1e3,
+        m.mean_write_latency * 1e3,
+        m.p95_write_latency * 1e3,
+        hub.get("components.diskfs.counters.indirect_block_reads", 0.0),
+        hub.get("components.buffercache.counters.misses", 0.0),
+        machine.disk.seeks if machine.disk is not None else 0,
+    ]
 
 
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     duration = 90.0 if quick else 300.0
-    rows = []
-    by_org = {}
-    for org in ORGS:
-        out = run_one(org, duration, seed=seed)
-        m = out["metrics"]
-        rows.append(
-            [
-                out["org"],
-                m.mean_read_latency * 1e3,
-                m.p95_read_latency * 1e3,
-                m.mean_write_latency * 1e3,
-                m.p95_write_latency * 1e3,
-                out["indirect_reads"],
-                out["cache_misses"],
-                out["seeks"],
-            ]
-        )
-        by_org[out["org"]] = out
     result = ExperimentResult(
         experiment_id="E4",
         title="File-system organizations on the office workload",
@@ -91,14 +68,13 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "cache_misses",
             "seeks",
         ],
-        rows=rows,
+        rows=[run_one(org, duration, seed=seed) for org in ORGS],
     )
-    solid = by_org["solid_state"]["metrics"]
-    disk = by_org["disk"]["metrics"]
-    if solid.mean_write_latency > 0:
+    write_ms = {row["organization"]: row["write_ms"] for row in result.row_dicts()}
+    if write_ms["solid_state"] > 0:
         result.notes.append(
             f"disk-organization mean write latency is "
-            f"{disk.mean_write_latency / solid.mean_write_latency:.0f}x the "
+            f"{write_ms['disk'] / write_ms['solid_state']:.0f}x the "
             "memory-resident FS"
         )
     result.notes.append(

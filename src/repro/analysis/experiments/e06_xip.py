@@ -91,30 +91,18 @@ def _disk_load(image: ProgramImage, code: bytes) -> float:
     return result.launch_latency_s
 
 
-def _workload_comparison(rows_wl, quick: bool) -> dict:
-    duration = 90.0 if quick else 300.0
-    outputs = {}
-    for org in (Organization.SOLID_STATE, Organization.DISK):
-        machine = MobileComputer(
-            SystemConfig(
-                organization=org,
-                dram_bytes=8 * MB,
-                flash_bytes=16 * MB,
-                disk_bytes=48 * MB,
-                program_flash_bytes=4 * MB,
-            )
+def _workload_row(org: Organization, quick: bool) -> list:
+    machine = MobileComputer(
+        SystemConfig(
+            organization=org,
+            dram_bytes=8 * MB,
+            flash_bytes=16 * MB,
+            disk_bytes=48 * MB,
+            program_flash_bytes=4 * MB,
         )
-        report, metrics = machine.run_workload("exec_heavy", duration_s=duration)
-        rows_wl.append(
-            [
-                org.value,
-                metrics.launches,
-                metrics.mean_launch_latency * 1e3,
-                metrics.launch_dram_pages,
-            ]
-        )
-        outputs[org.value] = metrics
-    return outputs
+    )
+    _report, m = machine.run_workload("exec_heavy", duration_s=90.0 if quick else 300.0)
+    return [org.value, m.launches, m.mean_launch_latency * 1e3, m.launch_dram_pages]
 
 
 def run(quick: bool = False) -> ExperimentResult:
@@ -133,20 +121,17 @@ def run(quick: bool = False) -> ExperimentResult:
         ],
         rows=rows,
     )
-    rows_wl = []
-    outputs = _workload_comparison(rows_wl, quick)
+    # Rows: organization, launches, mean_launch_ms, dram_pages_per_launch.
+    solid = _workload_row(Organization.SOLID_STATE, quick)
+    disk = _workload_row(Organization.DISK, quick)
     result.tables.append(
-        (["organization", "launches", "mean_launch_ms", "dram_pages_per_launch"], rows_wl)
+        (["organization", "launches", "mean_launch_ms", "dram_pages_per_launch"], [solid, disk])
     )
-    solid = outputs["solid_state"]
-    disk = outputs["disk"]
-    if solid.mean_launch_latency > 0:
+    if solid[2] > 0:
         result.notes.append(
-            f"exec-heavy workload: XIP launches average "
-            f"{solid.mean_launch_latency * 1e3:.3f} ms using "
-            f"{solid.launch_dram_pages} DRAM pages; the disk organization "
-            f"averages {disk.mean_launch_latency * 1e3:.1f} ms and "
-            f"{disk.launch_dram_pages} pages"
+            f"exec-heavy workload: XIP launches average {solid[2]:.3f} ms using "
+            f"{solid[3]} DRAM pages; the disk organization averages "
+            f"{disk[2]:.1f} ms and {disk[3]} pages"
         )
     biggest = rows[-1]
     result.notes.append(

@@ -18,8 +18,6 @@ far steeper.
 
 from __future__ import annotations
 
-from typing import List
-
 from repro.analysis.experiments.base import ExperimentResult
 from repro.devices.disk import MagneticDisk
 from repro.devices.dram import DRAM
@@ -38,7 +36,8 @@ FRACTIONS = [1.5, 1.25, 1.0, 0.75, 0.5]
 WORKING_SET_PAGES = 192
 
 
-def _run_case(swap_kind: str, frames: int, rounds: int, seed: int) -> dict:
+def _run_case(swap_kind: str, fraction: float, rounds: int, seed: int) -> list:
+    frames = max(8, int(WORKING_SET_PAGES * fraction))
     clock = SimClock()
     phys = PhysicalAddressSpace(clock)
     dram = DRAM(frames * PAGE_SIZE)
@@ -69,33 +68,19 @@ def _run_case(swap_kind: str, frames: int, rounds: int, seed: int) -> dict:
             vm.read(space, vaddr + page * PAGE_SIZE, 64)
             touches += 1
     elapsed = clock.now - start
-    return {
-        "elapsed": elapsed,
-        "touches": touches,
-        "swap_ins": vm.stats.counter("swap_in_faults").value,
-        "swap_outs": vm.stats.counter("swap_out_evictions").value,
-        "zero_fills": vm.stats.counter("zero_fill_faults").value,
-    }
+    return [
+        swap_kind,
+        fraction,
+        frames,
+        elapsed,
+        elapsed / touches * 1e6,
+        int(vm.stats.value("swap_in_faults")),
+        int(vm.stats.value("swap_out_evictions")),
+    ]
 
 
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     rounds = 2 if quick else 4
-    rows: List[list] = []
-    for swap_kind in ("flash", "disk"):
-        for fraction in FRACTIONS:
-            frames = max(8, int(WORKING_SET_PAGES * fraction))
-            out = _run_case(swap_kind, frames, rounds, seed)
-            rows.append(
-                [
-                    swap_kind,
-                    fraction,
-                    frames,
-                    out["elapsed"],
-                    out["elapsed"] / out["touches"] * 1e6,
-                    int(out["swap_ins"]),
-                    int(out["swap_outs"]),
-                ]
-            )
     result = ExperimentResult(
         experiment_id="E7",
         title=f"Paging pressure: {WORKING_SET_PAGES}-page working set vs DRAM size",
@@ -108,18 +93,20 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "swap_ins",
             "swap_outs",
         ],
-        rows=rows,
+        rows=[
+            _run_case(swap_kind, fraction, rounds, seed)
+            for swap_kind in ("flash", "disk")
+            for fraction in FRACTIONS
+        ],
     )
-    flash_full = next(r for r in rows if r[0] == "flash" and r[1] == 1.0)
-    flash_half = next(r for r in rows if r[0] == "flash" and r[1] == 0.5)
-    disk_half = next(r for r in rows if r[0] == "disk" and r[1] == 0.5)
+    per_touch = {(r["swap"], r["dram/ws"]): r["us_per_touch"] for r in result.row_dicts()}
     result.notes.append(
         "with DRAM >= working set, swap traffic is exactly zero -- the "
         "paper's predicted regime ('virtual memory ... primarily to provide "
         "protection')"
     )
-    if flash_full[4] > 0:
-        cliff = max(flash_half[4], disk_half[4]) / flash_full[4]
+    if per_touch["flash", 1.0] > 0:
+        cliff = max(per_touch["flash", 0.5], per_touch["disk", 0.5]) / per_touch["flash", 1.0]
         result.notes.append(
             f"undersizing DRAM to half the working set costs ~{cliff:,.0f}x "
             "per memory touch; neither swap device rescues it (flash pays "

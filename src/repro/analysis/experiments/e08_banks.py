@@ -34,14 +34,15 @@ READ_BYTES = 4096
 
 
 def _run_case(
+    label: str,
     banks: int,
     churn_banks: int,
     duration_s: float,
     write_rate: float,
     read_rate: float,
     seed: int,
-) -> dict:
-    """One configuration; returns read-latency statistics."""
+) -> list:
+    """One configuration's row of read-latency statistics."""
     flash = FlashMemory(8 * MB, spec=FLASH_PAPER_NOMINAL, banks=banks)
     rng = substream(seed, f"e8:{banks}:{churn_banks}")
 
@@ -82,14 +83,15 @@ def _run_case(
             latency.record(took)
             if wait > 1e-12:
                 stalled += 1
-    return {
-        "reads": latency.count,
-        "stall_fraction": stalled / latency.count if latency.count else 0.0,
-        "mean_ms": latency.mean * 1e3,
-        "p95_ms": latency.percentile(95) * 1e3,
-        "p99_ms": latency.percentile(99) * 1e3,
-        "max_ms": latency.maximum * 1e3,
-    }
+    return [
+        label,
+        latency.count,
+        stalled / latency.count if latency.count else 0.0,
+        latency.mean * 1e3,
+        latency.percentile(95) * 1e3,
+        latency.percentile(99) * 1e3,
+        latency.maximum * 1e3,
+    ]
 
 
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
@@ -102,33 +104,21 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
         ("2 banks, 1 write + 1 read-mostly", 2, 1),
         ("4 banks, 1 write + 3 read-mostly", 4, 1),
     ]
-    rows = []
-    by_case = {}
-    for label, banks, churn_banks in cases:
-        out = _run_case(banks, churn_banks, duration, write_rate, read_rate, seed)
-        rows.append(
-            [
-                label,
-                out["reads"],
-                out["stall_fraction"],
-                out["mean_ms"],
-                out["p95_ms"],
-                out["p99_ms"],
-                out["max_ms"],
-            ]
-        )
-        by_case[label] = out
     result = ExperimentResult(
         experiment_id="E8",
         title="Read latency under write/erase churn vs bank partitioning",
         headers=["configuration", "reads", "stalled", "mean_ms", "p95_ms", "p99_ms", "max_ms"],
-        rows=rows,
+        rows=[
+            _run_case(label, banks, churn_banks, duration, write_rate, read_rate, seed)
+            for label, banks, churn_banks in cases
+        ],
     )
+    by_case = {row["configuration"]: row for row in result.row_dicts()}
     single = by_case["1 bank (no partition)"]
     part = by_case["2 banks, 1 write + 1 read-mostly"]
     result.notes.append(
-        f"single bank: {single['stall_fraction']:.1%} of reads stall behind "
+        f"single bank: {single['stalled']:.1%} of reads stall behind "
         f"erases (p99 {single['p99_ms']:.1f} ms); with a dedicated write bank "
-        f"{part['stall_fraction']:.1%} stall (p99 {part['p99_ms']:.3f} ms)"
+        f"{part['stalled']:.1%} stall (p99 {part['p99_ms']:.3f} ms)"
     )
     return result

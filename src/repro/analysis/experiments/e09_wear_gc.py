@@ -56,11 +56,12 @@ def _churn(
 
 
 def _run_case(
+    label: str,
     wear: Optional[WearPolicy],
     cleaning: Optional[CleaningPolicy],
     writes: int,
     seed: int,
-) -> dict:
+) -> list:
     clock = SimClock()
     flash = FlashMemory(4 * MB, spec=FLASH_PAPER_NOMINAL, banks=2)
     if wear is None:  # the naive row takes no policy
@@ -71,15 +72,17 @@ def _run_case(
     cold_blocks = int(flash.num_sectors * 0.55)
     _churn(store, writes, seed, cold_blocks=cold_blocks, hot_blocks=12)
     wear_summary = flash.wear_summary()
-    projection = lifetime_projection(flash, clock.now)
-    return {
-        "wear_cov": wear_summary["wear_cov"],
-        "max_erases": wear_summary["max_erases"],
-        "total_erases": wear_summary["total_erases"],
-        "wa": store.write_amplification(),
-        "lifetime_days": projection.projected_days,
-        "efficiency": projection.leveling_efficiency,
-    }
+    projection = lifetime_projection(wear_summary, clock.now)
+    lifetime = projection.projected_days
+    return [
+        label,
+        wear_summary["wear_cov"],
+        wear_summary["max_erases"],
+        wear_summary["total_erases"],
+        store.write_amplification(),
+        None if math.isinf(lifetime) else lifetime,
+        projection.leveling_efficiency,
+    ]
 
 
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
@@ -92,23 +95,6 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
         ("log, dynamic+generational", WearPolicy.DYNAMIC, CleaningPolicy.GENERATIONAL),
         ("log, static+costben", WearPolicy.STATIC, CleaningPolicy.COST_BENEFIT),
     ]
-    rows = []
-    by_case = {}
-    for label, wear, cleaning in cases:
-        out = _run_case(wear, cleaning, writes, seed)
-        lifetime = out["lifetime_days"]
-        rows.append(
-            [
-                label,
-                out["wear_cov"],
-                out["max_erases"],
-                out["total_erases"],
-                out["wa"],
-                None if math.isinf(lifetime) else lifetime,
-                out["efficiency"],
-            ]
-        )
-        by_case[label] = out
     result = ExperimentResult(
         experiment_id="E9",
         title="Wear leveling and cleaning policies under a hot-spot workload",
@@ -121,14 +107,13 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "lifetime_days",
             "level_eff",
         ],
-        rows=rows,
+        rows=[_run_case(label, wear, cleaning, writes, seed) for label, wear, cleaning in cases],
     )
-    naive = by_case["in-place (naive)"]
-    best = by_case["log, static+costben"]
-    if naive["lifetime_days"] > 0 and not math.isinf(best["lifetime_days"]):
+    days = {row["policy"]: row["lifetime_days"] for row in result.row_dicts()}
+    naive, best = days["in-place (naive)"], days["log, static+costben"]
+    if naive and best is not None:
         result.notes.append(
-            f"static leveling extends projected lifetime "
-            f"{best['lifetime_days'] / naive['lifetime_days']:.0f}x over the "
+            f"static leveling extends projected lifetime {best / naive:.0f}x over the "
             "naive in-place store"
         )
     result.notes.append(

@@ -47,7 +47,8 @@ def _flash_for_budget(dram_bytes: int, budget: float) -> int:
     return max(granule, (flash_bytes // granule) * granule)
 
 
-def _run_case(dram_bytes: int, flash_bytes: int, workload: str, duration: float, seed: int) -> dict:
+def _run_case(dram_bytes: int, workload: str, duration: float, seed: int) -> list:
+    flash_bytes = _flash_for_budget(dram_bytes, BUDGET_DOLLARS)
     config = SystemConfig(
         organization=Organization.SOLID_STATE,
         dram_bytes=dram_bytes,
@@ -57,48 +58,26 @@ def _run_case(dram_bytes: int, flash_bytes: int, workload: str, duration: float,
         seed=seed,
     )
     machine = MobileComputer(config)
+    row = [workload, dram_bytes / MB, flash_bytes / MB]
     try:
-        report, metrics = machine.run_workload(workload, duration_s=duration)
+        _report, m = machine.run_workload(workload, duration_s=duration)
     except OutOfFlashSpace:
-        return {"fits": False}
-    lifetime = metrics.lifetime.projected_days if metrics.lifetime else math.inf
-    return {
-        "fits": True,
-        "write_ms": metrics.mean_write_latency * 1e3,
-        "read_ms": metrics.mean_read_latency * 1e3,
-        "reduction": metrics.write_traffic_reduction,
-        "energy": metrics.energy_joules,
-        "lifetime_days": lifetime,
-        "records": report.records,
-    }
+        return row + [None, None, None, None, "no"]
+    lifetime = None
+    if m.lifetime is not None and not math.isinf(m.lifetime.projected_days):
+        lifetime = m.lifetime.projected_days
+    return row + [
+        m.mean_write_latency * 1e3,
+        m.write_traffic_reduction,
+        m.energy_joules,
+        lifetime,
+        "yes",
+    ]
 
 
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     duration = 90.0 if quick else 300.0
     workloads = ["office"] if quick else ["office", "pim", "database"]
-    rows = []
-    for workload in workloads:
-        for dram_bytes in DRAM_POINTS:
-            flash_bytes = _flash_for_budget(dram_bytes, BUDGET_DOLLARS)
-            out = _run_case(dram_bytes, flash_bytes, workload, duration, seed)
-            if not out["fits"]:
-                rows.append(
-                    [workload, dram_bytes / MB, flash_bytes / MB, None, None, None, None, "no"]
-                )
-                continue
-            lifetime = out["lifetime_days"]
-            rows.append(
-                [
-                    workload,
-                    dram_bytes / MB,
-                    flash_bytes / MB,
-                    out["write_ms"],
-                    out["reduction"],
-                    out["energy"],
-                    None if math.isinf(lifetime) else lifetime,
-                    "yes",
-                ]
-            )
     result = ExperimentResult(
         experiment_id="E10",
         title=f"DRAM:flash split under a ${BUDGET_DOLLARS:.0f} budget",
@@ -112,7 +91,11 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "lifetime_days",
             "fits",
         ],
-        rows=rows,
+        rows=[
+            _run_case(dram_bytes, workload, duration, seed)
+            for workload in workloads
+            for dram_bytes in DRAM_POINTS
+        ],
     )
     result.notes.append(
         "the best split is workload-dependent (paper: 'The answer depends on "

@@ -45,7 +45,9 @@ def _survival_rows(rows) -> None:
         )
 
 
-def _failure_case(age_limit_s: float, orderly: bool, duration: float, seed: int) -> dict:
+def _failure_case(
+    label: str, age_limit_s: float, orderly: bool, duration: float, seed: int
+) -> list:
     config = SystemConfig(
         organization=Organization.SOLID_STATE,
         dram_bytes=6 * MB,
@@ -64,15 +66,11 @@ def _failure_case(age_limit_s: float, orderly: bool, duration: float, seed: int)
     if orderly:
         machine.orderly_shutdown()
     machine.inject_battery_failure()
-    lost = machine.stats.counter("bytes_lost_to_power_failure").value
-    return {
-        "bytes_written": report.bytes_written,
-        "avg_dirty": avg_dirty,
-        "lost": lost,
-    }
+    lost = machine.stats.value("bytes_lost_to_power_failure")
+    return [label, report.bytes_written / 1024.0, avg_dirty / 1024.0, lost / 1024.0]
 
 
-def _recovery_case(duration: float, seed: int) -> dict:
+def _recovery_note(duration: float, seed: int) -> str:
     """Full loss-and-recovery cycle with periodic checkpoints."""
     config = SystemConfig(
         organization=Organization.SOLID_STATE,
@@ -87,12 +85,12 @@ def _recovery_case(duration: float, seed: int) -> dict:
     files_before = machine.fs.file_count()
     machine.inject_battery_failure()
     report = machine.reboot_after_power_loss()
-    return {
-        "files_before": files_before,
-        "files_after": report.files,
-        "lost_blocks": report.lost_blocks,
-        "recovery_ms": report.recovery_time_s * 1e3,
-    }
+    return (
+        f"full crash-recovery cycle: {report.files} of "
+        f"{files_before} checkpointed files reconstructed from the "
+        f"flash log in {report.recovery_time_s * 1e3:.1f} ms "
+        f"({report.lost_blocks} blocks lost)"
+    )
 
 
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
@@ -105,23 +103,15 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
         headers=["configuration", "load_mW", "primary_days", "backup_hours"],
         rows=rows,
     )
-
-    failure_rows = []
-    for label, age_limit, orderly in (
-        ("age limit 120 s", 120.0, False),
-        ("age limit 30 s (default)", 30.0, False),
-        ("age limit 5 s", 5.0, False),
-        ("orderly shutdown first", 30.0, True),
-    ):
-        out = _failure_case(age_limit, orderly, duration, seed)
-        failure_rows.append(
-            [
-                label,
-                out["bytes_written"] / 1024.0,
-                out["avg_dirty"] / 1024.0,
-                out["lost"] / 1024.0,
-            ]
+    failure_rows = [
+        _failure_case(label, age_limit, orderly, duration, seed)
+        for label, age_limit, orderly in (
+            ("age limit 120 s", 120.0, False),
+            ("age limit 30 s (default)", 30.0, False),
+            ("age limit 5 s", 5.0, False),
+            ("orderly shutdown first", 30.0, True),
         )
+    ]
     result.tables.append(
         (["policy", "app_KB_written", "avg_dirty_KB", "KB_lost_at_failure"], failure_rows)
     )
@@ -135,11 +125,5 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
         "residue; shortening the age limit (or an orderly shutdown flush) "
         "bounds the loss, while flash contents always survive"
     )
-    recovery = _recovery_case(duration, seed)
-    result.notes.append(
-        f"full crash-recovery cycle: {recovery['files_after']} of "
-        f"{recovery['files_before']} checkpointed files reconstructed from the "
-        f"flash log in {recovery['recovery_ms']:.1f} ms "
-        f"({recovery['lost_blocks']} blocks lost)"
-    )
+    result.notes.append(_recovery_note(duration, seed))
     return result

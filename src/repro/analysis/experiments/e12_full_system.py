@@ -37,7 +37,7 @@ ORG_ORDER = [
 ]
 
 
-def run_one(org: Organization, workload: str, duration: float, seed: int) -> dict:
+def run_one(org: Organization, workload: str, duration: float, seed: int) -> list:
     config = SystemConfig(
         organization=org,
         dram_bytes=6 * MB,
@@ -45,37 +45,26 @@ def run_one(org: Organization, workload: str, duration: float, seed: int) -> dic
         disk_bytes=48 * MB,
         seed=seed,
     )
-    machine = MobileComputer(config)
-    _report, metrics = machine.run_workload(workload, duration_s=duration)
-    return {"metrics": metrics, "machine": machine}
+    _report, m = MobileComputer(config).run_workload(workload, duration_s=duration)
+    lifetime = None
+    if m.lifetime is not None and not math.isinf(m.lifetime.projected_seconds):
+        lifetime = m.lifetime.projected_days
+    return [
+        workload,
+        m.organization,
+        m.mean_write_latency * 1e3,
+        m.mean_read_latency * 1e3,
+        m.energy_joules,
+        m.average_power_watts,
+        lifetime,
+        m.write_amplification,
+        m.storage_cost_dollars,
+    ]
 
 
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     duration = 60.0 if quick else 240.0
     workloads = ["office"] if quick else ["office", "pim"]
-    rows = []
-    by_key = {}
-    for workload in workloads:
-        for org in ORG_ORDER:
-            out = run_one(org, workload, duration, seed)
-            m = out["metrics"]
-            lifetime = None
-            if m.lifetime is not None and not math.isinf(m.lifetime.projected_seconds):
-                lifetime = m.lifetime.projected_days
-            rows.append(
-                [
-                    workload,
-                    m.organization,
-                    m.mean_write_latency * 1e3,
-                    m.mean_read_latency * 1e3,
-                    m.energy_joules,
-                    m.average_power_watts,
-                    lifetime,
-                    m.write_amplification,
-                    m.storage_cost_dollars,
-                ]
-            )
-            by_key[(workload, m.organization)] = m
     result = ExperimentResult(
         experiment_id="E12",
         title="Full-system comparison across organizations and workloads",
@@ -90,20 +79,23 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "write_amp",
             "storage_$",
         ],
-        rows=rows,
+        rows=[
+            run_one(org, workload, duration, seed)
+            for workload in workloads
+            for org in ORG_ORDER
+        ],
     )
-    office_solid = by_key[(workloads[0], "solid_state")]
-    office_disk = by_key[(workloads[0], "disk")]
-    office_naive = by_key[(workloads[0], "naive_flash")]
-    if office_solid.energy_joules > 0:
+    office = {r["organization"]: r for r in result.row_dicts() if r["workload"] == workloads[0]}
+    solid, disk, naive = office["solid_state"], office["disk"], office["naive_flash"]
+    if solid["energy_J"] > 0:
         result.notes.append(
-            f"office: solid-state uses {office_disk.energy_joules / office_solid.energy_joules:.1f}x "
+            f"office: solid-state uses {disk['energy_J'] / solid['energy_J']:.1f}x "
             "less energy than the disk organization (paper: 'significant power "
             "savings over disk drives')"
         )
-    if office_solid.mean_write_latency > 0:
+    if solid["write_ms"] > 0:
         result.notes.append(
-            f"office: writes are {office_naive.mean_write_latency / office_solid.mean_write_latency:.0f}x "
+            f"office: writes are {naive['write_ms'] / solid['write_ms']:.0f}x "
             "slower on naive flash than with the paper's buffering+logging -- "
             "the medium alone is not the win, the OS policies are"
         )

@@ -44,7 +44,7 @@ ORG_ORDER = [
 ]
 
 
-def run_one(org: Organization, clients: int, duration: float, seed: int) -> dict:
+def run_one(org: Organization, clients: int, duration: float, seed: int) -> list:
     config = SystemConfig(
         organization=org,
         dram_bytes=6 * MB,
@@ -52,46 +52,28 @@ def run_one(org: Organization, clients: int, duration: float, seed: int) -> dict
         disk_bytes=48 * MB,
         seed=seed,
     )
-    machine = MobileComputer(config)
-    report, _metrics = machine.run_workload(
+    report, _metrics = MobileComputer(config).run_workload(
         "office", duration_s=duration, clients=clients
     )
     elapsed = report.elapsed_sim_s or 1e-12
     read = report.op_latency.get("read", {})
     write = report.op_latency.get("write", {})
-    return {
-        "records": report.records,
-        "throughput_ops": report.records / elapsed,
-        "mean_read_ms": read.get("mean", 0.0) * 1e3,
-        "p99_read_ms": read.get("p99", 0.0) * 1e3,
-        "mean_write_ms": write.get("mean", 0.0) * 1e3,
-        "p99_write_ms": write.get("p99", 0.0) * 1e3,
-        "dispatch_delay_s": report.dispatch_delay_total_s,
-    }
+    return [
+        org.value,
+        clients,
+        report.records,
+        report.records / elapsed,
+        read.get("mean", 0.0) * 1e3,
+        read.get("p99", 0.0) * 1e3,
+        write.get("mean", 0.0) * 1e3,
+        write.get("p99", 0.0) * 1e3,
+        report.dispatch_delay_total_s,
+    ]
 
 
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     duration = 20.0 if quick else 60.0
     client_counts = [1, 2] if quick else [1, 2, 4]
-    rows = []
-    by_key = {}
-    for org in ORG_ORDER:
-        for clients in client_counts:
-            out = run_one(org, clients, duration, seed)
-            rows.append(
-                [
-                    org.value,
-                    clients,
-                    out["records"],
-                    out["throughput_ops"],
-                    out["mean_read_ms"],
-                    out["p99_read_ms"],
-                    out["mean_write_ms"],
-                    out["p99_write_ms"],
-                    out["dispatch_delay_s"],
-                ]
-            )
-            by_key[(org.value, clients)] = out
     result = ExperimentResult(
         experiment_id="E14",
         title="Throughput and tail latency vs concurrent clients",
@@ -106,22 +88,23 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "p99_write_ms",
             "dispatch_delay_sum_s",
         ],
-        rows=rows,
+        rows=[
+            run_one(org, clients, duration, seed)
+            for org in ORG_ORDER
+            for clients in client_counts
+        ],
     )
+    p99 = {(r["organization"], r["clients"]): r["p99_read_ms"] for r in result.row_dicts()}
     lo, hi = client_counts[0], client_counts[-1]
-    solid_lo = by_key[(Organization.SOLID_STATE.value, lo)]
-    solid_hi = by_key[(Organization.SOLID_STATE.value, hi)]
-    disk_lo = by_key[(Organization.DISK.value, lo)]
-    disk_hi = by_key[(Organization.DISK.value, hi)]
 
-    def _ratio(hi_out: dict, lo_out: dict) -> float:
-        if lo_out["p99_read_ms"] <= 0.0:
-            return 0.0
-        return hi_out["p99_read_ms"] / lo_out["p99_read_ms"]
+    def _ratio(org: Organization) -> float:
+        base = p99[org.value, lo]
+        return p99[org.value, hi] / base if base > 0.0 else 0.0
 
     result.notes.append(
-        f"p99 read latency {lo}->{hi} clients: solid_state x{_ratio(solid_hi, solid_lo):.1f}, "
-        f"disk x{_ratio(disk_hi, disk_lo):.1f} -- uniform fast access degrades "
-        f"gracefully where the mechanical path amplifies contention (cf. E8)"
+        f"p99 read latency {lo}->{hi} clients: solid_state "
+        f"x{_ratio(Organization.SOLID_STATE):.1f}, disk x{_ratio(Organization.DISK):.1f} "
+        f"-- uniform fast access degrades gracefully where the mechanical path "
+        f"amplifies contention (cf. E8)"
     )
     return result

@@ -19,7 +19,7 @@ from repro.core.hierarchy import MobileComputer
 MB = 1024 * 1024
 
 
-def run_one(workload: str, compress: bool, duration: float, seed: int) -> dict:
+def run_one(workload: str, compress: bool, duration: float, seed: int) -> list:
     config = SystemConfig(
         organization=Organization.SOLID_STATE,
         dram_bytes=6 * MB,
@@ -28,44 +28,22 @@ def run_one(workload: str, compress: bool, duration: float, seed: int) -> dict:
         seed=seed,
     )
     machine = MobileComputer(config)
-    report, metrics = machine.run_workload(workload, duration_s=duration)
-    ratio = (
-        machine.manager.compressor.space_ratio()
-        if machine.manager.compressor is not None
-        else 1.0
-    )
-    return {
-        "flash_bytes": metrics.flash_bytes_programmed,
-        "app_bytes": report.bytes_written,
-        "ratio": ratio,
-        "write_ms": metrics.mean_write_latency * 1e3,
-        "read_ms": metrics.mean_read_latency * 1e3,
-        "erases": metrics.flash_erases,
-    }
+    _report, m = machine.run_workload(workload, duration_s=duration)
+    compressor = machine.manager.compressor
+    return [
+        workload,
+        "on" if compress else "off",
+        m.flash_bytes_programmed / MB,
+        compressor.space_ratio() if compressor is not None else 1.0,
+        m.mean_write_latency * 1e3,
+        m.mean_read_latency * 1e3,
+        m.flash_erases or None,
+    ]
 
 
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     duration = 90.0 if quick else 300.0
     workloads = ["office"] if quick else ["office", "sequential_media"]
-    rows = []
-    gains = {}
-    for workload in workloads:
-        off = run_one(workload, compress=False, duration=duration, seed=seed)
-        on = run_one(workload, compress=True, duration=duration, seed=seed)
-        saving = 1.0 - (on["flash_bytes"] / off["flash_bytes"]) if off["flash_bytes"] else 0.0
-        gains[workload] = saving
-        for label, out in (("off", off), ("on", on)):
-            rows.append(
-                [
-                    workload,
-                    label,
-                    out["flash_bytes"] / MB,
-                    out["ratio"],
-                    out["write_ms"],
-                    out["read_ms"],
-                    out["erases"] or None,
-                ]
-            )
     result = ExperimentResult(
         experiment_id="X1",
         title="Ablation: flash compression on the flush path",
@@ -78,11 +56,17 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "read_ms",
             "erases",
         ],
-        rows=rows,
+        rows=[
+            run_one(workload, compress, duration, seed)
+            for workload in workloads
+            for compress in (False, True)
+        ],
     )
-    for workload, saving in gains.items():
+    rows = result.row_dicts()
+    for off, on in zip(rows[::2], rows[1::2]):
+        saving = 1.0 - on["flash_MB"] / off["flash_MB"] if off["flash_MB"] else 0.0
         result.notes.append(
-            f"{workload}: compression cuts flash traffic by {saving:.0%} "
+            f"{off['workload']}: compression cuts flash traffic by {saving:.0%} "
             "(with ~2:1-compressible payloads), at the cost of CPU time on "
             "flushes and read misses and of losing zero-copy mmap"
         )

@@ -21,7 +21,7 @@ MB = 1024 * 1024
 AGE_LIMITS = [2.0, 5.0, 15.0, 30.0, 60.0, 120.0]
 
 
-def run_one(age_limit_s: float, duration: float, seed: int) -> dict:
+def run_one(age_limit_s: float, duration: float, seed: int) -> list:
     config = SystemConfig(
         organization=Organization.SOLID_STATE,
         dram_bytes=6 * MB,
@@ -31,34 +31,19 @@ def run_one(age_limit_s: float, duration: float, seed: int) -> dict:
         seed=seed,
     )
     machine = MobileComputer(config)
-    report, metrics = machine.run_workload("office", duration_s=duration, sync_at_end=False)
-    avg_dirty = machine.manager.buffer.stats.gauge("occupancy_bytes").average(
-        machine.clock.now
-    )
-    dirty_now = machine.manager.buffer.buffered_bytes
-    return {
-        "reduction": metrics.write_traffic_reduction,
-        "avg_dirty": avg_dirty,
-        "dirty_at_end": dirty_now,
-        "flash_bytes": metrics.flash_bytes_programmed,
-        "app_bytes": report.bytes_written,
-    }
+    _report, m = machine.run_workload("office", duration_s=duration, sync_at_end=False)
+    buffer = machine.manager.buffer
+    return [
+        age_limit_s,
+        m.write_traffic_reduction,
+        buffer.stats.gauge("occupancy_bytes").average(machine.clock.now) / KB,
+        buffer.buffered_bytes / KB,
+        m.flash_bytes_programmed / MB,
+    ]
 
 
 def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
     duration = 90.0 if quick else 300.0
-    rows = []
-    for age in AGE_LIMITS:
-        out = run_one(age, duration, seed)
-        rows.append(
-            [
-                age,
-                out["reduction"],
-                out["avg_dirty"] / KB,
-                out["dirty_at_end"] / KB,
-                out["flash_bytes"] / MB,
-            ]
-        )
     result = ExperimentResult(
         experiment_id="X2",
         title="Ablation: write-buffer age limit (traffic cut vs exposure)",
@@ -69,13 +54,15 @@ def run(quick: bool = False, seed: int = 0) -> ExperimentResult:
             "dirty_at_end_KB",
             "flash_MB",
         ],
-        rows=rows,
+        rows=[run_one(age, duration, seed) for age in AGE_LIMITS],
     )
+    rows = result.row_dicts()
     lo, hi = rows[0], rows[-1]
     result.notes.append(
-        f"raising the age limit {lo[0]:.0f}s -> {hi[0]:.0f}s lifts traffic "
-        f"reduction {lo[1]:.0%} -> {hi[1]:.0%} while multiplying the data a "
-        f"battery failure can destroy ({lo[2]:.0f} KB -> {hi[2]:.0f} KB on average)"
+        f"raising the age limit {lo['age_limit_s']:.0f}s -> {hi['age_limit_s']:.0f}s lifts "
+        f"traffic reduction {lo['reduction']:.0%} -> {hi['reduction']:.0%} while "
+        f"multiplying the data a battery failure can destroy "
+        f"({lo['avg_dirty_KB']:.0f} KB -> {hi['avg_dirty_KB']:.0f} KB on average)"
     )
     result.notes.append(
         "the knee sits near the workload's data half-life (~10-30 s for the "

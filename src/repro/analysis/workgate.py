@@ -35,7 +35,8 @@ from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
 from repro.devices.catalog import MB
 from repro.obs import Tracer, runtime
-from repro.obs.analyze import hub_metrics
+from repro.obs.analyze import TRACE_COMPARABLE_HUB_KEYS
+from repro.obs.hub import flatten_numeric
 from repro.obs.monitor import MonitorSet, build_monitors
 from repro.sim.rand import zipf_cdf
 
@@ -59,7 +60,7 @@ LINE_RUNS = ("office/naive_flash", "database/flash_disk", "office/solid_state+mo
 
 #: The run whose trace-comparable hub counters the file also records, so
 #: ``trace-diff --bench`` can check a trace of the same run against them
-#: (:func:`repro.obs.analyze.hub_metrics`).
+#: (:data:`repro.obs.analyze.TRACE_COMPARABLE_HUB_KEYS`).
 HUB_RUN = "office/solid_state"
 
 _REPRO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -149,7 +150,10 @@ def measure(runs: Sequence[str] = tuple(run[0] for run in RUNS)) -> dict:
         if lines:
             record["lines"][name] = lines
         if name == HUB_RUN:
-            record["hub"] = hub_metrics(machine.hub)
+            flat = flatten_numeric(machine.hub.snapshot(machine.clock.now))
+            record["hub"] = {
+                key: flat.get(path, 0.0) for key, path in TRACE_COMPARABLE_HUB_KEYS.items()
+            }
     return record
 
 

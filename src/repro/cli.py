@@ -438,9 +438,9 @@ def _cmd_metrics(args) -> int:
         args.workload, duration_s=args.duration,
         clients=args.clients,
     )
-    now = machine.clock.now
+    snapshot = machine.hub.snapshot(machine.clock.now)
     if args.json:
-        print(json.dumps(machine.hub.snapshot(now), indent=2, sort_keys=True))
+        print(json.dumps(snapshot, indent=2, sort_keys=True))
         return 0
     rows = [[name, f"{value:,.0f}"] for name, value in machine.hub.top_counters(args.top)]
     print(
@@ -451,17 +451,16 @@ def _cmd_metrics(args) -> int:
             f"({args.duration:.0f} simulated seconds)",
         )
     )
-    dev_rows = []
-    for name in machine.hub.devices():
-        dev_rows.append(
-            [
-                name,
-                human_bytes(int(machine.hub.device_stat(name, "bytes_read"))),
-                human_bytes(int(machine.hub.device_stat(name, "bytes_written"))),
-                int(machine.hub.device_stat(name, "erases")),
-                f"{machine.hub.device_stat(name, 'energy_joules'):.3f}",
-            ]
-        )
+    dev_rows = [
+        [
+            name,
+            human_bytes(dev["bytes_read"]),
+            human_bytes(dev["bytes_written"]),
+            dev["erases"],
+            f"{dev['energy_joules']:.3f}",
+        ]
+        for name, dev in snapshot["devices"].items()
+    ]
     print()
     print(format_table(["device", "read", "written", "erases", "active_J"],
                        dev_rows, title="devices"))
@@ -471,7 +470,7 @@ def _cmd_metrics(args) -> int:
 def _cmd_trace_smoke(args) -> int:
     import json
 
-    from repro.obs import TraceReader
+    from repro.obs import TraceReader, flatten_numeric
     from repro.obs.analyze import TraceAnalysis, diff_summaries
 
     os.makedirs(args.dir, exist_ok=True)
@@ -511,14 +510,15 @@ def _cmd_trace_smoke(args) -> int:
         doc = json.load(fh)
     if not doc.get("traceEvents"):
         failures.append("chrome export has no traceEvents")
-    hub_bytes = machine.hub.device_stat("flash-data", "bytes_written")
+    snapshot = machine.hub.snapshot(machine.clock.now)
+    hub_bytes = flatten_numeric(snapshot)["devices.flash-data.bytes_written"]
     dev_bytes = machine.flash.stats.bytes_written
     if hub_bytes != dev_bytes:
         failures.append(
             f"hub flash-data bytes_written {hub_bytes} != device counter {dev_bytes}"
         )
     try:
-        json.dumps(machine.hub.snapshot(machine.clock.now))
+        json.dumps(snapshot)
     except (TypeError, ValueError) as exc:
         failures.append(f"hub snapshot not JSON-able: {exc}")
     for violation in monitors["violations"]:

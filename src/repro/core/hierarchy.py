@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple, Union
 
 from repro.core.config import CACHE_BYTES, FLASH_BANKS, Organization, SystemConfig
-from repro.core.lifetime import lifetime_projection
 from repro.core.metrics import RunMetrics
 from repro.devices.battery import BatteryBank
 from repro.devices.catalog import (
@@ -195,6 +194,14 @@ class MobileComputer:
 
         # --- Observability. ----------------------------------------------
         self.hub = MetricsHub()
+        self.hub.config = {
+            "organization": org.value,
+            "storage_cost_dollars": config.storage_budget_dollars(),
+            "battery_capacity_joules": (
+                config.primary_battery_joules + config.backup_battery_joules
+            ),
+        }
+        self.hub.power = self.power
         self._register_observability()
         # Every component built above took the tracer active now (see
         # repro.obs.runtime); the machine keeps it for its lifecycle
@@ -460,7 +467,7 @@ class MobileComputer:
                 for i in range(clients)
             ]
         report = self.run_streams(streams, sync_at_end=sync_at_end)
-        return report, self.collect_metrics(report, workload)
+        return report, self.collect_metrics(report)
 
     def run_streams(self, streams, sync_at_end: bool = True) -> ReplayReport:
         """Replay one or more client streams via the kernel request path."""
@@ -475,42 +482,10 @@ class MobileComputer:
     # Metrics.
     # ------------------------------------------------------------------
 
-    def collect_metrics(self, report: ReplayReport, workload: str) -> RunMetrics:
+    def collect_metrics(self, report: ReplayReport) -> RunMetrics:
+        """Hand the hub ``report``, settle the power model up to now,
+        and reduce one hub snapshot to the run's metrics."""
         now = self.clock.now
+        self.hub.report = report
         self.power.settle(now)
-        m = RunMetrics(
-            organization=self.config.organization.value,
-            workload=workload,
-            sim_seconds=now,
-            records=report.records,
-            mean_read_latency=report.op_latency.get("read", {}).get("mean", 0.0),
-            p95_read_latency=report.op_latency.get("read", {}).get("p95", 0.0),
-            mean_write_latency=report.op_latency.get("write", {}).get("mean", 0.0),
-            p95_write_latency=report.op_latency.get("write", {}).get("p95", 0.0),
-            app_bytes_written=report.bytes_written,
-            storage_cost_dollars=self.config.storage_budget_dollars(),
-        )
-        if self.flash is not None:
-            m.flash_bytes_programmed = self.flash.stats.bytes_written
-            m.flash_erases = self.flash.stats.erases
-            wear = self.flash.wear_summary()
-            m.wear_cov = wear["wear_cov"]
-            if now > 0:
-                m.lifetime = lifetime_projection(self.flash, now)
-        if self.manager is not None:
-            m.write_traffic_reduction = self.manager.write_traffic_reduction()
-        if self.store is not None:
-            m.write_amplification = self.store.write_amplification()
-        breakdown = self.power.breakdown(now)
-        m.energy_joules = breakdown.total
-        m.average_power_watts = self.power.average_power_watts(now)
-        m.battery_fraction_remaining = (
-            self.battery.remaining_joules()
-            / (self.config.primary_battery_joules + self.config.backup_battery_joules)
-        )
-        launches = self.stats.counter("launches").value
-        if launches:
-            m.launches = int(launches)
-            m.mean_launch_latency = self.stats.histogram("launch_latency").mean
-            m.launch_dram_pages = int(self.stats.histogram("launch_dram_pages").mean)
-        return m
+        return RunMetrics.from_snapshot(self.hub.snapshot(now))

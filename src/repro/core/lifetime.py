@@ -19,8 +19,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from repro.devices.flash import FlashMemory
-
 
 @dataclass(frozen=True)
 class LifetimeProjection:
@@ -40,15 +38,16 @@ class LifetimeProjection:
         return self.projected_seconds / 86_400.0
 
 
-def lifetime_projection(flash: FlashMemory, observed_seconds: float) -> LifetimeProjection:
-    """Project lifetime from the wear a run has accumulated."""
+def lifetime_projection(summary: dict, observed_seconds: float) -> LifetimeProjection:
+    """Project lifetime from the wear a run has accumulated, given as a
+    :meth:`~repro.devices.flash.FlashMemory.wear_summary` (live, or read
+    back from a MetricsHub snapshot)."""
     if observed_seconds <= 0:
         raise ValueError("observation window must be positive")
-    summary = flash.wear_summary()
     total = int(summary["total_erases"])
     max_erases = int(summary["max_erases"])
     mean = float(summary["mean_erases_per_sector"])
-    endurance = flash.endurance or 0
+    endurance = summary["endurance"] or 0
 
     if total == 0 or endurance == 0:
         infinite = math.inf
@@ -66,7 +65,7 @@ def lifetime_projection(flash: FlashMemory, observed_seconds: float) -> Lifetime
     worst_rate = max_erases / observed_seconds  # erases/s on hottest sector
     projected = endurance / worst_rate if worst_rate > 0 else math.inf
     total_rate = total / observed_seconds
-    ideal = (endurance * flash.num_sectors) / total_rate
+    ideal = (endurance * summary["sectors"]) / total_rate
     efficiency = projected / ideal if ideal > 0 else 1.0
     return LifetimeProjection(
         observed_seconds=observed_seconds,

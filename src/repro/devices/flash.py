@@ -452,6 +452,7 @@ class FlashMemory(StorageDevice):
             "wear_cov": cov,
             "worn_sectors": self.worn_sector_count,
             "endurance": self.endurance,
+            "sectors": n,
         }
 
     # ------------------------------------------------------------------

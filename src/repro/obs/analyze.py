@@ -573,15 +573,16 @@ def diff_summaries(
 
 
 #: MetricsHub counters a trace can independently re-derive from its own
-#: event stream (:func:`trace_hub_metrics`): ``trace-diff --bench``
-#: compares a trace against a record's ``hub`` block on exactly these.
-TRACE_COMPARABLE_HUB_KEYS = (
-    "flash_bytes_written",
-    "flash_erases",
-    "writebuffer_bytes_in",
-    "writebuffer_flushed_bytes",
-    "gc_bytes_copied",
-)
+#: event stream (:func:`trace_hub_metrics`), each with its path in the
+#: flattened hub snapshot: ``trace-diff --bench`` compares a trace
+#: against a record's ``hub`` block on exactly these.
+TRACE_COMPARABLE_HUB_KEYS = {
+    "flash_bytes_written": "devices.flash-data.bytes_written",
+    "flash_erases": "devices.flash-data.erases",
+    "writebuffer_bytes_in": "components.writebuffer.counters.bytes_in",
+    "writebuffer_flushed_bytes": "components.writebuffer.counters.flushed_bytes",
+    "gc_bytes_copied": "components.flashstore.counters.gc_bytes_copied",
+}
 
 
 def trace_hub_metrics(summary: dict) -> Dict[str, float]:
@@ -615,17 +616,6 @@ def trace_hub_metrics(summary: dict) -> Dict[str, float]:
     if summary["gc"]["copy_bytes"] or summary["gc"]["cleans"]:
         out["gc_bytes_copied"] = float(summary["gc"]["copy_bytes"])
     return out
-
-
-def hub_metrics(hub) -> Dict[str, float]:
-    """The :data:`TRACE_COMPARABLE_HUB_KEYS` counters of a live MetricsHub."""
-    return {
-        "flash_bytes_written": hub.device_stat("flash-data", "bytes_written"),
-        "flash_erases": hub.device_stat("flash-data", "erases"),
-        "writebuffer_bytes_in": hub.counter_value("writebuffer", "bytes_in"),
-        "writebuffer_flushed_bytes": hub.counter_value("writebuffer", "flushed_bytes"),
-        "gc_bytes_copied": hub.counter_value("flashstore", "gc_bytes_copied"),
-    }
 
 
 def trajectory_hub_metrics(record: dict) -> Dict[str, float]:

@@ -4,6 +4,6 @@ Connects the per-device energy meters to the battery bank so experiments
 can report battery life and inject power failures at meaningful times.
 """
 
-from repro.power.energy import EnergyBreakdown, PowerModel
+from repro.power.energy import PowerModel
 
-__all__ = ["PowerModel", "EnergyBreakdown"]
+__all__ = ["PowerModel"]

@@ -11,8 +11,7 @@ observation point without per-operation overhead.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from repro.devices.base import StorageDevice
 from repro.devices.battery import BatteryBank
@@ -20,18 +19,6 @@ from repro.devices.battery import BatteryBank
 #: The machine settles every simulated second, so battery state tracks
 #: simulated time.
 SETTLE_INTERVAL_S = 1.0
-
-
-@dataclass
-class EnergyBreakdown:
-    """Joules per device, split into active and idle."""
-
-    active: Dict[str, float] = field(default_factory=dict)
-    idle: Dict[str, float] = field(default_factory=dict)
-
-    @property
-    def total(self) -> float:
-        return sum(self.active.values()) + sum(self.idle.values())
 
 
 class PowerModel:
@@ -56,16 +43,19 @@ class PowerModel:
             self.battery.draw(drawn, now)
         return drawn
 
-    def breakdown(self, now: float) -> EnergyBreakdown:
-        out = EnergyBreakdown()
-        for device in self.devices:
-            device.accrue_idle(now)
-            out.active[device.name] = device.stats.energy_joules
-            out.idle[device.name] = device.idle_energy_joules
-        return out
+    def snapshot(self, now: Optional[float]) -> dict:
+        """Energy charged so far (active, then idle, summed over the
+        devices), its average power over ``now`` seconds, and the
+        battery's remaining charge: the one definition of each.
 
-    def average_power_watts(self, now: float) -> float:
-        """Mean storage-subsystem power over the run so far."""
-        if now <= 0:
-            return 0.0
-        return self.breakdown(now).total / now
+        A pure read: it accrues no idle energy, so :meth:`settle` first
+        to bring the meters up to ``now``.
+        """
+        energy = sum(d.stats.energy_joules for d in self.devices) + sum(
+            d.idle_energy_joules for d in self.devices
+        )
+        return {
+            "energy_joules": energy,
+            "average_power_watts": energy / now if now else 0.0,
+            "battery_remaining_joules": self.battery.remaining_joules(),
+        }

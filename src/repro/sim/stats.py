@@ -23,7 +23,7 @@ looked up once, on first use.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Union
+from typing import Callable, Dict, Optional, Union
 
 Number = Union[int, float]
 
@@ -217,6 +217,15 @@ class StatRegistry:
         self.counters: Dict[str, Counter] = {}
         self.histograms: Dict[str, Histogram] = {}
         self.gauges: Dict[str, TimeWeightedValue] = {}
+        # Ratios the owning component defines over its metrics (its one
+        # definition of each), rendered under "derived" in snapshots.
+        self.derived: Dict[str, Callable[[], float]] = {}
+
+    def value(self, name: str) -> float:
+        """A counter's value, 0.0 if it was never touched; unlike
+        :meth:`counter`, the read creates no metric."""
+        counter = self.counters.get(name)
+        return counter.value if counter is not None else 0.0
 
     def counter(self, name: str) -> Counter:
         counter = self.counters.get(name)
@@ -238,7 +247,7 @@ class StatRegistry:
 
     def snapshot(self, now: Optional[float] = None) -> Dict[str, object]:
         """Render every metric into a plain, JSON-able dictionary."""
-        return {
+        out: Dict[str, object] = {
             "name": self.name,
             "counters": {n: c.value for n, c in sorted(self.counters.items())},
             "histograms": {n: h.summary() for n, h in sorted(self.histograms.items())},
@@ -247,6 +256,9 @@ class StatRegistry:
                 for n, g in sorted(self.gauges.items())
             },
         }
+        if self.derived:
+            out["derived"] = {n: fn() for n, fn in sorted(self.derived.items())}
+        return out
 
 
 class StatHandle:

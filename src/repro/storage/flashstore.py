@@ -188,6 +188,7 @@ class _SectorStore:
         self.flash = flash
         self.clock = clock
         self.stats = StatRegistry("flashstore")
+        self.stats.derived["write_amplification"] = self.write_amplification
         # Optional repro.obs.Tracer (the one active at construction);
         # writes, GC activity (copies, cleans, retirements) and ECC
         # outcomes emit trace records when set.
@@ -246,8 +247,8 @@ class _SectorStore:
 
     def write_amplification(self) -> float:
         """(user + cleaner) bytes programmed per user byte."""
-        user = self.stats.counter("user_bytes_written").value
-        gc = self.stats.counter("gc_bytes_copied").value
+        user = self.stats.value("user_bytes_written")
+        gc = self.stats.value("gc_bytes_copied")
         return (user + gc) / user if user else 0.0
 
 

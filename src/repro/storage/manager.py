@@ -60,6 +60,7 @@ class StorageManager:
         self.buffer = write_buffer
         self.compressor = compressor
         self.stats = StatRegistry("storage-manager")
+        self.stats.derived["write_traffic_reduction"] = self.write_traffic_reduction
         # Optional repro.obs.Tracer (the one active at construction);
         # read-only degradation transitions emit a trace record.
         self.tracer = obs_runtime.get_tracer()
@@ -200,8 +201,8 @@ class StorageManager:
 
     def write_traffic_reduction(self) -> float:
         """Fraction of user write bytes that never reached flash."""
-        user = self.stats.counter("user_bytes_written").value
+        user = self.stats.value("user_bytes_written")
         if user == 0:
             return 0.0
-        flash_user_bytes = self.store.stats.counter("user_bytes_written").value
+        flash_user_bytes = self.store.stats.value("user_bytes_written")
         return 1.0 - (flash_user_bytes / user)

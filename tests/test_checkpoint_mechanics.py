@@ -101,7 +101,6 @@ class TestMetricsPlumbing:
         snap = dataclasses.asdict(metrics)
         for key in (
             "organization",
-            "workload",
             "mean_write_latency",
             "write_traffic_reduction",
             "energy_joules",
@@ -132,8 +131,8 @@ class TestMetricsPlumbing:
             )
         )
         _report, metrics = machine.run_workload("pim", duration_s=20.0)
-        breakdown = machine.power.breakdown(machine.clock.now)
-        assert {"dram", "disk", "cpu", "flash-programs"} <= set(breakdown.active)
+        devices = machine.power.devices
+        assert {"dram", "disk", "cpu", "flash-programs"} <= {d.name for d in devices}
         assert metrics.energy_joules == pytest.approx(
-            sum(breakdown.active.values()) + sum(breakdown.idle.values()), rel=1e-6
+            sum(d.total_energy_joules for d in devices), rel=1e-6
         )

@@ -41,7 +41,7 @@ class TestSystemConfig:
 class TestLifetimeProjection:
     def test_no_traffic_is_infinite(self):
         flash = FlashMemory(256 * KB, spec=FLASH_PAPER_NOMINAL)
-        projection = lifetime_projection(flash, 100.0)
+        projection = lifetime_projection(flash.wear_summary(), 100.0)
         assert math.isinf(projection.projected_seconds)
 
     def test_hotspot_projection(self):
@@ -51,7 +51,7 @@ class TestLifetimeProjection:
         flash = FlashMemory(256 * KB, spec=spec)
         for _ in range(10):
             flash.erase_sector(0, SimClock())
-        projection = lifetime_projection(flash, observed_seconds=100.0)
+        projection = lifetime_projection(flash.wear_summary(), observed_seconds=100.0)
         # 10 erases / 100 s on the hot sector -> 100 cycles last 1000 s.
         assert projection.projected_seconds == pytest.approx(1000.0)
         assert projection.leveling_efficiency < 0.1  # single hot sector
@@ -63,13 +63,13 @@ class TestLifetimeProjection:
         flash = FlashMemory(64 * KB, spec=spec)  # 16 sectors
         for s in range(flash.num_sectors):
             flash.erase_sector(s, SimClock())
-        projection = lifetime_projection(flash, 100.0)
+        projection = lifetime_projection(flash.wear_summary(), 100.0)
         assert projection.leveling_efficiency == pytest.approx(1.0)
 
     def test_invalid_window(self):
         flash = FlashMemory(256 * KB)
         with pytest.raises(ValueError):
-            lifetime_projection(flash, 0.0)
+            lifetime_projection(flash.wear_summary(), 0.0)
 
 
 class TestMobileComputer:

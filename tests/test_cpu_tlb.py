@@ -52,9 +52,9 @@ class TestCPU:
         cpu.busy(1.0)
         drawn = model.settle(10.0)
         assert drawn > 0
-        breakdown = model.breakdown(10.0)
-        assert breakdown.active["cpu"] > 0
-        assert breakdown.idle["cpu"] > 0
+        assert cpu.stats.energy_joules > 0
+        assert cpu.idle_energy_joules > 0
+        assert model.snapshot(10.0)["energy_joules"] == pytest.approx(drawn)
 
 
 class TestTLB:
@@ -162,6 +162,12 @@ class TestMachineEnergyIncludesCPU:
             )
         )
         _report, metrics = machine.run_workload("pim", duration_s=30.0)
-        breakdown = machine.power.breakdown(machine.clock.now)
-        assert breakdown.active["cpu"] + breakdown.idle["cpu"] > 0
+        # The hub lists no CPU device, so the CPU's energy is what the
+        # run's total holds beyond the hub devices' energy.
+        devices = machine.hub.snapshot(machine.clock.now)["devices"]
+        cpu_joules = metrics.energy_joules - sum(
+            dev["total_energy_joules"] for dev in devices.values()
+        )
+        assert machine.cpu.total_energy_joules > 0
+        assert cpu_joules == pytest.approx(machine.cpu.total_energy_joules)
         assert machine.cpu.busy_seconds > 0  # compression charged compute

@@ -37,27 +37,27 @@ SEED = 42
 #: JSON) for the office workload, seed 42, 12 s, one client.
 GOLDEN = {
     "solid_state": {
-        "hub": "e464c77745fd6c5113c9f76aac3b54a4fef0b3c24baf1edce8e636fb8467fe82",
+        "hub": "a29348d730b8bae50666e72e3f7a81de702785fee325bed82794bd2ece3e67f7",
         "trace": "5bb0a56cc4453c5e3203fbfc3bb3be53c78e516f7efba842087872711f9f2420",
         "report": "5843de5df8d8850b7645e9507e80bcffbdc74eeb42b9ab89db28fa244fc8ad68",
     },
     "disk": {
-        "hub": "e7b46d251ac11ddfbe70c8dfa8c574c3e6165f55ab818c9a24a01ff10448274f",
+        "hub": "65f536849e89bb60bffdacc9c285add954992f2ead9de138192401cee7626c65",
         "trace": "38b8dac489a368237be203235b455a04c3bcee141060a8b46fd0bdf014aa654c",
         "report": "5f0e57bbac570aaa5b6e7f895b15ce01e3dd02c411421064d1bff67d09555341",
     },
     "flash_disk": {
-        "hub": "e4c58e552933d9ee537636ee69f2cf68f78710e79d2339e39116ed3a3dc14cbc",
+        "hub": "a95d5adf88b211fc70a085e2472315bfa910a41267586617ada75e6cb2926e7c",
         "trace": "19f6de6758128846ddf38075ef2fe1e6494cfe2a2af16edeabd976503c3222fa",
         "report": "d0392c37ada608a542898914ce94374ee057f91c6a1aabe32ce9fa5b9baa7873",
     },
     "flash_eip": {
-        "hub": "9af0ed16e0b0f8fd8aa8d532b7dd7beb64bfb51a94238ffa9ebb7f618b382510",
+        "hub": "8273f6dee5f9772053deccae0a89526fbfd8fee90cd2da8b637366f8e1394754",
         "trace": "45f55d52047092431fb0828edf4467082849d4cb3e0b086144982f0016ce0760",
         "report": "b987b54fa65dbc9ccc107d5d5ff8d3b606525fec000addd6346c1771841f7d3c",
     },
     "naive_flash": {
-        "hub": "1f238cca948a0695eb0962f344282f1ada01533b92c1476d17d8008563706605",
+        "hub": "c4c9578ff017bc9e82da8daea83fd5be0829283e9b45e6a0f10be2dde362672f",
         "trace": "3e537c196ee93196b29295abaedfc7405c77014aab6d619d5981a809a1bb2c80",
         "report": "fa9a230d90c8fb7d3a94d760dd1913d4f29c521d7fd08342a23c89673123986e",
     },

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
+from repro.core.metrics import RunMetrics
 from repro.devices.dram import DRAM
 from repro.devices.flash import FlashMemory
 from repro.obs import (
@@ -189,17 +190,18 @@ class TestMetricsHub:
 
     def test_lookups(self):
         hub, _reg, flash = self._hub()
-        assert hub.counter_value("comp", "ops") == 5
-        assert hub.counter_value("comp", "nope") == 0.0
-        assert hub.counter_value("nope", "ops") == 0.0
-        assert hub.device_stat("flash", "bytes_written") == flash.stats.bytes_written
+        flat = flatten_numeric(hub.snapshot())
+        assert flat["components.comp.counters.ops"] == 5
+        assert "components.comp.counters.nope" not in flat
+        assert "components.nope.counters.ops" not in flat
+        assert flat["devices.flash.bytes_written"] == flash.stats.bytes_written
 
     def test_reregistration_replaces(self):
         hub, _reg, _flash = self._hub()
         fresh = StatRegistry("comp")
         fresh.counter("ops").add(1)
         hub.register(fresh)
-        assert hub.counter_value("comp", "ops") == 1
+        assert flatten_numeric(hub.snapshot())["components.comp.counters.ops"] == 1
         assert hub._registries["comp"] is fresh
 
     def test_top_counters(self):
@@ -393,12 +395,10 @@ def _traced_run(seed=0, duration=20.0):
 class TestMachineObservability:
     def test_hub_matches_device_counters_exactly(self):
         machine, _tracer = _traced_run()
+        flat = flatten_numeric(machine.hub.snapshot(machine.clock.now))
+        assert flat["devices.flash-data.bytes_written"] == machine.flash.stats.bytes_written
         assert (
-            machine.hub.device_stat("flash-data", "bytes_written")
-            == machine.flash.stats.bytes_written
-        )
-        assert (
-            machine.hub.counter_value("writebuffer", "bytes_in")
+            flat["components.writebuffer.counters.bytes_in"]
             == machine.manager.buffer.stats.counter("bytes_in").value
         )
 
@@ -458,8 +458,41 @@ class TestMachineObservability:
 
     def test_disk_org_registers_disk(self):
         machine = MobileComputer(SystemConfig(organization=Organization.DISK))
-        assert "disk" in machine.hub.devices()
+        assert "disk" in machine.hub.snapshot()["devices"]
         assert "buffercache" in machine.hub._registries
+
+
+# ----------------------------------------------------------------------
+# The hub snapshot is the one surface RunMetrics is read from.
+# ----------------------------------------------------------------------
+
+
+def _office_run(org=Organization.SOLID_STATE):
+    """The equivalence tests' run: office, seed 42, 12 simulated seconds."""
+    machine = MobileComputer(SystemConfig(organization=org, seed=42))
+    report, metrics = machine.run_workload("office", duration_s=12.0)
+    return machine, report, metrics
+
+
+class TestSnapshotIsTheSurface:
+    def test_metric_reads_create_no_metrics(self):
+        machine, report, metrics = _office_run()
+        now = machine.clock.now
+        snap = machine.hub.snapshot(now)
+        components = snap["components"]
+        assert "launches" not in components["machine"]["counters"]
+        assert "gc_bytes_copied" not in components["flashstore"]["counters"]
+        # A snapshot is a pure read: taking one changes no later one...
+        assert machine.hub.snapshot(now) == snap
+        # ...and accrues no idle energy, so metrics re-collected after
+        # it are the run's.
+        assert machine.collect_metrics(report) == metrics
+
+    @pytest.mark.parametrize("org", list(Organization), ids=lambda o: o.value)
+    def test_run_metrics_from_json_snapshot(self, org):
+        machine, _report, metrics = _office_run(org)
+        snap = json.loads(json.dumps(machine.hub.snapshot(machine.clock.now)))
+        assert RunMetrics.from_snapshot(snap) == metrics
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,7 @@ import pytest
 
 from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
-from repro.obs import runtime
+from repro.obs import flatten_numeric, runtime
 from repro.obs.analyze import (
     Timeline,
     TraceAnalysis,
@@ -363,15 +363,15 @@ class TestDiffs:
         for record in tracer.records:
             analysis.feed(dict(zip(EVENT_FIELDS, record)))
         derived = trace_hub_metrics(analysis.summary())
-        hub = machine.hub
+        hub = flatten_numeric(machine.hub.snapshot(machine.clock.now))
         assert derived["flash_bytes_written"] == pytest.approx(
-            hub.device_stat("flash-data", "bytes_written")
+            hub["devices.flash-data.bytes_written"]
         )
         assert derived["writebuffer_bytes_in"] == pytest.approx(
-            hub.counter_value("writebuffer", "bytes_in")
+            hub["components.writebuffer.counters.bytes_in"]
         )
         assert derived["writebuffer_flushed_bytes"] == pytest.approx(
-            hub.counter_value("writebuffer", "flushed_bytes")
+            hub["components.writebuffer.counters.flushed_bytes"]
         )
 
 

@@ -115,9 +115,11 @@ class TestPowerModel:
         dram = DRAM(4 * MB)
         model = PowerModel([dram], _bank())
         dram.write(0, b"x" * 4096, SimClock())
-        breakdown = model.breakdown(100.0)
-        assert breakdown.active["dram"] > 0
-        assert breakdown.idle["dram"] > 0
-        assert breakdown.total == pytest.approx(
-            breakdown.active["dram"] + breakdown.idle["dram"]
+        model.settle(100.0)
+        snap = model.snapshot(100.0)
+        assert dram.stats.energy_joules > 0
+        assert dram.idle_energy_joules > 0
+        assert snap["energy_joules"] == pytest.approx(
+            dram.stats.energy_joules + dram.idle_energy_joules
         )
+        assert snap["average_power_watts"] == pytest.approx(snap["energy_joules"] / 100.0)
