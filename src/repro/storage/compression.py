@@ -91,7 +91,7 @@ class BlockCompressor:
 
     def space_ratio(self) -> float:
         """Stored bytes per input byte (lower is better)."""
-        bytes_in = self.stats.counter("bytes_in").value
+        bytes_in = self.stats.value("bytes_in")
         if bytes_in == 0:
             return 1.0
-        return self.stats.counter("bytes_out").value / bytes_in
+        return self.stats.value("bytes_out") / bytes_in

@@ -297,9 +297,8 @@ class WriteBuffer:
         This is the paper's headline 40-50% number when the buffer is
         ~1 MB and the workload has workstation-like overwrite behaviour.
         """
-        bytes_in = self.stats.counter("bytes_in").value
+        bytes_in = self.stats.value("bytes_in")
         if bytes_in == 0:
             return 0.0
-        flushed = self.stats.counter("flushed_bytes").value
-        flushed -= self.stats.counter("restored_bytes").value
+        flushed = self.stats.value("flushed_bytes") - self.stats.value("restored_bytes")
         return 1.0 - (flushed / bytes_in)
