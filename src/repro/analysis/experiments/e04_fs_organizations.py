@@ -49,7 +49,7 @@ def run_one(org: Organization, duration_s: float, seed: int = 0) -> list:
         m.p95_write_latency * 1e3,
         hub.get("components.diskfs.counters.indirect_block_reads", 0.0),
         hub.get("components.buffercache.counters.misses", 0.0),
-        machine.disk.seeks if machine.disk is not None else 0,
+        int(hub.get("devices.disk.seeks", 0)),
     ]
 
 

@@ -60,9 +60,9 @@ def _failure_case(
     report, _metrics = machine.run_workload(
         "office", duration_s=duration, sync_at_end=False
     )
-    avg_dirty = machine.manager.buffer.stats.gauge("occupancy_bytes").average(
-        machine.clock.now
-    )
+    snapshot = machine.hub.snapshot(machine.clock.now)
+    occupancy = snapshot["components"]["writebuffer"]["gauges"]["occupancy_bytes"]
+    avg_dirty = occupancy["average"]
     if orderly:
         machine.orderly_shutdown()
     machine.inject_battery_failure()

@@ -29,12 +29,12 @@ def run_one(workload: str, compress: bool, duration: float, seed: int) -> list:
     )
     machine = MobileComputer(config)
     _report, m = machine.run_workload(workload, duration_s=duration)
-    compressor = machine.manager.compressor
+    components = machine.hub.snapshot(machine.clock.now)["components"]
     return [
         workload,
         "on" if compress else "off",
         m.flash_bytes_programmed / MB,
-        compressor.space_ratio() if compressor is not None else 1.0,
+        components["compressor"]["derived"]["space_ratio"] if compress else 1.0,
         m.mean_write_latency * 1e3,
         m.mean_read_latency * 1e3,
         m.flash_erases or None,

@@ -32,12 +32,13 @@ def run_one(age_limit_s: float, duration: float, seed: int) -> list:
     )
     machine = MobileComputer(config)
     _report, m = machine.run_workload("office", duration_s=duration, sync_at_end=False)
-    buffer = machine.manager.buffer
+    snapshot = machine.hub.snapshot(machine.clock.now)
+    occupancy = snapshot["components"]["writebuffer"]["gauges"]["occupancy_bytes"]
     return [
         age_limit_s,
         m.write_traffic_reduction,
-        buffer.stats.gauge("occupancy_bytes").average(machine.clock.now) / KB,
-        buffer.buffered_bytes / KB,
+        occupancy["average"] / KB,
+        occupancy["current"] / KB,
         m.flash_bytes_programmed / MB,
     ]
 

@@ -26,7 +26,8 @@ Commands:
   exits non-zero on any.
 - ``trace-smoke``  -- tiny traced run validating the JSONL trace against
   its schema, the Chrome export, the hub/device accounting identity,
-  the online monitors (zero violations), and the ``analyze`` /
+  that the hub's device energies sum to the power total, the online
+  monitors (zero violations), and the ``analyze`` /
   ``trace-diff`` tooling, including that every ``analyze`` percentile
   lies within its op's or component's [min, max] (wired into
   ``make check``).
@@ -517,6 +518,14 @@ def _cmd_trace_smoke(args) -> int:
         failures.append(
             f"hub flash-data bytes_written {hub_bytes} != device counter {dev_bytes}"
         )
+    # The hub lists exactly the devices the power model meters, so their
+    # energies sum to the power block's total.
+    device_joules = sum(d["total_energy_joules"] for d in snapshot["devices"].values())
+    power_joules = snapshot["power"]["energy_joules"]
+    if abs(device_joules - power_joules) > 1e-9 * abs(power_joules):
+        failures.append(
+            f"hub devices' energy {device_joules!r} J != power energy {power_joules!r} J"
+        )
     try:
         json.dumps(snapshot)
     except (TypeError, ValueError) as exc:
@@ -552,6 +561,7 @@ def _cmd_trace_smoke(args) -> int:
         f"trace smoke ok: {reader.valid} schema-valid events "
         f"({meta['dropped']} dropped by the ring), chrome export parses, "
         f"hub/device flash accounting identical ({int(dev_bytes):,} bytes), "
+        f"device energies sum to the power total ({power_joules:.3f} J), "
         f"{len(monitors['monitors'])} monitors clean, analyze percentiles in range, "
         f"self-diff ok"
     )

@@ -190,10 +190,9 @@ class MobileComputer:
             lambda: self.power.settle(self.clock.now),
             name="power-settle",
         )
-        self._rng = substream(config.seed, "machine")
 
         # --- Observability. ----------------------------------------------
-        self.hub = MetricsHub()
+        self.hub = MetricsHub(self.power)
         self.hub.config = {
             "organization": org.value,
             "storage_cost_dollars": config.storage_budget_dollars(),
@@ -201,7 +200,6 @@ class MobileComputer:
                 config.primary_battery_joules + config.backup_battery_joules
             ),
         }
-        self.hub.power = self.power
         self._register_observability()
         # Every component built above took the tracer active now (see
         # repro.obs.runtime); the machine keeps it for its lifecycle
@@ -274,7 +272,7 @@ class MobileComputer:
     # ------------------------------------------------------------------
 
     def _register_observability(self) -> None:
-        """(Re-)register every component registry and device with the hub.
+        """(Re-)register every component registry with the hub.
 
         Idempotent: registration is latest-wins per name, so this runs
         again after ``reboot_after_power_loss`` rebuilds components.
@@ -297,12 +295,6 @@ class MobileComputer:
         hub.register(self.tlb.stats)
         if self.swap is not None:
             hub.register(self.swap.stats)
-        hub.register_device(self.dram)
-        if self.flash is not None:
-            hub.register_device(self.flash)
-        if self.disk is not None:
-            hub.register_device(self.disk)
-        hub.register_device(self.program_flash)
 
     # ------------------------------------------------------------------
     # Programs (experiment E6).

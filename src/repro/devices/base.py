@@ -41,11 +41,15 @@ from repro.sim.clock import SimClock
 
 @dataclass
 class DeviceStats:
-    """Cumulative per-device accounting."""
+    """Cumulative per-device accounting.  A count of an operation a
+    device does not have stays 0 (erases off flash, seeks and spin-ups
+    off the disk)."""
 
     reads: int = 0
     writes: int = 0
     erases: int = 0
+    seeks: int = 0
+    spin_ups: int = 0
     bytes_read: int = 0
     bytes_written: int = 0
     busy_time: float = 0.0
@@ -57,6 +61,8 @@ class DeviceStats:
             "reads": self.reads,
             "writes": self.writes,
             "erases": self.erases,
+            "seeks": self.seeks,
+            "spin_ups": self.spin_ups,
             "bytes_read": self.bytes_read,
             "bytes_written": self.bytes_written,
             "busy_time_s": self.busy_time,
@@ -89,23 +95,15 @@ class _IdleTracker:
         return delta
 
 
-class StorageDevice(ABC):
-    """Abstract byte-addressable storage device."""
+class MeteredDevice:
+    """A device the :class:`~repro.power.energy.PowerModel` meters: a
+    :class:`DeviceStats` record for its active energy and an idle meter
+    for the draw between operations."""
 
-    def __init__(self, name: str, capacity_bytes: int, idle_power_watts: float) -> None:
-        if capacity_bytes <= 0:
-            raise ValueError(f"{name}: capacity must be positive")
+    def __init__(self, name: str, idle_power_watts: float) -> None:
         self.name = name
-        self.capacity_bytes = capacity_bytes
         self.stats = DeviceStats()
         self._idle = _IdleTracker(idle_power_watts)
-        # Optional repro.obs.Tracer (the one active at construction);
-        # devices emit one trace record per operation when set.
-        self.tracer = obs_runtime.get_tracer()
-
-    def check_range(self, offset: int, nbytes: int) -> None:
-        if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
-            raise OutOfRangeError(self.name, offset, nbytes, self.capacity_bytes)
 
     def accrue_idle(self, now: float) -> None:
         """Charge idle power up to ``now`` (called by the power model)."""
@@ -119,6 +117,23 @@ class StorageDevice(ABC):
     def total_energy_joules(self) -> float:
         """Active + idle energy since construction."""
         return self.stats.energy_joules + self._idle.idle_energy
+
+
+class StorageDevice(MeteredDevice, ABC):
+    """Abstract byte-addressable storage device."""
+
+    def __init__(self, name: str, capacity_bytes: int, idle_power_watts: float) -> None:
+        if capacity_bytes <= 0:
+            raise ValueError(f"{name}: capacity must be positive")
+        super().__init__(name, idle_power_watts)
+        self.capacity_bytes = capacity_bytes
+        # Optional repro.obs.Tracer (the one active at construction);
+        # devices emit one trace record per operation when set.
+        self.tracer = obs_runtime.get_tracer()
+
+    def check_range(self, offset: int, nbytes: int) -> None:
+        if offset < 0 or nbytes < 0 or offset + nbytes > self.capacity_bytes:
+            raise OutOfRangeError(self.name, offset, nbytes, self.capacity_bytes)
 
     @abstractmethod
     def read(self, offset: int, nbytes: int, clock: SimClock) -> Tuple[bytes, float, float]:

@@ -63,11 +63,7 @@ class MagneticDisk(StorageDevice):
         self.bytes_per_cylinder = max(1, capacity_bytes // self.cylinders)
         self.spinning = True
         self.head_cylinder = 0
-        self.spin_ups = 0
-        self.seeks = 0
-        self.total_seek_time = 0.0
         self._last_op_end = 0.0
-        self._idle_accounted_to = 0.0
         # Disks can be large; the backing store is allocated lazily per
         # 64 KB chunk so a 120 MB baseline drive doesn't cost 120 MB of
         # host RAM up front.
@@ -102,7 +98,7 @@ class MagneticDisk(StorageDevice):
 
     def accrue_idle(self, now: float) -> None:
         """Charge idle/standby power from the last accounting point."""
-        start = self._idle_accounted_to
+        start = self._idle.last_time
         if now <= start:
             return
         energy = 0.0
@@ -113,7 +109,7 @@ class MagneticDisk(StorageDevice):
             start = spinning_until
         energy += (now - start) * self.spec.standby_power_w
         self._idle.idle_energy += energy
-        self._idle_accounted_to = now
+        self._idle.last_time = now
 
     def _is_spun_down(self, now: float) -> bool:
         return not self.spinning or now - self._last_op_end > self.spin_down_timeout_s
@@ -125,7 +121,7 @@ class MagneticDisk(StorageDevice):
         energy = 0.0
         if self._is_spun_down(now):
             self.spinning = True
-            self.spin_ups += 1
+            self.stats.spin_ups += 1
             delay = self._spin_up_s
             energy = delay * self._spin_up_power
         return delay, energy
@@ -147,20 +143,19 @@ class MagneticDisk(StorageDevice):
         self.check_range(offset, nbytes)
         now = clock.now
         spin_delay, spin_energy = self._begin_op(now)
+        stats = self.stats
         target = self.cylinder_of(offset)
         seek = self.seek_time(self.head_cylinder, target)
         if seek > 0.0:
-            self.seeks += 1
-            self.total_seek_time += seek
+            stats.seeks += 1
         self.head_cylinder = target
         overhead = self._write_overhead if write else self._read_overhead
         service = overhead + seek + self._rotational_latency() + self._transfer_time(nbytes)
         power = self._write_power if write else self._read_power
         self._last_op_end = now + spin_delay + service
         # Time covered by the operation is active, not idle.
-        self._idle_accounted_to = max(self._idle_accounted_to, self._last_op_end)
+        self._idle.last_time = max(self._idle.last_time, self._last_op_end)
         latency = spin_delay + service
-        stats = self.stats
         if write:
             stats.writes += 1
             stats.bytes_written += nbytes

@@ -49,8 +49,6 @@ class DRAM(StorageDevice):
          self._write_overhead, self._write_per_byte, self._write_power) = costs
         self.powered = True
         self._data = bytearray(capacity_bytes)
-        # Number of times contents have been lost to power failure.
-        self.content_losses = 0
 
     def charge_read(self, nbytes: int, clock: SimClock, offset: int = 0) -> None:
         """Account a read of ``nbytes`` that moves no data: check power,
@@ -142,7 +140,6 @@ class DRAM(StorageDevice):
         batteries are exhausted (or on an injected abrupt failure).
         """
         self.powered = False
-        self.content_losses += 1
         # A fresh power-up starts with undefined (zeroed) contents.  The
         # same-length slice assignment zeroes in place, so views handed
         # out by read_view stay valid (a resize would raise BufferError).

@@ -114,7 +114,6 @@ class FlashMemory(StorageDevice):
          self._erase_latency) = costs
         self.sector_bytes = sector
         self.num_sectors = capacity_bytes // sector
-        self.num_banks = banks
         self.sectors_per_bank = self.num_sectors // banks
         self.endurance = spec.endurance_cycles or 0
         # Busy horizon of each bank: the absolute sim time until which a

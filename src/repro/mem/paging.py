@@ -82,7 +82,6 @@ class PageFrameAllocator:
     region_base: int
     region_size: int
     _free: List[int] = field(default_factory=list)
-    _initialized: bool = False
 
     def __post_init__(self) -> None:
         if self.region_size % PAGE_SIZE:
@@ -91,7 +90,6 @@ class PageFrameAllocator:
         self._free = [
             self.region_base + i * PAGE_SIZE for i in range(self.total_frames - 1, -1, -1)
         ]
-        self._initialized = True
 
     @property
     def used_frames(self) -> int:

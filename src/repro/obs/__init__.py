@@ -9,9 +9,9 @@ subsystem:
   memory into canonical order and writes the JSONL trace and its Chrome
   ``trace_event`` export.
 - :mod:`repro.obs.hub` -- :class:`MetricsHub`, registering every
-  component's :class:`~repro.sim.stats.StatRegistry` and device stats at
-  machine-build time and rendering one merged JSON-able snapshot with
-  derived rates.
+  component's :class:`~repro.sim.stats.StatRegistry` at machine-build
+  time and rendering them, with the stats of every device the power
+  model meters, as one merged JSON-able snapshot with derived rates.
 - :mod:`repro.obs.schema` -- the trace-record schema and the one
   dependency-free, validating JSONL reader every trace tool reads
   through (``make trace-smoke``, ``analyze``, ``trace-diff``).

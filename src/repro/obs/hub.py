@@ -2,17 +2,21 @@
 
 Each component in the simulator owns a
 :class:`~repro.sim.stats.StatRegistry` (counters/histograms/gauges, plus
-the ratios it defines under ``derived``) and each device a
-:class:`~repro.devices.base.DeviceStats` record.  The hub registers them
-all at machine-build time, together with the machine's configuration
-facts, its power model and (once measured) the last replay's report,
-and renders one JSON-able snapshot:
+the ratios it defines under ``derived``), which the machine registers
+with the hub when it is built.  The hub is built over the machine's
+:class:`~repro.power.energy.PowerModel`, whose device list -- CPU, DRAM,
+flash, disk, program flash -- is the one list of devices: the hub
+renders each of them, so the devices' energies sum to the ``power``
+block's total.  With the machine's configuration facts and (once
+measured) the last replay's report, it renders one JSON-able snapshot:
 
 - ``components.<name>`` -- each registry; ``derived`` holds, for
   example, ``flashstore``'s ``write_amplification`` and
   ``storage-manager``'s ``write_traffic_reduction``;
-- ``devices.<name>`` -- each device's stats, total energy, per-second
-  rates and, for flash, its ``wear`` summary;
+- ``devices.<name>`` -- each metered device's
+  :class:`~repro.devices.base.DeviceStats` (disk seeks and spin-ups
+  included), total energy, per-second rates and, for flash, its
+  ``wear`` summary;
 - ``power`` -- energy, average power and the battery's remaining charge
   (:meth:`~repro.power.energy.PowerModel.snapshot`);
 - ``replay`` -- the last replay's aggregate report (per-client data
@@ -31,9 +35,12 @@ storage manager) simply replaces the entry under the same name.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.sim.stats import StatRegistry
+
+if TYPE_CHECKING:  # the power model imports the devices, which import obs
+    from repro.power.energy import PowerModel
 
 
 def flatten_numeric(obj: object, prefix: str = "") -> Dict[str, float]:
@@ -53,13 +60,13 @@ class MetricsHub:
 
     name = "machine"
 
-    def __init__(self) -> None:
+    def __init__(self, power: PowerModel) -> None:
         self._registries: Dict[str, StatRegistry] = {}
-        self._devices: Dict[str, object] = {}
-        # Set by the machine that owns the hub: its configuration facts,
-        # its PowerModel, and the ReplayReport it last measured.
+        # The devices the hub lists are the ones ``power`` meters.
+        self.power = power
+        # Set by the machine that owns the hub: its configuration facts
+        # and the ReplayReport it last measured.
         self.config: dict = {}
-        self.power = None
         self.report = None
 
     # ------------------------------------------------------------------
@@ -69,11 +76,6 @@ class MetricsHub:
     def register(self, registry: StatRegistry) -> None:
         """Register a component's StatRegistry (latest wins per name)."""
         self._registries[registry.name] = registry
-
-    def register_device(self, device: object) -> None:
-        """Register a device exposing ``.name`` and ``.stats`` (a
-        DeviceStats)."""
-        self._devices[device.name] = device
 
     # ------------------------------------------------------------------
     # Snapshots.
@@ -86,11 +88,9 @@ class MetricsHub:
         derived per-second rates so reports need no post-processing.
         """
         devices = {}
-        for name, dev in sorted(self._devices.items()):
+        for dev in sorted(self.power.devices, key=lambda d: d.name):
             snap = dev.stats.snapshot()
-            total_energy = getattr(dev, "total_energy_joules", None)
-            if total_energy is not None:
-                snap["total_energy_joules"] = total_energy
+            snap["total_energy_joules"] = dev.total_energy_joules
             wear_summary = getattr(dev, "wear_summary", None)
             if wear_summary is not None:
                 snap["wear"] = wear_summary()
@@ -101,7 +101,7 @@ class MetricsHub:
                     "ops_per_s": (snap["reads"] + snap["writes"]) / now,
                     "utilization": snap["busy_time_s"] / now,
                 }
-            devices[name] = snap
+            devices[dev.name] = snap
         out = {
             "name": self.name,
             "sim_time_s": now,
@@ -110,11 +110,10 @@ class MetricsHub:
                 for name, registry in sorted(self._registries.items())
             },
             "devices": devices,
+            "power": self.power.snapshot(now),
         }
         if self.config:
             out["config"] = dict(self.config)
-        if self.power is not None:
-            out["power"] = self.power.snapshot(now)
         if self.report is not None:
             replay = out["replay"] = self.report.snapshot()
             replay.pop("per_client", None)

@@ -1,7 +1,8 @@
 """System power model.
 
-Each storage device meters its own active energy (charged per operation)
-and idle energy (charged by :meth:`accrue_idle`).  The :class:`PowerModel`
+Each metered device (:class:`~repro.devices.base.MeteredDevice`: the
+CPU and every storage device) meters its own active energy (charged per
+operation) and idle energy (charged by :meth:`accrue_idle`).  The :class:`PowerModel`
 periodically *settles*: it brings every device's idle meter up to date,
 computes the energy drawn since the last settlement, and drains the
 battery bank by that amount.  Settling happens on a timer (via the event
@@ -13,7 +14,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional
 
-from repro.devices.base import StorageDevice
+from repro.devices.base import MeteredDevice
 from repro.devices.battery import BatteryBank
 
 #: The machine settles every simulated second, so battery state tracks
@@ -24,7 +25,7 @@ SETTLE_INTERVAL_S = 1.0
 class PowerModel:
     """Meters a set of devices and drains a battery bank."""
 
-    def __init__(self, devices: List[StorageDevice], battery: BatteryBank) -> None:
+    def __init__(self, devices: List[MeteredDevice], battery: BatteryBank) -> None:
         self.devices = list(devices)
         self.battery = battery
         self._settled_energy: Dict[str, float] = {d.name: 0.0 for d in self.devices}

@@ -48,6 +48,7 @@ class BlockCompressor:
         self.clock = clock
         self.cpu = cpu
         self.stats = StatRegistry("compressor")
+        self.stats.derived["space_ratio"] = self.space_ratio
 
     def _charge(self, seconds: float) -> None:
         self.clock.advance(seconds)

@@ -580,7 +580,6 @@ class FlashStore(_SectorStore):
             old_loc = Location(victim, offset, length)
             self.allocator.invalidate(old_loc)
             self._index[key] = new_loc
-            self.cleaning_stats.live_bytes_copied += length
             self.stats.counter("gc_bytes_copied").add(length)
             copied_bytes += length
             for listener in self.relocation_listeners:
@@ -642,7 +641,6 @@ class FlashStore(_SectorStore):
                 )
             return
         self.allocator.mark_erased(victim)
-        self.cleaning_stats.sectors_cleaned += 1
         if self.tracer is not None:
             self.tracer.emit(
                 "flashstore", "gc_clean", self.clock.now, reclaimed,

@@ -93,9 +93,8 @@ def choose_victim(
 
 
 class CleaningStats:
-    """Write-amplification accounting for the cleaner."""
+    """How often allocation pressure forced the cleaner onto the write
+    path (the bytes it copies are the store's ``gc_bytes_copied``)."""
 
     def __init__(self) -> None:
-        self.sectors_cleaned = 0
-        self.live_bytes_copied = 0
         self.forced_cleanings = 0  # cleanings triggered by allocation pressure

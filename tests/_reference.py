@@ -70,7 +70,6 @@ class DRAMModel(StorageDevice):
                          idle_power_watts=spec.idle_power_w_per_mb * (capacity_bytes / MB))
         self.spec = spec
         self.powered = True
-        self.content_losses = 0
         self._data = bytearray(capacity_bytes)
 
     def _access(self, write: bool, nbytes: int, offset: int, clock: SimClock, op: str) -> float:
@@ -111,7 +110,6 @@ class DRAMModel(StorageDevice):
 
     def power_loss(self) -> None:
         self.powered = False
-        self.content_losses += 1
         self._data[:] = bytes(len(self._data))
 
     def power_restore(self) -> None:
@@ -310,7 +308,7 @@ class DiskModel(MagneticDisk):
         energy = 0.0
         if self._is_spun_down(now):
             self.spinning = True
-            self.spin_ups += 1
+            self.stats.spin_ups += 1
             delay = self.spec.spin_up_s or 0.0
             energy = delay * self.spec.spin_up_power_w
         return delay, energy
@@ -322,15 +320,14 @@ class DiskModel(MagneticDisk):
         target = self.cylinder_of(offset)
         seek = self.seek_time(self.head_cylinder, target)
         if seek > 0.0:
-            self.seeks += 1
-            self.total_seek_time += seek
+            self.stats.seeks += 1
         self.head_cylinder = target
         overhead = self.spec.write_overhead_s if write else self.spec.read_overhead_s
         service = overhead + seek + self._rotational_latency() + self._transfer_time(nbytes)
         power = self.spec.active_write_power_w if write else self.spec.active_read_power_w
         self._last_op_end = now + spin_delay + service
         # Time covered by the operation is active, not idle.
-        self._idle_accounted_to = max(self._idle_accounted_to, self._last_op_end)
+        self._idle.last_time = max(self._idle.last_time, self._last_op_end)
         latency = spin_delay + service
         _record(self.stats, write, nbytes, latency, spin_delay, spin_energy + power * service)
         if self.tracer is not None:
@@ -384,9 +381,8 @@ def state(device) -> tuple:
     records = None if device.tracer is None else list(device.tracer.records)
     if isinstance(device, MagneticDisk):
         return (
-            stats, records, device.head_cylinder, device.spinning, device.spin_ups,
-            device.seeks, bits((device.total_seek_time, device.idle_energy_joules,
-                                device._last_op_end, device._idle_accounted_to)),
+            stats, records, device.head_cylinder, device.spinning,
+            bits((device.idle_energy_joules, device._last_op_end, device._idle.last_time)),
             device._chunks,  # the live dict, not a copy: it may be megabytes
         )
     if isinstance(device, FlashMemory):
@@ -396,7 +392,7 @@ def state(device) -> tuple:
         programmed = [device.runs(sector) for sector in range(device.num_sectors)]
         wear = list(zip(device.erase_counts, device.worn_out))
     else:
-        return stats, records, bytes(device._data), device.powered, device.content_losses
+        return stats, records, bytes(device._data), device.powered
     return (
         stats, records, bits(device.bank_busy_until), bytes(device._data), programmed,
         wear, device.total_erases, device.worn_sector_count, bits(device.first_wearout),

@@ -28,15 +28,14 @@ class TestCPU:
         cpu.idle_power_w = 0.0
         cpu.busy(0.5)
         assert cpu.stats.energy_joules == pytest.approx(1.0)
-        assert cpu.busy_seconds == 0.5
+        assert cpu.stats.busy_time == 0.5
 
     def test_idle_accrual(self):
         cpu = CPU()
-        cpu.idle_power_w = 0.1
         cpu.accrue_idle(10.0)
-        assert cpu.idle_energy_joules == pytest.approx(1.0)
+        assert cpu.idle_energy_joules == pytest.approx(10.0 * CPU.idle_power_w)
         cpu.accrue_idle(10.0)  # idempotent
-        assert cpu.idle_energy_joules == pytest.approx(1.0)
+        assert cpu.idle_energy_joules == pytest.approx(10.0 * CPU.idle_power_w)
 
     def test_negative_busy_rejected(self):
         with pytest.raises(ValueError):
@@ -131,7 +130,7 @@ class TestVMWithTLB:
         vaddr = vm.map_anonymous(space, 4)
         for i in range(4):
             vm.write(space, vaddr + i * PAGE_SIZE, b"x")
-        assert cpu.busy_seconds > 0  # faults + walks
+        assert cpu.stats.busy_time > 0  # faults + walks
 
     def test_destroy_space_invalidates_translation(self):
         vm, tlb, _cpu = self.make_vm()
@@ -162,12 +161,13 @@ class TestMachineEnergyIncludesCPU:
             )
         )
         _report, metrics = machine.run_workload("pim", duration_s=30.0)
-        # The hub lists no CPU device, so the CPU's energy is what the
-        # run's total holds beyond the hub devices' energy.
+        # The hub lists every device the power model meters, the CPU
+        # among them, so their energies sum to the run's total.
         devices = machine.hub.snapshot(machine.clock.now)["devices"]
-        cpu_joules = metrics.energy_joules - sum(
+        assert sorted(devices) == sorted(d.name for d in machine.power.devices)
+        cpu = devices["cpu"]
+        assert cpu["total_energy_joules"] == machine.cpu.total_energy_joules > 0
+        assert cpu["busy_time_s"] > 0  # compression charged compute
+        assert sum(
             dev["total_energy_joules"] for dev in devices.values()
-        )
-        assert machine.cpu.total_energy_joules > 0
-        assert cpu_joules == pytest.approx(machine.cpu.total_energy_joules)
-        assert machine.cpu.busy_seconds > 0  # compression charged compute
+        ) == pytest.approx(metrics.energy_joules, rel=1e-9)

@@ -61,7 +61,8 @@ class TestBatteryBank:
         dram.write(0, b"data", SimClock())
         bank.draw(5.0)
         assert not dram.powered
-        assert dram.content_losses == 1
+        dram.power_restore()
+        assert dram.read(0, 4, SimClock(1.0))[0] == bytes(4)
 
     def test_survival_time_days_for_idle_dram(self):
         # 16 MB of NEC DRAM self-refreshing at 1.5 mW/MB = 24 mW.

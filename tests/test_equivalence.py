@@ -33,31 +33,33 @@ from repro.trace.workloads import generate_workload
 DURATION = 12.0
 SEED = 42
 
-#: sha256 of (hub snapshot JSON, canonical trace JSONL, report snapshot
-#: JSON) for the office workload, seed 42, 12 s, one client.
+#: sha256 of (hub snapshot JSON at the run's end, canonical trace JSONL,
+#: report snapshot JSON) for the office workload, seed 42, 12 s, one
+#: client.  The hub snapshot is taken at ``clock.now``, so the devices'
+#: per-second rates and the average power are pinned too.
 GOLDEN = {
     "solid_state": {
-        "hub": "a29348d730b8bae50666e72e3f7a81de702785fee325bed82794bd2ece3e67f7",
+        "hub": "7f4b5fef9f5cd8e5a56be7282157d3f946317817e433005c5926912186ba1409",
         "trace": "5bb0a56cc4453c5e3203fbfc3bb3be53c78e516f7efba842087872711f9f2420",
         "report": "5843de5df8d8850b7645e9507e80bcffbdc74eeb42b9ab89db28fa244fc8ad68",
     },
     "disk": {
-        "hub": "65f536849e89bb60bffdacc9c285add954992f2ead9de138192401cee7626c65",
+        "hub": "eb09fa534b96604db8e83b4577bd982cee30752af6dcf770e9ce031cbb6e5e92",
         "trace": "38b8dac489a368237be203235b455a04c3bcee141060a8b46fd0bdf014aa654c",
         "report": "5f0e57bbac570aaa5b6e7f895b15ce01e3dd02c411421064d1bff67d09555341",
     },
     "flash_disk": {
-        "hub": "a95d5adf88b211fc70a085e2472315bfa910a41267586617ada75e6cb2926e7c",
+        "hub": "3c8e58f4ece97993cffa7d8179f717200359a460f3f74a4737430d55a84def39",
         "trace": "19f6de6758128846ddf38075ef2fe1e6494cfe2a2af16edeabd976503c3222fa",
         "report": "d0392c37ada608a542898914ce94374ee057f91c6a1aabe32ce9fa5b9baa7873",
     },
     "flash_eip": {
-        "hub": "8273f6dee5f9772053deccae0a89526fbfd8fee90cd2da8b637366f8e1394754",
+        "hub": "3ede118da4d61fd9851b2141fc101b2f7ad4b4c39ca7cab02ee2fff6c8d65001",
         "trace": "45f55d52047092431fb0828edf4467082849d4cb3e0b086144982f0016ce0760",
         "report": "b987b54fa65dbc9ccc107d5d5ff8d3b606525fec000addd6346c1771841f7d3c",
     },
     "naive_flash": {
-        "hub": "c4c9578ff017bc9e82da8daea83fd5be0829283e9b45e6a0f10be2dde362672f",
+        "hub": "f3c9efbd6a6a004c3fe69c955594049cf1e04a91edba38cb29ff6f645eaae1d4",
         "trace": "3e537c196ee93196b29295abaedfc7405c77014aab6d619d5981a809a1bb2c80",
         "report": "fa9a230d90c8fb7d3a94d760dd1913d4f29c521d7fd08342a23c89673123986e",
     },
@@ -89,7 +91,7 @@ def _traced_run(org: Organization, clients: int = 1):
         write_trace(path, [tracer.records])
         with open(path, "rb") as fh:
             trace = fh.read()
-    return _dumps(machine.hub.snapshot()), trace, report
+    return _dumps(machine.hub.snapshot(machine.clock.now)), trace, report
 
 
 @functools.lru_cache(maxsize=None)
@@ -104,6 +106,12 @@ def test_single_client_golden_equivalence(org):
     hub, trace, report = _single_client_run(org)
     assert _sha256(hub) == GOLDEN[org.value]["hub"]
     assert _sha256(trace) == GOLDEN[org.value]["trace"]
+    # The hub lists every device the power model meters, so their
+    # energies sum to the power block's total.
+    hub_snapshot = json.loads(hub)
+    assert sum(
+        dev["total_energy_joules"] for dev in hub_snapshot["devices"].values()
+    ) == pytest.approx(hub_snapshot["power"]["energy_joules"], rel=1e-9)
     # Single-client reports carry no per-client attribution.
     assert report.per_client == {}
     snapshot = report.snapshot()

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.core.config import Organization, SystemConfig
 from repro.core.hierarchy import MobileComputer
 from repro.core.metrics import RunMetrics
+from repro.devices.battery import BatteryBank
 from repro.devices.dram import DRAM
 from repro.devices.flash import FlashMemory
 from repro.obs import (
@@ -32,6 +33,7 @@ from repro.obs import (
     write_manifest,
     write_trace,
 )
+from repro.power.energy import PowerModel
 from repro.sim.clock import SimClock
 from repro.sim.engine import Engine
 from repro.sim.stats import Histogram, StatRegistry
@@ -168,15 +170,14 @@ class TestRuntime:
 
 class TestMetricsHub:
     def _hub(self):
-        hub = MetricsHub()
+        flash = FlashMemory(1 * MB)
+        flash.program(0, b"abc", SimClock())
+        hub = MetricsHub(PowerModel([flash], BatteryBank(1_000.0, 0.0)))
         reg = StatRegistry("comp")
         reg.counter("ops").add(5)
         reg.histogram("lat").record(0.25)
         reg.gauge("occ").set(3.0, 1.0)
         hub.register(reg)
-        flash = FlashMemory(1 * MB)
-        flash.program(0, b"abc", SimClock())
-        hub.register_device(flash)
         return hub, reg, flash
 
     def test_snapshot_is_jsonable_and_merged(self):

@@ -49,7 +49,7 @@ class TestBlockCompressor:
         cpu = CPU()
         BlockCompressor(clock, cpu).encode(b"z" * 100_000)
         assert clock.now == pytest.approx(100_000 / BlockCompressor.compress_bytes_per_s)
-        assert cpu.busy_seconds == clock.now
+        assert cpu.stats.busy_time == clock.now
 
     def test_space_ratio(self, compressor):
         compressor.encode(b"a" * 10_000)

@@ -40,7 +40,7 @@ class TestHighUtilizationChurn:
         for i in range(0, nblocks, max(1, nblocks // 20)):
             assert store.read_block(("cold", i)) == bytes([i & 0xFF]) * (4 * KB - 80)
         store.allocator.check_invariants()
-        assert store.cleaning_stats.sectors_cleaned > 0
+        assert store.stats.value("erases") > 0
 
     def test_truly_full_raises_on_user_write(self):
         store = make_store(capacity=512 * KB, banks=1)
